@@ -142,7 +142,7 @@ def _cmd_ecp(args, rng: SeededRng) -> None:
     if args.draws > 0:
         est = ecp_mc(model, sites, args.draws, antithetic=args.antithetic, rng=rng)
     else:
-        est = concurrence_probability(model, sites, rng=rng)
+        est = concurrence_probability(model, sites)
     _emit_json({"command": "ecp", "value": est.value, "stderr": est.stderr,
                 "method": est.method, "n_draws": est.n_draws}, args.out)
 
@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True, help="model spec JSON file")
     q.add_argument("--sites", required=True, help="CSV of site coordinates")
     q.add_argument("--draws", type=int, default=0,
-                   help="force Monte-Carlo with this many draws (0 = closed form if known)")
+                   help="force Monte-Carlo with this many draws "
+                        "(0 = closed form, or quadrature for pair models)")
     q.add_argument("--antithetic", action="store_true")
     q.set_defaults(func=_cmd_ecp)
 

@@ -1,22 +1,26 @@
-"""Closed-form and Monte-Carlo evaluation of extremal concurrence probabilities.
+"""Closed-form, quadrature, and Monte-Carlo evaluation of extremal
+concurrence probabilities.
 
 The concurrence probability p(s_1..k) is the chance that a single spectral
 event attains the pointwise maximum at every site.  Closed forms exist for
 the logistic, max-linear, interval max-increment, and ball-indicator
-models; Brown--Resnick, Smith, and extremal-t pairs are evaluated by
-Monte-Carlo integration of 1/V over spectral draws, with antithetic
-variates available whenever the MC driver is symmetric.
+models.  Brown--Resnick, Smith, and extremal-t pairs reduce to a
+one-dimensional expectation of 1/V: :func:`concurrence_probability`
+evaluates it by deterministic adaptive quadrature, and :func:`ecp_mc`
+estimates it by Monte Carlo (antithetic variates available whenever the MC
+driver is symmetric), as it does 1/V over spectral draws for other models.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericError
 from .models import (
     BallIndicator,
     BrownResnick,
@@ -34,17 +38,20 @@ from .models import (
     as_sites,
     ball_overlap_fraction,
     exponent_V,
-    extremal_coefficient,
     smith_to_brown_resnick,
     spectral_sampler,
 )
 from .simulate import SimControl, simulate_max_stable_batch
-from .specfun import RngLike, SeededRng, as_generator, log_ndtr, normal_cdf, student_cdf
+from .specfun import RngLike, as_generator, log_ndtr, normal_cdf, student_cdf
 
-Method = Literal["closed_form", "mc_plain", "mc_antithetic", "simulation_frequency"]
+Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
+                 "simulation_frequency"]
 
-_DEFAULT_TARGET_RNG = SeededRng(0x5EED_CAFE)
-_DEFAULT_TARGET_DRAWS = 400_000
+_GL_POINTS = 20
+_QUAD_TOL = 1e-13
+_QUAD_MAX_ROUNDS = 50
+_QUAD_MAX_INTERVALS = 512
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -152,42 +159,53 @@ def ecp_ball_sites(model: BallIndicator, sites) -> float:
 # ---------------------------------------------------------------------------
 # Monte-Carlo evaluation
 
+def _br_integrand(gamma_h: float, z):
+    """1 / [Phi(z) + exp(gamma - a z) Phi(a - z)], a = sqrt(2 gamma): the
+    Brown--Resnick pair concurrence is its mean over a standard normal z."""
+    a = math.sqrt(2.0 * gamma_h)
+    expo = gamma_h - a * z + log_ndtr(a - z)
+    small = expo < 700.0
+    with np.errstate(over="ignore"):
+        return np.where(small, 1.0 / (normal_cdf(z) + np.exp(np.minimum(expo, 700.0))), 0.0)
+
+
+def _t_scale(rho: float, nu: float) -> float:
+    """sigma = sqrt((1 - rho^2) / (1 + nu)), without cancellation near rho = 1."""
+    return math.sqrt((1.0 - rho) * (1.0 + rho) / (1.0 + nu))
+
+
+def _t_integrand(rho: float, nu: float, t):
+    """Extremal-t pair integrand; its mean over a Student t(nu + 1) variable
+    t is the concurrence.  Zero for t <= -rho / sigma.
+
+    The CDF argument (1 / u - rho) / sigma, u = rho + sigma t, is written as
+    (sigma (1 + nu) - rho t) / u, which is exact algebra (sigma^2 (1 + nu)
+    = 1 - rho^2) and avoids cancelling two terms of size 1/sigma as rho -> 1.
+    """
+    sig = _t_scale(rho, nu)
+    u = rho + sig * t
+    ok = u > 0.0
+    usafe = np.where(ok, u, 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        tail = usafe ** (-nu) * student_cdf((sig * (1.0 + nu) - rho * t) / usafe, nu + 1.0)
+        return np.where(ok, 1.0 / (student_cdf(t, nu + 1.0) + tail), 0.0)
+
+
 def _mc_brown_resnick(gamma_h: float, n_draws: int, antithetic: bool,
                       g: np.random.Generator):
-    """Integrand 1 / [Phi(Z) + exp(gamma - a Z) Phi(a - Z)], a = sqrt(2 gamma)."""
-    a = math.sqrt(2.0 * gamma_h)
-
-    def integrand(z):
-        expo = gamma_h - a * z + log_ndtr(a - z)
-        small = expo < 700.0
-        with np.errstate(over="ignore"):
-            out = np.where(small, 1.0 / (normal_cdf(z) + np.exp(np.minimum(expo, 700.0))), 0.0)
-        return out
-
     z = g.standard_normal(n_draws)
-    vals = integrand(z)
+    vals = _br_integrand(gamma_h, z)
     if antithetic:
-        vals = 0.5 * (vals + integrand(-z))
+        vals = 0.5 * (vals + _br_integrand(gamma_h, -z))
     return vals
 
 
 def _mc_extremal_t(rho: float, nu: float, n_draws: int, antithetic: bool,
                    g: np.random.Generator):
-    sig = math.sqrt((1.0 - rho * rho) / (1.0 + nu))
-
-    def integrand(t):
-        u = rho + sig * t
-        ok = u > 0.0
-        usafe = np.where(ok, u, 1.0)
-        with np.errstate(over="ignore", divide="ignore"):
-            tail = usafe ** (-nu) * student_cdf(-rho / sig + 1.0 / (sig * usafe), nu + 1.0)
-            out = np.where(ok, 1.0 / (student_cdf(t, nu + 1.0) + tail), 0.0)
-        return out
-
     t = g.standard_t(nu + 1.0, size=n_draws)
-    vals = integrand(t)
+    vals = _t_integrand(rho, nu, t)
     if antithetic:
-        vals = 0.5 * (vals + integrand(-t))
+        vals = 0.5 * (vals + _t_integrand(rho, nu, -t))
     return vals
 
 
@@ -204,6 +222,21 @@ def _mc_generic(model: ModelSpec, sites, n_draws: int, g: np.random.Generator):
             v = exponent_V(model, sites, y[pos])
             vals[start:stop][pos] = 1.0 / np.asarray(v)
     return vals
+
+
+def _pair_gamma(model: BrownResnick, sites) -> float:
+    gamma_h = float(np.asarray(model.variogram(_pair_lag(as_sites(sites)))).reshape(()))
+    if gamma_h < 0:
+        raise DomainError("variogram must be nonnegative")
+    return gamma_h
+
+
+def _pair_rho(model: ExtremalT, sites) -> float:
+    lag = _pair_lag(as_sites(sites))
+    rho = float(np.asarray(model.correlation(float(np.linalg.norm(lag)))).reshape(()))
+    if abs(rho) > 1:
+        raise DomainError("correlation values must lie in [-1, 1]")
+    return rho
 
 
 def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False,
@@ -227,19 +260,12 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False,
     if isinstance(model, Smith):
         return ecp_mc(smith_to_brown_resnick(model), sites, n_draws, antithetic, g)
     if isinstance(model, BrownResnick):
-        s = as_sites(sites)
-        gamma_h = float(np.asarray(model.variogram(_pair_lag(s))).reshape(()))
-        if gamma_h < 0:
-            raise DomainError("variogram must be nonnegative")
+        gamma_h = _pair_gamma(model, sites)
         if gamma_h == 0.0:
             return _exact(1.0)
         vals = _mc_brown_resnick(gamma_h, n_draws, antithetic, g)
     elif isinstance(model, ExtremalT):
-        s = as_sites(sites)
-        lag = _pair_lag(s)
-        rho = float(np.asarray(model.correlation(float(np.linalg.norm(lag)))).reshape(()))
-        if abs(rho) > 1:
-            raise DomainError("correlation values must lie in [-1, 1]")
+        rho = _pair_rho(model, sites)
         if rho == 1.0:
             return _exact(1.0)
         vals = _mc_extremal_t(rho, model.nu, n_draws, antithetic, g)
@@ -254,6 +280,131 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False,
     return ConcurrenceEstimate(value=min(max(value, 0.0), 1.0), stderr=stderr,
                                n_draws=n_draws,
                                method="mc_antithetic" if antithetic else "mc_plain")
+
+
+# ---------------------------------------------------------------------------
+# deterministic quadrature
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_POINTS-point rule, built on first use:
+    the eigenvalue solve behind them adds ~1 MB of resident memory, which
+    callers that never integrate should not pay."""
+    return np.polynomial.legendre.leggauss(_GL_POINTS)
+
+
+def _gauss(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss--Legendre rule of g on each interval [lo_i, hi_i]."""
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+    return (g(x) * weights).sum(axis=1) * half
+
+
+def _adaptive_quad(g, a: float, b: float) -> tuple[float, float, int]:
+    """(integral, error estimate, evaluations) of a vectorized g on [a, b].
+
+    Every pending interval is halved each round and accepted once the rule
+    on the halves agrees with the rule on the whole within its share of
+    _QUAD_TOL; all pending intervals of a round are evaluated in one call.
+    The loop also stops when the summed disagreement of all intervals is
+    within _QUAD_TOL, which ends the refinement towards an endpoint where
+    the integrand is not smooth.
+    """
+    left, right = np.array([a]), np.array([b])
+    whole = _gauss(g, left, right)
+    value = err = 0.0
+    evals = _GL_POINTS
+    for _ in range(_QUAD_MAX_ROUNDS):
+        if left.size > _QUAD_MAX_INTERVALS:
+            break
+        mid = 0.5 * (left + right)
+        halves = _gauss(g, np.concatenate([left, mid]), np.concatenate([mid, right]))
+        evals += halves.size * _GL_POINTS
+        n = left.size
+        fine = halves[:n] + halves[n:]
+        delta = np.abs(fine - whole)
+        if err + delta.sum() <= _QUAD_TOL:
+            return value + float(fine.sum()), err + float(delta.sum()), evals
+        done = delta <= _QUAD_TOL * (right - left) / (b - a)
+        value += float(fine[done].sum())
+        err += float(delta[done].sum())
+        keep = ~done
+        left, right = (np.concatenate([left[keep], mid[keep]]),
+                       np.concatenate([mid[keep], right[keep]]))
+        whole = np.concatenate([halves[:n][keep], halves[n:][keep]])
+    raise NumericError(f"quadrature on [{a}, {b}] did not converge")
+
+
+def _half_line(f, c: float, sign: float):
+    """f on c + sign * [0, inf) as an integrand over u in (0, 1]:
+    x = c + sign * (1 - u) / u puts half of the u range within 1 of c.
+    Distance L from c corresponds to u = 1 / (1 + L)."""
+    def g(u):
+        return f(c + sign * (1.0 - u) / u) / (u * u)
+    return g
+
+
+def _quad_pieces(pieces) -> ConcurrenceEstimate:
+    """Sum of :func:`_adaptive_quad` over (integrand, a, b) pieces.  The
+    breakpoints matter: one interval over the whole support can miss a
+    narrow peak of the weight (see the callers)."""
+    value = err = 0.0
+    evals = 0
+    for g, a, b in pieces:
+        v, e, n = _adaptive_quad(g, a, b)
+        value += v
+        err += e
+        evals += n
+    return ConcurrenceEstimate(value=min(max(value, 0.0), 1.0), stderr=err, n_draws=evals,
+                               method="quadrature")
+
+
+def _quad_brown_resnick(gamma_h: float) -> ConcurrenceEstimate:
+    """E[_br_integrand(Z)], Z standard normal.  The integrand rises from ~0
+    to ~1 around z = a/2 (a = sqrt(2 gamma)); splitting at 0, a/2 and a keeps
+    that step inside short intervals for large gamma."""
+    a = math.sqrt(2.0 * gamma_h)
+
+    def f(z):
+        return np.exp(-0.5 * z * z) * _INV_SQRT_2PI * _br_integrand(gamma_h, z)
+
+    return _quad_pieces(((_half_line(f, 0.0, -1.0), 0.0, 1.0), (f, 0.0, 0.5 * a),
+                         (f, 0.5 * a, a), (_half_line(f, a, 1.0), 0.0, 1.0)))
+
+
+def _quad_extremal_t(rho: float, nu: float) -> ConcurrenceEstimate:
+    """E[_t_integrand(T)], T ~ Student t(nu + 1), over the support
+    T > lo = -rho / sigma of the integrand.  For rho near 1, lo lies far out
+    in the tail: [lo, 0] is mapped like a half-line so that the nodes
+    gather at the density peak at 0, not spread evenly towards lo."""
+    dof = nu + 1.0
+    log_c = (math.lgamma(0.5 * (dof + 1.0)) - math.lgamma(0.5 * dof)
+             - 0.5 * math.log(dof * math.pi))
+
+    def f(t):
+        dens = np.exp(log_c - 0.5 * (dof + 1.0) * np.log1p(t * t / dof))
+        return dens * _t_integrand(rho, nu, t)
+
+    lo = -rho / _t_scale(rho, nu)
+    if lo >= 0.0:
+        return _quad_pieces(((_half_line(f, lo, 1.0), 0.0, 1.0),))
+    return _quad_pieces(((_half_line(f, 0.0, -1.0), 1.0 / (1.0 - lo), 1.0),
+                         (_half_line(f, 0.0, 1.0), 0.0, 1.0)))
+
+
+def _ecp_quadrature(model: ModelSpec, sites) -> ConcurrenceEstimate:
+    """Brown--Resnick, Smith, or extremal-t pair concurrence by quadrature of
+    the integrand :func:`ecp_mc` samples; exact 1 when fully dependent."""
+    if isinstance(model, Smith):
+        model = smith_to_brown_resnick(model)
+    if isinstance(model, BrownResnick):
+        gamma_h = _pair_gamma(model, sites)
+        return _exact(1.0) if gamma_h == 0.0 else _quad_brown_resnick(gamma_h)
+    rho = _pair_rho(model, sites)
+    if abs(rho) == 1.0:     # p = 1 when fully dependent; the integrand vanishes at rho = -1
+        return _exact(1.0 if rho > 0 else 0.0)
+    return _quad_extremal_t(rho, model.nu)
 
 
 def ecp_simulation(model: ModelSpec, sites, reps: int,
@@ -272,9 +423,9 @@ def ecp_simulation(model: ModelSpec, sites, reps: int,
 # ---------------------------------------------------------------------------
 # dispatcher and targets
 
-def concurrence_probability(model: ModelSpec, sites, rng: RngLike = None,
-                            n_draws: int = _DEFAULT_TARGET_DRAWS) -> ConcurrenceEstimate:
-    """Best available evaluation: closed form where one exists, else MC."""
+def concurrence_probability(model: ModelSpec, sites) -> ConcurrenceEstimate:
+    """Best available evaluation: closed form where one exists, else
+    deterministic quadrature (Brown--Resnick, Smith, and extremal-t pairs)."""
     if isinstance(model, Logistic):
         return _exact(ecp_logistic(model.alpha, as_sites(sites).k))
     if isinstance(model, MaxLinear):
@@ -285,18 +436,16 @@ def concurrence_probability(model: ModelSpec, sites, rng: RngLike = None,
     if isinstance(model, BallIndicator):
         return _exact(ecp_ball_sites(model, sites))
     if isinstance(model, (BrownResnick, ExtremalT, Smith)):
-        rng = rng if rng is not None else _DEFAULT_TARGET_RNG
-        return ecp_mc(model, sites, n_draws, antithetic=True, rng=rng)
+        return _ecp_quadrature(model, sites)
     raise CapabilityError(f"no concurrence evaluation for {type(model).__name__}")
 
 
-def kendall_target_p(model: ModelSpec, pair, rng: RngLike = None,
-                     n_draws: int = _DEFAULT_TARGET_DRAWS) -> float:
+def kendall_target_p(model: ModelSpec, pair) -> float:
     """Population value the pairwise Kendall estimator converges to, i.e.
     the bivariate concurrence probability p(s_1, s_2).
 
     Coincident sites return 1 exactly.  Models without a closed form are
-    evaluated by (deterministically seeded) antithetic Monte Carlo.
+    evaluated by deterministic quadrature.
     """
     if isinstance(model, MaxLinear):
         cols = _max_linear_columns(model, pair)
@@ -311,12 +460,7 @@ def kendall_target_p(model: ModelSpec, pair, rng: RngLike = None,
         raise DomainError("a pair of sites is required")
     if np.array_equal(coords[0], coords[1]):
         return 1.0
-    return concurrence_probability(model, SiteSet(coords), rng=rng, n_draws=n_draws).value
-
-
-def theta_pair(model: ModelSpec, pair) -> float:
-    """Pairwise extremal coefficient theta(s_1, s_2) = V(1, 1)."""
-    return extremal_coefficient(model, pair)
+    return concurrence_probability(model, SiteSet(coords)).value
 
 
 # ---------------------------------------------------------------------------

@@ -208,15 +208,6 @@ def log_ndtr(x):
     return special.log_ndtr(x)
 
 
-def gamma_fn(x):
-    """Euler gamma function (re-export for callers avoiding a scipy import)."""
-    return special.gamma(x)
-
-
-def gammaln(x):
-    return special.gammaln(x)
-
-
 def logsumexp(a, axis=None):
     return special.logsumexp(a, axis=axis)
 

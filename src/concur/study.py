@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concurrence import ecp_mc
+from .concurrence import concurrence_probability
 from .errors import DomainError
 from .estimators import block_cp_batch, bootstrap_cp_batch, kendall_batch, optimal_block_size, block_mse
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
@@ -54,7 +54,6 @@ class StudyConfig:
     m_grid: tuple[int, ...] = ()
     lags: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
     max_atoms: int = 1000
-    mc_draws: int = 200_000
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -72,20 +71,18 @@ def _pair_sites(h: float) -> np.ndarray:
     return np.array([[0.0], [float(h)]])
 
 
-def lag_for_target_p(model_at_lag, target: float, rng: SeededRng,
-                     lo: float = 1e-4, hi: float = 60.0,
-                     draws: int = 200_000, iters: int = 30) -> float:
+def lag_for_target_p(model_at_lag, target: float, lo: float = 1e-4, hi: float = 60.0,
+                     iters: int = 30) -> float:
     """Bisect the lag h with p(h) = target for a model family h -> ModelSpec.
 
-    Every evaluation reuses the same seeded stream (common random numbers),
-    which keeps the evaluated map monotone in h and the bisection exact up
-    to MC resolution.
+    p(h) is evaluated by deterministic quadrature, so the bisection is exact
+    up to the bracket width 2**-iters (hi - lo) and needs no random draws.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
 
     def p_of(h: float) -> float:
-        return ecp_mc(model_at_lag(h), _pair_sites(h), draws, antithetic=True, rng=rng).value
+        return concurrence_probability(model_at_lag(h), _pair_sites(h)).value
 
     p_lo, p_hi = p_of(lo), p_of(hi)
     if not (p_hi < target < p_lo):
@@ -127,9 +124,8 @@ def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     ctrl = SimControl(max_atoms=cfg.max_atoms)
     rows: list[dict] = []
     cell = 0
-    for pi, p_target in enumerate(cfg.p_targets):
-        h = lag_for_target_p(extremal_t_benchmark, p_target, rng.substream(10_000 + pi),
-                             draws=cfg.mc_draws)
+    for p_target in cfg.p_targets:
+        h = lag_for_target_p(extremal_t_benchmark, p_target)
         model = extremal_t_benchmark(h)
         sites = _pair_sites(h)
         for n in sizes:
@@ -175,9 +171,8 @@ def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     ctrl = SimControl(max_atoms=cfg.max_atoms)
     rows: list[dict] = []
     cell = 0
-    for pi, p_target in enumerate(cfg.p_targets):
-        h = lag_for_target_p(extremal_t_benchmark, p_target, rng.substream(20_000 + pi),
-                             draws=cfg.mc_draws)
+    for p_target in cfg.p_targets:
+        h = lag_for_target_p(extremal_t_benchmark, p_target)
         model = extremal_t_benchmark(h)
         sites = _pair_sites(h)
         for n in sizes:
@@ -208,8 +203,7 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
         for h in cfg.lags:
             model = fam(h)
             sites = _pair_sites(h)
-            truth = ecp_mc(model, sites, cfg.mc_draws, antithetic=True,
-                           rng=rng.substream(90_000 + cell)).value
+            truth = concurrence_probability(model, sites).value
             for n in sizes:
                 cell += 1
                 data = _simulate_block(model, sites, None, cfg.reps, n, ctrl,

@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import DomainError
 from .models import Logistic, ModelSpec
+from .pipeline import _SEASON_MONTHS
 from .simulate import SimControl, simulate_logistic_exact, simulate_max_stable_batch
 from .specfun import RngLike, as_generator
-
-_SEASON_MONTHS = {"DJF": (12, 1, 2), "MAM": (3, 4, 5), "JJA": (6, 7, 8), "SON": (9, 10, 11)}
 
 
 def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,

@@ -1,7 +1,8 @@
-"""Closed forms, Monte-Carlo evaluation, bounds, and integrated concurrence."""
+"""Closed forms, quadrature and Monte-Carlo evaluation, bounds, and integrated concurrence."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from concur import (
     MaxLinear,
     SeededRng,
     Smith,
+    concurrence_probability,
     ecp_ball_overlap,
     ecp_extremal_process,
     ecp_logistic,
@@ -186,6 +188,58 @@ class TestMonteCarlo:
         assert a.value == b.value
 
 
+_BR_GAMMAS = (1e-4, 1.0 / 1.627, 20.0 / 3.0, 50.0)
+
+
+def _br(gamma: float) -> BrownResnick:
+    return BrownResnick(FractionalVariogram(scale=gamma, exponent=1.0))
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("model, pair", [
+        *((_br(g), PAIR) for g in _BR_GAMMAS[:3]),
+        (Smith(CovarianceMatrix(np.array([[0.7]]))), PAIR),
+        *((ExtremalT(ExponentialCorrelation(10.0), nu=nu), [[0.0], [h]])
+          for nu in (1.0, 5.0) for h in (1e-4, 1.0, 60.0)),
+        # support starts ~7000 density widths left of the peak at 0
+        (ExtremalT(ExponentialCorrelation(10.0), nu=100.0), [[0.0], [1e-5]]),
+    ])
+    def test_matches_antithetic_mc(self, model, pair, rng):
+        quad = concurrence_probability(model, pair)
+        mc = ecp_mc(model, pair, 400_000, antithetic=True, rng=rng)
+        assert quad.method == "quadrature"
+        assert quad.stderr < 1e-9 and quad.n_draws > 0
+        assert abs(quad.value - mc.value) < 3 * mc.stderr
+
+    @pytest.mark.parametrize("gamma", _BR_GAMMAS)
+    def test_brown_resnick_matches_high_precision(self, gamma):
+        # at gamma = 50 the mass sits in the tail Z > sqrt(2 gamma)/2 = 5, which
+        # Monte Carlo cannot resolve; a 30-digit integral is the reference
+        with mpmath.workdps(30):
+            a = mpmath.sqrt(2 * gamma)
+            ref = mpmath.quad(lambda z: mpmath.npdf(z) / (
+                mpmath.ncdf(z) + mpmath.exp(gamma - a * z) * mpmath.ncdf(a - z)),
+                [-mpmath.inf, 0, a / 2, a, mpmath.inf])
+        assert concurrence_probability(_br(gamma), PAIR).value == pytest.approx(
+            float(ref), rel=1e-9, abs=1e-15)
+
+    def test_degenerate_pairs_are_exact(self):
+        from concur import QuadraticVariogram
+        br = BrownResnick(QuadraticVariogram(np.zeros((1, 1))))
+        et = ExtremalT(ExponentialCorrelation(10.0), nu=5.0)
+        for model, pair in ((br, PAIR), (et, [[0.0], [1e-16]])):
+            est = concurrence_probability(model, pair)
+            assert est.value == 1.0 and est.method == "closed_form"
+        countermonotone = ExtremalT(lambda d: -np.ones_like(d), nu=2.0)
+        assert concurrence_probability(countermonotone, PAIR).value == 0.0
+
+    def test_unresolvable_integrand_raises(self):
+        from concur import NumericError
+        from concur.concurrence import _adaptive_quad
+        with pytest.raises(NumericError):
+            _adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
 class TestExtremalCoefficient:
     def test_examples(self):
         assert extremal_coefficient(Logistic(1.0), PAIR) == pytest.approx(2.0, abs=1e-14)
@@ -251,11 +305,12 @@ class TestKendallTarget:
         assert kendall_target_p(Logistic(0.3), [[1.0], [1.0]]) == 1.0
         assert kendall_target_p(ExtremalProcess(), [0.4, 0.4]) == 1.0
 
-    def test_mc_fallback_deterministic(self):
+    def test_quadrature_path_deterministic(self):
         model = BrownResnick(FractionalVariogram(scale=1.0 / 1.627, exponent=1.0))
         a = kendall_target_p(model, PAIR)
         b = kendall_target_p(model, PAIR)
         assert a == b and abs(a - 0.5) < 0.01
+        assert concurrence_probability(model, PAIR).method == "quadrature"
 
 
 class TestIntegratedCp:

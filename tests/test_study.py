@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from concur import DomainError
-from concur.specfun import SeededRng
+from concur import DomainError, concurrence_probability
 from concur.study import (
     StudyConfig,
     extremal_t_benchmark,
@@ -20,18 +19,18 @@ def test_unknown_experiment():
 
 
 def test_lag_bisection_monotone_targets():
-    rng = SeededRng(12)
-    h_50 = lag_for_target_p(extremal_t_benchmark, 0.5, rng, draws=50_000)
-    h_25 = lag_for_target_p(extremal_t_benchmark, 0.25, rng, draws=50_000)
+    h_50 = lag_for_target_p(extremal_t_benchmark, 0.5)
+    h_25 = lag_for_target_p(extremal_t_benchmark, 0.25)
     assert h_25 > h_50 > 0
+    p_50 = concurrence_probability(extremal_t_benchmark(h_50), [[0.0], [h_50]]).value
+    assert abs(p_50 - 0.5) < 1e-6
     with pytest.raises(DomainError):
-        lag_for_target_p(extremal_t_benchmark, 0.5, rng, lo=30.0, hi=60.0,
-                         draws=20_000)
+        lag_for_target_p(extremal_t_benchmark, 0.5, lo=30.0, hi=60.0)
 
 
 def test_fig3_brown_resnick_median_matches_mc(tmp_path):
     cfg = StudyConfig(experiment="fig3", out_dir=tmp_path, seed=41, reps=300,
-                      sample_sizes=(100,), lags=(1.0,), mc_draws=100_000)
+                      sample_sizes=(100,), lags=(1.0,))
     rows = study_harness(cfg)["rows"]
     br_kendall = [r for r in rows
                   if r["family"] == "brown_resnick" and r["estimator"] == "kendall"]
@@ -59,7 +58,7 @@ def test_outputs_deterministic(tmp_path):
         out = tmp_path / f"run{run}"
         cfg = StudyConfig(experiment="fig2", out_dir=out, seed=5, reps=10,
                           sample_sizes=(25,), n0_levels=(1, 5),
-                          p_targets=(0.5,), mc_draws=20_000)
+                          p_targets=(0.5,))
         res = study_harness(cfg)
         digests.append((open(res["csv"], "rb").read(),
                         json.loads(open(res["manifest"]).read())))
