@@ -12,10 +12,6 @@ __version__ = "0.1.0"
 from .concurrence import (
     ConcurrenceEstimate,
     concurrence_probability,
-    ecp_ball_overlap,
-    ecp_extremal_process,
-    ecp_logistic,
-    ecp_max_linear,
     ecp_mc,
     ecp_simulation,
     integrated_cp,
@@ -54,6 +50,10 @@ from .models import (
     QuadraticVariogram,
     SiteSet,
     Smith,
+    ecp_ball_overlap,
+    ecp_extremal_process,
+    ecp_logistic,
+    ecp_max_linear,
     exponent_V,
     extremal_coefficient,
     model_from_dict,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ingest, blocks, matrix, map, cells, ecp, estimate, simulate,
-plan, study.  Global flags (--seed, --threads, --out) come before the
+plan, study.  Global flags (--seed, --out) come before the
 subcommand.  JSON reports go to stdout unless --out names a file; CSV
 outputs always require --out.
 """
@@ -19,15 +19,7 @@ import numpy as np
 from . import __version__
 from .concurrence import concurrence_probability, ecp_mc
 from .errors import ConcurError, DomainError
-from .estimators import (
-    Sample,
-    ecp_kendall,
-    ecp_multivariate_log,
-    optimal_block_size,
-    sample_cp_block,
-    sample_cp_bootstrap,
-    sample_cp_unbiased,
-)
+from .estimators import ESTIMATORS, Sample, estimator, optimal_block_size
 from .models import model_from_dict
 from .pipeline import (
     cell_area_report,
@@ -156,29 +148,10 @@ def _cmd_estimate(args, rng: SeededRng) -> None:
         data = data[:, idx]
         names = tuple(labels)
     sample = Sample(data, names)
-    method = args.method
-    result: dict = {"command": "estimate", "method": method, "n": sample.n,
-                    "k": sample.k, "ties_detected": sample.has_ties,
-                    "pairs": ",".join(names), "m": args.block_size}
-    if method == "kendall":
-        est = ecp_kendall(sample)
-        result.update(estimate=est.estimate, stderr=est.stderr)
-    elif method == "mvlog":
-        result.update(estimate=ecp_multivariate_log(sample, jackknife=args.jackknife),
-                      stderr=None)
-    else:
-        if not args.block_size:
-            raise DomainError(f"--block-size is required for method {method!r}")
-        if method == "block":
-            result.update(estimate=sample_cp_block(sample, args.block_size), stderr=None)
-        elif method == "bootstrap":
-            result.update(estimate=sample_cp_bootstrap(sample, args.block_size), stderr=None)
-        elif method == "unbiased":
-            est = sample_cp_unbiased(sample, args.block_size)
-            result.update(estimate=est.value, clipped=est.clipped, stderr=None)
-        else:
-            raise DomainError(f"unknown method {method!r}")
-    _emit_json(result, args.out)
+    estimate = estimator(args.method, args.block_size, jackknife=args.jackknife)
+    _emit_json({"command": "estimate", "method": args.method, "n": sample.n,
+                "k": sample.k, "ties_detected": sample.has_ties,
+                "pairs": ",".join(names), "m": args.block_size, **estimate(sample)}, args.out)
 
 
 def _cmd_simulate(args, rng: SeededRng) -> None:
@@ -187,7 +160,7 @@ def _cmd_simulate(args, rng: SeededRng) -> None:
     ctrl = SimControl(max_atoms=args.max_atoms)
     values, hits, flags = simulate_max_stable_batch(model, sites, args.reps, ctrl, rng)
     out = _require_out(args)
-    write_realizations_csv(out, None, values, None if args.no_hits else hits)
+    write_realizations_csv(out, values, None if args.no_hits else hits)
     _emit_json({"command": "simulate", "out": out, "reps": args.reps,
                 "truncated_fraction": float(flags.mean())}, None)
 
@@ -242,8 +215,7 @@ def _cmd_blocks(args, rng: SeededRng) -> None:
 def _cmd_matrix(args, rng: SeededRng) -> None:
     extremes = _read_extremes_csv(args.input)
     matrix = pairwise_matrix(extremes, method=args.method, anchor=args.anchor,
-                             min_overlap=args.min_overlap, block_size=args.block_size,
-                             threads=args.threads)
+                             min_overlap=args.min_overlap, block_size=args.block_size)
     out = _require_out(args)
     write_matrix_csv(matrix, out)
     done = int(np.isfinite(matrix.estimates).sum())
@@ -320,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Extremal concurrence probabilities "
                                             "for max-stable processes")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for pairwise loops")
     p.add_argument("--out", default=None, help="output file (or directory for study)")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -336,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("estimate", help="concurrence estimators on a data table")
     q.add_argument("--input", required=True, help="CSV with one column per site")
-    q.add_argument("--method", required=True,
-                   choices=["block", "bootstrap", "unbiased", "kendall", "mvlog"])
+    q.add_argument("--method", required=True, choices=list(ESTIMATORS))
     q.add_argument("--block-size", type=int, default=None)
     q.add_argument("--pairs", default=None, help="comma-separated column names or indices")
     q.add_argument("--jackknife", action="store_true", help="bias reduction for mvlog")
@@ -374,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("matrix", help="pairwise concurrence matrix")
     q.add_argument("--input", required=True, help="seasonal extremes CSV")
-    q.add_argument("--method", default="kendall",
-                   choices=["kendall", "block", "bootstrap", "unbiased", "mvlog"])
+    q.add_argument("--method", default="kendall", choices=list(ESTIMATORS))
     q.add_argument("--block-size", type=int, default=None)
     q.add_argument("--anchor", default=None)
     q.add_argument("--min-overlap", type=int, default=3)
@@ -395,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", default=None)
     q.add_argument("--strata", default=None, help="year,label CSV")
     q.add_argument("--base-label", default=None)
-    q.add_argument("--method", default="kendall")
+    q.add_argument("--method", default="kendall", choices=list(ESTIMATORS))
     q.add_argument("--min-overlap", type=int, default=3)
     q.add_argument("--idw-power", type=float, default=2.0)
     q.add_argument("--model", default=None, help="model spec JSON (model mode)")

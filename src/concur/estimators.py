@@ -29,8 +29,8 @@ import numpy as np
 
 from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
-from .models import Logistic, ModelSpec, as_sites
-from .simulate import SimControl, simulate_logistic_exact, simulate_max_stable_batch
+from .models import ModelSpec
+from .simulate import SimControl, simulate_field_values
 from .specfun import RngLike, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 21
@@ -309,6 +309,58 @@ def ecp_multivariate_log(data, subset=None, jackknife: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
+# estimators by name
+
+def _kendall(data, m, jackknife) -> dict:
+    est = ecp_kendall(data)
+    return {"estimate": est.estimate, "stderr": est.stderr}
+
+
+def _mvlog(data, m, jackknife) -> dict:
+    return {"estimate": ecp_multivariate_log(data, jackknife=jackknife), "stderr": None}
+
+
+def _block(data, m, jackknife) -> dict:
+    return {"estimate": sample_cp_block(data, m), "stderr": None}
+
+
+def _bootstrap(data, m, jackknife) -> dict:
+    return {"estimate": sample_cp_bootstrap(data, m), "stderr": None}
+
+
+def _unbiased(data, m, jackknife) -> dict:
+    est = sample_cp_unbiased(data, m)
+    return {"estimate": est.value, "clipped": est.clipped, "stderr": None}
+
+
+# name -> (estimator, whether it needs a block size)
+ESTIMATORS = {
+    "kendall": (_kendall, False),
+    "block": (_block, True),
+    "bootstrap": (_bootstrap, True),
+    "unbiased": (_unbiased, True),
+    "mvlog": (_mvlog, False),
+}
+
+
+def estimator(method: str, block_size: int | None = None, jackknife: bool = False):
+    """The named concurrence estimator as a function of the data.
+
+    It returns a dict with ``estimate`` and ``stderr`` (None when the
+    estimator has none; ``unbiased`` adds ``clipped``).  An unknown name or
+    a missing block size raises :class:`DomainError` here, before any data
+    is seen.  ``jackknife`` applies to ``mvlog`` only.
+    """
+    if method not in ESTIMATORS:
+        raise DomainError(f"unknown estimator method {method!r}; "
+                          f"choose one of {tuple(ESTIMATORS)}")
+    fn, needs_block = ESTIMATORS[method]
+    if needs_block and not block_size:
+        raise DomainError(f"method {method!r} requires a block size")
+    return lambda data: fn(data, block_size, jackknife)
+
+
+# ---------------------------------------------------------------------------
 # block-size planning
 
 @dataclass(frozen=True)
@@ -426,14 +478,10 @@ def simulate_pair_batch(model: ModelSpec, sites, reps: int, n: int,
                         rng: RngLike, ctrl: SimControl | None = None) -> np.ndarray:
     """(reps, n, k) stack of independent max-stable observations.
 
-    Uses the exact positive-stable construction for logistic models and the
-    spectral simulator otherwise.
+    Uses the model's exact construction when it has one (the positive-stable
+    logistic) and the spectral simulator otherwise.
     """
-    g = as_generator(rng)
-    if isinstance(model, Logistic) and 0.0 < model.alpha < 1.0:
-        k = as_sites(sites).k
-        return simulate_logistic_exact(model.alpha, k, g, size=reps * n).reshape(reps, n, k)
-    values, _, _ = simulate_max_stable_batch(model, sites, reps * n, ctrl, g)
+    values = simulate_field_values(model, sites, reps * n, ctrl, as_generator(rng))
     return values.reshape(reps, n, values.shape[1])
 
 

@@ -1,13 +1,14 @@
-"""Max-stable model specifications, exponent functions, and spectral samplers.
+"""Max-stable model specifications, one class per model.
 
-Every model is a frozen dataclass; the union type :data:`ModelSpec` is what
-the rest of the package dispatches on.  Two surfaces matter downstream:
-
-* ``exponent_V(model, sites, z)`` -- the exponent function V with
-  P{eta(s_j) <= z_j for all j} = exp(-V(z)); homogeneous of order -1.
-* ``spectral_sampler(model, sites)`` -- mean-one spectral profiles Y with
-  eta(s) = max_i zeta_i Y_i(s), plus an almost-sure bound on sup Y when one
-  exists (indicator supports, moving Gaussian maxima, interval processes).
+Every model is a frozen dataclass deriving from :class:`ModelSpec`, and each
+class holds everything the package knows about its model: its site
+normalization, exponent function V (P{eta(s_j) <= z_j for all j} =
+exp(-V(z)), homogeneous of order -1), mean-one spectral sampler (profiles Y
+with eta(s) = max_i zeta_i Y_i(s)), what the simulator should run, its
+closed-form concurrence probability or pair reduction, and its JSON form.
+The module-level functions here and in ``concurrence`` and ``simulate``
+call those methods and never branch on the model type, so a new model is
+one class here plus one entry in :data:`MODELS`.
 
 Conventions: unit Frechet margins everywhere.  The interval max-increment
 process is normalized per site (values divided by the site coordinate),
@@ -18,8 +19,8 @@ scenarios and concurrence probabilities untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -28,15 +29,20 @@ from .specfun import (
     CovarianceMatrix,
     RngLike,
     as_generator,
+    half_line,
+    log_ndtr,
     logsumexp,
     normal_cdf,
     psd_factor,
     reg_inc_beta,
+    sample_positive_stable,
     student_cdf,
     unit_ball_volume,
 )
 
 _SMITH_BUFFER_SIGMAS = 8.0  # truncated Gaussian mass < 1e-14
+_REP_CHUNK_ELEMS = 1 << 22  # soft cap on the doubles one simulation chunk holds
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +74,9 @@ class SiteSet:
     def k(self) -> int:
         return self.coords.shape[0]
 
+    def __len__(self) -> int:
+        return self.k
+
     @property
     def ndim(self) -> int:
         return self.coords.shape[1]
@@ -86,6 +95,12 @@ def as_sites(sites) -> SiteSet:
     return SiteSet(np.asarray(sites, dtype=float))
 
 
+def _pair_lag(sites: SiteSet) -> np.ndarray:
+    if sites.k != 2:
+        raise CapabilityError("only the bivariate closed form is available for this model")
+    return sites.coords[1] - sites.coords[0]
+
+
 # ---------------------------------------------------------------------------
 # variogram / correlation families
 
@@ -95,6 +110,7 @@ class FractionalVariogram:
 
     scale: float
     exponent: float
+    family: ClassVar[str] = "fractional"
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -107,12 +123,20 @@ class FractionalVariogram:
         r = np.abs(h) if h.ndim == 0 else np.sqrt((h * h).sum(axis=-1))
         return self.scale * r ** self.exponent
 
+    def to_dict(self) -> dict:
+        return {"family": self.family, "scale": self.scale, "exponent": self.exponent}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FractionalVariogram":
+        return cls(scale=float(d["scale"]), exponent=float(d["exponent"]))
+
 
 @dataclass(frozen=True)
 class QuadraticVariogram:
     """gamma(h) = h' M h / 2 for PSD M (Gaussian moving-maximum geometry)."""
 
     matrix: np.ndarray
+    family: ClassVar[str] = "quadratic"
 
     def __post_init__(self):
         a = np.array(self.matrix, dtype=float, copy=True)
@@ -132,6 +156,13 @@ class QuadraticVariogram:
             raise DomainError("lag dimension does not match variogram matrix")
         return 0.5 * np.einsum("...i,ij,...j->...", h, self.matrix, h)
 
+    def to_dict(self) -> dict:
+        return {"family": self.family, "matrix": self.matrix.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "QuadraticVariogram":
+        return cls(matrix=np.asarray(d["matrix"], dtype=float))
+
 
 Variogram = Callable[[np.ndarray], np.ndarray]
 
@@ -141,6 +172,7 @@ class ExponentialCorrelation:
     """rho(h) = exp(-h / scale), scale > 0, on nonnegative distances."""
 
     scale: float
+    family: ClassVar[str] = "exponential"
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -149,6 +181,13 @@ class ExponentialCorrelation:
     def __call__(self, dist):
         return np.exp(-np.asarray(dist, dtype=float) / self.scale)
 
+    def to_dict(self) -> dict:
+        return {"family": self.family, "scale": self.scale}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExponentialCorrelation":
+        return cls(scale=float(d["scale"]))
+
 
 @dataclass(frozen=True)
 class PoweredExponentialCorrelation:
@@ -156,6 +195,7 @@ class PoweredExponentialCorrelation:
 
     scale: float
     power: float
+    family: ClassVar[str] = "powered_exponential"
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -166,29 +206,303 @@ class PoweredExponentialCorrelation:
     def __call__(self, dist):
         return np.exp(-((np.asarray(dist, dtype=float) / self.scale) ** self.power))
 
+    def to_dict(self) -> dict:
+        return {"family": self.family, "scale": self.scale, "power": self.power}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PoweredExponentialCorrelation":
+        return cls(scale=float(d["scale"]), power=float(d["power"]))
+
 
 Correlation = Callable[[np.ndarray], np.ndarray]
+
+VARIOGRAMS = {c.family: c for c in (FractionalVariogram, QuadraticVariogram)}
+CORRELATIONS = {c.family: c for c in (ExponentialCorrelation, PoweredExponentialCorrelation)}
+
+
+def _lookup(registry: dict, name, what: str):
+    cls = registry.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise DomainError(f"unknown {what} {name!r}")
+    return cls
+
+
+def _family_to_dict(obj, registry: dict, what: str) -> dict:
+    cls = registry.get(getattr(obj, "family", None))
+    if cls is None or not isinstance(obj, cls):
+        raise DomainError(f"only {what} are serializable")
+    return obj.to_dict()
+
+
+def _family_from_dict(d: dict, registry: dict, what: str):
+    return _lookup(registry, d.get("family"), f"{what} family").from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# pair reductions: concurrence as a one-dimensional expectation of 1/V
+
+@dataclass(frozen=True)
+class GaussianPair:
+    """A Brown--Resnick pair reduced to its variogram value gamma >= 0; the
+    concurrence probability is E[integrand(Z)] over a standard normal Z."""
+
+    gamma: float
+
+    @property
+    def exact(self) -> float | None:
+        """The concurrence probability when it needs no integration."""
+        return 1.0 if self.gamma == 0.0 else None
+
+    def exponent(self, z: np.ndarray) -> np.ndarray:
+        z1, z2 = z[..., 0], z[..., 1]
+        if self.gamma == 0.0:
+            return np.maximum(1.0 / z1, 1.0 / z2)
+        a = math.sqrt(2.0 * self.gamma)
+        lr = np.log(z2 / z1)
+        return normal_cdf(a / 2.0 + lr / a) / z1 + normal_cdf(a / 2.0 - lr / a) / z2
+
+    def draw(self, g: np.random.Generator, n: int) -> np.ndarray:
+        return g.standard_normal(n)
+
+    def integrand(self, z):
+        """1 / [Phi(z) + exp(gamma - a z) Phi(a - z)], a = sqrt(2 gamma)."""
+        gamma_h = self.gamma
+        a = math.sqrt(2.0 * gamma_h)
+        expo = gamma_h - a * z + log_ndtr(a - z)
+        small = expo < 700.0
+        with np.errstate(over="ignore"):
+            return np.where(small, 1.0 / (normal_cdf(z) + np.exp(np.minimum(expo, 700.0))), 0.0)
+
+    def quad_pieces(self) -> tuple:
+        """(integrand, a, b) pieces of E[integrand(Z)].  The integrand rises
+        from ~0 to ~1 around z = a/2 (a = sqrt(2 gamma)); splitting at 0, a/2
+        and a keeps that step inside short intervals for large gamma."""
+        a = math.sqrt(2.0 * self.gamma)
+
+        def f(z):
+            return np.exp(-0.5 * z * z) * _INV_SQRT_2PI * self.integrand(z)
+
+        return ((half_line(f, 0.0, -1.0), 0.0, 1.0), (f, 0.0, 0.5 * a),
+                (f, 0.5 * a, a), (half_line(f, a, 1.0), 0.0, 1.0))
+
+
+@dataclass(frozen=True)
+class StudentPair:
+    """An extremal-t pair reduced to its correlation rho in [-1, 1] and nu; the
+    concurrence probability is E[integrand(T)] over a Student t(nu + 1) T."""
+
+    rho: float
+    nu: float
+
+    @property
+    def exact(self) -> float | None:
+        """The concurrence probability when it needs no integration: 1 when
+        fully dependent; the integrand vanishes at rho = -1."""
+        if abs(self.rho) == 1.0:
+            return 1.0 if self.rho > 0 else 0.0
+        return None
+
+    def exponent(self, z: np.ndarray) -> np.ndarray:
+        rho, nu = self.rho, self.nu
+        z1, z2 = z[..., 0], z[..., 1]
+        if rho >= 1.0:
+            return np.maximum(1.0 / z1, 1.0 / z2)
+        if rho <= -1.0:
+            return 1.0 / z1 + 1.0 / z2
+        sig = math.sqrt((1.0 - rho * rho) / (1.0 + nu))
+        r = (z2 / z1) ** (1.0 / nu)
+        t1 = student_cdf(-rho / sig + r / sig, nu + 1.0)
+        t2 = student_cdf(-rho / sig + 1.0 / (r * sig), nu + 1.0)
+        return t1 / z1 + t2 / z2
+
+    def _scale(self) -> float:
+        """sigma = sqrt((1 - rho^2) / (1 + nu)), without cancellation near rho = 1."""
+        return math.sqrt((1.0 - self.rho) * (1.0 + self.rho) / (1.0 + self.nu))
+
+    def draw(self, g: np.random.Generator, n: int) -> np.ndarray:
+        return g.standard_t(self.nu + 1.0, size=n)
+
+    def integrand(self, t):
+        """Zero for t <= -rho / sigma.
+
+        The CDF argument (1 / u - rho) / sigma, u = rho + sigma t, is written
+        as (sigma (1 + nu) - rho t) / u, which is exact algebra (sigma^2 (1 +
+        nu) = 1 - rho^2) and avoids cancelling two terms of size 1/sigma as
+        rho -> 1.
+        """
+        rho, nu = self.rho, self.nu
+        sig = self._scale()
+        u = rho + sig * t
+        ok = u > 0.0
+        usafe = np.where(ok, u, 1.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            tail = usafe ** (-nu) * student_cdf((sig * (1.0 + nu) - rho * t) / usafe, nu + 1.0)
+            return np.where(ok, 1.0 / (student_cdf(t, nu + 1.0) + tail), 0.0)
+
+    def quad_pieces(self) -> tuple:
+        """(integrand, a, b) pieces of E[integrand(T)] over the support
+        T > lo = -rho / sigma.  For rho near 1, lo lies far out in the tail:
+        [lo, 0] is mapped like a half-line so that the nodes gather at the
+        density peak at 0, not spread evenly towards lo."""
+        dof = self.nu + 1.0
+        log_c = (math.lgamma(0.5 * (dof + 1.0)) - math.lgamma(0.5 * dof)
+                 - 0.5 * math.log(dof * math.pi))
+
+        def f(t):
+            dens = np.exp(log_c - 0.5 * (dof + 1.0) * np.log1p(t * t / dof))
+            return dens * self.integrand(t)
+
+        lo = -self.rho / self._scale()
+        if lo >= 0.0:
+            return ((half_line(f, lo, 1.0), 0.0, 1.0),)
+        return ((half_line(f, 0.0, -1.0), 1.0 / (1.0 - lo), 1.0),
+                (half_line(f, 0.0, 1.0), 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# spectral samplers
+
+@dataclass(frozen=True)
+class SpectralSampler:
+    """Vectorized profile sampler: draw(g, n) -> (n, k) mean-one profiles.
+
+    ``bound`` is an almost-sure upper bound on sup_j Y(s_j) when one exists
+    (enables exact stopping in the max-stable simulator), else None.
+    """
+
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    k: int
+    bound: float | None = None
+
+
+def _independence_sampler(k: int) -> SpectralSampler:
+    """Logistic alpha = 1: a profile k at one uniformly chosen site."""
+    def draw(g, n):
+        y = np.zeros((n, k))
+        y[np.arange(n), g.integers(0, k, size=n)] = float(k)
+        return y
+    return SpectralSampler(draw, k, bound=float(k))
+
+
+def extremal_t_weight(nu: float) -> float:
+    """c_nu with E[c_nu * max(0, W)**nu] = 1 for standard Gaussian W."""
+    return math.sqrt(math.pi) * 2.0 ** (-(nu - 2.0) / 2.0) / math.gamma((nu + 1.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
 # model specifications
 
+class ModelSpec:
+    """Base of the model classes.
+
+    Every model defines ``name``, ``exponent(sites, z)``, ``sampler(sites)``
+    (a :class:`SpectralSampler`, with an almost-sure bound on sup Y when one
+    exists), ``to_dict()`` and ``from_dict(spec)``.  The hooks below default
+    to "no such feature".  Methods take sites normalized by ``sites_of``;
+    normalizing is idempotent.
+    """
+
+    name: ClassVar[str]
+
+    def sites_of(self, sites):
+        """A :class:`SiteSet`, max-linear column indices, or points of (0, 1]."""
+        return as_sites(sites)
+
+    def engine_sampler(self, sites) -> SpectralSampler:
+        """Sampler the simulator uses; may differ from the contractual spectral
+        representation when a bounded equivalent exists (same field law and the
+        same hitting-scenario law, since the finite-dimensional exponent measure
+        is representation-free)."""
+        return spectral_sampler(self, sites)
+
+    def exact_fields(self, sites, g: np.random.Generator, reps: int):
+        """(values, hits, flags) by an exact construction, or None."""
+        return None
+
+    def exact_values(self, sites, g: np.random.Generator, n: int):
+        """(n, k) fields by an exact construction without hitting indices, or None."""
+        return None
+
+    def concurrence(self, sites) -> float | None:
+        """Closed-form concurrence probability, or None."""
+        return None
+
+    def pair_reduction(self, sites) -> GaussianPair | StudentPair | None:
+        """The pair concurrence as a one-dimensional expectation, or None."""
+        return None
+
+
+class _PairModel(ModelSpec):
+    """A bivariate model whose exponent and concurrence come from its pair
+    reduction."""
+
+    def exponent(self, sites: SiteSet, z: np.ndarray) -> np.ndarray:
+        return self.pair_reduction(sites).exponent(z)
+
+
+def _logistic_mixture(alpha: float, k: int, g: np.random.Generator, n: int) -> np.ndarray:
+    """n exact logistic vectors X_j = (S / E_j)**alpha, with S one-sided
+    alpha-stable and E_j iid unit exponentials."""
+    s = sample_positive_stable(alpha, g, size=n)
+    e = g.standard_exponential((n, k))
+    return (np.asarray(s)[:, None] / e) ** alpha
+
+
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(ModelSpec):
     """Symmetric logistic dependence, alpha in (0, 1]; alpha=1 is independence."""
 
     alpha: float
+    name: ClassVar[str] = "logistic"
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise DomainError(f"logistic alpha must lie in (0, 1], got {self.alpha}")
 
+    def exponent(self, sites: SiteSet, z: np.ndarray) -> np.ndarray:
+        if self.alpha == 1.0:
+            return (1.0 / z).sum(axis=-1)
+        return np.exp(self.alpha * logsumexp(-np.log(z) / self.alpha, axis=-1))
+
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        k = sites.k
+        if self.alpha == 1.0:
+            return _independence_sampler(k)
+        alpha = self.alpha
+        c = math.gamma(1.0 - alpha)
+
+        def draw(g, n):
+            w = g.standard_exponential((n, k))
+            return w ** (-alpha) / c
+
+        return SpectralSampler(draw, k, bound=None)
+
+    def engine_sampler(self, sites: SiteSet) -> SpectralSampler:
+        return logistic_angular_sampler(self.alpha, sites.k)
+
+    def exact_values(self, sites: SiteSet, g: np.random.Generator, n: int):
+        return None if self.alpha == 1.0 else _logistic_mixture(self.alpha, sites.k, g, n)
+
+    def concurrence(self, sites: SiteSet) -> float:
+        return ecp_logistic(self.alpha, sites.k)
+
+    def to_dict(self) -> dict:
+        return {"model": self.name, "alpha": self.alpha}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "Logistic":
+        return cls(alpha=float(spec["alpha"]))
+
 
 @dataclass(frozen=True)
-class MaxLinear:
-    """eta(s_j) = max_m phi[m, j] * Z_m with unit Frechet Z and column sums 1."""
+class MaxLinear(ModelSpec):
+    """eta(s_j) = max_m phi[m, j] * Z_m with unit Frechet Z and column sums 1.
+
+    Its sites are column indices into phi (given as integers).
+    """
 
     phi: np.ndarray
+    name: ClassVar[str] = "max_linear"
 
     def __post_init__(self):
         a = np.array(self.phi, dtype=float, copy=True)
@@ -209,16 +523,113 @@ class MaxLinear:
     def n_sites(self) -> int:
         return self.phi.shape[1]
 
+    def sites_of(self, sites) -> np.ndarray:
+        if isinstance(sites, SiteSet):
+            coords = sites.coords
+            if coords.shape[1] != 1:
+                raise DomainError("max-linear sites are 1-d column indices")
+            raw = coords[:, 0]
+        else:
+            raw = np.asarray(sites, dtype=float).reshape(-1)
+        cols = raw.astype(np.int64)
+        if np.any(cols != raw):
+            raise DomainError("max-linear sites must be integer column indices")
+        if np.any(cols < 0) or np.any(cols >= self.n_sites):
+            raise DomainError(f"max-linear site index out of range [0, {self.n_sites})")
+        if len(set(cols.tolist())) != len(cols):
+            raise DomainError("max-linear site indices must be distinct")
+        return cols
+
+    def exponent(self, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+        ratios = self.phi[:, cols] / z[..., None, :]
+        return ratios.max(axis=-1).sum(axis=-1)
+
+    def sampler(self, cols: np.ndarray) -> SpectralSampler:
+        phi_cols = self.phi[:, cols]
+        m = self.n_components
+        k = len(cols)
+
+        def draw(g, n):
+            idx = g.integers(0, m, size=n)
+            return m * phi_cols[idx]
+
+        return SpectralSampler(draw, k, bound=float(m * phi_cols.max()))
+
+    def exact_fields(self, cols: np.ndarray, g: np.random.Generator, reps: int):
+        """Exact fields by the component argmax."""
+        phi_cols = self.phi[:, cols]
+        m, k = phi_cols.shape
+        values = np.empty((reps, k))
+        hits = np.empty((reps, k), dtype=np.int64)
+        step = max(1, _REP_CHUNK_ELEMS // max(1, m * k))
+        for start in range(0, reps, step):
+            stop = min(reps, start + step)
+            z = 1.0 / g.standard_exponential((stop - start, m))
+            cand = z[:, :, None] * phi_cols[None, :, :]
+            values[start:stop] = cand.max(axis=1)
+            hits[start:stop] = cand.argmax(axis=1)
+        return values, hits, np.zeros(reps, dtype=bool)
+
+    def concurrence(self, cols: np.ndarray) -> float:
+        return ecp_max_linear(self, cols)[0]
+
+    def to_dict(self) -> dict:
+        return {"model": self.name, "phi": self.phi.tolist()}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "MaxLinear":
+        return cls(phi=np.asarray(spec["phi"], dtype=float))
+
 
 @dataclass(frozen=True)
-class BrownResnick:
+class BrownResnick(_PairModel):
     """Log-Gaussian spectral profiles exp{W(s) - gamma(s)} anchored at the first site."""
 
     variogram: Variogram
+    name: ClassVar[str] = "brown_resnick"
+
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        lags = sites.lags_from(0)
+        gamma0 = np.asarray(self.variogram(lags), dtype=float)
+        if np.any(gamma0 < 0):
+            raise DomainError("variogram must be nonnegative")
+        k = sites.k
+        if k == 1:
+            def draw_one(g, n):
+                return np.ones((n, 1))
+            return SpectralSampler(draw_one, 1, bound=None)
+        # increments W(s_j) - W(s_1) for j >= 2; W(s_1) = 0 by anchoring
+        g0 = gamma0[1:]
+        pair_lags = sites.coords[1:, None, :] - sites.coords[None, 1:, :]
+        gamma_pair = np.asarray(self.variogram(pair_lags), dtype=float)
+        cov = g0[:, None] + g0[None, :] - gamma_pair
+        cov = 0.5 * (cov + cov.T)
+        fac = psd_factor(cov)
+
+        def draw(g, n):
+            w = np.zeros((n, k))
+            w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
+            return np.exp(w - gamma0)
+
+        return SpectralSampler(draw, k, bound=None)
+
+    def pair_reduction(self, sites: SiteSet) -> GaussianPair:
+        gamma_h = float(np.asarray(self.variogram(_pair_lag(sites))).reshape(()))
+        if gamma_h < 0:
+            raise DomainError("variogram must be nonnegative")
+        return GaussianPair(gamma_h)
+
+    def to_dict(self) -> dict:
+        vd = _family_to_dict(self.variogram, VARIOGRAMS, "fractional/quadratic variograms")
+        return {"model": self.name, "variogram": vd}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "BrownResnick":
+        return cls(variogram=_family_from_dict(spec["variogram"], VARIOGRAMS, "variogram"))
 
 
 @dataclass(frozen=True)
-class ExtremalT:
+class ExtremalT(_PairModel):
     """Profiles c_nu * max(0, W(s))**nu for stationary standard Gaussian W.
 
     nu = 1 is the Schlather model.
@@ -226,85 +637,88 @@ class ExtremalT:
 
     correlation: Correlation
     nu: float = 1.0
+    name: ClassVar[str] = "extremal_t"
 
     def __post_init__(self):
         if not self.nu >= 1:
             raise DomainError(f"extremal-t nu must be >= 1, got {self.nu}")
 
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        corr = np.asarray(self.correlation(sites.distance_matrix()), dtype=float)
+        np.fill_diagonal(corr, 1.0)
+        if np.any(np.abs(corr) > 1 + 1e-12):
+            raise DomainError("correlation values must lie in [-1, 1]")
+        fac = psd_factor(corr)
+        c = extremal_t_weight(self.nu)
+        nu = self.nu
+        k = sites.k
 
-def schlather(correlation: Correlation) -> "ExtremalT":
+        def draw(g, n):
+            w = g.standard_normal((n, k)) @ fac.T
+            return c * np.maximum(w, 0.0) ** nu
+
+        return SpectralSampler(draw, k, bound=None)
+
+    def pair_reduction(self, sites: SiteSet) -> StudentPair:
+        lag = _pair_lag(sites)
+        rho = float(np.asarray(self.correlation(math.sqrt(float((lag * lag).sum())))).reshape(()))
+        if abs(rho) > 1:
+            raise DomainError("correlation values must lie in [-1, 1]")
+        return StudentPair(rho, self.nu)
+
+    def to_dict(self) -> dict:
+        cd = _family_to_dict(self.correlation, CORRELATIONS, "exponential-family correlations")
+        return {"model": self.name, "correlation": cd, "nu": self.nu}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "ExtremalT":
+        return cls(correlation=_family_from_dict(spec["correlation"], CORRELATIONS, "correlation"),
+                   nu=float(spec.get("nu", 1.0)))
+
+
+def schlather(correlation: Correlation) -> ExtremalT:
     return ExtremalT(correlation=correlation, nu=1.0)
 
 
 @dataclass(frozen=True)
-class Smith:
+class Smith(_PairModel):
     """Gaussian moving-maximum storms: eta(s) = max_i zeta_i * phi_Sigma(s - u_i)."""
 
     sigma: CovarianceMatrix
+    name: ClassVar[str] = "smith"
 
-
-@dataclass(frozen=True)
-class ExtremalProcess:
-    """Stationary independent max-increments on (0, 1], normalized per site."""
-
-
-@dataclass(frozen=True)
-class BallIndicator:
-    """Moving indicator of a radius-r ball in R^d (Chentsov-type field)."""
-
-    radius: float
-    dim: int = 1
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("ball radius must be positive")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise DomainError("ball dimension must be a positive integer")
-
-
-ModelSpec = Union[Logistic, MaxLinear, BrownResnick, ExtremalT, Smith,
-                  ExtremalProcess, BallIndicator]
-
-
-# ---------------------------------------------------------------------------
-# site-handling helpers per model
-
-def _max_linear_columns(model: MaxLinear, sites) -> np.ndarray:
-    """Max-linear sites are column indices into phi (given as integers)."""
-    if isinstance(sites, SiteSet):
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        d = self.sigma.dim
+        if sites.ndim != d:
+            raise DomainError("site dimension does not match Sigma")
+        sig = self.sigma.entries
+        inv = np.linalg.inv(sig)
+        _, logdet = np.linalg.slogdet(sig)
+        stds = np.sqrt(np.diag(sig))
+        lo = sites.coords.min(axis=0) - _SMITH_BUFFER_SIGMAS * stds
+        hi = sites.coords.max(axis=0) + _SMITH_BUFFER_SIGMAS * stds
+        vol = float(np.prod(hi - lo))
+        lognorm = math.log(vol) - 0.5 * (d * math.log(2.0 * math.pi) + logdet)
+        k = sites.k
         coords = sites.coords
-        if coords.shape[1] != 1:
-            raise DomainError("max-linear sites are 1-d column indices")
-        raw = coords[:, 0]
-    else:
-        raw = np.asarray(sites, dtype=float).reshape(-1)
-    cols = raw.astype(np.int64)
-    if np.any(cols != raw):
-        raise DomainError("max-linear sites must be integer column indices")
-    if np.any(cols < 0) or np.any(cols >= model.n_sites):
-        raise DomainError(f"max-linear site index out of range [0, {model.n_sites})")
-    if len(set(cols.tolist())) != len(cols):
-        raise DomainError("max-linear site indices must be distinct")
-    return cols
 
+        def draw(g, n):
+            u = g.uniform(lo, hi, size=(n, d))
+            diff = coords[None, :, :] - u[:, None, :]
+            quad = np.einsum("nkd,de,nke->nk", diff, inv, diff)
+            return np.exp(lognorm - 0.5 * quad)
 
-def _interval_sites(sites) -> np.ndarray:
-    """Sites of the max-increment process: strictly increasing, in (0, 1]."""
-    s = as_sites(sites)
-    if s.ndim != 1:
-        raise DomainError("interval max-increment process lives on (0, 1]")
-    x = s.coords[:, 0]
-    if np.any(x <= 0) or np.any(x > 1):
-        raise DomainError("sites must lie in (0, 1]")
-    if np.any(np.diff(x) <= 0):
-        raise DomainError("sites must be strictly increasing")
-    return x
+        return SpectralSampler(draw, k, bound=math.exp(lognorm))
 
+    def pair_reduction(self, sites: SiteSet) -> GaussianPair:
+        return smith_to_brown_resnick(self).pair_reduction(sites)
 
-def _pair_lag(sites: SiteSet) -> np.ndarray:
-    if sites.k != 2:
-        raise CapabilityError("only the bivariate closed form is available for this model")
-    return sites.coords[1] - sites.coords[0]
+    def to_dict(self) -> dict:
+        return {"model": self.name, "sigma": self.sigma.entries.tolist()}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "Smith":
+        return cls(sigma=CovarianceMatrix(np.asarray(spec["sigma"], dtype=float)))
 
 
 def smith_to_brown_resnick(model: Smith) -> BrownResnick:
@@ -314,49 +728,171 @@ def smith_to_brown_resnick(model: Smith) -> BrownResnick:
     return BrownResnick(variogram=QuadraticVariogram(inv))
 
 
+@dataclass(frozen=True)
+class ExtremalProcess(ModelSpec):
+    """Stationary independent max-increments on (0, 1], normalized per site.
+
+    Its sites are strictly increasing points of (0, 1].
+    """
+
+    name: ClassVar[str] = "extremal_process"
+
+    def sites_of(self, sites) -> np.ndarray:
+        s = as_sites(sites)
+        if s.ndim != 1:
+            raise DomainError("interval max-increment process lives on (0, 1]")
+        x = s.coords[:, 0]
+        if np.any(x <= 0) or np.any(x > 1):
+            raise DomainError("sites must lie in (0, 1]")
+        if np.any(np.diff(x) <= 0):
+            raise DomainError("sites must be strictly increasing")
+        return x
+
+    def exponent(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        sz = x * z
+        suffix_min = np.minimum.accumulate(sz[..., ::-1], axis=-1)[..., ::-1]
+        widths = np.diff(x, prepend=0.0)
+        return (widths / suffix_min).sum(axis=-1)
+
+    def sampler(self, x: np.ndarray) -> SpectralSampler:
+        def draw(g, n):
+            u = g.uniform(0.0, 1.0, size=(n, 1))
+            return (u <= x[None, :]) / x[None, :]
+
+        return SpectralSampler(draw, len(x), bound=float(1.0 / x.min()))
+
+    def concurrence(self, x: np.ndarray) -> float:
+        return ecp_extremal_process(x)
+
+    def to_dict(self) -> dict:
+        return {"model": self.name}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "ExtremalProcess":
+        return cls()
+
+
+@dataclass(frozen=True)
+class BallIndicator(ModelSpec):
+    """Moving indicator of a radius-r ball in R^d (Chentsov-type field)."""
+
+    radius: float
+    dim: int = 1
+    name: ClassVar[str] = "ball_indicator"
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise DomainError("ball radius must be positive")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+            raise DomainError("ball dimension must be a positive integer")
+
+    def sites_of(self, sites) -> SiteSet:
+        s = as_sites(sites)
+        if s.ndim != self.dim:
+            raise DomainError("site dimension does not match the ball dimension")
+        return s
+
+    def exponent(self, sites: SiteSet, z: np.ndarray) -> np.ndarray:
+        """General k in d = 1 via interval sweeps; d >= 2 is limited to pairs."""
+        if self.dim == 1:
+            inv = 1.0 / z
+            out = np.zeros(z.shape[:-1])
+            for length, active in _ball_segments_1d(sites.coords[:, 0], self.radius):
+                out = out + length * inv[..., active].max(axis=-1)
+            return out / (2.0 * self.radius)
+        if sites.k == 2:
+            h = float(np.linalg.norm(sites.coords[1] - sites.coords[0]))
+            q = ball_overlap_fraction(h, self.radius, self.dim)
+            z1, z2 = z[..., 0], z[..., 1]
+            return (1.0 - q) * (1.0 / z1 + 1.0 / z2) + q * np.maximum(1.0 / z1, 1.0 / z2)
+        raise CapabilityError("ball-indicator exponent beyond pairs requires d = 1")
+
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        r = self.radius
+        lo = sites.coords.min(axis=0) - r
+        hi = sites.coords.max(axis=0) + r
+        vol = float(np.prod(hi - lo))
+        weight = vol / unit_ball_volume(self.dim, r)
+        k = sites.k
+        coords = sites.coords
+        d = self.dim
+
+        def draw(g, n):
+            u = g.uniform(lo, hi, size=(n, d))
+            diff = coords[None, :, :] - u[:, None, :]
+            hit = (diff ** 2).sum(axis=-1) <= r * r
+            return weight * hit
+
+        return SpectralSampler(draw, k, bound=weight)
+
+    def concurrence(self, sites: SiteSet) -> float:
+        """General k in d = 1 via interval sweeps; d >= 2 is limited to pairs."""
+        if self.dim == 1:
+            x = sites.coords[:, 0]
+            inter = max(0.0, 2.0 * self.radius - (x.max() - x.min()))
+            union = sum(length for length, _ in _ball_segments_1d(x, self.radius))
+            return inter / union
+        if sites.k == 2:
+            h = float(np.linalg.norm(sites.coords[1] - sites.coords[0]))
+            return ecp_ball_overlap(h, self.radius, self.dim)
+        raise CapabilityError("ball-indicator concurrence beyond pairs requires d = 1")
+
+    def to_dict(self) -> dict:
+        return {"model": self.name, "radius": self.radius, "dim": self.dim}
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> "BallIndicator":
+        return cls(radius=float(spec["radius"]), dim=int(spec.get("dim", 1)))
+
+
+MODELS = {cls.name: cls for cls in (Logistic, MaxLinear, BrownResnick, ExtremalT, Smith,
+                                    ExtremalProcess, BallIndicator)}
+
+
 # ---------------------------------------------------------------------------
-# exponent functions
+# closed-form concurrence probabilities
 
-def _V_logistic(alpha: float, z: np.ndarray) -> np.ndarray:
-    if alpha == 1.0:
-        return (1.0 / z).sum(axis=-1)
-    return np.exp(alpha * logsumexp(-np.log(z) / alpha, axis=-1))
-
-
-def _V_max_linear(phi_cols: np.ndarray, z: np.ndarray) -> np.ndarray:
-    ratios = phi_cols / z[..., None, :]
-    return ratios.max(axis=-1).sum(axis=-1)
-
-
-def _V_brown_resnick_pair(gamma_h: float, z: np.ndarray) -> np.ndarray:
-    z1, z2 = z[..., 0], z[..., 1]
-    if gamma_h < 0:
-        raise DomainError("variogram must be nonnegative")
-    if gamma_h == 0.0:
-        return np.maximum(1.0 / z1, 1.0 / z2)
-    a = math.sqrt(2.0 * gamma_h)
-    lr = np.log(z2 / z1)
-    return normal_cdf(a / 2.0 + lr / a) / z1 + normal_cdf(a / 2.0 - lr / a) / z2
+def ecp_logistic(alpha: float, k: int) -> float:
+    """prod_{j=1}^{k-1} (1 - alpha/j): concurrence of the k-variate logistic."""
+    if not (isinstance(k, (int, np.integer)) and k >= 2):
+        raise DomainError(f"k must be an integer >= 2, got {k}")
+    if not 0 < alpha <= 1:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    out = 1.0
+    for j in range(1, int(k)):
+        out *= 1.0 - alpha / j
+    return out
 
 
-def _V_extremal_t_pair(rho: float, nu: float, z: np.ndarray) -> np.ndarray:
-    z1, z2 = z[..., 0], z[..., 1]
-    if rho >= 1.0:
-        return np.maximum(1.0 / z1, 1.0 / z2)
-    if rho <= -1.0:
-        return 1.0 / z1 + 1.0 / z2
-    sig = math.sqrt((1.0 - rho * rho) / (1.0 + nu))
-    r = (z2 / z1) ** (1.0 / nu)
-    t1 = student_cdf(-rho / sig + r / sig, nu + 1.0)
-    t2 = student_cdf(-rho / sig + 1.0 / (r * sig), nu + 1.0)
-    return t1 / z1 + t2 / z2
+def ecp_max_linear(phi: np.ndarray, site_subset=None):
+    """Concurrence probability of a max-linear model, with per-component parts.
+
+    Returns (p, p_parts) where p_parts[l] is the probability that component
+    l alone attains the maximum at every requested site; p = sum(p_parts).
+    Ratio conventions: 0/0 = 0, a/0 = inf for a > 0, 1/inf = 0.
+    """
+    model = phi if isinstance(phi, MaxLinear) else MaxLinear(np.asarray(phi, dtype=float))
+    cols = (np.arange(model.n_sites) if site_subset is None
+            else model.sites_of(site_subset))
+    f = model.phi[:, cols]                      # (m, k)
+    m = f.shape[0]
+    parts = np.empty(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ell in range(m):
+            ratios = f / f[ell][None, :]        # (m, k)
+            ratios = np.where((f == 0.0) & (f[ell][None, :] == 0.0), 0.0, ratios)
+            worst = ratios.max(axis=1)
+            total = worst.sum()
+            parts[ell] = 0.0 if np.isinf(total) else 1.0 / total
+    return float(parts.sum()), parts
 
 
-def _V_extremal_process(s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    sz = s * z
-    suffix_min = np.minimum.accumulate(sz[..., ::-1], axis=-1)[..., ::-1]
-    widths = np.diff(s, prepend=0.0)
-    return (widths / suffix_min).sum(axis=-1)
+def ecp_extremal_process(sites) -> float:
+    """s_1 / s_k for strictly increasing sites in (0, 1]."""
+    x = ExtremalProcess().sites_of(sites)
+    if len(x) < 2:
+        raise DomainError("need at least two sites")
+    return float(x[0] / x[-1])
 
 
 def ball_overlap_fraction(h: float, radius: float, dim: int) -> float:
@@ -366,12 +902,6 @@ def ball_overlap_fraction(h: float, radius: float, dim: int) -> float:
     if h >= 2.0 * radius:
         return 0.0
     return float(reg_inc_beta((dim + 1) / 2.0, 0.5, 1.0 - h * h / (4.0 * radius * radius)))
-
-
-def _V_ball_pair(h: float, radius: float, dim: int, z: np.ndarray) -> np.ndarray:
-    q = ball_overlap_fraction(h, radius, dim)
-    z1, z2 = z[..., 0], z[..., 1]
-    return (1.0 - q) * (1.0 / z1 + 1.0 / z2) + q * np.maximum(1.0 / z1, 1.0 / z2)
 
 
 def _ball_segments_1d(x: np.ndarray, radius: float):
@@ -386,13 +916,23 @@ def _ball_segments_1d(x: np.ndarray, radius: float):
     return segments
 
 
-def _V_ball_1d(x: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
-    inv = 1.0 / z
-    out = np.zeros(z.shape[:-1])
-    for length, active in _ball_segments_1d(x, radius):
-        out = out + length * inv[..., active].max(axis=-1)
-    return out / (2.0 * radius)
+def ecp_ball_overlap(h: float, radius: float, dim: int = 1) -> float:
+    """Concurrence of the moving ball indicator at lag h: c(h)/(2|A| - c(h)).
 
+    The overlap volume uses the regularized-beta cap formula with argument
+    1 - h^2/(4 r^2), which reproduces the exact 1-d overlap 2r - h and the
+    planar lens area.
+    """
+    if h < 0:
+        raise DomainError("lag must be nonnegative")
+    if not radius > 0:
+        raise DomainError("radius must be positive")
+    q = ball_overlap_fraction(float(h), float(radius), int(dim))
+    return q / (2.0 - q)
+
+
+# ---------------------------------------------------------------------------
+# entry points
 
 def exponent_V(model: ModelSpec, sites, z):
     """Exponent function: P{eta(s_j) <= z_j, all j} = exp(-V(z)).
@@ -407,233 +947,21 @@ def exponent_V(model: ModelSpec, sites, z):
         raise DomainError("z must have at least one site")
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise DomainError("z must be strictly positive and finite")
-    k = z.shape[-1]
-
-    if isinstance(model, Logistic):
-        _check_k(as_sites(sites).k, k)
-        return _scalarize(_V_logistic(model.alpha, z))
-    if isinstance(model, MaxLinear):
-        cols = _max_linear_columns(model, sites)
-        _check_k(len(cols), k)
-        return _scalarize(_V_max_linear(model.phi[:, cols], z))
-    if isinstance(model, BrownResnick):
-        s = as_sites(sites)
-        _check_k(s.k, k)
-        gamma_h = float(np.asarray(model.variogram(_pair_lag(s))).reshape(()))
-        return _scalarize(_V_brown_resnick_pair(gamma_h, z))
-    if isinstance(model, Smith):
-        s = as_sites(sites)
-        _check_k(s.k, k)
-        return exponent_V(smith_to_brown_resnick(model), s, z)
-    if isinstance(model, ExtremalT):
-        s = as_sites(sites)
-        _check_k(s.k, k)
-        lag = _pair_lag(s)
-        rho = float(np.asarray(model.correlation(math.sqrt(float((lag * lag).sum())))).reshape(()))
-        if abs(rho) > 1:
-            raise DomainError("correlation values must lie in [-1, 1]")
-        return _scalarize(_V_extremal_t_pair(rho, model.nu, z))
-    if isinstance(model, ExtremalProcess):
-        x = _interval_sites(sites)
-        _check_k(len(x), k)
-        return _scalarize(_V_extremal_process(x, z))
-    if isinstance(model, BallIndicator):
-        s = as_sites(sites)
-        _check_k(s.k, k)
-        if s.ndim != model.dim:
-            raise DomainError("site dimension does not match the ball dimension")
-        if model.dim == 1:
-            return _scalarize(_V_ball_1d(s.coords[:, 0], model.radius, z))
-        if s.k == 2:
-            h = float(np.linalg.norm(s.coords[1] - s.coords[0]))
-            return _scalarize(_V_ball_pair(h, model.radius, model.dim, z))
-        raise CapabilityError("ball-indicator exponent beyond pairs requires d = 1")
-    raise CapabilityError(f"unsupported model {type(model).__name__}")
-
-
-def _check_k(k_sites: int, k_z: int):
-    if k_sites != k_z:
-        raise DomainError(f"z has {k_z} entries but there are {k_sites} sites")
-
-
-def _scalarize(a):
-    a = np.asarray(a)
-    return float(a) if a.ndim == 0 else a
+    s = model.sites_of(sites)
+    if len(s) != z.shape[-1]:
+        raise DomainError(f"z has {z.shape[-1]} entries but there are {len(s)} sites")
+    v = np.asarray(model.exponent(s, z))
+    return float(v) if v.ndim == 0 else v
 
 
 def extremal_coefficient(model: ModelSpec, sites) -> float:
     """Pairwise extremal coefficient theta = V(1, 1), in [1, 2]."""
-    s = as_sites(sites) if not isinstance(model, MaxLinear) else sites
-    theta = float(exponent_V(model, s, np.ones(2)))
-    return theta
-
-
-# ---------------------------------------------------------------------------
-# spectral samplers (mean-one profiles)
-
-@dataclass(frozen=True)
-class SpectralSampler:
-    """Vectorized profile sampler: draw(g, n) -> (n, k) mean-one profiles.
-
-    ``bound`` is an almost-sure upper bound on sup_j Y(s_j) when one exists
-    (enables exact stopping in the max-stable simulator), else None.
-    """
-
-    draw: Callable[[np.random.Generator, int], np.ndarray]
-    k: int
-    bound: float | None = None
-
-
-def _logistic_sampler(alpha: float, k: int) -> SpectralSampler:
-    if alpha == 1.0:
-        def draw(g, n):
-            y = np.zeros((n, k))
-            y[np.arange(n), g.integers(0, k, size=n)] = float(k)
-            return y
-        return SpectralSampler(draw, k, bound=float(k))
-
-    c = math.gamma(1.0 - alpha)
-
-    def draw(g, n):
-        w = g.standard_exponential((n, k))
-        return w ** (-alpha) / c
-
-    return SpectralSampler(draw, k, bound=None)
-
-
-def _max_linear_sampler(model: MaxLinear, cols: np.ndarray) -> SpectralSampler:
-    phi_cols = model.phi[:, cols]
-    m = model.n_components
-    k = len(cols)
-
-    def draw(g, n):
-        idx = g.integers(0, m, size=n)
-        return m * phi_cols[idx]
-
-    return SpectralSampler(draw, k, bound=float(m * phi_cols.max()))
-
-
-def _brown_resnick_sampler(model: BrownResnick, sites: SiteSet) -> SpectralSampler:
-    lags = sites.lags_from(0)
-    gamma0 = np.asarray(model.variogram(lags), dtype=float)
-    if np.any(gamma0 < 0):
-        raise DomainError("variogram must be nonnegative")
-    k = sites.k
-    if k == 1:
-        def draw_one(g, n):
-            return np.ones((n, 1))
-        return SpectralSampler(draw_one, 1, bound=None)
-    # increments W(s_j) - W(s_1) for j >= 2; W(s_1) = 0 by anchoring
-    g0 = gamma0[1:]
-    pair_lags = sites.coords[1:, None, :] - sites.coords[None, 1:, :]
-    gamma_pair = np.asarray(model.variogram(pair_lags), dtype=float)
-    cov = g0[:, None] + g0[None, :] - gamma_pair
-    cov = 0.5 * (cov + cov.T)
-    fac = psd_factor(cov)
-
-    def draw(g, n):
-        w = np.zeros((n, k))
-        w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
-        return np.exp(w - gamma0)
-
-    return SpectralSampler(draw, k, bound=None)
-
-
-def extremal_t_weight(nu: float) -> float:
-    """c_nu with E[c_nu * max(0, W)**nu] = 1 for standard Gaussian W."""
-    return math.sqrt(math.pi) * 2.0 ** (-(nu - 2.0) / 2.0) / math.gamma((nu + 1.0) / 2.0)
-
-
-def _extremal_t_sampler(model: ExtremalT, sites: SiteSet) -> SpectralSampler:
-    corr = np.asarray(model.correlation(sites.distance_matrix()), dtype=float)
-    np.fill_diagonal(corr, 1.0)
-    if np.any(np.abs(corr) > 1 + 1e-12):
-        raise DomainError("correlation values must lie in [-1, 1]")
-    fac = psd_factor(corr)
-    c = extremal_t_weight(model.nu)
-    nu = model.nu
-    k = sites.k
-
-    def draw(g, n):
-        w = g.standard_normal((n, k)) @ fac.T
-        return c * np.maximum(w, 0.0) ** nu
-
-    return SpectralSampler(draw, k, bound=None)
-
-
-def _smith_sampler(model: Smith, sites: SiteSet) -> SpectralSampler:
-    d = model.sigma.dim
-    if sites.ndim != d:
-        raise DomainError("site dimension does not match Sigma")
-    sig = model.sigma.entries
-    inv = np.linalg.inv(sig)
-    _, logdet = np.linalg.slogdet(sig)
-    stds = np.sqrt(np.diag(sig))
-    lo = sites.coords.min(axis=0) - _SMITH_BUFFER_SIGMAS * stds
-    hi = sites.coords.max(axis=0) + _SMITH_BUFFER_SIGMAS * stds
-    vol = float(np.prod(hi - lo))
-    lognorm = math.log(vol) - 0.5 * (d * math.log(2.0 * math.pi) + logdet)
-    k = sites.k
-    coords = sites.coords
-
-    def draw(g, n):
-        u = g.uniform(lo, hi, size=(n, d))
-        diff = coords[None, :, :] - u[:, None, :]
-        quad = np.einsum("nkd,de,nke->nk", diff, inv, diff)
-        return np.exp(lognorm - 0.5 * quad)
-
-    return SpectralSampler(draw, k, bound=math.exp(lognorm))
-
-
-def _extremal_process_sampler(sites) -> SpectralSampler:
-    x = _interval_sites(sites)
-    k = len(x)
-
-    def draw(g, n):
-        u = g.uniform(0.0, 1.0, size=(n, 1))
-        return (u <= x[None, :]) / x[None, :]
-
-    return SpectralSampler(draw, k, bound=float(1.0 / x.min()))
-
-
-def _ball_sampler(model: BallIndicator, sites: SiteSet) -> SpectralSampler:
-    if sites.ndim != model.dim:
-        raise DomainError("site dimension does not match the ball dimension")
-    r = model.radius
-    lo = sites.coords.min(axis=0) - r
-    hi = sites.coords.max(axis=0) + r
-    vol = float(np.prod(hi - lo))
-    weight = vol / unit_ball_volume(model.dim, r)
-    k = sites.k
-    coords = sites.coords
-    d = model.dim
-
-    def draw(g, n):
-        u = g.uniform(lo, hi, size=(n, d))
-        diff = coords[None, :, :] - u[:, None, :]
-        hit = (diff ** 2).sum(axis=-1) <= r * r
-        return weight * hit
-
-    return SpectralSampler(draw, k, bound=weight)
+    return float(exponent_V(model, sites, np.ones(2)))
 
 
 def spectral_sampler(model: ModelSpec, sites) -> SpectralSampler:
     """Mean-one spectral profile sampler for the model at the given sites."""
-    if isinstance(model, Logistic):
-        return _logistic_sampler(model.alpha, as_sites(sites).k)
-    if isinstance(model, MaxLinear):
-        return _max_linear_sampler(model, _max_linear_columns(model, sites))
-    if isinstance(model, BrownResnick):
-        return _brown_resnick_sampler(model, as_sites(sites))
-    if isinstance(model, ExtremalT):
-        return _extremal_t_sampler(model, as_sites(sites))
-    if isinstance(model, Smith):
-        return _smith_sampler(model, as_sites(sites))
-    if isinstance(model, ExtremalProcess):
-        return _extremal_process_sampler(sites)
-    if isinstance(model, BallIndicator):
-        return _ball_sampler(model, as_sites(sites))
-    raise CapabilityError(f"no spectral sampler for {type(model).__name__}")
+    return model.sampler(model.sites_of(sites))
 
 
 def spectral_sample(model: ModelSpec, sites, rng: RngLike, size: int | None = None):
@@ -659,7 +987,7 @@ def logistic_angular_sampler(alpha: float, k: int) -> SpectralSampler:
     if not 0 < alpha <= 1:
         raise DomainError("alpha must lie in (0, 1]")
     if alpha == 1.0:
-        return _logistic_sampler(1.0, k)
+        return _independence_sampler(k)
 
     def draw(g, n):
         w = g.standard_exponential((n, k))
@@ -671,71 +999,11 @@ def logistic_angular_sampler(alpha: float, k: int) -> SpectralSampler:
     return SpectralSampler(draw, k, bound=float(k))
 
 
-# ---------------------------------------------------------------------------
-# JSON (de)serialization of model specifications
-
 def model_to_dict(model: ModelSpec) -> dict:
-    if isinstance(model, Logistic):
-        return {"model": "logistic", "alpha": model.alpha}
-    if isinstance(model, MaxLinear):
-        return {"model": "max_linear", "phi": model.phi.tolist()}
-    if isinstance(model, BrownResnick):
-        v = model.variogram
-        if isinstance(v, FractionalVariogram):
-            vd = {"family": "fractional", "scale": v.scale, "exponent": v.exponent}
-        elif isinstance(v, QuadraticVariogram):
-            vd = {"family": "quadratic", "matrix": v.matrix.tolist()}
-        else:
-            raise DomainError("only fractional/quadratic variograms are serializable")
-        return {"model": "brown_resnick", "variogram": vd}
-    if isinstance(model, ExtremalT):
-        c = model.correlation
-        if isinstance(c, ExponentialCorrelation):
-            cd = {"family": "exponential", "scale": c.scale}
-        elif isinstance(c, PoweredExponentialCorrelation):
-            cd = {"family": "powered_exponential", "scale": c.scale, "power": c.power}
-        else:
-            raise DomainError("only exponential-family correlations are serializable")
-        return {"model": "extremal_t", "correlation": cd, "nu": model.nu}
-    if isinstance(model, Smith):
-        return {"model": "smith", "sigma": model.sigma.entries.tolist()}
-    if isinstance(model, ExtremalProcess):
-        return {"model": "extremal_process"}
-    if isinstance(model, BallIndicator):
-        return {"model": "ball_indicator", "radius": model.radius, "dim": model.dim}
-    raise DomainError(f"unknown model {type(model).__name__}")
+    return model.to_dict()
 
 
 def model_from_dict(spec: dict) -> ModelSpec:
     if not isinstance(spec, dict) or "model" not in spec:
         raise DomainError("model spec must be an object with a 'model' field")
-    name = spec["model"]
-    if name == "logistic":
-        return Logistic(alpha=float(spec["alpha"]))
-    if name == "max_linear":
-        return MaxLinear(phi=np.asarray(spec["phi"], dtype=float))
-    if name == "brown_resnick":
-        vd = spec["variogram"]
-        if vd.get("family") == "fractional":
-            vario = FractionalVariogram(scale=float(vd["scale"]), exponent=float(vd["exponent"]))
-        elif vd.get("family") == "quadratic":
-            vario = QuadraticVariogram(matrix=np.asarray(vd["matrix"], dtype=float))
-        else:
-            raise DomainError(f"unknown variogram family {vd.get('family')!r}")
-        return BrownResnick(variogram=vario)
-    if name == "extremal_t":
-        cd = spec["correlation"]
-        if cd.get("family") == "exponential":
-            corr = ExponentialCorrelation(scale=float(cd["scale"]))
-        elif cd.get("family") == "powered_exponential":
-            corr = PoweredExponentialCorrelation(scale=float(cd["scale"]), power=float(cd["power"]))
-        else:
-            raise DomainError(f"unknown correlation family {cd.get('family')!r}")
-        return ExtremalT(correlation=corr, nu=float(spec.get("nu", 1.0)))
-    if name == "smith":
-        return Smith(sigma=CovarianceMatrix(np.asarray(spec["sigma"], dtype=float)))
-    if name == "extremal_process":
-        return ExtremalProcess()
-    if name == "ball_indicator":
-        return BallIndicator(radius=float(spec["radius"]), dim=int(spec.get("dim", 1)))
-    raise DomainError(f"unknown model name {name!r}")
+    return _lookup(MODELS, spec["model"], "model name").from_dict(spec)

@@ -14,7 +14,6 @@ import calendar
 import csv
 import datetime as dt
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,14 +21,7 @@ import numpy as np
 
 from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
-from .estimators import (
-    Sample,
-    ecp_kendall,
-    ecp_multivariate_log,
-    sample_cp_block,
-    sample_cp_bootstrap,
-    sample_cp_unbiased,
-)
+from .estimators import estimator
 from .simulate import SimControl, simulate_cell_labels
 from .specfun import RngLike
 
@@ -38,14 +30,7 @@ SEASONS = ("DJF", "MAM", "JJA", "SON")
 _SEASON_MONTHS = {"DJF": (12, 1, 2), "MAM": (3, 4, 5), "JJA": (6, 7, 8), "SON": (9, 10, 11)}
 POLARITIES = ("max", "negated_min")
 
-_DEFAULT_COLUMNS = {
-    "station_id": "station_id",
-    "lat": "lat",
-    "lon": "lon",
-    "date": "date",
-    "tmin": "tmin",
-    "tmax": "tmax",
-}
+_COLUMNS = ("station_id", "lat", "lon", "date", "tmin", "tmax")
 
 
 # ---------------------------------------------------------------------------
@@ -81,41 +66,36 @@ def _parse_value(raw: str, markers: tuple[str, ...]) -> float | None:
     return float(txt)
 
 
-def ingest_csv(path, columns: dict | None = None,
-               missing_markers: tuple[str, ...] = ("", "-9999"),
-               date_format: str = "%Y-%m-%d",
-               delimiter: str = ",") -> IngestResult:
+def ingest_csv(path, missing_markers: tuple[str, ...] = ("", "-9999"),
+               date_format: str = "%Y-%m-%d") -> IngestResult:
     """Read and validate station records from a headered CSV file.
 
-    ``columns`` remaps the expected column names (station_id, lat, lon,
-    date, tmin, tmax).  Values matching ``missing_markers`` become None.
-    Malformed rows raise :class:`ParseError` naming the line; stations with
-    more than half of either variable missing produce warnings, not errors.
+    The columns are station_id, lat, lon, date, tmin and tmax.  Values
+    matching ``missing_markers`` become None.  Malformed rows raise
+    :class:`ParseError` naming the line; stations with more than half of
+    either variable missing produce warnings, not errors.
     """
-    cols = dict(_DEFAULT_COLUMNS)
-    if columns:
-        cols.update(columns)
     records: list[StationRecord] = []
     seen: dict[tuple[str, dt.date], int] = {}
     counts: dict[str, list[int]] = {}
     with open(Path(path), newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError("empty file, header expected", line=1)
-        missing_cols = [c for c in cols.values() if c not in reader.fieldnames]
+        missing_cols = [c for c in _COLUMNS if c not in reader.fieldnames]
         if missing_cols:
             raise ParseError(f"missing columns {missing_cols}", line=1)
         for row in reader:
             line = reader.line_num
             try:
-                sid = row[cols["station_id"]].strip()
+                sid = row["station_id"].strip()
                 if not sid:
                     raise ValueError("empty station id")
-                lat = float(row[cols["lat"]])
-                lon = float(row[cols["lon"]])
-                date = dt.datetime.strptime(row[cols["date"]].strip(), date_format).date()
-                tmin = _parse_value(row[cols["tmin"]], missing_markers)
-                tmax = _parse_value(row[cols["tmax"]], missing_markers)
+                lat = float(row["lat"])
+                lon = float(row["lon"])
+                date = dt.datetime.strptime(row["date"].strip(), date_format).date()
+                tmin = _parse_value(row["tmin"], missing_markers)
+                tmax = _parse_value(row["tmax"], missing_markers)
             except ParseError:
                 raise
             except Exception as exc:
@@ -233,32 +213,16 @@ class ConcurrenceMatrix:
         return self.estimates[self.station_ids.index(station_id)]
 
 
-def _estimate_pair(xy: np.ndarray, method: str, block_size: int | None):
-    if method == "kendall":
-        est = ecp_kendall(xy)
-        return est.estimate, est.stderr
-    if method == "mvlog":
-        return ecp_multivariate_log(xy, jackknife=False), float("nan")
-    if block_size is None:
-        raise DomainError(f"method {method!r} requires a block size")
-    if method == "block":
-        return sample_cp_block(xy, block_size), float("nan")
-    if method == "bootstrap":
-        return sample_cp_bootstrap(xy, block_size), float("nan")
-    if method == "unbiased":
-        return sample_cp_unbiased(xy, block_size).value, float("nan")
-    raise DomainError(f"unknown estimator method {method!r}")
-
-
 def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None,
-                    min_overlap: int = 3, block_size: int | None = None,
-                    threads: int = 1) -> ConcurrenceMatrix:
+                    min_overlap: int = 3, block_size: int | None = None) -> ConcurrenceMatrix:
     """Pairwise concurrence estimates over stations from seasonal extremes.
 
     Years are matched pairwise-complete; pairs with fewer than
     ``min_overlap`` common years stay NaN.  ``anchor`` restricts the
-    computation to one station's row (plus the unit diagonal).
+    computation to one station's row (plus the unit diagonal).  The method
+    name and block size are checked before any pair is estimated.
     """
+    estimate = estimator(method, block_size)
     series: dict[str, dict[int, float]] = {}
     for e in extremes:
         series.setdefault(e.station_id, {})[e.year] = e.value
@@ -276,28 +240,18 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
     for i, sid in enumerate(ids):
         npairs[i, i] = len(series[sid])
 
-    pairs = [(i, j) for i in range(s_count) for j in range(i + 1, s_count)
-             if anchor is None or anchor in (ids[i], ids[j])]
-
-    def work(pair):
-        i, j = pair
-        a, b = series[ids[i]], series[ids[j]]
-        years = sorted(set(a) & set(b))
-        if len(years) < max(min_overlap, 2):
-            return i, j, np.nan, np.nan, len(years)
-        xy = np.array([[a[y], b[y]] for y in years])
-        value, stderr = _estimate_pair(xy, method, block_size)
-        return i, j, value, stderr, len(years)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
-    for i, j, value, stderr, overlap in results:
-        est[i, j] = est[j, i] = value
-        err[i, j] = err[j, i] = stderr
-        npairs[i, j] = npairs[j, i] = overlap
+    for i in range(s_count):
+        for j in range(i + 1, s_count):
+            if anchor is not None and anchor not in (ids[i], ids[j]):
+                continue
+            a, b = series[ids[i]], series[ids[j]]
+            years = sorted(set(a) & set(b))
+            npairs[i, j] = npairs[j, i] = len(years)
+            if len(years) < max(min_overlap, 2):
+                continue
+            r = estimate(np.array([[a[y], b[y]] for y in years]))
+            est[i, j] = est[j, i] = r["estimate"]
+            err[i, j] = err[j, i] = np.nan if r["stderr"] is None else r["stderr"]
     return ConcurrenceMatrix(station_ids=ids, estimates=est, stderr=err,
                              n_pairs=npairs, method=method)
 

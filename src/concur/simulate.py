@@ -8,9 +8,10 @@ once zeta_{i+1} * B falls below the current field minimum; otherwise it
 runs to ``max_atoms`` and flags the realization as truncated (late atoms
 can still win with small probability, biasing dependence slightly upward).
 
-Exact constructions replace the generic loop where possible: max-linear
-fields via component argmax, the logistic model via a bounded simplex
-representation, interval max-increment fields via their record structure.
+Each model says what the loop should run (see ``models``): max-linear
+fields come from an exact component argmax, the logistic model uses a
+bounded simplex representation, and interval max-increment fields stop
+exactly through their bounded profiles.
 """
 
 from __future__ import annotations
@@ -23,24 +24,13 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .models import (
-    BallIndicator,
-    BrownResnick,
-    ExtremalProcess,
-    ExtremalT,
-    Logistic,
-    MaxLinear,
+    _REP_CHUNK_ELEMS,
     ModelSpec,
-    SiteSet,
-    Smith,
     SpectralSampler,
-    _max_linear_columns,
-    as_sites,
-    logistic_angular_sampler,
+    _logistic_mixture,
     spectral_sampler,
 )
-from .specfun import RngLike, as_generator, sample_positive_stable
-
-_REP_CHUNK_ELEMS = 1 << 22  # soft cap on reps*atoms*k doubles per engine chunk
+from .specfun import RngLike, as_generator
 
 
 @dataclass(frozen=True)
@@ -48,19 +38,13 @@ class SimControl:
     """Stopping policy for the spectral simulator.
 
     max_atoms: hard cap on Poisson atoms per realization.
-    bound_hint: almost-sure bound on sup_j Y(s_j); overrides the bound the
-        model itself advertises.  Supplying a wrong (too small) bound makes
-        results silently incorrect, so only set it when the bound is known.
     """
 
     max_atoms: int = 1000
-    bound_hint: float | None = None
 
     def __post_init__(self):
         if not (isinstance(self.max_atoms, (int, np.integer)) and self.max_atoms >= 1):
             raise DomainError("max_atoms must be a positive integer")
-        if self.bound_hint is not None and not self.bound_hint > 0:
-            raise DomainError("bound_hint must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -122,10 +106,10 @@ class Partition:
 # ---------------------------------------------------------------------------
 # core engine
 
-def _poisson_engine(sampler: SpectralSampler, bound: float | None, max_atoms: int,
+def _poisson_engine(sampler: SpectralSampler, max_atoms: int,
                     g: np.random.Generator, reps: int):
     """Run the max-over-atoms recursion for ``reps`` realizations at once."""
-    k = sampler.k
+    k, bound = sampler.k, sampler.bound
     values = np.zeros((reps, k))
     hits = np.full((reps, k), -1, dtype=np.int64)
     gam = np.zeros(reps)
@@ -159,32 +143,6 @@ def _poisson_engine(sampler: SpectralSampler, bound: float | None, max_atoms: in
     return values, hits, flags
 
 
-def _engine_sampler(model: ModelSpec, sites) -> SpectralSampler:
-    """Sampler the simulator uses; may differ from the contractual spectral
-    representation when a bounded equivalent exists (same field law and the
-    same hitting-scenario law, since the finite-dimensional exponent measure
-    is representation-free)."""
-    if isinstance(model, Logistic):
-        return logistic_angular_sampler(model.alpha, as_sites(sites).k)
-    return spectral_sampler(model, sites)
-
-
-def _simulate_max_linear(model: MaxLinear, cols: np.ndarray,
-                         g: np.random.Generator, reps: int):
-    phi_cols = model.phi[:, cols]
-    m, k = phi_cols.shape
-    values = np.empty((reps, k))
-    hits = np.empty((reps, k), dtype=np.int64)
-    step = max(1, _REP_CHUNK_ELEMS // max(1, m * k))
-    for start in range(0, reps, step):
-        stop = min(reps, start + step)
-        z = 1.0 / g.standard_exponential((stop - start, m))
-        cand = z[:, :, None] * phi_cols[None, :, :]
-        values[start:stop] = cand.max(axis=1)
-        hits[start:stop] = cand.argmax(axis=1)
-    return values, hits, np.zeros(reps, dtype=bool)
-
-
 def simulate_max_stable_batch(model: ModelSpec, sites, reps: int,
                               ctrl: SimControl | None = None,
                               rng: RngLike = None):
@@ -200,10 +158,11 @@ def simulate_max_stable_batch(model: ModelSpec, sites, reps: int,
     if reps < 1:
         raise DomainError("reps must be >= 1")
     g = as_generator(rng)
-    if isinstance(model, MaxLinear):
-        return _simulate_max_linear(model, _max_linear_columns(model, sites), g, reps)
-    sampler = _engine_sampler(model, sites)
-    bound = ctrl.bound_hint if ctrl.bound_hint is not None else sampler.bound
+    s = model.sites_of(sites)
+    fields = model.exact_fields(s, g, reps)
+    if fields is not None:
+        return fields
+    sampler = model.engine_sampler(s)
     k = sampler.k
     values = np.empty((reps, k))
     hits = np.empty((reps, k), dtype=np.int64)
@@ -211,11 +170,23 @@ def simulate_max_stable_batch(model: ModelSpec, sites, reps: int,
     step = max(1, _REP_CHUNK_ELEMS // max(1, 64 * k))
     for start in range(0, reps, step):
         stop = min(reps, start + step)
-        v, h, f = _poisson_engine(sampler, bound, ctrl.max_atoms, g, stop - start)
+        v, h, f = _poisson_engine(sampler, ctrl.max_atoms, g, stop - start)
         values[start:stop] = v
         hits[start:stop] = h
         flags[start:stop] = f
     return values, hits, flags
+
+
+def simulate_field_values(model: ModelSpec, sites, n: int, ctrl: SimControl | None,
+                          g: np.random.Generator) -> np.ndarray:
+    """(n, k) independent fields without hitting indices: the model's exact
+    construction when it has one (the positive-stable logistic), else
+    :func:`simulate_max_stable_batch`."""
+    s = model.sites_of(sites)
+    values = model.exact_values(s, g, n)
+    if values is None:
+        values, _, _ = simulate_max_stable_batch(model, s, n, ctrl, g)
+    return values
 
 
 def simulate_max_stable(model: ModelSpec, sites, ctrl: SimControl | None = None,
@@ -259,11 +230,7 @@ def simulate_logistic_exact(alpha: float, k: int, rng: RngLike, size: int | None
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError("k must be a positive integer")
-    g = as_generator(rng)
-    n = 1 if size is None else int(size)
-    s = sample_positive_stable(alpha, g, size=n)
-    e = g.standard_exponential((n, k))
-    x = (np.asarray(s)[:, None] / e) ** alpha
+    x = _logistic_mixture(alpha, k, as_generator(rng), 1 if size is None else int(size))
     return x[0] if size is None else x
 
 
@@ -295,13 +262,10 @@ def simulate_doa(model: ModelSpec, sites, n0: int, rng: RngLike,
 # ---------------------------------------------------------------------------
 # CSV export
 
-def write_realizations_csv(path, sites, values: np.ndarray,
-                           hits: np.ndarray | None = None) -> None:
+def write_realizations_csv(path, values: np.ndarray, hits: np.ndarray | None = None) -> None:
     """One row per replicate: site columns, then optional hit-index columns."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     k = values.shape[1]
-    if isinstance(sites, SiteSet) and sites.k != k:
-        raise DomainError("values width does not match the site count")
     header = [f"site_{j}" for j in range(k)]
     if hits is not None:
         hits = np.atleast_2d(np.asarray(hits))

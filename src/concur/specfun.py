@@ -212,6 +212,15 @@ def logsumexp(a, axis=None):
     return special.logsumexp(a, axis=axis)
 
 
+def half_line(f, c: float, sign: float):
+    """f on c + sign * [0, inf) as an integrand over u in (0, 1]:
+    x = c + sign * (1 - u) / u puts half of the u range within 1 of c.
+    Distance L from c corresponds to u = 1 / (1 + L)."""
+    def g(u):
+        return f(c + sign * (1.0 - u) / u) / (u * u)
+    return g
+
+
 def unit_ball_volume(d: int, radius: float = 1.0) -> float:
     """Volume of the d-dimensional Euclidean ball."""
     if d < 1:

@@ -63,7 +63,7 @@ class StudyConfig:
             raise DomainError("reps must be >= 2")
 
 
-def extremal_t_benchmark(h: float) -> ExtremalT:
+def extremal_t_benchmark() -> ExtremalT:
     return ExtremalT(correlation=ExponentialCorrelation(scale=10.0), nu=5.0)
 
 
@@ -71,9 +71,9 @@ def _pair_sites(h: float) -> np.ndarray:
     return np.array([[0.0], [float(h)]])
 
 
-def lag_for_target_p(model_at_lag, target: float, lo: float = 1e-4, hi: float = 60.0,
+def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4, hi: float = 60.0,
                      iters: int = 30) -> float:
-    """Bisect the lag h with p(h) = target for a model family h -> ModelSpec.
+    """Bisect the lag h with p(0, h) = target for a stationary model.
 
     p(h) is evaluated by deterministic quadrature, so the bisection is exact
     up to the bracket width 2**-iters (hi - lo) and needs no random draws.
@@ -82,7 +82,7 @@ def lag_for_target_p(model_at_lag, target: float, lo: float = 1e-4, hi: float = 
         raise DomainError("target probability must lie in (0, 1)")
 
     def p_of(h: float) -> float:
-        return concurrence_probability(model_at_lag(h), _pair_sites(h)).value
+        return concurrence_probability(model, _pair_sites(h)).value
 
     p_lo, p_hi = p_of(lo), p_of(hi)
     if not (p_hi < target < p_lo):
@@ -122,11 +122,11 @@ def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     n0s = cfg.n0_levels or (1, 10, None)
     m = cfg.block_size
     ctrl = SimControl(max_atoms=cfg.max_atoms)
+    model = extremal_t_benchmark()
     rows: list[dict] = []
     cell = 0
     for p_target in cfg.p_targets:
-        h = lag_for_target_p(extremal_t_benchmark, p_target)
-        model = extremal_t_benchmark(h)
+        h = lag_for_target_p(model, p_target)
         sites = _pair_sites(h)
         for n in sizes:
             for n0 in n0s:
@@ -169,11 +169,11 @@ def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     sizes = cfg.sample_sizes or (25, 50, 100)
     n0s = cfg.n0_levels or (1, 5, 10, 15, None)
     ctrl = SimControl(max_atoms=cfg.max_atoms)
+    model = extremal_t_benchmark()
     rows: list[dict] = []
     cell = 0
     for p_target in cfg.p_targets:
-        h = lag_for_target_p(extremal_t_benchmark, p_target)
-        model = extremal_t_benchmark(h)
+        h = lag_for_target_p(model, p_target)
         sites = _pair_sites(h)
         for n in sizes:
             for n0 in n0s:
@@ -193,15 +193,13 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     m = cfg.block_size
     ctrl = SimControl(max_atoms=cfg.max_atoms)
     families = {
-        "extremal_t": lambda h: extremal_t_benchmark(h),
-        "brown_resnick": lambda h: BrownResnick(
-            variogram=FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)),
+        "extremal_t": extremal_t_benchmark(),
+        "brown_resnick": BrownResnick(variogram=FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)),
     }
     rows: list[dict] = []
     cell = 0
-    for fam_name, fam in families.items():
+    for fam_name, model in families.items():
         for h in cfg.lags:
-            model = fam(h)
             sites = _pair_sites(h)
             truth = concurrence_probability(model, sites).value
             for n in sizes:

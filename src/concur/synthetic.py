@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .models import Logistic, ModelSpec
+from .models import ModelSpec
 from .pipeline import _SEASON_MONTHS
-from .simulate import SimControl, simulate_logistic_exact, simulate_max_stable_batch
+from .simulate import SimControl, simulate_field_values
 from .specfun import RngLike, as_generator
 
 
@@ -39,13 +39,9 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     if season not in _SEASON_MONTHS:
         raise DomainError(f"unknown season {season!r}")
     years = list(years)
-    g = as_generator(rng)
-    k = len(station_ids)
-    if isinstance(model, Logistic) and 0 < model.alpha < 1:
-        planted = simulate_logistic_exact(model.alpha, k, g, size=len(years))
-    else:
-        use_sites = sites if sites is not None else np.arange(k, dtype=float)[:, None]
-        planted, _, _ = simulate_max_stable_batch(model, use_sites, len(years), ctrl, g)
+    if sites is None:
+        sites = np.arange(len(station_ids), dtype=float)[:, None]
+    planted = simulate_field_values(model, sites, len(years), ctrl, as_generator(rng))
     months = _SEASON_MONTHS[season]
     with open(Path(path), "w", newline="") as fh:
         w = csv.writer(fh)

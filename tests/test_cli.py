@@ -162,3 +162,11 @@ def test_error_reporting(capsys, tmp_path):
                  "--sites", str(tmp_path / "missing.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_method_choices_shared(capsys):
+    # estimate, matrix and cells take the same estimator names
+    for command in ("estimate", "matrix", "cells"):
+        with pytest.raises(SystemExit):
+            main([command, "--input", "x.csv", "--method", "bogus"])
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

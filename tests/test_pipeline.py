@@ -189,6 +189,18 @@ class TestPairwiseMatrix:
         assert math.isnan(matrix.estimates[0, 1])
         assert matrix.n_pairs[0, 1] == 2
 
+    def test_unknown_method_raises_before_pairs(self, synthetic):
+        from concur.pipeline import SeasonalExtremes
+        # no pair reaches min_overlap, so no estimator would ever run
+        disjoint = [SeasonalExtremes(sid, "JJA", year, 1.0, 1.0, "max")
+                    for sid, year in (("A", 2000), ("B", 2001))]
+        overlapping = seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max")
+        for extremes in (disjoint, overlapping):
+            with pytest.raises(DomainError, match="'bogus'"):
+                pairwise_matrix(extremes, method="bogus")
+        with pytest.raises(DomainError, match="requires a block size"):
+            pairwise_matrix(disjoint, method="block")
+
     def test_polarity_flip_metamorphic(self, synthetic):
         # tmin = -tmax in the synthetic data: negated minima carry the same
         # dependence, so the two matrices agree exactly
@@ -197,13 +209,6 @@ class TestPairwiseMatrix:
         m_max = pairwise_matrix(seasonal_blocks(result, "JJA", "max"))
         m_min = pairwise_matrix(seasonal_blocks(result, "JJA", "negated_min"))
         assert np.array_equal(m_max.estimates, m_min.estimates, equal_nan=True)
-
-    def test_threads_do_not_change_results(self, synthetic):
-        path, _ = synthetic
-        extremes = seasonal_blocks(ingest_csv(path), "JJA", "max")
-        a = pairwise_matrix(extremes, threads=1)
-        b = pairwise_matrix(extremes, threads=4)
-        assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
 
     def test_csv_roundtrip(self, synthetic, tmp_path):
         path, _ = synthetic

@@ -292,23 +292,14 @@ class TestControlsAndExport:
                                                 [[0.0], [0.5]], 200, None, rng)
         assert not flags.any()
 
-    def test_bound_hint_used(self, rng):
-        # logistic simplex profiles are bounded by k; hinting it is a no-op
-        a = simulate_max_stable_batch(Logistic(0.5), PAIR, 100,
-                                      SimControl(bound_hint=2.0), SeededRng(77))
-        b = simulate_max_stable_batch(Logistic(0.5), PAIR, 100, None, SeededRng(77))
-        assert np.array_equal(a[0], b[0])
-
     def test_sim_control_validation(self):
         with pytest.raises(DomainError):
             SimControl(max_atoms=0)
-        with pytest.raises(DomainError):
-            SimControl(bound_hint=-1.0)
 
     def test_csv_export(self, rng, tmp_path):
         values, hits, _ = simulate_max_stable_batch(Logistic(0.5), PAIR, 10, None, rng)
         path = tmp_path / "fields.csv"
-        write_realizations_csv(path, None, values, hits)
+        write_realizations_csv(path, values, hits)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "site_0,site_1,hit_0,hit_1"
         assert len(rows) == 11

@@ -19,13 +19,14 @@ def test_unknown_experiment():
 
 
 def test_lag_bisection_monotone_targets():
-    h_50 = lag_for_target_p(extremal_t_benchmark, 0.5)
-    h_25 = lag_for_target_p(extremal_t_benchmark, 0.25)
+    model = extremal_t_benchmark()
+    h_50 = lag_for_target_p(model, 0.5)
+    h_25 = lag_for_target_p(model, 0.25)
     assert h_25 > h_50 > 0
-    p_50 = concurrence_probability(extremal_t_benchmark(h_50), [[0.0], [h_50]]).value
+    p_50 = concurrence_probability(model, [[0.0], [h_50]]).value
     assert abs(p_50 - 0.5) < 1e-6
     with pytest.raises(DomainError):
-        lag_for_target_p(extremal_t_benchmark, 0.5, lo=30.0, hi=60.0)
+        lag_for_target_p(model, 0.5, lo=30.0, hi=60.0)
 
 
 def test_fig3_brown_resnick_median_matches_mc(tmp_path):
