@@ -16,6 +16,30 @@ Estimation routes:
 All estimators compare observations componentwise with strict inequalities,
 so every output is invariant under strictly increasing per-coordinate
 transformations; ties count as non-dominance and are flagged on the Sample.
+
+Cost.  Every estimator except the block one reduces to one counting kernel,
+``_below``: for each observation, how many others lie strictly below it at
+every coordinate (optionally a weighted sum over them), with a leading
+replicate axis so single samples and batches share it.  One coordinate
+costs a sort, O(n log n); a pair costs a sort and a bottom-up merge,
+O(n log^2 n), from 512 observations on (Knight 1966); smaller pairs and
+k >= 3 compare all pairs, O(k n^2), one contiguous column at a time, so
+input memory layout does not matter.  The pair crossover is a measured
+break-even size (see ``_MERGE_MIN_N``).  Built on it:
+
+* dominance counts (bootstrap, unbiased): one kernel call;
+* Kendall's tau: four pair calls (concordant at (x, y) and (-x, -y),
+  discordant at (x, -y) and (-x, y)), plus one-coordinate calls for the
+  tie counts of tau-b; the delete-one jackknife is O(n) on top;
+* the log estimator: each coordinate subset J needs the <= counts N_i and,
+  for the jackknife, weighted >= sums; for |J| <= 2 both come by
+  inclusion-exclusion over the nonempty subsets of J (sorts and one merge),
+  for |J| >= 3 from one all-pairs pass, O(|J| n^2), so all J together cost
+  O(k 2^(k-1) n^2);
+* the block estimator: O(n k), no kernel.
+
+At n = 16 000 (2-core Xeon, NumPy 2.4) ``dominance_counts`` of a pair takes
+0.024 s and ``ecp_kendall`` 0.10 s.
 """
 
 from __future__ import annotations
@@ -33,7 +57,11 @@ from .models import ModelSpec
 from .simulate import SimControl, simulate_field_values
 from .specfun import RngLike, as_generator, log_binom_ratio
 
-_PAIR_CHUNK = 1 << 21
+_PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
+# size from which the merge beats comparing all pairs (2-core Xeon): the
+# break-even is ~700 for one sample and ~300 for 200 replicates, and 512
+# costs at most ~1.4x the faster path anywhere in between
+_MERGE_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -96,19 +124,104 @@ def _as_sample(data) -> Sample:
 
 
 # ---------------------------------------------------------------------------
+# the counting kernel
+
+def _below(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """For each observation i of a (reps, n, k) stack, #{l : x_l < x_i at
+    every coordinate}, or with (reps, n) weights the sum of w_l over those l.
+    The path depends on k and n only; the module docstring gives the costs.
+    """
+    n, k = x.shape[1:]
+    if k == 1:
+        return _below_sorted(x[:, :, 0], w)
+    if k == 2 and n >= _MERGE_MIN_N:
+        return _below_merge(x[:, :, 0], x[:, :, 1], w)
+    return _below_direct(x, w)
+
+
+def _below_direct(x, w, before=np.less):
+    """All-pairs count (or weighted sum) of the l with before(x_l, x_i) at
+    every coordinate; ``np.greater_equal`` counts the l at or above i."""
+    reps, n, _ = x.shape
+    cols = x.transpose(2, 0, 1).copy()
+    out = np.empty((reps, n), dtype=np.int64 if w is None else float)
+    rows = max(1, min(n, _PAIR_CHUNK // n))
+    step = max(1, _PAIR_CHUNK // (rows * n))
+    for r0 in range(0, reps, step):
+        c = cols[:, r0:r0 + step]
+        for i0 in range(0, n, rows):
+            ci = c[:, :, i0:i0 + rows, None]
+            blk = before(c[0, :, None, :], ci[0])
+            for j in range(1, len(c)):
+                blk &= before(c[j, :, None, :], ci[j])
+            out[r0:r0 + step, i0:i0 + rows] = (blk.sum(axis=2) if w is None
+                                               else (blk @ w[r0:r0 + step, :, None])[:, :, 0])
+    return out
+
+
+def _unsort(order, values):
+    out = np.empty_like(values)
+    np.put_along_axis(out, order, values, axis=1)
+    return out
+
+
+def _below_sorted(v, w):
+    order = np.argsort(v, axis=1, kind="stable")
+    s = np.take_along_axis(v, order, axis=1)
+    first = np.ones(s.shape, dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    # in sorted order, the count of smaller values is the tie group's start
+    lo = np.maximum.accumulate(np.where(first, np.arange(s.shape[1]), 0), axis=1)
+    if w is None:
+        return _unsort(order, lo)
+    cw = np.zeros((s.shape[0], s.shape[1] + 1))
+    np.cumsum(np.take_along_axis(w, order, axis=1), axis=1, out=cw[:, 1:])
+    return _unsort(order, np.take_along_axis(cw, lo, axis=1))
+
+
+def _below_merge(xc, yc, w):
+    reps, n = xc.shape
+    # merge order: x ascending, equal x by y descending, so no earlier
+    # observation with the same x has a smaller y; then l is below i exactly
+    # when l comes first and has the smaller y rank
+    ry = _below_sorted(yc, None)
+    order = np.argsort(_below_sorted(xc, None) * n + (n - 1 - ry), axis=1, kind="stable")
+    rank = np.take_along_axis(ry, order, axis=1)
+    if w is not None:
+        w = np.take_along_axis(w, order, axis=1)
+    acc = np.zeros((reps, n), dtype=np.int64 if w is None else float)
+    pos = np.arange(n)
+    rep = np.arange(reps)[:, None]
+    half = 1
+    while half < n:
+        # each right block of 2 * half positions counts the left block's
+        # smaller ranks; keys sort by (replicate, block pair, rank)
+        pair = pos // (2 * half)
+        right = pos // half % 2 == 1
+        left = ~right
+        keys = (rep * (pair[-1] + 1) + pair) * n + rank
+        left_keys = keys[:, left].ravel()
+        sort = np.argsort(left_keys, kind="stable")
+        hi = np.searchsorted(left_keys[sort], keys[:, right].ravel())
+        # every left block before a right one is full, so its sorted keys
+        # start at half * pair within the replicate's left keys
+        lo = (rep * np.count_nonzero(left) + half * pair[right]).ravel()
+        if w is None:
+            acc[:, right] += (hi - lo).reshape(reps, -1)
+        else:
+            cw = np.zeros(left_keys.size + 1)
+            np.cumsum(w[:, left].ravel()[sort], out=cw[1:])
+            acc[:, right] += (cw[hi] - cw[lo]).reshape(reps, -1)
+        half *= 2
+    return _unsort(order, acc)
+
+
+# ---------------------------------------------------------------------------
 # dominance counts and block indicators
 
 def dominance_counts(data) -> np.ndarray:
     """d_i = #{l != i : X_l(s_j) < X_i(s_j) for every coordinate j}."""
-    x = _as_sample(data).data
-    n, k = x.shape
-    d = np.empty(n, dtype=np.int64)
-    step = max(1, _PAIR_CHUNK // max(1, n * k))
-    for start in range(0, n, step):
-        blk = x[start:min(n, start + step)]
-        less = (x[None, :, :] < blk[:, None, :]).all(axis=-1)
-        d[start:start + blk.shape[0]] = less.sum(axis=1)
-    return d
+    return _below(_as_sample(data).data[None])[0]
 
 
 def _block_indicators(blocks: np.ndarray) -> np.ndarray:
@@ -191,6 +304,27 @@ class KendallEstimate:
     n: int
 
 
+_QUADRANTS = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+_CONCORDANT = np.array([1, 1, -1, -1])
+
+
+def _kendall_rows(x: np.ndarray, ties: bool):
+    """Kendall row sums sum_l sign(x_i - x_l) sign(y_i - y_l) for each
+    observation of a (reps, n, 2) stack and, with ``ties``, the per-margin
+    tie counts #{l != i : x_l = x_i} and #{l != i : y_l = y_i}."""
+    reps, n, _ = x.shape
+    # concordant pairs lie below at (x, y) or (-x, -y), discordant ones at
+    # (x, -y) or (-x, y); a tie in either margin is neither
+    c = _below((x[:, None] * _QUADRANTS[:, None]).reshape(4 * reps, n, 2))
+    rows = _CONCORDANT @ c.reshape(reps, 4, n)
+    if not ties:
+        return rows, None, None
+    # smaller and larger values per margin: columns x, y, -x, -y
+    m = _below(np.concatenate([x, -x], axis=2).transpose(0, 2, 1).reshape(4 * reps, n, 1))
+    m = m.reshape(reps, 4, n)
+    return rows, n - 1 - m[:, 0] - m[:, 2], n - 1 - m[:, 1] - m[:, 3]
+
+
 def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
     """Kendall's tau of a pair of coordinates with delete-one jackknife stderr.
 
@@ -198,41 +332,35 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
     so the statistic doubles as an unbiased concurrence estimator.  Tied
     comparisons contribute zero sign; with ``tie_adjusted`` the denominator
     drops tied pairs per margin (the tau-b convention of standard software,
-    identical for continuous data).  The stderr is NaN when n < 3.
+    identical for continuous data), and a constant coordinate, for which
+    that tau is 0/0, raises :class:`DomainError`.  The stderr is NaN when
+    n < 3.
     """
     s = _as_sample(data)
     if s.k != 2:
         raise CapabilityError("Kendall's tau is a pairwise statistic (k = 2)")
-    x, y = s.data[:, 0], s.data[:, 1]
     n = s.n
-    row_sums = np.empty(n)
-    tie_x = np.empty(n)
-    tie_y = np.empty(n)
-    step = max(1, _PAIR_CHUNK // max(1, n))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        sx = np.sign(x[start:stop, None] - x[None, :])
-        sy = np.sign(y[start:stop, None] - y[None, :])
-        row_sums[start:stop] = (sx * sy).sum(axis=1)
-        tie_x[start:stop] = (sx == 0).sum(axis=1) - 1  # drop the diagonal
-        tie_y[start:stop] = (sy == 0).sum(axis=1) - 1
-    total = row_sums.sum() / 2.0
-
-    def statistic(s_val, tx, ty, pairs):
-        if not tie_adjusted:
-            return s_val / pairs
-        return s_val / math.sqrt((pairs - tx / 2.0) * (pairs - ty / 2.0))
-
+    rows, tie_x, tie_y = _kendall_rows(s.data[None], tie_adjusted)
+    rows = rows[0]
+    total = rows.sum() / 2.0
     pairs_n = n * (n - 1) / 2.0
-    tau = statistic(total, tie_x.sum(), tie_y.sum(), pairs_n)
+    pairs_loo = (n - 1) * (n - 2) / 2.0
+    if tie_adjusted:
+        tie_x, tie_y = tie_x[0], tie_y[0]
+        tx, ty = tie_x.sum(), tie_y.sum()
+        for j, t in enumerate((tx, ty)):
+            if t == n * (n - 1):
+                name = f" ({s.names[j]!r})" if s.names is not None else ""
+                raise DomainError(f"coordinate {j}{name} is constant, so the "
+                                  f"tie-adjusted Kendall tau is 0/0")
+        tau = total / math.sqrt((pairs_n - tx / 2.0) * (pairs_n - ty / 2.0))
+        pairs_loo = np.sqrt((pairs_loo - (tx - 2 * tie_x) / 2.0)
+                            * (pairs_loo - (ty - 2 * tie_y) / 2.0))
+    else:
+        tau = total / pairs_n
     if n < 3:
         return KendallEstimate(estimate=float(tau), stderr=float("nan"), n=n)
-    pairs_loo = (n - 1) * (n - 2) / 2.0
-    loo = np.array([
-        statistic(total - row_sums[i], tie_x.sum() - 2 * tie_x[i],
-                  tie_y.sum() - 2 * tie_y[i], pairs_loo)
-        for i in range(n)
-    ]) if tie_adjusted else (total - row_sums) / pairs_loo
+    loo = (total - rows) / pairs_loo
     var = (n - 1) / n * float(((loo - loo.mean()) ** 2).sum())
     return KendallEstimate(estimate=float(tau), stderr=math.sqrt(var), n=n)
 
@@ -240,37 +368,39 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
 # ---------------------------------------------------------------------------
 # multivariate log estimator
 
+def _at_least(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """For each observation i of a (reps, n, k) stack, #{l : x_l >= x_i at
+    every coordinate} (i itself included), or the sum of w_l over those l.
+
+    For k <= 2, inclusion-exclusion over the coordinate subsets S: the
+    complement of "x_l >= x_i everywhere" is "x_l < x_i somewhere", so the
+    count is sum_S (-1)^|S| #{l : x_l < x_i on S}, the empty S counting
+    every l.  For k >= 3 its top term alone is an all-pairs pass, so one
+    such pass compares >= directly.
+    """
+    reps, n, k = x.shape
+    if k >= 3:
+        return _below_direct(x, w, np.greater_equal)
+    out = np.full((reps, n), n) if w is None else np.repeat(w.sum(axis=1, keepdims=True), n, 1)
+    for r in range(1, k + 1):
+        for S in itertools.combinations(range(k), r):
+            out += (-1) ** r * _below(x[:, :, S], w)
+    return out
+
+
 def _mean_log_ecdf(xj: np.ndarray, want_loo: bool):
     """T = mean_i log(N_i / n) for the self-inclusive joint empirical CDF
     N_i = #{l : X_l <= X_i componentwise}; optionally the delete-one values."""
     n = xj.shape[0]
-    counts = np.empty(n, dtype=np.int64)
-    step = max(1, _PAIR_CHUNK // max(1, n * xj.shape[1]))
-    dom_w_sum = np.zeros(n) if want_loo else None
-    logs = None
-    if want_loo:
-        # two passes: counts first, then weighted dominance sums
-        for start in range(0, n, step):
-            blk = xj[start:min(n, start + step)]
-            le = (xj[None, :, :] <= blk[:, None, :]).all(axis=-1)
-            counts[start:start + blk.shape[0]] = le.sum(axis=1)
-        logs = np.log(counts)
-        w = logs - np.log(np.maximum(counts - 1, 1))
-        for start in range(0, n, step):
-            blk = xj[start:min(n, start + step)]
-            ge = (xj[None, :, :] >= blk[:, None, :]).all(axis=-1)  # rows this obs is <= of
-            dom_w_sum[start:start + blk.shape[0]] = ge @ w
-    else:
-        for start in range(0, n, step):
-            blk = xj[start:min(n, start + step)]
-            le = (xj[None, :, :] <= blk[:, None, :]).all(axis=-1)
-            counts[start:start + blk.shape[0]] = le.sum(axis=1)
-        logs = np.log(counts)
+    counts = _at_least(-xj[None])[0]
+    logs = np.log(counts)
     t_full = float(logs.mean()) - math.log(n)
     if not want_loo:
         return t_full, None
     a_total = float(logs.sum())
     w_self = logs - np.log(np.maximum(counts - 1, 1))
+    # sum over the rows each observation is <= of, itself included
+    dom_w_sum = _at_least(xj[None], w_self[None])[0]
     # T_(l) = [A - log N_l - (sum_i D_li w_i - w_l)] / (n-1) - log(n-1)
     t_loo = (a_total - logs - (dom_w_sum - w_self)) / (n - 1) - math.log(n - 1)
     return t_full, t_loo
@@ -408,8 +538,16 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
 # ---------------------------------------------------------------------------
 # batch kernels (replicate studies)
 
+def _as_stack(data) -> np.ndarray:
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 3 or x.shape[1] < 2:
+        raise DomainError(f"expected a 3-d (reps, n, k) stack with n >= 2, got shape {x.shape}")
+    return x
+
+
 def block_cp_batch(data: np.ndarray, m: int) -> np.ndarray:
     """Block estimator per replicate for a (reps, n, k) stack."""
+    data = _as_stack(data)
     reps, n, k = data.shape
     nb = n // m
     if nb < 1:
@@ -420,21 +558,13 @@ def block_cp_batch(data: np.ndarray, m: int) -> np.ndarray:
 
 def dominance_counts_batch(data: np.ndarray) -> np.ndarray:
     """Dominance counts per replicate for a (reps, n, k) stack."""
-    reps, n, k = data.shape
-    out = np.empty((reps, n), dtype=np.int64)
-    step = max(1, _PAIR_CHUNK // max(1, n * n * k))
-    for start in range(0, reps, step):
-        blk = data[start:min(reps, start + step)]
-        less = (blk[:, None, :, :] < blk[:, :, None, :]).all(axis=-1)
-        out[start:start + blk.shape[0]] = less.sum(axis=2)
-    return out
+    return _below(_as_stack(data))
 
 
 def bootstrap_cp_batch(data: np.ndarray, m: int) -> np.ndarray:
     """Rao--Blackwellized estimator per replicate for a (reps, n, k) stack."""
-    n = data.shape[1]
     d = dominance_counts_batch(data)
-    return np.asarray(log_binom_ratio(d, m, n)).sum(axis=1)
+    return np.asarray(log_binom_ratio(d, m, d.shape[1])).sum(axis=1)
 
 
 def kendall_batch(data: np.ndarray, tie_adjusted: bool = False) -> np.ndarray:
@@ -443,25 +573,17 @@ def kendall_batch(data: np.ndarray, tie_adjusted: bool = False) -> np.ndarray:
     ``tie_adjusted`` switches to the tau-b denominator, which matters only
     for data with atoms (e.g. heavily perturbed spectral profiles).
     """
+    data = _as_stack(data)
     if data.shape[2] != 2:
         raise DomainError("kendall_batch expects pairs")
-    reps, n, _ = data.shape
-    out = np.empty(reps)
+    n = data.shape[1]
+    rows, tie_x, tie_y = _kendall_rows(data, tie_adjusted)
+    s_val = rows.sum(axis=1).astype(float)
     pairs_n = n * (n - 1)
-    step = max(1, _PAIR_CHUNK // max(1, n * n))
-    for start in range(0, reps, step):
-        blk = data[start:min(reps, start + step)]
-        sx = np.sign(blk[:, :, None, 0] - blk[:, None, :, 0])
-        sy = np.sign(blk[:, :, None, 1] - blk[:, None, :, 1])
-        s_val = (sx * sy).sum(axis=(1, 2)).astype(float)
-        if tie_adjusted:
-            tx = (sx == 0).sum(axis=(1, 2)) - n
-            ty = (sy == 0).sum(axis=(1, 2)) - n
-            out[start:start + blk.shape[0]] = s_val / np.sqrt(
-                (pairs_n - tx).astype(float) * (pairs_n - ty))
-        else:
-            out[start:start + blk.shape[0]] = s_val / pairs_n
-    return out
+    if not tie_adjusted:
+        return s_val / pairs_n
+    tx, ty = tie_x.sum(axis=1), tie_y.sum(axis=1)
+    return s_val / np.sqrt((pairs_n - tx).astype(float) * (pairs_n - ty))
 
 
 # ---------------------------------------------------------------------------

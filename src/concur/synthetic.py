@@ -41,6 +41,10 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     years = list(years)
     if sites is None:
         sites = np.arange(len(station_ids), dtype=float)[:, None]
+    n_sites = len(model.sites_of(sites))
+    if n_sites != len(station_ids):
+        raise DomainError(f"{n_sites} sites for {len(station_ids)} stations; "
+                          f"sites must hold one site per station")
     planted = simulate_field_values(model, sites, len(years), ctrl, as_generator(rng))
     months = _SEASON_MONTHS[season]
     with open(Path(path), "w", newline="") as fh:

@@ -28,7 +28,12 @@ from concur import (
     sample_cp_unbiased,
     simulate_logistic_exact,
 )
-from concur.estimators import block_cp_batch, bootstrap_cp_batch, kendall_batch
+from concur.estimators import (
+    block_cp_batch,
+    bootstrap_cp_batch,
+    dominance_counts_batch,
+    kendall_batch,
+)
 
 
 def logistic_data(alpha, k, n, seed):
@@ -230,6 +235,14 @@ class TestKendall:
         est = ecp_kendall(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert est.estimate == -1.0 and math.isnan(est.stderr)
 
+    def test_tie_adjusted_constant_coordinate_raises(self):
+        x = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        with pytest.raises(DomainError, match="coordinate 0 is constant"):
+            ecp_kendall(x, tie_adjusted=True)
+        with pytest.raises(DomainError, match="coordinate 1 \\('b'\\) is constant"):
+            ecp_kendall(Sample(x[:, ::-1], names=("a", "b")), tie_adjusted=True)
+        assert ecp_kendall(x).estimate == 0.0
+
 
 class TestMultivariateLog:
     def test_equal_columns_harmonic_oracle(self):
@@ -347,6 +360,16 @@ class TestBiasLaw:
         means = [r.mean_estimate for r in rows]
         for a, b in zip(means, means[1:]):
             assert b <= a + 0.01
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("kernel", [
+        lambda d: block_cp_batch(d, 2), dominance_counts_batch,
+        lambda d: bootstrap_cp_batch(d, 2), kendall_batch])
+    @pytest.mark.parametrize("shape", [(5, 2), (4, 1, 2), (2, 3, 2, 2), (6,)])
+    def test_need_a_3d_stack_with_two_observations(self, kernel, shape):
+        with pytest.raises(DomainError, match="3-d"):
+            kernel(np.zeros(shape))
 
 
 class TestUnbiasedness:

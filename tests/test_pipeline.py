@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from concur import DomainError, Logistic, ParseError, SeededRng
+from concur import (
+    BrownResnick,
+    DomainError,
+    FractionalVariogram,
+    Logistic,
+    ParseError,
+    SeededRng,
+)
 from concur.pipeline import (
     ConcurrenceMatrix,
     cell_area_report,
@@ -322,3 +329,15 @@ class TestDeterminism:
             write_matrix_csv(matrix, out)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestSynthesizeStationCsv:
+    @pytest.mark.parametrize("n_stations, n_sites", [(3, 2), (2, 3)])
+    def test_sites_must_match_stations(self, tmp_path, n_stations, n_sites):
+        model = BrownResnick(FractionalVariogram(scale=1.0, exponent=1.0))
+        sites = np.arange(n_sites, dtype=float)[:, None]
+        with pytest.raises(DomainError, match=f"{n_sites} sites for {n_stations} stations"):
+            synthesize_station_csv(tmp_path / "s.csv", model, STATIONS[:n_stations],
+                                   COORDS[:n_stations], range(2000, 2003), SeededRng(1),
+                                   sites=sites)
+        assert not (tmp_path / "s.csv").exists()
