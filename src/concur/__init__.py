@@ -1,8 +1,8 @@
 """Extremal concurrence probabilities for max-stable processes.
 
 Closed forms and Monte-Carlo evaluation of the probability that a single
-extreme event attains the componentwise maximum at several sites, exact and
-truncated max-stable simulators with hitting-scenario tracking, block /
+extreme event attains the componentwise maximum at several sites, exact
+max-stable simulators with hitting-scenario tracking, block /
 bootstrap / Kendall estimators with block-size planning, concurrence-cell
 analysis, and a station-data pipeline for seasonal temperature extremes.
 """

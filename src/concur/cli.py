@@ -276,8 +276,7 @@ def _cmd_study(args, rng: SeededRng) -> None:
     out = _require_out(args)
     cfg = StudyConfig(experiment=args.experiment, out_dir=out, seed=args.seed,
                       reps=args.reps,
-                      sample_sizes=tuple(args.n) if args.n else (),
-                      max_atoms=args.max_atoms)
+                      sample_sizes=tuple(args.n) if args.n else ())
     result = study_harness(cfg)
     _emit_json({"command": "study", "experiment": args.experiment,
                 "csv": result["csv"], "manifest": result["manifest"],
@@ -317,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True)
     q.add_argument("--sites", required=True)
     q.add_argument("--reps", type=int, required=True)
-    q.add_argument("--max-atoms", type=int, default=1000)
+    q.add_argument("--max-atoms", type=int, default=1000,
+                   help="atom cap of the bounded-profile loop (logistic, Smith, "
+                        "extremal process, ball indicator)")
     q.add_argument("--no-hits", action="store_true", help="omit hit-index columns")
     q.set_defaults(func=_cmd_simulate)
 
@@ -370,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", default=None, help="model spec JSON (model mode)")
     q.add_argument("--grid-sites", default=None, help="site CSV for model mode")
     q.add_argument("--reps", type=int, default=1000)
-    q.add_argument("--max-atoms", type=int, default=1000)
+    q.add_argument("--max-atoms", type=int, default=1000,
+                   help="atom cap of the bounded-profile loop (logistic, Smith, "
+                        "extremal process, ball indicator)")
     q.set_defaults(func=_cmd_cells)
 
     q = sub.add_parser("study", help="simulation-study tables")
@@ -379,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--reps", type=int, default=200)
     q.add_argument("--n", type=int, action="append", default=None,
                    help="sample size(s); repeatable")
-    q.add_argument("--max-atoms", type=int, default=1000)
     q.set_defaults(func=_cmd_study)
     return p
 

@@ -325,6 +325,10 @@ def _kendall_rows(x: np.ndarray, ties: bool):
     return rows, n - 1 - m[:, 0] - m[:, 2], n - 1 - m[:, 1] - m[:, 3]
 
 
+def _name_of(s: Sample, j: int) -> str:
+    return f" ({s.names[j]!r})" if s.names is not None else ""
+
+
 def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
     """Kendall's tau of a pair of coordinates with delete-one jackknife stderr.
 
@@ -333,8 +337,9 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
     comparisons contribute zero sign; with ``tie_adjusted`` the denominator
     drops tied pairs per margin (the tau-b convention of standard software,
     identical for continuous data), and a constant coordinate, for which
-    that tau is 0/0, raises :class:`DomainError`.  The stderr is NaN when
-    n < 3.
+    that tau is 0/0, raises :class:`DomainError`, as does a row whose
+    removal leaves a coordinate constant (its jackknife value is 0/0).
+    The stderr is NaN when n < 3.
     """
     s = _as_sample(data)
     if s.k != 2:
@@ -350,12 +355,18 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
         tx, ty = tie_x.sum(), tie_y.sum()
         for j, t in enumerate((tx, ty)):
             if t == n * (n - 1):
-                name = f" ({s.names[j]!r})" if s.names is not None else ""
-                raise DomainError(f"coordinate {j}{name} is constant, so the "
+                raise DomainError(f"coordinate {j}{_name_of(s, j)} is constant, so the "
                                   f"tie-adjusted Kendall tau is 0/0")
         tau = total / math.sqrt((pairs_n - tx / 2.0) * (pairs_n - ty / 2.0))
-        pairs_loo = np.sqrt((pairs_loo - (tx - 2 * tie_x) / 2.0)
-                            * (pairs_loo - (ty - 2 * tie_y) / 2.0))
+        # untied pairs per margin once row i is left out
+        loo_x = pairs_loo - (tx - 2 * tie_x) / 2.0
+        loo_y = pairs_loo - (ty - 2 * tie_y) / 2.0
+        for j, d in enumerate((loo_x, loo_y)):
+            if n >= 3 and not d.all():
+                raise DomainError(f"leaving out row {int(np.argmin(d))} makes coordinate "
+                                  f"{j}{_name_of(s, j)} constant, so that delete-one "
+                                  f"tie-adjusted Kendall tau is 0/0")
+        pairs_loo = np.sqrt(loo_x * loo_y)
     else:
         tau = total / pairs_n
     if n < 3:
@@ -571,7 +582,9 @@ def kendall_batch(data: np.ndarray, tie_adjusted: bool = False) -> np.ndarray:
     """Kendall's tau per replicate for a (reps, n, 2) stack.
 
     ``tie_adjusted`` switches to the tau-b denominator, which matters only
-    for data with atoms (e.g. heavily perturbed spectral profiles).
+    for data with atoms (e.g. heavily perturbed spectral profiles); a
+    replicate with a constant coordinate, whose tau-b is 0/0, then raises
+    :class:`DomainError`.
     """
     data = _as_stack(data)
     if data.shape[2] != 2:
@@ -583,6 +596,11 @@ def kendall_batch(data: np.ndarray, tie_adjusted: bool = False) -> np.ndarray:
     if not tie_adjusted:
         return s_val / pairs_n
     tx, ty = tie_x.sum(axis=1), tie_y.sum(axis=1)
+    for j, t in enumerate((tx, ty)):
+        const = np.flatnonzero(t == pairs_n)
+        if const.size:
+            raise DomainError(f"replicate {const[0]} has constant coordinate {j}, so its "
+                              f"tie-adjusted Kendall tau is 0/0")
     return s_val / np.sqrt((pairs_n - tx).astype(float) * (pairs_n - ty))
 
 

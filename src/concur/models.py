@@ -375,6 +375,9 @@ class SpectralSampler:
     bound: float | None = None
 
 
+TiltedDraw = Callable[[np.random.Generator, int, int], np.ndarray]
+
+
 def _independence_sampler(k: int) -> SpectralSampler:
     """Logistic alpha = 1: a profile k at one uniformly chosen site."""
     def draw(g, n):
@@ -421,6 +424,13 @@ class ModelSpec:
 
     def exact_values(self, sites, g: np.random.Generator, n: int):
         """(n, k) fields by an exact construction without hitting indices, or None."""
+        return None
+
+    def tilted_sampler(self, sites) -> TiltedDraw | None:
+        """``draw(g, j, n)``: (n, k) spectral profiles Y under the law tilted
+        at site j, P_j(dy) = y_j P(dy), divided by y_j so that column j is
+        exactly 1; it drives exact simulation by extremal functions.  None
+        when the model has no such sampler."""
         return None
 
     def concurrence(self, sites) -> float | None:
@@ -588,17 +598,15 @@ class BrownResnick(_PairModel):
     variogram: Variogram
     name: ClassVar[str] = "brown_resnick"
 
-    def sampler(self, sites: SiteSet) -> SpectralSampler:
+    def _anchored(self, sites: SiteSet):
+        """gamma(s - s_1) and ``draw(g, n)`` of the Gaussian W anchored at the
+        first site: (n, k) paths with W(s_1) = 0 and Var W(s) = 2 gamma(s - s_1)."""
         lags = sites.lags_from(0)
         gamma0 = np.asarray(self.variogram(lags), dtype=float)
         if np.any(gamma0 < 0):
             raise DomainError("variogram must be nonnegative")
         k = sites.k
-        if k == 1:
-            def draw_one(g, n):
-                return np.ones((n, 1))
-            return SpectralSampler(draw_one, 1, bound=None)
-        # increments W(s_j) - W(s_1) for j >= 2; W(s_1) = 0 by anchoring
+        # increments W(s_j) - W(s_1) for j >= 2
         g0 = gamma0[1:]
         pair_lags = sites.coords[1:, None, :] - sites.coords[None, 1:, :]
         gamma_pair = np.asarray(self.variogram(pair_lags), dtype=float)
@@ -606,12 +614,38 @@ class BrownResnick(_PairModel):
         cov = 0.5 * (cov + cov.T)
         fac = psd_factor(cov)
 
-        def draw(g, n):
+        def draw_w(g, n):
             w = np.zeros((n, k))
             w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
-            return np.exp(w - gamma0)
+            return w
 
-        return SpectralSampler(draw, k, bound=None)
+        return gamma0, draw_w
+
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        gamma0, draw_w = self._anchored(sites)
+
+        def draw(g, n):
+            return np.exp(draw_w(g, n) - gamma0)
+
+        return SpectralSampler(draw, sites.k, bound=None)
+
+    def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
+        """Y = exp(W - W(s_j) - gamma(s - s_j)), the profile re-anchored at s_j.
+
+        Y is formed from W itself, so column j is exp(0) = 1 exactly even
+        when gamma is so steep that every other column underflows to 0."""
+        _, draw_w = self._anchored(sites)
+        coords = sites.coords
+        gam = np.asarray(self.variogram(coords[None, :, :] - coords[:, None, :]), dtype=float)
+        np.fill_diagonal(gam, 0.0)
+
+        def draw(g, j, n):
+            w = draw_w(g, n)
+            w -= w[:, j:j + 1]
+            w -= gam[j]
+            return np.exp(w, out=w)
+
+        return draw
 
     def pair_reduction(self, sites: SiteSet) -> GaussianPair:
         gamma_h = float(np.asarray(self.variogram(_pair_lag(sites))).reshape(()))
@@ -643,12 +677,16 @@ class ExtremalT(_PairModel):
         if not self.nu >= 1:
             raise DomainError(f"extremal-t nu must be >= 1, got {self.nu}")
 
-    def sampler(self, sites: SiteSet) -> SpectralSampler:
+    def _correlation(self, sites: SiteSet):
+        """The site correlation matrix (unit diagonal) and a factor of it."""
         corr = np.asarray(self.correlation(sites.distance_matrix()), dtype=float)
         np.fill_diagonal(corr, 1.0)
         if np.any(np.abs(corr) > 1 + 1e-12):
             raise DomainError("correlation values must lie in [-1, 1]")
-        fac = psd_factor(corr)
+        return corr, psd_factor(corr)
+
+    def sampler(self, sites: SiteSet) -> SpectralSampler:
+        _, fac = self._correlation(sites)
         c = extremal_t_weight(self.nu)
         nu = self.nu
         k = sites.k
@@ -658,6 +696,22 @@ class ExtremalT(_PairModel):
             return c * np.maximum(w, 0.0) ** nu
 
         return SpectralSampler(draw, k, bound=None)
+
+    def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
+        """Y = max(0, T)**nu for the Student process with nu + 1 degrees of
+        freedom T = rho(s, s_j) + (W - rho(s, s_j) W(s_j)) / sqrt(chi2_{nu+1});
+        T(s_j) = 1 exactly."""
+        corr, fac = self._correlation(sites)
+        nu = self.nu
+        k = sites.k
+
+        def draw(g, j, n):
+            w = g.standard_normal((n, k)) @ fac.T
+            chi = np.sqrt(g.chisquare(nu + 1.0, size=(n, 1)))
+            t = corr[j] + (w - corr[j] * w[:, j:j + 1]) / chi
+            return np.maximum(t, 0.0, out=t) ** nu
+
+        return draw
 
     def pair_reduction(self, sites: SiteSet) -> StudentPair:
         lag = _pair_lag(sites)

@@ -1,17 +1,21 @@
 """Simulation of max-stable fields with hitting-scenario tracking.
 
-The workhorse is a vectorized Schlather-type algorithm: Poisson intensities
-zeta_i = 1/Gamma_i with Gamma_i a unit-exponential random walk, profiles
-from the model's spectral sampler, and per-site argmax bookkeeping.  When
-an almost-sure bound B on sup Y is available the recursion stops exactly
-once zeta_{i+1} * B falls below the current field minimum; otherwise it
-runs to ``max_atoms`` and flags the realization as truncated (late atoms
-can still win with small probability, biasing dependence slightly upward).
+Each model says what to run (see ``models``), and every path is exact:
 
-Each model says what the loop should run (see ``models``): max-linear
-fields come from an exact component argmax, the logistic model uses a
-bounded simplex representation, and interval max-increment fields stop
-exactly through their bounded profiles.
+* max-linear fields come from the component argmax (``exact_fields``);
+* Brown--Resnick and extremal-t (Schlather included) fields come from their
+  extremal functions (Dombry, Engelke & Oesting, "Exact simulation of
+  max-stable processes", Biometrika 103, 2016, Algorithm 2): for each site
+  s_j in turn, Poisson points zeta = 1/Gamma with profiles from the law
+  tilted at s_j, until zeta falls below the field at s_j, keeping a profile
+  only when it stays below the field at every earlier site.  A realization
+  draws k profiles on average, and its hitting scenario is exact;
+* the remaining models run a Schlather-type loop over their bounded
+  profiles (the logistic simplex representation, Smith storms, the
+  extremal process, the ball indicator): Poisson points 1/Gamma_i with
+  per-site argmax bookkeeping, stopping once zeta_{i+1} * sup Y falls below
+  the field minimum.  ``SimControl.max_atoms`` caps that loop; a
+  realization that reaches the cap first is flagged as truncated.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .models import (
     _REP_CHUNK_ELEMS,
     ModelSpec,
     SpectralSampler,
+    TiltedDraw,
     _logistic_mixture,
     spectral_sampler,
 )
@@ -35,9 +40,12 @@ from .specfun import RngLike, as_generator
 
 @dataclass(frozen=True)
 class SimControl:
-    """Stopping policy for the spectral simulator.
+    """Stopping policy for the bounded-profile loop.
 
-    max_atoms: hard cap on Poisson atoms per realization.
+    max_atoms: cap on the Poisson atoms per realization of that loop
+    (logistic, Smith, extremal process, ball indicator).  Models simulated
+    by an exact construction or by extremal functions (max-linear,
+    Brown--Resnick, extremal-t) never read it.
     """
 
     max_atoms: int = 1000
@@ -49,11 +57,12 @@ class SimControl:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """Simulated field values plus the winning spectral-atom index per site.
+    """Simulated field values plus, per site, the label of the spectral
+    function attaining it.
 
-    ``hit_index`` is None for samplers that cannot track atoms;
-    ``truncation_flag`` is True when the stopping rule was not conclusively
-    met before ``max_atoms``.
+    ``hit_index`` is None for samplers that cannot track spectral functions;
+    ``truncation_flag`` is True when the bounded-profile loop reached
+    ``max_atoms`` before its stopping rule was met.
     """
 
     values: np.ndarray
@@ -143,13 +152,46 @@ def _poisson_engine(sampler: SpectralSampler, max_atoms: int,
     return values, hits, flags
 
 
+def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: int):
+    """Exact fields of ``reps`` realizations through their extremal functions.
+
+    ``draw`` is a model's tilted sampler.  Returns (values, hits, drawn):
+    hits label each site with the ordinal, within its realization, of the
+    extremal function attaining it, and drawn counts the profiles drawn per
+    realization, k on average (Dombry, Engelke & Oesting 2016).
+    """
+    values = np.zeros((reps, k))
+    hits = np.full((reps, k), -1, dtype=np.int64)
+    found = np.zeros(reps, dtype=np.int64)
+    drawn = np.zeros(reps, dtype=np.int64)
+    for j in range(k):
+        gam = g.standard_exponential(reps)
+        active = np.flatnonzero(1.0 / gam > values[:, j])
+        while active.size:
+            y = draw(g, j, active.size)
+            y *= 1.0 / gam[active, None]
+            cur = values[active]
+            # a new extremal function stays below the field at s_1..s_{j-1}
+            keep = (y[:, :j] < cur[:, :j]).all(axis=1)
+            rows, y, cur = active[keep], y[keep], cur[keep]
+            upd = y > cur
+            values[rows] = np.where(upd, y, cur)
+            hits[rows] = np.where(upd, found[rows, None], hits[rows])
+            found[rows] += 1
+            drawn[active] += 1
+            gam[active] += g.standard_exponential(active.size)
+            active = active[1.0 / gam[active] > values[active, j]]
+    return values, hits, drawn
+
+
 def simulate_max_stable_batch(model: ModelSpec, sites, reps: int,
                               ctrl: SimControl | None = None,
                               rng: RngLike = None):
     """Simulate ``reps`` independent fields; returns (values, hits, flags).
 
-    values: (reps, k) unit-Frechet fields; hits: (reps, k) winning-atom
-    ordinals; flags: (reps,) truncation indicators.
+    values: (reps, k) unit-Frechet fields; hits: (reps, k) labels of the
+    spectral function attaining each site; flags: (reps,) truncation
+    indicators, which only the bounded-profile loop can set.
     """
     if rng is None:
         raise DomainError("an rng is required")
@@ -162,19 +204,20 @@ def simulate_max_stable_batch(model: ModelSpec, sites, reps: int,
     fields = model.exact_fields(s, g, reps)
     if fields is not None:
         return fields
+    tilted = model.tilted_sampler(s)
+    if tilted is not None:
+        k = len(s)
+        # one round holds a handful of (active, k) arrays
+        step = max(1, _REP_CHUNK_ELEMS // (8 * k))
+        parts = [_extremal_functions(tilted, k, g, min(step, reps - start))[:2]
+                 for start in range(0, reps, step)]
+        values, hits = (np.concatenate(a) for a in zip(*parts))
+        return values, hits, np.zeros(reps, dtype=bool)
     sampler = model.engine_sampler(s)
-    k = sampler.k
-    values = np.empty((reps, k))
-    hits = np.empty((reps, k), dtype=np.int64)
-    flags = np.empty(reps, dtype=bool)
-    step = max(1, _REP_CHUNK_ELEMS // max(1, 64 * k))
-    for start in range(0, reps, step):
-        stop = min(reps, start + step)
-        v, h, f = _poisson_engine(sampler, ctrl.max_atoms, g, stop - start)
-        values[start:stop] = v
-        hits[start:stop] = h
-        flags[start:stop] = f
-    return values, hits, flags
+    step = max(1, _REP_CHUNK_ELEMS // max(1, 64 * sampler.k))
+    parts = [_poisson_engine(sampler, ctrl.max_atoms, g, min(step, reps - start))
+             for start in range(0, reps, step)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def simulate_field_values(model: ModelSpec, sites, n: int, ctrl: SimControl | None,
@@ -198,7 +241,7 @@ def simulate_max_stable(model: ModelSpec, sites, ctrl: SimControl | None = None,
 
 
 def hitting_scenario(realization: FieldRealization) -> Partition:
-    """Partition of sites by the winning spectral atom."""
+    """Partition of sites by the spectral function attaining them."""
     if realization.hit_index is None:
         raise CapabilityError("realization carries no hitting indices")
     return Partition.from_labels(realization.hit_index)
@@ -207,7 +250,8 @@ def hitting_scenario(realization: FieldRealization) -> Partition:
 def simulate_cell_labels(model: ModelSpec, grid, reps: int,
                          ctrl: SimControl | None = None,
                          rng: RngLike = None) -> np.ndarray:
-    """Winning-atom labels on a site grid, one row per replicate.
+    """Labels of the spectral functions attaining the sites of a grid, one
+    row per replicate.
 
     The concurrence cell of a grid site in a replicate is the set of sites
     sharing its label.

@@ -31,7 +31,7 @@ from .concurrence import concurrence_probability
 from .errors import DomainError
 from .estimators import block_cp_batch, bootstrap_cp_batch, kendall_batch, optimal_block_size, block_mse
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
-from .simulate import SimControl, simulate_doa, simulate_max_stable_batch
+from .simulate import simulate_doa, simulate_max_stable_batch
 from .specfun import SeededRng
 
 SCHEMA_VERSION = "1"
@@ -53,7 +53,6 @@ class StudyConfig:
     block_size: int = 10
     m_grid: tuple[int, ...] = ()
     lags: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
-    max_atoms: int = 1000
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -98,9 +97,9 @@ def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4, hi: floa
 
 
 def _simulate_block(model: ModelSpec, sites, n0, reps: int, n: int,
-                    ctrl: SimControl, rng: SeededRng) -> np.ndarray:
+                    rng: SeededRng) -> np.ndarray:
     if n0 is None:
-        values, _, _ = simulate_max_stable_batch(model, sites, reps * n, ctrl, rng)
+        values, _, _ = simulate_max_stable_batch(model, sites, reps * n, None, rng)
         return values.reshape(reps, n, -1)
     return simulate_doa(model, sites, int(n0), rng, size=reps * n).reshape(reps, n, -1)
 
@@ -121,7 +120,6 @@ def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     sizes = cfg.sample_sizes or (100,)
     n0s = cfg.n0_levels or (1, 10, None)
     m = cfg.block_size
-    ctrl = SimControl(max_atoms=cfg.max_atoms)
     model = extremal_t_benchmark()
     rows: list[dict] = []
     cell = 0
@@ -131,7 +129,7 @@ def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
         for n in sizes:
             for n0 in n0s:
                 cell += 1
-                data = _simulate_block(model, sites, n0, cfg.reps, n, ctrl, rng.substream(cell))
+                data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(cell))
                 star = bootstrap_cp_batch(data, m)
                 unbiased = (m * star - 1.0) / (m - 1.0)
                 tau = kendall_batch(data, tie_adjusted=True)
@@ -149,10 +147,9 @@ def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     model = BrownResnick(variogram=FractionalVariogram(scale=1.0 / 1.627, exponent=1.0))
     sites = _pair_sites(1.0)
     p = 0.5
-    ctrl = SimControl(max_atoms=cfg.max_atoms)
     rows: list[dict] = []
     for ni, n in enumerate(sizes):
-        data = _simulate_block(model, sites, None, cfg.reps, n, ctrl, rng.substream(1 + ni))
+        data = _simulate_block(model, sites, None, cfg.reps, n, rng.substream(1 + ni))
         plan = optimal_block_size(n, p, r=1, c_r=1.0 - p)
         for m in m_grid:
             block = block_cp_batch(data, m)
@@ -168,7 +165,6 @@ def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
 def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     sizes = cfg.sample_sizes or (25, 50, 100)
     n0s = cfg.n0_levels or (1, 5, 10, 15, None)
-    ctrl = SimControl(max_atoms=cfg.max_atoms)
     model = extremal_t_benchmark()
     rows: list[dict] = []
     cell = 0
@@ -178,8 +174,7 @@ def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
         for n in sizes:
             for n0 in n0s:
                 cell += 1
-                data = _simulate_block(model, sites, n0, cfg.reps, n, ctrl,
-                                       rng.substream(50_000 + cell))
+                data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(50_000 + cell))
                 tau = kendall_batch(data, tie_adjusted=True)
                 rows.append({"experiment": "fig2", "p_target": p_target, "lag": h,
                              "n": n, "n0": "inf" if n0 is None else n0,
@@ -191,7 +186,6 @@ def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
 def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     sizes = cfg.sample_sizes or (100,)
     m = cfg.block_size
-    ctrl = SimControl(max_atoms=cfg.max_atoms)
     families = {
         "extremal_t": extremal_t_benchmark(),
         "brown_resnick": BrownResnick(variogram=FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)),
@@ -204,7 +198,7 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
             truth = concurrence_probability(model, sites).value
             for n in sizes:
                 cell += 1
-                data = _simulate_block(model, sites, None, cfg.reps, n, ctrl,
+                data = _simulate_block(model, sites, None, cfg.reps, n,
                                        rng.substream(70_000 + cell))
                 star = bootstrap_cp_batch(data, m)
                 unbiased = (m * star - 1.0) / (m - 1.0)

@@ -213,13 +213,7 @@ def _permutation_average(x, m):
 
 
 def test_a7_integrated_cp_equals_cell_volume():
-    """A7: quadrature of pairwise p equals the mean simulated cell length.
-
-    The default 1000-atom truncation leaves a measurable upward bias on this
-    wide grid (profile variances up to 2*gamma(20) = 13), so the simulation
-    runs at max_atoms=4000 where the residual bias sits below the MC noise.
-    """
-    from concur import SimControl
+    """A7: quadrature of pairwise p equals the mean simulated cell length."""
     model = BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0))
     grid = np.arange(0.0, 20.0001, 0.5)
     anchor = 20  # site at 10.0
@@ -239,8 +233,7 @@ def test_a7_integrated_cp_equals_cell_volume():
     icp = integrated_cp(p_vals, weights)
     icp_se = math.sqrt(float(((weights * p_errs) ** 2).sum()))
 
-    labels = simulate_cell_labels(model, grid[:, None], 2000,
-                                  SimControl(max_atoms=4000), ROOT.substream(790))
+    labels = simulate_cell_labels(model, grid[:, None], 2000, None, ROOT.substream(790))
     member = labels == labels[:, anchor][:, None]
     lengths = member @ weights
     cell_mean = lengths.mean()

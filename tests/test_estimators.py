@@ -243,6 +243,27 @@ class TestKendall:
             ecp_kendall(Sample(x[:, ::-1], names=("a", "b")), tie_adjusted=True)
         assert ecp_kendall(x).estimate == 0.0
 
+    def test_tie_adjusted_constant_delete_one_sample_raises(self):
+        # leaving out the third row leaves x constant: that jackknife value is 0/0
+        x = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
+        with pytest.raises(DomainError, match="leaving out row 2 makes coordinate 0 constant"):
+            ecp_kendall(x, tie_adjusted=True)
+        with pytest.raises(DomainError, match="row 2 makes coordinate 1 \\('b'\\) constant"):
+            ecp_kendall(Sample(x[:, ::-1], names=("a", "b")), tie_adjusted=True)
+        assert math.isfinite(ecp_kendall(x).stderr)
+        est = ecp_kendall(np.vstack([x, [3.0, 3.0]]), tie_adjusted=True)
+        assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
+
+    def test_batch_tie_adjusted_constant_coordinate_raises(self):
+        data = np.stack([np.column_stack([np.zeros(5), np.arange(5.0)]),
+                         np.column_stack([np.arange(5.0), np.arange(5.0)])])
+        with pytest.raises(DomainError, match="replicate 0 has constant coordinate 0"):
+            kendall_batch(data, tie_adjusted=True)
+        with pytest.raises(DomainError, match="replicate 0 has constant coordinate 1"):
+            kendall_batch(data[:, :, ::-1], tie_adjusted=True)
+        assert np.array_equal(kendall_batch(data), [0.0, 1.0])
+        assert kendall_batch(data[1:], tie_adjusted=True)[0] == 1.0
+
 
 class TestMultivariateLog:
     def test_equal_columns_harmonic_oracle(self):

@@ -194,6 +194,37 @@ class TestSpectralSamplers:
         y = spectral_sample(model, [[0.0], [3.0]], rng, size=500)
         assert np.all(y[:, 0] == 1.0)
 
+    @pytest.mark.parametrize("model,sites", [
+        (BrownResnick(FractionalVariogram(scale=0.8, exponent=1.0)), [[0.0], [1.0], [2.5]]),
+        (BrownResnick(FractionalVariogram(scale=1e8, exponent=1.0)), [[0.0], [1.0], [2.5]]),
+        (BrownResnick(QuadraticVariogram(np.array([[2.0, 0.3], [0.3, 1.0]]))),
+         [[0.0, 0.0], [0.7, 0.4], [-0.2, 0.9]]),
+        (ExtremalT(ExponentialCorrelation(scale=4.0), nu=3.0), [[0.0], [1.0], [2.5]]),
+        (schlather(PoweredExponentialCorrelation(scale=2.0, power=1.5)),
+         [[0.0, 0.0], [0.9, 0.4], [-0.3, 1.0]]),
+    ])
+    def test_tilted_sampler_law(self, model, sites):
+        # Y ~ P_j is Y / Y(s_j) under Y(s_j) dP, so
+        # E_j[min(1, Y(s_i))] = E[min(Y(s_i), Y(s_j))] = 2 - theta(s_i, s_j)
+        s = model.sites_of(sites)
+        draw = model.tilted_sampler(s)
+        g = SeededRng(2024, 6).generator()
+        n = 40_000
+        for j in range(s.k):
+            y = draw(g, j, n)
+            assert y.shape == (n, s.k) and np.all(y[:, j] == 1.0)
+            for i in range(s.k):
+                if i == j:
+                    continue
+                v = np.minimum(y[:, i], 1.0)
+                theta = extremal_coefficient(model, [sites[i], sites[j]])
+                assert abs(v.mean() - (2.0 - theta)) <= 4.0 * v.std() / math.sqrt(n)
+
+    def test_tilted_sampler_only_for_unbounded_profiles(self):
+        for model, sites in _bivariate_models():
+            has = model.tilted_sampler(model.sites_of(sites)) is not None
+            assert has == isinstance(model, (BrownResnick, ExtremalT))
+
     def test_reproducible(self):
         model = ExtremalT(ExponentialCorrelation(5.0), nu=2.0)
         a = spectral_sample(model, PAIR, SeededRng(3, 1), size=100)

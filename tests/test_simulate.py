@@ -25,6 +25,7 @@ from concur import (
     SeededRng,
     SimControl,
     Smith,
+    concurrence_probability,
     ecp_logistic,
     ecp_mc,
     ecp_simulation,
@@ -36,7 +37,7 @@ from concur import (
     simulate_max_stable_batch,
 )
 from concur.estimators import kendall_batch
-from concur.simulate import write_realizations_csv
+from concur.simulate import _extremal_functions, write_realizations_csv
 from conftest import binomial_3se
 
 PAIR = [[0.0], [1.0]]
@@ -88,14 +89,14 @@ class TestReproducibility:
 
 
 MARGIN_MODELS = [
-    (Logistic(0.5), PAIR, "exact"),
-    (Logistic(0.75), [[0.0], [1.0], [2.0]], "exact"),
-    (MaxLinear(np.array([[0.75, 0.25], [0.25, 0.75]])), [0, 1], "exact"),
-    (ExtremalProcess(), [0.2, 0.5], "exact"),
-    (BallIndicator(radius=1.0, dim=1), [[0.0], [0.5]], "exact"),
-    (Smith(CovarianceMatrix(np.array([[1.0]]))), PAIR, "exact"),
-    (BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)), PAIR, "truncated"),
-    (ExtremalT(ExponentialCorrelation(10.0), nu=5.0), PAIR, "truncated"),
+    (Logistic(0.5), PAIR),
+    (Logistic(0.75), [[0.0], [1.0], [2.0]]),
+    (MaxLinear(np.array([[0.75, 0.25], [0.25, 0.75]])), [0, 1]),
+    (ExtremalProcess(), [0.2, 0.5]),
+    (BallIndicator(radius=1.0, dim=1), [[0.0], [0.5]]),
+    (Smith(CovarianceMatrix(np.array([[1.0]]))), PAIR),
+    (BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)), PAIR),
+    (ExtremalT(ExponentialCorrelation(10.0), nu=5.0), PAIR),
 ]
 
 
@@ -104,7 +105,7 @@ class TestMargins:
     def test_unit_frechet_margins(self, case):
         # ~60 simultaneous comparisons across the battery: the per-comparison
         # bound is Bonferroni-widened from 3 to 3.9 SE (family-wise ~0.6%)
-        model, sites, kind = MARGIN_MODELS[case]
+        model, sites = MARGIN_MODELS[case]
         reps = 20_000
         values, _, flags = simulate_max_stable_batch(model, sites, reps, None,
                                                      SeededRng(909, case))
@@ -116,10 +117,7 @@ class TestMargins:
                 emp = (values[:, j] <= z).mean()
                 assert abs(emp - target) < 3.9 * se, (
                     f"margin at z={z}, site {j}: {emp} vs {target}")
-        if kind == "exact":
-            assert not flags.any()
-        else:
-            assert flags.all()
+        assert not flags.any()
 
 
 class TestHittingFrequencies:
@@ -175,6 +173,20 @@ class TestHittingFrequencies:
         sim = ecp_simulation(model, [[0.0], [2.0]], 20_000, None, rng.substream(22))
         mc = ecp_mc(model, [[0.0], [2.0]], 200_000, antithetic=True, rng=rng.substream(23))
         assert abs(sim.value - mc.value) < 3 * math.hypot(sim.stderr, mc.stderr) + 0.01
+
+    @pytest.mark.parametrize("case,model,sites", [
+        (0, BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)), [[0.0], [1.5]]),
+        (1, BrownResnick(QuadraticVariogram(np.array([[1.2, 0.4], [0.4, 2.0]]))),
+         [[0.0, 0.0], [0.8, 0.5]]),
+        (2, ExtremalT(ExponentialCorrelation(10.0), nu=5.0), [[0.0], [5.0]]),
+        (3, ExtremalT(PoweredExponentialCorrelation(scale=2.0, power=1.5), nu=1.0),
+         [[0.0, 0.0], [0.9, 0.4]]),
+    ])
+    def test_extremal_functions_vs_quadrature(self, rng, case, model, sites):
+        # exact simulation: no slack beyond the simulation's own 3 SE
+        sim = ecp_simulation(model, sites, 30_000, None, rng.substream(60 + case))
+        target = concurrence_probability(model, sites).value
+        assert abs(sim.value - target) < binomial_3se(target, 30_000)
 
     def test_smith_planar(self, rng):
         sig = np.array([[1.0, 0.3], [0.3, 0.8]])
@@ -276,17 +288,38 @@ class TestCellLabels:
         assert 0.0 < frac < 1.0
 
     def test_independent_sites_singleton_cells(self, rng):
-        # effectively independent: enormous variogram
+        # effectively independent: enormous variogram.  Every other column of
+        # a tilted profile underflows to 0, and the loop at each site still
+        # ends because the tilted column itself is exactly 1
         model = BrownResnick(FractionalVariogram(scale=1e8, exponent=1.0))
         labels = simulate_cell_labels(model, PAIR, 400, None, rng.substream(2))
         assert (labels[:, 0] == labels[:, 1]).mean() < 0.02
+        labels = simulate_cell_labels(model, np.arange(6.0)[:, None], 50, None,
+                                      rng.substream(3))
+        assert np.array_equal(labels, np.tile(np.arange(6), (50, 1)))
+
+    def test_extremal_functions_per_realization(self, rng):
+        # Dombry, Engelke & Oesting (2016): a realization draws k profiles
+        # on average (the A7 grid, k = 41)
+        model = BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0))
+        sites = model.sites_of(np.arange(41)[:, None] * 0.5)
+        values, hits, drawn = _extremal_functions(model.tilted_sampler(sites), 41,
+                                                  rng.substream(4).generator(), 2000)
+        se = drawn.std(ddof=1) / math.sqrt(drawn.size)
+        assert abs(drawn.mean() - 41) < 3 * se
+        # labels are the ordinals 0..m-1 of the extremal functions, each
+        # attaining at least one site
+        for row in hits:
+            assert np.array_equal(np.unique(row), np.arange(row.max() + 1))
+        assert np.all(values > 0)
 
 
 class TestControlsAndExport:
     def test_truncation_flags(self, rng):
-        model = BrownResnick(FractionalVariogram(1.0, 1.0))
+        # one atom never proves a Smith field complete (sup Y exceeds Y(s_j))
+        model = Smith(CovarianceMatrix(np.array([[1.0]])))
         _, _, flags = simulate_max_stable_batch(model, PAIR, 50,
-                                                SimControl(max_atoms=40), rng)
+                                                SimControl(max_atoms=1), rng)
         assert flags.all()
         _, _, flags = simulate_max_stable_batch(BallIndicator(radius=1.0, dim=1),
                                                 [[0.0], [0.5]], 200, None, rng)
