@@ -64,7 +64,6 @@ from .models import (
 from .simulate import (
     FieldRealization,
     Partition,
-    SimControl,
     hitting_scenario,
     simulate_cell_labels,
     simulate_doa,

@@ -34,11 +34,11 @@ from .pipeline import (
     write_grid_csv,
     write_matrix_csv,
 )
-from .simulate import SimControl, simulate_max_stable_batch, write_realizations_csv
+from .simulate import simulate_max_stable_batch, write_realizations_csv
 from .specfun import SeededRng
 from .study import StudyConfig, study_harness
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -157,12 +157,10 @@ def _cmd_estimate(args, rng: SeededRng) -> None:
 def _cmd_simulate(args, rng: SeededRng) -> None:
     model = _load_model(args.model)
     sites = _read_sites_csv(args.sites)
-    ctrl = SimControl(max_atoms=args.max_atoms)
-    values, hits, flags = simulate_max_stable_batch(model, sites, args.reps, ctrl, rng)
+    values, hits = simulate_max_stable_batch(model, sites, args.reps, rng)
     out = _require_out(args)
     write_realizations_csv(out, values, None if args.no_hits else hits)
-    _emit_json({"command": "simulate", "out": out, "reps": args.reps,
-                "truncated_fraction": float(flags.mean())}, None)
+    _emit_json({"command": "simulate", "out": out, "reps": args.reps}, None)
 
 
 def _cmd_plan(args, rng: SeededRng) -> None:
@@ -244,8 +242,7 @@ def _cmd_cells(args, rng: SeededRng) -> None:
         from .concurrence import rectangle_weights
         weights = (rectangle_weights(sites[:, 0]) if sites.shape[1] == 1
                    else np.ones(sites.shape[0]))
-        areas, errs = expected_cell_area_model(model, sites, weights, args.reps,
-                                               SimControl(max_atoms=args.max_atoms), rng)
+        areas, errs = expected_cell_area_model(model, sites, weights, args.reps, rng)
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["site_index", "area", "stderr"])
@@ -316,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True)
     q.add_argument("--sites", required=True)
     q.add_argument("--reps", type=int, required=True)
-    q.add_argument("--max-atoms", type=int, default=1000,
-                   help="atom cap of the bounded-profile loop (logistic, Smith, "
-                        "extremal process, ball indicator)")
     q.add_argument("--no-hits", action="store_true", help="omit hit-index columns")
     q.set_defaults(func=_cmd_simulate)
 
@@ -371,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", default=None, help="model spec JSON (model mode)")
     q.add_argument("--grid-sites", default=None, help="site CSV for model mode")
     q.add_argument("--reps", type=int, default=1000)
-    q.add_argument("--max-atoms", type=int, default=1000,
-                   help="atom cap of the bounded-profile loop (logistic, Smith, "
-                        "extremal process, ball indicator)")
     q.set_defaults(func=_cmd_cells)
 
     q = sub.add_parser("study", help="simulation-study tables")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
-from .simulate import SimControl, simulate_max_stable_batch
+from .simulate import simulate_max_stable_batch
 from .specfun import RngLike, as_generator
 
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
@@ -183,11 +183,10 @@ def _quad_pieces(pieces) -> ConcurrenceEstimate:
 
 
 def ecp_simulation(model: ModelSpec, sites, reps: int,
-                   ctrl: SimControl | None = None,
                    rng: RngLike = None) -> ConcurrenceEstimate:
     """Empirical frequency of a single-block hitting scenario (the repo's
     simulation oracle): simulate fields and count concurrent replicates."""
-    _, hits, _ = simulate_max_stable_batch(model, sites, reps, ctrl, rng)
+    _, hits = simulate_max_stable_batch(model, sites, reps, rng)
     single = (hits == hits[:, :1]).all(axis=1)
     p = float(single.mean())
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / reps)

@@ -54,7 +54,7 @@ import numpy as np
 from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
 from .models import ModelSpec
-from .simulate import SimControl, simulate_field_values
+from .simulate import simulate_field_values
 from .specfun import RngLike, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
@@ -615,25 +615,25 @@ class BiasLawRow:
 
 
 def simulate_pair_batch(model: ModelSpec, sites, reps: int, n: int,
-                        rng: RngLike, ctrl: SimControl | None = None) -> np.ndarray:
+                        rng: RngLike) -> np.ndarray:
     """(reps, n, k) stack of independent max-stable observations.
 
     Uses the model's exact construction when it has one (the positive-stable
     logistic) and the spectral simulator otherwise.
     """
-    values = simulate_field_values(model, sites, reps * n, ctrl, as_generator(rng))
+    values = simulate_field_values(model, sites, reps * n, as_generator(rng))
     return values.reshape(reps, n, values.shape[1])
 
 
 def bias_law_check(model: ModelSpec, sites, m_list, reps: int, n: int,
-                   rng: RngLike, ctrl: SimControl | None = None) -> list[BiasLawRow]:
+                   rng: RngLike) -> list[BiasLawRow]:
     """Replicate means of the block estimator against p + (1 - p)/m.
 
     Bivariate models with a known concurrence probability only; one shared
     batch of simulated data is reused across block sizes.
     """
     p = kendall_target_p(model, sites)
-    data = simulate_pair_batch(model, sites, reps, n, rng, ctrl)
+    data = simulate_pair_batch(model, sites, reps, n, rng)
     if data.shape[2] != 2:
         raise DomainError("the bias law check is bivariate")
     rows = []

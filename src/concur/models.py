@@ -366,13 +366,13 @@ class StudentPair:
 class SpectralSampler:
     """Vectorized profile sampler: draw(g, n) -> (n, k) mean-one profiles.
 
-    ``bound`` is an almost-sure upper bound on sup_j Y(s_j) when one exists
-    (enables exact stopping in the max-stable simulator), else None.
+    Its draws are the model's spectral profiles, read by ``spectral_sample``
+    and ``simulate_doa``; the max-stable simulator draws from the tilted
+    laws of ``ModelSpec.tilted_sampler`` instead.
     """
 
     draw: Callable[[np.random.Generator, int], np.ndarray]
     k: int
-    bound: float | None = None
 
 
 TiltedDraw = Callable[[np.random.Generator, int, int], np.ndarray]
@@ -384,7 +384,7 @@ def _independence_sampler(k: int) -> SpectralSampler:
         y = np.zeros((n, k))
         y[np.arange(n), g.integers(0, k, size=n)] = float(k)
         return y
-    return SpectralSampler(draw, k, bound=float(k))
+    return SpectralSampler(draw, k)
 
 
 def extremal_t_weight(nu: float) -> float:
@@ -399,10 +399,11 @@ class ModelSpec:
     """Base of the model classes.
 
     Every model defines ``name``, ``exponent(sites, z)``, ``sampler(sites)``
-    (a :class:`SpectralSampler`, with an almost-sure bound on sup Y when one
-    exists), ``to_dict()`` and ``from_dict(spec)``.  The hooks below default
-    to "no such feature".  Methods take sites normalized by ``sites_of``;
-    normalizing is idempotent.
+    (a :class:`SpectralSampler`), ``to_dict()`` and ``from_dict(spec)``, and
+    is simulated either by ``exact_fields`` (max-linear) or by extremal
+    functions drawn from ``tilted_sampler`` (every other model).  The hooks
+    below default to "no such feature".  Methods take sites normalized by
+    ``sites_of``; normalizing is idempotent.
     """
 
     name: ClassVar[str]
@@ -411,15 +412,8 @@ class ModelSpec:
         """A :class:`SiteSet`, max-linear column indices, or points of (0, 1]."""
         return as_sites(sites)
 
-    def engine_sampler(self, sites) -> SpectralSampler:
-        """Sampler the simulator uses; may differ from the contractual spectral
-        representation when a bounded equivalent exists (same field law and the
-        same hitting-scenario law, since the finite-dimensional exponent measure
-        is representation-free)."""
-        return spectral_sampler(self, sites)
-
     def exact_fields(self, sites, g: np.random.Generator, reps: int):
-        """(values, hits, flags) by an exact construction, or None."""
+        """(values, hits) by an exact construction, or None."""
         return None
 
     def exact_values(self, sites, g: np.random.Generator, n: int):
@@ -430,7 +424,7 @@ class ModelSpec:
         """``draw(g, j, n)``: (n, k) spectral profiles Y under the law tilted
         at site j, P_j(dy) = y_j P(dy), divided by y_j so that column j is
         exactly 1; it drives exact simulation by extremal functions.  None
-        when the model has no such sampler."""
+        when the model is simulated by ``exact_fields`` instead."""
         return None
 
     def concurrence(self, sites) -> float | None:
@@ -485,10 +479,22 @@ class Logistic(ModelSpec):
             w = g.standard_exponential((n, k))
             return w ** (-alpha) / c
 
-        return SpectralSampler(draw, k, bound=None)
+        return SpectralSampler(draw, k)
 
-    def engine_sampler(self, sites: SiteSet) -> SpectralSampler:
-        return logistic_angular_sampler(self.alpha, sites.k)
+    def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
+        """Y_i = (W_j / W_i)**alpha with W_j ~ Gamma(1 - alpha) and the other
+        W_i unit exponentials; alpha = 1 puts all mass at site j (Y = e_j)."""
+        k, alpha = sites.k, self.alpha
+
+        def draw(g, j, n):
+            if alpha == 1.0:
+                y = np.zeros((n, k))
+            else:
+                y = (g.gamma(1.0 - alpha, size=(n, 1)) / g.standard_exponential((n, k))) ** alpha
+            y[:, j] = 1.0
+            return y
+
+        return draw
 
     def exact_values(self, sites: SiteSet, g: np.random.Generator, n: int):
         return None if self.alpha == 1.0 else _logistic_mixture(self.alpha, sites.k, g, n)
@@ -563,7 +569,7 @@ class MaxLinear(ModelSpec):
             idx = g.integers(0, m, size=n)
             return m * phi_cols[idx]
 
-        return SpectralSampler(draw, k, bound=float(m * phi_cols.max()))
+        return SpectralSampler(draw, k)
 
     def exact_fields(self, cols: np.ndarray, g: np.random.Generator, reps: int):
         """Exact fields by the component argmax."""
@@ -578,7 +584,7 @@ class MaxLinear(ModelSpec):
             cand = z[:, :, None] * phi_cols[None, :, :]
             values[start:stop] = cand.max(axis=1)
             hits[start:stop] = cand.argmax(axis=1)
-        return values, hits, np.zeros(reps, dtype=bool)
+        return values, hits
 
     def concurrence(self, cols: np.ndarray) -> float:
         return ecp_max_linear(self, cols)[0]
@@ -627,7 +633,7 @@ class BrownResnick(_PairModel):
         def draw(g, n):
             return np.exp(draw_w(g, n) - gamma0)
 
-        return SpectralSampler(draw, sites.k, bound=None)
+        return SpectralSampler(draw, sites.k)
 
     def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
         """Y = exp(W - W(s_j) - gamma(s - s_j)), the profile re-anchored at s_j.
@@ -695,7 +701,7 @@ class ExtremalT(_PairModel):
             w = g.standard_normal((n, k)) @ fac.T
             return c * np.maximum(w, 0.0) ** nu
 
-        return SpectralSampler(draw, k, bound=None)
+        return SpectralSampler(draw, k)
 
     def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
         """Y = max(0, T)**nu for the Student process with nu + 1 degrees of
@@ -741,10 +747,14 @@ class Smith(_PairModel):
     sigma: CovarianceMatrix
     name: ClassVar[str] = "smith"
 
+    def sites_of(self, sites) -> SiteSet:
+        s = as_sites(sites)
+        if s.ndim != self.sigma.dim:
+            raise DomainError("site dimension does not match Sigma")
+        return s
+
     def sampler(self, sites: SiteSet) -> SpectralSampler:
         d = self.sigma.dim
-        if sites.ndim != d:
-            raise DomainError("site dimension does not match Sigma")
         sig = self.sigma.entries
         inv = np.linalg.inv(sig)
         _, logdet = np.linalg.slogdet(sig)
@@ -762,7 +772,22 @@ class Smith(_PairModel):
             quad = np.einsum("nkd,de,nke->nk", diff, inv, diff)
             return np.exp(lognorm - 0.5 * quad)
 
-        return SpectralSampler(draw, k, bound=math.exp(lognorm))
+        return SpectralSampler(draw, k)
+
+    def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
+        """The storm centre tilted at s_j is U = s_j + F z, with F F' = Sigma
+        and z standard normal, and Y(s) = phi_Sigma(s - U) / phi_Sigma(s_j - U)
+        = exp(-z'a - |a|^2 / 2) for a = F^{-1}(s_j - s); a = 0 at s_j."""
+        white = np.linalg.solve(self.sigma.factor(), sites.coords.T).T
+        d = self.sigma.dim
+
+        def draw(g, j, n):
+            a = white[j] - white
+            y = g.standard_normal((n, d)) @ -a.T
+            y -= 0.5 * (a * a).sum(axis=1)
+            return np.exp(y, out=y)
+
+        return draw
 
     def pair_reduction(self, sites: SiteSet) -> GaussianPair:
         return smith_to_brown_resnick(self).pair_reduction(sites)
@@ -813,7 +838,16 @@ class ExtremalProcess(ModelSpec):
             u = g.uniform(0.0, 1.0, size=(n, 1))
             return (u <= x[None, :]) / x[None, :]
 
-        return SpectralSampler(draw, len(x), bound=float(1.0 / x.min()))
+        return SpectralSampler(draw, len(x))
+
+    def tilted_sampler(self, x: np.ndarray) -> TiltedDraw:
+        """U ~ Uniform(0, x_j) and Y_i = (x_j / x_i) 1{U <= x_i}."""
+        ratio = x[:, None] / x[None, :]
+
+        def draw(g, j, n):
+            return (g.uniform(0.0, x[j], size=(n, 1)) <= x) * ratio[j]
+
+        return draw
 
     def concurrence(self, x: np.ndarray) -> float:
         return ecp_extremal_process(x)
@@ -877,7 +911,23 @@ class BallIndicator(ModelSpec):
             hit = (diff ** 2).sum(axis=-1) <= r * r
             return weight * hit
 
-        return SpectralSampler(draw, k, bound=weight)
+        return SpectralSampler(draw, k)
+
+    def tilted_sampler(self, sites: SiteSet) -> TiltedDraw:
+        """The centre U is uniform in the radius-r ball around s_j, and
+        Y_i = 1{|s_i - U| <= r}."""
+        r, d = self.radius, self.dim
+        coords = sites.coords
+
+        def draw(g, j, n):
+            v = g.standard_normal((n, d))
+            v *= r * g.uniform(size=(n, 1)) ** (1.0 / d) / np.linalg.norm(v, axis=1, keepdims=True)
+            diff = (coords - coords[j])[None, :, :] - v[:, None, :]
+            y = ((diff * diff).sum(axis=-1) <= r * r).astype(float)
+            y[:, j] = 1.0
+            return y
+
+        return draw
 
     def concurrence(self, sites: SiteSet) -> float:
         """General k in d = 1 via interval sweeps; d >= 2 is limited to pairs."""
@@ -1028,29 +1078,6 @@ def spectral_sample(model: ModelSpec, sites, rng: RngLike, size: int | None = No
     g = as_generator(rng)
     y = sampler.draw(g, 1 if size is None else int(size))
     return y[0] if size is None else y
-
-
-def logistic_angular_sampler(alpha: float, k: int) -> SpectralSampler:
-    """Bounded spectral representation of the logistic model on the simplex.
-
-    Profiles k * Y / ||Y||_1 under the size-biased law (uniform coordinate
-    tilted to Gamma(1 - alpha)); sup of the profile is k, enabling exact
-    stopping in the simulator where the heavy-tailed noise representation
-    would require astronomically many atoms for alpha near 1.
-    """
-    if not 0 < alpha <= 1:
-        raise DomainError("alpha must lie in (0, 1]")
-    if alpha == 1.0:
-        return _independence_sampler(k)
-
-    def draw(g, n):
-        w = g.standard_exponential((n, k))
-        w[np.arange(n), g.integers(0, k, size=n)] = g.gamma(1.0 - alpha, size=n)
-        y = w ** (-alpha)
-        y *= k / y.sum(axis=1, keepdims=True)
-        return y
-
-    return SpectralSampler(draw, k, bound=float(k))
 
 
 def model_to_dict(model: ModelSpec) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
 from .estimators import estimator
-from .simulate import SimControl, simulate_cell_labels
+from .simulate import simulate_cell_labels
 from .specfun import RngLike
 
 EARTH_RADIUS_KM = 6371.0088
@@ -396,13 +396,13 @@ def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
 
 
 def expected_cell_area_model(model, grid_sites, weights, reps: int,
-                             ctrl: SimControl | None = None, rng: RngLike = None,
+                             rng: RngLike = None,
                              anchors=None):
     """Mean concurrence-cell volume per anchor site from simulated labels.
 
     Returns (areas, stderrs) arrays over the requested anchor indices.
     """
-    labels = simulate_cell_labels(model, grid_sites, reps, ctrl, rng)
+    labels = simulate_cell_labels(model, grid_sites, reps, rng)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != labels.shape[1]:
         raise DomainError("weights length must match the grid size")

@@ -1,21 +1,16 @@
 """Simulation of max-stable fields with hitting-scenario tracking.
 
-Each model says what to run (see ``models``), and every path is exact:
+Every model is simulated exactly, by one of two paths (see ``models``):
 
 * max-linear fields come from the component argmax (``exact_fields``);
-* Brown--Resnick and extremal-t (Schlather included) fields come from their
-  extremal functions (Dombry, Engelke & Oesting, "Exact simulation of
-  max-stable processes", Biometrika 103, 2016, Algorithm 2): for each site
-  s_j in turn, Poisson points zeta = 1/Gamma with profiles from the law
-  tilted at s_j, until zeta falls below the field at s_j, keeping a profile
-  only when it stays below the field at every earlier site.  A realization
-  draws k profiles on average, and its hitting scenario is exact;
-* the remaining models run a Schlather-type loop over their bounded
-  profiles (the logistic simplex representation, Smith storms, the
-  extremal process, the ball indicator): Poisson points 1/Gamma_i with
-  per-site argmax bookkeeping, stopping once zeta_{i+1} * sup Y falls below
-  the field minimum.  ``SimControl.max_atoms`` caps that loop; a
-  realization that reaches the cap first is flagged as truncated.
+* every other model's fields come from their extremal functions (Dombry,
+  Engelke & Oesting, "Exact simulation of max-stable processes",
+  Biometrika 103, 2016, Algorithm 2): for each site s_j in turn, Poisson
+  points zeta = 1/Gamma with profiles from the law tilted at s_j
+  (``tilted_sampler``), until zeta falls below the field at s_j, keeping a
+  profile only when it stays below the field at every earlier site.  A
+  realization draws k profiles on average, and its hitting scenario is
+  exact.
 """
 
 from __future__ import annotations
@@ -27,32 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .models import (
-    _REP_CHUNK_ELEMS,
-    ModelSpec,
-    SpectralSampler,
-    TiltedDraw,
-    _logistic_mixture,
-    spectral_sampler,
-)
+from .models import _REP_CHUNK_ELEMS, ModelSpec, TiltedDraw, _logistic_mixture, spectral_sampler
 from .specfun import RngLike, as_generator
-
-
-@dataclass(frozen=True)
-class SimControl:
-    """Stopping policy for the bounded-profile loop.
-
-    max_atoms: cap on the Poisson atoms per realization of that loop
-    (logistic, Smith, extremal process, ball indicator).  Models simulated
-    by an exact construction or by extremal functions (max-linear,
-    Brown--Resnick, extremal-t) never read it.
-    """
-
-    max_atoms: int = 1000
-
-    def __post_init__(self):
-        if not (isinstance(self.max_atoms, (int, np.integer)) and self.max_atoms >= 1):
-            raise DomainError("max_atoms must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -60,14 +31,11 @@ class FieldRealization:
     """Simulated field values plus, per site, the label of the spectral
     function attaining it.
 
-    ``hit_index`` is None for samplers that cannot track spectral functions;
-    ``truncation_flag`` is True when the bounded-profile loop reached
-    ``max_atoms`` before its stopping rule was met.
+    ``hit_index`` is None for samplers that cannot track spectral functions.
     """
 
     values: np.ndarray
     hit_index: np.ndarray | None
-    truncation_flag: bool
 
 
 @dataclass(frozen=True)
@@ -115,43 +83,6 @@ class Partition:
 # ---------------------------------------------------------------------------
 # core engine
 
-def _poisson_engine(sampler: SpectralSampler, max_atoms: int,
-                    g: np.random.Generator, reps: int):
-    """Run the max-over-atoms recursion for ``reps`` realizations at once."""
-    k, bound = sampler.k, sampler.bound
-    values = np.zeros((reps, k))
-    hits = np.full((reps, k), -1, dtype=np.int64)
-    gam = np.zeros(reps)
-    active = np.arange(reps)
-    used = 0
-    chunk = 8
-    while active.size and used < max_atoms:
-        nc = min(chunk, max_atoms - used)
-        na = active.size
-        incr = g.standard_exponential((na, nc))
-        np.cumsum(incr, axis=1, out=incr)
-        incr += gam[active, None]
-        zeta = 1.0 / incr
-        y = sampler.draw(g, na * nc).reshape(na, nc, k)
-        cand = zeta[:, :, None] * y
-        cmax = cand.max(axis=1)
-        carg = cand.argmax(axis=1) + used
-        cur = values[active]
-        upd = cmax > cur
-        values[active] = np.where(upd, cmax, cur)
-        hits[active] = np.where(upd, carg, hits[active])
-        gam[active] = incr[:, -1]
-        used += nc
-        if bound is not None:
-            vmin = values[active].min(axis=1)
-            finished = (vmin > 0.0) & (bound / gam[active] < vmin)
-            active = active[~finished]
-        chunk = min(2 * chunk, 256)
-    flags = np.zeros(reps, dtype=bool)
-    flags[active] = True
-    return values, hits, flags
-
-
 def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: int):
     """Exact fields of ``reps`` realizations through their extremal functions.
 
@@ -184,43 +115,31 @@ def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: 
     return values, hits, drawn
 
 
-def simulate_max_stable_batch(model: ModelSpec, sites, reps: int,
-                              ctrl: SimControl | None = None,
-                              rng: RngLike = None):
-    """Simulate ``reps`` independent fields; returns (values, hits, flags).
+def simulate_max_stable_batch(model: ModelSpec, sites, reps: int, rng: RngLike = None):
+    """Simulate ``reps`` independent fields; returns (values, hits).
 
     values: (reps, k) unit-Frechet fields; hits: (reps, k) labels of the
-    spectral function attaining each site; flags: (reps,) truncation
-    indicators, which only the bounded-profile loop can set.
+    spectral function attaining each site.
     """
     if rng is None:
         raise DomainError("an rng is required")
-    ctrl = ctrl or SimControl()
-    reps = int(reps)
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    if not (isinstance(reps, (int, np.integer)) and reps >= 1):
+        raise DomainError("reps must be a positive integer")
     g = as_generator(rng)
     s = model.sites_of(sites)
     fields = model.exact_fields(s, g, reps)
     if fields is not None:
         return fields
     tilted = model.tilted_sampler(s)
-    if tilted is not None:
-        k = len(s)
-        # one round holds a handful of (active, k) arrays
-        step = max(1, _REP_CHUNK_ELEMS // (8 * k))
-        parts = [_extremal_functions(tilted, k, g, min(step, reps - start))[:2]
-                 for start in range(0, reps, step)]
-        values, hits = (np.concatenate(a) for a in zip(*parts))
-        return values, hits, np.zeros(reps, dtype=bool)
-    sampler = model.engine_sampler(s)
-    step = max(1, _REP_CHUNK_ELEMS // max(1, 64 * sampler.k))
-    parts = [_poisson_engine(sampler, ctrl.max_atoms, g, min(step, reps - start))
+    k = len(s)
+    # one round holds a handful of (active, k) arrays
+    step = max(1, _REP_CHUNK_ELEMS // (8 * k))
+    parts = [_extremal_functions(tilted, k, g, min(step, reps - start))[:2]
              for start in range(0, reps, step)]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def simulate_field_values(model: ModelSpec, sites, n: int, ctrl: SimControl | None,
+def simulate_field_values(model: ModelSpec, sites, n: int,
                           g: np.random.Generator) -> np.ndarray:
     """(n, k) independent fields without hitting indices: the model's exact
     construction when it has one (the positive-stable logistic), else
@@ -228,16 +147,14 @@ def simulate_field_values(model: ModelSpec, sites, n: int, ctrl: SimControl | No
     s = model.sites_of(sites)
     values = model.exact_values(s, g, n)
     if values is None:
-        values, _, _ = simulate_max_stable_batch(model, s, n, ctrl, g)
+        values, _ = simulate_max_stable_batch(model, s, n, g)
     return values
 
 
-def simulate_max_stable(model: ModelSpec, sites, ctrl: SimControl | None = None,
-                        rng: RngLike = None) -> FieldRealization:
+def simulate_max_stable(model: ModelSpec, sites, rng: RngLike = None) -> FieldRealization:
     """Simulate one max-stable field realization with hitting indices."""
-    values, hits, flags = simulate_max_stable_batch(model, sites, 1, ctrl, rng)
-    return FieldRealization(values=values[0], hit_index=hits[0],
-                            truncation_flag=bool(flags[0]))
+    values, hits = simulate_max_stable_batch(model, sites, 1, rng)
+    return FieldRealization(values=values[0], hit_index=hits[0])
 
 
 def hitting_scenario(realization: FieldRealization) -> Partition:
@@ -248,7 +165,6 @@ def hitting_scenario(realization: FieldRealization) -> Partition:
 
 
 def simulate_cell_labels(model: ModelSpec, grid, reps: int,
-                         ctrl: SimControl | None = None,
                          rng: RngLike = None) -> np.ndarray:
     """Labels of the spectral functions attaining the sites of a grid, one
     row per replicate.
@@ -256,7 +172,7 @@ def simulate_cell_labels(model: ModelSpec, grid, reps: int,
     The concurrence cell of a grid site in a replicate is the set of sites
     sharing its label.
     """
-    _, hits, _ = simulate_max_stable_batch(model, grid, reps, ctrl, rng)
+    _, hits = simulate_max_stable_batch(model, grid, reps, rng)
     return hits
 
 

@@ -99,7 +99,7 @@ def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4, hi: floa
 def _simulate_block(model: ModelSpec, sites, n0, reps: int, n: int,
                     rng: SeededRng) -> np.ndarray:
     if n0 is None:
-        values, _, _ = simulate_max_stable_batch(model, sites, reps * n, None, rng)
+        values, _ = simulate_max_stable_batch(model, sites, reps * n, rng)
         return values.reshape(reps, n, -1)
     return simulate_doa(model, sites, int(n0), rng, size=reps * n).reshape(reps, n, -1)
 

@@ -17,13 +17,13 @@ import numpy as np
 from .errors import DomainError
 from .models import ModelSpec
 from .pipeline import _SEASON_MONTHS
-from .simulate import SimControl, simulate_field_values
+from .simulate import simulate_field_values
 from .specfun import RngLike, as_generator
 
 
 def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
                            years, rng: RngLike, season: str = "JJA",
-                           sites=None, ctrl: SimControl | None = None) -> np.ndarray:
+                           sites=None) -> np.ndarray:
     """Write daily station records whose seasonal maxima follow ``model``.
 
     One vector per year is drawn from the model (over ``sites``, defaulting
@@ -45,7 +45,7 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     if n_sites != len(station_ids):
         raise DomainError(f"{n_sites} sites for {len(station_ids)} stations; "
                           f"sites must hold one site per station")
-    planted = simulate_field_values(model, sites, len(years), ctrl, as_generator(rng))
+    planted = simulate_field_values(model, sites, len(years), as_generator(rng))
     months = _SEASON_MONTHS[season]
     with open(Path(path), "w", newline="") as fh:
         w = csv.writer(fh)

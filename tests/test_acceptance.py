@@ -89,7 +89,7 @@ def test_a1_closed_forms_vs_simulation_oracle():
 
     failures = []
     for idx, (name, model, sites, target) in enumerate(cases):
-        est = ecp_simulation(model, sites, reps, None, ROOT.substream(100 + idx))
+        est = ecp_simulation(model, sites, reps, ROOT.substream(100 + idx))
         tol = 3.0 * math.sqrt(max(target * (1 - target), 1e-12) / reps)
         if not _within(est.value, target, tol):
             failures.append(f"{name}: {est.value:.4f} vs {target:.4f} (tol {tol:.4f})")
@@ -233,7 +233,7 @@ def test_a7_integrated_cp_equals_cell_volume():
     icp = integrated_cp(p_vals, weights)
     icp_se = math.sqrt(float(((weights * p_errs) ** 2).sum()))
 
-    labels = simulate_cell_labels(model, grid[:, None], 2000, None, ROOT.substream(790))
+    labels = simulate_cell_labels(model, grid[:, None], 2000, ROOT.substream(790))
     member = labels == labels[:, anchor][:, None]
     lengths = member @ weights
     cell_mean = lengths.mean()

@@ -25,7 +25,7 @@ def test_plan(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["m"] == 13
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
 
 
 def test_ecp_closed_form(capsys, tmp_path):

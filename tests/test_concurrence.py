@@ -77,7 +77,7 @@ class TestMaxLinearClosedForm:
     def test_against_simulation(self, rng):
         phi = np.array([[0.75, 0.25], [0.25, 0.75]])
         p, _ = ecp_max_linear(phi)
-        est = ecp_simulation(MaxLinear(phi), [0, 1], 40_000, None, rng)
+        est = ecp_simulation(MaxLinear(phi), [0, 1], 40_000, rng)
         assert abs(est.value - p) < 3 * est.stderr
 
     def test_site_subset(self):

@@ -34,7 +34,6 @@ from concur import (
     PoweredExponentialCorrelation,
     QuadraticVariogram,
     SeededRng,
-    SimControl,
     Smith,
     concurrence_probability,
     ecp_mc,
@@ -104,7 +103,7 @@ def model_fingerprints(model, sites) -> dict:
         "spectral_sample": _guard(lambda: _array(spectral_sample(model, sites, SeededRng(11),
                                                                  size=64))),
         "simulate_max_stable_batch": _guard(lambda: [_array(a) for a in simulate_max_stable_batch(
-            model, sites, 40, SimControl(max_atoms=300), SeededRng(12))]),
+            model, sites, 40, SeededRng(12))]),
         "simulate_doa": _guard(lambda: _array(simulate_doa(model, sites, 3, SeededRng(14),
                                                            size=32))),
         "simulate_pair_batch": _guard(lambda: _array(simulate_pair_batch(

@@ -32,7 +32,7 @@ from concur import (
     schlather,
     spectral_sample,
 )
-from concur.models import extremal_t_weight, spectral_sampler
+from concur.models import extremal_t_weight
 
 PAIR = [[0.0], [1.0]]
 
@@ -177,10 +177,9 @@ class TestSpectralSamplers:
     def test_ball_profile_pattern(self, rng):
         model = BallIndicator(radius=2.0, dim=1)
         sites = [[0.0], [0.5], [1.0]]
-        sampler = spectral_sampler(model, sites)
         y = spectral_sample(model, sites, rng, size=20_000)
-        w = sampler.bound
-        assert set(np.unique(y)) <= {0.0, w}
+        # centres are uniform on the window [-2, 3]: weight 5 / 4 over a ball of length 4
+        assert np.all((y == 0.0) | np.isclose(y, 1.25, rtol=1e-12, atol=0.0))
         # centers cover a contiguous range: 1-d hit patterns have no gaps
         hit = y > 0
         gap = hit[:, 0] & ~hit[:, 1] & hit[:, 2]
@@ -202,28 +201,41 @@ class TestSpectralSamplers:
         (ExtremalT(ExponentialCorrelation(scale=4.0), nu=3.0), [[0.0], [1.0], [2.5]]),
         (schlather(PoweredExponentialCorrelation(scale=2.0, power=1.5)),
          [[0.0, 0.0], [0.9, 0.4], [-0.3, 1.0]]),
+        (Logistic(0.35), [[0.0], [1.0], [2.5]]),
+        (Logistic(1.0), [[0.0], [1.0], [2.5]]),
+        (Smith(CovarianceMatrix(np.array([[1.5]]))), [[0.0], [1.0], [2.5]]),
+        (Smith(CovarianceMatrix(np.array([[1.0, 0.2], [0.2, 2.0]]))),
+         [[0.0, 0.0], [0.8, 0.5], [-0.3, 1.0]]),
+        (ExtremalProcess(), [0.3, 0.55, 0.8]),
+        (BallIndicator(radius=1.2, dim=1), [[0.0], [1.0], [1.8]]),
+        (BallIndicator(radius=0.9, dim=2), [[0.0, 0.0], [0.6, 0.5], [-0.2, 0.7]]),
     ])
     def test_tilted_sampler_law(self, model, sites):
         # Y ~ P_j is Y / Y(s_j) under Y(s_j) dP, so
         # E_j[min(1, Y(s_i))] = E[min(Y(s_i), Y(s_j))] = 2 - theta(s_i, s_j)
         s = model.sites_of(sites)
+        k = len(s)
         draw = model.tilted_sampler(s)
         g = SeededRng(2024, 6).generator()
         n = 40_000
-        for j in range(s.k):
+        for j in range(k):
             y = draw(g, j, n)
-            assert y.shape == (n, s.k) and np.all(y[:, j] == 1.0)
-            for i in range(s.k):
+            assert y.shape == (n, k) and np.all(y[:, j] == 1.0)
+            for i in range(k):
                 if i == j:
                     continue
                 v = np.minimum(y[:, i], 1.0)
-                theta = extremal_coefficient(model, [sites[i], sites[j]])
-                assert abs(v.mean() - (2.0 - theta)) <= 4.0 * v.std() / math.sqrt(n)
+                # pairs in site order (the extremal process needs increasing
+                # sites); the floor covers draws where min(Y(s_i), 1) is constant
+                a, b = sorted((i, j))
+                theta = extremal_coefficient(model, [sites[a], sites[b]])
+                se = max(v.std() / math.sqrt(n), 1e-12)
+                assert abs(v.mean() - (2.0 - theta)) <= 4.0 * se
 
-    def test_tilted_sampler_only_for_unbounded_profiles(self):
+    def test_tilted_sampler_for_every_model_but_max_linear(self):
         for model, sites in _bivariate_models():
             has = model.tilted_sampler(model.sites_of(sites)) is not None
-            assert has == isinstance(model, (BrownResnick, ExtremalT))
+            assert has == (not isinstance(model, MaxLinear))
 
     def test_reproducible(self):
         model = ExtremalT(ExponentialCorrelation(5.0), nu=2.0)

@@ -283,7 +283,7 @@ class TestCellAreas:
         sites = np.linspace(0.0, 3.0, 7)[:, None]
         weights = np.full(7, 0.5)
         areas, _ = expected_cell_area_model(BallIndicator(radius=300.0, dim=1),
-                                            sites, weights, 200, None, rng)
+                                            sites, weights, 200, rng)
         assert np.all(areas > 0.97 * weights.sum())
 
     def test_identical_strata_zero_anomaly(self, synthetic):

@@ -23,7 +23,6 @@ from concur import (
     PoweredExponentialCorrelation,
     QuadraticVariogram,
     SeededRng,
-    SimControl,
     Smith,
     concurrence_probability,
     ecp_logistic,
@@ -61,13 +60,12 @@ class TestPartition:
             Partition(blocks=((0,), (2,)))
 
     def test_hitting_scenario_requires_indices(self):
-        real = FieldRealization(values=np.array([1.0, 2.0]), hit_index=None,
-                                truncation_flag=False)
+        real = FieldRealization(values=np.array([1.0, 2.0]), hit_index=None)
         with pytest.raises(CapabilityError):
             hitting_scenario(real)
 
     def test_hitting_scenario_of_realization(self, rng):
-        real = simulate_max_stable(BallIndicator(radius=5.0, dim=1), PAIR, None, rng)
+        real = simulate_max_stable(BallIndicator(radius=5.0, dim=1), PAIR, rng)
         part = hitting_scenario(real)
         assert part.k == 2
 
@@ -80,11 +78,11 @@ class TestReproducibility:
         (ExtremalProcess(), [0.2, 0.5]),
     ])
     def test_bit_identical(self, model, sites):
-        a = simulate_max_stable_batch(model, sites, 200, None, SeededRng(5, 9))
-        b = simulate_max_stable_batch(model, sites, 200, None, SeededRng(5, 9))
+        a = simulate_max_stable_batch(model, sites, 200, SeededRng(5, 9))
+        b = simulate_max_stable_batch(model, sites, 200, SeededRng(5, 9))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-        c = simulate_max_stable_batch(model, sites, 200, None, SeededRng(5, 10))
+        c = simulate_max_stable_batch(model, sites, 200, SeededRng(5, 10))
         assert not np.array_equal(a[0], c[0])
 
 
@@ -107,8 +105,7 @@ class TestMargins:
         # bound is Bonferroni-widened from 3 to 3.9 SE (family-wise ~0.6%)
         model, sites = MARGIN_MODELS[case]
         reps = 20_000
-        values, _, flags = simulate_max_stable_batch(model, sites, reps, None,
-                                                     SeededRng(909, case))
+        values, _ = simulate_max_stable_batch(model, sites, reps, SeededRng(909, case))
         assert np.all(values > 0)
         for z in (0.5, 1.0, 2.0):
             target = math.exp(-1.0 / z)
@@ -117,7 +114,6 @@ class TestMargins:
                 emp = (values[:, j] <= z).mean()
                 assert abs(emp - target) < 3.9 * se, (
                     f"margin at z={z}, site {j}: {emp} vs {target}")
-        assert not flags.any()
 
 
 class TestHittingFrequencies:
@@ -126,51 +122,51 @@ class TestHittingFrequencies:
     def test_logistic(self, rng):
         for i, (alpha, k) in enumerate([(0.5, 2), (0.75, 3)]):
             sites = np.arange(k, dtype=float)[:, None]
-            est = ecp_simulation(Logistic(alpha), sites, 30_000, None, rng.substream(i))
+            est = ecp_simulation(Logistic(alpha), sites, 30_000, rng.substream(i))
             target = ecp_logistic(alpha, k)
             assert abs(est.value - target) < 3 * est.stderr + 1e-9
 
     def test_extremal_process(self, rng):
-        est = ecp_simulation(ExtremalProcess(), [0.2, 0.5], 30_000, None, rng.substream(10))
+        est = ecp_simulation(ExtremalProcess(), [0.2, 0.5], 30_000, rng.substream(10))
         assert abs(est.value - 0.4) < binomial_3se(0.4, 30_000)
 
     def test_max_linear(self, rng):
         model = MaxLinear(np.array([[0.75, 0.25], [0.25, 0.75]]))
-        est = ecp_simulation(model, [0, 1], 30_000, None, rng.substream(11))
+        est = ecp_simulation(model, [0, 1], 30_000, rng.substream(11))
         assert abs(est.value - 0.5) < binomial_3se(0.5, 30_000)
 
     def test_ball_indicator(self, rng):
         est = ecp_simulation(BallIndicator(radius=1.0, dim=1), [[0.0], [0.5]],
-                             30_000, None, rng.substream(12))
+                             30_000, rng.substream(12))
         assert abs(est.value - 0.6) < binomial_3se(0.6, 30_000)
 
     def test_ball_huge_radius_near_full_dependence(self, rng):
         est = ecp_simulation(BallIndicator(radius=500.0, dim=1), [[0.0], [1.0]],
-                             5_000, None, rng.substream(13))
+                             5_000, rng.substream(13))
         assert est.value > 0.99
 
     def test_extremal_t_vs_mc_formula(self, rng):
         model = ExtremalT(ExponentialCorrelation(10.0), nu=5.0)
-        sim = ecp_simulation(model, [[0.0], [5.0]], 30_000, None, rng.substream(14))
+        sim = ecp_simulation(model, [[0.0], [5.0]], 30_000, rng.substream(14))
         mc = ecp_mc(model, [[0.0], [5.0]], 300_000, antithetic=True, rng=rng.substream(15))
         assert abs(sim.value - mc.value) < 3 * math.hypot(sim.stderr, mc.stderr) + 0.01
 
     def test_smith_vs_mc_formula(self, rng):
         model = Smith(CovarianceMatrix(np.array([[1.0]])))
-        sim = ecp_simulation(model, PAIR, 30_000, None, rng.substream(16))
+        sim = ecp_simulation(model, PAIR, 30_000, rng.substream(16))
         mc = ecp_mc(model, PAIR, 300_000, antithetic=True, rng=rng.substream(17))
         assert abs(sim.value - mc.value) < 3 * math.hypot(sim.stderr, mc.stderr)
 
     def test_brown_resnick_quadratic_planar(self, rng):
         model = BrownResnick(QuadraticVariogram(np.array([[1.2, 0.4], [0.4, 2.0]])))
         sites = np.array([[0.0, 0.0], [0.8, 0.5]])
-        sim = ecp_simulation(model, sites, 20_000, None, rng.substream(20))
+        sim = ecp_simulation(model, sites, 20_000, rng.substream(20))
         mc = ecp_mc(model, sites, 200_000, antithetic=True, rng=rng.substream(21))
         assert abs(sim.value - mc.value) < 3 * math.hypot(sim.stderr, mc.stderr) + 0.01
 
     def test_extremal_t_powered_exponential(self, rng):
         model = ExtremalT(PoweredExponentialCorrelation(scale=5.0, power=1.5), nu=3.0)
-        sim = ecp_simulation(model, [[0.0], [2.0]], 20_000, None, rng.substream(22))
+        sim = ecp_simulation(model, [[0.0], [2.0]], 20_000, rng.substream(22))
         mc = ecp_mc(model, [[0.0], [2.0]], 200_000, antithetic=True, rng=rng.substream(23))
         assert abs(sim.value - mc.value) < 3 * math.hypot(sim.stderr, mc.stderr) + 0.01
 
@@ -184,7 +180,7 @@ class TestHittingFrequencies:
     ])
     def test_extremal_functions_vs_quadrature(self, rng, case, model, sites):
         # exact simulation: no slack beyond the simulation's own 3 SE
-        sim = ecp_simulation(model, sites, 30_000, None, rng.substream(60 + case))
+        sim = ecp_simulation(model, sites, 30_000, rng.substream(60 + case))
         target = concurrence_probability(model, sites).value
         assert abs(sim.value - target) < binomial_3se(target, 30_000)
 
@@ -192,7 +188,7 @@ class TestHittingFrequencies:
         sig = np.array([[1.0, 0.3], [0.3, 0.8]])
         model = Smith(CovarianceMatrix(sig))
         sites = np.array([[0.0, 0.0], [1.0, 0.6]])
-        sim = ecp_simulation(model, sites, 20_000, None, rng.substream(18))
+        sim = ecp_simulation(model, sites, 20_000, rng.substream(18))
         mc = ecp_mc(model, sites, 200_000, antithetic=True, rng=rng.substream(19))
         assert abs(sim.value - mc.value) < 3.5 * math.hypot(sim.stderr, mc.stderr)
 
@@ -201,7 +197,7 @@ class TestMaxStability:
     @pytest.mark.parametrize("make", [
         lambda rng, n: simulate_logistic_exact(0.5, 2, rng, size=n),
         lambda rng, n: simulate_max_stable_batch(
-            BallIndicator(radius=1.0, dim=1), PAIR, n, None, rng)[0],
+            BallIndicator(radius=1.0, dim=1), PAIR, n, rng)[0],
     ])
     def test_rescaled_maxima_same_law(self, rng, make):
         n = 20_000
@@ -255,8 +251,7 @@ class TestDomainOfAttraction:
         assert abs(means[10] - 0.57) < 0.02
         assert abs(means[15] - 0.55) < 0.02
         assert means[1] > means[10] > means[15]
-        values, _, _ = simulate_max_stable_batch(model, sites, reps * n, None,
-                                                 rng.substream(59))
+        values, _ = simulate_max_stable_batch(model, sites, reps * n, rng.substream(59))
         tau_inf = kendall_batch(values.reshape(reps, n, 2), tie_adjusted=True).mean()
         assert abs(tau_inf - 0.50) < 0.02
         assert means[15] > tau_inf
@@ -276,14 +271,14 @@ class TestCellLabels:
     def test_full_grid_cell_for_huge_ball(self, rng):
         grid = np.linspace(0.0, 3.0, 7)[:, None]
         labels = simulate_cell_labels(BallIndicator(radius=200.0, dim=1), grid,
-                                      300, None, rng)
+                                      300, rng)
         frac_full = (labels == labels[:, :1]).all(axis=1).mean()
         assert frac_full > 0.97
 
     def test_brown_resnick_cell_fraction(self, rng):
         grid = np.arange(20, dtype=float)[:, None]
         model = BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0))
-        labels = simulate_cell_labels(model, grid, 300, None, rng.substream(1))
+        labels = simulate_cell_labels(model, grid, 300, rng.substream(1))
         frac = (labels == labels[:, 10][:, None]).mean()
         assert 0.0 < frac < 1.0
 
@@ -292,10 +287,9 @@ class TestCellLabels:
         # a tilted profile underflows to 0, and the loop at each site still
         # ends because the tilted column itself is exactly 1
         model = BrownResnick(FractionalVariogram(scale=1e8, exponent=1.0))
-        labels = simulate_cell_labels(model, PAIR, 400, None, rng.substream(2))
+        labels = simulate_cell_labels(model, PAIR, 400, rng.substream(2))
         assert (labels[:, 0] == labels[:, 1]).mean() < 0.02
-        labels = simulate_cell_labels(model, np.arange(6.0)[:, None], 50, None,
-                                      rng.substream(3))
+        labels = simulate_cell_labels(model, np.arange(6.0)[:, None], 50, rng.substream(3))
         assert np.array_equal(labels, np.tile(np.arange(6), (50, 1)))
 
     def test_extremal_functions_per_realization(self, rng):
@@ -315,22 +309,22 @@ class TestCellLabels:
 
 
 class TestControlsAndExport:
-    def test_truncation_flags(self, rng):
-        # one atom never proves a Smith field complete (sup Y exceeds Y(s_j))
-        model = Smith(CovarianceMatrix(np.array([[1.0]])))
-        _, _, flags = simulate_max_stable_batch(model, PAIR, 50,
-                                                SimControl(max_atoms=1), rng)
-        assert flags.all()
-        _, _, flags = simulate_max_stable_batch(BallIndicator(radius=1.0, dim=1),
-                                                [[0.0], [0.5]], 200, None, rng)
-        assert not flags.any()
-
-    def test_sim_control_validation(self):
+    @pytest.mark.parametrize("reps", [2.5, 0, -3])
+    def test_reps_must_be_a_positive_integer(self, rng, reps):
         with pytest.raises(DomainError):
-            SimControl(max_atoms=0)
+            simulate_max_stable_batch(Logistic(0.5), PAIR, reps, rng=rng)
+        with pytest.raises(DomainError):
+            ecp_simulation(Logistic(0.5), PAIR, reps, rng=rng)
+
+    def test_smith_site_dimension_must_match_sigma(self, rng):
+        model = Smith(CovarianceMatrix(np.array([[1.0, 0.2], [0.2, 2.0]])))
+        with pytest.raises(DomainError):
+            simulate_max_stable_batch(model, PAIR, 10, rng=rng)
+        with pytest.raises(DomainError):
+            ecp_simulation(model, PAIR, 10, rng=rng)
 
     def test_csv_export(self, rng, tmp_path):
-        values, hits, _ = simulate_max_stable_batch(Logistic(0.5), PAIR, 10, None, rng)
+        values, hits = simulate_max_stable_batch(Logistic(0.5), PAIR, 10, rng)
         path = tmp_path / "fields.csv"
         write_realizations_csv(path, values, hits)
         rows = path.read_text().strip().splitlines()
