@@ -18,21 +18,27 @@ import numpy as np
 
 from . import __version__
 from .concurrence import concurrence_probability, ecp_mc
-from .errors import ConcurError, DomainError
+from .errors import ConcurError, DomainError, ParseError
 from .estimators import ESTIMATORS, Sample, estimator, optimal_block_size
 from .models import model_from_dict
 from .pipeline import (
     cell_area_report,
-    cos_lat_weights,
     expected_cell_area_model,
     grid_map,
     ingest_csv,
     pairwise_matrix,
+    read_extremes_csv,
     read_matrix_csv,
+    read_stations_csv,
     read_strata_csv,
     seasonal_blocks,
+    write_cells_csv,
+    write_extremes_csv,
     write_grid_csv,
     write_matrix_csv,
+    write_model_cells_csv,
+    write_records_csv,
+    write_stations_csv,
 )
 from .simulate import simulate_max_stable_batch, write_realizations_csv
 from .specfun import SeededRng
@@ -61,40 +67,33 @@ def _load_model(path: str):
         return model_from_dict(json.load(fh))
 
 
-def _read_sites_csv(path: str) -> np.ndarray:
+def _read_numeric_csv(path: str, named: bool):
+    """(header, array) of a CSV file of numbers, every row as long as the
+    first.  With ``named`` the first row is the header; otherwise a
+    non-numeric first row is skipped as one.  Any other non-numeric or
+    ragged row raises ParseError naming its line."""
     rows = []
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        header = next(reader, []) if named else None
+        for row in filter(None, reader):
             try:
                 rows.append([float(v) for v in row])
-            except ValueError:
-                if i == 0:
-                    continue  # header
-                raise DomainError(f"non-numeric site row {i + 1} in {path}")
-    if not rows:
+            except ValueError as exc:
+                if reader.line_num > 1:
+                    raise ParseError(str(exc), line=reader.line_num) from exc
+                continue
+            if len(row) != len(rows[0]):
+                raise ParseError(f"{len(row)} values, {len(rows[0])} expected",
+                                 line=reader.line_num)
+    return header, np.asarray(rows)
+
+
+def _read_sites_csv(path: str) -> np.ndarray:
+    _, sites = _read_numeric_csv(path, named=False)
+    if sites.size == 0:
         raise DomainError(f"no sites found in {path}")
-    return np.asarray(rows)
-
-
-def _read_table_csv(path: str):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = [[float(v) for v in row] for row in reader if row]
-    return header, np.asarray(data)
-
-
-def _read_stations_csv(path: str) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["station_id"].strip(),
-                           (float(row["lat"]), float(row["lon"])))
-    if not out:
-        raise DomainError(f"no stations found in {path}")
-    return out
+    return sites
 
 
 def _parse_grid(spec: str):
@@ -113,18 +112,6 @@ def _parse_grid(spec: str):
     return axes[0], axes[1]
 
 
-def _read_extremes_csv(path: str):
-    from .pipeline import SeasonalExtremes
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(SeasonalExtremes(
-                station_id=row["station_id"], season=row["season"],
-                year=int(row["year"]), value=float(row["value"]),
-                coverage=float(row["coverage"]), polarity=row["polarity"]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -140,7 +127,7 @@ def _cmd_ecp(args, rng: SeededRng) -> None:
 
 
 def _cmd_estimate(args, rng: SeededRng) -> None:
-    header, data = _read_table_csv(args.input)
+    header, data = _read_numeric_csv(args.input, named=True)
     names = tuple(header)
     if args.pairs:
         labels = [s.strip() for s in args.pairs.split(",")]
@@ -171,25 +158,11 @@ def _cmd_plan(args, rng: SeededRng) -> None:
 
 
 def _cmd_ingest(args, rng: SeededRng) -> None:
-    result = ingest_csv(args.input, date_format=args.date_format,
-                        missing_markers=tuple(args.missing_marker))
+    result = ingest_csv(args.input)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["station_id", "lat", "lon", "date", "tmin", "tmax"])
-            for r in result.records:
-                w.writerow([r.station_id, f"{r.lat:.10g}", f"{r.lon:.10g}",
-                            r.date.isoformat(),
-                            "" if r.tmin is None else f"{r.tmin:.10g}",
-                            "" if r.tmax is None else f"{r.tmax:.10g}"])
+        write_records_csv(result.records, args.out)
     if args.stations_out:
-        coords = result.station_coords()
-        with open(args.stations_out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["station_id", "lat", "lon"])
-            for sid in sorted(coords):
-                lat, lon = coords[sid]
-                w.writerow([sid, f"{lat:.10g}", f"{lon:.10g}"])
+        write_stations_csv(result.station_coords(), args.stations_out)
     _emit_json({"command": "ingest", "records": len(result.records),
                 "stations": len(result.missing_report),
                 "missing_report": result.missing_report,
@@ -201,17 +174,12 @@ def _cmd_blocks(args, rng: SeededRng) -> None:
     extremes = seasonal_blocks(result, args.season, args.polarity,
                                min_coverage=args.min_coverage)
     out = _require_out(args)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["station_id", "season", "year", "value", "coverage", "polarity"])
-        for e in extremes:
-            w.writerow([e.station_id, e.season, e.year, f"{e.value:.17g}",
-                        f"{e.coverage:.6f}", e.polarity])
+    write_extremes_csv(extremes, out)
     _emit_json({"command": "blocks", "out": out, "rows": len(extremes)}, None)
 
 
 def _cmd_matrix(args, rng: SeededRng) -> None:
-    extremes = _read_extremes_csv(args.input)
+    extremes = read_extremes_csv(args.input)
     matrix = pairwise_matrix(extremes, method=args.method, anchor=args.anchor,
                              min_overlap=args.min_overlap, block_size=args.block_size)
     out = _require_out(args)
@@ -223,7 +191,7 @@ def _cmd_matrix(args, rng: SeededRng) -> None:
 
 def _cmd_map(args, rng: SeededRng) -> None:
     matrix = read_matrix_csv(args.matrix)
-    stations = _read_stations_csv(args.stations)
+    stations = read_stations_csv(args.stations)
     lats, lons = _parse_grid(args.grid)
     pts = np.array([stations[s] for s in matrix.station_ids])
     rows = grid_map(pts, matrix.row(args.anchor), lats, lons, idw_power=args.idw_power)
@@ -243,29 +211,21 @@ def _cmd_cells(args, rng: SeededRng) -> None:
         weights = (rectangle_weights(sites[:, 0]) if sites.shape[1] == 1
                    else np.ones(sites.shape[0]))
         areas, errs = expected_cell_area_model(model, sites, weights, args.reps, rng)
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["site_index", "area", "stderr"])
-            for i, (a, e) in enumerate(zip(areas, errs)):
-                w.writerow([i, f"{a:.17g}", f"{e:.17g}"])
+        write_model_cells_csv(areas, errs, out)
         _emit_json({"command": "cells", "mode": "model", "out": out,
                     "sites": int(len(areas))}, None)
         return
     if not (args.extremes and args.stations and args.grid):
         raise DomainError("data mode needs --extremes, --stations, and --grid "
                           "(or use --model/--grid-sites for model mode)")
-    extremes = _read_extremes_csv(args.extremes)
-    stations = _read_stations_csv(args.stations)
+    extremes = read_extremes_csv(args.extremes)
+    stations = read_stations_csv(args.stations)
     lats, lons = _parse_grid(args.grid)
     strata = read_strata_csv(args.strata) if args.strata else None
     rows = cell_area_report(extremes, stations, lats, lons, strata=strata,
                             base_label=args.base_label, method=args.method,
                             min_overlap=args.min_overlap, idw_power=args.idw_power)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["anchor", "stratum", "area", "anomaly"])
-        for r in rows:
-            w.writerow([r.anchor, r.stratum, f"{r.area:.17g}", f"{r.anomaly:.17g}"])
+    write_cells_csv(rows, out)
     _emit_json({"command": "cells", "mode": "data", "out": out, "rows": len(rows)}, None)
 
 
@@ -324,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_plan)
 
     q = sub.add_parser("ingest", help="validate station records")
-    q.add_argument("--input", required=True)
-    q.add_argument("--date-format", default="%Y-%m-%d")
-    q.add_argument("--missing-marker", action="append", default=["", "-9999"])
+    q.add_argument("--input", required=True, help="station CSV with ISO dates")
     q.add_argument("--stations-out", default=None, help="write station_id,lat,lon table")
     q.set_defaults(func=_cmd_ingest)
 

@@ -100,11 +100,6 @@ class Sample:
                 return True
         return False
 
-    def select(self, indices) -> "Sample":
-        idx = list(indices)
-        names = tuple(self.names[i] for i in idx) if self.names is not None else None
-        return Sample(self.data[:, idx], names)
-
 
 def jitter_ties(sample: Sample, resolution: float, rng: RngLike) -> Sample:
     """Break measurement-resolution ties with seeded uniform (-res/2, res/2) noise.

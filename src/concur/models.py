@@ -747,6 +747,13 @@ class Smith(_PairModel):
     sigma: CovarianceMatrix
     name: ClassVar[str] = "smith"
 
+    def __post_init__(self):
+        try:
+            np.linalg.cholesky(self.sigma.entries)
+        except np.linalg.LinAlgError:
+            raise DomainError("Smith Sigma must be positive definite; a singular "
+                              "Sigma makes a degenerate storm with no density") from None
+
     def sites_of(self, sites) -> SiteSet:
         s = as_sites(sites)
         if s.ndim != self.sigma.dim:

@@ -3,17 +3,23 @@
 The chain is CSV station records -> per-season block extremes -> pairwise
 concurrence matrices (Kendall by default) -> gridded maps (inverse-distance
 weighting on the logit scale) -> expected concurrence-cell areas, optionally
-stratified by an external year-label table.  Everything is deterministic
-given the inputs; minima are analyzed as negated values so the downstream
-machinery only ever deals with maxima.
+stratified by an external year-label table.  Station records are one NumPy
+record array: ISO 8601 dates only, and a tmin or tmax of "" or "-9999" is
+missing (NaN).  Every CSV format of the chain lives here, and a malformed
+file raises :class:`ParseError` naming its line.  Everything is
+deterministic given the inputs; minima are analyzed as negated values so
+the downstream machinery only ever deals with maxima.
 """
 
 from __future__ import annotations
 
+import array
 import calendar
 import csv
 import datetime as dt
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,106 +37,151 @@ _SEASON_MONTHS = {"DJF": (12, 1, 2), "MAM": (3, 4, 5), "JJA": (6, 7, 8), "SON": 
 POLARITIES = ("max", "negated_min")
 
 _COLUMNS = ("station_id", "lat", "lon", "date", "tmin", "tmax")
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
+def _csv_rows(fh, columns: tuple[str, ...]):
+    """(line, fields) for each nonblank row of a headered CSV file, the
+    fields being the text of ``columns`` in that order.  A missing column or
+    a short row raises :class:`ParseError` naming the line."""
+    reader = csv.reader(fh)
+    where = {name: i for i, name in enumerate(next(reader, ()))}
+    missing = [c for c in columns if c not in where]
+    if missing:
+        raise ParseError(f"missing columns {missing}", line=1)
+    pick = operator.itemgetter(*(where[c] for c in columns))
+    width = max(where[c] for c in columns) + 1
+    for row in reader:
+        if row:
+            if len(row) < width:
+                raise ParseError(f"{len(row)} fields, {width} expected", line=reader.line_num)
+            yield reader.line_num, pick(row)
+
+
+def _read_rows(path, columns: tuple[str, ...], convert) -> list:
+    """``convert(*fields)`` for each row of a headered CSV file; a row it
+    rejects with ValueError raises :class:`ParseError` naming the line."""
+    out = []
+    with open(Path(path), newline="") as fh:
+        for line, fields in _csv_rows(fh, columns):
+            try:
+                out.append(convert(*fields))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line) from exc
+    return out
+
+
+def _write_rows(path, header, rows) -> None:
+    with open(Path(path), "w", newline="") as fh:
+        csv.writer(fh).writerows(itertools.chain([header], rows))
+
+
+def _g10(col: np.ndarray) -> list[str]:
+    """10 significant digits per value, the empty string for NaN."""
+    return ["" if math.isnan(v) else f"{v:.10g}" for v in col.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # ingestion
 
 @dataclass(frozen=True)
-class StationRecord:
-    station_id: str
-    lat: float
-    lon: float
-    date: dt.date
-    tmin: float | None
-    tmax: float | None
-
-
-@dataclass(frozen=True)
 class IngestResult:
-    records: tuple[StationRecord, ...]
+    """``records`` is a read-only record array in file order with fields
+    station_id, lat, lon, date (datetime64[D]), tmin and tmax; NaN marks a
+    missing reading."""
+
+    records: np.recarray
     missing_report: dict
     warnings: tuple[str, ...]
 
     def station_coords(self) -> dict[str, tuple[float, float]]:
-        out: dict[str, tuple[float, float]] = {}
-        for r in self.records:
-            out.setdefault(r.station_id, (r.lat, r.lon))
-        return out
+        """Each station's coordinates on its first record."""
+        ids, first = np.unique(self.records.station_id, return_index=True)
+        return dict(zip(ids.tolist(), zip(self.records.lat[first].tolist(),
+                                          self.records.lon[first].tolist())))
 
 
-def _parse_value(raw: str, markers: tuple[str, ...]) -> float | None:
-    txt = raw.strip()
-    if txt in markers:
-        return None
-    return float(txt)
-
-
-def ingest_csv(path, missing_markers: tuple[str, ...] = ("", "-9999"),
-               date_format: str = "%Y-%m-%d") -> IngestResult:
+def ingest_csv(path) -> IngestResult:
     """Read and validate station records from a headered CSV file.
 
-    The columns are station_id, lat, lon, date, tmin and tmax.  Values
-    matching ``missing_markers`` become None.  Malformed rows raise
-    :class:`ParseError` naming the line; stations with more than half of
-    either variable missing produce warnings, not errors.
+    The columns are station_id, lat, lon, date (ISO 8601, as
+    ``date.fromisoformat`` reads it), tmin and tmax, in any order.  A
+    tmin or tmax of "" or "-9999" is missing.  The first malformed row, in
+    file order, raises :class:`ParseError` naming its line; stations with
+    more than half of either variable missing produce warnings, not errors.
     """
-    records: list[StationRecord] = []
-    seen: dict[tuple[str, dt.date], int] = {}
-    counts: dict[str, list[int]] = {}
+    codes: dict[str, int] = {}  # station id -> code, in order of first appearance
+    seen: dict[int, int] = {}   # code << 22 | day ordinal (below 2**22 up to 9999) -> line
+    values = array.array("d")   # code, days since 1970, lat, lon, tmin, tmax per row
     with open(Path(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file, header expected", line=1)
-        missing_cols = [c for c in _COLUMNS if c not in reader.fieldnames]
-        if missing_cols:
-            raise ParseError(f"missing columns {missing_cols}", line=1)
-        for row in reader:
-            line = reader.line_num
+        for line, (sid, lat, lon, date, tmin, tmax) in _csv_rows(fh, _COLUMNS):
             try:
-                sid = row["station_id"].strip()
+                sid = sid.strip()
                 if not sid:
                     raise ValueError("empty station id")
-                lat = float(row["lat"])
-                lon = float(row["lon"])
-                date = dt.datetime.strptime(row["date"].strip(), date_format).date()
-                tmin = _parse_value(row["tmin"], missing_markers)
-                tmax = _parse_value(row["tmax"], missing_markers)
-            except ParseError:
-                raise
-            except Exception as exc:
+                lat, lon = float(lat), float(lon)
+                day = dt.date.fromisoformat(date.strip()).toordinal()
+                tmin, tmax = (math.nan if t.strip() in ("", "-9999") else float(t)
+                              for t in (tmin, tmax))
+            except ValueError as exc:
                 raise ParseError(str(exc), line=line) from exc
             if not -90.0 <= lat <= 90.0:
                 raise ParseError(f"latitude {lat} outside [-90, 90]", line=line)
             if not -180.0 <= lon <= 180.0:
                 raise ParseError(f"longitude {lon} outside [-180, 180]", line=line)
-            key = (sid, date)
-            if key in seen:
-                raise ParseError(f"duplicate date {date} for station {sid} "
-                                 f"(first seen on line {seen[key]})", line=line)
-            seen[key] = line
-            records.append(StationRecord(sid, lat, lon, date, tmin, tmax))
-            c = counts.setdefault(sid, [0, 0, 0])
-            c[0] += 1
-            c[1] += tmin is None
-            c[2] += tmax is None
-    report = {
-        sid: {"n_days": c[0],
-              "missing_tmin": c[1] / c[0],
-              "missing_tmax": c[2] / c[0]}
-        for sid, c in counts.items()
-    }
+            code = codes.setdefault(sid, len(codes))
+            first = seen.setdefault(code << 22 | day, line)
+            if first != line:
+                raise ParseError(f"duplicate date {dt.date.fromordinal(day)} for station "
+                                 f"{sid} (first seen on line {first})", line=line)
+            values.extend((code, day - _EPOCH, lat, lon, tmin, tmax))
+    v = np.asarray(values).reshape(-1, 6)
+    code = v[:, 0].astype(np.int64)
+    records = np.rec.fromarrays(
+        [np.array(list(codes), dtype=str)[code], v[:, 2], v[:, 3],
+         v[:, 1].astype(np.int64).astype("datetime64[D]"), v[:, 4], v[:, 5]], names=_COLUMNS)
+    records.flags.writeable = False
+    n, tmin, tmax = (np.bincount(code[m], minlength=len(codes)).tolist()
+                     for m in (slice(None), np.isnan(v[:, 4]), np.isnan(v[:, 5])))
+    report = {sid: {"n_days": n[i], "missing_tmin": tmin[i] / n[i],
+                    "missing_tmax": tmax[i] / n[i]} for i, sid in enumerate(codes)}
     warnings = tuple(
         f"station {sid}: more than 50% missing {name}"
         for sid, rep in report.items()
         for name in ("tmin", "tmax")
         if rep[f"missing_{name}"] > 0.5
     )
-    return IngestResult(records=tuple(records), missing_report=report, warnings=warnings)
+    return IngestResult(records=records, missing_report=report, warnings=warnings)
+
+
+def write_records_csv(records: np.recarray, path) -> None:
+    """Station records in the ingest input format, missing readings empty.
+    Rows are formatted 4096 at a time to bound the memory their text takes."""
+    chunks = (records[i:i + 4096] for i in range(0, len(records), 4096))
+    _write_rows(path, _COLUMNS, itertools.chain.from_iterable(
+        zip(r.station_id.tolist(), _g10(r.lat), _g10(r.lon),
+            np.datetime_as_string(r.date).tolist(), _g10(r.tmin), _g10(r.tmax)) for r in chunks))
+
+
+def read_stations_csv(path) -> dict[str, tuple[float, float]]:
+    """station_id -> (lat, lon), the first row of each station."""
+    out = dict(reversed(_read_rows(path, ("station_id", "lat", "lon"), lambda sid, lat, lon: (
+        sid.strip(), (float(lat), float(lon))))))
+    if not out:
+        raise DomainError(f"no stations found in {path}")
+    return out
+
+
+def write_stations_csv(coords: dict[str, tuple[float, float]], path) -> None:
+    _write_rows(path, ["station_id", "lat", "lon"],
+                ([sid, f"{lat:.10g}", f"{lon:.10g}"] for sid, (lat, lon) in sorted(coords.items())))
 
 
 # ---------------------------------------------------------------------------
 # seasonal block extremes
+
+_EXTREMES_COLUMNS = ("station_id", "season", "year", "value", "coverage", "polarity")
+
 
 @dataclass(frozen=True)
 class SeasonalExtremes:
@@ -142,28 +193,15 @@ class SeasonalExtremes:
     polarity: str
 
 
-def _season_year(date: dt.date, season: str) -> int | None:
-    months = _SEASON_MONTHS[season]
-    if date.month not in months:
-        return None
-    # December belongs to the following year's winter
-    if season == "DJF" and date.month == 12:
-        return date.year + 1
-    return date.year
-
-
 def _season_length(year: int, season: str) -> int:
-    months = _SEASON_MONTHS[season]
-    total = 0
-    for m in months:
-        y = year - 1 if season == "DJF" and m == 12 else year
-        total += calendar.monthrange(y, m)[1]
-    return total
+    return sum(calendar.monthrange(year - (season == "DJF" and m == 12), m)[1]
+               for m in _SEASON_MONTHS[season])
 
 
-def seasonal_blocks(records, season: str, polarity: str = "max",
+def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
                     min_coverage: float = 0.9) -> list[SeasonalExtremes]:
-    """Per station-year seasonal extreme with a coverage filter.
+    """Per station-year seasonal extreme with a coverage filter, in
+    (station_id, year) order.
 
     polarity "max" takes the seasonal maximum of tmax; "negated_min" stores
     minus the seasonal minimum of tmin, so larger values always mean more
@@ -173,25 +211,37 @@ def seasonal_blocks(records, season: str, polarity: str = "max",
         raise DomainError(f"season must be one of {SEASONS}")
     if polarity not in POLARITIES:
         raise DomainError(f"polarity must be one of {POLARITIES}")
-    if isinstance(records, IngestResult):
-        records = records.records
-    grouped: dict[tuple[str, int], list[float | None]] = {}
-    for rec in records:
-        year = _season_year(rec.date, season)
-        if year is None:
-            continue
-        value = rec.tmax if polarity == "max" else rec.tmin
-        grouped.setdefault((rec.station_id, year), []).append(value)
-    out: list[SeasonalExtremes] = []
-    for (sid, year), values in sorted(grouped.items()):
-        present = [v for v in values if v is not None]
-        coverage = len(present) / _season_length(year, season)
-        if coverage < min_coverage or not present:
-            continue
-        extreme = max(present) if polarity == "max" else -min(present)
-        out.append(SeasonalExtremes(station_id=sid, season=season, year=year,
-                                    value=extreme, coverage=coverage, polarity=polarity))
-    return out
+    rec = result.records
+    months = rec.date.astype("datetime64[M]").astype(np.int64)
+    month = months % 12 + 1
+    keep = np.isin(month, _SEASON_MONTHS[season])
+    # December belongs to the following year's winter
+    year = (months // 12 + 1970 + (season == "DJF") * (month == 12))[keep]
+    # -min(tmin) is max(-tmin) exactly
+    value = (rec.tmax if polarity == "max" else -rec.tmin)[keep]
+    ids, code = np.unique(rec.station_id[keep], return_inverse=True)
+    # one group per (station code, season-year), in that order
+    keys, group = np.unique(np.column_stack([code, year]), axis=0, return_inverse=True)
+    present = ~np.isnan(value)
+    count = np.bincount(group[present], minlength=len(keys))
+    extreme = np.full(len(keys), -np.inf)
+    np.maximum.at(extreme, group[present], value[present])
+    coverage = count / np.array([_season_length(y, season) for y in keys[:, 1].tolist()])
+    ok = (count > 0) & ~(coverage < min_coverage)
+    return [SeasonalExtremes(station_id=str(ids[c]), season=season, year=y, value=v,
+                             coverage=cov, polarity=polarity)
+            for (c, y), v, cov in zip(keys[ok].tolist(), extreme[ok].tolist(),
+                                      coverage[ok].tolist())]
+
+
+def read_extremes_csv(path) -> list[SeasonalExtremes]:
+    return _read_rows(path, _EXTREMES_COLUMNS, lambda sid, season, year, value, cov, pol:
+                      SeasonalExtremes(sid, season, int(year), float(value), float(cov), pol))
+
+
+def write_extremes_csv(extremes, path) -> None:
+    _write_rows(path, _EXTREMES_COLUMNS, ([e.station_id, e.season, e.year, f"{e.value:.17g}",
+                                          f"{e.coverage:.6f}", e.polarity] for e in extremes))
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +308,15 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
 
 def write_matrix_csv(matrix: ConcurrenceMatrix, path) -> None:
     """Long-form CSV: id1,id2,estimate,stderr,n_pairs (i <= j rows)."""
-    with open(Path(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id1", "id2", "estimate", "stderr", "n_pairs"])
-        ids = matrix.station_ids
-        for i in range(len(ids)):
-            for j in range(i, len(ids)):
-                w.writerow([ids[i], ids[j],
-                            f"{matrix.estimates[i, j]:.17g}",
-                            f"{matrix.stderr[i, j]:.17g}",
-                            int(matrix.n_pairs[i, j])])
+    ids = matrix.station_ids
+    _write_rows(path, ["id1", "id2", "estimate", "stderr", "n_pairs"], (
+        [ids[i], ids[j], f"{matrix.estimates[i, j]:.17g}", f"{matrix.stderr[i, j]:.17g}",
+         int(matrix.n_pairs[i, j])] for i in range(len(ids)) for j in range(i, len(ids))))
 
 
 def read_matrix_csv(path, method: str = "kendall") -> ConcurrenceMatrix:
-    rows = []
-    with open(Path(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((row["id1"], row["id2"], float(row["estimate"]),
-                         float(row["stderr"]), int(row["n_pairs"])))
+    rows = _read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
+                      lambda a, b, e, s, c: (a, b, float(e), float(s), int(c)))
     ids = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
     idx = {sid: i for i, sid in enumerate(ids)}
     n = len(ids)
@@ -318,15 +358,20 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
              idw_power: float = 2.0) -> np.ndarray:
     """Inverse-distance-weighted interpolation of probabilities onto a grid.
 
-    Interpolation happens on the logit scale and maps back into [0, 1]; a
-    grid node coinciding with a station reproduces that station's value
-    exactly.  Returns rows (lat, lon, value) over the lat x lon product.
+    ``values`` holds one value per station, or one such row per map; every
+    map comes from one distance matrix.  Interpolation happens on the logit
+    scale and maps back into [0, 1].  A row's NaN entries are left out of
+    its map, and a grid node coinciding with a station reproduces that
+    station's value exactly when it is finite (the first such station in
+    station order).  Returns rows (lat, lon, value of each map) over the
+    lat x lon product.
     """
     pts = np.asarray(station_latlon, dtype=float)
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    ok = np.isfinite(vals)
-    pts, vals = pts[ok], vals[ok]
-    if pts.shape[0] < 3:
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.shape[1] != pts.shape[0]:
+        raise DomainError("need one value per station")
+    ok = np.isfinite(values)
+    if np.any(ok.sum(axis=1) < 3):
         raise DomainError("need at least three stations with estimates")
     lats = np.asarray(grid_lats, dtype=float).reshape(-1)
     lons = np.asarray(grid_lons, dtype=float).reshape(-1)
@@ -335,26 +380,23 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     glat, glon = np.meshgrid(lats, lons, indexing="ij")
     glat, glon = glat.reshape(-1), glon.reshape(-1)
     dist = haversine_km(glat[:, None], glon[:, None], pts[None, :, 0], pts[None, :, 1])
-    lv = _logit(vals)
-    out = np.empty(glat.size)
     exact = dist < 1e-9
-    has_exact = exact.any(axis=1)
     with np.errstate(divide="ignore"):
-        w = dist ** (-float(idw_power))
-    w_sum = w.sum(axis=1)
-    non_exact = ~has_exact
-    out[non_exact] = _expit((w[non_exact] @ lv) / w_sum[non_exact])
-    for g in np.where(has_exact)[0]:
-        out[g] = vals[np.argmax(exact[g])]
-    return np.column_stack([glat, glon, out])
+        w = np.where(exact, 0.0, dist ** (-float(idw_power)))
+    lv = np.where(ok, _logit(values), 0.0)
+    # a node whose every weighted station is exact gets 0 / 0, then its exact value
+    with np.errstate(invalid="ignore"):
+        out = _expit((lv @ w.T) / (ok @ w.T))
+    on = np.flatnonzero(exact.any(axis=1))
+    hit = exact[on][None, :, :] & ok[:, None, :]
+    rows, cols = np.nonzero(hit.any(axis=2))
+    out[rows, on[cols]] = values[rows, hit.argmax(axis=2)[rows, cols]]
+    return np.column_stack([glat, glon, out.T])
 
 
 def write_grid_csv(rows: np.ndarray, path) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lat", "lon", "value"])
-        for lat, lon, value in rows:
-            w.writerow([f"{lat:.10g}", f"{lon:.10g}", f"{value:.17g}"])
+    _write_rows(path, ["lat", "lon", "value"], ([f"{lat:.10g}", f"{lon:.10g}", f"{value:.17g}"]
+                                                for lat, lon, value in rows))
 
 
 def cos_lat_weights(grid_lats, grid_lons) -> np.ndarray:
@@ -382,17 +424,14 @@ def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
                             grid_lats, grid_lons, anchors=None,
                             idw_power: float = 2.0) -> dict[str, float]:
     """Expected cell area per anchor from a pairwise matrix: interpolate the
-    anchor's concurrence row onto the grid and integrate with cos-lat weights."""
+    anchors' concurrence rows onto the grid and integrate with cos-lat weights."""
     ids = matrix.station_ids
     anchors = list(ids) if anchors is None else list(anchors)
     pts = np.array([station_coords[s] for s in ids], dtype=float)
+    rows = np.array([matrix.row(a) for a in anchors]).reshape(len(anchors), len(ids))
+    maps = grid_map(pts, rows, grid_lats, grid_lons, idw_power=idw_power)[:, 2:]
     weights = cos_lat_weights(grid_lats, grid_lons)
-    out: dict[str, float] = {}
-    for anchor in anchors:
-        row = matrix.row(anchor)
-        grid_rows = grid_map(pts, row, grid_lats, grid_lons, idw_power=idw_power)
-        out[anchor] = integrated_cp(grid_rows[:, 2], weights)
-    return out
+    return {anchor: integrated_cp(m, weights) for anchor, m in zip(anchors, maps.T)}
 
 
 def expected_cell_area_model(model, grid_sites, weights, reps: int,
@@ -419,32 +458,22 @@ def expected_cell_area_model(model, grid_sites, weights, reps: int,
 
 def read_strata_csv(path) -> dict[int, str]:
     """Year -> stratum label table (columns: year,label)."""
-    out: dict[int, str] = {}
-    with open(Path(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"year", "label"} <= set(reader.fieldnames):
-            raise ParseError("strata file needs 'year' and 'label' columns", line=1)
-        for row in reader:
-            out[int(row["year"])] = row["label"].strip()
-    return out
+    return dict(_read_rows(path, ("year", "label"),
+                           lambda year, label: (int(year), label.strip())))
 
 
 def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
                      strata: dict[int, str] | None = None, base_label: str | None = None,
                      method: str = "kendall", min_overlap: int = 3,
-                     idw_power: float = 2.0, anchors=None) -> list[CellAreaRow]:
+                     idw_power: float = 2.0) -> list[CellAreaRow]:
     """Per-anchor expected cell areas, stratified by year labels when given.
 
-    With strata, the anomaly column holds the deviation of each stratum's
-    area from the base stratum's; the base label defaults to the
-    lexicographically first stratum.
+    The anomaly column holds the deviation of each stratum's area from the
+    base stratum's; the base label defaults to the lexicographically first
+    stratum.  Without strata every year is in the one stratum "all".
     """
     if strata is None:
-        matrix = pairwise_matrix(extremes, method=method, min_overlap=min_overlap)
-        areas = expected_cell_area_data(matrix, station_coords, grid_lats, grid_lons,
-                                        anchors=anchors, idw_power=idw_power)
-        return [CellAreaRow(anchor=a, stratum="all", area=v, anomaly=0.0)
-                for a, v in areas.items()]
+        strata, base_label = {e.year: "all" for e in extremes}, "all"
     labels = sorted(set(strata.values()))
     known_years = set(strata)
     missing = sorted({e.year for e in extremes} - known_years)
@@ -454,17 +483,22 @@ def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
         base_label = labels[0]
     if base_label not in labels:
         raise DomainError(f"unknown base stratum {base_label!r}")
-    per_label: dict[str, dict[str, float]] = {}
-    for label in labels:
-        sub = [e for e in extremes if strata[e.year] == label]
-        matrix = pairwise_matrix(sub, method=method, min_overlap=min_overlap)
-        per_label[label] = expected_cell_area_data(matrix, station_coords, grid_lats,
-                                                   grid_lons, anchors=anchors,
-                                                   idw_power=idw_power)
-    rows: list[CellAreaRow] = []
-    for label in labels:
-        for anchor, area in per_label[label].items():
-            base = per_label[base_label].get(anchor, float("nan"))
-            rows.append(CellAreaRow(anchor=anchor, stratum=label, area=area,
-                                    anomaly=area - base))
-    return rows
+    per_label = {label: expected_cell_area_data(
+        pairwise_matrix([e for e in extremes if strata[e.year] == label], method=method,
+                        min_overlap=min_overlap),
+        station_coords, grid_lats, grid_lons, idw_power=idw_power)
+        for label in labels}
+    base = per_label[base_label]
+    return [CellAreaRow(anchor=anchor, stratum=label, area=area,
+                        anomaly=area - base.get(anchor, math.nan))
+            for label in labels for anchor, area in per_label[label].items()]
+
+
+def write_cells_csv(rows: list[CellAreaRow], path) -> None:
+    _write_rows(path, ["anchor", "stratum", "area", "anomaly"],
+                ([r.anchor, r.stratum, f"{r.area:.17g}", f"{r.anomaly:.17g}"] for r in rows))
+
+
+def write_model_cells_csv(areas, errs, path) -> None:
+    _write_rows(path, ["site_index", "area", "stderr"],
+                ([i, f"{a:.17g}", f"{e:.17g}"] for i, (a, e) in enumerate(zip(areas, errs))))

@@ -170,3 +170,39 @@ def test_method_choices_shared(capsys):
         with pytest.raises(SystemExit):
             main([command, "--input", "x.csv", "--method", "bogus"])
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+MATRIX = "id1,id2,estimate,stderr,n_pairs\nA,A,1,0,5\nA,B,0.5,0.1,5\nB,B,1,0,5\n"
+STATIONS_CSV = "station_id,lat,lon\nA,40,-100\nB,41,-101\n"
+EXTREMES = ("station_id,season,year,value,coverage,polarity\n"
+            "A,JJA,2000,1.5,1.0,max\nB,JJA,2000,2.5,1.0,max\n")
+GRID = "39:42:2,-101:-98:2"
+MAP = ["map", "--matrix", "{matrix}", "--stations", "{stations}", "--anchor", "A",
+       "--grid", GRID]
+
+
+@pytest.mark.parametrize("bad, text, argv, line", [
+    ("matrix", "id1,id2,stderr,n_pairs\nA,B,0.1,5\n", MAP, 1),
+    ("stations", "station_id,lat,lon\nA,40,-100\nB,north,-101\n", MAP, 3),
+    ("extremes", EXTREMES + "A,JJA,2001,abc,1.0,max\n", ["matrix", "--input", "{extremes}"], 4),
+    ("strata", "year,label\n2000,nino\nabc,nada\n",
+     ["cells", "--extremes", "{extremes}", "--stations", "{stations}", "--grid", GRID,
+      "--strata", "{strata}"], 3),
+    ("table", "a,b\n1,2\n3,x\n", ["estimate", "--input", "{table}", "--method", "kendall"], 3),
+    ("table", "a,b\n1,2\n3\n", ["estimate", "--input", "{table}", "--method", "kendall"], 3),
+    ("sites", "x\n0.0\nabc\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], 3),
+    ("sites", "0.0\n1.0,2.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], 2),
+], ids=["matrix", "stations", "extremes", "strata", "table", "table_ragged", "sites",
+        "sites_ragged"])
+def test_malformed_csv_names_line(capsys, tmp_path, bad, text, argv, line):
+    # every other file the command reads is well formed
+    files = {"matrix": MATRIX, "stations": STATIONS_CSV, "extremes": EXTREMES,
+             "model": json.dumps({"model": "logistic", "alpha": 0.5}), bad: text}
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(content)
+    code = main(["--out", str(tmp_path / "out.csv")]
+                + [a.format(**paths) for a in argv])
+    assert code == 2
+    assert f"line {line}" in capsys.readouterr().err

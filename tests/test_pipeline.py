@@ -54,8 +54,8 @@ class TestIngest:
             "S2,41.0,-99.0,2000-01-02,-4.0,13.0\n")
         result = ingest_csv(p)
         assert len(result.records) == 4
-        assert result.records[1].tmin is None
-        assert result.records[2].tmin is None
+        assert np.isnan(result.records["tmin"][1])
+        assert np.isnan(result.records["tmin"][2])
         assert result.missing_report["S1"]["missing_tmin"] == 0.5
         assert result.warnings == ()
 

@@ -29,6 +29,7 @@ from concur import (
     ecp_mc,
     ecp_simulation,
     hitting_scenario,
+    model_from_dict,
     simulate_cell_labels,
     simulate_doa,
     simulate_logistic_exact,
@@ -322,6 +323,13 @@ class TestControlsAndExport:
             simulate_max_stable_batch(model, PAIR, 10, rng=rng)
         with pytest.raises(DomainError):
             ecp_simulation(model, PAIR, 10, rng=rng)
+
+    @pytest.mark.parametrize("sigma", [[[1.0, 1.0], [1.0, 1.0]], [[0.0]]])
+    def test_smith_sigma_must_be_nonsingular(self, sigma):
+        with pytest.raises(DomainError, match="positive definite"):
+            Smith(CovarianceMatrix(np.array(sigma)))
+        with pytest.raises(DomainError, match="positive definite"):
+            model_from_dict({"model": "smith", "sigma": sigma})
 
     def test_csv_export(self, rng, tmp_path):
         values, hits = simulate_max_stable_batch(Logistic(0.5), PAIR, 10, rng)
