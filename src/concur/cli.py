@@ -32,6 +32,7 @@ from .pipeline import (
     read_stations_csv,
     read_strata_csv,
     seasonal_blocks,
+    station_points,
     write_cells_csv,
     write_extremes_csv,
     write_grid_csv,
@@ -97,19 +98,16 @@ def _read_sites_csv(path: str) -> np.ndarray:
 
 
 def _parse_grid(spec: str):
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise DomainError("grid must look like lat0:lat1:nlat,lon0:lon1:nlon")
-    axes = []
-    for part in parts:
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise DomainError("each grid axis must look like start:stop:count")
-        start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
-        if count < 1:
-            raise DomainError("grid axis count must be >= 1")
-        axes.append(np.linspace(start, stop, count))
-    return axes[0], axes[1]
+    """The latitude and longitude axes of a lat0:lat1:nlat,lon0:lon1:nlon grid."""
+    try:
+        axes = [(float(a), float(b), int(n)) for a, b, n in (p.split(":") for p in spec.split(","))]
+        lat, lon = axes
+    except ValueError:
+        raise DomainError(f"grid {spec!r} must look like lat0:lat1:nlat,lon0:lon1:nlon, "
+                          f"with whole counts") from None
+    if min(lat[2], lon[2]) < 1:
+        raise DomainError("grid axis count must be >= 1")
+    return np.linspace(*lat), np.linspace(*lon)
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +129,18 @@ def _cmd_estimate(args, rng: SeededRng) -> None:
     names = tuple(header)
     if args.pairs:
         labels = [s.strip() for s in args.pairs.split(",")]
-        idx = [names.index(s) if s in names else int(s) for s in labels]
-        data = data[:, idx]
+        bad = [s for s in labels if s not in names and not (s.isdigit() and int(s) < len(names))]
+        if bad:
+            raise DomainError(f"--pairs: no column named or numbered {bad[0]!r}")
+        data = data[:, [names.index(s) if s in names else int(s) for s in labels]]
         names = tuple(labels)
     sample = Sample(data, names)
     estimate = estimator(args.method, args.block_size, jackknife=args.jackknife)
+    result = {k: None if v is None else v[0].item()
+              for k, v in estimate(sample.data[None]).items()}
     _emit_json({"command": "estimate", "method": args.method, "n": sample.n,
                 "k": sample.k, "ties_detected": sample.has_ties,
-                "pairs": ",".join(names), "m": args.block_size, **estimate(sample)}, args.out)
+                "pairs": ",".join(names), "m": args.block_size, **result}, args.out)
 
 
 def _cmd_simulate(args, rng: SeededRng) -> None:
@@ -193,7 +195,7 @@ def _cmd_map(args, rng: SeededRng) -> None:
     matrix = read_matrix_csv(args.matrix)
     stations = read_stations_csv(args.stations)
     lats, lons = _parse_grid(args.grid)
-    pts = np.array([stations[s] for s in matrix.station_ids])
+    pts = station_points(matrix.station_ids, stations)
     rows = grid_map(pts, matrix.row(args.anchor), lats, lons, idw_power=args.idw_power)
     out = _require_out(args)
     write_grid_csv(rows, out)

@@ -17,10 +17,15 @@ All estimators compare observations componentwise with strict inequalities,
 so every output is invariant under strictly increasing per-coordinate
 transformations; ties count as non-dominance and are flagged on the Sample.
 
+Each estimator is one function of a (reps, n, k) stack of samples that
+holds its formula and input checks and returns one value per replicate;
+``ESTIMATORS`` names them, and the single-sample functions (``ecp_kendall``,
+``sample_cp_block``, ...) are their one-replicate case.
+
 Cost.  Every estimator except the block one reduces to one counting kernel,
 ``_below``: for each observation, how many others lie strictly below it at
-every coordinate (optionally a weighted sum over them), with a leading
-replicate axis so single samples and batches share it.  One coordinate
+every coordinate (optionally a weighted sum over them), per replicate of
+the stack.  One coordinate
 costs a sort, O(n log n); a pair costs a sort and a bottom-up merge,
 O(n log^2 n), from 512 observations on (Knight 1966); smaller pairs and
 k >= 3 compare all pairs, O(k n^2), one contiguous column at a time, so
@@ -44,6 +49,7 @@ At n = 16 000 (2-core Xeon, NumPy 2.4) ``dominance_counts`` of a pair takes
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,10 +118,6 @@ def jitter_ties(sample: Sample, resolution: float, rng: RngLike) -> Sample:
     g = as_generator(rng)
     noise = g.uniform(-0.5 * resolution, 0.5 * resolution, size=sample.data.shape)
     return Sample(sample.data + noise, sample.names)
-
-
-def _as_sample(data) -> Sample:
-    return data if isinstance(data, Sample) else Sample(np.asarray(data, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -212,81 +214,113 @@ def _below_merge(xc, yc, w):
 
 
 # ---------------------------------------------------------------------------
-# dominance counts and block indicators
+# input checks shared by every estimator
+
+def _as_stack(data) -> np.ndarray:
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
+        raise DomainError(f"expected a 3-d (reps, n, k) stack with n >= 2 and k >= 2, "
+                          f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("sample values must be finite")
+    return x
+
+
+def _one(data) -> np.ndarray:
+    """A single sample, checked as a :class:`Sample`, as a one-replicate stack."""
+    return (data if isinstance(data, Sample) else Sample(data)).data[None]
+
+
+def _block_size(m, least: int, n: int) -> int:
+    if not (isinstance(m, (int, np.integer)) and least <= m <= n):
+        raise DomainError(f"block size must be an integer in [{least}, n = {n}], got {m!r}")
+    return int(m)
+
+
+# ---------------------------------------------------------------------------
+# dominance counts, block and bootstrap estimators
+
+def dominance_counts_batch(data) -> np.ndarray:
+    """d_i = #{l != i : X_l(s_j) < X_i(s_j) for every coordinate j}, per
+    replicate of a (reps, n, k) stack."""
+    return _below(_as_stack(data))
+
 
 def dominance_counts(data) -> np.ndarray:
-    """d_i = #{l != i : X_l(s_j) < X_i(s_j) for every coordinate j}."""
-    return _below(_as_sample(data).data[None])[0]
+    """Dominance counts of one sample: :func:`dominance_counts_batch`."""
+    return dominance_counts_batch(_one(data))[0]
 
 
-def _block_indicators(blocks: np.ndarray) -> np.ndarray:
-    """Concurrence indicator per block for (..., m, k) stacked blocks.
-
-    A block is concurrent when one observation strictly dominates all the
-    others at every coordinate: the per-coordinate maxima must be unique
-    and attained by a single common row.
-    """
-    mx = blocks.max(axis=-2, keepdims=True)
-    eq = blocks == mx
-    unique = eq.sum(axis=-2) == 1
-    full_row = eq.all(axis=-1)
-    return unique.all(axis=-1) & full_row.any(axis=-1)
-
-
-def sample_cp_block(data, m: int) -> float:
-    """Share of the floor(n/m) disjoint blocks containing a dominator.
+def block_cp_batch(data, m: int) -> np.ndarray:
+    """Share of the floor(n/m) disjoint blocks containing a dominator, per
+    replicate of a (reps, n, k) stack.
 
     Unbiased for the m-observation sample concurrence probability p_m.
     m = 1 degenerately returns 1 (a singleton always dominates itself).
     """
-    s = _as_sample(data)
-    m = int(m)
-    if m < 1:
-        raise DomainError("block size must be >= 1")
-    if m > s.n:
-        raise DomainError(f"block size {m} exceeds the sample size {s.n}")
-    nb = s.n // m
-    blocks = s.data[: nb * m].reshape(nb, m, s.k)
-    return float(_block_indicators(blocks).mean())
+    x = _as_stack(data)
+    reps, n, k = x.shape
+    m = _block_size(m, 1, n)
+    nb = n // m
+    blocks = x[:, : nb * m].reshape(reps, nb, m, k)
+    # a block concurs when one row strictly dominates the others at every
+    # coordinate: each coordinate's maximum is unique and one row holds all
+    eq = blocks == blocks.max(axis=2, keepdims=True)
+    return ((eq.sum(axis=2) == 1).all(axis=2) & eq.all(axis=3).any(axis=2)).mean(axis=1)
 
 
-def sample_cp_bootstrap(data, m: int) -> float:
-    """Rao--Blackwellized block estimator: sum_i C(d_i, m-1) / C(n, m).
+def sample_cp_block(data, m: int) -> float:
+    """Block estimator of one sample: :func:`block_cp_batch`."""
+    return float(block_cp_batch(_one(data), m)[0])
+
+
+def bootstrap_cp_batch(data, m: int) -> np.ndarray:
+    """Rao--Blackwellized block estimator sum_i C(d_i, m-1) / C(n, m), per
+    replicate of a (reps, n, k) stack.
 
     Exact evaluation (via log-space binomial ratios) of the average of the
     block estimator over all n! orderings of the sample.
     """
-    s = _as_sample(data)
-    m = int(m)
-    if m < 2:
-        raise DomainError("block size must be >= 2")
-    if m > s.n:
-        raise DomainError(f"block size {m} exceeds the sample size {s.n}")
-    d = dominance_counts(s)
-    return float(np.asarray(log_binom_ratio(d, m, s.n)).sum())
+    x = _as_stack(data)
+    n = x.shape[1]
+    return log_binom_ratio(_below(x), _block_size(m, 2, n), n).sum(axis=1)
+
+
+def sample_cp_bootstrap(data, m: int) -> float:
+    """Bootstrap estimator of one sample: :func:`bootstrap_cp_batch`."""
+    return float(bootstrap_cp_batch(_one(data), m)[0])
 
 
 @dataclass(frozen=True)
 class UnbiasedEstimate:
-    """Raw unbiased bivariate estimate plus a [0, 1]-clipped convenience value."""
+    """Raw unbiased bivariate estimate plus a [0, 1]-clipped convenience value,
+    per replicate for a stack."""
 
-    value: float
-    clipped: float
+    value: float | np.ndarray
+    clipped: float | np.ndarray
+
+
+def unbiased_modification(star, m: int):
+    """(m p*_m - 1) / (m - 1) of bootstrap estimates p*_m."""
+    return (m * star - 1.0) / (m - 1.0)
+
+
+def unbiased_cp_batch(data, m: int) -> UnbiasedEstimate:
+    """The unbiased modification of the bootstrap estimator, per replicate of
+    a (reps, n, 2) stack: unbiased for the extremal concurrence probability
+    of a max-stable pair.  The identity is bivariate only; the raw value may
+    be negative and is reported unclipped."""
+    x = _as_stack(data)
+    if x.shape[2] != 2:
+        raise CapabilityError("the unbiased modification is only valid for pairs (k = 2)")
+    value = unbiased_modification(bootstrap_cp_batch(x, m), m)
+    return UnbiasedEstimate(value=value, clipped=np.clip(value, 0.0, 1.0))
 
 
 def sample_cp_unbiased(data, m: int) -> UnbiasedEstimate:
-    """(m p*_m - 1) / (m - 1): unbiased for the extremal concurrence
-    probability of a max-stable pair.  The identity is bivariate only;
-    the raw value may be negative and is reported unclipped."""
-    s = _as_sample(data)
-    if s.k != 2:
-        raise CapabilityError("the unbiased modification is only valid for pairs (k = 2)")
-    m = int(m)
-    if m < 2:
-        raise DomainError("block size must be >= 2")
-    star = sample_cp_bootstrap(s, m)
-    value = (m * star - 1.0) / (m - 1.0)
-    return UnbiasedEstimate(value=value, clipped=min(max(value, 0.0), 1.0))
+    """Unbiased modification for one sample: :func:`unbiased_cp_batch`."""
+    est = unbiased_cp_batch(_one(data), m)
+    return UnbiasedEstimate(value=float(est.value[0]), clipped=float(est.clipped[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +328,10 @@ def sample_cp_unbiased(data, m: int) -> UnbiasedEstimate:
 
 @dataclass(frozen=True)
 class KendallEstimate:
-    estimate: float
-    stderr: float
+    """Kendall's tau and its jackknife stderr, per replicate for a stack."""
+
+    estimate: float | np.ndarray
+    stderr: float | np.ndarray
     n: int
 
 
@@ -320,12 +356,9 @@ def _kendall_rows(x: np.ndarray, ties: bool):
     return rows, n - 1 - m[:, 0] - m[:, 2], n - 1 - m[:, 1] - m[:, 3]
 
 
-def _name_of(s: Sample, j: int) -> str:
-    return f" ({s.names[j]!r})" if s.names is not None else ""
-
-
-def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
-    """Kendall's tau of a pair of coordinates with delete-one jackknife stderr.
+def kendall_batch(data, tie_adjusted: bool = False) -> KendallEstimate:
+    """Kendall's tau with delete-one jackknife stderr, per replicate of a
+    (reps, n, 2) stack.
 
     For max-stable pairs tau equals the extremal concurrence probability,
     so the statistic doubles as an unbiased concurrence estimator.  Tied
@@ -336,39 +369,45 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
     removal leaves a coordinate constant (its jackknife value is 0/0).
     The stderr is NaN when n < 3.
     """
-    s = _as_sample(data)
-    if s.k != 2:
+    x = _as_stack(data)
+    reps, n, k = x.shape
+    if k != 2:
         raise CapabilityError("Kendall's tau is a pairwise statistic (k = 2)")
-    n = s.n
-    rows, tie_x, tie_y = _kendall_rows(s.data[None], tie_adjusted)
-    rows = rows[0]
-    total = rows.sum() / 2.0
+    rows, tie_x, tie_y = _kendall_rows(x, tie_adjusted)
+    total = rows.sum(axis=1) / 2.0
     pairs_n = n * (n - 1) / 2.0
     pairs_loo = (n - 1) * (n - 2) / 2.0
     if tie_adjusted:
-        tie_x, tie_y = tie_x[0], tie_y[0]
-        tx, ty = tie_x.sum(), tie_y.sum()
+        tx, ty = tie_x.sum(axis=1), tie_y.sum(axis=1)
         for j, t in enumerate((tx, ty)):
-            if t == n * (n - 1):
-                raise DomainError(f"coordinate {j}{_name_of(s, j)} is constant, so the "
-                                  f"tie-adjusted Kendall tau is 0/0")
-        tau = total / math.sqrt((pairs_n - tx / 2.0) * (pairs_n - ty / 2.0))
+            const = np.flatnonzero(t == n * (n - 1))
+            if const.size:
+                raise DomainError(f"replicate {const[0]}: coordinate {j} is constant, so "
+                                  f"the tie-adjusted Kendall tau is 0/0")
+        tau = total / np.sqrt((pairs_n - tx / 2.0) * (pairs_n - ty / 2.0))
         # untied pairs per margin once row i is left out
-        loo_x = pairs_loo - (tx - 2 * tie_x) / 2.0
-        loo_y = pairs_loo - (ty - 2 * tie_y) / 2.0
+        loo_x = pairs_loo - (tx[:, None] - 2 * tie_x) / 2.0
+        loo_y = pairs_loo - (ty[:, None] - 2 * tie_y) / 2.0
         for j, d in enumerate((loo_x, loo_y)):
             if n >= 3 and not d.all():
-                raise DomainError(f"leaving out row {int(np.argmin(d))} makes coordinate "
-                                  f"{j}{_name_of(s, j)} constant, so that delete-one "
-                                  f"tie-adjusted Kendall tau is 0/0")
+                r, i = np.argwhere(d == 0)[0]
+                raise DomainError(f"replicate {r}: leaving out row {i} makes coordinate {j} "
+                                  f"constant, so that delete-one tie-adjusted Kendall tau "
+                                  f"is 0/0")
         pairs_loo = np.sqrt(loo_x * loo_y)
     else:
         tau = total / pairs_n
     if n < 3:
-        return KendallEstimate(estimate=float(tau), stderr=float("nan"), n=n)
-    loo = (total - rows) / pairs_loo
-    var = (n - 1) / n * float(((loo - loo.mean()) ** 2).sum())
-    return KendallEstimate(estimate=float(tau), stderr=math.sqrt(var), n=n)
+        return KendallEstimate(estimate=tau, stderr=np.full(reps, np.nan), n=n)
+    loo = (total[:, None] - rows) / pairs_loo
+    var = (n - 1) / n * ((loo - loo.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    return KendallEstimate(estimate=tau, stderr=np.sqrt(var), n=n)
+
+
+def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
+    """Kendall's tau of one pair sample: :func:`kendall_batch`."""
+    est = kendall_batch(_one(data), tie_adjusted)
+    return KendallEstimate(estimate=float(est.estimate[0]), stderr=float(est.stderr[0]), n=est.n)
 
 
 # ---------------------------------------------------------------------------
@@ -395,105 +434,103 @@ def _at_least(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 
 def _mean_log_ecdf(xj: np.ndarray, want_loo: bool):
-    """T = mean_i log(N_i / n) for the self-inclusive joint empirical CDF
-    N_i = #{l : X_l <= X_i componentwise}; optionally the delete-one values."""
-    n = xj.shape[0]
-    counts = _at_least(-xj[None])[0]
+    """T = mean_i log(N_i / n) per replicate of a (reps, n, |J|) stack, for
+    the self-inclusive joint empirical CDF N_i = #{l : X_l <= X_i
+    componentwise}; optionally the (reps, n) delete-one values."""
+    n = xj.shape[1]
+    counts = _at_least(-xj)
     logs = np.log(counts)
-    t_full = float(logs.mean()) - math.log(n)
+    t_full = logs.mean(axis=1) - math.log(n)
     if not want_loo:
         return t_full, None
-    a_total = float(logs.sum())
+    a_total = logs.sum(axis=1, keepdims=True)
     w_self = logs - np.log(np.maximum(counts - 1, 1))
     # sum over the rows each observation is <= of, itself included
-    dom_w_sum = _at_least(xj[None], w_self[None])[0]
+    dom_w_sum = _at_least(xj, w_self)
     # T_(l) = [A - log N_l - (sum_i D_li w_i - w_l)] / (n-1) - log(n-1)
     t_loo = (a_total - logs - (dom_w_sum - w_self)) / (n - 1) - math.log(n - 1)
     return t_full, t_loo
 
 
-def ecp_multivariate_log(data, subset=None, jackknife: bool = False) -> float:
-    """Inclusion-exclusion estimator of p(s_j, j in subset) from log empirical CDFs.
+def mvlog_batch(data, subset=None, jackknife: bool = False) -> np.ndarray:
+    """Inclusion-exclusion estimator of p(s_j, j in subset) from log empirical
+    CDFs, per replicate of a (reps, n, k) stack.
 
     Sums (-1)^{|J|} mean_i log F_hat_J(X_i) over nonempty J, where the
     empirical CDF includes the observation itself so every logarithm is
     finite.  ``jackknife=True`` returns the delete-one bias-reduced value,
     n p - (n-1) mean(p_loo).
     """
-    s = _as_sample(data)
-    idx = list(range(s.k)) if subset is None else list(subset)
+    x = _as_stack(data)
+    reps, n, k = x.shape
+    idx = list(range(k)) if subset is None else list(subset)
     if len(idx) < 2:
         raise DomainError("need at least two coordinates")
-    if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= s.k:
+    if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= k:
         raise DomainError("subset indices out of range or repeated")
-    x = s.data[:, idx]
-    n = s.n
     if jackknife and n < 3:
         raise DomainError("jackknife needs n >= 3")
-    total = 0.0
-    loo_total = np.zeros(n) if jackknife else None
+    x = x[:, :, idx]
+    total = np.zeros(reps)
+    loo_total = np.zeros((reps, n)) if jackknife else None
     for r in range(1, len(idx) + 1):
         sign = (-1.0) ** r
         for J in itertools.combinations(range(len(idx)), r):
-            t_full, t_loo = _mean_log_ecdf(x[:, list(J)], jackknife)
+            t_full, t_loo = _mean_log_ecdf(x[:, :, list(J)], jackknife)
             total += sign * t_full
             if jackknife:
                 loo_total += sign * t_loo
     if not jackknife:
-        return float(total)
-    return float(n * total - (n - 1) * loo_total.mean())
+        return total
+    return n * total - (n - 1) * loo_total.mean(axis=1)
+
+
+def ecp_multivariate_log(data, subset=None, jackknife: bool = False) -> float:
+    """Multivariate log estimator of one sample: :func:`mvlog_batch`."""
+    return float(mvlog_batch(_one(data), subset, jackknife)[0])
 
 
 # ---------------------------------------------------------------------------
 # estimators by name
 
-def _kendall(data, m, jackknife) -> dict:
-    est = ecp_kendall(data)
-    return {"estimate": est.estimate, "stderr": est.stderr}
-
-
-def _mvlog(data, m, jackknife) -> dict:
-    return {"estimate": ecp_multivariate_log(data, jackknife=jackknife), "stderr": None}
-
-
-def _block(data, m, jackknife) -> dict:
-    return {"estimate": sample_cp_block(data, m), "stderr": None}
-
-
-def _bootstrap(data, m, jackknife) -> dict:
-    return {"estimate": sample_cp_bootstrap(data, m), "stderr": None}
-
-
-def _unbiased(data, m, jackknife) -> dict:
-    est = sample_cp_unbiased(data, m)
-    return {"estimate": est.value, "clipped": est.clipped, "stderr": None}
-
-
-# name -> (estimator, whether it needs a block size)
 ESTIMATORS = {
-    "kendall": (_kendall, False),
-    "block": (_block, True),
-    "bootstrap": (_bootstrap, True),
-    "unbiased": (_unbiased, True),
-    "mvlog": (_mvlog, False),
+    "kendall": kendall_batch,
+    "block": block_cp_batch,
+    "bootstrap": bootstrap_cp_batch,
+    "unbiased": unbiased_cp_batch,
+    "mvlog": mvlog_batch,
 }
+_NEEDS_BLOCK = ("block", "bootstrap", "unbiased")
 
 
 def estimator(method: str, block_size: int | None = None, jackknife: bool = False):
-    """The named concurrence estimator as a function of the data.
+    """The named concurrence estimator as a function of a (reps, n, k) stack.
 
-    It returns a dict with ``estimate`` and ``stderr`` (None when the
-    estimator has none; ``unbiased`` adds ``clipped``).  An unknown name or
-    a missing block size raises :class:`DomainError` here, before any data
-    is seen.  ``jackknife`` applies to ``mvlog`` only.
+    It returns a dict of per-replicate arrays: ``estimate`` and ``stderr``
+    (None when the estimator has none; ``unbiased`` adds ``clipped``).  An
+    unknown name or a missing block size raises :class:`DomainError` here,
+    before any data is seen.  ``jackknife`` applies to ``mvlog`` only.
     """
     if method not in ESTIMATORS:
         raise DomainError(f"unknown estimator method {method!r}; "
                           f"choose one of {tuple(ESTIMATORS)}")
-    fn, needs_block = ESTIMATORS[method]
-    if needs_block and not block_size:
-        raise DomainError(f"method {method!r} requires a block size")
-    return lambda data: fn(data, block_size, jackknife)
+    fn = ESTIMATORS[method]
+    if method in _NEEDS_BLOCK:
+        if not block_size:
+            raise DomainError(f"method {method!r} requires a block size")
+        fn = functools.partial(fn, m=block_size)
+    elif method == "mvlog":
+        fn = functools.partial(fn, jackknife=jackknife)
+
+    def estimate(data) -> dict:
+        out = fn(data)
+        if isinstance(out, KendallEstimate):
+            return {"estimate": out.estimate, "stderr": out.stderr}
+        if isinstance(out, UnbiasedEstimate):
+            return {"estimate": out.value, "clipped": out.clipped, "stderr": None}
+        return {"estimate": out, "stderr": None}
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -542,64 +579,6 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
 
 
 # ---------------------------------------------------------------------------
-# batch kernels (replicate studies)
-
-def _as_stack(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 3 or x.shape[1] < 2:
-        raise DomainError(f"expected a 3-d (reps, n, k) stack with n >= 2, got shape {x.shape}")
-    return x
-
-
-def block_cp_batch(data: np.ndarray, m: int) -> np.ndarray:
-    """Block estimator per replicate for a (reps, n, k) stack."""
-    data = _as_stack(data)
-    reps, n, k = data.shape
-    nb = n // m
-    if nb < 1:
-        raise DomainError("block size exceeds the sample size")
-    blocks = data[:, : nb * m, :].reshape(reps, nb, m, k)
-    return _block_indicators(blocks).mean(axis=1)
-
-
-def dominance_counts_batch(data: np.ndarray) -> np.ndarray:
-    """Dominance counts per replicate for a (reps, n, k) stack."""
-    return _below(_as_stack(data))
-
-
-def bootstrap_cp_batch(data: np.ndarray, m: int) -> np.ndarray:
-    """Rao--Blackwellized estimator per replicate for a (reps, n, k) stack."""
-    d = dominance_counts_batch(data)
-    return np.asarray(log_binom_ratio(d, m, d.shape[1])).sum(axis=1)
-
-
-def kendall_batch(data: np.ndarray, tie_adjusted: bool = False) -> np.ndarray:
-    """Kendall's tau per replicate for a (reps, n, 2) stack.
-
-    ``tie_adjusted`` switches to the tau-b denominator, which matters only
-    for data with atoms (e.g. heavily perturbed spectral profiles); a
-    replicate with a constant coordinate, whose tau-b is 0/0, then raises
-    :class:`DomainError`.
-    """
-    data = _as_stack(data)
-    if data.shape[2] != 2:
-        raise DomainError("kendall_batch expects pairs")
-    n = data.shape[1]
-    rows, tie_x, tie_y = _kendall_rows(data, tie_adjusted)
-    s_val = rows.sum(axis=1).astype(float)
-    pairs_n = n * (n - 1)
-    if not tie_adjusted:
-        return s_val / pairs_n
-    tx, ty = tie_x.sum(axis=1), tie_y.sum(axis=1)
-    for j, t in enumerate((tx, ty)):
-        const = np.flatnonzero(t == pairs_n)
-        if const.size:
-            raise DomainError(f"replicate {const[0]} has constant coordinate {j}, so its "
-                              f"tie-adjusted Kendall tau is 0/0")
-    return s_val / np.sqrt((pairs_n - tx).astype(float) * (pairs_n - ty))
-
-
-# ---------------------------------------------------------------------------
 # bias law
 
 @dataclass(frozen=True)
@@ -633,8 +612,7 @@ def bias_law_check(model: ModelSpec, sites, m_list, reps: int, n: int,
         raise DomainError("the bias law check is bivariate")
     rows = []
     for m in m_list:
-        m = int(m)
         est = block_cp_batch(data, m)
-        rows.append(BiasLawRow(m=m, mean_estimate=float(est.mean()),
+        rows.append(BiasLawRow(m=int(m), mean_estimate=float(est.mean()),
                                theoretical=p + (1.0 - p) / m))
     return rows

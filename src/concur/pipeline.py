@@ -267,14 +267,18 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
                     min_overlap: int = 3, block_size: int | None = None) -> ConcurrenceMatrix:
     """Pairwise concurrence estimates over stations from seasonal extremes.
 
-    Years are matched pairwise-complete; pairs with fewer than
-    ``min_overlap`` common years stay NaN.  ``anchor`` restricts the
-    computation to one station's row (plus the unit diagonal).  The method
-    name and block size are checked before any pair is estimated.
+    Years are matched pairwise-complete, and the estimator runs once per
+    set of common years on the stack of pairs sharing it (once in all on
+    complete data); pairs with fewer than ``min_overlap`` common years stay
+    NaN.  ``anchor`` restricts the computation to one station's row (plus
+    the unit diagonal).  The method name and block size are checked before
+    any pair is estimated.
     """
     estimate = estimator(method, block_size)
     series: dict[str, dict[int, float]] = {}
     for e in extremes:
+        if not math.isfinite(e.value):
+            raise DomainError(f"extreme of station {e.station_id} in {e.year} is not finite")
         series.setdefault(e.station_id, {})[e.year] = e.value
     ids = tuple(sorted(series))
     s_count = len(ids)
@@ -282,26 +286,29 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
         raise DomainError("need at least two stations")
     if anchor is not None and anchor not in ids:
         raise DomainError(f"anchor station {anchor!r} not present")
-    est = np.full((s_count, s_count), np.nan)
-    err = np.full((s_count, s_count), np.nan)
-    npairs = np.zeros((s_count, s_count), dtype=np.int64)
-    np.fill_diagonal(est, 1.0)
-    np.fill_diagonal(err, 0.0)
-    for i, sid in enumerate(ids):
-        npairs[i, i] = len(series[sid])
-
-    for i in range(s_count):
-        for j in range(i + 1, s_count):
-            if anchor is not None and anchor not in (ids[i], ids[j]):
-                continue
-            a, b = series[ids[i]], series[ids[j]]
-            years = sorted(set(a) & set(b))
-            npairs[i, j] = npairs[j, i] = len(years)
-            if len(years) < max(min_overlap, 2):
-                continue
-            r = estimate(np.array([[a[y], b[y]] for y in years]))
-            est[i, j] = est[j, i] = r["estimate"]
-            err[i, j] = err[j, i] = np.nan if r["stderr"] is None else r["stderr"]
+    years = sorted(set().union(*series.values()))
+    values = np.array([[series[sid].get(y, np.nan) for y in years] for sid in ids])
+    present = ~np.isnan(values)
+    common = present.astype(np.int64) @ present.T.astype(np.int64)
+    eye = np.eye(s_count, dtype=bool)
+    est, err, npairs = np.where(eye, 1.0, np.nan), np.where(eye, 0.0, np.nan), common * eye
+    i, j = np.triu_indices(s_count, 1)
+    if anchor is not None:
+        keep = (np.array(ids)[i] == anchor) | (np.array(ids)[j] == anchor)
+        i, j = i[keep], j[keep]
+    npairs[i, j] = npairs[j, i] = common[i, j]
+    enough = common[i, j] >= max(min_overlap, 2)
+    i, j = i[enough], j[enough]
+    # rows of common-year bits, packed so that the sort compares bytes
+    packed, group, counts = np.unique(np.packbits(present[i] & present[j], axis=1), axis=0,
+                                      return_inverse=True, return_counts=True)
+    keys = np.unpackbits(packed, axis=1, count=len(years)).astype(bool)
+    groups = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    for key, sel in zip(keys, groups):
+        gi, gj = i[sel], j[sel]
+        r = estimate(values[:, key][np.column_stack([gi, gj])].transpose(0, 2, 1))
+        est[gi, gj] = est[gj, gi] = r["estimate"]
+        err[gi, gj] = err[gj, gi] = np.nan if r["stderr"] is None else r["stderr"]
     return ConcurrenceMatrix(station_ids=ids, estimates=est, stderr=err,
                              n_pairs=npairs, method=method)
 
@@ -361,8 +368,8 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     ``values`` holds one value per station, or one such row per map; every
     map comes from one distance matrix.  Interpolation happens on the logit
     scale and maps back into [0, 1].  A row's NaN entries are left out of
-    its map, and a grid node coinciding with a station reproduces that
-    station's value exactly when it is finite (the first such station in
+    its map, and a grid node coinciding with a station takes that station's
+    value, clipped into [0, 1], when it is finite (the first such station in
     station order).  Returns rows (lat, lon, value of each map) over the
     lat x lon product.
     """
@@ -390,7 +397,7 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     on = np.flatnonzero(exact.any(axis=1))
     hit = exact[on][None, :, :] & ok[:, None, :]
     rows, cols = np.nonzero(hit.any(axis=2))
-    out[rows, on[cols]] = values[rows, hit.argmax(axis=2)[rows, cols]]
+    out[rows, on[cols]] = np.clip(values[rows, hit.argmax(axis=2)[rows, cols]], 0.0, 1.0)
     return np.column_stack([glat, glon, out.T])
 
 
@@ -420,6 +427,15 @@ class CellAreaRow:
     anomaly: float
 
 
+def station_points(ids, station_coords: dict) -> np.ndarray:
+    """(lat, lon) rows of the stations ``ids``; a station without
+    coordinates raises :class:`DomainError`."""
+    missing = [s for s in ids if s not in station_coords]
+    if missing:
+        raise DomainError(f"no coordinates for stations {missing[:5]}")
+    return np.array([station_coords[s] for s in ids], dtype=float)
+
+
 def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
                             grid_lats, grid_lons, anchors=None,
                             idw_power: float = 2.0) -> dict[str, float]:
@@ -427,7 +443,7 @@ def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
     anchors' concurrence rows onto the grid and integrate with cos-lat weights."""
     ids = matrix.station_ids
     anchors = list(ids) if anchors is None else list(anchors)
-    pts = np.array([station_coords[s] for s in ids], dtype=float)
+    pts = station_points(ids, station_coords)
     rows = np.array([matrix.row(a) for a in anchors]).reshape(len(anchors), len(ids))
     maps = grid_map(pts, rows, grid_lats, grid_lons, idw_power=idw_power)[:, 2:]
     weights = cos_lat_weights(grid_lats, grid_lons)
@@ -435,25 +451,18 @@ def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
 
 
 def expected_cell_area_model(model, grid_sites, weights, reps: int,
-                             rng: RngLike = None,
-                             anchors=None):
+                             rng: RngLike = None):
     """Mean concurrence-cell volume per anchor site from simulated labels.
 
-    Returns (areas, stderrs) arrays over the requested anchor indices.
+    Returns (areas, stderrs) arrays over the grid sites.
     """
     labels = simulate_cell_labels(model, grid_sites, reps, rng)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != labels.shape[1]:
         raise DomainError("weights length must match the grid size")
-    anchor_idx = np.arange(labels.shape[1]) if anchors is None else np.asarray(list(anchors))
-    areas = np.empty(anchor_idx.size)
-    errs = np.empty(anchor_idx.size)
-    for pos, a in enumerate(anchor_idx):
-        member = labels == labels[:, int(a)][:, None]
-        per_rep = member @ w
-        areas[pos] = per_rep.mean()
-        errs[pos] = per_rep.std(ddof=1) / math.sqrt(labels.shape[0])
-    return areas, errs
+    # per anchor, the weight of its cell in each realization
+    per_rep = np.array([(labels == labels[:, [a]]) @ w for a in range(labels.shape[1])])
+    return per_rep.mean(axis=1), per_rep.std(axis=1, ddof=1) / math.sqrt(labels.shape[0])
 
 
 def read_strata_csv(path) -> dict[int, str]:

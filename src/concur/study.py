@@ -29,7 +29,8 @@ import numpy as np
 
 from .concurrence import concurrence_probability
 from .errors import DomainError
-from .estimators import block_cp_batch, bootstrap_cp_batch, kendall_batch, optimal_block_size, block_mse
+from .estimators import (block_cp_batch, block_mse, bootstrap_cp_batch, kendall_batch,
+                         optimal_block_size, unbiased_modification)
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .simulate import simulate_doa, simulate_max_stable_batch
 from .specfun import SeededRng
@@ -131,8 +132,8 @@ def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
                 cell += 1
                 data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(cell))
                 star = bootstrap_cp_batch(data, m)
-                unbiased = (m * star - 1.0) / (m - 1.0)
-                tau = kendall_batch(data, tie_adjusted=True)
+                unbiased = unbiased_modification(star, m)
+                tau = kendall_batch(data, tie_adjusted=True).estimate
                 for name, vals in (("bootstrap", star), ("unbiased", unbiased), ("kendall", tau)):
                     rows.append({"experiment": "table1", "p_target": p_target,
                                  "lag": h, "n": n, "n0": "inf" if n0 is None else n0,
@@ -175,7 +176,7 @@ def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
             for n0 in n0s:
                 cell += 1
                 data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(50_000 + cell))
-                tau = kendall_batch(data, tie_adjusted=True)
+                tau = kendall_batch(data, tie_adjusted=True).estimate
                 rows.append({"experiment": "fig2", "p_target": p_target, "lag": h,
                              "n": n, "n0": "inf" if n0 is None else n0,
                              "estimator": "kendall", "reps": cfg.reps,
@@ -201,8 +202,8 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
                 data = _simulate_block(model, sites, None, cfg.reps, n,
                                        rng.substream(70_000 + cell))
                 star = bootstrap_cp_batch(data, m)
-                unbiased = (m * star - 1.0) / (m - 1.0)
-                tau = kendall_batch(data, tie_adjusted=True)
+                unbiased = unbiased_modification(star, m)
+                tau = kendall_batch(data, tie_adjusted=True).estimate
                 for name, vals in (("bootstrap", star), ("unbiased", unbiased),
                                    ("kendall", tau)):
                     rows.append({"experiment": "fig3", "family": fam_name, "lag": h,

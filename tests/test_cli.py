@@ -181,21 +181,32 @@ MAP = ["map", "--matrix", "{matrix}", "--stations", "{stations}", "--anchor", "A
        "--grid", GRID]
 
 
-@pytest.mark.parametrize("bad, text, argv, line", [
-    ("matrix", "id1,id2,stderr,n_pairs\nA,B,0.1,5\n", MAP, 1),
-    ("stations", "station_id,lat,lon\nA,40,-100\nB,north,-101\n", MAP, 3),
-    ("extremes", EXTREMES + "A,JJA,2001,abc,1.0,max\n", ["matrix", "--input", "{extremes}"], 4),
-    ("strata", "year,label\n2000,nino\nabc,nada\n",
-     ["cells", "--extremes", "{extremes}", "--stations", "{stations}", "--grid", GRID,
-      "--strata", "{strata}"], 3),
-    ("table", "a,b\n1,2\n3,x\n", ["estimate", "--input", "{table}", "--method", "kendall"], 3),
-    ("table", "a,b\n1,2\n3\n", ["estimate", "--input", "{table}", "--method", "kendall"], 3),
-    ("sites", "x\n0.0\nabc\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], 3),
-    ("sites", "0.0\n1.0,2.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], 2),
+CELLS = ["cells", "--extremes", "{extremes}", "--stations", "{stations}", "--grid", GRID]
+ESTIMATE = ["estimate", "--input", "{table}", "--method", "kendall"]
+
+
+@pytest.mark.parametrize("bad, text, argv, message", [
+    ("matrix", "id1,id2,stderr,n_pairs\nA,B,0.1,5\n", MAP, "line 1"),
+    ("stations", "station_id,lat,lon\nA,40,-100\nB,north,-101\n", MAP, "line 3"),
+    ("extremes", EXTREMES + "A,JJA,2001,abc,1.0,max\n", ["matrix", "--input", "{extremes}"],
+     "line 4"),
+    ("strata", "year,label\n2000,nino\nabc,nada\n", CELLS + ["--strata", "{strata}"], "line 3"),
+    ("table", "a,b\n1,2\n3,x\n", ESTIMATE, "line 3"),
+    ("table", "a,b\n1,2\n3\n", ESTIMATE, "line 3"),
+    ("sites", "x\n0.0\nabc\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], "line 3"),
+    ("sites", "0.0\n1.0,2.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], "line 2"),
+    ("stations", "station_id,lat,lon\nA,40,-100\n", MAP, "no coordinates for stations ['B']"),
+    ("stations", "station_id,lat,lon\nA,40,-100\n", CELLS,
+     "no coordinates for stations ['B']"),
+    ("table", "a,b\n1,2\n3,4\n", ESTIMATE + ["--pairs", "a,bogus"], "'bogus'"),
+    ("table", "a,b\n1,2\n3,4\n", ESTIMATE + ["--pairs", "0,2"], "'2'"),
+    ("stations", STATIONS_CSV, MAP[:-1] + ["39:x:2,-101:-98:2"], "grid '39:x:2,-101:-98:2'"),
 ], ids=["matrix", "stations", "extremes", "strata", "table", "table_ragged", "sites",
-        "sites_ragged"])
-def test_malformed_csv_names_line(capsys, tmp_path, bad, text, argv, line):
-    # every other file the command reads is well formed
+        "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
+        "pairs_column_out_of_range", "grid_not_a_number"])
+def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
+    # every other file the command reads is well formed; no case may end in
+    # a traceback, and a malformed file names its line
     files = {"matrix": MATRIX, "stations": STATIONS_CSV, "extremes": EXTREMES,
              "model": json.dumps({"model": "logistic", "alpha": 0.5}), bad: text}
     paths = {}
@@ -205,4 +216,4 @@ def test_malformed_csv_names_line(capsys, tmp_path, bad, text, argv, line):
     code = main(["--out", str(tmp_path / "out.csv")]
                 + [a.format(**paths) for a in argv])
     assert code == 2
-    assert f"line {line}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

@@ -33,6 +33,8 @@ from concur.estimators import (
     bootstrap_cp_batch,
     dominance_counts_batch,
     kendall_batch,
+    mvlog_batch,
+    unbiased_cp_batch,
 )
 
 
@@ -226,7 +228,7 @@ class TestKendall:
         # jackknife SE should track the true sampling SD within ~30%
         reps, n = 200, 200
         data = logistic_data(0.5, 2, reps * n, seed=7).reshape(reps, n, 2)
-        taus = kendall_batch(data)
+        taus = kendall_batch(data).estimate
         se_hat = ecp_kendall(data[0]).stderr
         sd_true = taus.std(ddof=1)
         assert 0.7 * sd_true < se_hat < 1.3 * sd_true
@@ -239,7 +241,7 @@ class TestKendall:
         x = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         with pytest.raises(DomainError, match="coordinate 0 is constant"):
             ecp_kendall(x, tie_adjusted=True)
-        with pytest.raises(DomainError, match="coordinate 1 \\('b'\\) is constant"):
+        with pytest.raises(DomainError, match="coordinate 1 is constant"):
             ecp_kendall(Sample(x[:, ::-1], names=("a", "b")), tie_adjusted=True)
         assert ecp_kendall(x).estimate == 0.0
 
@@ -248,7 +250,7 @@ class TestKendall:
         x = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
         with pytest.raises(DomainError, match="leaving out row 2 makes coordinate 0 constant"):
             ecp_kendall(x, tie_adjusted=True)
-        with pytest.raises(DomainError, match="row 2 makes coordinate 1 \\('b'\\) constant"):
+        with pytest.raises(DomainError, match="row 2 makes coordinate 1 constant"):
             ecp_kendall(Sample(x[:, ::-1], names=("a", "b")), tie_adjusted=True)
         assert math.isfinite(ecp_kendall(x).stderr)
         est = ecp_kendall(np.vstack([x, [3.0, 3.0]]), tie_adjusted=True)
@@ -257,12 +259,12 @@ class TestKendall:
     def test_batch_tie_adjusted_constant_coordinate_raises(self):
         data = np.stack([np.column_stack([np.zeros(5), np.arange(5.0)]),
                          np.column_stack([np.arange(5.0), np.arange(5.0)])])
-        with pytest.raises(DomainError, match="replicate 0 has constant coordinate 0"):
+        with pytest.raises(DomainError, match="replicate 0: coordinate 0 is constant"):
             kendall_batch(data, tie_adjusted=True)
-        with pytest.raises(DomainError, match="replicate 0 has constant coordinate 1"):
+        with pytest.raises(DomainError, match="replicate 0: coordinate 1 is constant"):
             kendall_batch(data[:, :, ::-1], tie_adjusted=True)
-        assert np.array_equal(kendall_batch(data), [0.0, 1.0])
-        assert kendall_batch(data[1:], tie_adjusted=True)[0] == 1.0
+        assert np.array_equal(kendall_batch(data).estimate, [0.0, 1.0])
+        assert kendall_batch(data[1:], tie_adjusted=True).estimate[0] == 1.0
 
 
 class TestMultivariateLog:
@@ -383,14 +385,61 @@ class TestBiasLaw:
             assert b <= a + 0.01
 
 
+STACK_ESTIMATORS = [
+    lambda d: block_cp_batch(d, 2), dominance_counts_batch, lambda d: bootstrap_cp_batch(d, 2),
+    lambda d: unbiased_cp_batch(d, 2), kendall_batch, mvlog_batch]
+
+# (single-sample function, stack function, smallest block size)
+BLOCK_ESTIMATORS = [(sample_cp_block, block_cp_batch, 1),
+                    (sample_cp_bootstrap, bootstrap_cp_batch, 2),
+                    (sample_cp_unbiased, unbiased_cp_batch, 2)]
+
+
 class TestBatchKernels:
-    @pytest.mark.parametrize("kernel", [
-        lambda d: block_cp_batch(d, 2), dominance_counts_batch,
-        lambda d: bootstrap_cp_batch(d, 2), kendall_batch])
+    @pytest.mark.parametrize("kernel", STACK_ESTIMATORS)
     @pytest.mark.parametrize("shape", [(5, 2), (4, 1, 2), (2, 3, 2, 2), (6,)])
     def test_need_a_3d_stack_with_two_observations(self, kernel, shape):
         with pytest.raises(DomainError, match="3-d"):
             kernel(np.zeros(shape))
+
+    @pytest.mark.parametrize("kernel", STACK_ESTIMATORS)
+    def test_values_must_be_finite(self, kernel):
+        # as for a Sample: an all-NaN stack used to give tau = 0 and p* = 0
+        for bad in (np.nan, np.inf):
+            x = np.arange(20.0).reshape(2, 5, 2)
+            x[1, 3, 0] = bad
+            with pytest.raises(DomainError, match="finite"):
+                kernel(x)
+        with pytest.raises(DomainError, match="finite"):
+            kernel(np.full((3, 5, 2), np.nan))
+
+    @pytest.mark.parametrize("single, stack, least", BLOCK_ESTIMATORS)
+    def test_block_size_checked_alike(self, single, stack, least):
+        x = np.arange(10.0).reshape(5, 2)
+        # block_cp_batch(x, 0) used to raise ZeroDivisionError, and a block
+        # size of 2.5 used to be truncated to 2 by one path only
+        for m in (0, -1, least - 1, 2.5, 2.0, 6):
+            for call in (lambda: single(x, m), lambda: stack(x[None], m)):
+                with pytest.raises(DomainError, match=f"integer in \\[{least}, n = 5\\]"):
+                    call()
+        # the smallest block size is accepted on both paths
+        single(x, least)
+        stack(x[None], least)
+
+    def test_single_sample_is_the_one_replicate_case(self):
+        g = np.random.default_rng(41)
+        data = np.round(g.standard_normal((4, 30, 2)), 1)
+        for r, x in enumerate(data):
+            assert sample_cp_block(x, 3) == block_cp_batch(data, 3)[r]
+            assert sample_cp_bootstrap(x, 3) == bootstrap_cp_batch(data, 3)[r]
+            assert sample_cp_unbiased(x, 3).value == unbiased_cp_batch(data, 3).value[r]
+            assert sample_cp_unbiased(x, 3).clipped == unbiased_cp_batch(data, 3).clipped[r]
+            assert np.array_equal(dominance_counts(x), dominance_counts_batch(data)[r])
+            assert ecp_multivariate_log(x) == mvlog_batch(data)[r]
+            # the jackknife's weighted sums are blocked by replicate count,
+            # so only their rounding may differ
+            assert (ecp_multivariate_log(x, jackknife=True)
+                    == pytest.approx(mvlog_batch(data, jackknife=True)[r], rel=1e-13))
 
 
 class TestUnbiasedness:
@@ -398,9 +447,8 @@ class TestUnbiasedness:
         # unbiased modification and Kendall tau are unbiased on max-stable data
         reps, n, m, p = 800, 100, 10, 0.5
         data = logistic_data(0.5, 2, reps * n, seed=31).reshape(reps, n, 2)
-        star = bootstrap_cp_batch(data, m)
-        unbiased = (m * star - 1.0) / (m - 1.0)
-        tau = kendall_batch(data)
+        unbiased = unbiased_cp_batch(data, m).value
+        tau = kendall_batch(data).estimate
         for est in (unbiased, tau):
             se = est.std(ddof=1) / math.sqrt(reps)
             assert abs(est.mean() - p) < 3 * se

@@ -213,25 +213,25 @@ class TestCountingKernel:
 
     @given(tied_stacks(ks=(2,)), st.booleans())
     def test_kendall_statistics_identical(self, x, tie_adjusted):
-        constant = (x == x[:, :1]).all(axis=1).any()
-        if not (tie_adjusted and constant):
-            assert np.array_equal(kendall_batch(x, tie_adjusted),
-                                  reference_kendall_batch(x, tie_adjusted))
-        sample = x[0]
-        if tie_adjusted and (sample == sample[0]).all(axis=0).any():
+        n = x.shape[1]
+        top = max(np.unique(c, return_counts=True)[1].max() for r in x for c in r.T)
+        if tie_adjusted and (top == n or (n >= 3 and top == n - 1)):
+            # a constant coordinate makes tau-b 0/0, and so does leaving out
+            # the odd row when all the others share a value
+            with pytest.raises(DomainError, match="constant"):
+                kendall_batch(x, tie_adjusted)
             return
-        n = sample.shape[0]
-        if tie_adjusted and n >= 3 and any(np.unique(c, return_counts=True)[1].max() == n - 1
-                                           for c in sample.T):
-            # leaving out the odd row makes a coordinate constant: delete-one tau is 0/0
-            with pytest.raises(DomainError, match="delete-one"):
-                ecp_kendall(sample, tie_adjusted=True)
-            return
-        with np.errstate(divide="ignore", invalid="ignore"):
-            est = ecp_kendall(sample, tie_adjusted=tie_adjusted)
-            tau, stderr = reference_ecp_kendall(sample, tie_adjusted)
-        assert est.estimate == tau
-        assert est.stderr == stderr or (math.isnan(est.stderr) and math.isnan(stderr))
+        got = kendall_batch(x, tie_adjusted)
+        assert np.array_equal(got.estimate, reference_kendall_batch(x, tie_adjusted))
+        for r in range(x.shape[0]):
+            tau, stderr = reference_ecp_kendall(x[r], tie_adjusted)
+            assert got.estimate[r] == tau
+            assert got.stderr[r] == stderr or (math.isnan(got.stderr[r]) and math.isnan(stderr))
+        # a single sample is the one-replicate case, bit for bit
+        one = ecp_kendall(x[-1], tie_adjusted)
+        assert one.n == n
+        assert np.array_equal([one.estimate, one.stderr], [got.estimate[-1], got.stderr[-1]],
+                              equal_nan=True)
 
     @given(tied_stacks(ks=(2, 3, 4)))
     def test_log_ecdf_passes(self, x):
@@ -244,8 +244,8 @@ class TestCountingKernel:
         assert np.abs(got - reference_ge_sums(xj, w)).max() <= weighted_tol(xj, w)
         if n < 3:
             return
-        t_full, t_loo = _mean_log_ecdf(xj, True)
+        t_full, t_loo = _mean_log_ecdf(xj[None], True)
         ref_full, ref_loo = reference_mean_log_ecdf(xj)
-        assert t_full == ref_full
-        assert np.abs(t_loo - ref_loo).max() <= 4 * weighted_tol(xj, w) / (n - 1)
+        assert t_full[0] == ref_full
+        assert np.abs(t_loo[0] - ref_loo).max() <= 4 * weighted_tol(xj, w) / (n - 1)
 

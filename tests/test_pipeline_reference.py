@@ -1,12 +1,13 @@
 """The columnar station pipeline against the row-wise code it replaced.
 
-The ``reference_*`` functions are ingestion, seasonal blocking and gridded
-maps as they were before the record array: one frozen record per CSV row,
-one dictionary group per station-year, and one ``grid_map`` call per
-anchor, each with its own distance matrix.  Records, missing reports,
-warnings and seasonal extremes must agree exactly, and a malformed file
-must fail on the same line; interpolated maps, which the matrix product
-sums in another order, agree to 1e-12.
+The ``reference_*`` functions are ingestion, seasonal blocking, pairwise
+matrices and gridded maps as they were before the record array and the
+batched estimators: one frozen record per CSV row, one dictionary group per
+station-year, one single-sample estimator call per station pair, and one
+``grid_map`` call per anchor, each with its own distance matrix.  Records,
+missing reports, warnings, seasonal extremes and matrices must agree
+exactly, and a malformed file must fail on the same line; interpolated
+maps, which the matrix product sums in another order, agree to 1e-12.
 """
 
 import calendar
@@ -20,7 +21,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from concur import DomainError, ParseError
+import concur.estimators
+from concur import (
+    DomainError,
+    ParseError,
+    ecp_kendall,
+    ecp_multivariate_log,
+    sample_cp_block,
+    sample_cp_bootstrap,
+    sample_cp_unbiased,
+)
 from concur.concurrence import integrated_cp
 from concur.pipeline import (
     _COLUMNS,
@@ -36,6 +46,7 @@ from concur.pipeline import (
     grid_map,
     haversine_km,
     ingest_csv,
+    pairwise_matrix,
     seasonal_blocks,
 )
 
@@ -149,8 +160,56 @@ def reference_grid_map(station_latlon, values, grid_lats, grid_lons, idw_power=2
     non_exact = ~has_exact
     out[non_exact] = _expit((w[non_exact] @ lv) / w_sum[non_exact])
     for g in np.where(has_exact)[0]:
-        out[g] = vals[np.argmax(exact[g])]
+        out[g] = min(max(vals[np.argmax(exact[g])], 0.0), 1.0)
     return np.column_stack([glat, glon, out])
+
+
+def _reference_pair(method, data, m):
+    """(estimate, stderr) of one pair sample from the single-sample estimators."""
+    if method == "kendall":
+        est = ecp_kendall(data)
+        return est.estimate, est.stderr
+    if method == "block":
+        return sample_cp_block(data, m), np.nan
+    if method == "bootstrap":
+        return sample_cp_bootstrap(data, m), np.nan
+    if method == "unbiased":
+        return sample_cp_unbiased(data, m).value, np.nan
+    return ecp_multivariate_log(data), np.nan
+
+
+def reference_pairwise_matrix(extremes, method, anchor=None, min_overlap=3, block_size=None):
+    series = {}
+    for e in extremes:
+        series.setdefault(e.station_id, {})[e.year] = e.value
+    ids = tuple(sorted(series))
+    s_count = len(ids)
+    if s_count < 2:
+        raise DomainError("need at least two stations")
+    if anchor is not None and anchor not in ids:
+        raise DomainError(f"anchor station {anchor!r} not present")
+    est = np.full((s_count, s_count), np.nan)
+    err = np.full((s_count, s_count), np.nan)
+    npairs = np.zeros((s_count, s_count), dtype=np.int64)
+    np.fill_diagonal(est, 1.0)
+    np.fill_diagonal(err, 0.0)
+    for i, sid in enumerate(ids):
+        npairs[i, i] = len(series[sid])
+    for i in range(s_count):
+        for j in range(i + 1, s_count):
+            if anchor is not None and anchor not in (ids[i], ids[j]):
+                continue
+            a, b = series[ids[i]], series[ids[j]]
+            years = sorted(set(a) & set(b))
+            npairs[i, j] = npairs[j, i] = len(years)
+            if len(years) < max(min_overlap, 2):
+                continue
+            data = np.array([[a[y], b[y]] for y in years])
+            value, stderr = _reference_pair(method, data, block_size)
+            est[i, j] = est[j, i] = value
+            err[i, j] = err[j, i] = stderr
+    return ConcurrenceMatrix(station_ids=ids, estimates=est, stderr=err,
+                             n_pairs=npairs, method=method)
 
 
 def reference_cell_areas(matrix, station_coords, grid_lats, grid_lons, anchors):
@@ -311,6 +370,73 @@ def station_matrices(draw):
     return matrix, coords, lats, lons, anchors
 
 
+# ---------------------------------------------------------------------------
+# generated seasonal extremes
+
+METHODS = tuple(concur.estimators.ESTIMATORS)
+
+
+@st.composite
+def seasonal_extremes(draw):
+    """Extremes of 2-6 stations over 2-10 years, each station-year absent
+    with a drawn rate (0 gives complete data, one common-year set), values
+    on a coarse grid (ties) or continuous, and sometimes a repeated
+    station-year, whose last value counts."""
+    ids = [f"S{i}" for i in range(draw(st.integers(2, 6)))]
+    years = range(2000, 2000 + draw(st.integers(2, 10)))
+    absent = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    out = []
+    for sid in ids:
+        for year in years:
+            if g.uniform() >= absent:
+                v = g.standard_normal()
+                out.append(SeasonalExtremes(sid, "JJA", year,
+                                            float(np.round(v / grid) * grid) if grid else v,
+                                            1.0, "max"))
+    for _ in range(draw(st.integers(0, 2))):
+        if out:
+            e = out[draw(st.integers(0, len(out) - 1))]
+            out.append(SeasonalExtremes(e.station_id, "JJA", e.year, -e.value, 1.0, "max"))
+    return out, ids
+
+
+class TestPairwiseMatrix:
+    @given(seasonal_extremes(), st.sampled_from(METHODS), st.integers(1, 4),
+           st.integers(0, 6), st.booleans())
+    def test_matches_reference(self, case, method, block_size, min_overlap, use_anchor):
+        extremes, ids = case
+        anchor = ids[len(extremes) % len(ids)] if use_anchor else None
+        args = (extremes, method, anchor, min_overlap, block_size)
+        kind, ref = _outcome(reference_pairwise_matrix, *args)
+        got_kind, got = _outcome(pairwise_matrix, *args)
+        assert got_kind == kind
+        if kind == "ok":
+            assert got.station_ids == ref.station_ids
+            assert np.array_equal(got.n_pairs, ref.n_pairs)
+            assert np.array_equal(got.estimates, ref.estimates, equal_nan=True)
+            assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_estimator_call_per_common_year_set(self, monkeypatch, method):
+        calls = []
+        fn = concur.estimators.ESTIMATORS[method]
+        monkeypatch.setitem(concur.estimators.ESTIMATORS, method,
+                            lambda data, **kw: calls.append(data.shape) or fn(data, **kw))
+        ids = ["A", "B", "C", "D", "E"]
+        extremes = [SeasonalExtremes(sid, "JJA", year, float((7 * i + 3 * year) % 11),
+                                     1.0, "max")
+                    for i, sid in enumerate(ids) for year in range(2000, 2008)]
+        pairwise_matrix(extremes, method, block_size=2)
+        assert calls == [(10, 8, 2)]
+        # E misses 2003: its four pairs share the other seven years
+        calls.clear()
+        pairwise_matrix([e for e in extremes if (e.station_id, e.year) != ("E", 2003)],
+                        method, block_size=2)
+        assert sorted(calls) == [(4, 7, 2), (6, 8, 2)]
+
+
 class TestMaps:
     @given(station_matrices())
     def test_cell_areas_match_reference(self, case):
@@ -333,6 +459,24 @@ class TestMaps:
             if kind == "ok":
                 assert np.array_equal(got[:, :2], ref[:, :2])
                 assert np.allclose(got[:, 2], ref[:, 2], rtol=0, atol=MAP_TOL)
+
+    def test_node_on_a_station_with_a_negative_estimate(self):
+        # Kendall's tau of independent stations is often negative: the node
+        # on B takes B's estimate clipped to 0, so the cell area integrates
+        # (it raised "probabilities must lie in [0, 1]")
+        ids = ("A", "B", "C", "D")
+        coords = dict(zip(ids, [(40.0, -100.0), (41.0, -101.0), (42.0, -99.0), (39.5, -98.5)]))
+        est = np.full((4, 4), 0.3)
+        np.fill_diagonal(est, 1.0)
+        est[0, 1] = est[1, 0] = -0.1
+        matrix = ConcurrenceMatrix(ids, est, np.zeros((4, 4)), np.full((4, 4), 10), "kendall")
+        pts = np.array([coords[s] for s in ids])
+        assert grid_map(pts, matrix.row("A"), [41.0], [-101.0])[0, 2] == 0.0
+        lats, lons = [40.0, 41.0], [-101.0, -100.0]
+        got = expected_cell_area_data(matrix, coords, lats, lons)
+        ref = reference_cell_areas(matrix, coords, lats, lons, ids)
+        assert list(got) == list(ids)
+        assert np.allclose(list(got.values()), list(ref.values()), rtol=0, atol=MAP_TOL)
 
     def test_node_on_a_nan_station_interpolates(self):
         # the node sits on station A, whose value is NaN: A is left out and

@@ -222,7 +222,7 @@ class TestLogisticExact:
 
     def test_kendall_tau_matches_one_minus_alpha(self, rng):
         x = simulate_logistic_exact(0.5, 2, rng.substream(41), size=10_000)
-        tau = kendall_batch(x[None, :, :])[0]
+        tau = kendall_batch(x[None, :, :]).estimate[0]
         assert abs(tau - 0.5) < 0.02
 
     def test_independence_limit(self, rng):
@@ -247,13 +247,13 @@ class TestDomainOfAttraction:
         for i, n0 in enumerate((1, 10, 15)):
             data = simulate_doa(model, sites, n0, rng.substream(50 + i),
                                 size=reps * n).reshape(reps, n, 2)
-            means[n0] = kendall_batch(data, tie_adjusted=True).mean()
+            means[n0] = kendall_batch(data, tie_adjusted=True).estimate.mean()
         assert abs(means[1] - 0.71) < 0.02
         assert abs(means[10] - 0.57) < 0.02
         assert abs(means[15] - 0.55) < 0.02
         assert means[1] > means[10] > means[15]
         values, _ = simulate_max_stable_batch(model, sites, reps * n, rng.substream(59))
-        tau_inf = kendall_batch(values.reshape(reps, n, 2), tie_adjusted=True).mean()
+        tau_inf = kendall_batch(values.reshape(reps, n, 2), tie_adjusted=True).estimate.mean()
         assert abs(tau_inf - 0.50) < 0.02
         assert means[15] > tau_inf
 
