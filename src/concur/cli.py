@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_plan)
 
     q = sub.add_parser("ingest", help="validate station records")
-    q.add_argument("--input", required=True, help="station CSV with ISO dates")
+    q.add_argument("--input", required=True, help="station CSV with YYYY-MM-DD dates")
     q.add_argument("--stations-out", default=None, help="write station_id,lat,lon table")
     q.set_defaults(func=_cmd_ingest)
 

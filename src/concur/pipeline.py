@@ -4,22 +4,26 @@ The chain is CSV station records -> per-season block extremes -> pairwise
 concurrence matrices (Kendall by default) -> gridded maps (inverse-distance
 weighting on the logit scale) -> expected concurrence-cell areas, optionally
 stratified by an external year-label table.  Station records are one NumPy
-record array: ISO 8601 dates only, and a tmin or tmax of "" or "-9999" is
-missing (NaN).  Every CSV format of the chain lives here, and a malformed
-file raises :class:`ParseError` naming its line.  Everything is
-deterministic given the inputs; minima are analyzed as negated values so
-the downstream machinery only ever deals with maxima.
+record array, read and written as columns a bounded chunk of rows at a
+time.  A date is exactly YYYY-MM-DD; a tmin or tmax of "" or "-9999" is
+missing (NaN), and any other must be a finite number.  Every CSV format of
+the chain lives here, and a malformed file raises :class:`ParseError`
+naming its first bad line.  Everything is deterministic given the inputs;
+minima are analyzed as negated values so the downstream machinery only
+ever deals with maxima.
 """
 
 from __future__ import annotations
 
-import array
 import calendar
 import csv
 import datetime as dt
+import functools
+import io
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,21 +44,36 @@ _COLUMNS = ("station_id", "lat", "lon", "date", "tmin", "tmax")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
+_CHUNK = 8192          # station record rows per chunk, read or written
+_KEY_BITS = 22         # a day ordinal (up to 9999-12-31) is below 2**22
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+def _csv_header(reader, columns: tuple[str, ...]) -> list[int]:
+    """The field index of each of ``columns`` in the header row of a CSV
+    reader.  A missing column raises :class:`ParseError` at line 1."""
+    where = {name: i for i, name in enumerate(next(reader, ()))}
+    missing = [c for c in columns if c not in where]
+    if missing:
+        raise ParseError(f"missing columns {missing}", line=1)
+    return [where[c] for c in columns]
+
+
+def _short_row(size: int, width: int) -> str:
+    return f"{size} fields, {width} expected"
+
+
 def _csv_rows(fh, columns: tuple[str, ...]):
     """(line, fields) for each nonblank row of a headered CSV file, the
     fields being the text of ``columns`` in that order.  A missing column or
     a short row raises :class:`ParseError` naming the line."""
     reader = csv.reader(fh)
-    where = {name: i for i, name in enumerate(next(reader, ()))}
-    missing = [c for c in columns if c not in where]
-    if missing:
-        raise ParseError(f"missing columns {missing}", line=1)
-    pick = operator.itemgetter(*(where[c] for c in columns))
-    width = max(where[c] for c in columns) + 1
+    index = _csv_header(reader, columns)
+    pick, width = operator.itemgetter(*index), max(index) + 1
     for row in reader:
         if row:
             if len(row) < width:
-                raise ParseError(f"{len(row)} fields, {width} expected", line=reader.line_num)
+                raise ParseError(_short_row(len(row), width), line=reader.line_num)
             yield reader.line_num, pick(row)
 
 
@@ -76,9 +95,22 @@ def _write_rows(path, header, rows) -> None:
         csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
-def _g10(col: np.ndarray) -> list[str]:
-    """10 significant digits per value, the empty string for NaN."""
-    return ["" if math.isnan(v) else f"{v:.10g}" for v in col.tolist()]
+def _g10(bits: np.ndarray) -> list[str]:
+    """10 significant digits per float64 bit pattern, the empty string for NaN."""
+    return ["" if math.isnan(v) else f"{v:.10g}" for v in bits.view(np.float64).tolist()]
+
+
+def _csv_fields(texts) -> list[str]:
+    """Each text as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))
+        out.append(buf.getvalue()[:-3])   # less the "," and "\r\n" of the empty field
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,48 +133,164 @@ class IngestResult:
                                           self.records.lon[first].tolist())))
 
 
+def _station_id(text: str) -> str:
+    sid = text.strip()
+    if not sid:
+        raise ValueError("empty station id")
+    return sid
+
+
+def _day(text: str) -> int:
+    """Days since 1970-01-01 of a YYYY-MM-DD date."""
+    text = text.strip()
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return dt.date.fromisoformat(text).toordinal() - _EPOCH
+
+
+def _reading(text: str) -> float:
+    """A tmin or tmax: NaN when missing ("" or -9999), else a finite number."""
+    if text.strip() in ("", "-9999"):
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"reading {text.strip()!r} is not finite")
+    return value
+
+
+class _Parser(dict):
+    """text -> parse(text), each distinct text parsed once, when first
+    looked up.  A text that ``parse`` rejects with ValueError maps to 0 and
+    its message to ``errors``."""
+
+    def __init__(self, parse, dtype):
+        super().__init__()
+        self.parse, self.dtype, self.errors = parse, dtype, {}
+
+    def __missing__(self, text: str):
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            value, self.errors[text] = 0, str(exc)
+        self[text] = value
+        return value
+
+    def column(self, texts: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, texts), self.dtype, len(texts))
+
+    def check(self, texts: np.ndarray):
+        """(rows whose text was rejected, message of row i)."""
+        bad = (np.fromiter(map(self.errors.__contains__, texts), bool, len(texts))
+               if self.errors else np.zeros(len(texts), bool))
+        return bad, lambda i: self.errors[texts[i]]
+
+
+def _chunks(reader):
+    """(lines, sizes, fields) of the rows of a CSV reader, ``_CHUNK`` rows at a
+    time: the line each row ends on, its number of fields, and the fields of
+    all the rows in one list.  Each row's own list is dropped as soon as it
+    is read, so that the garbage collector never sees a chunk of them.  The
+    last chunk is short, and empty when the rows ran out at a boundary; when
+    reading fails, the rows read before the failure come first."""
+    while True:
+        lines, sizes, fields = [], [], []
+        try:
+            for row in itertools.islice(reader, _CHUNK):
+                fields += row
+                sizes.append(len(row))
+                lines.append(reader.line_num)
+        except (csv.Error, UnicodeDecodeError):
+            yield lines, sizes, fields
+            raise
+        yield lines, sizes, fields
+        if len(sizes) < _CHUNK:
+            return
+
+
+def _raise_first(parts, ids, checks=()) -> None:
+    """Raise :class:`ParseError` at the first bad row of the rows read so
+    far, if any: the first row of the last chunk that one of ``checks``
+    rejects (the checks taken in order within a row), or the first row that
+    repeats the station and date of an earlier row, whichever comes first.
+
+    ``parts`` are the (line, code, lat, lon, day, tmin, tmax) arrays of each
+    chunk read, and ``ids`` the station ids by code; ``checks`` are (bad
+    mask, message of row i) pairs over the rows of the last chunk, whose
+    values at and after its first bad row may be placeholders."""
+    line, code, day = (np.concatenate([p[k] for p in parts]) for k in (0, 1, 4))
+    start = len(line) - len(checks[0][0]) if checks else len(line)
+    hits = [(start + int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    # one stable sort puts each key's rows together in file order; the first
+    # repeated row is the second of its key, so the row before it is the first
+    key = code << _KEY_BITS | (day + _EPOCH)
+    order = np.argsort(key, kind="stable")
+    repeat = np.flatnonzero(key[order[1:]] == key[order[:-1]]) + 1
+    if repeat.size:
+        dup = repeat[np.argmin(order[repeat])]
+        hits.append((int(order[dup]), len(checks)))
+    if not hits:
+        return
+    row, k = min(hits)
+    if k < len(checks):
+        raise ParseError(checks[k][1](row - start), line=int(line[row]))
+    raise ParseError(f"duplicate date {dt.date.fromordinal(int(day[row]) + _EPOCH)} for station "
+                     f"{ids[code[row]]} (first seen on line {line[order[dup - 1]]})",
+                     line=int(line[row]))
+
+
 def ingest_csv(path) -> IngestResult:
     """Read and validate station records from a headered CSV file.
 
-    The columns are station_id, lat, lon, date (ISO 8601, as
-    ``date.fromisoformat`` reads it), tmin and tmax, in any order.  A
-    tmin or tmax of "" or "-9999" is missing.  The first malformed row, in
-    file order, raises :class:`ParseError` naming its line; stations with
+    The columns are station_id, lat, lon, date, tmin and tmax, in any
+    order.  A date is exactly YYYY-MM-DD (after surrounding blanks); a tmin
+    or tmax of "" or "-9999" is missing, and any other must be a finite
+    number, so "nan" or "inf" is malformed.  The file is read in one
+    ``csv.reader`` pass, ``_CHUNK`` rows at a time: each distinct text of a
+    column is converted once, and the checks run as masks over the chunk.
+    The first malformed row in file order, a repeated (station, date)
+    included, raises :class:`ParseError` naming its line; stations with
     more than half of either variable missing produce warnings, not errors.
     """
     codes: dict[str, int] = {}  # station id -> code, in order of first appearance
-    seen: dict[int, int] = {}   # code << 22 | day ordinal (below 2**22 up to 9999) -> line
-    values = array.array("d")   # code, days since 1970, lat, lon, tmin, tmax per row
+    coord, reading = _Parser(float, float), _Parser(_reading, float)
+    parsers = (_Parser(lambda t: codes.setdefault(_station_id(t), len(codes)), np.int64),
+               coord, coord, _Parser(_day, np.int64), reading, reading)   # _COLUMNS order
+    parts = []                  # line, code, lat, lon, day, tmin, tmax arrays per chunk
     with open(Path(path), newline="") as fh:
-        for line, (sid, lat, lon, date, tmin, tmax) in _csv_rows(fh, _COLUMNS):
-            try:
-                sid = sid.strip()
-                if not sid:
-                    raise ValueError("empty station id")
-                lat, lon = float(lat), float(lon)
-                day = dt.date.fromisoformat(date.strip()).toordinal()
-                tmin, tmax = (math.nan if t.strip() in ("", "-9999") else float(t)
-                              for t in (tmin, tmax))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line) from exc
-            if not -90.0 <= lat <= 90.0:
-                raise ParseError(f"latitude {lat} outside [-90, 90]", line=line)
-            if not -180.0 <= lon <= 180.0:
-                raise ParseError(f"longitude {lon} outside [-180, 180]", line=line)
-            code = codes.setdefault(sid, len(codes))
-            first = seen.setdefault(code << 22 | day, line)
-            if first != line:
-                raise ParseError(f"duplicate date {dt.date.fromordinal(day)} for station "
-                                 f"{sid} (first seen on line {first})", line=line)
-            values.extend((code, day - _EPOCH, lat, lon, tmin, tmax))
-    v = np.asarray(values).reshape(-1, 6)
-    code = v[:, 0].astype(np.int64)
-    records = np.rec.fromarrays(
-        [np.array(list(codes), dtype=str)[code], v[:, 2], v[:, 3],
-         v[:, 1].astype(np.int64).astype("datetime64[D]"), v[:, 4], v[:, 5]], names=_COLUMNS)
+        reader = csv.reader(fh)
+        index = _csv_header(reader, _COLUMNS)
+        width = max(index) + 1
+        try:
+            for lines, size, fields in _chunks(reader):
+                size = np.array(size, np.int64)
+                nonblank = size > 0
+                size, start = size[nonblank], (np.cumsum(size) - size)[nonblank]
+                # a short row reads past its end, into the next row or the
+                # padding, and fails its length check first
+                fields = np.array(fields + [""] * width, dtype=object)
+                texts = [fields[start + i] for i in index]
+                cols = [p.column(t) for p, t in zip(parsers, texts)]
+                parts.append((np.array(lines, np.int64)[nonblank], *cols))
+                lat, lon = cols[1], cols[2]
+                checks = [(size < width, lambda i: _short_row(size[i], width)),
+                          *(p.check(t) for p, t in zip(parsers, texts)),
+                          (~((lat >= -90.0) & (lat <= 90.0)),
+                           lambda i: f"latitude {float(lat[i])} outside [-90, 90]"),
+                          (~((lon >= -180.0) & (lon <= 180.0)),
+                           lambda i: f"longitude {float(lon[i])} outside [-180, 180]")]
+                if any(bad.any() for bad, _ in checks):
+                    _raise_first(parts, list(codes), checks)
+        except (csv.Error, UnicodeDecodeError):
+            _raise_first(parts, list(codes))   # a repeat before the unreadable row comes first
+            raise
+    _raise_first(parts, list(codes))
+    line, code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
+    del parts
+    records = np.rec.fromarrays([np.array(list(codes), dtype=str)[code], lat, lon,
+                                 day.astype("datetime64[D]"), tmin, tmax], names=_COLUMNS)
     records.flags.writeable = False
     n, tmin, tmax = (np.bincount(code[m], minlength=len(codes)).tolist()
-                     for m in (slice(None), np.isnan(v[:, 4]), np.isnan(v[:, 5])))
+                     for m in (slice(None), np.isnan(tmin), np.isnan(tmax)))
     report = {sid: {"n_days": n[i], "missing_tmin": tmin[i] / n[i],
                     "missing_tmax": tmax[i] / n[i]} for i, sid in enumerate(codes)}
     warnings = tuple(
@@ -154,13 +302,31 @@ def ingest_csv(path) -> IngestResult:
     return IngestResult(records=records, missing_report=report, warnings=warnings)
 
 
+def _formatted(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` (a function of an array) of each distinct value, spread back
+    over ``values`` as an object array of text."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(fmt(distinct), dtype=object)[inverse]
+
+
 def write_records_csv(records: np.recarray, path) -> None:
-    """Station records in the ingest input format, missing readings empty.
-    Rows are formatted 4096 at a time to bound the memory their text takes."""
-    chunks = (records[i:i + 4096] for i in range(0, len(records), 4096))
-    _write_rows(path, _COLUMNS, itertools.chain.from_iterable(
-        zip(r.station_id.tolist(), _g10(r.lat), _g10(r.lon),
-            np.datetime_as_string(r.date).tolist(), _g10(r.tmin), _g10(r.tmax)) for r in chunks))
+    """Station records in the ingest input format, missing readings empty,
+    byte for byte as ``csv.writer`` writes them.  Rows go out ``_CHUNK`` at
+    a time, to bound the memory their text takes, and within a chunk each
+    column formats each of its distinct values once: floats to 10
+    significant digits, told apart by their bits (so -0.0 stays "-0")."""
+    def iso(days):
+        return np.datetime_as_string(days.view("datetime64[D]")).tolist()
+
+    with open(Path(path), "w", newline="") as fh:
+        csv.writer(fh).writerow(_COLUMNS)
+        for i in range(0, len(records), _CHUNK):
+            r = records[i:i + _CHUNK]
+            cols = (_formatted(r.station_id, _csv_fields),
+                    *(_formatted(r[name].view(np.int64), _g10) for name in ("lat", "lon")),
+                    _formatted(r.date.view(np.int64), iso),
+                    *(_formatted(r[name].view(np.int64), _g10) for name in ("tmin", "tmax")))
+            fh.write("".join(map("{},{},{},{},{},{}\r\n".format, *cols)))
 
 
 def read_stations_csv(path) -> dict[str, tuple[float, float]]:
@@ -193,6 +359,7 @@ class SeasonalExtremes:
     polarity: str
 
 
+@functools.cache
 def _season_length(year: int, season: str) -> int:
     return sum(calendar.monthrange(year - (season == "DJF" and m == 12), m)[1]
                for m in _SEASON_MONTHS[season])
@@ -220,18 +387,21 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
     # -min(tmin) is max(-tmin) exactly
     value = (rec.tmax if polarity == "max" else -rec.tmin)[keep]
     ids, code = np.unique(rec.station_id[keep], return_inverse=True)
-    # one group per (station code, season-year), in that order
-    keys, group = np.unique(np.column_stack([code, year]), axis=0, return_inverse=True)
+    # one group per (station code, season-year), in that order, on one integer key
+    lo, hi = (int(year.min()), int(year.max())) if year.size else (0, 0)
+    keys, group = np.unique(code * (hi - lo + 1) + (year - lo), return_inverse=True)
     present = ~np.isnan(value)
     count = np.bincount(group[present], minlength=len(keys))
     extreme = np.full(len(keys), -np.inf)
     np.maximum.at(extreme, group[present], value[present])
-    coverage = count / np.array([_season_length(y, season) for y in keys[:, 1].tolist()])
+    code, year = np.divmod(keys, hi - lo + 1)
+    year += lo
+    coverage = count / np.array([_season_length(y, season) for y in year.tolist()])
     ok = (count > 0) & ~(coverage < min_coverage)
     return [SeasonalExtremes(station_id=str(ids[c]), season=season, year=y, value=v,
                              coverage=cov, polarity=polarity)
-            for (c, y), v, cov in zip(keys[ok].tolist(), extreme[ok].tolist(),
-                                      coverage[ok].tolist())]
+            for c, y, v, cov in zip(code[ok].tolist(), year[ok].tolist(), extreme[ok].tolist(),
+                                    coverage[ok].tolist())]
 
 
 def read_extremes_csv(path) -> list[SeasonalExtremes]:

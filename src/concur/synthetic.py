@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import ModelSpec
-from .pipeline import _SEASON_MONTHS
+from .pipeline import _COLUMNS, _SEASON_MONTHS, _csv_fields
 from .simulate import simulate_field_values
 from .specfun import RngLike, as_generator
 
@@ -47,19 +47,23 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
                           f"sites must hold one site per station")
     planted = simulate_field_values(model, sites, len(years), as_generator(rng))
     months = _SEASON_MONTHS[season]
+    # each row is its station's text and then its day's; every value is formatted once
+    stations = [f"{sid},{lat:.6f},{lon:.6f},"
+                for sid, (lat, lon) in zip(_csv_fields(station_ids), pts.tolist())]
+    below = [f"{-t:.10g},{t:.10g}" for t in (9.0 + 0.01 * k for k in range(50))]
     with open(Path(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["station_id", "lat", "lon", "date", "tmin", "tmax"])
-        for yi, year in enumerate(years):
-            for si, sid in enumerate(station_ids):
-                peak = 10.0 + float(planted[yi, si])
-                for m in months:
-                    y = year - 1 if season == "DJF" and m == 12 else year
-                    ndays = calendar.monthrange(y, m)[1]
-                    for day in range(1, ndays + 1):
-                        date = dt.date(y, m, day)
-                        is_peak = (m == months[1] and day == 15)
-                        tmax = peak if is_peak else 9.0 + 0.01 * ((day * 7 + m) % 50)
-                        w.writerow([sid, f"{pts[si, 0]:.6f}", f"{pts[si, 1]:.6f}",
-                                    date.isoformat(), f"{-tmax:.10g}", f"{tmax:.10g}"])
+        csv.writer(fh).writerow(_COLUMNS)
+        for year, peaks in zip(years, (10.0 + planted).tolist()):
+            dates, days = [], []   # the season's days: date, then tmin,tmax below the peak
+            for m in months:
+                y = year - 1 if season == "DJF" and m == 12 else year
+                for day in range(1, calendar.monthrange(y, m)[1] + 1):
+                    if m == months[1] and day == 15:
+                        peak_at = len(days)
+                    dates.append(dt.date(y, m, day).isoformat())
+                    days.append(f"{dates[-1]},{below[(day * 7 + m) % 50]}")
+            for station, peak in zip(stations, peaks):
+                rows = days.copy()
+                rows[peak_at] = f"{dates[peak_at]},{-peak:.10g},{peak:.10g}"
+                fh.write(station + ("\r\n" + station).join(rows) + "\r\n")
     return planted

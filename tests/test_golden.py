@@ -46,7 +46,13 @@ from concur import (
     spectral_sample,
 )
 from concur.estimators import simulate_pair_batch
-from concur.pipeline import ingest_csv, pairwise_matrix, seasonal_blocks
+from concur.pipeline import (
+    ingest_csv,
+    pairwise_matrix,
+    seasonal_blocks,
+    write_extremes_csv,
+    write_records_csv,
+)
 from concur.study import StudyConfig, study_harness
 from concur.synthetic import synthesize_station_csv
 
@@ -80,6 +86,10 @@ Z_ROWS = np.array([[1.0, 1.0, 1.0], [0.5, 2.0, 1.3], [3.0, 0.7, 0.2], [1.1, 1.1,
 def _array(a) -> str:
     a = np.ascontiguousarray(a)
     return f"{a.dtype}{list(a.shape)}:{hashlib.sha256(a.tobytes()).hexdigest()[:24]}"
+
+
+def _file(path: Path) -> str:
+    return _array(np.frombuffer(path.read_bytes(), np.uint8))
 
 
 def _estimate(est) -> list:
@@ -127,10 +137,13 @@ def pipeline_fingerprints(work: Path) -> dict:
         path = work / f"synthetic_{name}.csv"
         planted = synthesize_station_csv(path, model, ids, latlon, range(2001, 2013),
                                          SeededRng(16), season="JJA")
-        out[f"synthesize_station_csv[{name}]"] = [_array(planted),
-                                                  _array(np.frombuffer(path.read_bytes(),
-                                                                       np.uint8))]
+        out[f"synthesize_station_csv[{name}]"] = [_array(planted), _file(path)]
+        records = work / f"records_{name}.csv"
+        write_records_csv(ingest_csv(path).records, records)
+        out[f"write_records_csv[{name}]"] = _file(records)
     extremes = seasonal_blocks(ingest_csv(work / "synthetic_logistic.csv"), "JJA")
+    write_extremes_csv(extremes, work / "extremes_logistic.csv")
+    out["write_extremes_csv[logistic]"] = _file(work / "extremes_logistic.csv")
     for method in ("kendall", "mvlog", "block", "bootstrap", "unbiased"):
         m = pairwise_matrix(extremes, method=method, block_size=3)
         out[f"pairwise_matrix[{method}]"] = [_array(m.estimates), _array(m.stderr),
@@ -142,9 +155,7 @@ def study_fingerprints(work: Path) -> dict:
     out = {}
     for experiment in ("table1", "fig1", "fig2", "fig3"):
         res = study_harness(StudyConfig(experiment=experiment, out_dir=work, seed=3, reps=4))
-        out[f"study[{experiment}]"] = [
-            _array(np.frombuffer(Path(res[key]).read_bytes(), np.uint8))
-            for key in ("csv", "manifest")]
+        out[f"study[{experiment}]"] = [_file(Path(res[key])) for key in ("csv", "manifest")]
     return out
 
 

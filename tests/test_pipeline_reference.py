@@ -1,18 +1,21 @@
 """The columnar station pipeline against the row-wise code it replaced.
 
-The ``reference_*`` functions are ingestion, seasonal blocking, pairwise
-matrices and gridded maps as they were before the record array and the
-batched estimators: one frozen record per CSV row, one dictionary group per
-station-year, one single-sample estimator call per station pair, and one
-``grid_map`` call per anchor, each with its own distance matrix.  Records,
+The ``reference_*`` functions are ingestion, record writing, seasonal
+blocking, pairwise matrices and gridded maps as they were before the
+columnar record code and the batched estimators: one frozen record or one
+``csv.writer`` call per CSV row, one dictionary group per station-year, one
+single-sample estimator call per station pair, and one ``grid_map`` call
+per anchor, each with its own distance matrix.  Records, written files,
 missing reports, warnings, seasonal extremes and matrices must agree
-exactly, and a malformed file must fail on the same line; interpolated
-maps, which the matrix product sums in another order, agree to 1e-12.
+exactly, and a malformed file must fail on the same line, whatever the
+chunk size; interpolated maps, which the matrix product sums in another
+order, agree to 1e-12.
 """
 
 import calendar
 import csv
 import datetime as dt
+import itertools
 import math
 from typing import NamedTuple
 
@@ -22,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import concur.estimators
+import concur.pipeline
 from concur import (
     DomainError,
     ParseError,
@@ -48,6 +52,7 @@ from concur.pipeline import (
     ingest_csv,
     pairwise_matrix,
     seasonal_blocks,
+    write_records_csv,
 )
 
 MAP_TOL = 1e-12
@@ -67,7 +72,21 @@ class StationRecord(NamedTuple):
 
 def _reference_value(raw):
     txt = raw.strip()
-    return None if txt in ("", "-9999") else float(txt)
+    if txt in ("", "-9999"):
+        return None
+    value = float(txt)
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError(f"reading {txt!r} is not finite")
+    return value
+
+
+def _reference_date(raw):
+    txt = raw.strip()
+    year, month, day = txt[:4], txt[5:7], txt[8:]
+    if not (len(txt) == 10 and txt.isascii() and txt[4] == txt[7] == "-"
+            and (year + month + day).isdigit()):
+        raise ValueError(f"date {txt!r} is not YYYY-MM-DD")
+    return dt.date(int(year), int(month), int(day))
 
 
 def reference_ingest_csv(path):
@@ -88,7 +107,7 @@ def reference_ingest_csv(path):
                     raise ValueError("empty station id")
                 lat = float(row["lat"])
                 lon = float(row["lon"])
-                date = dt.datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
+                date = _reference_date(row["date"])
                 tmin = _reference_value(row["tmin"])
                 tmax = _reference_value(row["tmax"])
             except Exception as exc:
@@ -113,6 +132,23 @@ def reference_ingest_csv(path):
                      for sid, rep in report.items() for name in ("tmin", "tmax")
                      if rep[f"missing_{name}"] > 0.5)
     return records, report, warnings
+
+
+def _reference_g10(value):
+    return "" if math.isnan(value) else f"{value:.10g}"
+
+
+def reference_write_records_csv(records, path):
+    """The records in the ingest format, one csv.writer row each."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_COLUMNS)
+        for sid, lat, lon, date, tmin, tmax in zip(
+                records["station_id"].tolist(), records["lat"].tolist(),
+                records["lon"].tolist(), records["date"].astype(object).tolist(),
+                records["tmin"].tolist(), records["tmax"].tolist()):
+            writer.writerow([sid, _reference_g10(lat), _reference_g10(lon), date.isoformat(),
+                             _reference_g10(tmin), _reference_g10(tmax)])
 
 
 def reference_seasonal_blocks(records, season, polarity, min_coverage):
@@ -236,8 +272,12 @@ def _outcome(fn, *args):
 _READINGS = st.one_of(
     st.sampled_from(["", "-9999", " ", " -9999 ", "1.5", "1.5", "-3", "1e1", "0.25"]),
     st.floats(-60, 60, allow_nan=False).map(repr))
-_BAD_FIELDS = {"lat": ["95.0", "north"], "lon": ["-181", ""], "date": ["2000-02-30", "not-a-date"],
-               "tmax": ["abc", "1.2.3"], "station_id": ["  ", ""]}
+_BAD_FIELDS = {"lat": ["95.0", "north"], "lon": ["-181", ""],
+               "date": ["2000-02-30", "not-a-date", "20000601", "2000-W22-4", "2000W224",
+                        "2000-6-1"],
+               "tmax": ["abc", "1.2.3", "nan", "NaN", "inf", "-inf", "INF", "-Infinity",
+                        "infinity"],
+               "station_id": ["  ", ""]}
 
 
 @st.composite
@@ -331,6 +371,29 @@ class TestIngestAndBlocks:
         assert ref[0] == "ParseError" and ref[1][0] == 7
         assert _outcome(ingest_csv, path) == ref
 
+    @pytest.mark.parametrize("row, message", [
+        (["S1", "40", "-100", "2000-01-01"], "4 fields, 6 expected"),
+        (["  ", "north", "-181", "x", "a", "b"], "empty station id"),
+        (["S1", "north", "-181", "x", "a", "b"], "could not convert string to float: 'north'"),
+        (["S1", "95", "east", "x", "a", "b"], "could not convert string to float: 'east'"),
+        (["S1", "95", "-181", "2000-6-1", "a", "b"], "date '2000-6-1' is not YYYY-MM-DD"),
+        (["S1", "95", "-181", "2000-02-30", "a", "b"], "day is out of range for month"),
+        (["S1", "95", "-181", "2000-01-02", " NaN ", "b"], "reading 'NaN' is not finite"),
+        (["S1", "95", "-181", "2000-01-02", "1", "x"], "could not convert string to float: 'x'"),
+        (["S1", "95", "-181", "2000-01-02", "1", "2"], "latitude 95.0 outside [-90, 90]"),
+        (["S1", "40", "-181", "2000-01-02", "1", "2"], "longitude -181.0 outside [-180, 180]"),
+        (["S1", "40", "-100", "2000-01-01", "3", "4"],
+         "duplicate date 2000-01-01 for station S1 (first seen on line 2)")])
+    def test_a_row_with_several_faults_names_the_first(self, tmp_path, row, message):
+        # the checks of a row run in the order of the row-wise parser
+        path = tmp_path / "bad.csv"
+        rows = [_COLUMNS, ["S1", "40", "-100", "2000-01-01", "1", "2"], row,
+                ["S2", "40", "-100", "2000-01-01", "1", "2"]]
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"line 3: {message}"
+
     def test_planted_maxima_match_reference(self, tmp_path):
         from concur import Logistic, SeededRng
         from concur.synthetic import synthesize_station_csv
@@ -344,6 +407,141 @@ class TestIngestAndBlocks:
         for polarity in POLARITIES:
             assert (seasonal_blocks(result, "DJF", polarity)
                     == reference_seasonal_blocks(records, "DJF", polarity, 0.9))
+
+    @given(station_files(), st.sampled_from([1, 2, 5]))
+    def test_matches_reference_in_small_chunks(self, tmp_path_factory, text, chunk):
+        # every chunk boundary of a generated file falls between two of its rows
+        path = tmp_path_factory.mktemp("chunks") / "stations.csv"
+        path.write_text(text)
+        kind, ref = _outcome(reference_ingest_csv, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concur.pipeline, "_CHUNK", chunk)
+            got_kind, got = _outcome(ingest_csv, path)
+        assert got_kind == kind
+        if kind != "ok":
+            assert got == ref
+            return
+        assert _as_reference(got.records) == ref[0]
+        assert list(got.missing_report.items()) == list(ref[1].items())
+
+    @staticmethod
+    def _long_file(path, edits):
+        """Rows of two stations over more than two chunks, with ``edits``
+        (row index -> row) applied; returns the reference's outcome."""
+        n = 2 * concur.pipeline._CHUNK + 100
+        base = dt.date(1900, 1, 1).toordinal()
+        rows = [[sid, "40.5", "-100.25", dt.date.fromordinal(base + i // 2).isoformat(),
+                 f"{(i % 17) - 8}", f"{(i % 23) / 4}"]
+                for i, sid in zip(range(n), itertools.cycle(["A", "B"]))]
+        for i, row in edits.items():
+            rows[i] = row(rows) if callable(row) else row
+        path.write_text("\n".join(",".join(r) for r in [_COLUMNS, *rows]) + "\n")
+        return _outcome(reference_ingest_csv, path)
+
+    def test_duplicate_first_seen_in_an_earlier_chunk(self, tmp_path):
+        path = tmp_path / "long.csv"
+        later = 2 * concur.pipeline._CHUNK + 10
+        ref = self._long_file(path, {later: lambda rows: list(rows[6])})
+        assert ref == ("ParseError", (later + 2, ref[1][1]))
+        assert "first seen on line 8" in ref[1][1]
+        assert _outcome(ingest_csv, path) == ref
+
+    def test_duplicate_before_a_bad_field_in_a_later_chunk(self, tmp_path):
+        path = tmp_path / "long.csv"
+        chunk = concur.pipeline._CHUNK
+        bad = ["A", "40.5", "-100.25", "2000-01-01", "1", "abc"]
+        ref = self._long_file(path, {30: lambda rows: list(rows[10]), chunk + 5: bad})
+        assert ref == ("ParseError", (32, ref[1][1])) and "duplicate" in ref[1][1]
+        assert _outcome(ingest_csv, path) == ref
+
+    def test_bad_last_row(self, tmp_path):
+        path = tmp_path / "long.csv"
+        last = 2 * concur.pipeline._CHUNK + 99
+        ref = self._long_file(path, {last: ["A", "40.5", "-100.25", "2000-01-01", "1", "inf"]})
+        assert ref == ("ParseError", (last + 2, None))
+        assert _outcome(ingest_csv, path) == ref
+
+    @pytest.mark.parametrize("bad", [
+        lambda rows: list(rows[10]), ["A", "north", "-100.25", "2000-01-01", "1", "2"]])
+    @pytest.mark.parametrize("unreadable", [40, concur.pipeline._CHUNK + 5])
+    def test_a_bad_row_before_an_unreadable_one_comes_first(self, tmp_path, bad, unreadable):
+        # a field over the csv module's size limit makes the reader fail
+        path = tmp_path / "long.csv"
+        huge = ["A", "40.5", "-100.25", "2000-01-01", "1", "x" * (csv.field_size_limit() + 1)]
+        ref = self._long_file(path, {30: bad, unreadable: huge})
+        assert ref[0] == "ParseError" and ref[1][0] == 32
+        assert _outcome(ingest_csv, path) == ref
+
+    def test_quoted_newline_and_blank_lines_before_a_bad_row(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(",".join(_COLUMNS) + "\n"
+                        '"S\n1",40,-100,2000-01-01,1,2\n'
+                        "\n\n"
+                        '"S\n1",40,-100,2000-01-02,1,2\n'
+                        "\n"
+                        "S2,40,-100,2000-01-02,1,north\n")
+        ref = _outcome(reference_ingest_csv, path)
+        assert ref == ("ParseError", (9, None))
+        assert _outcome(ingest_csv, path) == ref
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(_COLUMNS) + "\n\n")
+        result = ingest_csv(path)
+        assert len(result.records) == 0 and result.records.dtype.names == _COLUMNS
+        assert result.missing_report == {} and result.warnings == ()
+
+
+# ---------------------------------------------------------------------------
+# generated record arrays
+
+_IDS = st.text(st.sampled_from(list('ab1 ,"\r\n\t\'é')), min_size=1, max_size=6).filter(str.strip)
+_LATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 90.0, -90.0, 1 / 3]),
+                  st.floats(-90, 90))
+_LONS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 180.0, -180.0, 2 / 3]),
+                  st.floats(-180, 180))
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.nan, 5e-324, 1e300, -1e300, 2.5, 1 / 3]),
+                    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def record_arrays(draw):
+    """Records of a few stations, one date each, with readings that need
+    every digit, signed zeros, subnormals, huge values and NaN."""
+    n = draw(st.integers(0, 40))
+    ids = draw(st.lists(_IDS, min_size=1, max_size=4))
+    where = {sid: (draw(_LATS), draw(_LONS)) for sid in ids}
+    sids = [draw(st.sampled_from(ids)) for _ in range(n)]
+    days = draw(st.lists(st.integers(-700_000, 2_900_000), min_size=n, max_size=n, unique=True))
+    return np.rec.fromarrays(
+        [np.array(sids, dtype=str), [where[s][0] for s in sids], [where[s][1] for s in sids],
+         np.array(days, dtype="datetime64[D]"),
+         [draw(_VALUES) for _ in range(n)], [draw(_VALUES) for _ in range(n)]],
+        dtype=[("station_id", f"U{max(map(len, ids))}"), ("lat", float), ("lon", float),
+               ("date", "datetime64[D]"), ("tmin", float), ("tmax", float)])
+
+
+class TestWriteRecords:
+    @given(record_arrays(), st.sampled_from([1, 3, 8192]))
+    def test_matches_reference_and_reads_back(self, tmp_path_factory, records, chunk):
+        work = tmp_path_factory.mktemp("records")
+        reference_write_records_csv(records, work / "ref.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concur.pipeline, "_CHUNK", chunk)
+            write_records_csv(records, work / "got.csv")
+            back = ingest_csv(work / "got.csv").records
+        assert (work / "got.csv").read_bytes() == (work / "ref.csv").read_bytes()
+        # ingest strips the ids and reads each value as written, to 10 digits
+        want = [(sid.strip(), *(float(_reference_g10(v) or "nan") for v in (lat, lon)), date,
+                 *(float(_reference_g10(v) or "nan") for v in (lo, hi)))
+                for sid, lat, lon, date, lo, hi in records.tolist()]
+        got = back.tolist()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[0] == w[0] and g[3] == w[3]
+            assert np.array_equal(np.array(g[1:3] + g[4:]), np.array(w[1:3] + w[4:]),
+                                  equal_nan=True)
+            assert np.array_equal(np.signbit(g[1:3] + g[4:]), np.signbit(w[1:3] + w[4:]))
 
 
 # ---------------------------------------------------------------------------
