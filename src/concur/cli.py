@@ -22,6 +22,7 @@ from .errors import ConcurError, DomainError, ParseError
 from .estimators import ESTIMATORS, Sample, estimator, optimal_block_size
 from .models import model_from_dict
 from .pipeline import (
+    _read_error,
     cell_area_report,
     expected_cell_area_model,
     grid_map,
@@ -65,7 +66,11 @@ def _require_out(args) -> str:
 
 def _load_model(path: str):
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise _read_error(exc, fh) from exc
+    return model_from_dict(spec)
 
 
 def _read_numeric_csv(path: str, named: bool):
@@ -76,17 +81,20 @@ def _read_numeric_csv(path: str, named: bool):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, []) if named else None
-        for row in filter(None, reader):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                if reader.line_num > 1:
-                    raise ParseError(str(exc), line=reader.line_num) from exc
-                continue
-            if len(row) != len(rows[0]):
-                raise ParseError(f"{len(row)} values, {len(rows[0])} expected",
-                                 line=reader.line_num)
+        try:
+            header = next(reader, []) if named else None
+            for row in filter(None, reader):
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    if reader.line_num > 1:
+                        raise ParseError(str(exc), line=reader.line_num) from exc
+                    continue
+                if len(row) != len(rows[0]):
+                    raise ParseError(f"{len(row)} values, {len(rows[0])} expected",
+                                     line=reader.line_num)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _read_error(exc, fh, reader) from exc
     return header, np.asarray(rows)
 
 

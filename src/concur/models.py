@@ -30,7 +30,6 @@ from .specfun import (
     RngLike,
     as_generator,
     half_line,
-    log_ndtr,
     logsumexp,
     normal_cdf,
     psd_factor,
@@ -244,7 +243,12 @@ def _family_from_dict(d: dict, registry: dict, what: str):
 @dataclass(frozen=True)
 class GaussianPair:
     """A Brown--Resnick pair reduced to its variogram value gamma >= 0; the
-    concurrence probability is E[integrand(Z)] over a standard normal Z."""
+    concurrence probability is E[integrand(Z)] over a standard normal Z.
+
+    The integrand writes exp(gamma - a z) Phi(a - z) as a product, not as
+    exp(gamma - a z + log Phi(a - z)): both round the exponent alike, and
+    the product needs no log.  The quadrature and ``ecp_mc`` share it, and
+    ``antithetic`` gives ``ecp_mc`` the mean over z and -z from one Phi(z)."""
 
     gamma: float
 
@@ -264,14 +268,23 @@ class GaussianPair:
     def draw(self, g: np.random.Generator, n: int) -> np.ndarray:
         return g.standard_normal(n)
 
+    def _integrand(self, z, phi_z):
+        """integrand(z) given phi_z = Phi(z).  exp(gamma - a z) overflows, and
+        the value is 0, only where Phi(a - z) > 1/2, so inf * 0 never occurs."""
+        a = math.sqrt(2.0 * self.gamma)
+        with np.errstate(over="ignore"):
+            return 1.0 / (phi_z + np.exp(self.gamma - a * z) * normal_cdf(a - z))
+
     def integrand(self, z):
         """1 / [Phi(z) + exp(gamma - a z) Phi(a - z)], a = sqrt(2 gamma)."""
-        gamma_h = self.gamma
-        a = math.sqrt(2.0 * gamma_h)
-        expo = gamma_h - a * z + log_ndtr(a - z)
-        small = expo < 700.0
-        with np.errstate(over="ignore"):
-            return np.where(small, 1.0 / (normal_cdf(z) + np.exp(np.minimum(expo, 700.0))), 0.0)
+        return self._integrand(z, normal_cdf(z))
+
+    def antithetic(self, z):
+        """[integrand(z) + integrand(-z)] / 2 with one Phi per pair: Phi(-z)
+        is 1 - Phi(z), whose cancellation for z > 0 costs nothing, because the
+        other term of that denominator, exp(gamma + a z) Phi(a + z), is >= 1/2."""
+        phi = normal_cdf(z)
+        return 0.5 * (self._integrand(z, phi) + self._integrand(-z, 1.0 - phi))
 
     def quad_pieces(self) -> tuple:
         """(integrand, a, b) pieces of E[integrand(Z)].  The integrand rises
@@ -339,6 +352,10 @@ class StudentPair:
             tail = usafe ** (-nu) * student_cdf((sig * (1.0 + nu) - rho * t) / usafe, nu + 1.0)
             return np.where(ok, 1.0 / (student_cdf(t, nu + 1.0) + tail), 0.0)
 
+    def antithetic(self, t):
+        """[integrand(t) + integrand(-t)] / 2."""
+        return 0.5 * (self.integrand(t) + self.integrand(-t))
+
     def quad_pieces(self) -> tuple:
         """(integrand, a, b) pieces of E[integrand(T)] over the support
         T > lo = -rho / sigma.  For rho near 1, lo lies far out in the tail:
@@ -375,7 +392,21 @@ class SpectralSampler:
     k: int
 
 
-TiltedDraw = Callable[[np.random.Generator, int, int], np.ndarray]
+TiltedDraw = Callable[[np.random.Generator, int, np.ndarray, np.ndarray],
+                      tuple[np.ndarray, np.ndarray]]
+ProfileDraw = Callable[[np.random.Generator, int, int], np.ndarray]
+
+
+def _screened(profiles: ProfileDraw) -> TiltedDraw:
+    """The tilted draw of a model that draws whole profiles: ``profiles(g,
+    j, n)`` gives (n, k) profiles tilted at site j, and the draw then keeps
+    those whose extremal function stays below the field at the earlier sites."""
+    def draw(g, j, zeta, field):
+        y = profiles(g, j, zeta.size)
+        y *= zeta[:, None]
+        keep = (y[:, :j] < field).all(axis=1)
+        return keep, y[keep]
+    return draw
 
 
 def _independence_sampler(k: int) -> SpectralSampler:
@@ -421,10 +452,17 @@ class ModelSpec:
         return None
 
     def tilted_sampler(self, sites) -> TiltedDraw | None:
-        """``draw(g, j, n)``: (n, k) spectral profiles Y under the law tilted
-        at site j, P_j(dy) = y_j P(dy), divided by y_j so that column j is
-        exactly 1; it drives exact simulation by extremal functions.  None
-        when the model is simulated by ``exact_fields`` instead."""
+        """``draw(g, j, zeta, field) -> (keep, y)``, which drives exact
+        simulation by extremal functions; None when the model is simulated by
+        ``exact_fields`` instead.
+
+        The draw proposes one extremal function zeta_i Y_i per Poisson point
+        zeta_i (an (n,) array), Y_i a spectral profile under the law tilted at
+        site j, P_j(dy) = y_j P(dy), divided by y_j so that Y_i(s_j) is
+        exactly 1.  ``keep`` (an (n,) mask) marks the proposals that stay
+        strictly below ``field`` (n, j), the field at the earlier sites, and
+        ``y`` holds the (kept, k) functions zeta_i Y_i of those only.  A
+        model may reject a proposal before it draws the rest of its profile."""
         return None
 
     def concurrence(self, sites) -> float | None:
@@ -494,7 +532,7 @@ class Logistic(ModelSpec):
             y[:, j] = 1.0
             return y
 
-        return draw
+        return _screened(draw)
 
     def exact_values(self, sites: SiteSet, g: np.random.Generator, n: int):
         return None if self.alpha == 1.0 else _logistic_mixture(self.alpha, sites.k, g, n)
@@ -605,8 +643,9 @@ class BrownResnick(_PairModel):
     name: ClassVar[str] = "brown_resnick"
 
     def _anchored(self, sites: SiteSet):
-        """gamma(s - s_1) and ``draw(g, n)`` of the Gaussian W anchored at the
-        first site: (n, k) paths with W(s_1) = 0 and Var W(s) = 2 gamma(s - s_1)."""
+        """gamma(s - s_1), the lower-triangular factor of the increments
+        W(s_2..k) - W(s_1), and ``draw(g, n)`` of the Gaussian W anchored at
+        the first site: (n, k) paths with W(s_1) = 0 and Var W(s) = 2 gamma(s - s_1)."""
         lags = sites.lags_from(0)
         gamma0 = np.asarray(self.variogram(lags), dtype=float)
         if np.any(gamma0 < 0):
@@ -625,10 +664,10 @@ class BrownResnick(_PairModel):
             w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
             return w
 
-        return gamma0, draw_w
+        return gamma0, fac, draw_w
 
     def sampler(self, sites: SiteSet) -> SpectralSampler:
-        gamma0, draw_w = self._anchored(sites)
+        gamma0, _, draw_w = self._anchored(sites)
 
         def draw(g, n):
             return np.exp(draw_w(g, n) - gamma0)
@@ -639,17 +678,42 @@ class BrownResnick(_PairModel):
         """Y = exp(W - W(s_j) - gamma(s - s_j)), the profile re-anchored at s_j.
 
         Y is formed from W itself, so column j is exp(0) = 1 exactly even
-        when gamma is so steep that every other column underflows to 0."""
-        _, draw_w = self._anchored(sites)
+        when gamma is so steep that every other column underflows to 0.  The
+        anchored factor is lower triangular, so W at s_1..s_j takes the first
+        j normals only: a proposal at 0 < j < k - 1 draws those, is tested at
+        the earlier sites, and only a survivor draws the remaining k - 1 - j.
+        At j = 0 nothing is tested and at j = k - 1 nothing remains, so those
+        draw whole profiles."""
+        _, fac, draw_w = self._anchored(sites)
         coords = sites.coords
+        k = sites.k
         gam = np.asarray(self.variogram(coords[None, :, :] - coords[:, None, :]), dtype=float)
         np.fill_diagonal(gam, 0.0)
 
-        def draw(g, j, n):
-            w = draw_w(g, n)
+        def tilt(w, j):
             w -= w[:, j:j + 1]
             w -= gam[j]
             return np.exp(w, out=w)
+
+        whole = _screened(lambda g, j, n: tilt(draw_w(g, n), j))
+
+        def draw(g, j, zeta, field):
+            if not 0 < j < k - 1:
+                return whole(g, j, zeta, field)
+            n = zeta.size
+            z = g.standard_normal((n, j))
+            w = np.zeros((n, k))
+            w[:, 1:j + 1] = z @ fac[:j, :j].T
+            lead = w[:, :j] - w[:, j:j + 1]
+            lead -= gam[j, :j]
+            np.exp(lead, out=lead)
+            lead *= zeta[:, None]
+            keep = (lead < field).all(axis=1)
+            w, z = w[keep], z[keep]
+            w[:, j + 1:] = z @ fac[j:, :j].T + g.standard_normal((len(w), k - 1 - j)) @ fac[j:, j:].T
+            y = tilt(w, j)
+            y *= zeta[keep, None]
+            return keep, y
 
         return draw
 
@@ -717,7 +781,7 @@ class ExtremalT(_PairModel):
             t = corr[j] + (w - corr[j] * w[:, j:j + 1]) / chi
             return np.maximum(t, 0.0, out=t) ** nu
 
-        return draw
+        return _screened(draw)
 
     def pair_reduction(self, sites: SiteSet) -> StudentPair:
         lag = _pair_lag(sites)
@@ -794,7 +858,7 @@ class Smith(_PairModel):
             y -= 0.5 * (a * a).sum(axis=1)
             return np.exp(y, out=y)
 
-        return draw
+        return _screened(draw)
 
     def pair_reduction(self, sites: SiteSet) -> GaussianPair:
         return smith_to_brown_resnick(self).pair_reduction(sites)
@@ -854,7 +918,7 @@ class ExtremalProcess(ModelSpec):
         def draw(g, j, n):
             return (g.uniform(0.0, x[j], size=(n, 1)) <= x) * ratio[j]
 
-        return draw
+        return _screened(draw)
 
     def concurrence(self, x: np.ndarray) -> float:
         return ecp_extremal_process(x)
@@ -934,7 +998,7 @@ class BallIndicator(ModelSpec):
             y[:, j] = 1.0
             return y
 
-        return draw
+        return _screened(draw)
 
     def concurrence(self, sites: SiteSet) -> float:
         """General k in d = 1 via interval sweeps; d >= 2 is limited to pairs."""

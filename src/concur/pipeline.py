@@ -16,6 +16,7 @@ ever deals with maxima.
 from __future__ import annotations
 
 import calendar
+import codecs
 import csv
 import datetime as dt
 import functools
@@ -63,18 +64,47 @@ def _short_row(size: int, width: int) -> str:
     return f"{size} fields, {width} expected"
 
 
+def _undecodable_line(fh) -> int:
+    """The line of the first byte of text file ``fh`` that its encoding
+    cannot decode, found by decoding the raw file again."""
+    decoder = codecs.getincrementaldecoder(fh.encoding)()
+    line = 1
+    with open(fh.name, "rb") as raw:
+        for block in iter(functools.partial(raw.read, 1 << 16), b""):
+            held = len(decoder.getstate()[0])   # bytes of a character split by the last block
+            try:
+                decoder.decode(block)
+            except UnicodeDecodeError as exc:
+                return line + block.count(b"\n", 0, max(exc.start - held, 0))
+            line += block.count(b"\n")
+    return line
+
+
+def _read_error(exc: csv.Error | UnicodeDecodeError, fh, reader=None) -> ParseError:
+    """:class:`ParseError` for a failure to read text file ``fh`` itself: a
+    byte that does not decode, or a field over the size limit of the CSV
+    ``reader``."""
+    if isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"not {fh.encoding} text ({exc.reason})", line=_undecodable_line(fh))
+    return ParseError(str(exc), line=reader.line_num)
+
+
 def _csv_rows(fh, columns: tuple[str, ...]):
     """(line, fields) for each nonblank row of a headered CSV file, the
-    fields being the text of ``columns`` in that order.  A missing column or
-    a short row raises :class:`ParseError` naming the line."""
+    fields being the text of ``columns`` in that order.  A missing column, a
+    short row or text the reader cannot read raises :class:`ParseError`
+    naming the line."""
     reader = csv.reader(fh)
-    index = _csv_header(reader, columns)
-    pick, width = operator.itemgetter(*index), max(index) + 1
-    for row in reader:
-        if row:
-            if len(row) < width:
-                raise ParseError(_short_row(len(row), width), line=reader.line_num)
-            yield reader.line_num, pick(row)
+    try:
+        index = _csv_header(reader, columns)
+        pick, width = operator.itemgetter(*index), max(index) + 1
+        for row in reader:
+            if row:
+                if len(row) < width:
+                    raise ParseError(_short_row(len(row), width), line=reader.line_num)
+                yield reader.line_num, pick(row)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _read_error(exc, fh, reader) from exc
 
 
 def _read_rows(path, columns: tuple[str, ...], convert) -> list:
@@ -247,9 +277,11 @@ def ingest_csv(path) -> IngestResult:
     number, so "nan" or "inf" is malformed.  The file is read in one
     ``csv.reader`` pass, ``_CHUNK`` rows at a time: each distinct text of a
     column is converted once, and the checks run as masks over the chunk.
-    The first malformed row in file order, a repeated (station, date)
-    included, raises :class:`ParseError` naming its line; stations with
-    more than half of either variable missing produce warnings, not errors.
+    The first malformed row in file order, a repeated (station, date) or
+    text the reader cannot read (a byte that does not decode, a field over
+    the ``csv`` size limit) included, raises :class:`ParseError` naming its
+    line; stations with more than half of either variable missing produce
+    warnings, not errors.
     """
     codes: dict[str, int] = {}  # station id -> code, in order of first appearance
     coord, reading = _Parser(float, float), _Parser(_reading, float)
@@ -258,9 +290,9 @@ def ingest_csv(path) -> IngestResult:
     parts = []                  # line, code, lat, lon, day, tmin, tmax arrays per chunk
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
-        index = _csv_header(reader, _COLUMNS)
-        width = max(index) + 1
         try:
+            index = _csv_header(reader, _COLUMNS)
+            width = max(index) + 1
             for lines, size, fields in _chunks(reader):
                 size = np.array(size, np.int64)
                 nonblank = size > 0
@@ -280,9 +312,10 @@ def ingest_csv(path) -> IngestResult:
                            lambda i: f"longitude {float(lon[i])} outside [-180, 180]")]
                 if any(bad.any() for bad, _ in checks):
                     _raise_first(parts, list(codes), checks)
-        except (csv.Error, UnicodeDecodeError):
-            _raise_first(parts, list(codes))   # a repeat before the unreadable row comes first
-            raise
+        except (csv.Error, UnicodeDecodeError) as exc:
+            if parts:   # a repeat before the unreadable row comes first
+                _raise_first(parts, list(codes))
+            raise _read_error(exc, fh, reader) from exc
     _raise_first(parts, list(codes))
     line, code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
     del parts

@@ -10,7 +10,9 @@ Every model is simulated exactly, by one of two paths (see ``models``):
   (``tilted_sampler``), until zeta falls below the field at s_j, keeping a
   profile only when it stays below the field at every earlier site.  A
   realization draws k profiles on average, and its hitting scenario is
-  exact.
+  exact.  The tilted draw makes that test itself and returns the survivors
+  only, so a model can reject a profile before it draws all of it
+  (Brown--Resnick does, through a lower-triangular factor).
 """
 
 from __future__ import annotations
@@ -86,10 +88,11 @@ class Partition:
 def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: int):
     """Exact fields of ``reps`` realizations through their extremal functions.
 
-    ``draw`` is a model's tilted sampler.  Returns (values, hits, drawn):
-    hits label each site with the ordinal, within its realization, of the
-    extremal function attaining it, and drawn counts the profiles drawn per
-    realization, k on average (Dombry, Engelke & Oesting 2016).
+    ``draw`` is a model's tilted draw (see ``ModelSpec.tilted_sampler``).
+    Returns (values, hits, drawn): hits label each site with the ordinal,
+    within its realization, of the extremal function attaining it, and
+    drawn counts the profiles proposed per realization, k on average
+    (Dombry, Engelke & Oesting 2016), rejected ones included.
     """
     values = np.zeros((reps, k))
     hits = np.full((reps, k), -1, dtype=np.int64)
@@ -99,12 +102,10 @@ def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: 
         gam = g.standard_exponential(reps)
         active = np.flatnonzero(1.0 / gam > values[:, j])
         while active.size:
-            y = draw(g, j, active.size)
-            y *= 1.0 / gam[active, None]
-            cur = values[active]
             # a new extremal function stays below the field at s_1..s_{j-1}
-            keep = (y[:, :j] < cur[:, :j]).all(axis=1)
-            rows, y, cur = active[keep], y[keep], cur[keep]
+            keep, y = draw(g, j, 1.0 / gam[active], values[active, :j])
+            rows = active[keep]
+            cur = values[rows]
             upd = y > cur
             values[rows] = np.where(upd, y, cur)
             hits[rows] = np.where(upd, found[rows, None], hits[rows])

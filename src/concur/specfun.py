@@ -73,12 +73,15 @@ def as_generator(rng: RngLike) -> np.random.Generator:
 
 
 def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Factor F with F @ F.T == matrix for a PSD matrix.
+    """Lower-triangular factor L with L @ L.T == matrix for a PSD matrix.
 
     Tries Cholesky first; on failure falls back to an eigendecomposition
     with eigenvalues in [-tol*scale, 0] clipped to zero, which keeps exact
     linear degeneracies (rank-deficient covariances) intact instead of
-    blurring them with diagonal jitter.
+    blurring them with diagonal jitter.  That factor F is made triangular
+    through the QR decomposition F.T = Q R: F F.T = R.T R, so L = R.T.
+    Either way row i of L is zero past column i, so entry i of L @ z
+    depends on the leading i + 1 entries of z only.
     """
     a = np.asarray(matrix, dtype=float)
     try:
@@ -89,7 +92,7 @@ def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
     if w.size and float(np.min(w)) < -tol * scale:
         raise NumericError("matrix is not positive semidefinite within tolerance")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.qr((v * np.sqrt(np.clip(w, 0.0, None))).T, mode="r").T
 
 
 @dataclass(frozen=True)
@@ -201,11 +204,6 @@ def log_binom_ratio(d, m: int, n: int):
     if np.isscalar(d) or d_arr.ndim == 0:
         return float(out)
     return out
-
-
-def log_ndtr(x):
-    """log of the standard normal CDF (stable far into the left tail)."""
-    return special.log_ndtr(x)
 
 
 def logsumexp(a, axis=None):

@@ -183,6 +183,8 @@ MAP = ["map", "--matrix", "{matrix}", "--stations", "{stations}", "--anchor", "A
 
 CELLS = ["cells", "--extremes", "{extremes}", "--stations", "{stations}", "--grid", GRID]
 ESTIMATE = ["estimate", "--input", "{table}", "--method", "kendall"]
+INGEST = ["ingest", "--input", "{records}"]
+RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
 
 
 @pytest.mark.parametrize("bad, text, argv, message", [
@@ -201,9 +203,20 @@ ESTIMATE = ["estimate", "--input", "{table}", "--method", "kendall"]
     ("table", "a,b\n1,2\n3,4\n", ESTIMATE + ["--pairs", "a,bogus"], "'bogus'"),
     ("table", "a,b\n1,2\n3,4\n", ESTIMATE + ["--pairs", "0,2"], "'2'"),
     ("stations", STATIONS_CSV, MAP[:-1] + ["39:x:2,-101:-98:2"], "grid '39:x:2,-101:-98:2'"),
+    # the reader's own failures: a byte that is not UTF-8, a field over the
+    # csv module's size limit (131 072 characters)
+    ("records", RECORDS + b"B\xff,40,-100,2000-01-01,1,2\n", INGEST, "line 3: not utf-8 text"),
+    ("records", RECORDS + b"A,40,-100,2000-01-02," + b"9" * 140_000 + b",2\n", INGEST,
+     "line 3: field larger than field limit"),
+    ("stations", STATIONS_CSV.encode() + b"C,\xe9,-99\n", MAP, "line 4: not utf-8 text"),
+    ("sites", b"x\n0.0\n1\xfe\n", ["ecp", "--model", "{model}", "--sites", "{sites}"],
+     "line 3: not utf-8 text"),
+    ("model", b'{"model": "logistic",\n "alpha": 0.5, "note": "\xff"}',
+     ["ecp", "--model", "{model}", "--sites", "{stations}"], "line 2: not utf-8 text"),
 ], ids=["matrix", "stations", "extremes", "strata", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
-        "pairs_column_out_of_range", "grid_not_a_number"])
+        "pairs_column_out_of_range", "grid_not_a_number", "records_not_utf8",
+        "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line
@@ -212,7 +225,7 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     paths = {}
     for name, content in files.items():
         paths[name] = tmp_path / f"{name}.csv"
-        paths[name].write_text(content)
+        paths[name].write_bytes(content if isinstance(content, bytes) else content.encode())
     code = main(["--out", str(tmp_path / "out.csv")]
                 + [a.format(**paths) for a in argv])
     assert code == 2

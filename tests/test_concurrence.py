@@ -5,6 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import special
 
 from concur import (
     BallIndicator,
@@ -32,6 +35,8 @@ from concur import (
     kendall_target_p,
     rectangle_weights,
 )
+from concur.models import GaussianPair
+
 PAIR = [[0.0], [1.0]]
 
 
@@ -238,6 +243,77 @@ class TestQuadrature:
         from concur.concurrence import _adaptive_quad
         with pytest.raises(NumericError):
             _adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+def _log_space_integrand(gamma: float, z: np.ndarray) -> np.ndarray:
+    """Slow reference of ``GaussianPair.integrand``: the log-space form
+    1 / [Phi(z) + exp(gamma - a z + log Phi(a - z))], 0 where the exponent
+    reaches 700."""
+    a = math.sqrt(2.0 * gamma)
+    expo = gamma - a * z + special.log_ndtr(a - z)
+    small = expo < 700.0
+    with np.errstate(over="ignore"):
+        return np.where(small, 1.0 / (special.ndtr(z) + np.exp(np.minimum(expo, 700.0))), 0.0)
+
+
+def _log_space_antithetic(gamma: float, z: np.ndarray) -> np.ndarray:
+    """Slow reference of ``GaussianPair.antithetic``: two Phi and one log Phi
+    per draw and per sign."""
+    return 0.5 * (_log_space_integrand(gamma, z) + _log_space_integrand(gamma, -z))
+
+
+def _mp_integrand(gamma: float, z: float) -> float:
+    with mpmath.workdps(40):
+        g, x = mpmath.mpf(gamma), mpmath.mpf(z)
+        a = mpmath.sqrt(2 * g)
+        return float(1 / (mpmath.ncdf(x) + mpmath.exp(g - a * x) * mpmath.ncdf(a - x)))
+
+
+def _ulps(gamma: float, z) -> np.ndarray:
+    """A few ulps, relative to the size of the exponent gamma -+ a z, which
+    every form rounds once before it takes exp."""
+    return 4.0 * np.finfo(float).eps * (1.0 + gamma + math.sqrt(2.0 * gamma) * np.abs(z))
+
+
+def _close(got, want, tol) -> bool:
+    # once the exponent passes 700 the log-space form returns 0, and the
+    # product form exp(-700) or less
+    return bool(np.all(np.abs(got - want) <= tol * want + 1e-300))
+
+
+class TestGaussianPairIntegrand:
+    @given(st.floats(-40.0, 40.0), st.floats(1e-12, 1e3))
+    def test_matches_log_space_form(self, z, gamma):
+        pair, x = GaussianPair(gamma), np.array([z])
+        tol = _ulps(gamma, x)
+        assert _close(pair.integrand(x), _log_space_integrand(gamma, x), tol)
+        assert _close(pair.antithetic(x), _log_space_antithetic(gamma, x), tol)
+
+    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 5.0, 50.0, 300.0])
+    def test_matches_mpmath(self, gamma):
+        z = np.array([-30.0, -6.0, -1.0, -0.2, 0.0, 0.3, 2.0, 5.0, 12.0, 35.0])
+        want = np.array([_mp_integrand(gamma, v) for v in z])
+        want_anti = 0.5 * (want + np.array([_mp_integrand(gamma, -v) for v in z]))
+        tol = _ulps(gamma, z)
+        pair = GaussianPair(gamma)
+        # the product form and the log-space form are equally close
+        for got in (pair.integrand(z), _log_space_integrand(gamma, z)):
+            assert _close(got, want, tol)
+        for got in (pair.antithetic(z), _log_space_antithetic(gamma, z)):
+            assert _close(got, want_anti, tol + np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n_draws", [2, 8191, 8193, 20_000])
+    @pytest.mark.parametrize("model", [_br(20.0 / 3.0),
+                                       ExtremalT(ExponentialCorrelation(10.0), nu=5.0)])
+    def test_ecp_mc_blocks_equal_one_shot(self, model, n_draws):
+        # ecp_mc draws once and evaluates the integrand block by block
+        pair = model.pair_reduction(model.sites_of(PAIR))
+        for antithetic in (False, True):
+            est = ecp_mc(model, PAIR, n_draws, antithetic=antithetic, rng=SeededRng(8, n_draws))
+            x = pair.draw(SeededRng(8, n_draws).generator(), n_draws)
+            vals = pair.antithetic(x) if antithetic else pair.integrand(x)
+            assert est.value == min(max(float(vals.mean()), 0.0), 1.0)
+            assert est.stderr == float(vals.std(ddof=1) / math.sqrt(n_draws))
 
 
 class TestExtremalCoefficient:

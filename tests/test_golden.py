@@ -8,12 +8,16 @@ The expected values live in ``golden_outputs.json`` next to this file.
 Regenerate them only for an intended output change, and record it:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.json
+
+The script also lists on stderr every key (and model entry) whose
+fingerprint differs from the committed file, read through ``git show``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -195,7 +199,29 @@ def test_pipeline_and_study_outputs(fingerprints, golden):
             assert fingerprints[name] == want, name
 
 
+def moved(got: dict, want: dict) -> list[str]:
+    """The keys, and within a model its entries, whose fingerprints differ."""
+    out = []
+    for name in sorted(set(got) | set(want)):
+        a, b = got.get(name), want.get(name)
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += [f"{name} {e}" for e in sorted(set(a) | set(b)) if a.get(e) != b.get(e)]
+        elif a != b:
+            out.append(name)
+    return out
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        json.dump(all_fingerprints(Path(tmp)), sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        got = all_fingerprints(Path(tmp))
+    json.dump(got, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    # read the committed file from git: a redirect to golden_outputs.json empties it first
+    committed = subprocess.run(["git", "show", f"HEAD:./{GOLDEN.name}"], cwd=GOLDEN.parent,
+                               capture_output=True, text=True)
+    if committed.returncode:
+        sys.exit(f"no committed {GOLDEN.name} to compare: {committed.stderr.strip()}")
+    changed = moved(got, json.loads(committed.stdout))
+    print(f"{len(changed)} fingerprints differ from the committed file", file=sys.stderr)
+    for key in changed:
+        print(f"  {key}", file=sys.stderr)

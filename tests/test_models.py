@@ -219,7 +219,10 @@ class TestSpectralSamplers:
         g = SeededRng(2024, 6).generator()
         n = 40_000
         for j in range(k):
-            y = draw(g, j, n)
+            # unit Poisson points and no bound at the earlier sites: every
+            # proposal is kept, and y holds the tilted profiles themselves
+            keep, y = draw(g, j, np.ones(n), np.full((n, j), np.inf))
+            assert keep.all()
             assert y.shape == (n, k) and np.all(y[:, j] == 1.0)
             for i in range(k):
                 if i == j:

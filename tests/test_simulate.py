@@ -309,6 +309,135 @@ class TestCellLabels:
         assert np.all(values > 0)
 
 
+def _whole_profile_tilted(model: BrownResnick, sites):
+    """Slow reference of the Brown--Resnick tilted draw: ``draw(g, j, n)``
+    gives n whole profiles, k - 1 normals each, before any test."""
+    _, _, draw_w = model._anchored(sites)
+    coords = sites.coords
+    gam = np.asarray(model.variogram(coords[None, :, :] - coords[:, None, :]), dtype=float)
+    np.fill_diagonal(gam, 0.0)
+
+    def draw(g, j, n):
+        w = draw_w(g, n)
+        w -= w[:, j:j + 1]
+        w -= gam[j]
+        return np.exp(w, out=w)
+
+    return draw
+
+
+def _reference_extremal_functions(draw, k: int, g, reps: int):
+    """Slow reference of ``_extremal_functions``: every proposal is a whole
+    profile from ``draw(g, j, n)``, tested at the earlier sites afterwards."""
+    values = np.zeros((reps, k))
+    hits = np.full((reps, k), -1, dtype=np.int64)
+    found = np.zeros(reps, dtype=np.int64)
+    drawn = np.zeros(reps, dtype=np.int64)
+    for j in range(k):
+        gam = g.standard_exponential(reps)
+        active = np.flatnonzero(1.0 / gam > values[:, j])
+        while active.size:
+            y = draw(g, j, active.size)
+            y *= 1.0 / gam[active, None]
+            cur = values[active]
+            keep = (y[:, :j] < cur[:, :j]).all(axis=1)
+            rows, y, cur = active[keep], y[keep], cur[keep]
+            upd = y > cur
+            values[rows] = np.where(upd, y, cur)
+            hits[rows] = np.where(upd, found[rows, None], hits[rows])
+            found[rows] += 1
+            drawn[active] += 1
+            gam[active] += g.standard_exponential(active.size)
+            active = active[1.0 / gam[active] > values[active, j]]
+    return values, hits, drawn
+
+
+class _CountingGenerator:
+    """A Generator that counts the standard normals drawn through it."""
+
+    def __init__(self, g):
+        self._g = g
+        self.normals = 0
+
+    def standard_normal(self, size=None):
+        self.normals += 1 if size is None else int(np.prod(size))
+        return self._g.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+A7 = np.arange(41)[:, None] * 0.5
+A7_MODEL = BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0))
+
+
+class TestEarlyRejection:
+    """Brown--Resnick proposals at 0 < j < k - 1 draw their leading j normals,
+    are tested at the earlier sites, and only survivors draw the rest."""
+
+    @pytest.mark.parametrize("case,model,sites", [
+        (0, A7_MODEL, [[0.0], [1.5]]),
+        (1, BrownResnick(QuadraticVariogram(np.array([[1.2, 0.4], [0.4, 2.0]]))),
+         [[0.0, 0.0], [0.8, 0.5]]),
+        (2, BrownResnick(FractionalVariogram(scale=1e8, exponent=1.0)), PAIR),
+    ])
+    def test_pairs_draw_as_whole_profiles(self, case, model, sites):
+        # k = 2 has no site to split at: values, hits and counts bit-identical
+        s = model.sites_of(sites)
+        got = _extremal_functions(model.tilted_sampler(s), 2,
+                                  SeededRng(31, case).generator(), 500)
+        want = _reference_extremal_functions(_whole_profile_tilted(model, s), 2,
+                                             SeededRng(31, case).generator(), 500)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_many_sites_same_law(self):
+        # on the A7 grid the stream changes, the pair frequencies do not: both
+        # match each other and the quadrature within their binomial SE.  Twelve
+        # comparisons: the bound is Bonferroni-widened from 3 to 3.5 SE
+        s = A7_MODEL.sites_of(A7)
+        reps = 4000
+        _, got, _ = _extremal_functions(A7_MODEL.tilted_sampler(s), 41,
+                                        SeededRng(32, 0).generator(), reps)
+        _, want, _ = _reference_extremal_functions(_whole_profile_tilted(A7_MODEL, s), 41,
+                                                   SeededRng(32, 1).generator(), reps)
+        anchor = 20
+        for lag in (1, 3, 6, 12):
+            p = concurrence_probability(A7_MODEL, A7[[anchor, anchor + lag]]).value
+            f_got, f_want = ((h[:, anchor] == h[:, anchor + lag]).mean() for h in (got, want))
+            se = binomial_3se(p, reps) / 3.0
+            assert abs(f_got - p) < 3.5 * se and abs(f_want - p) < 3.5 * se
+            assert abs(f_got - f_want) < 3.5 * math.sqrt(2.0) * se
+
+    def test_fewer_normals_per_realization(self):
+        s = A7_MODEL.sites_of(A7)
+        reps = 2000
+        got = _CountingGenerator(SeededRng(33).generator())
+        want = _CountingGenerator(SeededRng(33).generator())
+        _extremal_functions(A7_MODEL.tilted_sampler(s), 41, got, reps)
+        _reference_extremal_functions(_whole_profile_tilted(A7_MODEL, s), 41, want, reps)
+        # the A7 run: about 1000 normals per realization against 1650
+        assert got.normals / reps < 0.7 * want.normals / reps
+
+    def test_rank_deficient_quadratic_variogram(self, rng):
+        # 5 sites in the plane: the 4 increments W(s_i) - W(s_1) span 2
+        # dimensions, Cholesky fails, and the factor is triangular all the same
+        model = BrownResnick(QuadraticVariogram(np.array([[1.2, 0.4], [0.4, 2.0]])))
+        sites = np.array([[0.0, 0.0], [0.8, 0.5], [-0.3, 1.0], [0.5, -0.6], [1.2, 0.9]])
+        _, fac, _ = model._anchored(model.sites_of(sites))
+        assert np.linalg.matrix_rank(fac, tol=1e-6) == 2   # rounding leaves ~1e-8
+        assert np.array_equal(fac, np.tril(fac))
+        reps = 20_000
+        values, hits = simulate_max_stable_batch(model, sites, reps, rng.substream(34))
+        target = math.exp(-1.0)
+        for j in range(5):
+            assert abs((values[:, j] <= 1.0).mean() - target) < binomial_3se(target, reps)
+        for a, b in ((0, 1), (1, 2), (2, 4), (0, 3)):
+            p = concurrence_probability(model, sites[[a, b]]).value
+            freq = (hits[:, a] == hits[:, b]).mean()
+            assert abs(freq - p) < binomial_3se(p, reps)
+
+
 class TestControlsAndExport:
     @pytest.mark.parametrize("reps", [2.5, 0, -3])
     def test_reps_must_be_a_positive_integer(self, rng, reps):
