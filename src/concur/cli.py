@@ -22,7 +22,10 @@ from .errors import ConcurError, DomainError, ParseError
 from .estimators import ESTIMATORS, Sample, estimator, optimal_block_size
 from .models import model_from_dict
 from .pipeline import (
-    _read_error,
+    POLARITIES,
+    SEASONS,
+    _csv_lines,
+    _open_csv,
     cell_area_report,
     expected_cell_area_model,
     grid_map,
@@ -44,7 +47,7 @@ from .pipeline import (
 )
 from .simulate import simulate_max_stable_batch, write_realizations_csv
 from .specfun import SeededRng
-from .study import StudyConfig, study_harness
+from .study import EXPERIMENTS, StudyConfig, study_harness
 
 SCHEMA_VERSION = "2"
 
@@ -65,36 +68,35 @@ def _require_out(args) -> str:
 
 
 def _load_model(path: str):
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise _read_error(exc, fh) from exc
-    return model_from_dict(spec)
+    data = Path(path).read_bytes()
+    try:
+        return model_from_dict(json.loads(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not utf-8 text (byte 0x{data[exc.start]:02x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 def _read_numeric_csv(path: str, named: bool):
     """(header, array) of a CSV file of numbers, every row as long as the
     first.  With ``named`` the first row is the header; otherwise a
     non-numeric first row is skipped as one.  Any other non-numeric or
-    ragged row raises ParseError naming its line."""
+    ragged row, and a byte that is not UTF-8 in any row, raises ParseError
+    naming its line."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, []) if named else None
-            for row in filter(None, reader):
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    if reader.line_num > 1:
-                        raise ParseError(str(exc), line=reader.line_num) from exc
-                    continue
-                if len(row) != len(rows[0]):
-                    raise ParseError(f"{len(row)} values, {len(rows[0])} expected",
-                                     line=reader.line_num)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _read_error(exc, fh, reader) from exc
+    with _open_csv(path) as fh:
+        lines = _csv_lines(csv.reader(fh))
+        header = next(lines, (1, []))[1] if named else None
+        for line, row in lines:
+            if not row:
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                if line > 1:
+                    raise ParseError(str(exc), line=line) from exc
+                continue
+            if len(row) != len(rows[0]):
+                raise ParseError(f"{len(row)} values, {len(rows[0])} expected", line=line)
     return header, np.asarray(rows)
 
 
@@ -300,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("blocks", help="seasonal block extremes")
     q.add_argument("--input", required=True, help="validated records CSV")
-    q.add_argument("--season", required=True, choices=["DJF", "MAM", "JJA", "SON"])
-    q.add_argument("--polarity", default="max", choices=["max", "negated_min"])
+    q.add_argument("--season", required=True, choices=SEASONS)
+    q.add_argument("--polarity", default="max", choices=POLARITIES)
     q.add_argument("--min-coverage", type=float, default=0.9)
     q.set_defaults(func=_cmd_blocks)
 
@@ -336,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_cells)
 
     q = sub.add_parser("study", help="simulation-study tables")
-    q.add_argument("--experiment", required=True,
-                   choices=["table1", "fig1", "fig2", "fig3"])
+    q.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     q.add_argument("--reps", type=int, default=200)
     q.add_argument("--n", type=int, action="append", default=None,
                    help="sample size(s); repeatable")

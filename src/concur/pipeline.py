@@ -7,16 +7,15 @@ stratified by an external year-label table.  Station records are one NumPy
 record array, read and written as columns a bounded chunk of rows at a
 time.  A date is exactly YYYY-MM-DD; a tmin or tmax of "" or "-9999" is
 missing (NaN), and any other must be a finite number.  Every CSV format of
-the chain lives here, and a malformed file raises :class:`ParseError`
-naming its first bad line.  Everything is deterministic given the inputs;
-minima are analyzed as negated values so the downstream machinery only
-ever deals with maxima.
+the chain lives here.  Files are UTF-8, and a malformed file, a byte that
+is not UTF-8 included, raises :class:`ParseError` naming its first bad
+line.  Everything is deterministic given the inputs; minima are analyzed
+as negated values so the downstream machinery only ever deals with maxima.
 """
 
 from __future__ import annotations
 
 import calendar
-import codecs
 import csv
 import datetime as dt
 import functools
@@ -48,12 +47,41 @@ _EPOCH = dt.date(1970, 1, 1).toordinal()
 _CHUNK = 8192          # station record rows per chunk, read or written
 _KEY_BITS = 22         # a day ordinal (up to 9999-12-31) is below 2**22
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+_BAD_BYTE = re.compile("[\udc80-\udcff]")   # a byte as ``surrogateescape`` decodes it
 
 
-def _csv_header(reader, columns: tuple[str, ...]) -> list[int]:
-    """The field index of each of ``columns`` in the header row of a CSV
-    reader.  A missing column raises :class:`ParseError` at line 1."""
-    where = {name: i for i, name in enumerate(next(reader, ()))}
+def _open_csv(path, mode: str = "r"):
+    """CSV text file ``path`` in UTF-8.  A byte that does not decode reads as
+    a lone surrogate (PEP 383), for the row checks to report at its line."""
+    return open(Path(path), mode, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _bad_byte(text: str) -> str | None:
+    """The error of text from :func:`_open_csv` that holds a byte that is
+    not UTF-8, or None."""
+    if text.isascii() or not (bad := _BAD_BYTE.search(text)):
+        return None
+    return f"not utf-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x})"
+
+
+def _csv_lines(reader):
+    """(line, row) for each row of CSV ``reader``, the line being where the
+    row ends.  A row holding a byte that is not UTF-8 or a field over the
+    ``csv`` size limit raises :class:`ParseError` at its line."""
+    try:
+        for row in reader:
+            if error := _bad_byte("".join(row)):
+                raise ParseError(error, line=reader.line_num)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from exc
+
+
+def _csv_header(lines, columns: tuple[str, ...]) -> list[int]:
+    """The field index of each of ``columns`` in the header row, the first
+    of :func:`_csv_lines` ``lines``.  A missing column raises
+    :class:`ParseError` at line 1."""
+    where = {name: i for i, name in enumerate(next(lines, (1, []))[1])}
     missing = [c for c in columns if c not in where]
     if missing:
         raise ParseError(f"missing columns {missing}", line=1)
@@ -64,64 +92,30 @@ def _short_row(size: int, width: int) -> str:
     return f"{size} fields, {width} expected"
 
 
-def _undecodable_line(fh) -> int:
-    """The line of the first byte of text file ``fh`` that its encoding
-    cannot decode, found by decoding the raw file again."""
-    decoder = codecs.getincrementaldecoder(fh.encoding)()
-    line = 1
-    with open(fh.name, "rb") as raw:
-        for block in iter(functools.partial(raw.read, 1 << 16), b""):
-            held = len(decoder.getstate()[0])   # bytes of a character split by the last block
-            try:
-                decoder.decode(block)
-            except UnicodeDecodeError as exc:
-                return line + block.count(b"\n", 0, max(exc.start - held, 0))
-            line += block.count(b"\n")
-    return line
-
-
-def _read_error(exc: csv.Error | UnicodeDecodeError, fh, reader=None) -> ParseError:
-    """:class:`ParseError` for a failure to read text file ``fh`` itself: a
-    byte that does not decode, or a field over the size limit of the CSV
-    ``reader``."""
-    if isinstance(exc, UnicodeDecodeError):
-        return ParseError(f"not {fh.encoding} text ({exc.reason})", line=_undecodable_line(fh))
-    return ParseError(str(exc), line=reader.line_num)
-
-
-def _csv_rows(fh, columns: tuple[str, ...]):
-    """(line, fields) for each nonblank row of a headered CSV file, the
-    fields being the text of ``columns`` in that order.  A missing column, a
-    short row or text the reader cannot read raises :class:`ParseError`
-    naming the line."""
-    reader = csv.reader(fh)
-    try:
-        index = _csv_header(reader, columns)
-        pick, width = operator.itemgetter(*index), max(index) + 1
-        for row in reader:
-            if row:
-                if len(row) < width:
-                    raise ParseError(_short_row(len(row), width), line=reader.line_num)
-                yield reader.line_num, pick(row)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _read_error(exc, fh, reader) from exc
-
-
 def _read_rows(path, columns: tuple[str, ...], convert) -> list:
-    """``convert(*fields)`` for each row of a headered CSV file; a row it
-    rejects with ValueError raises :class:`ParseError` naming the line."""
+    """``convert(*fields)`` for each nonblank row of a headered CSV file,
+    the fields being the text of ``columns`` in that order.  A missing
+    column, a short row, a row ``convert`` rejects with ValueError or text
+    :func:`_csv_lines` rejects raises :class:`ParseError` naming the line."""
     out = []
-    with open(Path(path), newline="") as fh:
-        for line, fields in _csv_rows(fh, columns):
+    with _open_csv(path) as fh:
+        lines = _csv_lines(csv.reader(fh))
+        index = _csv_header(lines, columns)
+        pick, width = operator.itemgetter(*index), max(index) + 1
+        for line, row in lines:
+            if not row:
+                continue
+            if len(row) < width:
+                raise ParseError(_short_row(len(row), width), line=line)
             try:
-                out.append(convert(*fields))
+                out.append(convert(*pick(row)))
             except ValueError as exc:
                 raise ParseError(str(exc), line=line) from exc
     return out
 
 
 def _write_rows(path, header, rows) -> None:
-    with open(Path(path), "w", newline="") as fh:
+    with _open_csv(path, "w") as fh:
         csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
@@ -167,6 +161,8 @@ def _station_id(text: str) -> str:
     sid = text.strip()
     if not sid:
         raise ValueError("empty station id")
+    if "\0" in sid:
+        raise ValueError(f"station id {sid!r} holds a NUL")
     return sid
 
 
@@ -221,7 +217,8 @@ def _chunks(reader):
     all the rows in one list.  Each row's own list is dropped as soon as it
     is read, so that the garbage collector never sees a chunk of them.  The
     last chunk is short, and empty when the rows ran out at a boundary; when
-    reading fails, the rows read before the failure come first."""
+    the reader fails (a field over the ``csv`` size limit), the rows before
+    the failure come as the last chunk, then :class:`ParseError`."""
     while True:
         lines, sizes, fields = [], [], []
         try:
@@ -229,15 +226,15 @@ def _chunks(reader):
                 fields += row
                 sizes.append(len(row))
                 lines.append(reader.line_num)
-        except (csv.Error, UnicodeDecodeError):
+        except csv.Error as exc:
             yield lines, sizes, fields
-            raise
+            raise ParseError(str(exc), line=reader.line_num) from exc
         yield lines, sizes, fields
         if len(sizes) < _CHUNK:
             return
 
 
-def _raise_first(parts, ids, checks=()) -> None:
+def _raise_first(parts, ids, checks) -> None:
     """Raise :class:`ParseError` at the first bad row of the rows read so
     far, if any: the first row of the last chunk that one of ``checks``
     rejects (the checks taken in order within a row), or the first row that
@@ -248,7 +245,7 @@ def _raise_first(parts, ids, checks=()) -> None:
     mask, message of row i) pairs over the rows of the last chunk, whose
     values at and after its first bad row may be placeholders."""
     line, code, day = (np.concatenate([p[k] for p in parts]) for k in (0, 1, 4))
-    start = len(line) - len(checks[0][0]) if checks else len(line)
+    start = len(line) - len(checks[0][0])
     hits = [(start + int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
     # one stable sort puts each key's rows together in file order; the first
     # repeated row is the second of its key, so the row before it is the first
@@ -277,46 +274,46 @@ def ingest_csv(path) -> IngestResult:
     number, so "nan" or "inf" is malformed.  The file is read in one
     ``csv.reader`` pass, ``_CHUNK`` rows at a time: each distinct text of a
     column is converted once, and the checks run as masks over the chunk.
-    The first malformed row in file order, a repeated (station, date) or
-    text the reader cannot read (a byte that does not decode, a field over
-    the ``csv`` size limit) included, raises :class:`ParseError` naming its
-    line; stations with more than half of either variable missing produce
-    warnings, not errors.
+    The first malformed row in file order, a repeated (station, date), a
+    byte that is not UTF-8 in any field, a NUL in a station id and a field
+    over the ``csv`` size limit included, raises :class:`ParseError` naming
+    its line; stations with more than half of either variable missing
+    produce warnings, not errors.
     """
     codes: dict[str, int] = {}  # station id -> code, in order of first appearance
     coord, reading = _Parser(float, float), _Parser(_reading, float)
     parsers = (_Parser(lambda t: codes.setdefault(_station_id(t), len(codes)), np.int64),
                coord, coord, _Parser(_day, np.int64), reading, reading)   # _COLUMNS order
     parts = []                  # line, code, lat, lon, day, tmin, tmax arrays per chunk
-    with open(Path(path), newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            index = _csv_header(reader, _COLUMNS)
-            width = max(index) + 1
-            for lines, size, fields in _chunks(reader):
-                size = np.array(size, np.int64)
-                nonblank = size > 0
-                size, start = size[nonblank], (np.cumsum(size) - size)[nonblank]
-                # a short row reads past its end, into the next row or the
-                # padding, and fails its length check first
-                fields = np.array(fields + [""] * width, dtype=object)
-                texts = [fields[start + i] for i in index]
-                cols = [p.column(t) for p, t in zip(parsers, texts)]
-                parts.append((np.array(lines, np.int64)[nonblank], *cols))
-                lat, lon = cols[1], cols[2]
-                checks = [(size < width, lambda i: _short_row(size[i], width)),
-                          *(p.check(t) for p, t in zip(parsers, texts)),
-                          (~((lat >= -90.0) & (lat <= 90.0)),
-                           lambda i: f"latitude {float(lat[i])} outside [-90, 90]"),
-                          (~((lon >= -180.0) & (lon <= 180.0)),
-                           lambda i: f"longitude {float(lon[i])} outside [-180, 180]")]
-                if any(bad.any() for bad, _ in checks):
-                    _raise_first(parts, list(codes), checks)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            if parts:   # a repeat before the unreadable row comes first
-                _raise_first(parts, list(codes))
-            raise _read_error(exc, fh, reader) from exc
-    _raise_first(parts, list(codes))
+        index = _csv_header(_csv_lines(reader), _COLUMNS)
+        width = max(index) + 1
+        for lines, size, fields in _chunks(reader):
+            size = np.array(size, np.int64)
+            nonblank = size > 0
+            size, start = size[nonblank], (np.cumsum(size) - size)[nonblank]
+            undecodable = _bad_byte("".join(fields))   # one test of an ASCII chunk
+            # a short row reads past its end, into the next row or the
+            # padding, and fails its length check first
+            fields = np.array(fields + [""] * width, dtype=object)
+            texts = [fields[start + i] for i in index]
+            cols = [p.column(t) for p, t in zip(parsers, texts)]
+            parts.append((np.array(lines, np.int64)[nonblank], *cols))
+            lat, lon = cols[1], cols[2]
+            checks = [(size < width, lambda i: _short_row(size[i], width)),
+                      *(p.check(t) for p, t in zip(parsers, texts)),
+                      (~((lat >= -90.0) & (lat <= 90.0)),
+                       lambda i: f"latitude {float(lat[i])} outside [-90, 90]"),
+                      (~((lon >= -180.0) & (lon <= 180.0)),
+                       lambda i: f"longitude {float(lon[i])} outside [-180, 180]")]
+            if undecodable:
+                errors = [_bad_byte("".join(fields[a:a + n])) for a, n in zip(start, size)]
+                checks.insert(0, (np.fromiter(map(bool, errors), bool), errors.__getitem__))
+            # the last chunk, whether the rows ran out or the next one could
+            # not be read, is where the repeats are looked for
+            if len(lines) < _CHUNK or any(bad.any() for bad, _ in checks):
+                _raise_first(parts, list(codes), checks)
     line, code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
     del parts
     records = np.rec.fromarrays([np.array(list(codes), dtype=str)[code], lat, lon,
@@ -351,7 +348,7 @@ def write_records_csv(records: np.recarray, path) -> None:
     def iso(days):
         return np.datetime_as_string(days.view("datetime64[D]")).tolist()
 
-    with open(Path(path), "w", newline="") as fh:
+    with _open_csv(path, "w") as fh:
         csv.writer(fh).writerow(_COLUMNS)
         for i in range(0, len(records), _CHUNK):
             r = records[i:i + _CHUNK]
@@ -470,19 +467,23 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
                     min_overlap: int = 3, block_size: int | None = None) -> ConcurrenceMatrix:
     """Pairwise concurrence estimates over stations from seasonal extremes.
 
-    Years are matched pairwise-complete, and the estimator runs once per
-    set of common years on the stack of pairs sharing it (once in all on
-    complete data); pairs with fewer than ``min_overlap`` common years stay
-    NaN.  ``anchor`` restricts the computation to one station's row (plus
-    the unit diagonal).  The method name and block size are checked before
-    any pair is estimated.
+    A station has at most one extreme a year: a repeat raises
+    :class:`DomainError`.  Years are matched pairwise-complete, and the
+    estimator runs once per set of common years on the stack of pairs
+    sharing it (once in all on complete data); pairs with fewer than
+    ``min_overlap`` common years stay NaN.  ``anchor`` restricts the
+    computation to one station's row (plus the unit diagonal).  The method
+    name and block size are checked before any pair is estimated.
     """
     estimate = estimator(method, block_size)
     series: dict[str, dict[int, float]] = {}
     for e in extremes:
         if not math.isfinite(e.value):
             raise DomainError(f"extreme of station {e.station_id} in {e.year} is not finite")
-        series.setdefault(e.station_id, {})[e.year] = e.value
+        years = series.setdefault(e.station_id, {})
+        if e.year in years:
+            raise DomainError(f"station {e.station_id} has two extremes in {e.year}")
+        years[e.year] = e.value
     ids = tuple(sorted(series))
     s_count = len(ids)
     if s_count < 2:
@@ -640,17 +641,14 @@ def station_points(ids, station_coords: dict) -> np.ndarray:
 
 
 def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
-                            grid_lats, grid_lons, anchors=None,
-                            idw_power: float = 2.0) -> dict[str, float]:
-    """Expected cell area per anchor from a pairwise matrix: interpolate the
-    anchors' concurrence rows onto the grid and integrate with cos-lat weights."""
-    ids = matrix.station_ids
-    anchors = list(ids) if anchors is None else list(anchors)
-    pts = station_points(ids, station_coords)
-    rows = np.array([matrix.row(a) for a in anchors]).reshape(len(anchors), len(ids))
-    maps = grid_map(pts, rows, grid_lats, grid_lons, idw_power=idw_power)[:, 2:]
+                            grid_lats, grid_lons, idw_power: float = 2.0) -> dict[str, float]:
+    """Expected cell area per station from a pairwise matrix: interpolate
+    every station's concurrence row onto the grid and integrate with cos-lat
+    weights."""
+    pts = station_points(matrix.station_ids, station_coords)
+    maps = grid_map(pts, matrix.estimates, grid_lats, grid_lons, idw_power=idw_power)[:, 2:]
     weights = cos_lat_weights(grid_lats, grid_lons)
-    return {anchor: integrated_cp(m, weights) for anchor, m in zip(anchors, maps.T)}
+    return {sid: integrated_cp(m, weights) for sid, m in zip(matrix.station_ids, maps.T)}
 
 
 def expected_cell_area_model(model, grid_sites, weights, reps: int,

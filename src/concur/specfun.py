@@ -76,10 +76,11 @@ def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T == matrix for a PSD matrix.
 
     Tries Cholesky first; on failure falls back to an eigendecomposition
-    with eigenvalues in [-tol*scale, 0] clipped to zero, which keeps exact
-    linear degeneracies (rank-deficient covariances) intact instead of
-    blurring them with diagonal jitter.  That factor F is made triangular
-    through the QR decomposition F.T = Q R: F F.T = R.T R, so L = R.T.
+    with eigenvalues in [-tol*scale, tol*scale] set to zero, which keeps
+    exact linear degeneracies (rank-deficient covariances) intact instead
+    of blurring them with diagonal jitter or rounding noise.  That factor F
+    is made triangular through the QR decomposition F.T = Q R: F F.T =
+    R.T R, so L = R.T.
     Either way row i of L is zero past column i, so entry i of L @ z
     depends on the leading i + 1 entries of z only.
     """
@@ -92,7 +93,7 @@ def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
     if w.size and float(np.min(w)) < -tol * scale:
         raise NumericError("matrix is not positive semidefinite within tolerance")
-    return np.linalg.qr((v * np.sqrt(np.clip(w, 0.0, None))).T, mode="r").T
+    return np.linalg.qr((v * np.sqrt(np.where(w > tol * scale, w, 0.0))).T, mode="r").T
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,6 @@ from .specfun import SeededRng
 
 SCHEMA_VERSION = "1"
 
-EXPERIMENTS = ("table1", "fig1", "fig2", "fig3")
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Knobs for one experiment run; defaults are scaled-down but faithful."""
@@ -58,7 +55,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}; "
-                              f"choose one of {EXPERIMENTS}")
+                              f"choose one of {tuple(EXPERIMENTS)}")
         if self.reps < 2:
             raise DomainError("reps must be >= 2")
 
@@ -212,6 +209,10 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     return rows
 
 
+# experiment name -> the runner of its rows
+EXPERIMENTS = {"table1": _run_table1, "fig1": _run_fig1, "fig2": _run_fig2, "fig3": _run_fig3}
+
+
 # ---------------------------------------------------------------------------
 # harness
 
@@ -222,9 +223,7 @@ def study_harness(cfg: StudyConfig) -> dict:
     outputs for identical configs.
     """
     rng = SeededRng(cfg.seed)
-    runner = {"table1": _run_table1, "fig1": _run_fig1,
-              "fig2": _run_fig2, "fig3": _run_fig3}[cfg.experiment]
-    rows = runner(cfg, rng)
+    rows = EXPERIMENTS[cfg.experiment](cfg, rng)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"

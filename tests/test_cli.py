@@ -213,10 +213,18 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
      "line 3: not utf-8 text"),
     ("model", b'{"model": "logistic",\n "alpha": 0.5, "note": "\xff"}',
      ["ecp", "--model", "{model}", "--sites", "{stations}"], "line 2: not utf-8 text"),
+    # a bad byte is an ordinary bad field: an earlier bad row comes first,
+    # and a header, even one that would be skipped, is read as text too
+    ("records", RECORDS + b"A,40\nB\xff,40,-100,2000-01-01,1,2\n", INGEST,
+     "line 3: 2 fields, 6 expected"),
+    ("table", b"a,\xffb\n1,2\n", ESTIMATE, "line 1: not utf-8 text (byte 0xff)"),
+    ("sites", b"x\xff\n0.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}"],
+     "line 1: not utf-8 text (byte 0xff)"),
 ], ids=["matrix", "stations", "extremes", "strata", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
         "pairs_column_out_of_range", "grid_not_a_number", "records_not_utf8",
-        "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8"])
+        "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8",
+        "records_bad_row_before_bad_byte", "table_header_not_utf8", "sites_header_not_utf8"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line

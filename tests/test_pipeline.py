@@ -24,6 +24,7 @@ from concur.pipeline import (
     ingest_csv,
     pairwise_matrix,
     read_matrix_csv,
+    read_stations_csv,
     read_strata_csv,
     seasonal_blocks,
     write_matrix_csv,
@@ -97,6 +98,73 @@ class TestIngest:
         p = tmp_path / "cols.csv"
         p.write_text("station_id,lat,lon,date,tmax\nS1,40,-100,2000-01-01,9\n")
         with pytest.raises(ParseError, match="missing columns"):
+            ingest_csv(p)
+
+    def test_nul_in_station_id(self, tmp_path):
+        # NumPy's str dtype drops trailing NULs: "A\0" would pass the
+        # duplicate check as a second station, then merge into A
+        p = tmp_path / "nul.csv"
+        p.write_bytes(b"station_id,lat,lon,date,tmin,tmax\n"
+                      b"A,40,-100,2000-06-01,1,2\n"
+                      b"A\x00,40,-100,2000-06-01,1,3\n")
+        # Python 3.10's csv module rejects the NUL itself, at the same line
+        with pytest.raises(ParseError, match=r"line 3: (station id 'A\\x00' holds a NUL|.*NUL)"):
+            ingest_csv(p)
+
+
+HEADER = b"station_id,lat,lon,date,tmin,tmax\n"
+ROW = b"A,40,-100,2000-01-%02d,1,2\n"
+
+
+class TestUndecodableText:
+    """A byte that is not UTF-8 is an ordinary bad field: the first bad row
+    in file order is reported, at the line its row ends on."""
+
+    def test_bad_row_before_a_bad_byte_comes_first(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_bytes(HEADER + ROW % 1 + b"A,40,-100\n" + ROW % 3
+                      + b"A\xff,40,-100,2000-01-04,1,2\n")
+        with pytest.raises(ParseError, match="line 3: 3 fields, 6 expected"):
+            ingest_csv(p)
+        p = tmp_path / "stations.csv"
+        p.write_bytes(b"station_id,lat,lon\nA,40,-100\nB,north,-101\nC,\xe9,-99\n")
+        with pytest.raises(ParseError, match="line 3: could not convert"):
+            read_stations_csv(p)
+
+    def test_the_message_names_the_byte(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_bytes(HEADER + ROW % 1 + b"A,40,-100,2000-01-02,1,\x80\n")
+        with pytest.raises(ParseError, match=r"^line 3: not utf-8 text \(byte 0x80\)$"):
+            ingest_csv(p)
+
+    def test_bad_byte_in_an_ignored_column(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_bytes(HEADER[:-1] + b",note\n" + ROW[:-1] % 1 + b",x\n"
+                      + ROW[:-1] % 2 + b",\xfex\n")
+        with pytest.raises(ParseError, match="line 3: not utf-8 text"):
+            ingest_csv(p)
+        p = tmp_path / "stations.csv"
+        p.write_bytes(b"station_id,lat,lon,name\nA,40,-100,x\nB,41,-101,\xc3\n")
+        with pytest.raises(ParseError, match="line 3: not utf-8 text"):
+            read_stations_csv(p)
+
+    def test_bad_byte_in_the_header(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_bytes(HEADER[:-1] + b",\xff\n" + ROW % 1)
+        with pytest.raises(ParseError, match="line 1: not utf-8 text"):
+            ingest_csv(p)
+        p = tmp_path / "strata.csv"
+        p.write_bytes(b"year,label,\xff\n2000,nino,x\n")
+        with pytest.raises(ParseError, match="line 1: not utf-8 text"):
+            read_strata_csv(p)
+
+    def test_bad_byte_in_a_later_chunk(self, tmp_path, monkeypatch):
+        import concur.pipeline
+        monkeypatch.setattr(concur.pipeline, "_CHUNK", 2)
+        p = tmp_path / "records.csv"
+        p.write_bytes(HEADER + b"".join(ROW % d for d in range(1, 6))
+                      + b"A,40,-100,2000-01-06,1,2\xff\n")
+        with pytest.raises(ParseError, match=r"line 7: not utf-8 text \(byte 0xff\)"):
             ingest_csv(p)
 
 
@@ -195,6 +263,21 @@ class TestPairwiseMatrix:
         matrix = pairwise_matrix(extremes, min_overlap=3)
         assert math.isnan(matrix.estimates[0, 1])
         assert matrix.n_pairs[0, 1] == 2
+
+    def test_repeated_station_year(self):
+        # B has a JJA and a DJF extreme in each year: the matrix would have
+        # kept the DJF rows alone (tau -1 where JJA gives 1)
+        from concur.pipeline import SeasonalExtremes
+        extremes = [SeasonalExtremes(sid, season, y, float(v), 1.0, "max")
+                    for sid, season, sign in [("A", "JJA", 1), ("B", "JJA", 1), ("B", "DJF", -1)]
+                    for y, v in zip(range(2000, 2005), sign * np.arange(5.0))]
+        with pytest.raises(DomainError, match="station B has two extremes in 2000"):
+            pairwise_matrix(extremes)
+        with pytest.raises(DomainError, match="station B has two extremes in 2000"):
+            cell_area_report(extremes, {"A": (40.0, -100.0), "B": (41.0, -101.0)},
+                             [40.0], [-100.0])
+        matrix = pairwise_matrix([e for e in extremes if e.season == "JJA"])
+        assert matrix.estimates[0, 1] == 1.0
 
     def test_unknown_method_raises_before_pairs(self, synthetic):
         from concur.pipeline import SeasonalExtremes

@@ -89,22 +89,46 @@ def _reference_date(raw):
     return dt.date(int(year), int(month), int(day))
 
 
+def _reference_utf8(fields, line):
+    """A byte that was not UTF-8 in a file read with surrogateescape does
+    not encode back."""
+    try:
+        "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("not utf-8 text", line=line) from None
+
+
+def _reference_rows(reader):
+    """The rows of a DictReader, every field of each (extra ones too) read
+    as UTF-8."""
+    try:
+        for row in reader:
+            _reference_utf8([v for k, v in row.items() if k is not None and v is not None]
+                            + row.get(None, []), reader.line_num)
+            yield row
+    except csv.Error as exc:   # before Python 3.11, a NUL anywhere
+        raise ParseError(str(exc), line=reader.line_num) from exc
+
+
 def reference_ingest_csv(path):
     """(records, missing report, warnings) of a station CSV, row by row."""
     records, seen, counts = [], {}, {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError("empty file, header expected", line=1)
+        _reference_utf8(reader.fieldnames, reader.line_num)
         missing_cols = [c for c in _COLUMNS if c not in reader.fieldnames]
         if missing_cols:
             raise ParseError(f"missing columns {missing_cols}", line=1)
-        for row in reader:
+        for row in _reference_rows(reader):
             line = reader.line_num
             try:
                 sid = row["station_id"].strip()
                 if not sid:
                     raise ValueError("empty station id")
+                if "\0" in sid:
+                    raise ValueError("NUL in station id")
                 lat = float(row["lat"])
                 lon = float(row["lon"])
                 date = _reference_date(row["date"])
@@ -217,7 +241,9 @@ def _reference_pair(method, data, m):
 def reference_pairwise_matrix(extremes, method, anchor=None, min_overlap=3, block_size=None):
     series = {}
     for e in extremes:
-        series.setdefault(e.station_id, {})[e.year] = e.value
+        if e.year in series.setdefault(e.station_id, {}):
+            raise DomainError(f"station {e.station_id} repeats {e.year}")
+        series[e.station_id][e.year] = e.value
     ids = tuple(sorted(series))
     s_count = len(ids)
     if s_count < 2:
@@ -277,14 +303,15 @@ _BAD_FIELDS = {"lat": ["95.0", "north"], "lon": ["-181", ""],
                         "2000-6-1"],
                "tmax": ["abc", "1.2.3", "nan", "NaN", "inf", "-inf", "INF", "-Infinity",
                         "infinity"],
-               "station_id": ["  ", ""]}
+               "station_id": ["  ", "", "S1\0", "\0"]}
 
 
 @st.composite
 def station_files(draw):
     """Header plus rows over ~110 days from late November (DJF with its
     December, the end of SON, the start of MAM), with missing markers,
-    ties, blank lines and, sometimes, malformed or duplicate rows."""
+    ties, blank lines and, sometimes, malformed or duplicate rows; a byte
+    that is not UTF-8 is the surrogate that surrogateescape reads it as."""
     base = draw(st.sampled_from([dt.date(1969, 11, 20), dt.date(1999, 11, 20)])).toordinal()
     ids = draw(st.lists(st.sampled_from(["S1", "S2", "T3", "10"]), min_size=1, max_size=3,
                         unique=True))
@@ -296,11 +323,15 @@ def station_files(draw):
              draw(_READINGS), draw(_READINGS)] for sid, day in keys]
     for _ in range(draw(st.integers(0, 3))):
         pos = draw(st.integers(0, len(rows)))
-        kind = draw(st.sampled_from(["blank", "short", "duplicate", "duplicate", *_BAD_FIELDS]))
+        kind = draw(st.sampled_from(["blank", "short", "duplicate", "duplicate", "byte",
+                                     *_BAD_FIELDS]))
         if kind == "blank":
             row = []
         elif kind == "short":
             row = ["S1", "40.0", "-100.0", "2000-01-01"]
+        elif kind == "byte":
+            row = list(draw(st.sampled_from([r for r in rows if r] or [["S1", "0", "0"]])))
+            row[draw(st.integers(0, len(row) - 1))] += draw(st.sampled_from(["\udcff", "\udc80"]))
         elif kind == "duplicate":
             pos = pos or len(rows)
             if pos == 0:
@@ -314,8 +345,11 @@ def station_files(draw):
         rows.insert(pos, row)
     header = list(_COLUMNS)
     if draw(st.booleans()):   # column order and extra columns do not matter
-        header = header[::-1] + ["note"]
-        rows = [r[::-1] + ["x"] if len(r) == 6 else r for r in rows]
+        header = header[::-1] + [draw(st.sampled_from(["note", "note", "note", "n\udcffte"]))]
+        notes = ["x"] * len(rows)
+        if rows and draw(st.booleans()):
+            notes[draw(st.integers(0, len(rows) - 1))] = "x\udcff"
+        rows = [r[::-1] + [note] if len(r) == 6 else r for r, note in zip(rows, notes)]
     return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
 
 
@@ -332,7 +366,7 @@ class TestIngestAndBlocks:
     @given(station_files())
     def test_matches_reference(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("ingest") / "stations.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         kind, ref = _outcome(reference_ingest_csv, path)
         got_kind, got = _outcome(ingest_csv, path)
         assert got_kind == kind
@@ -412,7 +446,7 @@ class TestIngestAndBlocks:
     def test_matches_reference_in_small_chunks(self, tmp_path_factory, text, chunk):
         # every chunk boundary of a generated file falls between two of its rows
         path = tmp_path_factory.mktemp("chunks") / "stations.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         kind, ref = _outcome(reference_ingest_csv, path)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(concur.pipeline, "_CHUNK", chunk)
@@ -579,7 +613,7 @@ def seasonal_extremes(draw):
     """Extremes of 2-6 stations over 2-10 years, each station-year absent
     with a drawn rate (0 gives complete data, one common-year set), values
     on a coarse grid (ties) or continuous, and sometimes a repeated
-    station-year, whose last value counts."""
+    station-year, which is an error."""
     ids = [f"S{i}" for i in range(draw(st.integers(2, 6)))]
     years = range(2000, 2000 + draw(st.integers(2, 10)))
     absent = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
@@ -638,9 +672,10 @@ class TestPairwiseMatrix:
 class TestMaps:
     @given(station_matrices())
     def test_cell_areas_match_reference(self, case):
-        matrix, coords, lats, lons, anchors = case
-        kind, ref = _outcome(reference_cell_areas, matrix, coords, lats, lons, anchors)
-        got_kind, got = _outcome(expected_cell_area_data, matrix, coords, lats, lons, anchors)
+        matrix, coords, lats, lons, _ = case
+        kind, ref = _outcome(reference_cell_areas, matrix, coords, lats, lons,
+                             matrix.station_ids)
+        got_kind, got = _outcome(expected_cell_area_data, matrix, coords, lats, lons)
         assert got_kind == kind
         if kind == "ok":
             assert list(got) == list(ref)

@@ -425,7 +425,7 @@ class TestEarlyRejection:
         model = BrownResnick(QuadraticVariogram(np.array([[1.2, 0.4], [0.4, 2.0]])))
         sites = np.array([[0.0, 0.0], [0.8, 0.5], [-0.3, 1.0], [0.5, -0.6], [1.2, 0.9]])
         _, fac, _ = model._anchored(model.sites_of(sites))
-        assert np.linalg.matrix_rank(fac, tol=1e-6) == 2   # rounding leaves ~1e-8
+        assert np.linalg.matrix_rank(fac) == 2   # the null directions carry no noise
         assert np.array_equal(fac, np.tril(fac))
         reps = 20_000
         values, hits = simulate_max_stable_batch(model, sites, reps, rng.substream(34))
