@@ -5,12 +5,15 @@ concurrence matrices (Kendall by default) -> gridded maps (inverse-distance
 weighting on the logit scale) -> expected concurrence-cell areas, optionally
 stratified by an external year-label table.  Station records are one NumPy
 record array, read and written as columns a bounded chunk of rows at a
-time.  A date is exactly YYYY-MM-DD; a tmin or tmax of "" or "-9999" is
-missing (NaN), and any other must be a finite number.  Every CSV format of
-the chain lives here.  Files are UTF-8, and a malformed file, a byte that
-is not UTF-8 included, raises :class:`ParseError` naming its first bad
-line.  Everything is deterministic given the inputs; minima are analyzed
-as negated values so the downstream machinery only ever deals with maxima.
+time: a clean station file is tokenized in C by ``np.loadtxt``, and any
+other is read by ``csv.reader`` with the same result.  A date is exactly
+YYYY-MM-DD; a tmin or tmax of "" or "-9999" is missing (NaN), and any
+other must be a finite number.  Every CSV format of the chain lives here.
+Files are UTF-8, and a malformed file, a byte that is not UTF-8 included,
+raises :class:`ParseError` naming its first bad line, always from the
+``csv.reader`` path.  Everything is deterministic given the inputs; minima
+are analyzed as negated values so the downstream machinery only ever deals
+with maxima.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import datetime as dt
 import functools
 import io
 import itertools
+import logging
 import math
 import operator
 import re
@@ -48,6 +52,12 @@ _CHUNK = 8192          # station record rows per chunk, read or written
 _KEY_BITS = 22         # a day ordinal (up to 9999-12-31) is below 2**22
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 _BAD_BYTE = re.compile("[\udc80-\udcff]")   # a byte as ``surrogateescape`` decodes it
+_TOKEN_WIDTH = 25      # bytes of a station id or reading the tokenizer reads: one
+                       # more than the longest repr of a float (24 characters)
+_PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\r\n"
+_UNPLAIN = {ord('"'): "quote", ord(" "): "blank in field", ord("\t"): "blank in field", 0: "NUL"}
+
+_log = logging.getLogger(__name__)
 
 
 def _open_csv(path, mode: str = "r"):
@@ -92,12 +102,14 @@ def _short_row(size: int, width: int) -> str:
     return f"{size} fields, {width} expected"
 
 
-def _read_rows(path, columns: tuple[str, ...], convert) -> list:
+def _read_rows(path, columns: tuple[str, ...], convert, key=None) -> list:
     """``convert(*fields)`` for each nonblank row of a headered CSV file,
     the fields being the text of ``columns`` in that order.  A missing
-    column, a short row, a row ``convert`` rejects with ValueError or text
-    :func:`_csv_lines` rejects raises :class:`ParseError` naming the line."""
-    out = []
+    column, a short row, a row ``convert`` rejects with ValueError, a row
+    whose ``key`` of its value (what it names and its values, such as
+    ``("year", 2000)``) an earlier row had, or text :func:`_csv_lines`
+    rejects raises :class:`ParseError` naming the line."""
+    out, seen = [], {}
     with _open_csv(path) as fh:
         lines = _csv_lines(csv.reader(fh))
         index = _csv_header(lines, columns)
@@ -111,6 +123,12 @@ def _read_rows(path, columns: tuple[str, ...], convert) -> list:
                 out.append(convert(*pick(row)))
             except ValueError as exc:
                 raise ParseError(str(exc), line=line) from exc
+            if key is not None:
+                k = key(out[-1])
+                if k in seen:
+                    raise ParseError(f"duplicate {k[0]} {','.join(map(str, k[1:]))} "
+                                     f"(first seen on line {seen[k]})", line=line)
+                seen[k] = line
     return out
 
 
@@ -265,21 +283,172 @@ def _raise_first(parts, ids, checks) -> None:
                      line=int(line[row]))
 
 
+class _Untokenizable(Exception):
+    """Why :func:`_tokenized` leaves a file to the row reader."""
+
+
+def _screen(lines: list[bytes]) -> bytes:
+    """``lines`` joined.  Raise :class:`_Untokenizable` unless ``csv.reader``
+    and NumPy's tokenizer split them into the same rows and fields: every
+    byte printable ASCII other than a quote or a blank, or a line end; a
+    carriage return only before a line feed; no line over the ``csv`` field
+    size limit."""
+    data = b"".join(lines)
+    if bad := data.translate(None, _PLAIN):
+        raise _Untokenizable("byte that is not ASCII" if bad[0] > 0x7F
+                             else _UNPLAIN.get(bad[0], "control character"))
+    if data.count(b"\r") != data.count(b"\r\n"):
+        raise _Untokenizable("carriage return inside a line")
+    if max(map(len, lines), default=0) >= csv.field_size_limit():
+        raise _Untokenizable("line over the csv field size limit")
+    return data
+
+
+def _tokenized_day(text: np.ndarray) -> np.ndarray:
+    """Days since 1970-01-01 of dates as rows of 11 bytes (NUL padded), each
+    exactly YYYY-MM-DD and a day of the proleptic Gregorian calendar from
+    year 1 on, as :func:`_day` reads them; any other raises
+    :class:`_Untokenizable`."""
+    digit = (text >= ord("0")) & (text <= ord("9"))
+    if not (digit[:, [0, 1, 2, 3, 5, 6, 8, 9]].all() and (text[:, [4, 7]] == ord("-")).all()
+            and (text[:, 10] == 0).all()):
+        raise _Untokenizable("date that is not YYYY-MM-DD")
+    b = text.astype(np.int64) - ord("0")
+    y = b[:, 0] * 1000 + b[:, 1] * 100 + b[:, 2] * 10 + b[:, 3]
+    m, d = b[:, 5] * 10 + b[:, 6], b[:, 8] * 10 + b[:, 9]
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    month_days = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+    if ((y < 1) | (m < 1) | (m > 12)).any() \
+            or ((d < 1) | (d > month_days[m] + (leap & (m == 2)))).any():
+        raise _Untokenizable("date that is not a calendar day")
+    # days from civil (H. Hinnant): 400-year eras of 146097 days, years from March
+    y = y - (m <= 2)
+    era, yoe = np.divmod(y, 400)
+    doy = (153 * (m + np.where(m > 2, -3, 9)) + 2) // 5 + d - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def _tokenized_reading(texts: np.ndarray) -> np.ndarray:
+    """Readings as :func:`_reading` reads them from ``S`` texts; a text that
+    is not a finite number raises :class:`_Untokenizable`."""
+    missing = (texts == b"") | (texts == b"-9999")
+    try:
+        values = np.where(missing, b"0", texts).astype(float)
+    except ValueError as exc:
+        raise _Untokenizable(str(exc)) from None
+    if not np.isfinite(values).all():
+        raise _Untokenizable("reading that is not finite")
+    values[missing] = np.nan
+    return values
+
+
+def _tokenized(path) -> IngestResult:
+    """:func:`ingest_csv` of a clean file through NumPy's C tokenizer.
+
+    ``np.loadtxt`` reads ``_CHUNK`` lines at a time, and the checks of the
+    row reader run as masks over its columns.  On anything the row reader
+    would reject, and on any text the two might read apart (a quote, a
+    blank, a byte that is not ASCII, a field as wide as its column), this
+    raises :class:`_Untokenizable`: it never reports a line.  Ids, dates
+    and readings are read as bytes, because ``loadtxt`` cuts a field to its
+    width silently and a reading's text, not its value, tells "-9999" (a
+    missing one) from "-9999.0"."""
+    with open(Path(path), "rb") as fh:
+        header = fh.readline()
+        _screen([header])
+        try:
+            index = _csv_header(iter([(1, header.decode("ascii").rstrip("\r\n").split(","))]),
+                                _COLUMNS)
+        except ParseError as exc:
+            raise _Untokenizable(str(exc)) from None
+        dtype = np.dtype([("station_id", f"S{_TOKEN_WIDTH}"), ("lat", float), ("lon", float),
+                          ("date", "S11"), ("tmin", f"S{_TOKEN_WIDTH}"),
+                          ("tmax", f"S{_TOKEN_WIDTH}")])
+        at = {name: dtype.fields[name][1] for name in dtype.names}   # byte offsets in a row
+        last = [at[name] + _TOKEN_WIDTH - 1 for name in ("station_id", "tmin", "tmax")]
+        codes: dict[bytes, int] = {}  # station id -> code, in order of first appearance
+        parts = []                    # code, lat, lon, day, tmin, tmax arrays per chunk
+        while lines := list(itertools.islice(fh, _CHUNK)):
+            if _screen(lines).isspace():          # blank lines only: loadtxt would warn
+                continue
+            try:
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                  usecols=index, ndmin=1)
+            except ValueError as exc:
+                raise _Untokenizable(f"loadtxt: {exc}") from None
+            raw = rows.view(np.uint8).reshape(len(rows), dtype.itemsize)
+            if raw[:, last].any():
+                raise _Untokenizable("field as wide as its column")
+            sid = rows["station_id"]
+            if (sid == b"").any():
+                raise _Untokenizable("empty station id")
+            lat, lon = rows["lat"].copy(), rows["lon"].copy()   # not views that keep rows
+            if not ((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)).all():
+                raise _Untokenizable("coordinate out of range")
+            # ids come in runs: look up the first id of each run only
+            heads = np.flatnonzero(np.concatenate([[True], sid[1:] != sid[:-1]]))
+            distinct, first, inverse = np.unique(sid[heads], return_index=True,
+                                                 return_inverse=True)
+            for s in distinct[np.argsort(first)].tolist():
+                codes.setdefault(s, len(codes))
+            head = np.array([codes[s] for s in distinct.tolist()], np.int64)[inverse.reshape(-1)]
+            parts.append((np.repeat(head, np.diff(np.append(heads, len(rows)))), lat, lon,
+                          _tokenized_day(raw[:, at["date"]:at["date"] + 11]),
+                          _tokenized_reading(rows["tmin"]),
+                          _tokenized_reading(rows["tmax"])))
+    if not parts:
+        raise _Untokenizable("no rows")
+    code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
+    del parts
+    key = np.sort(code << _KEY_BITS | (day + _EPOCH))
+    if (key[1:] == key[:-1]).any():
+        raise _Untokenizable("repeated station and date")
+    return _ingest_result([s.decode("ascii") for s in codes], code, lat, lon, day, tmin, tmax)
+
+
+def _ingest_result(ids: list[str], code, lat, lon, day, tmin, tmax) -> IngestResult:
+    """The records, missing report and warnings of rows of station ``ids``
+    by code, each row's columns in file order."""
+    records = np.rec.fromarrays([np.array(ids, dtype=str)[code], lat, lon,
+                                 day.astype("datetime64[D]"), tmin, tmax], names=_COLUMNS)
+    records.flags.writeable = False
+    n, tmin, tmax = (np.bincount(code[m], minlength=len(ids)).tolist()
+                     for m in (slice(None), np.isnan(tmin), np.isnan(tmax)))
+    report = {sid: {"n_days": n[i], "missing_tmin": tmin[i] / n[i],
+                    "missing_tmax": tmax[i] / n[i]} for i, sid in enumerate(ids)}
+    warnings = tuple(
+        f"station {sid}: more than 50% missing {name}"
+        for sid, rep in report.items()
+        for name in ("tmin", "tmax")
+        if rep[f"missing_{name}"] > 0.5
+    )
+    return IngestResult(records=records, missing_report=report, warnings=warnings)
+
+
 def ingest_csv(path) -> IngestResult:
     """Read and validate station records from a headered CSV file.
 
     The columns are station_id, lat, lon, date, tmin and tmax, in any
     order.  A date is exactly YYYY-MM-DD (after surrounding blanks); a tmin
     or tmax of "" or "-9999" is missing, and any other must be a finite
-    number, so "nan" or "inf" is malformed.  The file is read in one
-    ``csv.reader`` pass, ``_CHUNK`` rows at a time: each distinct text of a
-    column is converted once, and the checks run as masks over the chunk.
-    The first malformed row in file order, a repeated (station, date), a
-    byte that is not UTF-8 in any field, a NUL in a station id and a field
-    over the ``csv`` size limit included, raises :class:`ParseError` naming
-    its line; stations with more than half of either variable missing
-    produce warnings, not errors.
+    number, so "nan" or "inf" is malformed.  The first malformed row in
+    file order, a repeated (station, date), a byte that is not UTF-8 in any
+    field, a NUL in a station id and a field over the ``csv`` size limit
+    included, raises :class:`ParseError` naming its line; stations with
+    more than half of either variable missing produce warnings, not errors.
+
+    A clean file (printable ASCII without quotes or blanks, and no fault)
+    is tokenized in C by ``np.loadtxt`` (:func:`_tokenized`).  Any other
+    file, or one that fails a check there, is read again from the start by
+    the row reader, which alone reports errors: one ``csv.reader`` pass,
+    ``_CHUNK`` rows at a time, each distinct text of a column converted
+    once and the checks run as masks over the chunk.  Why a file took the
+    row reader is logged at DEBUG level.
     """
+    try:
+        return _tokenized(path)
+    except (_Untokenizable, OSError) as exc:   # the row reader raises OSError again
+        _log.debug("tokenizer: %s, reading rows", exc)
     codes: dict[str, int] = {}  # station id -> code, in order of first appearance
     coord, reading = _Parser(float, float), _Parser(_reading, float)
     parsers = (_Parser(lambda t: codes.setdefault(_station_id(t), len(codes)), np.int64),
@@ -316,20 +485,7 @@ def ingest_csv(path) -> IngestResult:
                 _raise_first(parts, list(codes), checks)
     line, code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
     del parts
-    records = np.rec.fromarrays([np.array(list(codes), dtype=str)[code], lat, lon,
-                                 day.astype("datetime64[D]"), tmin, tmax], names=_COLUMNS)
-    records.flags.writeable = False
-    n, tmin, tmax = (np.bincount(code[m], minlength=len(codes)).tolist()
-                     for m in (slice(None), np.isnan(tmin), np.isnan(tmax)))
-    report = {sid: {"n_days": n[i], "missing_tmin": tmin[i] / n[i],
-                    "missing_tmax": tmax[i] / n[i]} for i, sid in enumerate(codes)}
-    warnings = tuple(
-        f"station {sid}: more than 50% missing {name}"
-        for sid, rep in report.items()
-        for name in ("tmin", "tmax")
-        if rep[f"missing_{name}"] > 0.5
-    )
-    return IngestResult(records=records, missing_report=report, warnings=warnings)
+    return _ingest_result(list(codes), code, lat, lon, day, tmin, tmax)
 
 
 def _formatted(values: np.ndarray, fmt) -> np.ndarray:
@@ -526,8 +682,12 @@ def write_matrix_csv(matrix: ConcurrenceMatrix, path) -> None:
 
 
 def read_matrix_csv(path, method: str = "kendall") -> ConcurrenceMatrix:
+    """A matrix from :func:`write_matrix_csv` output: one row per unordered
+    pair, in either order; a repeated pair raises :class:`ParseError`."""
     rows = _read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
-                      lambda a, b, e, s, c: (a, b, float(e), float(s), int(c)))
+                      lambda a, b, e, s, c: (a, b, float(e), float(s), int(c)),
+                      key=lambda r: (("pair", r[0], r[1]) if r[0] <= r[1]
+                                     else ("pair", r[1], r[0])))
     ids = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
     idx = {sid: i for i, sid in enumerate(ids)}
     n = len(ids)
@@ -667,9 +827,11 @@ def expected_cell_area_model(model, grid_sites, weights, reps: int,
 
 
 def read_strata_csv(path) -> dict[int, str]:
-    """Year -> stratum label table (columns: year,label)."""
+    """Year -> stratum label table (columns: year,label); a repeated year
+    raises :class:`ParseError`."""
     return dict(_read_rows(path, ("year", "label"),
-                           lambda year, label: (int(year), label.strip())))
+                           lambda year, label: (int(year), label.strip()),
+                           key=lambda r: ("year", r[0])))
 
 
 def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,

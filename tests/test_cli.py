@@ -193,6 +193,9 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
     ("extremes", EXTREMES + "A,JJA,2001,abc,1.0,max\n", ["matrix", "--input", "{extremes}"],
      "line 4"),
     ("strata", "year,label\n2000,nino\nabc,nada\n", CELLS + ["--strata", "{strata}"], "line 3"),
+    ("strata", "year,label\n2000,nino\n2001,nina\n2000,nina\n", CELLS + ["--strata", "{strata}"],
+     "line 4: duplicate year 2000"),
+    ("matrix", MATRIX + "B,A,0.9,0.1,5\n", MAP, "line 5: duplicate pair A,B"),
     ("table", "a,b\n1,2\n3,x\n", ESTIMATE, "line 3"),
     ("table", "a,b\n1,2\n3\n", ESTIMATE, "line 3"),
     ("sites", "x\n0.0\nabc\n", ["ecp", "--model", "{model}", "--sites", "{sites}"], "line 3"),
@@ -220,7 +223,8 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
     ("table", b"a,\xffb\n1,2\n", ESTIMATE, "line 1: not utf-8 text (byte 0xff)"),
     ("sites", b"x\xff\n0.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}"],
      "line 1: not utf-8 text (byte 0xff)"),
-], ids=["matrix", "stations", "extremes", "strata", "table", "table_ragged", "sites",
+], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
+        "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
         "pairs_column_out_of_range", "grid_not_a_number", "records_not_utf8",
         "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8",

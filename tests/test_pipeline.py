@@ -310,6 +310,17 @@ class TestPairwiseMatrix:
         assert back.station_ids == matrix.station_ids
         assert np.allclose(back.estimates, matrix.estimates, equal_nan=True)
 
+    @pytest.mark.parametrize("second", ["B,A,0.9,0.1,5", "A,B,0.9,0.1,5", "A,A,1,0,5"])
+    def test_matrix_csv_repeated_pair(self, tmp_path, second):
+        # either order names the one unordered pair; the second row is the bad one
+        p = tmp_path / "matrix.csv"
+        p.write_text("id1,id2,estimate,stderr,n_pairs\nA,A,1,0,5\nA,B,0.5,0.1,5\n"
+                     f"B,B,1,0,5\n{second}\n")
+        first = 2 if second.startswith("A,A") else 3
+        with pytest.raises(ParseError, match=rf"line 5: duplicate pair .* \(first seen on line "
+                                             rf"{first}\)"):
+            read_matrix_csv(p)
+
 
 class TestGeometryAndMaps:
     def test_haversine_reference(self):
@@ -398,6 +409,10 @@ class TestCellAreas:
         p = tmp_path / "strata.csv"
         p.write_text("year,label\n2000,nino\n2001,nada\n")
         assert read_strata_csv(p) == {2000: "nino", 2001: "nada"}
+        p.write_text("year,label\n2000,nino\n2001,nina\n2000,nina\n")
+        with pytest.raises(ParseError,
+                           match=r"line 4: duplicate year 2000 \(first seen on line 2\)"):
+            read_strata_csv(p)
 
 
 class TestDeterminism:

@@ -527,6 +527,154 @@ class TestIngestAndBlocks:
 
 
 # ---------------------------------------------------------------------------
+# the tokenizer path of ingest_csv
+
+_CLEAN_READINGS = st.one_of(
+    st.sampled_from(["", "-9999", "-9999.0", "-9999.5", "1_0", "1e1", "-0", ".5", "7."]),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from([-1.9376839841433422e-104, 5e-324, -2.2250738585072014e-308]).map(repr))
+
+
+@st.composite
+def clean_station_files(draw):
+    """(file bytes, whether a (station, date) repeats) of station files the
+    tokenizer should read: printable ASCII without quotes or blanks, dates
+    over the whole four-digit calendar, ``repr`` coordinates, missing and
+    real readings, columns in either order (reversed with an extra one),
+    blank lines, LF or CRLF line ends; sometimes an earlier row repeated."""
+    ids = draw(st.lists(st.sampled_from(["S1", "S2", "T3", "10", "#4", "a-b_c.d"]),
+                        min_size=1, max_size=3, unique=True))
+    coords = {sid: (repr(draw(st.floats(-90, 90))), repr(draw(st.floats(-180, 180))))
+              for sid in ids}
+    dates = st.one_of(st.dates(), st.sampled_from([
+        dt.date(2000, 2, 29), dt.date(2400, 2, 29), dt.date(1900, 2, 28), dt.date(1, 1, 1),
+        dt.date(9999, 12, 31), dt.date(1969, 12, 31), dt.date(1970, 1, 1)]))
+    keys = draw(st.lists(st.tuples(st.sampled_from(ids), dates), min_size=1, max_size=40,
+                         unique=True))
+    rows = [[sid, *coords[sid], date.isoformat(), draw(_CLEAN_READINGS), draw(_CLEAN_READINGS)]
+            for sid, date in keys]
+    repeated = draw(st.booleans()) and len(rows) > 1
+    if repeated:
+        pos = draw(st.integers(1, len(rows)))
+        rows.insert(pos, list(rows[draw(st.integers(0, pos - 1))]))
+    header = list(_COLUMNS)
+    if draw(st.booleans()):
+        header = header[::-1] + ["note"]
+        rows = [r[::-1] + [draw(st.sampled_from(["", "x"]))] for r in rows]
+    lines = [",".join(r) for r in [header, *rows]]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines).encode() + end.encode(), repeated
+
+
+def _row_reader(path):
+    """ingest_csv with the tokenizer turned away: the row reader's outcome."""
+    def refuse(path):
+        raise concur.pipeline._Untokenizable("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concur.pipeline, "_tokenized", refuse)
+        try:
+            return ingest_csv(path)
+        except ParseError as exc:
+            return str(exc)
+
+
+def _assert_same_result(got, want):
+    assert got.records.dtype == want.records.dtype
+    assert got.records.tobytes() == want.records.tobytes()
+    assert list(got.missing_report.items()) == list(want.missing_report.items())
+    assert got.warnings == want.warnings
+
+
+class TestTokenizer:
+    @given(clean_station_files(), st.sampled_from([1, 2, 3, 8192]))
+    def test_matches_row_reader_and_reference(self, tmp_path_factory, case, chunk):
+        # small chunks put a repeated row in another chunk than its first
+        text, repeated = case
+        path = tmp_path_factory.mktemp("clean") / "stations.csv"
+        path.write_bytes(text)
+        kind, ref = _outcome(reference_ingest_csv, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concur.pipeline, "_CHUNK", chunk)
+            if repeated:
+                with pytest.raises(concur.pipeline._Untokenizable):
+                    concur.pipeline._tokenized(path)
+                assert kind == "ParseError" and _outcome(ingest_csv, path) == (kind, ref)
+                return
+            got = concur.pipeline._tokenized(path)
+            _assert_same_result(got, _row_reader(path))
+        assert kind == "ok"
+        assert _as_reference(got.records) == ref[0]
+        assert list(got.missing_report.items()) == list(ref[1].items())
+        assert got.warnings == ref[2]
+
+    def test_takes_synthesized_and_written_records(self, tmp_path):
+        # the files the benchmark's ingest and blocks read: without this the
+        # tokenizer could stop taking them and every other test still pass
+        from concur import Logistic, SeededRng
+        from concur.synthetic import synthesize_station_csv
+        raw, records = tmp_path / "raw.csv", tmp_path / "records.csv"
+        synthesize_station_csv(raw, Logistic(0.5), ["A", "B", "C"],
+                               [[40.0, -100.0], [41.0, -101.0], [42.0, -99.0]],
+                               years=range(1968, 1973), rng=SeededRng(3), season="DJF")
+        write_records_csv(_row_reader(raw).records, records)
+        for path in (raw, records):
+            _assert_same_result(concur.pipeline._tokenized(path), _row_reader(path))
+
+    _WIDE = "1" * concur.pipeline._TOKEN_WIDTH
+
+    @pytest.mark.parametrize("row, reason", [
+        ('"S1",40,-100,2000-01-03,1,2', "quote"),
+        (f"S{_WIDE},40,-100,2000-01-03,1,2", "as wide as its column"),
+        (f"S1,40,-100,2000-01-03,1,{_WIDE}", "as wide as its column"),
+        ("S1,40,-100,2000-01-03,1 ,2", "blank in field"),
+        ("S1,40,-100,2000-01-03,\t1,2", "blank in field"),
+        ("S1\0,40,-100,2000-01-03,1,2", "NUL"),
+        ("S\xe91,40,-100,2000-01-03,1,2", "not ASCII"),
+        ("S1\x0c,40,-100,2000-01-03,1,2", "control character"),
+        ("S1,40,-100,2000-01-03,1,2\rS1,40,-100,2000-01-04,1,2", "carriage return"),
+        ("S1,40,-100,2000-01-03,nan,2", "not finite"),
+        ("S1,40,-100,2000-01-03,1,inf", "not finite"),
+        ("S1,40,-100,2000-01-03,1,x", "could not convert"),
+        ("S1,nan,-100,2000-01-03,1,2", "out of range"),
+        ("S1,1_0,-100,2000-01-03,1,2", "could not convert"),
+        ("S1,40,-100,2000-02-30,1,2", "not a calendar day"),
+        ("S1,40,-100,0000-01-01,1,2", "not a calendar day"),
+        ("S1,40,-100,2000-6-1,1,2", "not YYYY-MM-DD"),
+        ("S1,40,-100,2000-01-031,1,2", "not YYYY-MM-DD"),
+        ("S1,40,-100,2000-01-01,3,4", "repeated station and date"),
+        ("S1,40,-100", "at row"),
+        (",40,-100,2000-01-03,1,2", "empty station id"),
+        (None, "no rows")])
+    def test_gives_up_to_the_row_reader(self, tmp_path, caplog, row, reason):
+        # each gives the row reader's result, or its error and line
+        path = tmp_path / "s.csv"
+        body = [] if row is None else ["S1,40,-100,2000-01-01,1,2", "S2,41,-101,2000-01-01,1,2",
+                                       row, "S2,41,-101,2000-01-02,-9999,"]
+        path.write_bytes(("\n".join([",".join(_COLUMNS), *body]) + "\n").encode("latin-1"))
+        with pytest.raises(concur.pipeline._Untokenizable, match=reason):
+            concur.pipeline._tokenized(path)
+        want = _row_reader(path)
+        with caplog.at_level("DEBUG", logger="concur.pipeline"):
+            try:
+                got = ingest_csv(path)
+            except ParseError as exc:
+                assert str(exc) == want
+            else:
+                _assert_same_result(got, want)
+        assert any(r.getMessage().startswith("tokenizer: ") and reason in r.getMessage()
+                   and r.getMessage().endswith(", reading rows") for r in caplog.records)
+
+    def test_a_missing_file_is_the_row_readers_error(self, tmp_path, caplog):
+        with caplog.at_level("DEBUG", logger="concur.pipeline"), \
+                pytest.raises(FileNotFoundError):
+            ingest_csv(tmp_path / "absent.csv")
+        assert [r.getMessage()[:19] for r in caplog.records] == ["tokenizer: [Errno 2"]
+
+
+# ---------------------------------------------------------------------------
 # generated record arrays
 
 _IDS = st.text(st.sampled_from(list('ab1 ,"\r\n\t\'é')), min_size=1, max_size=6).filter(str.strip)
