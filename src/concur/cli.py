@@ -24,6 +24,7 @@ from .models import model_from_dict
 from .pipeline import (
     POLARITIES,
     SEASONS,
+    _coordinates,
     _csv_lines,
     _open_csv,
     cell_area_report,
@@ -108,7 +109,8 @@ def _read_sites_csv(path: str) -> np.ndarray:
 
 
 def _parse_grid(spec: str):
-    """The latitude and longitude axes of a lat0:lat1:nlat,lon0:lon1:nlon grid."""
+    """The latitude and longitude axes of a lat0:lat1:nlat,lon0:lon1:nlon
+    grid, latitudes in [-90, 90] and longitudes in [-180, 180]."""
     try:
         axes = [(float(a), float(b), int(n)) for a, b, n in (p.split(":") for p in spec.split(","))]
         lat, lon = axes
@@ -117,6 +119,11 @@ def _parse_grid(spec: str):
                           f"with whole counts") from None
     if min(lat[2], lon[2]) < 1:
         raise DomainError("grid axis count must be >= 1")
+    try:
+        for corner in zip(lat[:2], lon[:2]):
+            _coordinates(*corner)
+    except ValueError as exc:
+        raise DomainError(f"grid {spec!r}: {exc}") from None
     return np.linspace(*lat), np.linspace(*lon)
 
 

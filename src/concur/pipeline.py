@@ -4,20 +4,23 @@ The chain is CSV station records -> per-season block extremes -> pairwise
 concurrence matrices (Kendall by default) -> gridded maps (inverse-distance
 weighting on the logit scale) -> expected concurrence-cell areas, optionally
 stratified by an external year-label table.  Station records are one NumPy
-record array, read and written as columns a bounded chunk of rows at a
-time: a clean station file is tokenized in C by ``np.loadtxt``, and any
-other is read by ``csv.reader`` with the same result.  A date is exactly
-YYYY-MM-DD; a tmin or tmax of "" or "-9999" is missing (NaN), and any
-other must be a finite number.  Every CSV format of the chain lives here.
-Files are UTF-8, and a malformed file, a byte that is not UTF-8 included,
-raises :class:`ParseError` naming its first bad line, always from the
-``csv.reader`` path.  Everything is deterministic given the inputs; minima
-are analyzed as negated values so the downstream machinery only ever deals
-with maxima.
+record array.  A clean station file is tokenized in C by ``np.loadtxt``, a
+bounded chunk of rows at a time, and records are written the same way;
+any other station file, and every other table of the chain, is read one
+row at a time by ``csv.reader`` in one row reader, with the same result.
+A date is exactly YYYY-MM-DD; a tmin or tmax of "" or "-9999" is missing
+(NaN), and any other must be a finite number; a station's latitude is in
+[-90, 90] and its longitude in [-180, 180].  Every CSV format of the chain
+lives here.  Files are UTF-8, and a malformed file, a byte that is not
+UTF-8 included, raises :class:`ParseError` naming its first bad line,
+always from the row reader.  Everything is deterministic given the inputs;
+minima are analyzed as negated values so the downstream machinery only
+ever deals with maxima.
 """
 
 from __future__ import annotations
 
+import array
 import calendar
 import csv
 import datetime as dt
@@ -98,18 +101,15 @@ def _csv_header(lines, columns: tuple[str, ...]) -> list[int]:
     return [where[c] for c in columns]
 
 
-def _short_row(size: int, width: int) -> str:
-    return f"{size} fields, {width} expected"
-
-
-def _read_rows(path, columns: tuple[str, ...], convert, key=None) -> list:
-    """``convert(*fields)`` for each nonblank row of a headered CSV file,
-    the fields being the text of ``columns`` in that order.  A missing
-    column, a short row, a row ``convert`` rejects with ValueError, a row
-    whose ``key`` of its value (what it names and its values, such as
-    ``("year", 2000)``) an earlier row had, or text :func:`_csv_lines`
-    rejects raises :class:`ParseError` naming the line."""
-    out, seen = [], {}
+def _read_rows(path, columns: tuple[str, ...], convert, key=None, name=None):
+    """Yield ``convert(*fields)`` for each nonblank row of a headered CSV
+    file, in file order, the fields being the text of ``columns`` in that
+    order.  A missing column, a short row, a row ``convert`` rejects with
+    ValueError, text :func:`_csv_lines` rejects or, given ``key``, a row
+    whose ``key(value)`` an earlier row had raises :class:`ParseError`
+    naming the line.  The message of a repeat, built only when one is
+    found, is ``duplicate {name(key)} (first seen on line M)``."""
+    seen: dict = {}
     with _open_csv(path) as fh:
         lines = _csv_lines(csv.reader(fh))
         index = _csv_header(lines, columns)
@@ -118,18 +118,17 @@ def _read_rows(path, columns: tuple[str, ...], convert, key=None) -> list:
             if not row:
                 continue
             if len(row) < width:
-                raise ParseError(_short_row(len(row), width), line=line)
+                raise ParseError(f"{len(row)} fields, {width} expected", line=line)
             try:
-                out.append(convert(*pick(row)))
+                value = convert(*pick(row))
             except ValueError as exc:
                 raise ParseError(str(exc), line=line) from exc
             if key is not None:
-                k = key(out[-1])
-                if k in seen:
-                    raise ParseError(f"duplicate {k[0]} {','.join(map(str, k[1:]))} "
-                                     f"(first seen on line {seen[k]})", line=line)
-                seen[k] = line
-    return out
+                # lines only grow, so a key first seen on another line is a repeat
+                if (first := seen.setdefault(k := key(value), line)) != line:
+                    raise ParseError(f"duplicate {name(k)} (first seen on line {first})",
+                                     line=line)
+            yield value
 
 
 def _write_rows(path, header, rows) -> None:
@@ -202,85 +201,14 @@ def _reading(text: str) -> float:
     return value
 
 
-class _Parser(dict):
-    """text -> parse(text), each distinct text parsed once, when first
-    looked up.  A text that ``parse`` rejects with ValueError maps to 0 and
-    its message to ``errors``."""
-
-    def __init__(self, parse, dtype):
-        super().__init__()
-        self.parse, self.dtype, self.errors = parse, dtype, {}
-
-    def __missing__(self, text: str):
-        try:
-            value = self.parse(text)
-        except ValueError as exc:
-            value, self.errors[text] = 0, str(exc)
-        self[text] = value
-        return value
-
-    def column(self, texts: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, texts), self.dtype, len(texts))
-
-    def check(self, texts: np.ndarray):
-        """(rows whose text was rejected, message of row i)."""
-        bad = (np.fromiter(map(self.errors.__contains__, texts), bool, len(texts))
-               if self.errors else np.zeros(len(texts), bool))
-        return bad, lambda i: self.errors[texts[i]]
-
-
-def _chunks(reader):
-    """(lines, sizes, fields) of the rows of a CSV reader, ``_CHUNK`` rows at a
-    time: the line each row ends on, its number of fields, and the fields of
-    all the rows in one list.  Each row's own list is dropped as soon as it
-    is read, so that the garbage collector never sees a chunk of them.  The
-    last chunk is short, and empty when the rows ran out at a boundary; when
-    the reader fails (a field over the ``csv`` size limit), the rows before
-    the failure come as the last chunk, then :class:`ParseError`."""
-    while True:
-        lines, sizes, fields = [], [], []
-        try:
-            for row in itertools.islice(reader, _CHUNK):
-                fields += row
-                sizes.append(len(row))
-                lines.append(reader.line_num)
-        except csv.Error as exc:
-            yield lines, sizes, fields
-            raise ParseError(str(exc), line=reader.line_num) from exc
-        yield lines, sizes, fields
-        if len(sizes) < _CHUNK:
-            return
-
-
-def _raise_first(parts, ids, checks) -> None:
-    """Raise :class:`ParseError` at the first bad row of the rows read so
-    far, if any: the first row of the last chunk that one of ``checks``
-    rejects (the checks taken in order within a row), or the first row that
-    repeats the station and date of an earlier row, whichever comes first.
-
-    ``parts`` are the (line, code, lat, lon, day, tmin, tmax) arrays of each
-    chunk read, and ``ids`` the station ids by code; ``checks`` are (bad
-    mask, message of row i) pairs over the rows of the last chunk, whose
-    values at and after its first bad row may be placeholders."""
-    line, code, day = (np.concatenate([p[k] for p in parts]) for k in (0, 1, 4))
-    start = len(line) - len(checks[0][0])
-    hits = [(start + int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
-    # one stable sort puts each key's rows together in file order; the first
-    # repeated row is the second of its key, so the row before it is the first
-    key = code << _KEY_BITS | (day + _EPOCH)
-    order = np.argsort(key, kind="stable")
-    repeat = np.flatnonzero(key[order[1:]] == key[order[:-1]]) + 1
-    if repeat.size:
-        dup = repeat[np.argmin(order[repeat])]
-        hits.append((int(order[dup]), len(checks)))
-    if not hits:
-        return
-    row, k = min(hits)
-    if k < len(checks):
-        raise ParseError(checks[k][1](row - start), line=int(line[row]))
-    raise ParseError(f"duplicate date {dt.date.fromordinal(int(day[row]) + _EPOCH)} for station "
-                     f"{ids[code[row]]} (first seen on line {line[order[dup - 1]]})",
-                     line=int(line[row]))
+def _coordinates(lat: float, lon: float) -> tuple[float, float]:
+    """(lat, lon) of a point on the globe: finite, lat in [-90, 90] and lon
+    in [-180, 180]."""
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} outside [-180, 180]")
+    return lat, lon
 
 
 class _Untokenizable(Exception):
@@ -431,61 +359,41 @@ def ingest_csv(path) -> IngestResult:
     The columns are station_id, lat, lon, date, tmin and tmax, in any
     order.  A date is exactly YYYY-MM-DD (after surrounding blanks); a tmin
     or tmax of "" or "-9999" is missing, and any other must be a finite
-    number, so "nan" or "inf" is malformed.  The first malformed row in
-    file order, a repeated (station, date), a byte that is not UTF-8 in any
-    field, a NUL in a station id and a field over the ``csv`` size limit
-    included, raises :class:`ParseError` naming its line; stations with
-    more than half of either variable missing produce warnings, not errors.
+    number, so "nan" or "inf" is malformed; a latitude is in [-90, 90] and a
+    longitude in [-180, 180].  The first malformed row in file order, a
+    repeated (station, date), a byte that is not UTF-8 in any field, a NUL
+    in a station id and a field over the ``csv`` size limit included, raises
+    :class:`ParseError` naming its line; stations with more than half of
+    either variable missing produce warnings, not errors.
 
     A clean file (printable ASCII without quotes or blanks, and no fault)
     is tokenized in C by ``np.loadtxt`` (:func:`_tokenized`).  Any other
     file, or one that fails a check there, is read again from the start by
-    the row reader, which alone reports errors: one ``csv.reader`` pass,
-    ``_CHUNK`` rows at a time, each distinct text of a column converted
-    once and the checks run as masks over the chunk.  Why a file took the
-    row reader is logged at DEBUG level.
+    :func:`_read_rows`, one row at a time, which alone reports errors.  Why
+    a file took the row reader is logged at DEBUG level.
     """
     try:
         return _tokenized(path)
     except (_Untokenizable, OSError) as exc:   # the row reader raises OSError again
         _log.debug("tokenizer: %s, reading rows", exc)
     codes: dict[str, int] = {}  # station id -> code, in order of first appearance
-    coord, reading = _Parser(float, float), _Parser(_reading, float)
-    parsers = (_Parser(lambda t: codes.setdefault(_station_id(t), len(codes)), np.int64),
-               coord, coord, _Parser(_day, np.int64), reading, reading)   # _COLUMNS order
-    parts = []                  # line, code, lat, lon, day, tmin, tmax arrays per chunk
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        index = _csv_header(_csv_lines(reader), _COLUMNS)
-        width = max(index) + 1
-        for lines, size, fields in _chunks(reader):
-            size = np.array(size, np.int64)
-            nonblank = size > 0
-            size, start = size[nonblank], (np.cumsum(size) - size)[nonblank]
-            undecodable = _bad_byte("".join(fields))   # one test of an ASCII chunk
-            # a short row reads past its end, into the next row or the
-            # padding, and fails its length check first
-            fields = np.array(fields + [""] * width, dtype=object)
-            texts = [fields[start + i] for i in index]
-            cols = [p.column(t) for p, t in zip(parsers, texts)]
-            parts.append((np.array(lines, np.int64)[nonblank], *cols))
-            lat, lon = cols[1], cols[2]
-            checks = [(size < width, lambda i: _short_row(size[i], width)),
-                      *(p.check(t) for p, t in zip(parsers, texts)),
-                      (~((lat >= -90.0) & (lat <= 90.0)),
-                       lambda i: f"latitude {float(lat[i])} outside [-90, 90]"),
-                      (~((lon >= -180.0) & (lon <= 180.0)),
-                       lambda i: f"longitude {float(lon[i])} outside [-180, 180]")]
-            if undecodable:
-                errors = [_bad_byte("".join(fields[a:a + n])) for a, n in zip(start, size)]
-                checks.insert(0, (np.fromiter(map(bool, errors), bool), errors.__getitem__))
-            # the last chunk, whether the rows ran out or the next one could
-            # not be read, is where the repeats are looked for
-            if len(lines) < _CHUNK or any(bad.any() for bad, _ in checks):
-                _raise_first(parts, list(codes), checks)
-    line, code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
-    del parts
-    return _ingest_result(list(codes), code, lat, lon, day, tmin, tmax)
+
+    def row(sid, lat, lon, date, tmin, tmax):   # checks in column order, then the ranges
+        code, lat, lon = codes.setdefault(_station_id(sid), len(codes)), float(lat), float(lon)
+        day, tmin, tmax = _day(date), _reading(tmin), _reading(tmax)
+        return (code, *_coordinates(lat, lon), day, tmin, tmax)
+
+    def repeat(key: int) -> str:
+        return (f"date {dt.date.fromordinal(key & (1 << _KEY_BITS) - 1)} "
+                f"for station {list(codes)[key >> _KEY_BITS]}")
+
+    cols = [array.array(t) for t in "qddqdd"]   # code, lat, lon, day, tmin, tmax
+    rows = _read_rows(path, _COLUMNS, row, name=repeat,
+                      key=lambda r: r[0] << _KEY_BITS | r[3] + _EPOCH)
+    for values in rows:
+        for col, value in zip(cols, values):
+            col.append(value)
+    return _ingest_result(list(codes), *map(np.asarray, cols))
 
 
 def _formatted(values: np.ndarray, fmt) -> np.ndarray:
@@ -516,9 +424,13 @@ def write_records_csv(records: np.recarray, path) -> None:
 
 
 def read_stations_csv(path) -> dict[str, tuple[float, float]]:
-    """station_id -> (lat, lon), the first row of each station."""
-    out = dict(reversed(_read_rows(path, ("station_id", "lat", "lon"), lambda sid, lat, lon: (
-        sid.strip(), (float(lat), float(lon))))))
+    """station_id -> (lat, lon), the first row of each station.  A
+    coordinate that is not finite or out of range (latitude in [-90, 90],
+    longitude in [-180, 180]) raises :class:`ParseError` at its line, as
+    :func:`ingest_csv` does."""
+    rows = list(_read_rows(path, ("station_id", "lat", "lon"), lambda sid, lat, lon: (
+        sid.strip(), _coordinates(float(lat), float(lon)))))
+    out = dict(reversed(rows))
     if not out:
         raise DomainError(f"no stations found in {path}")
     return out
@@ -591,8 +503,8 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
 
 
 def read_extremes_csv(path) -> list[SeasonalExtremes]:
-    return _read_rows(path, _EXTREMES_COLUMNS, lambda sid, season, year, value, cov, pol:
-                      SeasonalExtremes(sid, season, int(year), float(value), float(cov), pol))
+    return list(_read_rows(path, _EXTREMES_COLUMNS, lambda sid, season, year, value, cov, pol:
+                           SeasonalExtremes(sid, season, int(year), float(value), float(cov), pol)))
 
 
 def write_extremes_csv(extremes, path) -> None:
@@ -684,10 +596,10 @@ def write_matrix_csv(matrix: ConcurrenceMatrix, path) -> None:
 def read_matrix_csv(path, method: str = "kendall") -> ConcurrenceMatrix:
     """A matrix from :func:`write_matrix_csv` output: one row per unordered
     pair, in either order; a repeated pair raises :class:`ParseError`."""
-    rows = _read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
-                      lambda a, b, e, s, c: (a, b, float(e), float(s), int(c)),
-                      key=lambda r: (("pair", r[0], r[1]) if r[0] <= r[1]
-                                     else ("pair", r[1], r[0])))
+    rows = list(_read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
+                           lambda a, b, e, s, c: (a, b, float(e), float(s), int(c)),
+                           key=lambda r: (r[0], r[1]) if r[0] <= r[1] else (r[1], r[0]),
+                           name=lambda pair: f"pair {pair[0]},{pair[1]}"))
     ids = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
     idx = {sid: i for i, sid in enumerate(ids)}
     n = len(ids)
@@ -831,7 +743,7 @@ def read_strata_csv(path) -> dict[int, str]:
     raises :class:`ParseError`."""
     return dict(_read_rows(path, ("year", "label"),
                            lambda year, label: (int(year), label.strip()),
-                           key=lambda r: ("year", r[0])))
+                           key=operator.itemgetter(0), name="year {}".format))
 
 
 def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,

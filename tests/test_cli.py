@@ -206,6 +206,23 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
     ("table", "a,b\n1,2\n3,4\n", ESTIMATE + ["--pairs", "a,bogus"], "'bogus'"),
     ("table", "a,b\n1,2\n3,4\n", ESTIMATE + ["--pairs", "0,2"], "'2'"),
     ("stations", STATIONS_CSV, MAP[:-1] + ["39:x:2,-101:-98:2"], "grid '39:x:2,-101:-98:2'"),
+    ("stations", STATIONS_CSV, MAP[:-1] + ["nan:44:3,-101:-98:2"],
+     "grid 'nan:44:3,-101:-98:2': latitude nan outside [-90, 90]"),
+    ("stations", STATIONS_CSV, CELLS[:-1] + ["39:42:2,-102:inf:3"],
+     "grid '39:42:2,-102:inf:3': longitude inf outside [-180, 180]"),
+    ("stations", STATIONS_CSV, MAP[:-1] + ["80:100:3,-101:-98:2"],
+     "grid '80:100:3,-101:-98:2': latitude 100.0 outside [-90, 90]"),
+    ("stations", STATIONS_CSV, CELLS[:-1] + ["39:42:2,-190:-98:2"],
+     "grid '39:42:2,-190:-98:2': longitude -190.0 outside [-180, 180]"),
+    # a station's coordinates follow ingest's rule
+    ("stations", "station_id,lat,lon\nA,40,-100\nB,nan,-101\n", MAP,
+     "line 3: latitude nan outside [-90, 90]"),
+    ("stations", "station_id,lat,lon\nA,95,-100\nB,41,-101\n", MAP,
+     "line 2: latitude 95.0 outside [-90, 90]"),
+    ("stations", "station_id,lat,lon\nA,40,-100\nB,nan,-101\n", CELLS,
+     "line 3: latitude nan outside [-90, 90]"),
+    ("stations", "station_id,lat,lon\nA,95,-100\nB,41,-101\n", CELLS,
+     "line 2: latitude 95.0 outside [-90, 90]"),
     # the reader's own failures: a byte that is not UTF-8, a field over the
     # csv module's size limit (131 072 characters)
     ("records", RECORDS + b"B\xff,40,-100,2000-01-01,1,2\n", INGEST, "line 3: not utf-8 text"),
@@ -226,7 +243,10 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
-        "pairs_column_out_of_range", "grid_not_a_number", "records_not_utf8",
+        "pairs_column_out_of_range", "grid_not_a_number", "grid_nan_bound",
+        "grid_infinite_bound", "grid_latitude_over_90", "grid_longitude_under_180",
+        "map_station_nan", "map_station_latitude_95", "cells_station_nan",
+        "cells_station_latitude_95", "records_not_utf8",
         "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8",
         "records_bad_row_before_bad_byte", "table_header_not_utf8", "sites_header_not_utf8"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):

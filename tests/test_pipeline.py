@@ -85,6 +85,18 @@ class TestIngest:
         with pytest.raises(ParseError, match="latitude"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("row, message", [
+        ("B,nan,-101", r"latitude nan outside \[-90, 90\]"),
+        ("B,inf,-101", r"latitude inf outside \[-90, 90\]"),
+        ("B,95,-101", r"latitude 95.0 outside \[-90, 90\]"),
+        ("B,41,-181", r"longitude -181.0 outside \[-180, 180\]")])
+    def test_stations_table_takes_the_coordinate_rule(self, tmp_path, row, message):
+        # a blank line is not a row, but it counts as a line
+        p = tmp_path / "stations.csv"
+        p.write_text(f"station_id,lat,lon\nA,40,-100\n\n{row}\nC,42,-99\n")
+        with pytest.raises(ParseError, match=f"^line 4: {message}$"):
+            read_stations_csv(p)
+
     def test_mostly_missing_warns(self, tmp_path):
         p = tmp_path / "miss.csv"
         rows = ["station_id,lat,lon,date,tmin,tmax"]
