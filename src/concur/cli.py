@@ -26,6 +26,7 @@ from .pipeline import (
     SEASONS,
     _coordinates,
     _csv_lines,
+    _number,
     _open_csv,
     cell_area_report,
     expected_cell_area_model,
@@ -91,7 +92,7 @@ def _read_numeric_csv(path: str, named: bool):
             if not row:
                 continue
             try:
-                rows.append([float(v) for v in row])
+                rows.append([_number(v) for v in row])
             except ValueError as exc:
                 if line > 1:
                     raise ParseError(str(exc), line=line) from exc
@@ -110,9 +111,12 @@ def _read_sites_csv(path: str) -> np.ndarray:
 
 def _parse_grid(spec: str):
     """The latitude and longitude axes of a lat0:lat1:nlat,lon0:lon1:nlon
-    grid, latitudes in [-90, 90] and longitudes in [-180, 180]."""
+    grid, latitudes in [-90, 90] and longitudes in [-180, 180], each axis
+    running from its first bound to its second, up or down; the bounds and
+    counts take the number rule of the CSV fields."""
     try:
-        axes = [(float(a), float(b), int(n)) for a, b, n in (p.split(":") for p in spec.split(","))]
+        axes = [(_number(a), _number(b), _number(n, int))
+                for a, b, n in (p.split(":") for p in spec.split(","))]
         lat, lon = axes
     except ValueError:
         raise DomainError(f"grid {spec!r} must look like lat0:lat1:nlat,lon0:lon1:nlon, "

@@ -33,9 +33,11 @@ input memory layout does not matter.  The pair crossover is a measured
 break-even size (see ``_MERGE_MIN_N``).  Built on it:
 
 * dominance counts (bootstrap, unbiased): one kernel call;
-* Kendall's tau: four pair calls (concordant at (x, y) and (-x, -y),
-  discordant at (x, -y) and (-x, y)), plus one-coordinate calls for the
-  tie counts of tau-b; the delete-one jackknife is O(n) on top;
+* Kendall's tau: one pair call, the counts d_i of observations below i in
+  both coordinates, plus four sorts: each margin's smaller and larger
+  counts (which give the tie counts of tau-b) and the lexicographic ranks
+  of (x, y) and (y, x); each row sum is an integer combination of these;
+  the delete-one jackknife is O(n) on top;
 * the log estimator: each coordinate subset J needs the <= counts N_i and,
   for the jackknife, weighted >= sums; for |J| <= 2 both come by
   inclusion-exclusion over the nonempty subsets of J (sorts and one merge),
@@ -43,8 +45,8 @@ break-even size (see ``_MERGE_MIN_N``).  Built on it:
   O(k 2^(k-1) n^2);
 * the block estimator: O(n k), no kernel.
 
-At n = 16 000 (2-core Xeon, NumPy 2.4) ``dominance_counts`` of a pair takes
-0.024 s and ``ecp_kendall`` 0.10 s.
+At n = 16 000 (2-core Xeon, Python 3.11, NumPy 2.4, best of 9)
+``dominance_counts`` of a pair takes 0.015 s and ``ecp_kendall`` 0.019 s.
 """
 
 from __future__ import annotations
@@ -162,18 +164,32 @@ def _unsort(order, values):
     return out
 
 
+def _group_starts(s):
+    """For rows sorted either way, the position where each entry's tie group
+    starts: in ascending order the count of smaller values, in descending
+    order the count of larger ones."""
+    first = np.ones(s.shape, dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    return np.maximum.accumulate(np.where(first, np.arange(s.shape[1]), 0), axis=1)
+
+
 def _below_sorted(v, w):
     order = np.argsort(v, axis=1, kind="stable")
     s = np.take_along_axis(v, order, axis=1)
-    first = np.ones(s.shape, dtype=bool)
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    # in sorted order, the count of smaller values is the tie group's start
-    lo = np.maximum.accumulate(np.where(first, np.arange(s.shape[1]), 0), axis=1)
+    lo = _group_starts(s)
     if w is None:
         return _unsort(order, lo)
     cw = np.zeros((s.shape[0], s.shape[1] + 1))
     np.cumsum(np.take_along_axis(w, order, axis=1), axis=1, out=cw[:, 1:])
     return _unsort(order, np.take_along_axis(cw, lo, axis=1))
+
+
+def _smaller_larger(v):
+    """(#{l : v_l < v_i}, #{l : v_l > v_i}) for each entry of each row of v,
+    from one sort."""
+    order = np.argsort(v, axis=1, kind="stable")
+    s = np.take_along_axis(v, order, axis=1)
+    return _unsort(order, _group_starts(s)), _unsort(order, _group_starts(s[:, ::-1])[:, ::-1])
 
 
 def _below_merge(xc, yc, w):
@@ -335,25 +351,30 @@ class KendallEstimate:
     n: int
 
 
-_QUADRANTS = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-_CONCORDANT = np.array([1, 1, -1, -1])
-
-
 def _kendall_rows(x: np.ndarray, ties: bool):
     """Kendall row sums sum_l sign(x_i - x_l) sign(y_i - y_l) for each
     observation of a (reps, n, 2) stack and, with ``ties``, the per-margin
     tie counts #{l != i : x_l = x_i} and #{l != i : y_l = y_i}."""
-    reps, n, _ = x.shape
-    # concordant pairs lie below at (x, y) or (-x, -y), discordant ones at
-    # (x, -y) or (-x, y); a tie in either margin is neither
-    c = _below((x[:, None] * _QUADRANTS[:, None]).reshape(4 * reps, n, 2))
-    rows = _CONCORDANT @ c.reshape(reps, 4, n)
+    n = x.shape[1]
+    # d = #{l : x_l < x_i, y_l < y_i} is the one pair count.  lx, gx (ly, gy)
+    # count the l with smaller and larger x (y), and lxy, gxy (lyx) the l
+    # before and after i in the lexicographic order of (x, y) (of (y, x)),
+    # here of the exact integer keys of the margin ranks.  So lxy - lx,
+    # gxy - gx and lyx - ly count the l tied with i in one margin and below
+    # or above it in the other, and the other quadrants are
+    #   #{x_l < x_i, y_l > y_i} = lx - d - (lyx - ly)
+    #   #{x_l > x_i, y_l < y_i} = ly - d - (lxy - lx)
+    #   #{x_l > x_i, y_l > y_i} = gy - #{x_l < x_i, y_l > y_i} - (gxy - gx);
+    # the row sum is the concordant first and last less the discordant two
+    d = _below(x)
+    lx, gx = _smaller_larger(x[:, :, 0])
+    ly, gy = _smaller_larger(x[:, :, 1])
+    lxy, gxy = _smaller_larger(lx * n + ly)
+    lyx = _below_sorted(ly * n + lx, None)
+    rows = 2 * (2 * d - lx + lyx - ly) - (ly - gy) + (lxy - lx) - (gxy - gx)
     if not ties:
         return rows, None, None
-    # smaller and larger values per margin: columns x, y, -x, -y
-    m = _below(np.concatenate([x, -x], axis=2).transpose(0, 2, 1).reshape(4 * reps, n, 1))
-    m = m.reshape(reps, 4, n)
-    return rows, n - 1 - m[:, 0] - m[:, 2], n - 1 - m[:, 1] - m[:, 3]
+    return rows, n - 1 - lx - gx, n - 1 - ly - gy
 
 
 def kendall_batch(data, tie_adjusted: bool = False) -> KendallEstimate:

@@ -10,12 +10,13 @@ any other station file, and every other table of the chain, is read one
 row at a time by ``csv.reader`` in one row reader, with the same result.
 A date is exactly YYYY-MM-DD; a tmin or tmax of "" or "-9999" is missing
 (NaN), and any other must be a finite number; a station's latitude is in
-[-90, 90] and its longitude in [-180, 180].  Every CSV format of the chain
-lives here.  Files are UTF-8, and a malformed file, a byte that is not
-UTF-8 included, raises :class:`ParseError` naming its first bad line,
-always from the row reader.  Everything is deterministic given the inputs;
-minima are analyzed as negated values so the downstream machinery only
-ever deals with maxima.
+[-90, 90] and its longitude in [-180, 180].  Every number of every table
+takes Python's grammar less its digit-group underscores (:func:`_number`).
+Every CSV format of the chain lives here.  Files are UTF-8, and a
+malformed file, a byte that is not UTF-8 included, raises
+:class:`ParseError` naming its first bad line, always from the row reader.
+Everything is deterministic given the inputs; minima are analyzed as
+negated values so the downstream machinery only ever deals with maxima.
 """
 
 from __future__ import annotations
@@ -191,11 +192,20 @@ def _day(text: str) -> int:
     return dt.date.fromisoformat(text).toordinal() - _EPOCH
 
 
+def _number(text: str, kind=float):
+    """``kind(text)``, a float or an int, in Python's grammar less its
+    digit-group underscores: no writer makes "1_0", and a typo should not
+    read as a value ten times larger."""
+    if "_" in text:
+        raise ValueError(f"number {text.strip()!r} holds an underscore")
+    return kind(text)
+
+
 def _reading(text: str) -> float:
     """A tmin or tmax: NaN when missing ("" or -9999), else a finite number."""
     if text.strip() in ("", "-9999"):
         return math.nan
-    value = float(text)
+    value = _number(text)
     if not math.isfinite(value):
         raise ValueError(f"reading {text.strip()!r} is not finite")
     return value
@@ -259,6 +269,9 @@ def _tokenized_day(text: np.ndarray) -> np.ndarray:
 def _tokenized_reading(texts: np.ndarray) -> np.ndarray:
     """Readings as :func:`_reading` reads them from ``S`` texts; a text that
     is not a finite number raises :class:`_Untokenizable`."""
+    # NumPy reads "1_0" as 10.0, as float() does
+    if (np.ascontiguousarray(texts).view(np.uint8) == ord("_")).any():
+        raise _Untokenizable("reading that holds an underscore")
     missing = (texts == b"") | (texts == b"-9999")
     try:
         values = np.where(missing, b"0", texts).astype(float)
@@ -379,7 +392,7 @@ def ingest_csv(path) -> IngestResult:
     codes: dict[str, int] = {}  # station id -> code, in order of first appearance
 
     def row(sid, lat, lon, date, tmin, tmax):   # checks in column order, then the ranges
-        code, lat, lon = codes.setdefault(_station_id(sid), len(codes)), float(lat), float(lon)
+        code, lat, lon = codes.setdefault(_station_id(sid), len(codes)), _number(lat), _number(lon)
         day, tmin, tmax = _day(date), _reading(tmin), _reading(tmax)
         return (code, *_coordinates(lat, lon), day, tmin, tmax)
 
@@ -429,7 +442,7 @@ def read_stations_csv(path) -> dict[str, tuple[float, float]]:
     longitude in [-180, 180]) raises :class:`ParseError` at its line, as
     :func:`ingest_csv` does."""
     rows = list(_read_rows(path, ("station_id", "lat", "lon"), lambda sid, lat, lon: (
-        sid.strip(), _coordinates(float(lat), float(lon)))))
+        sid.strip(), _coordinates(_number(lat), _number(lon)))))
     out = dict(reversed(rows))
     if not out:
         raise DomainError(f"no stations found in {path}")
@@ -504,7 +517,8 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
 
 def read_extremes_csv(path) -> list[SeasonalExtremes]:
     return list(_read_rows(path, _EXTREMES_COLUMNS, lambda sid, season, year, value, cov, pol:
-                           SeasonalExtremes(sid, season, int(year), float(value), float(cov), pol)))
+                           SeasonalExtremes(sid, season, _number(year, int), _number(value),
+                                            _number(cov), pol)))
 
 
 def write_extremes_csv(extremes, path) -> None:
@@ -597,7 +611,7 @@ def read_matrix_csv(path, method: str = "kendall") -> ConcurrenceMatrix:
     """A matrix from :func:`write_matrix_csv` output: one row per unordered
     pair, in either order; a repeated pair raises :class:`ParseError`."""
     rows = list(_read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
-                           lambda a, b, e, s, c: (a, b, float(e), float(s), int(c)),
+                           lambda a, b, e, s, c: (a, b, _number(e), _number(s), _number(c, int)),
                            key=lambda r: (r[0], r[1]) if r[0] <= r[1] else (r[1], r[0]),
                            name=lambda pair: f"pair {pair[0]},{pair[1]}"))
     ids = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
@@ -683,11 +697,12 @@ def write_grid_csv(rows: np.ndarray, path) -> None:
 
 
 def cos_lat_weights(grid_lats, grid_lons) -> np.ndarray:
-    """Cell weights dlat*dlon*cos(lat) in squared degrees for a regular grid."""
+    """Cell weights |dlat|*|dlon|*cos(lat) in squared degrees for a regular
+    grid, each axis ascending or descending."""
     lats = np.asarray(grid_lats, dtype=float).reshape(-1)
     lons = np.asarray(grid_lons, dtype=float).reshape(-1)
-    dlat = float(np.diff(lats)[0]) if lats.size > 1 else 1.0
-    dlon = float(np.diff(lons)[0]) if lons.size > 1 else 1.0
+    dlat = abs(float(np.diff(lats)[0])) if lats.size > 1 else 1.0
+    dlon = abs(float(np.diff(lons)[0])) if lons.size > 1 else 1.0
     glat, _ = np.meshgrid(lats, lons, indexing="ij")
     return (dlat * dlon * np.cos(np.radians(glat))).reshape(-1)
 
@@ -742,7 +757,7 @@ def read_strata_csv(path) -> dict[int, str]:
     """Year -> stratum label table (columns: year,label); a repeated year
     raises :class:`ParseError`."""
     return dict(_read_rows(path, ("year", "label"),
-                           lambda year, label: (int(year), label.strip()),
+                           lambda year, label: (_number(year, int), label.strip()),
                            key=operator.itemgetter(0), name="year {}".format))
 
 

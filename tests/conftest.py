@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
-hypothesis.settings.load_profile("default")
+# HYPOTHESIS_PROFILE=ci: ten times the examples, for the fast kernels and
+# readers against their slow references
+hypothesis.settings.register_profile(
+    "ci", hypothesis.settings.get_profile("default"), max_examples=500)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

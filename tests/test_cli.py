@@ -240,6 +240,19 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
     ("table", b"a,\xffb\n1,2\n", ESTIMATE, "line 1: not utf-8 text (byte 0xff)"),
     ("sites", b"x\xff\n0.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}"],
      "line 1: not utf-8 text (byte 0xff)"),
+    # a number with a digit-group underscore, which float() and int() take
+    ("stations", "station_id,lat,lon\nA,40,-100\nB,4_1,-101\n", MAP,
+     "line 3: number '4_1' holds an underscore"),
+    ("extremes", EXTREMES + "A,JJA,2_001,1.5,1.0,max\n", ["matrix", "--input", "{extremes}"],
+     "line 4: number '2_001' holds an underscore"),
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,0.1,5_0"), MAP,
+     "line 3: number '5_0' holds an underscore"),
+    ("strata", "year,label\n2000,nino\n2_001,nada\n", CELLS + ["--strata", "{strata}"],
+     "line 3: number '2_001' holds an underscore"),
+    ("table", "a,b\n1,2\n3,1_0\n", ESTIMATE, "line 3: number '1_0' holds an underscore"),
+    ("stations", STATIONS_CSV, MAP[:-1] + ["3_9:42:2,-101:-98:2"], "grid '3_9:42:2,-101:-98:2'"),
+    ("stations", STATIONS_CSV, CELLS[:-1] + ["39:42:1_0,-101:-98:2"],
+     "grid '39:42:1_0,-101:-98:2'"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -248,7 +261,9 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
         "map_station_nan", "map_station_latitude_95", "cells_station_nan",
         "cells_station_latitude_95", "records_not_utf8",
         "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8",
-        "records_bad_row_before_bad_byte", "table_header_not_utf8", "sites_header_not_utf8"])
+        "records_bad_row_before_bad_byte", "table_header_not_utf8", "sites_header_not_utf8",
+        "stations_underscore", "extremes_underscore", "matrix_underscore", "strata_underscore",
+        "table_underscore", "grid_bound_underscore", "grid_count_underscore"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line
@@ -262,3 +277,25 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
                 + [a.format(**paths) for a in argv])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["42:39:4,-101:-98:4", "39:42:4,-98:-101:4",
+                                  "42:39:4,-98:-101:4"])
+def test_cells_grid_axes_run_either_way(capsys, tmp_path, grid):
+    # the same nodes in another order: the same areas, to rounding
+    raw, stations = tmp_path / "raw.csv", tmp_path / "stations.csv"
+    synthesize_station_csv(raw, Logistic(0.5), STATIONS, COORDS,
+                           years=range(1980, 2000), rng=SeededRng(8), season="JJA")
+    records, extremes = tmp_path / "records.csv", tmp_path / "extremes.csv"
+    assert main(["--out", str(records), "ingest", "--input", str(raw),
+                 "--stations-out", str(stations)]) == 0
+    assert main(["--out", str(extremes), "blocks", "--input", str(records),
+                 "--season", "JJA"]) == 0
+    areas = {}
+    for spec in ("39:42:4,-101:-98:4", grid):
+        cells = tmp_path / "cells.csv"
+        code, _ = run_cli(capsys, "--out", str(cells), "cells", "--extremes", str(extremes),
+                          "--stations", str(stations), "--grid", spec)
+        assert code == 0
+        areas[spec] = np.loadtxt(cells, delimiter=",", skiprows=1, usecols=2)
+    assert areas[grid] == pytest.approx(areas["39:42:4,-101:-98:4"], rel=1e-12)

@@ -174,6 +174,24 @@ def tied_stacks(draw, ks=(2, 3), sizes=SIZES):
     return x
 
 
+@st.composite
+def zero_massed_pairs(draw):
+    """(reps, n, 2) stacks, reps > 1, of c max(W, 0)^nu for correlated
+    normal W, the extremal-t profiles ``simulate_doa`` returns with n0 = 1:
+    about half of each margin, and often both at once, is exactly 0."""
+    reps = draw(st.integers(2, 4))
+    n = draw(SIZES)
+    rho = draw(st.floats(-0.95, 0.95))
+    nu = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = g.standard_normal((reps, n, 2))
+    w[..., 1] = rho * w[..., 0] + math.sqrt(1.0 - rho * rho) * w[..., 1]
+    return draw(st.floats(0.1, 10.0)) * np.maximum(w, 0.0) ** nu
+
+
+KENDALL_STACKS = st.one_of(tied_stacks(ks=(2,)), zero_massed_pairs())
+
+
 class TestCountingKernel:
     @given(tied_stacks(ks=(1, 2, 3)), st.integers(0, 2**32 - 1))
     def test_counts_and_sums_match_reference(self, x, seed):
@@ -202,7 +220,7 @@ class TestCountingKernel:
         assert np.array_equal(dominance_counts_batch(x), reference_dominance_counts_batch(x))
         assert np.array_equal(dominance_counts(x[0]), reference_dominance_counts(x[0]))
 
-    @given(tied_stacks(ks=(2,)))
+    @given(KENDALL_STACKS)
     def test_kendall_rows_and_ties(self, x):
         rows, tie_x, tie_y = _kendall_rows(x, ties=True)
         for r in range(x.shape[0]):
@@ -211,7 +229,7 @@ class TestCountingKernel:
             assert np.array_equal(tie_x[r], ref_tx)
             assert np.array_equal(tie_y[r], ref_ty)
 
-    @given(tied_stacks(ks=(2,)), st.booleans())
+    @given(KENDALL_STACKS, st.booleans())
     def test_kendall_statistics_identical(self, x, tie_adjusted):
         n = x.shape[1]
         top = max(np.unique(c, return_counts=True)[1].max() for r in x for c in r.T)

@@ -89,7 +89,8 @@ class TestIngest:
         ("B,nan,-101", r"latitude nan outside \[-90, 90\]"),
         ("B,inf,-101", r"latitude inf outside \[-90, 90\]"),
         ("B,95,-101", r"latitude 95.0 outside \[-90, 90\]"),
-        ("B,41,-181", r"longitude -181.0 outside \[-180, 180\]")])
+        ("B,41,-181", r"longitude -181.0 outside \[-180, 180\]"),
+        ("B,4_1,-101", r"number '4_1' holds an underscore")])
     def test_stations_table_takes_the_coordinate_rule(self, tmp_path, row, message):
         # a blank line is not a row, but it counts as a line
         p = tmp_path / "stations.csv"
