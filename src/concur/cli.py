@@ -72,10 +72,13 @@ def _require_out(args) -> str:
 def _load_model(path: str):
     data = Path(path).read_bytes()
     try:
-        return model_from_dict(json.loads(data.decode("utf-8")))
+        spec = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"not utf-8 text (byte 0x{data[exc.start]:02x})",
                          line=data.count(b"\n", 0, exc.start) + 1) from exc
+    except ValueError as exc:  # not JSON, or an integer over Python's digit limit
+        raise ParseError(str(exc)) from exc
+    return model_from_dict(spec)
 
 
 def _read_numeric_csv(path: str, named: bool):
@@ -112,8 +115,9 @@ def _read_sites_csv(path: str) -> np.ndarray:
 def _parse_grid(spec: str):
     """The latitude and longitude axes of a lat0:lat1:nlat,lon0:lon1:nlon
     grid, latitudes in [-90, 90] and longitudes in [-180, 180], each axis
-    running from its first bound to its second, up or down; the bounds and
-    counts take the number rule of the CSV fields."""
+    running from its first bound to its second, up or down; an axis has one
+    node exactly when its bounds are equal.  The bounds and counts take the
+    number rule of the CSV fields."""
     try:
         axes = [(_number(a), _number(b), _number(n, int))
                 for a, b, n in (p.split(":") for p in spec.split(","))]
@@ -128,6 +132,10 @@ def _parse_grid(spec: str):
             _coordinates(*corner)
     except ValueError as exc:
         raise DomainError(f"grid {spec!r}: {exc}") from None
+    for axis, (a, b, n) in (("latitude", lat), ("longitude", lon)):
+        if (a == b) != (n == 1):
+            raise DomainError(f"grid {spec!r}: {axis} axis from {a} to {b} needs a count "
+                              f"{'of 1' if a == b else 'above 1'}, got {n}")
     return np.linspace(*lat), np.linspace(*lon)
 
 
@@ -363,7 +371,7 @@ def main(argv=None) -> int:
     rng = SeededRng(args.seed)
     try:
         args.func(args, rng)
-    except (ConcurError, OSError, json.JSONDecodeError) as exc:
+    except (ConcurError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -521,7 +521,7 @@ ESTIMATORS = {
     "unbiased": unbiased_cp_batch,
     "mvlog": mvlog_batch,
 }
-_NEEDS_BLOCK = ("block", "bootstrap", "unbiased")
+_LEAST_BLOCK = {"block": 1, "bootstrap": 2, "unbiased": 2}  # least block size by method
 
 
 def estimator(method: str, block_size: int | None = None, jackknife: bool = False):
@@ -529,16 +529,21 @@ def estimator(method: str, block_size: int | None = None, jackknife: bool = Fals
 
     It returns a dict of per-replicate arrays: ``estimate`` and ``stderr``
     (None when the estimator has none; ``unbiased`` adds ``clipped``).  An
-    unknown name or a missing block size raises :class:`DomainError` here,
+    unknown name, or a block size that is missing or below the method's
+    least (1 for ``block``, 2 otherwise), raises :class:`DomainError` here,
     before any data is seen.  ``jackknife`` applies to ``mvlog`` only.
     """
     if method not in ESTIMATORS:
         raise DomainError(f"unknown estimator method {method!r}; "
                           f"choose one of {tuple(ESTIMATORS)}")
     fn = ESTIMATORS[method]
-    if method in _NEEDS_BLOCK:
-        if not block_size:
+    if method in _LEAST_BLOCK:
+        if block_size is None:
             raise DomainError(f"method {method!r} requires a block size")
+        least = _LEAST_BLOCK[method]
+        if not (isinstance(block_size, (int, np.integer)) and block_size >= least):
+            raise DomainError(f"method {method!r} needs a whole block size >= {least}, "
+                              f"got {block_size!r}")
         fn = functools.partial(fn, m=block_size)
     elif method == "mvlog":
         fn = functools.partial(fn, jackknife=jackknife)

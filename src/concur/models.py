@@ -5,10 +5,10 @@ class holds everything the package knows about its model: its site
 normalization, exponent function V (P{eta(s_j) <= z_j for all j} =
 exp(-V(z)), homogeneous of order -1), mean-one spectral sampler (profiles Y
 with eta(s) = max_i zeta_i Y_i(s)), what the simulator should run, its
-closed-form concurrence probability or pair reduction, and its JSON form.
-The module-level functions here and in ``concurrence`` and ``simulate``
-call those methods and never branch on the model type, so a new model is
-one class here plus one entry in :data:`MODELS`.
+closed-form concurrence probability or pair reduction; one codec reads its
+JSON form off its fields.  The module-level functions here and in
+``concurrence`` and ``simulate`` call those methods and never branch on the
+model type, so a new model is one class here plus one entry in :data:`MODELS`.
 
 Conventions: unit Frechet margins everywhere.  The interval max-increment
 process is normalized per site (values divided by the site coordinate),
@@ -18,8 +18,11 @@ scenarios and concurrence probabilities untouched.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -112,8 +115,8 @@ class FractionalVariogram:
     family: ClassVar[str] = "fractional"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise DomainError("variogram scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError(f"variogram scale must be positive and finite, got {self.scale}")
         if not 0 < self.exponent <= 2:
             raise DomainError("variogram exponent must lie in (0, 2]")
 
@@ -121,13 +124,6 @@ class FractionalVariogram:
         h = np.asarray(lags, dtype=float)
         r = np.abs(h) if h.ndim == 0 else np.sqrt((h * h).sum(axis=-1))
         return self.scale * r ** self.exponent
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "scale": self.scale, "exponent": self.exponent}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FractionalVariogram":
-        return cls(scale=float(d["scale"]), exponent=float(d["exponent"]))
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,8 @@ class QuadraticVariogram:
 
     def __post_init__(self):
         a = np.array(self.matrix, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError("quadratic variogram matrix must be square")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+            raise DomainError("quadratic variogram matrix must be square and finite")
         if not np.array_equal(a, a.T):
             raise DomainError("quadratic variogram matrix must be symmetric")
         psd_factor(a)  # raises NumericError when not PSD
@@ -155,13 +151,6 @@ class QuadraticVariogram:
             raise DomainError("lag dimension does not match variogram matrix")
         return 0.5 * np.einsum("...i,ij,...j->...", h, self.matrix, h)
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "matrix": self.matrix.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadraticVariogram":
-        return cls(matrix=np.asarray(d["matrix"], dtype=float))
-
 
 Variogram = Callable[[np.ndarray], np.ndarray]
 
@@ -174,18 +163,11 @@ class ExponentialCorrelation:
     family: ClassVar[str] = "exponential"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise DomainError("correlation scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError(f"correlation scale must be positive and finite, got {self.scale}")
 
     def __call__(self, dist):
         return np.exp(-np.asarray(dist, dtype=float) / self.scale)
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "scale": self.scale}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExponentialCorrelation":
-        return cls(scale=float(d["scale"]))
 
 
 @dataclass(frozen=True)
@@ -197,20 +179,13 @@ class PoweredExponentialCorrelation:
     family: ClassVar[str] = "powered_exponential"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise DomainError("correlation scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError(f"correlation scale must be positive and finite, got {self.scale}")
         if not 0 < self.power <= 2:
             raise DomainError("correlation power must lie in (0, 2]")
 
     def __call__(self, dist):
         return np.exp(-((np.asarray(dist, dtype=float) / self.scale) ** self.power))
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "scale": self.scale, "power": self.power}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PoweredExponentialCorrelation":
-        return cls(scale=float(d["scale"]), power=float(d["power"]))
 
 
 Correlation = Callable[[np.ndarray], np.ndarray]
@@ -224,17 +199,6 @@ def _lookup(registry: dict, name, what: str):
     if cls is None:
         raise DomainError(f"unknown {what} {name!r}")
     return cls
-
-
-def _family_to_dict(obj, registry: dict, what: str) -> dict:
-    cls = registry.get(getattr(obj, "family", None))
-    if cls is None or not isinstance(obj, cls):
-        raise DomainError(f"only {what} are serializable")
-    return obj.to_dict()
-
-
-def _family_from_dict(d: dict, registry: dict, what: str):
-    return _lookup(registry, d.get("family"), f"{what} family").from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +393,15 @@ def extremal_t_weight(nu: float) -> float:
 class ModelSpec:
     """Base of the model classes.
 
-    Every model defines ``name``, ``exponent(sites, z)``, ``sampler(sites)``
-    (a :class:`SpectralSampler`), ``to_dict()`` and ``from_dict(spec)``, and
-    is simulated either by ``exact_fields`` (max-linear) or by extremal
-    functions drawn from ``tilted_sampler`` (every other model).  The hooks
-    below default to "no such feature".  Methods take sites normalized by
-    ``sites_of``; normalizing is idempotent.
+    Every model defines ``name``, ``exponent(sites, z)`` and ``sampler(sites)``
+    (a :class:`SpectralSampler`), and is simulated either by ``exact_fields``
+    (max-linear) or by extremal functions drawn from ``tilted_sampler`` (every
+    other model).  The hooks below default to "no such feature".  Methods
+    take sites normalized by ``sites_of``; normalizing is idempotent.  In
+    JSON a ``float`` or ``int`` field is a number (an int a whole one), a
+    matrix a list of equal-length rows of numbers, and a ``Variogram`` or
+    ``Correlation`` an object of a family of that kind; only a field with a
+    default may be left out.
     """
 
     name: ClassVar[str]
@@ -540,13 +507,6 @@ class Logistic(ModelSpec):
     def concurrence(self, sites: SiteSet) -> float:
         return ecp_logistic(self.alpha, sites.k)
 
-    def to_dict(self) -> dict:
-        return {"model": self.name, "alpha": self.alpha}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "Logistic":
-        return cls(alpha=float(spec["alpha"]))
-
 
 @dataclass(frozen=True)
 class MaxLinear(ModelSpec):
@@ -626,13 +586,6 @@ class MaxLinear(ModelSpec):
 
     def concurrence(self, cols: np.ndarray) -> float:
         return ecp_max_linear(self, cols)[0]
-
-    def to_dict(self) -> dict:
-        return {"model": self.name, "phi": self.phi.tolist()}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "MaxLinear":
-        return cls(phi=np.asarray(spec["phi"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -723,14 +676,6 @@ class BrownResnick(_PairModel):
             raise DomainError("variogram must be nonnegative")
         return GaussianPair(gamma_h)
 
-    def to_dict(self) -> dict:
-        vd = _family_to_dict(self.variogram, VARIOGRAMS, "fractional/quadratic variograms")
-        return {"model": self.name, "variogram": vd}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "BrownResnick":
-        return cls(variogram=_family_from_dict(spec["variogram"], VARIOGRAMS, "variogram"))
-
 
 @dataclass(frozen=True)
 class ExtremalT(_PairModel):
@@ -744,8 +689,8 @@ class ExtremalT(_PairModel):
     name: ClassVar[str] = "extremal_t"
 
     def __post_init__(self):
-        if not self.nu >= 1:
-            raise DomainError(f"extremal-t nu must be >= 1, got {self.nu}")
+        if not 1 <= self.nu < math.inf:
+            raise DomainError(f"extremal-t nu must be finite and >= 1, got {self.nu}")
 
     def _correlation(self, sites: SiteSet):
         """The site correlation matrix (unit diagonal) and a factor of it."""
@@ -789,15 +734,6 @@ class ExtremalT(_PairModel):
         if abs(rho) > 1:
             raise DomainError("correlation values must lie in [-1, 1]")
         return StudentPair(rho, self.nu)
-
-    def to_dict(self) -> dict:
-        cd = _family_to_dict(self.correlation, CORRELATIONS, "exponential-family correlations")
-        return {"model": self.name, "correlation": cd, "nu": self.nu}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ExtremalT":
-        return cls(correlation=_family_from_dict(spec["correlation"], CORRELATIONS, "correlation"),
-                   nu=float(spec.get("nu", 1.0)))
 
 
 def schlather(correlation: Correlation) -> ExtremalT:
@@ -863,13 +799,6 @@ class Smith(_PairModel):
     def pair_reduction(self, sites: SiteSet) -> GaussianPair:
         return smith_to_brown_resnick(self).pair_reduction(sites)
 
-    def to_dict(self) -> dict:
-        return {"model": self.name, "sigma": self.sigma.entries.tolist()}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "Smith":
-        return cls(sigma=CovarianceMatrix(np.asarray(spec["sigma"], dtype=float)))
-
 
 def smith_to_brown_resnick(model: Smith) -> BrownResnick:
     """Equivalent degenerate Brown--Resnick form, gamma(h) = h' Sigma^{-1} h / 2."""
@@ -923,13 +852,6 @@ class ExtremalProcess(ModelSpec):
     def concurrence(self, x: np.ndarray) -> float:
         return ecp_extremal_process(x)
 
-    def to_dict(self) -> dict:
-        return {"model": self.name}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ExtremalProcess":
-        return cls()
-
 
 @dataclass(frozen=True)
 class BallIndicator(ModelSpec):
@@ -940,8 +862,8 @@ class BallIndicator(ModelSpec):
     name: ClassVar[str] = "ball_indicator"
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise DomainError(f"ball radius must be positive and finite, got {self.radius}")
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise DomainError("ball dimension must be a positive integer")
 
@@ -1011,13 +933,6 @@ class BallIndicator(ModelSpec):
             h = float(np.linalg.norm(sites.coords[1] - sites.coords[0]))
             return ecp_ball_overlap(h, self.radius, self.dim)
         raise CapabilityError("ball-indicator concurrence beyond pairs requires d = 1")
-
-    def to_dict(self) -> dict:
-        return {"model": self.name, "radius": self.radius, "dim": self.dim}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "BallIndicator":
-        return cls(radius=float(spec["radius"]), dim=int(spec.get("dim", 1)))
 
 
 MODELS = {cls.name: cls for cls in (Logistic, MaxLinear, BrownResnick, ExtremalT, Smith,
@@ -1098,8 +1013,6 @@ def ecp_ball_overlap(h: float, radius: float, dim: int = 1) -> float:
     1 - h^2/(4 r^2), which reproduces the exact 1-d overlap 2r - h and the
     planar lens area.
     """
-    if h < 0:
-        raise DomainError("lag must be nonnegative")
     if not radius > 0:
         raise DomainError("radius must be positive")
     q = ball_overlap_fraction(float(h), float(radius), int(dim))
@@ -1151,11 +1064,73 @@ def spectral_sample(model: ModelSpec, sites, rng: RngLike, size: int | None = No
     return y[0] if size is None else y
 
 
+# ---------------------------------------------------------------------------
+# JSON form: one codec for every model and family, read off the dataclass fields
+
+def _json_number(value, where: str, whole: bool = False):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise DomainError(f"{where} must be a finite number, got {json.dumps(value, default=repr)}")
+    if whole and not float(value).is_integer():
+        raise DomainError(f"{where} must be a whole number, got {value}")
+    return int(value) if whole else float(value)
+
+
+def _json_matrix(value, where: str) -> np.ndarray:
+    if not (isinstance(value, list)
+            and all(isinstance(row, list) and len(row) == len(value[0]) for row in value)):
+        raise DomainError(f"{where} must be a list of equal-length rows of numbers")
+    return np.array([[_json_number(v, f"{where} entry") for v in row] for row in value])
+
+
+def _family_kind(registry: dict, what: str, plural: str):
+    def encode(obj) -> dict:
+        if not isinstance(obj, registry.get(getattr(obj, "family", None), ())):
+            raise DomainError(f"only {plural} are serializable")
+        return _to_dict(obj, {"family": obj.family})
+
+    return encode, lambda spec, where: _from_dict(registry, spec, "family", what, where)
+
+
+_KINDS = {  # (encode, decode) by a field's declared type
+    "float": (float, _json_number),
+    "int": (int, functools.partial(_json_number, whole=True)),
+    "np.ndarray": (np.ndarray.tolist, _json_matrix),
+    "CovarianceMatrix": (lambda c: c.entries.tolist(),
+                         lambda v, where: CovarianceMatrix(_json_matrix(v, where))),
+    "Variogram": _family_kind(VARIOGRAMS, "variogram family", "fractional/quadratic variograms"),
+    "Correlation": _family_kind(CORRELATIONS, "correlation family",
+                                "exponential-family correlations"),
+}
+
+
+def _to_dict(obj, tag: dict) -> dict:
+    return {**tag, **{f.name: _KINDS[f.type][0](getattr(obj, f.name)) for f in fields(obj)}}
+
+
+def _from_dict(registry: dict, spec, tag: str, what: str, where: str):
+    """The class of ``registry`` that ``spec[tag]`` names, built from the
+    other keys; errors name ``where``, or for a model its name."""
+    if not isinstance(spec, dict) or tag not in spec:
+        raise DomainError(f"{where} must be an object with a {tag!r} field")
+    cls = _lookup(registry, spec[tag], what)
+    where = cls.name if tag == "model" else where
+    declared = fields(cls)
+    for key in spec:
+        if key != tag and key not in {f.name for f in declared}:
+            raise DomainError(f"{where} has no field {key!r}")
+    for f in declared:
+        if f.name not in spec and f.default is MISSING:
+            raise DomainError(f"{where} needs {f.name!r}")
+    return cls(**{f.name: _KINDS[f.type][1](spec[f.name], f"{where} {f.name}")
+                  for f in declared if f.name in spec})
+
+
 def model_to_dict(model: ModelSpec) -> dict:
-    return model.to_dict()
+    """``{"model": name}``, then each field in declaration order."""
+    return _to_dict(model, {"model": model.name})
 
 
 def model_from_dict(spec: dict) -> ModelSpec:
-    if not isinstance(spec, dict) or "model" not in spec:
-        raise DomainError("model spec must be an object with a 'model' field")
-    return _lookup(MODELS, spec["model"], "model name").from_dict(spec)
+    """The model of a JSON form; see :class:`ModelSpec` for the field rules."""
+    return _from_dict(MODELS, spec, "model", "model name", "model spec")

@@ -742,8 +742,11 @@ def expected_cell_area_model(model, grid_sites, weights, reps: int,
                              rng: RngLike = None):
     """Mean concurrence-cell volume per anchor site from simulated labels.
 
-    Returns (areas, stderrs) arrays over the grid sites.
+    Returns (areas, stderrs) arrays over the grid sites; a standard error
+    needs ``reps`` >= 2.
     """
+    if not reps >= 2:
+        raise DomainError(f"reps must be >= 2, got {reps}")
     labels = simulate_cell_labels(model, grid_sites, reps, rng)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != labels.shape[1]:

@@ -184,6 +184,8 @@ MAP = ["map", "--matrix", "{matrix}", "--stations", "{stations}", "--anchor", "A
 CELLS = ["cells", "--extremes", "{extremes}", "--stations", "{stations}", "--grid", GRID]
 ESTIMATE = ["estimate", "--input", "{table}", "--method", "kendall"]
 INGEST = ["ingest", "--input", "{records}"]
+ECP = ["ecp", "--model", "{model}", "--sites", "{stations}"]
+EXP10 = '"correlation": {"family": "exponential", "scale": 10.0}'
 RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
 
 
@@ -253,6 +255,46 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
     ("stations", STATIONS_CSV, MAP[:-1] + ["3_9:42:2,-101:-98:2"], "grid '3_9:42:2,-101:-98:2'"),
     ("stations", STATIONS_CSV, CELLS[:-1] + ["39:42:1_0,-101:-98:2"],
      "grid '39:42:1_0,-101:-98:2'"),
+    # an axis has one node exactly when its bounds are equal
+    ("stations", STATIONS_CSV, MAP[:-1] + ["40:40:3,-101:-98:2"],
+     "grid '40:40:3,-101:-98:2': latitude axis from 40.0 to 40.0 needs a count of 1, got 3"),
+    ("stations", STATIONS_CSV, MAP[:-1] + ["39:42:2,-101:-98:1"],
+     "grid '39:42:2,-101:-98:1': longitude axis from -101.0 to -98.0 needs a count above 1"),
+    ("stations", STATIONS_CSV, CELLS[:-1] + ["39:42:2,-99:-99:4"],
+     "grid '39:42:2,-99:-99:4': longitude axis from -99.0 to -99.0 needs a count of 1, got 4"),
+    ("stations", STATIONS_CSV, CELLS[:-1] + ["39:42:1,-101:-98:2"],
+     "grid '39:42:1,-101:-98:2': latitude axis from 39.0 to 42.0 needs a count above 1"),
+    # a model file is read field by field, by each field's declared kind
+    ("model", '{"model": "logistic"}', ECP, "logistic needs 'alpha'"),
+    ("model", '{"model": "logistic", "alpha": "0.5"}', ECP,
+     'logistic alpha must be a finite number, got "0.5"'),
+    ("model", '{"model": "logistic", "alpha": null}', ECP,
+     "logistic alpha must be a finite number, got null"),
+    ("model", '{"model": "ball_indicator", "radius": 1.0, "dim": 2.5}', ECP,
+     "ball_indicator dim must be a whole number, got 2.5"),
+    ("model", '{"model": "extremal_t", %s, "NU": 5}' % EXP10, ECP,
+     "extremal_t has no field 'NU'"),
+    ("model", '{"model": "brown_resnick", "variogram": {"family": "exponential", "scale": 1}}',
+     ECP, "unknown variogram family 'exponential'"),
+    ("model", '{"model": "brown_resnick", "variogram": "fractional"}', ECP,
+     "brown_resnick variogram must be an object with a 'family' field"),
+    ("model", '{"model": "brown_resnick", "variogram": {"family": "fractional", '
+              '"scale": "1", "exponent": 1}}', ECP,
+     'brown_resnick variogram scale must be a finite number, got "1"'),
+    ("model", '{"model": "smith", "sigma": [[1.0, 0.0], [0.0]]}', ECP,
+     "smith sigma must be a list of equal-length rows of numbers"),
+    ("model", '{"model": "extremal_t", %s, "nu": Infinity}' % EXP10, ECP,
+     "extremal_t nu must be a finite number, got Infinity"),
+    ("model", '{"model": "logistic", "alpha": 1%s}' % ("0" * 5000), ECP, "error: "),
+    ("model", '{"model": "logistic", "alpha": 0.5', ECP, "error: Expecting ',' delimiter"),
+    # a standard error needs two replicates; a block size its method's least
+    ("sites", "0.0\n1.0\n", ["cells", "--model", "{model}", "--grid-sites", "{sites}",
+                             "--reps", "1"], "reps must be >= 2, got 1"),
+    ("table", "a,b\n1,2\n3,4\n", ESTIMATE[:-1] + ["bootstrap", "--block-size", "0"],
+     "method 'bootstrap' needs a whole block size >= 2, got 0"),
+    ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--method", "block",
+                            "--block-size", "0"],
+     "method 'block' needs a whole block size >= 1, got 0"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -263,7 +305,14 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
         "records_field_too_large", "stations_not_utf8", "sites_not_utf8", "model_not_utf8",
         "records_bad_row_before_bad_byte", "table_header_not_utf8", "sites_header_not_utf8",
         "stations_underscore", "extremes_underscore", "matrix_underscore", "strata_underscore",
-        "table_underscore", "grid_bound_underscore", "grid_count_underscore"])
+        "table_underscore", "grid_bound_underscore", "grid_count_underscore",
+        "map_grid_equal_bounds", "map_grid_one_node", "cells_grid_equal_bounds",
+        "cells_grid_one_node", "model_missing_field", "model_text_number", "model_null",
+        "model_fractional_dim", "model_misspelt_key", "model_correlation_as_variogram",
+        "model_variogram_not_object", "model_nested_text_number", "model_ragged_sigma",
+        "model_infinite_nu", "model_integer_over_digit_limit", "model_not_json",
+        "cells_model_one_rep", "estimate_block_size_0",
+        "matrix_block_size_0"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line
@@ -276,7 +325,9 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     code = main(["--out", str(tmp_path / "out.csv")]
                 + [a.format(**paths) for a in argv])
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", ["42:39:4,-101:-98:4", "39:42:4,-98:-101:4",

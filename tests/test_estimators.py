@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from concur.estimators import (
     block_cp_batch,
     bootstrap_cp_batch,
     dominance_counts_batch,
+    estimator,
     kendall_batch,
     mvlog_batch,
     unbiased_cp_batch,
@@ -425,6 +427,17 @@ class TestBatchKernels:
         # the smallest block size is accepted on both paths
         single(x, least)
         stack(x[None], least)
+
+    @pytest.mark.parametrize("method, least", [("block", 1), ("bootstrap", 2), ("unbiased", 2)])
+    def test_estimator_checks_the_block_size_first(self, method, least):
+        # a block size of 0 used to be reported as a missing one
+        with pytest.raises(DomainError, match="requires a block size"):
+            estimator(method)
+        for m in (0, -1, least - 1, 2.5):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"needs a whole block size >= {least}, got {m!r}")):
+                estimator(method, m)
+        estimator(method, least)
 
     def test_single_sample_is_the_one_replicate_case(self):
         g = np.random.default_rng(41)

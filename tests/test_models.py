@@ -1,6 +1,9 @@
 """Model specifications, exponent functions, and spectral samplers."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from concur import (
     schlather,
     spectral_sample,
 )
-from concur.models import extremal_t_weight
+from concur.models import _KINDS, CORRELATIONS, MODELS, VARIOGRAMS, extremal_t_weight
 
 PAIR = [[0.0], [1.0]]
 
@@ -278,6 +281,26 @@ class TestValidation:
         with pytest.raises(DomainError):
             PoweredExponentialCorrelation(scale=1.0, power=3.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda x: Logistic(x),
+        lambda x: MaxLinear(np.array([[x]])),
+        lambda x: ExtremalT(ExponentialCorrelation(1.0), nu=x),
+        lambda x: Smith(CovarianceMatrix(np.array([[x]]))),
+        lambda x: BallIndicator(radius=x),
+        lambda x: FractionalVariogram(scale=x, exponent=1.0),
+        lambda x: QuadraticVariogram(np.array([[x]])),
+        lambda x: ExponentialCorrelation(scale=x),
+        lambda x: PoweredExponentialCorrelation(scale=x, power=1.0),
+    ], ids=["logistic", "max_linear", "extremal_t", "smith", "ball_indicator", "fractional",
+            "quadratic", "exponential", "powered_exponential"])
+    def test_parameters_are_finite(self, make):
+        # nu = inf used to end in ZeroDivisionError, radius = inf in an
+        # estimate outside [0, 1], a variogram scale of inf in a quadrature
+        # that did not converge
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                make(bad)
+
     def test_extremal_process_sites(self):
         with pytest.raises(DomainError):
             exponent_V(ExtremalProcess(), [0.5, 0.2], [1.0, 1.0])
@@ -314,6 +337,59 @@ class TestSerialization:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             model_from_dict({"model": "mystery"})
+
+    def test_readme_specs_round_trip(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("Model specs are JSON objects", 1)[1]
+        lines = block.split("```json\n", 1)[1].split("```", 1)[0].splitlines()
+        assert sorted(json.loads(line)["model"] for line in lines) == sorted(MODELS)
+        for line in lines:
+            assert json.dumps(model_to_dict(model_from_dict(json.loads(line)))) == line
+
+    def test_defaults_and_whole_numbers(self):
+        corr = {"family": "exponential", "scale": 2.0}
+        assert model_from_dict({"model": "extremal_t", "correlation": corr}).nu == 1.0
+        assert model_from_dict({"model": "ball_indicator", "radius": 1}).dim == 1
+        dim = model_from_dict({"model": "ball_indicator", "radius": 1, "dim": 2.0}).dim
+        assert dim == 2 and type(dim) is int
+        # NumPy scalars are written as JSON numbers
+        ball = BallIndicator(radius=np.float32(1.5), dim=np.int64(2))
+        written = json.loads(json.dumps(model_to_dict(ball)))
+        assert written == {"model": "ball_indicator", "radius": 1.5, "dim": 2}
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"model": "logistic", "alpha": True}, "logistic alpha must be a finite number, got true"),
+        ({"model": "logistic", "alpha": 0.5, "beta": 1}, "logistic has no field 'beta'"),
+        ({"model": "smith", "sigma": [[1.0, "0"], [0.0, 1.0]]},
+         'smith sigma entry must be a finite number, got "0"'),
+        ({"model": "max_linear", "phi": [0.5, 0.5]}, "max_linear phi must be a list of"),
+        ({"model": "extremal_t", "correlation": {"family": "exponential"}},
+         "extremal_t correlation needs 'scale'"),
+        ({"model": "extremal_t", "correlation": {"scale": 1.0}},
+         "extremal_t correlation must be an object with a 'family' field"),
+        ({"model": "extremal_t", "correlation": {"family": "exponential", "scale": 1.0,
+                                                 "power": 1.0}},
+         "extremal_t correlation has no field 'power'"),
+        ({"model": "logistic", "alpha": 10 ** 400}, "logistic alpha must be a finite number"),
+        ([{"model": "logistic", "alpha": 0.5}], "must be an object with a 'model' field"),
+    ])
+    def test_malformed_spec_names_model_and_field(self, spec, message):
+        with pytest.raises(DomainError, match=message):
+            model_from_dict(spec)
+
+    @pytest.mark.parametrize("model", [
+        BrownResnick(lambda h: h),
+        BrownResnick(ExponentialCorrelation(1.0)),
+        ExtremalT(lambda d: np.exp(-d)),
+    ], ids=["lambda_variogram", "correlation_as_variogram", "lambda_correlation"])
+    def test_encoder_refuses_what_the_decoder_refuses(self, model):
+        with pytest.raises(DomainError, match="only .* are serializable"):
+            model_to_dict(model)
+
+    def test_every_field_has_a_json_kind(self):
+        for cls in (*MODELS.values(), *VARIOGRAMS.values(), *CORRELATIONS.values()):
+            for field in dataclasses.fields(cls):
+                assert field.type in _KINDS, (cls.__name__, field.name)
 
 
 def _needs_2d(model):

@@ -393,6 +393,14 @@ class TestCellAreas:
                                             sites, weights, 200, rng)
         assert np.all(areas > 0.97 * weights.sum())
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_model_mode_needs_two_reps(self, rng, reps):
+        # one replicate used to give a NaN stderr and two RuntimeWarnings
+        from concur import BallIndicator
+        with pytest.raises(DomainError, match=f"reps must be >= 2, got {reps}"):
+            expected_cell_area_model(BallIndicator(radius=1.0), np.array([[0.0], [1.0]]),
+                                     np.ones(2), reps, rng)
+
     def test_identical_strata_zero_anomaly(self, synthetic):
         path, _ = synthetic
         result = ingest_csv(path)

@@ -246,6 +246,11 @@ def _reference_pair(method, data, m):
 
 
 def reference_pairwise_matrix(extremes, method, anchor=None, min_overlap=3, block_size=None):
+    # a block size below its method's least is refused even when no pair
+    # has enough common years to be estimated
+    least = {"block": 1, "bootstrap": 2, "unbiased": 2}.get(method)
+    if least is not None and (block_size is None or block_size < least):
+        raise DomainError(f"method {method!r} needs a block size >= {least}")
     series = {}
     for e in extremes:
         if e.year in series.setdefault(e.station_id, {}):
