@@ -29,6 +29,7 @@ from .pipeline import (
     _number,
     _open_csv,
     cell_area_report,
+    check_mappable,
     expected_cell_area_model,
     grid_map,
     ingest_csv,
@@ -225,6 +226,7 @@ def _cmd_map(args, rng: SeededRng) -> None:
     stations = read_stations_csv(args.stations)
     lats, lons = _parse_grid(args.grid)
     pts = station_points(matrix.station_ids, stations)
+    check_mappable([args.anchor], matrix.row(args.anchor))
     rows = grid_map(pts, matrix.row(args.anchor), lats, lons, idw_power=args.idw_power)
     out = _require_out(args)
     write_grid_csv(rows, out)
@@ -255,7 +257,8 @@ def _cmd_cells(args, rng: SeededRng) -> None:
     strata = read_strata_csv(args.strata) if args.strata else None
     rows = cell_area_report(extremes, stations, lats, lons, strata=strata,
                             base_label=args.base_label, method=args.method,
-                            min_overlap=args.min_overlap, idw_power=args.idw_power)
+                            min_overlap=args.min_overlap, idw_power=args.idw_power,
+                            block_size=args.block_size)
     write_cells_csv(rows, out)
     _emit_json({"command": "cells", "mode": "data", "out": out, "rows": len(rows)}, None)
 
@@ -349,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--strata", default=None, help="year,label CSV")
     q.add_argument("--base-label", default=None)
     q.add_argument("--method", default="kendall", choices=list(ESTIMATORS))
+    q.add_argument("--block-size", type=int, default=None)
     q.add_argument("--min-overlap", type=int, default=3)
     q.add_argument("--idw-power", type=float, default=2.0)
     q.add_argument("--model", default=None, help="model spec JSON (model mode)")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
-from .estimators import estimator
+from .estimators import _LEAST_BLOCK, estimator
 from .simulate import simulate_cell_labels
 from .specfun import RngLike
 
@@ -551,11 +551,13 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
 
     A station has at most one extreme a year: a repeat raises
     :class:`DomainError`.  Years are matched pairwise-complete, and the
-    estimator runs once per set of common years on the stack of pairs
-    sharing it (once in all on complete data); pairs with fewer than
-    ``min_overlap`` common years stay NaN.  ``anchor`` restricts the
-    computation to one station's row (plus the unit diagonal).  The method
-    name and block size are checked before any pair is estimated.
+    estimator runs once per number of common years on the stack of pairs
+    with that many, each pair's values in year order (once in all on
+    complete data); pairs with fewer than ``min_overlap`` common years stay
+    NaN.  ``anchor`` restricts the computation to one station's row (plus
+    the unit diagonal).  The method name and block size are checked before
+    any pair is estimated: a block size above an estimated pair's common
+    years raises :class:`DomainError` naming the first such pair.
     """
     estimate = estimator(method, block_size)
     series: dict[str, dict[int, float]] = {}
@@ -585,14 +587,18 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
     npairs[i, j] = npairs[j, i] = common[i, j]
     enough = common[i, j] >= max(min_overlap, 2)
     i, j = i[enough], j[enough]
-    # rows of common-year bits, packed so that the sort compares bytes
-    packed, group, counts = np.unique(np.packbits(present[i] & present[j], axis=1), axis=0,
-                                      return_inverse=True, return_counts=True)
-    keys = np.unpackbits(packed, axis=1, count=len(years)).astype(bool)
-    groups = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
-    for key, sel in zip(keys, groups):
-        gi, gj = i[sel], j[sel]
-        r = estimate(values[:, key][np.column_stack([gi, gj])].transpose(0, 2, 1))
+    n = common[i, j]
+    if method in _LEAST_BLOCK and np.any(n < block_size):
+        k = int(np.argmax(n < block_size))
+        raise DomainError(f"stations {ids[i[k]]} and {ids[j[k]]} share {n[k]} years, fewer than "
+                          f"the block size {block_size}; raise --min-overlap to {block_size} "
+                          f"to leave such pairs out")
+    # pairs with as many common years share one stack: boolean indexing is
+    # row-major, so each pair's common values come in year order
+    for m in np.unique(n):
+        gi, gj = i[n == m], j[n == m]
+        both = present[gi] & present[gj]
+        r = estimate(np.stack([values[gi][both], values[gj][both]], axis=1).reshape(-1, m, 2))
         est[gi, gj] = est[gj, gi] = r["estimate"]
         err[gi, gj] = err[gj, gi] = np.nan if r["stderr"] is None else r["stderr"]
     return ConcurrenceMatrix(station_ids=ids, estimates=est, stderr=err,
@@ -727,12 +733,26 @@ def station_points(ids, station_coords: dict) -> np.ndarray:
     return np.array([station_coords[s] for s in ids], dtype=float)
 
 
+def check_mappable(ids, rows) -> None:
+    """A map needs finite estimates at three stations or more: raise
+    :class:`DomainError` naming the first station of ``ids`` whose row of
+    ``rows`` has fewer."""
+    finite = np.isfinite(np.atleast_2d(rows))
+    count = finite.sum(axis=1)
+    if np.any(count < 3):
+        k = int(np.argmax(count < 3))
+        raise DomainError(f"station {ids[k]} has estimates at only {count[k]} of the "
+                          f"{finite.shape[1]} stations, itself included; a map needs three "
+                          f"or more")
+
+
 def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
                             grid_lats, grid_lons, idw_power: float = 2.0) -> dict[str, float]:
     """Expected cell area per station from a pairwise matrix: interpolate
     every station's concurrence row onto the grid and integrate with cos-lat
     weights."""
     pts = station_points(matrix.station_ids, station_coords)
+    check_mappable(matrix.station_ids, matrix.estimates)
     maps = grid_map(pts, matrix.estimates, grid_lats, grid_lons, idw_power=idw_power)[:, 2:]
     weights = cos_lat_weights(grid_lats, grid_lons)
     return {sid: integrated_cp(m, weights) for sid, m in zip(matrix.station_ids, maps.T)}
@@ -767,12 +787,14 @@ def read_strata_csv(path) -> dict[int, str]:
 def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
                      strata: dict[int, str] | None = None, base_label: str | None = None,
                      method: str = "kendall", min_overlap: int = 3,
-                     idw_power: float = 2.0) -> list[CellAreaRow]:
+                     idw_power: float = 2.0,
+                     block_size: int | None = None) -> list[CellAreaRow]:
     """Per-anchor expected cell areas, stratified by year labels when given.
 
     The anomaly column holds the deviation of each stratum's area from the
     base stratum's; the base label defaults to the lexicographically first
-    stratum.  Without strata every year is in the one stratum "all".
+    stratum.  Without strata every year is in the one stratum "all".  A
+    :class:`DomainError` in one stratum's matrix or maps names the stratum.
     """
     if strata is None:
         strata, base_label = {e.year: "all" for e in extremes}, "all"
@@ -785,11 +807,15 @@ def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
         base_label = labels[0]
     if base_label not in labels:
         raise DomainError(f"unknown base stratum {base_label!r}")
-    per_label = {label: expected_cell_area_data(
-        pairwise_matrix([e for e in extremes if strata[e.year] == label], method=method,
-                        min_overlap=min_overlap),
-        station_coords, grid_lats, grid_lons, idw_power=idw_power)
-        for label in labels}
+    per_label = {}
+    for label in labels:
+        try:
+            per_label[label] = expected_cell_area_data(
+                pairwise_matrix([e for e in extremes if strata[e.year] == label], method=method,
+                                min_overlap=min_overlap, block_size=block_size),
+                station_coords, grid_lats, grid_lons, idw_power=idw_power)
+        except DomainError as exc:
+            raise DomainError(f"stratum {label!r}: {exc}") from None
     base = per_label[base_label]
     return [CellAreaRow(anchor=anchor, stratum=label, area=area,
                         anomaly=area - base.get(anchor, math.nan))

@@ -1,5 +1,6 @@
 """CLI subcommands, exercised in-process."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from concur import Logistic, SeededRng
 from concur.cli import main
+from concur.pipeline import cell_area_report, read_extremes_csv, read_stations_csv
 from concur.synthetic import synthesize_station_csv
 
 STATIONS = ["A", "B", "C", "D"]
@@ -129,6 +131,18 @@ def test_station_pipeline_end_to_end(capsys, tmp_path):
     assert body[0] == "anchor,stratum,area,anomaly"
     assert len(body) == 5
 
+    # cells takes the block methods with --block-size, as matrix does
+    code, out = run_cli(capsys, "--out", str(cells), "cells", "--extremes",
+                        str(extremes), "--stations", str(stations),
+                        "--grid", "39:42:4,-101:-98:4", "--method", "bootstrap",
+                        "--block-size", "5")
+    assert code == 0
+    want = cell_area_report(read_extremes_csv(extremes), read_stations_csv(stations),
+                            np.linspace(39, 42, 4), np.linspace(-101, -98, 4),
+                            method="bootstrap", block_size=5)
+    got = np.loadtxt(cells, delimiter=",", skiprows=1, usecols=2)
+    assert got.tolist() == [r.area for r in want]
+
 
 def test_cells_model_mode(capsys, tmp_path):
     model = tmp_path / "model.json"
@@ -187,6 +201,23 @@ INGEST = ["ingest", "--input", "{records}"]
 ECP = ["ecp", "--model", "{model}", "--sites", "{stations}"]
 EXP10 = '"correlation": {"family": "exponential", "scale": 10.0}'
 RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
+NETWORK_CSV = STATIONS_CSV + "C,42,-99\nD,39.5,-98.5\n"
+
+
+def _extremes(seasons):
+    """Extremes CSV text with the given seasons of each station."""
+    return "station_id,season,year,value,coverage,polarity\n" + "".join(
+        f"{sid},JJA,{y},{(3 * y + 5 * k) % 7}.5,1.0,max\n"
+        for k, (sid, years) in enumerate(seasons.items()) for y in years)
+
+
+# D has two seasons, below the default --min-overlap 3
+D_SHORT = _extremes({"A": range(2000, 2005), "B": range(2000, 2005), "C": range(2000, 2005),
+                     "D": (2001, 2003)})
+D_SHORT_MATRIX = "id1,id2,estimate,stderr,n_pairs\n" + "".join(
+    f"{a},{b},{1 if a == b else 'nan' if 'D' in (a, b) else 0.5},0,5\n"
+    for a, b in itertools.combinations_with_replacement("ABCD", 2))
+FIVE_YEARS = _extremes({"A": range(2000, 2005), "B": range(2000, 2005)})
 
 
 @pytest.mark.parametrize("bad, text, argv, message", [
@@ -295,6 +326,21 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
     ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--method", "block",
                             "--block-size", "0"],
      "method 'block' needs a whole block size >= 1, got 0"),
+    # cells takes --block-size as matrix does; a block size above a pair's
+    # common years names the pair
+    ("extremes", EXTREMES, CELLS + ["--method", "block"], "method 'block' requires a block size"),
+    ("extremes", FIVE_YEARS, ["matrix", "--input", "{extremes}", "--method", "bootstrap",
+                              "--block-size", "8"],
+     "stations A and B share 5 years, fewer than the block size 8; raise --min-overlap to 8"),
+    ("extremes", FIVE_YEARS, CELLS + ["--method", "unbiased", "--block-size", "8"],
+     "stratum 'all': stations A and B share 5 years, fewer than the block size 8"),
+    # a station with too few estimates for a map is named
+    ("extremes", D_SHORT, ["cells", "--extremes", "{extremes}", "--stations", "{network}",
+                           "--grid", GRID],
+     "stratum 'all': station D has estimates at only 1 of the 4 stations, itself included"),
+    ("matrix", D_SHORT_MATRIX, ["map", "--matrix", "{matrix}", "--stations", "{network}",
+                                "--anchor", "D", "--grid", GRID],
+     "station D has estimates at only 1 of the 4 stations, itself included"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -312,11 +358,13 @@ RECORDS = b"station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-01-01,1,2\n"
         "model_variogram_not_object", "model_nested_text_number", "model_ragged_sigma",
         "model_infinite_nu", "model_integer_over_digit_limit", "model_not_json",
         "cells_model_one_rep", "estimate_block_size_0",
-        "matrix_block_size_0"])
+        "matrix_block_size_0", "cells_block_size_missing", "matrix_block_size_above_pair",
+        "cells_block_size_above_pair", "cells_station_short", "map_anchor_short"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line
     files = {"matrix": MATRIX, "stations": STATIONS_CSV, "extremes": EXTREMES,
+             "network": NETWORK_CSV,
              "model": json.dumps({"model": "logistic", "alpha": 0.5}), bad: text}
     paths = {}
     for name, content in files.items():

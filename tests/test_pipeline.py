@@ -304,6 +304,30 @@ class TestPairwiseMatrix:
         with pytest.raises(DomainError, match="requires a block size"):
             pairwise_matrix(disjoint, method="block")
 
+    def test_block_size_above_a_pairs_common_years(self, monkeypatch):
+        # A and B share 7 years, A and C 4, B and C 3: the first pair in
+        # station order below the block size is named before any estimate
+        import concur.estimators
+        from concur.pipeline import SeasonalExtremes
+        years = {"A": range(2000, 2008), "B": range(2001, 2008), "C": range(2000, 2008, 2)}
+        extremes = [SeasonalExtremes(sid, "JJA", y, float((5 * y + len(sid)) % 7), 1.0, "max")
+                    for sid, ys in years.items() for y in ys]
+        calls = []
+        fn = concur.estimators.ESTIMATORS["bootstrap"]
+        monkeypatch.setitem(concur.estimators.ESTIMATORS, "bootstrap",
+                            lambda data, **kw: calls.append(data.shape) or fn(data, **kw))
+        with pytest.raises(DomainError, match="stations A and C share 4 years, fewer than the "
+                                              "block size 5; raise --min-overlap to 5"):
+            pairwise_matrix(extremes, method="bootstrap", block_size=5)
+        assert calls == []
+        matrix = pairwise_matrix(extremes, method="bootstrap", block_size=5, min_overlap=5)
+        assert calls == [(1, 7, 2)]
+        assert np.isnan(matrix.estimates[[0, 1], [2, 2]]).all()
+        with pytest.raises(DomainError, match="stations B and C share 3 years"):
+            pairwise_matrix(extremes, method="block", block_size=4, anchor="C")
+        # a method without blocks takes no block size
+        assert np.isfinite(pairwise_matrix(extremes, block_size=5).estimates).all()
+
     def test_polarity_flip_metamorphic(self, synthetic):
         # tmin = -tmax in the synthetic data: negated minima carry the same
         # dependence, so the two matrices agree exactly
@@ -400,6 +424,34 @@ class TestCellAreas:
         with pytest.raises(DomainError, match=f"reps must be >= 2, got {reps}"):
             expected_cell_area_model(BallIndicator(radius=1.0), np.array([[0.0], [1.0]]),
                                      np.ones(2), reps, rng)
+
+    def test_a_station_too_few_estimates_is_named(self, synthetic):
+        # D keeps two odd seasons, below min_overlap: the odd stratum has no
+        # estimate for D, so no map of D
+        extremes = [e for e in seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max")
+                    if e.station_id != "D" or e.year % 2 == 0 or e.year < 1954]
+        strata = {e.year: ("even" if e.year % 2 == 0 else "odd") for e in extremes}
+        coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
+        lats, lons = np.linspace(39, 42, 4), np.linspace(-101, -98, 4)
+        message = "station D has estimates at only 1 of the 4 stations"
+        with pytest.raises(DomainError, match=f"stratum 'odd': {message}"):
+            cell_area_report(extremes, coords, lats, lons, strata=strata)
+        with pytest.raises(DomainError, match=f"^{message}"):
+            expected_cell_area_data(pairwise_matrix([e for e in extremes if e.year % 2]),
+                                    coords, lats, lons)
+        rows = cell_area_report(extremes, coords, lats, lons, strata=strata, min_overlap=2)
+        assert len(rows) == 8
+
+    def test_block_size_reaches_the_matrix(self, synthetic):
+        extremes = seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max")
+        coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
+        lats, lons = np.linspace(39, 42, 4), np.linspace(-101, -98, 4)
+        rows = cell_area_report(extremes, coords, lats, lons, method="bootstrap", block_size=5)
+        want = expected_cell_area_data(pairwise_matrix(extremes, "bootstrap", block_size=5),
+                                       coords, lats, lons)
+        assert {r.anchor: r.area for r in rows} == want
+        with pytest.raises(DomainError, match="stratum 'all': method 'bootstrap' requires"):
+            cell_area_report(extremes, coords, lats, lons, method="bootstrap")
 
     def test_identical_strata_zero_anomaly(self, synthetic):
         path, _ = synthetic

@@ -812,12 +812,17 @@ class TestPairwiseMatrix:
             assert np.array_equal(got.estimates, ref.estimates, equal_nan=True)
             assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_one_estimator_call_per_common_year_set(self, monkeypatch, method):
+    @staticmethod
+    def _count_calls(monkeypatch, method):
         calls = []
         fn = concur.estimators.ESTIMATORS[method]
         monkeypatch.setitem(concur.estimators.ESTIMATORS, method,
                             lambda data, **kw: calls.append(data.shape) or fn(data, **kw))
+        return calls
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_estimator_call_per_common_year_count(self, monkeypatch, method):
+        calls = self._count_calls(monkeypatch, method)
         ids = ["A", "B", "C", "D", "E"]
         extremes = [SeasonalExtremes(sid, "JJA", year, float((7 * i + 3 * year) % 11),
                                      1.0, "max")
@@ -829,6 +834,35 @@ class TestPairwiseMatrix:
         pairwise_matrix([e for e in extremes if (e.station_id, e.year) != ("E", 2003)],
                         method, block_size=2)
         assert sorted(calls) == [(4, 7, 2), (6, 8, 2)]
+        # D also misses 2005: three pairs of D and three of E have seven
+        # common years, from two sets, and share one call
+        calls.clear()
+        gaps = {("E", 2003), ("D", 2005)}
+        pairwise_matrix([e for e in extremes if (e.station_id, e.year) not in gaps],
+                        method, block_size=2)
+        assert sorted(calls) == [(1, 6, 2), (3, 8, 2), (6, 7, 2)]
+
+    @pytest.mark.parametrize("anchor", [None, "S07"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_missing_years_with_ties_match_reference(self, monkeypatch, method, anchor):
+        # 40 stations x 25 years, 15 % of station-years absent, values on a
+        # 0.5 grid: pairs have many common-year sets but few counts, and 43
+        # pairs fall below min_overlap
+        g = np.random.default_rng(17)
+        extremes = [SeasonalExtremes(f"S{s:02d}", "JJA", year,
+                                     float(np.round(g.standard_normal() / 0.5) * 0.5),
+                                     1.0, "max")
+                    for s in range(40) for year in range(1990, 2015) if g.uniform() >= 0.15]
+        args = (extremes, method, anchor, 17, 3)
+        ref = reference_pairwise_matrix(*args)
+        calls = self._count_calls(monkeypatch, method)
+        got = pairwise_matrix(*args)
+        assert np.array_equal(got.n_pairs, ref.n_pairs)
+        assert np.array_equal(got.estimates, ref.estimates, equal_nan=True)
+        assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
+        counts = ref.n_pairs[np.triu_indices(40, 1)]
+        estimated = np.unique(counts[counts >= 17]).tolist()
+        assert sorted(shape[1] for shape in calls) == estimated and len(estimated) > 2
 
 
 class TestMaps:
