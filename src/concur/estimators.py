@@ -24,8 +24,7 @@ holds its formula and input checks and returns one value per replicate;
 
 Cost.  Every estimator except the block one reduces to one counting kernel,
 ``_below``: for each observation, how many others lie strictly below it at
-every coordinate (optionally a weighted sum over them), per replicate of
-the stack.  One coordinate
+every coordinate, per replicate of the stack.  One coordinate
 costs a sort, O(n log n); a pair costs a sort and a bottom-up merge,
 O(n log^2 n), from 512 observations on (Knight 1966); smaller pairs and
 k >= 3 compare all pairs, O(k n^2), one contiguous column at a time, so
@@ -38,11 +37,11 @@ break-even size (see ``_MERGE_MIN_N``).  Built on it:
   counts (which give the tie counts of tau-b) and the lexicographic ranks
   of (x, y) and (y, x); each row sum is an integer combination of these;
   the delete-one jackknife is O(n) on top;
-* the log estimator: each coordinate subset J needs the <= counts N_i and,
-  for the jackknife, weighted >= sums; for |J| <= 2 both come by
-  inclusion-exclusion over the nonempty subsets of J (sorts and one merge),
-  for |J| >= 3 from one all-pairs pass, O(|J| n^2), so all J together cost
-  O(k 2^(k-1) n^2);
+* the log estimator: each coordinate subset J needs the <= counts N_i; for
+  |J| <= 2 they come by inclusion-exclusion from one sort per coordinate,
+  shared by every J, and one merge per pair, for |J| >= 3 from one
+  all-pairs pass, O(|J| n^2), so all J together cost O(k 2^(k-1) n^2); the
+  jackknife adds O(n) per subset;
 * the block estimator: O(n k), no kernel.
 
 At n = 16 000 (2-core Xeon, Python 3.11, NumPy 2.4, best of 9)
@@ -125,25 +124,25 @@ def jitter_ties(sample: Sample, resolution: float, rng: RngLike) -> Sample:
 # ---------------------------------------------------------------------------
 # the counting kernel
 
-def _below(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def _below(x: np.ndarray) -> np.ndarray:
     """For each observation i of a (reps, n, k) stack, #{l : x_l < x_i at
-    every coordinate}, or with (reps, n) weights the sum of w_l over those l.
-    The path depends on k and n only; the module docstring gives the costs.
+    every coordinate}.  The path depends on k and n only; the module
+    docstring gives the costs.
     """
     n, k = x.shape[1:]
     if k == 1:
-        return _below_sorted(x[:, :, 0], w)
+        return _below_sorted(x[:, :, 0])
     if k == 2 and n >= _MERGE_MIN_N:
-        return _below_merge(x[:, :, 0], x[:, :, 1], w)
-    return _below_direct(x, w)
+        return _below_merge(x[:, :, 0], x[:, :, 1])
+    return _below_direct(x)
 
 
-def _below_direct(x, w, before=np.less):
-    """All-pairs count (or weighted sum) of the l with before(x_l, x_i) at
-    every coordinate; ``np.greater_equal`` counts the l at or above i."""
+def _below_direct(x, before=np.less):
+    """All-pairs count of the l with before(x_l, x_i) at every coordinate;
+    ``np.less_equal`` counts the l at or below i, i itself included."""
     reps, n, _ = x.shape
     cols = x.transpose(2, 0, 1).copy()
-    out = np.empty((reps, n), dtype=np.int64 if w is None else float)
+    out = np.empty((reps, n), dtype=np.int64)
     rows = max(1, min(n, _PAIR_CHUNK // n))
     step = max(1, _PAIR_CHUNK // (rows * n))
     for r0 in range(0, reps, step):
@@ -153,8 +152,7 @@ def _below_direct(x, w, before=np.less):
             blk = before(c[0, :, None, :], ci[0])
             for j in range(1, len(c)):
                 blk &= before(c[j, :, None, :], ci[j])
-            out[r0:r0 + step, i0:i0 + rows] = (blk.sum(axis=2) if w is None
-                                               else (blk @ w[r0:r0 + step, :, None])[:, :, 0])
+            out[r0:r0 + step, i0:i0 + rows] = blk.sum(axis=2)
     return out
 
 
@@ -173,15 +171,10 @@ def _group_starts(s):
     return np.maximum.accumulate(np.where(first, np.arange(s.shape[1]), 0), axis=1)
 
 
-def _below_sorted(v, w):
+def _below_sorted(v):
+    """#{l : v_l < v_i} for each entry of each row of v, from one sort."""
     order = np.argsort(v, axis=1, kind="stable")
-    s = np.take_along_axis(v, order, axis=1)
-    lo = _group_starts(s)
-    if w is None:
-        return _unsort(order, lo)
-    cw = np.zeros((s.shape[0], s.shape[1] + 1))
-    np.cumsum(np.take_along_axis(w, order, axis=1), axis=1, out=cw[:, 1:])
-    return _unsort(order, np.take_along_axis(cw, lo, axis=1))
+    return _unsort(order, _group_starts(np.take_along_axis(v, order, axis=1)))
 
 
 def _smaller_larger(v):
@@ -192,17 +185,15 @@ def _smaller_larger(v):
     return _unsort(order, _group_starts(s)), _unsort(order, _group_starts(s[:, ::-1])[:, ::-1])
 
 
-def _below_merge(xc, yc, w):
+def _below_merge(xc, yc):
     reps, n = xc.shape
     # merge order: x ascending, equal x by y descending, so no earlier
     # observation with the same x has a smaller y; then l is below i exactly
     # when l comes first and has the smaller y rank
-    ry = _below_sorted(yc, None)
-    order = np.argsort(_below_sorted(xc, None) * n + (n - 1 - ry), axis=1, kind="stable")
+    ry = _below_sorted(yc)
+    order = np.argsort(_below_sorted(xc) * n + (n - 1 - ry), axis=1, kind="stable")
     rank = np.take_along_axis(ry, order, axis=1)
-    if w is not None:
-        w = np.take_along_axis(w, order, axis=1)
-    acc = np.zeros((reps, n), dtype=np.int64 if w is None else float)
+    acc = np.zeros((reps, n), dtype=np.int64)
     pos = np.arange(n)
     rep = np.arange(reps)[:, None]
     half = 1
@@ -219,12 +210,7 @@ def _below_merge(xc, yc, w):
         # every left block before a right one is full, so its sorted keys
         # start at half * pair within the replicate's left keys
         lo = (rep * np.count_nonzero(left) + half * pair[right]).ravel()
-        if w is None:
-            acc[:, right] += (hi - lo).reshape(reps, -1)
-        else:
-            cw = np.zeros(left_keys.size + 1)
-            np.cumsum(w[:, left].ravel()[sort], out=cw[1:])
-            acc[:, right] += (cw[hi] - cw[lo]).reshape(reps, -1)
+        acc[:, right] += (hi - lo).reshape(reps, -1)
         half *= 2
     return _unsort(order, acc)
 
@@ -370,7 +356,7 @@ def _kendall_rows(x: np.ndarray, ties: bool):
     lx, gx = _smaller_larger(x[:, :, 0])
     ly, gy = _smaller_larger(x[:, :, 1])
     lxy, gxy = _smaller_larger(lx * n + ly)
-    lyx = _below_sorted(ly * n + lx, None)
+    lyx = _below_sorted(ly * n + lx)
     rows = 2 * (2 * d - lx + lyx - ly) - (ly - gy) + (lxy - lx) - (gxy - gx)
     if not ties:
         return rows, None, None
@@ -434,43 +420,44 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
 # ---------------------------------------------------------------------------
 # multivariate log estimator
 
-def _at_least(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """For each observation i of a (reps, n, k) stack, #{l : x_l >= x_i at
-    every coordinate} (i itself included), or the sum of w_l over those l.
+def _at_most(x: np.ndarray, J: tuple[int, ...], above: list[np.ndarray]) -> np.ndarray:
+    """For each observation i of a (reps, n, k) stack, N_i = #{l : x_l <= x_i
+    at every coordinate of J} (i itself included), given each coordinate's
+    counts above[j] = #{l : x_l > x_i at j}.
 
-    For k <= 2, inclusion-exclusion over the coordinate subsets S: the
-    complement of "x_l >= x_i everywhere" is "x_l < x_i somewhere", so the
-    count is sum_S (-1)^|S| #{l : x_l < x_i on S}, the empty S counting
-    every l.  For k >= 3 its top term alone is an all-pairs pass, so one
-    such pass compares >= directly.
+    For |J| <= 2, inclusion-exclusion: the complement of "x_l <= x_i
+    everywhere" is "x_l > x_i somewhere", so N_i = n - sum_j above_j, plus
+    for a pair #{l : x_l > x_i at both}.  For |J| >= 3 its top term alone is
+    an all-pairs pass, so one such pass compares <= directly.
     """
-    reps, n, k = x.shape
-    if k >= 3:
-        return _below_direct(x, w, np.greater_equal)
-    out = np.full((reps, n), n) if w is None else np.repeat(w.sum(axis=1, keepdims=True), n, 1)
-    for r in range(1, k + 1):
-        for S in itertools.combinations(range(k), r):
-            out += (-1) ** r * _below(x[:, :, S], w)
+    n = x.shape[1]
+    if len(J) >= 3:
+        return _below_direct(x[:, :, list(J)], np.less_equal)
+    out = n - sum(above[j] for j in J)
+    if len(J) == 2:
+        out += _below(-x[:, :, list(J)])
     return out
 
 
-def _mean_log_ecdf(xj: np.ndarray, want_loo: bool):
-    """T = mean_i log(N_i / n) per replicate of a (reps, n, |J|) stack, for
-    the self-inclusive joint empirical CDF N_i = #{l : X_l <= X_i
-    componentwise}; optionally the (reps, n) delete-one values."""
-    n = xj.shape[1]
-    counts = _at_least(-xj)
+def _mean_log_ecdf(counts: np.ndarray, jackknife: bool) -> np.ndarray:
+    """T = mean_i log(N_i / n) per replicate of the (reps, n) self-inclusive
+    joint empirical CDF counts N_i, or with ``jackknife`` its delete-one
+    bias-reduced value n T - (n - 1) mean_l T_(l).
+
+    Leaving l out lowers N_i by one exactly when X_l <= X_i, which holds
+    for N_i - 1 of the l != i.  Summing over l first, the reduced value is
+        mean_i [log N_i + (N_i - 1) log1p(1 / (N_i - 1))]
+          - [log n + (n - 1) log1p(1 / (n - 1))],
+    O(n) from the counts (N_i = 1 adds log 1 + 0), where forming the T_(l)
+    and differencing would amplify their rounding n-fold.
+    """
+    n = counts.shape[1]
     logs = np.log(counts)
-    t_full = logs.mean(axis=1) - math.log(n)
-    if not want_loo:
-        return t_full, None
-    a_total = logs.sum(axis=1, keepdims=True)
-    w_self = logs - np.log(np.maximum(counts - 1, 1))
-    # sum over the rows each observation is <= of, itself included
-    dom_w_sum = _at_least(xj, w_self)
-    # T_(l) = [A - log N_l - (sum_i D_li w_i - w_l)] / (n-1) - log(n-1)
-    t_loo = (a_total - logs - (dom_w_sum - w_self)) / (n - 1) - math.log(n - 1)
-    return t_full, t_loo
+    if not jackknife:
+        return logs.mean(axis=1) - math.log(n)
+    m = counts - 1
+    logs += m * np.log1p(1.0 / np.maximum(m, 1))
+    return logs.mean(axis=1) - (math.log(n) + (n - 1) * math.log1p(1.0 / (n - 1)))
 
 
 def mvlog_batch(data, subset=None, jackknife: bool = False) -> np.ndarray:
@@ -492,18 +479,14 @@ def mvlog_batch(data, subset=None, jackknife: bool = False) -> np.ndarray:
     if jackknife and n < 3:
         raise DomainError("jackknife needs n >= 3")
     x = x[:, :, idx]
+    # each coordinate's counts serve every subset J that holds it
+    above = [_below_sorted(-x[:, :, j]) for j in range(len(idx))]
     total = np.zeros(reps)
-    loo_total = np.zeros((reps, n)) if jackknife else None
     for r in range(1, len(idx) + 1):
         sign = (-1.0) ** r
         for J in itertools.combinations(range(len(idx)), r):
-            t_full, t_loo = _mean_log_ecdf(x[:, :, list(J)], jackknife)
-            total += sign * t_full
-            if jackknife:
-                loo_total += sign * t_loo
-    if not jackknife:
-        return total
-    return n * total - (n - 1) * loo_total.mean(axis=1)
+            total += sign * _mean_log_ecdf(_at_most(x, J, above), jackknife)
+    return total
 
 
 def ecp_multivariate_log(data, subset=None, jackknife: bool = False) -> float:
@@ -531,11 +514,15 @@ def estimator(method: str, block_size: int | None = None, jackknife: bool = Fals
     (None when the estimator has none; ``unbiased`` adds ``clipped``).  An
     unknown name, or a block size that is missing or below the method's
     least (1 for ``block``, 2 otherwise), raises :class:`DomainError` here,
-    before any data is seen.  ``jackknife`` applies to ``mvlog`` only.
+    before any data is seen, and so does ``jackknife`` for a method other
+    than ``mvlog``.
     """
     if method not in ESTIMATORS:
         raise DomainError(f"unknown estimator method {method!r}; "
                           f"choose one of {tuple(ESTIMATORS)}")
+    if jackknife and method != "mvlog":
+        raise DomainError(f"the jackknife bias reduction applies to method 'mvlog' only, "
+                          f"not {method!r}")
     fn = ESTIMATORS[method]
     if method in _LEAST_BLOCK:
         if block_size is None:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from concur import Logistic, SeededRng
+from concur import Logistic, SeededRng, ecp_multivariate_log
 from concur.cli import main
 from concur.pipeline import cell_area_report, read_extremes_csv, read_stations_csv
 from concur.synthetic import synthesize_station_csv
@@ -82,6 +82,14 @@ def test_simulate_then_estimate(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0
     assert abs(payload["estimate"] - 0.55) < 0.06
+
+    code, out = run_cli(capsys, "estimate", "--input", str(data), "--method", "mvlog",
+                        "--jackknife")
+    payload = json.loads(out)
+    assert code == 0
+    fields = np.loadtxt(data, delimiter=",", skiprows=1)
+    assert payload["estimate"] == ecp_multivariate_log(fields, jackknife=True)
+    assert abs(payload["estimate"] - 0.5) < 0.05
 
 
 def test_estimate_requires_block_size(capsys, tmp_path):
@@ -326,6 +334,9 @@ FIVE_YEARS = _extremes({"A": range(2000, 2005), "B": range(2000, 2005)})
     ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--method", "block",
                             "--block-size", "0"],
      "method 'block' needs a whole block size >= 1, got 0"),
+    # the jackknife bias reduction is the log estimator's alone
+    ("table", "a,b\n1,2\n3,4\n5,1\n", ESTIMATE + ["--jackknife"],
+     "the jackknife bias reduction applies to method 'mvlog' only, not 'kendall'"),
     # cells takes --block-size as matrix does; a block size above a pair's
     # common years names the pair
     ("extremes", EXTREMES, CELLS + ["--method", "block"], "method 'block' requires a block size"),
@@ -358,7 +369,8 @@ FIVE_YEARS = _extremes({"A": range(2000, 2005), "B": range(2000, 2005)})
         "model_variogram_not_object", "model_nested_text_number", "model_ragged_sigma",
         "model_infinite_nu", "model_integer_over_digit_limit", "model_not_json",
         "cells_model_one_rep", "estimate_block_size_0",
-        "matrix_block_size_0", "cells_block_size_missing", "matrix_block_size_above_pair",
+        "matrix_block_size_0", "estimate_jackknife_kendall", "cells_block_size_missing",
+        "matrix_block_size_above_pair",
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in

@@ -439,6 +439,15 @@ class TestBatchKernels:
                 estimator(method, m)
         estimator(method, least)
 
+    @pytest.mark.parametrize("method", ["kendall", "block", "bootstrap", "unbiased"])
+    def test_estimator_refuses_jackknife_outside_mvlog(self, method):
+        # it used to be ignored, so the plain estimate came back
+        with pytest.raises(DomainError, match=f"'mvlog' only, not '{method}'"):
+            estimator(method, 2, jackknife=True)
+        x = np.round(np.random.default_rng(3).standard_normal((1, 20, 2)), 1)
+        assert (estimator("mvlog", jackknife=True)(x)["estimate"]
+                == mvlog_batch(x, jackknife=True))
+
     def test_single_sample_is_the_one_replicate_case(self):
         g = np.random.default_rng(41)
         data = np.round(g.standard_normal((4, 30, 2)), 1)
@@ -449,10 +458,7 @@ class TestBatchKernels:
             assert sample_cp_unbiased(x, 3).clipped == unbiased_cp_batch(data, 3).clipped[r]
             assert np.array_equal(dominance_counts(x), dominance_counts_batch(data)[r])
             assert ecp_multivariate_log(x) == mvlog_batch(data)[r]
-            # the jackknife's weighted sums are blocked by replicate count,
-            # so only their rounding may differ
-            assert (ecp_multivariate_log(x, jackknife=True)
-                    == pytest.approx(mvlog_batch(data, jackknife=True)[r], rel=1e-13))
+            assert ecp_multivariate_log(x, jackknife=True) == mvlog_batch(data, jackknife=True)[r]
 
 
 class TestUnbiasedness:

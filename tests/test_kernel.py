@@ -4,10 +4,11 @@ The ``reference_*`` functions are the all-pairs estimator kernels as they
 were before the counting kernel: they compare whole rows at once, with no
 sort and no merge, so they serve as the slow oracle.  Integer counts and
 the Kendall and log-ECDF statistics built from them must agree exactly;
-weighted sums, which the kernel accumulates in another order, agree to a
-tolerance set from the float64 epsilon.
+the log estimator's jackknife, which the library forms in closed form from
+the counts, agrees with the delete-one route to a stated rounding bound.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from concur import DomainError, dominance_counts, ecp_kendall
 from concur.estimators import (
     _MERGE_MIN_N,
-    _at_least,
+    _at_most,
     _below,
     _below_direct,
     _below_merge,
@@ -27,6 +28,7 @@ from concur.estimators import (
     _mean_log_ecdf,
     dominance_counts_batch,
     kendall_batch,
+    mvlog_batch,
 )
 
 _PAIR_CHUNK = 1 << 21
@@ -127,32 +129,22 @@ def reference_le_counts(xj):
     return counts
 
 
-def reference_ge_sums(xj, w):
-    """sum of w_l over {l : X_l >= X_i componentwise}, the second pass."""
-    n = xj.shape[0]
-    out = np.zeros(n)
-    step = max(1, _PAIR_CHUNK // max(1, n * xj.shape[1]))
-    for start in range(0, n, step):
-        blk = xj[start:min(n, start + step)]
-        ge = (xj[None, :, :] >= blk[:, None, :]).all(axis=-1)
-        out[start:start + blk.shape[0]] = ge @ w
-    return out
-
-
-def reference_mean_log_ecdf(xj):
+def reference_jackknife_term(xj, dtype=float):
+    """n T - (n - 1) mean_l T_(l) of T = mean_i log(N_i / n) by the delete-one
+    route: leaving l out drops log N_l and turns log N_i into log(N_i - 1)
+    for each other i with X_l <= X_i, so
+        T_(l) = [sum_i log N_i - log N_l - sum_{i != l, X_l <= X_i} w_i] / (n - 1)
+                - log(n - 1),  w_i = log N_i - log(N_i - 1),
+    evaluated in ``dtype``."""
     n = xj.shape[0]
     counts = reference_le_counts(xj)
-    logs = np.log(counts)
-    w = logs - np.log(np.maximum(counts - 1, 1))
-    dom_w_sum = reference_ge_sums(xj, w)
-    t_full = float(logs.mean()) - math.log(n)
-    t_loo = (float(logs.sum()) - logs - (dom_w_sum - w)) / (n - 1) - math.log(n - 1)
-    return t_full, t_loo
-
-
-def weighted_tol(x, w):
-    """Float64 rounding bound for 2^k inclusion-exclusion terms of n weights."""
-    return np.finfo(float).eps * 2 ** x.shape[-1] * x.shape[-2] * np.abs(w).sum()
+    logs = np.log(counts.astype(dtype))
+    w = logs - np.log(np.maximum(counts - 1, 1).astype(dtype))
+    # ge[l, i] is X_i >= X_l componentwise; the diagonal is taken back out
+    ge = (xj[None, :, :] >= xj[:, None, :]).all(axis=-1)
+    t_full = logs.mean() - np.log(dtype(n))
+    t_loo = (logs.sum() - logs - (ge @ w - w)) / dtype(n - 1) - np.log(dtype(n - 1))
+    return n * t_full - (n - 1) * t_loo.mean()
 
 
 # small n, and n on both sides of the pair crossover of the kernel
@@ -193,27 +185,19 @@ KENDALL_STACKS = st.one_of(tied_stacks(ks=(2,)), zero_massed_pairs())
 
 
 class TestCountingKernel:
-    @given(tied_stacks(ks=(1, 2, 3)), st.integers(0, 2**32 - 1))
-    def test_counts_and_sums_match_reference(self, x, seed):
-        ref = reference_dominance_counts_batch(x)
-        assert np.array_equal(_below(x), ref)
-        w = np.random.default_rng(seed).standard_normal(x.shape[:2])
-        want = np.einsum("ril,rl->ri", (x[:, None] < x[:, :, None]).all(axis=-1), w)
-        assert np.abs(_below(x, w) - want).max() <= weighted_tol(x, w)
+    @given(tied_stacks(ks=(1, 2, 3)))
+    def test_counts_match_reference(self, x):
+        assert np.array_equal(_below(x), reference_dominance_counts_batch(x))
 
-    @given(tied_stacks(sizes=st.integers(1, 70)), st.integers(0, 2**32 - 1))
-    def test_merge_and_sort_at_small_n(self, x, seed):
+    @given(tied_stacks(sizes=st.integers(1, 70)))
+    def test_merge_and_sort_at_small_n(self, x):
         # small n leaves the merge's blocks short and often partial
         x2 = x[:, :, :2]
         ref = reference_dominance_counts_batch(x2)
-        w = np.random.default_rng(seed).standard_normal(x.shape[:2])
-        want = np.einsum("ril,rl->ri", (x2[:, None] < x2[:, :, None]).all(axis=-1), w)
-        for got in (_below_direct(x2, None), _below_merge(x2[..., 0], x2[..., 1], None)):
+        for got in (_below_direct(x2), _below_merge(x2[..., 0], x2[..., 1])):
             assert np.array_equal(got, ref)
-        for got in (_below_direct(x2, w), _below_merge(x2[..., 0], x2[..., 1], w)):
-            assert np.abs(got - want).max() <= weighted_tol(x2, w)
         ref1 = reference_dominance_counts_batch(x[:, :, :1])
-        assert np.array_equal(_below_sorted(x[:, :, 0], None), ref1)
+        assert np.array_equal(_below_sorted(x[:, :, 0]), ref1)
 
     @given(tied_stacks())
     def test_dominance_counts(self, x):
@@ -253,17 +237,31 @@ class TestCountingKernel:
 
     @given(tied_stacks(ks=(2, 3, 4)))
     def test_log_ecdf_passes(self, x):
-        xj = x[0]
-        n, k = xj.shape
-        counts = _at_least(-xj[None])[0]
-        assert np.array_equal(counts, reference_le_counts(xj))
-        w = np.log(counts) - np.log(np.maximum(counts - 1, 1))
-        got = _at_least(xj[None], w[None])[0]
-        assert np.abs(got - reference_ge_sums(xj, w)).max() <= weighted_tol(xj, w)
-        if n < 3:
-            return
-        t_full, t_loo = _mean_log_ecdf(xj[None], True)
-        ref_full, ref_loo = reference_mean_log_ecdf(xj)
-        assert t_full[0] == ref_full
-        assert np.abs(t_loo[0] - ref_loo).max() <= 4 * weighted_tol(xj, w) / (n - 1)
+        reps, n, k = x.shape
+        above = [_below_sorted(-x[:, :, j]) for j in range(k)]
+        # both routes sum n logarithms of at most log n, and the delete-one
+        # route scales its rounding by n through n T - (n - 1) mean T_(l)
+        tol = 8 * n * (1 + math.log(n)) * np.finfo(float).eps
+        for r in range(1, k + 1):
+            for J in itertools.combinations(range(k), r):
+                counts = _at_most(x, J, above)
+                plain = _mean_log_ecdf(counts, False)
+                jack = _mean_log_ecdf(counts, True)
+                for i in range(reps):
+                    xj = x[i][:, list(J)]
+                    ref = reference_le_counts(xj)
+                    assert np.array_equal(counts[i], ref)
+                    assert plain[i] == np.log(ref).mean() - math.log(n)
+                    assert abs(jack[i] - reference_jackknife_term(xj)) <= tol
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_jackknife_against_extended_precision(self):
+        # the delete-one route in 64-bit-mantissa arithmetic from the same
+        # integer counts: its n-fold amplified rounding stays near 1e-16
+        g = np.random.default_rng(23)
+        x = np.round(g.standard_normal((2000, 3)) / 0.05) * 0.05
+        ref = sum((-1) ** len(J) * reference_jackknife_term(x[:, list(J)], np.longdouble)
+                  for r in range(1, 4) for J in itertools.combinations(range(3), r))
+        got = mvlog_batch(x[None], jackknife=True)[0]
+        assert abs(np.longdouble(got) - ref) <= 1e-14
