@@ -59,7 +59,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

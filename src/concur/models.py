@@ -633,26 +633,17 @@ class BrownResnick(_PairModel):
         Y is formed from W itself, so column j is exp(0) = 1 exactly even
         when gamma is so steep that every other column underflows to 0.  The
         anchored factor is lower triangular, so W at s_1..s_j takes the first
-        j normals only: a proposal at 0 < j < k - 1 draws those, is tested at
-        the earlier sites, and only a survivor draws the remaining k - 1 - j.
-        At j = 0 nothing is tested and at j = k - 1 nothing remains, so those
-        draw whole profiles."""
-        _, fac, draw_w = self._anchored(sites)
+        j normals only: a proposal draws those, is tested at the earlier
+        sites, and only a survivor draws the remaining k - 1 - j.  At j = 0 no
+        normal is drawn first and every proposal survives; at j = k - 1 none
+        remains to be drawn."""
+        _, fac, _ = self._anchored(sites)
         coords = sites.coords
         k = sites.k
         gam = np.asarray(self.variogram(coords[None, :, :] - coords[:, None, :]), dtype=float)
         np.fill_diagonal(gam, 0.0)
 
-        def tilt(w, j):
-            w -= w[:, j:j + 1]
-            w -= gam[j]
-            return np.exp(w, out=w)
-
-        whole = _screened(lambda g, j, n: tilt(draw_w(g, n), j))
-
         def draw(g, j, zeta, field):
-            if not 0 < j < k - 1:
-                return whole(g, j, zeta, field)
             n = zeta.size
             z = g.standard_normal((n, j))
             w = np.zeros((n, k))
@@ -664,9 +655,11 @@ class BrownResnick(_PairModel):
             keep = (lead < field).all(axis=1)
             w, z = w[keep], z[keep]
             w[:, j + 1:] = z @ fac[j:, :j].T + g.standard_normal((len(w), k - 1 - j)) @ fac[j:, j:].T
-            y = tilt(w, j)
-            y *= zeta[keep, None]
-            return keep, y
+            w -= w[:, j:j + 1]
+            w -= gam[j]
+            np.exp(w, out=w)
+            w *= zeta[keep, None]
+            return keep, w
 
         return draw
 

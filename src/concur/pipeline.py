@@ -8,10 +8,13 @@ record array.  A clean station file is tokenized in C by ``np.loadtxt``, a
 bounded chunk of rows at a time, and records are written the same way;
 any other station file, and every other table of the chain, is read one
 row at a time by ``csv.reader`` in one row reader, with the same result.
-A date is exactly YYYY-MM-DD; a tmin or tmax of "" or "-9999" is missing
-(NaN), and any other must be a finite number; a station's latitude is in
-[-90, 90] and its longitude in [-180, 180].  Every number of every table
+A date is exactly YYYY-MM-DD, a day of the proleptic Gregorian calendar
+from year 1 on; a tmin or tmax of "" or "-9999" is missing (NaN), and any
+other must be a finite number; a station's latitude is in [-90, 90] and
+its longitude in [-180, 180].  Every number of every table
 takes Python's grammar less its digit-group underscores (:func:`_number`).
+A season is a block of three months counted from December 1969, so
+December counts toward the next year's winter (:func:`seasonal_blocks`).
 Every CSV format of the chain lives here.  Files are UTF-8, and a
 malformed file, a byte that is not UTF-8 included, raises
 :class:`ParseError` naming its first bad line, always from the row reader.
@@ -22,10 +25,8 @@ negated values so the downstream machinery only ever deals with maxima.
 from __future__ import annotations
 
 import array
-import calendar
 import csv
 import datetime as dt
-import functools
 import io
 import itertools
 import logging
@@ -246,24 +247,19 @@ def _tokenized_day(text: np.ndarray) -> np.ndarray:
     """Days since 1970-01-01 of dates as rows of 11 bytes (NUL padded), each
     exactly YYYY-MM-DD and a day of the proleptic Gregorian calendar from
     year 1 on, as :func:`_day` reads them; any other raises
-    :class:`_Untokenizable`."""
+    :class:`_Untokenizable`.  NumPy's calendar reads the ten date bytes, as
+    its months make the seasons of :func:`seasonal_blocks`."""
     digit = (text >= ord("0")) & (text <= ord("9"))
     if not (digit[:, [0, 1, 2, 3, 5, 6, 8, 9]].all() and (text[:, [4, 7]] == ord("-")).all()
             and (text[:, 10] == 0).all()):
         raise _Untokenizable("date that is not YYYY-MM-DD")
-    b = text.astype(np.int64) - ord("0")
-    y = b[:, 0] * 1000 + b[:, 1] * 100 + b[:, 2] * 10 + b[:, 3]
-    m, d = b[:, 5] * 10 + b[:, 6], b[:, 8] * 10 + b[:, 9]
-    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
-    month_days = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-    if ((y < 1) | (m < 1) | (m > 12)).any() \
-            or ((d < 1) | (d > month_days[m] + (leap & (m == 2)))).any():
-        raise _Untokenizable("date that is not a calendar day")
-    # days from civil (H. Hinnant): 400-year eras of 146097 days, years from March
-    y = y - (m <= 2)
-    era, yoe = np.divmod(y, 400)
-    doy = (153 * (m + np.where(m > 2, -3, 9)) + 2) // 5 + d - 1
-    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    try:   # NumPy refuses a month or a day out of range, but takes year 0
+        day = np.ascontiguousarray(text[:, :10]).view("S10")[:, 0].astype("datetime64[D]")
+        if (day < np.datetime64("0001-01-01")).any():
+            raise ValueError("year 0")
+    except ValueError:
+        raise _Untokenizable("date that is not a calendar day") from None
+    return day.astype(np.int64)
 
 
 def _tokenized_reading(texts: np.ndarray) -> np.ndarray:
@@ -470,16 +466,15 @@ class SeasonalExtremes:
     polarity: str
 
 
-@functools.cache
-def _season_length(year: int, season: str) -> int:
-    return sum(calendar.monthrange(year - (season == "DJF" and m == 12), m)[1]
-               for m in _SEASON_MONTHS[season])
-
-
 def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
                     min_coverage: float = 0.9) -> list[SeasonalExtremes]:
     """Per station-year seasonal extreme with a coverage filter, in
     (station_id, year) order.
+
+    A season is a block of three months counted from December 1969: block b
+    holds months 3b - 1 to 3b + 1 from January 1970, is season b % 4 of
+    SEASONS and of year b // 4 + 1970, so December is the next year's
+    winter.  Coverage is the share of the block's days with a reading.
 
     polarity "max" takes the seasonal maximum of tmax; "negated_min" stores
     minus the seasonal minimum of tmin, so larger values always mean more
@@ -490,24 +485,25 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
     if polarity not in POLARITIES:
         raise DomainError(f"polarity must be one of {POLARITIES}")
     rec = result.records
-    months = rec.date.astype("datetime64[M]").astype(np.int64)
-    month = months % 12 + 1
-    keep = np.isin(month, _SEASON_MONTHS[season])
-    # December belongs to the following year's winter
-    year = (months // 12 + 1970 + (season == "DJF") * (month == 12))[keep]
+    block = (rec.date.astype("datetime64[M]").astype(np.int64) + 1) // 3
+    keep = block % 4 == SEASONS.index(season)
+    block = block[keep]
     # -min(tmin) is max(-tmin) exactly
     value = (rec.tmax if polarity == "max" else -rec.tmin)[keep]
     ids, code = np.unique(rec.station_id[keep], return_inverse=True)
-    # one group per (station code, season-year), in that order, on one integer key
-    lo, hi = (int(year.min()), int(year.max())) if year.size else (0, 0)
-    keys, group = np.unique(code * (hi - lo + 1) + (year - lo), return_inverse=True)
+    # one group per (station code, block), in that order, on one integer key
+    lo, hi = (int(block.min()), int(block.max())) if block.size else (0, 0)
+    keys, group = np.unique(code * (hi - lo + 1) + (block - lo), return_inverse=True)
     present = ~np.isnan(value)
     count = np.bincount(group[present], minlength=len(keys))
     extreme = np.full(len(keys), -np.inf)
     np.maximum.at(extreme, group[present], value[present])
-    code, year = np.divmod(keys, hi - lo + 1)
-    year += lo
-    coverage = count / np.array([_season_length(y, season) for y in year.tolist()])
+    code, block = np.divmod(keys, hi - lo + 1)
+    block += lo
+    first = (3 * block - 1).astype("datetime64[M]")
+    days = (first + 3).astype("datetime64[D]") - first.astype("datetime64[D]")
+    coverage = count / days.astype(np.int64)
+    year = block // 4 + 1970
     ok = (count > 0) & ~(coverage < min_coverage)
     return [SeasonalExtremes(station_id=str(ids[c]), season=season, year=y, value=v,
                              coverage=cov, polarity=polarity)

@@ -233,7 +233,7 @@ def write_realizations_csv(path, values: np.ndarray, hits: np.ndarray | None = N
         if hits.shape != values.shape:
             raise DomainError("hits shape must match values shape")
         header += [f"hit_{j}" for j in range(k)]
-    with open(Path(path), "w", newline="") as fh:
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for i in range(values.shape[0]):

@@ -98,7 +98,8 @@ def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric positive-semidefinite matrix wrapper with a cached factor."""
+    """Symmetric positive-semidefinite matrix; :meth:`factor` runs
+    :func:`psd_factor` on it at each call."""
 
     entries: np.ndarray
 

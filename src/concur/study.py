@@ -228,7 +228,7 @@ def study_harness(cfg: StudyConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
     fields = sorted({key for row in rows for key in row})
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
         for row in rows:
@@ -242,7 +242,7 @@ def study_harness(cfg: StudyConfig) -> dict:
         "rows": len(rows),
         "csv": csv_path.name,
     }
-    with open(manifest_path, "w") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return {"rows": rows, "csv": str(csv_path), "manifest": str(manifest_path)}

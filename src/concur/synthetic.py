@@ -10,13 +10,12 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
 from .models import ModelSpec
-from .pipeline import _COLUMNS, _SEASON_MONTHS, _csv_fields
+from .pipeline import _COLUMNS, _SEASON_MONTHS, _csv_fields, _open_csv
 from .simulate import simulate_field_values
 from .specfun import RngLike, as_generator
 
@@ -51,7 +50,7 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     stations = [f"{sid},{lat:.6f},{lon:.6f},"
                 for sid, (lat, lon) in zip(_csv_fields(station_ids), pts.tolist())]
     below = [f"{-t:.10g},{t:.10g}" for t in (9.0 + 0.01 * k for k in range(50))]
-    with open(Path(path), "w", newline="") as fh:
+    with _open_csv(path, "w") as fh:
         csv.writer(fh).writerow(_COLUMNS)
         for year, peaks in zip(years, (10.0 + planted).tolist()):
             dates, days = [], []   # the season's days: date, then tmin,tmax below the peak

@@ -69,6 +69,9 @@ CASES = {
                    [0, 2]),
     "brown_resnick": (BrownResnick(FractionalVariogram(scale=0.8, exponent=1.0)),
                       [[0.0], [1.0]]),
+    # k = 4 tilts at a first, two middle and a last site
+    "brown_resnick_k4": (BrownResnick(FractionalVariogram(scale=0.8, exponent=1.5)),
+                         [[0.0], [0.6], [1.3], [2.0]]),
     "brown_resnick_quadratic": (
         BrownResnick(QuadraticVariogram(np.array([[2.0, 0.3], [0.3, 1.0]]))),
         [[0.0, 0.0], [0.7, 0.4]]),
@@ -84,7 +87,8 @@ CASES = {
 }
 
 # exponent_V arguments: a batch of positive z rows, trimmed to k columns
-Z_ROWS = np.array([[1.0, 1.0, 1.0], [0.5, 2.0, 1.3], [3.0, 0.7, 0.2], [1.1, 1.1, 4.0]])
+Z_ROWS = np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 2.0, 1.3, 0.8], [3.0, 0.7, 0.2, 1.6],
+                   [1.1, 1.1, 4.0, 0.4]])
 
 
 def _array(a) -> str:

@@ -1,10 +1,15 @@
 """Station-data pipeline: ingestion, blocking, matrices, maps, cells."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import concur
 from concur import (
     BrownResnick,
     DomainError,
@@ -512,3 +517,24 @@ class TestSynthesizeStationCsv:
                                    COORDS[:n_stations], range(2000, 2003), SeededRng(1),
                                    sites=sites)
         assert not (tmp_path / "s.csv").exists()
+
+    def test_utf8_in_an_ascii_locale(self, tmp_path):
+        # the file is UTF-8 whatever the locale's encoding, and reads back;
+        # the script is ASCII, as the interpreter decodes it in that locale
+        path = tmp_path / "s.csv"
+        script = ("import sys\n"
+                  "from concur import Logistic, SeededRng\n"
+                  "from concur.pipeline import ingest_csv\n"
+                  "from concur.synthetic import synthesize_station_csv\n"
+                  "synthesize_station_csv(sys.argv[1], Logistic(0.5), ['Z\\u00fcrich', 'B'],\n"
+                  "                       [[47.4, 8.5], [46.9, 7.4]], range(2000, 2002),\n"
+                  "                       SeededRng(1))\n"
+                  "print(ascii(list(ingest_csv(sys.argv[1]).missing_report)))\n")
+        src = str(Path(concur.__file__).parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['Z\\xfcrich', 'B']\n"
+        assert path.read_bytes().count("Zürich,".encode("utf-8")) == 2 * 92   # two summers

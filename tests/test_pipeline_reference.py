@@ -171,7 +171,7 @@ def _reference_g10(value):
 
 def reference_write_records_csv(records, path):
     """The records in the ingest format, one csv.writer row each."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
         for sid, lat, lon, date, tmin, tmax in zip(
@@ -686,6 +686,75 @@ class TestTokenizer:
                 pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "absent.csv")
         assert [r.getMessage()[:19] for r in caplog.records] == ["tokenizer: [Errno 2"]
+
+
+
+def _refused(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except (ValueError, concur.pipeline._Untokenizable):
+        return True
+    return False
+
+
+class TestCalendar:
+    """NumPy's calendar, which the tokenizer and the seasons use, against
+    Python's, which the row reader and the references use."""
+
+    def test_every_day_reads_as_the_row_reader_reads_it(self):
+        # generated files hold a few dozen dates each: here is every day of
+        # the four-digit calendar by Python's month lengths, a chunk of rows
+        # at a time; a chunk's days run one a row from _day of its first row
+        # to _day of its last
+        def field(fmt, n):   # row i holds the bytes of fmt % i
+            return np.array([(fmt % i).encode() for i in range(n)]).view(np.uint8).reshape(n, -1)
+
+        months = [(y, m) for y in range(1, 10000) for m in range(1, 13)]
+        length = [calendar.monthrange(y, m)[1] for y, m in months]
+        y, m = np.repeat(np.array(months), length, axis=0).T
+        d = np.arange(len(y)) - np.repeat(np.cumsum(length) - length, length) + 1
+        text = np.concatenate([field("%04d-", 10000)[y], field("%02d-", 13)[m],
+                               field("%02d\0", 32)[d]], axis=1)
+        assert len(text) == dt.date(9999, 12, 31).toordinal()
+        for start in range(0, len(text), 8192):
+            chunk = text[start:start + 8192]
+            ends = [concur.pipeline._day(bytes(row[:10]).decode()) for row in chunk[[0, -1]]]
+            assert ends[1] - ends[0] == len(chunk) - 1
+            assert (concur.pipeline._tokenized_day(chunk) == np.arange(ends[0], ends[1] + 1)).all()
+
+    def test_refuses_exactly_the_dates_the_row_reader_refuses(self):
+        # generated files hold real days and a few bad ones: here is every
+        # month and day field, in leap and common years, century years and year 0
+        for year in ("0000", "0001", "0004", "0100", "0400", "1900", "2000", "2001", "9999"):
+            dates = [f"{year}-{m:02d}-{d:02d}" for m in range(100) for d in range(100)]
+            text = np.array(dates, dtype="S11").view(np.uint8).reshape(len(dates), 11)
+            refused = [_refused(concur.pipeline._day, d) for d in dates]
+            ok = np.flatnonzero(~np.array(refused))
+            assert (concur.pipeline._tokenized_day(text[ok]).tolist()
+                    == [concur.pipeline._day(dates[i]) for i in ok])
+            assert all(_refused(concur.pipeline._tokenized_day, text[i:i + 1])
+                       for i in np.flatnonzero(refused))
+
+    def test_season_lengths_match_the_reference(self, tmp_path):
+        # generated files span 110 days from late November 1969 or 1999:
+        # here are whole years around two century turns and the first
+        # winter, whose December is in year 0; a day in seven is left out so
+        # that no coverage is 1
+        days = [dt.date.fromordinal(o) for lo, hi in ((dt.date(1, 1, 1), dt.date(1, 2, 28)),
+                                                      (dt.date(1898, 12, 1), dt.date(1901, 12, 31)),
+                                                      (dt.date(1998, 12, 1), dt.date(2001, 12, 31)))
+                for o in range(lo.toordinal(), hi.toordinal() + 1) if o % 7]
+        path = tmp_path / "stations.csv"
+        path.write_text("\n".join([",".join(_COLUMNS)]
+                                  + [f"S1,40,-100,{d.isoformat()},1,{d.day}" for d in days])
+                        + "\n")
+        result, (records, _, _) = ingest_csv(path), reference_ingest_csv(path)
+        for season in SEASONS:
+            got = seasonal_blocks(result, season, "max", 0.0)
+            assert got == reference_seasonal_blocks(records, season, "max", 0.0)
+            assert [e.year for e in got] == ([1] if season == "DJF" else []) + [
+                *range(1899, 1902 + (season == "DJF")), *range(1999, 2002 + (season == "DJF"))]
+            assert all(e.coverage < 1 for e in got)
 
 
 # ---------------------------------------------------------------------------
