@@ -28,6 +28,7 @@ from .pipeline import (
     _csv_lines,
     _number,
     _open_csv,
+    _write_json,
     cell_area_report,
     check_mappable,
     expected_cell_area_model,
@@ -45,10 +46,11 @@ from .pipeline import (
     write_grid_csv,
     write_matrix_csv,
     write_model_cells_csv,
+    write_realizations_csv,
     write_records_csv,
     write_stations_csv,
 )
-from .simulate import simulate_max_stable_batch, write_realizations_csv
+from .simulate import simulate_max_stable_batch
 from .specfun import SeededRng
 from .study import EXPERIMENTS, StudyConfig, study_harness
 
@@ -57,11 +59,10 @@ SCHEMA_VERSION = "2"
 
 def _emit_json(payload: dict, out: str | None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_json(payload, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _require_out(args) -> str:
@@ -146,7 +147,7 @@ def _parse_grid(spec: str):
 def _cmd_ecp(args, rng: SeededRng) -> None:
     model = _load_model(args.model)
     sites = _read_sites_csv(args.sites)
-    if args.draws > 0:
+    if args.draws:
         est = ecp_mc(model, sites, args.draws, antithetic=args.antithetic, rng=rng)
     else:
         est = concurrence_probability(model, sites)

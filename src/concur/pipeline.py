@@ -15,9 +15,10 @@ its longitude in [-180, 180].  Every number of every table
 takes Python's grammar less its digit-group underscores (:func:`_number`).
 A season is a block of three months counted from December 1969, so
 December counts toward the next year's winter (:func:`seasonal_blocks`).
-Every CSV format of the chain lives here.  Files are UTF-8, and a
-malformed file, a byte that is not UTF-8 included, raises
-:class:`ParseError` naming its first bad line, always from the row reader.
+Every file format the package writes lives here, and every file is opened
+by :func:`_open_csv`, as UTF-8.  A malformed file, a byte that is not UTF-8
+included, raises :class:`ParseError` naming its first bad line, always
+from the row reader.
 Everything is deterministic given the inputs; minima are analyzed as
 negated values so the downstream machinery only ever deals with maxima.
 """
@@ -29,6 +30,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import json
 import logging
 import math
 import operator
@@ -66,8 +68,8 @@ _log = logging.getLogger(__name__)
 
 
 def _open_csv(path, mode: str = "r"):
-    """CSV text file ``path`` in UTF-8.  A byte that does not decode reads as
-    a lone surrogate (PEP 383), for the row checks to report at its line."""
+    """Text file ``path`` in UTF-8, the one opener of every file the package writes.  A
+    byte that does not decode reads as a lone surrogate (PEP 383), for the row checks."""
     return open(Path(path), mode, newline="", encoding="utf-8", errors="surrogateescape")
 
 
@@ -136,6 +138,11 @@ def _read_rows(path, columns: tuple[str, ...], convert, key=None, name=None):
 def _write_rows(path, header, rows) -> None:
     with _open_csv(path, "w") as fh:
         csv.writer(fh).writerows(itertools.chain([header], rows))
+
+
+def _write_json(payload: dict, path) -> None:
+    with _open_csv(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _g10(bits: np.ndarray) -> list[str]:
@@ -474,7 +481,8 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
     A season is a block of three months counted from December 1969: block b
     holds months 3b - 1 to 3b + 1 from January 1970, is season b % 4 of
     SEASONS and of year b // 4 + 1970, so December is the next year's
-    winter.  Coverage is the share of the block's days with a reading.
+    winter.  Coverage is the share of the block's days with a reading; a
+    season with a reading is kept at coverage ``min_coverage`` (in [0, 1]) or more.
 
     polarity "max" takes the seasonal maximum of tmax; "negated_min" stores
     minus the seasonal minimum of tmin, so larger values always mean more
@@ -484,6 +492,8 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
         raise DomainError(f"season must be one of {SEASONS}")
     if polarity not in POLARITIES:
         raise DomainError(f"polarity must be one of {POLARITIES}")
+    if not 0.0 <= min_coverage <= 1.0:
+        raise DomainError(f"min_coverage must lie in [0, 1], got {min_coverage}")
     rec = result.records
     block = (rec.date.astype("datetime64[M]").astype(np.int64) + 1) // 3
     keep = block % 4 == SEASONS.index(season)
@@ -504,7 +514,7 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
     days = (first + 3).astype("datetime64[D]") - first.astype("datetime64[D]")
     coverage = count / days.astype(np.int64)
     year = block // 4 + 1970
-    ok = (count > 0) & ~(coverage < min_coverage)
+    ok = (count > 0) & (coverage >= min_coverage)
     return [SeasonalExtremes(station_id=str(ids[c]), season=season, year=y, value=v,
                              coverage=cov, polarity=polarity)
             for c, y, v, cov in zip(code[ok].tolist(), year[ok].tolist(), extreme[ok].tolist(),
@@ -663,8 +673,10 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     its map, and a grid node coinciding with a station takes that station's
     value, clipped into [0, 1], when it is finite (the first such station in
     station order).  Returns rows (lat, lon, value of each map) over the
-    lat x lon product.
+    lat x lon product.  ``idw_power`` must be finite and positive.
     """
+    if not 0.0 < idw_power < math.inf:
+        raise DomainError(f"idw_power must be finite and positive, got {idw_power}")
     pts = np.asarray(station_latlon, dtype=float)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != pts.shape[0]:
@@ -826,3 +838,19 @@ def write_cells_csv(rows: list[CellAreaRow], path) -> None:
 def write_model_cells_csv(areas, errs, path) -> None:
     _write_rows(path, ["site_index", "area", "stderr"],
                 ([i, f"{a:.17g}", f"{e:.17g}"] for i, (a, e) in enumerate(zip(areas, errs))))
+
+
+def write_realizations_csv(path, values: np.ndarray, hits: np.ndarray | None = None) -> None:
+    """One row per replicate: ``site_j`` columns to 17 significant digits,
+    then ``hit_j`` columns unless ``hits`` is None."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    k = values.shape[1]
+    header = [f"site_{j}" for j in range(k)]
+    rows = ([f"{v:.17g}" for v in row] for row in values.tolist())
+    if hits is not None:
+        hits = np.atleast_2d(np.asarray(hits))
+        if hits.shape != values.shape:
+            raise DomainError("hits shape must match values shape")
+        header += [f"hit_{j}" for j in range(k)]
+        rows = (row + [int(h) for h in hit] for row, hit in zip(rows, hits.tolist()))
+    _write_rows(path, header, rows)

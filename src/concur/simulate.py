@@ -17,9 +17,7 @@ Every model is simulated exactly, by one of two paths (see ``models``):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +31,8 @@ class FieldRealization:
     """Simulated field values plus, per site, the label of the spectral
     function attaining it.
 
-    ``hit_index`` is None for samplers that cannot track spectral functions.
+    Every simulator records the labels; ``hit_index`` is None only in a
+    realization built without them, which :func:`hitting_scenario` refuses.
     """
 
     values: np.ndarray
@@ -219,25 +218,3 @@ def simulate_doa(model: ModelSpec, sites, n0: int, rng: RngLike,
         out[start:stop] = (y / u[:, :, None]).max(axis=1) / n0
     return out[0] if size is None else out
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-def write_realizations_csv(path, values: np.ndarray, hits: np.ndarray | None = None) -> None:
-    """One row per replicate: site columns, then optional hit-index columns."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    k = values.shape[1]
-    header = [f"site_{j}" for j in range(k)]
-    if hits is not None:
-        hits = np.atleast_2d(np.asarray(hits))
-        if hits.shape != values.shape:
-            raise DomainError("hits shape must match values shape")
-        header += [f"hit_{j}" for j in range(k)]
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(values.shape[0]):
-            row = [f"{v:.17g}" for v in values[i]]
-            if hits is not None:
-                row += [str(int(h)) for h in hits[i]]
-            w.writerow(row)

@@ -19,8 +19,6 @@ counter-derived substreams so results do not depend on evaluation order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,9 +28,10 @@ import numpy as np
 from .concurrence import concurrence_probability
 from .errors import DomainError
 from .estimators import (block_cp_batch, block_mse, bootstrap_cp_batch, kendall_batch,
-                         optimal_block_size, unbiased_modification)
+                         optimal_block_size, simulate_pair_batch, unbiased_modification)
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
-from .simulate import simulate_doa, simulate_max_stable_batch
+from .pipeline import _write_json, _write_rows
+from .simulate import simulate_doa
 from .specfun import SeededRng
 
 SCHEMA_VERSION = "1"
@@ -97,8 +96,7 @@ def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4, hi: floa
 def _simulate_block(model: ModelSpec, sites, n0, reps: int, n: int,
                     rng: SeededRng) -> np.ndarray:
     if n0 is None:
-        values, _ = simulate_max_stable_batch(model, sites, reps * n, rng)
-        return values.reshape(reps, n, -1)
+        return simulate_pair_batch(model, sites, reps, n, rng)
     return simulate_doa(model, sites, int(n0), rng, size=reps * n).reshape(reps, n, -1)
 
 
@@ -228,11 +226,7 @@ def study_harness(cfg: StudyConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
     fields = sorted({key for row in rows for key in row})
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: _fmt(v) for k, v in row.items()})
+    _write_rows(csv_path, fields, ([_fmt(row.get(k, "")) for k in fields] for row in rows))
     manifest_path = out_dir / f"{cfg.experiment}_manifest.json"
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -242,9 +236,7 @@ def study_harness(cfg: StudyConfig) -> dict:
         "rows": len(rows),
         "csv": csv_path.name,
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, manifest_path)
     return {"rows": rows, "csv": str(csv_path), "manifest": str(manifest_path)}
 
 

@@ -226,6 +226,7 @@ D_SHORT_MATRIX = "id1,id2,estimate,stderr,n_pairs\n" + "".join(
     f"{a},{b},{1 if a == b else 'nan' if 'D' in (a, b) else 0.5},0,5\n"
     for a, b in itertools.combinations_with_replacement("ABCD", 2))
 FIVE_YEARS = _extremes({"A": range(2000, 2005), "B": range(2000, 2005)})
+NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
 
 
 @pytest.mark.parametrize("bad, text, argv, message", [
@@ -352,6 +353,17 @@ FIVE_YEARS = _extremes({"A": range(2000, 2005), "B": range(2000, 2005)})
     ("matrix", D_SHORT_MATRIX, ["map", "--matrix", "{matrix}", "--stations", "{network}",
                                 "--anchor", "D", "--grid", GRID],
      "station D has estimates at only 1 of the 4 stations, itself included"),
+    # an option outside its range is refused, not turned into a silent result
+    ("matrix", D_SHORT_MATRIX, ["map", "--matrix", "{matrix}", "--stations", "{network}",
+                                "--anchor", "A", "--grid", GRID, "--idw-power", "nan"],
+     "idw_power must be finite and positive, got nan"),
+    ("extremes", NETWORK_YEARS, ["cells", "--extremes", "{extremes}", "--stations", "{network}",
+                                 "--grid", GRID, "--idw-power", "-1"],
+     "stratum 'all': idw_power must be finite and positive, got -1.0"),
+    ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
+                             "--draws", "-5"], "n_draws must be at least 2"),
+    ("records", RECORDS, ["blocks", "--input", "{records}", "--season", "JJA",
+                          "--min-coverage", "2"], "min_coverage must lie in [0, 1], got 2.0"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -371,7 +383,9 @@ FIVE_YEARS = _extremes({"A": range(2000, 2005), "B": range(2000, 2005)})
         "cells_model_one_rep", "estimate_block_size_0",
         "matrix_block_size_0", "estimate_jackknife_kendall", "cells_block_size_missing",
         "matrix_block_size_above_pair",
-        "cells_block_size_above_pair", "cells_station_short", "map_anchor_short"])
+        "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
+        "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",
+        "blocks_min_coverage_above_1"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line

@@ -1,7 +1,9 @@
 """Station-data pipeline: ingestion, blocking, matrices, maps, cells."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +233,23 @@ class TestSeasonalBlocks:
         with pytest.raises(DomainError):
             seasonal_blocks(result, "JJA", "upside_down")
 
+    @pytest.mark.parametrize("min_coverage", [math.nan, -0.1, 1.5, 2.0])
+    def test_min_coverage_outside_unit_interval(self, tmp_path, min_coverage):
+        # NaN or a negative share would turn the filter off, above 1 drop every season
+        result = self._records(tmp_path, "S1,40.0,-100.0,2000-06-01,-1.0,5.0\n")
+        with pytest.raises(DomainError, match=r"min_coverage must lie in \[0, 1\]"):
+            seasonal_blocks(result, "JJA", "max", min_coverage=min_coverage)
+
+    def test_min_coverage_bounds_accepted(self, tmp_path):
+        body = "".join(
+            f"S1,40.0,-100.0,2000-{m:02d}-{d:02d},-1.0,5.0\n"
+            for m, days in ((6, 30), (7, 31), (8, 31)) for d in range(1, days + 1))
+        body += "S2,41.0,-101.0,2000-06-01,-1.0,5.0\n"
+        result = self._records(tmp_path, body)
+        assert [e.station_id for e in seasonal_blocks(result, "JJA", min_coverage=0.0)] == [
+            "S1", "S2"]
+        assert [e.station_id for e in seasonal_blocks(result, "JJA", min_coverage=1.0)] == ["S1"]
+
 
 class TestPairwiseMatrix:
     def test_identical_series_give_one(self, synthetic):
@@ -395,6 +414,13 @@ class TestGeometryAndMaps:
         with pytest.raises(DomainError):
             grid_map(COORDS[:2], np.full(2, 0.5), np.array([40.0]), np.array([-100.0]))
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
+    def test_idw_power_must_be_finite_and_positive(self, power):
+        # NaN gives a NaN map, a negative power lets far stations outweigh near ones
+        with pytest.raises(DomainError, match="idw_power must be finite and positive"):
+            grid_map(COORDS, np.full(4, 0.5), np.array([40.5]), np.array([-100.0]),
+                     idw_power=power)
+
     def test_cos_lat_weights(self):
         w = cos_lat_weights(np.array([0.0, 1.0]), np.array([10.0, 11.0]))
         assert w[0] == pytest.approx(1.0)
@@ -538,3 +564,42 @@ class TestSynthesizeStationCsv:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "['Z\\xfcrich', 'B']\n"
         assert path.read_bytes().count("Zürich,".encode("utf-8")) == 2 * 92   # two summers
+
+
+class _FileWrites(ast.NodeVisitor):
+    """Names of the functions of a module that open a file to write: a call
+    of ``open`` or ``.open`` whose mode holds w, a, x or + or is not a
+    literal, or of ``.write_text`` or ``.write_bytes``."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            # open(file, mode) or path.open(mode)
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not re.search("[wax+]", mode.value)):
+                self.found.add(self.scope[-1])
+        elif name in ("write_text", "write_bytes"):
+            self.found.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_one_function_opens_files_to_write():
+    # every file the package writes is UTF-8 because one helper opens them all
+    writers = set()
+    for path in sorted(Path(concur.__file__).parent.glob("*.py")):
+        finder = _FileWrites()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        writers |= {f"{path.stem}.{name}" for name in finder.found}
+    assert writers == {"pipeline._open_csv"}

@@ -37,7 +37,8 @@ from concur import (
     simulate_max_stable_batch,
 )
 from concur.estimators import kendall_batch
-from concur.simulate import _extremal_functions, write_realizations_csv
+from concur.pipeline import write_realizations_csv
+from concur.simulate import _extremal_functions
 from conftest import binomial_3se
 
 PAIR = [[0.0], [1.0]]
