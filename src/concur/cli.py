@@ -145,12 +145,12 @@ def _parse_grid(spec: str):
 # command implementations
 
 def _cmd_ecp(args, rng: SeededRng) -> None:
+    if args.antithetic and not args.draws:
+        raise DomainError("--antithetic needs --draws (a Monte-Carlo estimate)")
     model = _load_model(args.model)
     sites = _read_sites_csv(args.sites)
-    if args.draws:
-        est = ecp_mc(model, sites, args.draws, antithetic=args.antithetic, rng=rng)
-    else:
-        est = concurrence_probability(model, sites)
+    est = (ecp_mc(model, sites, args.draws, antithetic=args.antithetic, rng=rng) if args.draws
+           else concurrence_probability(model, sites))
     _emit_json({"command": "ecp", "value": est.value, "stderr": est.stderr,
                 "method": est.method, "n_draws": est.n_draws}, args.out)
 

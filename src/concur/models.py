@@ -64,11 +64,12 @@ class SiteSet:
             raise DomainError("sites must form a (k, d) array with k, d >= 1")
         if not np.all(np.isfinite(a)):
             raise DomainError("site coordinates must be finite")
-        k = a.shape[0]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.array_equal(a[i], a[j]):
-                    raise DomainError(f"sites {i} and {j} coincide")
+        # name the first site with a twin, then its first twin; -0.0 + 0.0 is 0.0
+        _, first, count = np.unique(a + 0.0, axis=0, return_index=True, return_counts=True)
+        if count.max() > 1:
+            i = first[count > 1].min()
+            j = np.flatnonzero((a == a[i]).all(axis=1))[1]
+            raise DomainError(f"sites {i} and {j} coincide")
         a.flags.writeable = False
         object.__setattr__(self, "coords", a)
 

@@ -13,8 +13,9 @@ Four canned experiments mirror the package's benchmark suite:
 * ``fig3``   -- distribution summaries of the three estimators at integer
   lags for extremal-t and Brown--Resnick models.
 
-Every run is reproducible from (seed, rep counts); cells draw from
-counter-derived substreams so results do not depend on evaluation order.
+Every run is reproducible from its config: the i-th pair cell of ``table1``,
+``fig2`` or ``fig3``, counted from 1 in row order, draws its stack from
+substream offset + i (offsets 0, 50 000, 70 000); ``fig1`` draws one per size.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class StudyConfig:
                               f"choose one of {tuple(EXPERIMENTS)}")
         if self.reps < 2:
             raise DomainError("reps must be >= 2")
+        if any(not isinstance(n, (int, np.integer)) or n < 2 for n in self.sample_sizes):
+            raise DomainError(f"sample sizes must be integers >= 2, got {list(self.sample_sizes)}")
 
 
 def extremal_t_benchmark() -> ExtremalT:
@@ -112,29 +115,43 @@ def _summaries(values: np.ndarray, truth: float) -> dict:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
-    sizes = cfg.sample_sizes or (100,)
-    n0s = cfg.n0_levels or (1, 10, None)
+def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
+               estimators=("bootstrap", "unbiased", "kendall")) -> list[dict]:
+    """Draw, estimate and summarize pair cells in order, one row per estimator.
+
+    A cell is (row fields, model, sites, truth, n, n0); the i-th cell (from 1)
+    draws from substream offset + i.  A cell with the bootstrap records m.
+    """
     m = cfg.block_size
-    model = extremal_t_benchmark()
     rows: list[dict] = []
-    cell = 0
+    for cell, (fields, model, sites, truth, n, n0) in enumerate(cells, 1):
+        data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(offset + cell))
+        values = {}
+        if "bootstrap" in estimators:  # the unbiased estimator is derived from it
+            star = values["bootstrap"] = bootstrap_cp_batch(data, m)
+            values["unbiased"] = unbiased_modification(star, m)
+            fields = {**fields, "m": m}
+        if "kendall" in estimators:
+            values["kendall"] = kendall_batch(data, tie_adjusted=True).estimate
+        rows += [{"experiment": cfg.experiment, **fields, "estimator": name, "reps": cfg.reps,
+                  **_summaries(values[name], truth)} for name in estimators]
+    return rows
+
+
+def _target_cells(cfg: StudyConfig, sizes, n0s) -> list:
+    """Extremal-t cells at each target p's lag, by (p, n, n0)."""
+    model = extremal_t_benchmark()
+    cells = []
     for p_target in cfg.p_targets:
         h = lag_for_target_p(model, p_target)
-        sites = _pair_sites(h)
-        for n in sizes:
-            for n0 in n0s:
-                cell += 1
-                data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(cell))
-                star = bootstrap_cp_batch(data, m)
-                unbiased = unbiased_modification(star, m)
-                tau = kendall_batch(data, tie_adjusted=True).estimate
-                for name, vals in (("bootstrap", star), ("unbiased", unbiased), ("kendall", tau)):
-                    rows.append({"experiment": "table1", "p_target": p_target,
-                                 "lag": h, "n": n, "n0": "inf" if n0 is None else n0,
-                                 "m": m, "estimator": name, "reps": cfg.reps,
-                                 **_summaries(vals, p_target)})
-    return rows
+        cells += [({"p_target": p_target, "lag": h, "n": n, "n0": "inf" if n0 is None else n0},
+                   model, _pair_sites(h), p_target, n, n0) for n in sizes for n0 in n0s]
+    return cells
+
+
+def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
+    cells = _target_cells(cfg, cfg.sample_sizes or (100,), cfg.n0_levels or (1, 10, None))
+    return _pair_rows(cfg, rng, 0, cells)
 
 
 def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
@@ -159,52 +176,24 @@ def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
 
 
 def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
-    sizes = cfg.sample_sizes or (25, 50, 100)
-    n0s = cfg.n0_levels or (1, 5, 10, 15, None)
-    model = extremal_t_benchmark()
-    rows: list[dict] = []
-    cell = 0
-    for p_target in cfg.p_targets:
-        h = lag_for_target_p(model, p_target)
-        sites = _pair_sites(h)
-        for n in sizes:
-            for n0 in n0s:
-                cell += 1
-                data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(50_000 + cell))
-                tau = kendall_batch(data, tie_adjusted=True).estimate
-                rows.append({"experiment": "fig2", "p_target": p_target, "lag": h,
-                             "n": n, "n0": "inf" if n0 is None else n0,
-                             "estimator": "kendall", "reps": cfg.reps,
-                             **_summaries(tau, p_target)})
-    return rows
+    cells = _target_cells(cfg, cfg.sample_sizes or (25, 50, 100),
+                          cfg.n0_levels or (1, 5, 10, 15, None))
+    return _pair_rows(cfg, rng, 50_000, cells, ("kendall",))
 
 
 def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
-    sizes = cfg.sample_sizes or (100,)
-    m = cfg.block_size
     families = {
         "extremal_t": extremal_t_benchmark(),
         "brown_resnick": BrownResnick(variogram=FractionalVariogram(scale=1.0 / 3.0, exponent=1.0)),
     }
-    rows: list[dict] = []
-    cell = 0
+    cells = []
     for fam_name, model in families.items():
         for h in cfg.lags:
             sites = _pair_sites(h)
             truth = concurrence_probability(model, sites).value
-            for n in sizes:
-                cell += 1
-                data = _simulate_block(model, sites, None, cfg.reps, n,
-                                       rng.substream(70_000 + cell))
-                star = bootstrap_cp_batch(data, m)
-                unbiased = unbiased_modification(star, m)
-                tau = kendall_batch(data, tie_adjusted=True).estimate
-                for name, vals in (("bootstrap", star), ("unbiased", unbiased),
-                                   ("kendall", tau)):
-                    rows.append({"experiment": "fig3", "family": fam_name, "lag": h,
-                                 "n": n, "m": m, "estimator": name, "reps": cfg.reps,
-                                 "theoretical_p": truth, **_summaries(vals, truth)})
-    return rows
+            cells += [({"family": fam_name, "lag": h, "n": n, "theoretical_p": truth},
+                       model, sites, truth, n, None) for n in cfg.sample_sizes or (100,)]
+    return _pair_rows(cfg, rng, 70_000, cells)
 
 
 # experiment name -> the runner of its rows

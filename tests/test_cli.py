@@ -364,6 +364,13 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
                              "--draws", "-5"], "n_draws must be at least 2"),
     ("records", RECORDS, ["blocks", "--input", "{records}", "--season", "JJA",
                           "--min-coverage", "2"], "min_coverage must lie in [0, 1], got 2.0"),
+    ("sites", "0.0\n1.0\n", ["study", "--experiment", "table1", "--n", "0", "--reps", "3"],
+     "sample sizes must be integers >= 2, got [0]"),
+    ("sites", "0.0\n1.0\n", ["study", "--experiment", "fig3", "--n", "30", "--n", "1"],
+     "sample sizes must be integers >= 2, got [30, 1]"),
+    # antithetic pairing is a Monte-Carlo option: without draws it has nothing to pair
+    ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
+                             "--antithetic"], "--antithetic needs --draws"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -385,7 +392,8 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "matrix_block_size_above_pair",
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
         "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",
-        "blocks_min_coverage_above_1"])
+        "blocks_min_coverage_above_1", "study_n_0", "study_n_1",
+        "ecp_antithetic_without_draws"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line

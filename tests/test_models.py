@@ -259,6 +259,22 @@ class TestValidation:
         s = SiteSet(np.array([0.0, 1.0, 2.5]))
         assert s.k == 3 and s.ndim == 1
 
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), min_size=d, max_size=d),
+        min_size=1, max_size=9)))
+    def test_coincident_sites_named_as_the_pairwise_loop_names_them(self, rows):
+        # the reference: the first site with a later twin, then its first twin;
+        # -0.0 equals 0.0
+        a = np.array(rows)
+        want = next((f"sites {i} and {j} coincide" for i in range(len(a))
+                     for j in range(i + 1, len(a)) if np.array_equal(a[i], a[j])), None)
+        try:
+            SiteSet(a)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want
+
     def test_max_linear_columns_sum(self):
         with pytest.raises(DomainError):
             MaxLinear(np.array([[0.5, 0.5], [0.6, 0.5]]))

@@ -18,6 +18,19 @@ def test_unknown_experiment():
         StudyConfig(experiment="fig9", out_dir="/tmp/x")
 
 
+@pytest.mark.parametrize("sizes", [(0,), (1,), (30, 1), (2.5,), (True,)])
+def test_sample_sizes_below_two_refused_before_any_work(tmp_path, sizes):
+    with pytest.raises(DomainError, match="sample sizes must be integers >= 2"):
+        StudyConfig(experiment="table1", out_dir=tmp_path / "out", sample_sizes=sizes)
+    assert not (tmp_path / "out").exists()
+
+
+def test_smallest_sample_size_runs(tmp_path):
+    cfg = StudyConfig(experiment="fig2", out_dir=tmp_path, seed=1, reps=3, sample_sizes=(2,),
+                      n0_levels=(None,), p_targets=(0.5,))
+    assert len(study_harness(cfg)["rows"]) == 1
+
+
 def test_lag_bisection_monotone_targets():
     model = extremal_t_benchmark()
     h_50 = lag_for_target_p(model, 0.5)
