@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concurrence import concurrence_probability, ecp_mc
+from .concurrence import concurrence_probability, ecp_mc, rectangle_weights
 from .errors import ConcurError, DomainError, ParseError
 from .estimators import ESTIMATORS, Sample, estimator, optimal_block_size
 from .models import model_from_dict
@@ -241,9 +241,14 @@ def _cmd_cells(args, rng: SeededRng) -> None:
             raise DomainError("model mode needs --grid-sites")
         model = _load_model(args.model)
         sites = _read_sites_csv(args.grid_sites)
-        from .concurrence import rectangle_weights
-        weights = (rectangle_weights(sites[:, 0]) if sites.shape[1] == 1
-                   else np.ones(sites.shape[0]))
+        if sites.shape[1] > 1:
+            weights = np.ones(sites.shape[0])
+        else:
+            try:
+                weights = rectangle_weights(sites[:, 0])
+            except DomainError:
+                raise DomainError("--grid-sites takes two or more increasing, evenly spaced "
+                                  "1-d sites, or 2-d sites") from None
         areas, errs = expected_cell_area_model(model, sites, weights, args.reps, rng)
         write_model_cells_csv(areas, errs, out)
         _emit_json({"command": "cells", "mode": "model", "out": out,

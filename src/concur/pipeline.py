@@ -436,7 +436,7 @@ def write_records_csv(records: np.recarray, path) -> None:
                     *(_formatted(r[name].view(np.int64), _g10) for name in ("lat", "lon")),
                     _formatted(r.date.view(np.int64), iso),
                     *(_formatted(r[name].view(np.int64), _g10) for name in ("tmin", "tmax")))
-            fh.write("".join(map("{},{},{},{},{},{}\r\n".format, *cols)))
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def read_stations_csv(path) -> dict[str, tuple[float, float]]:

@@ -5,6 +5,13 @@ All randomness in the package flows through :class:`SeededRng`, a frozen
 ``Generator``.  Substreams are derived by counter mixing, never by
 splitting a stream mid-sequence, so replicate-level parallelism gives
 results independent of worker count.
+
+This is the only module that uses SciPy, and it imports ``scipy.special``
+inside the five functions that call it (:func:`normal_cdf`,
+:func:`student_cdf`, :func:`reg_inc_beta`, :func:`log_binom_ratio`,
+:func:`logsumexp`).  SciPy therefore loads on the first special-function
+evaluation, not on ``import concur``: the station pipeline, which never
+evaluates one, runs without loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericError
 
@@ -124,6 +130,7 @@ class CovarianceMatrix:
 
 def normal_cdf(x):
     """Standard normal CDF; total function, absolute error well under 1e-12."""
+    from scipy import special
     return special.ndtr(x)
 
 
@@ -131,6 +138,7 @@ def student_cdf(x, dof: float):
     """Student-t CDF with ``dof`` (> 0, possibly non-integer) degrees of freedom."""
     if not dof > 0:
         raise DomainError(f"degrees of freedom must be positive, got {dof}")
+    from scipy import special
     return special.stdtr(dof, x)
 
 
@@ -141,6 +149,7 @@ def reg_inc_beta(a: float, b: float, x):
     xx = np.asarray(x, dtype=float)
     if np.any(xx < 0) or np.any(xx > 1) or not np.all(np.isfinite(xx)):
         raise DomainError("beta argument must lie in [0, 1]")
+    from scipy import special
     out = special.betainc(a, b, xx)
     return float(out) if np.isscalar(x) or xx.ndim == 0 else out
 
@@ -198,6 +207,7 @@ def log_binom_ratio(d, m: int, n: int):
     if np.any(d_arr < 0) or np.any(d_arr > n - 1):
         raise DomainError(f"need 0 <= d <= n-1 = {n - 1}")
     dd = d_arr.astype(float)
+    from scipy import special
     log_den = special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
     ok = d_arr >= m - 1
     safe = np.where(ok, dd, float(m - 1))
@@ -209,6 +219,7 @@ def log_binom_ratio(d, m: int, n: int):
 
 
 def logsumexp(a, axis=None):
+    from scipy import special
     return special.logsumexp(a, axis=axis)
 
 

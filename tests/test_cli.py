@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import concur
 from concur import Logistic, SeededRng, ecp_multivariate_log
 from concur.cli import main
 from concur.pipeline import cell_area_report, read_extremes_csv, read_stations_csv
@@ -150,6 +155,55 @@ def test_station_pipeline_end_to_end(capsys, tmp_path):
                             method="bootstrap", block_size=5)
     got = np.loadtxt(cells, delimiter=",", skiprows=1, usecols=2)
     assert got.tolist() == [r.area for r in want]
+
+
+def test_station_chain_starts_without_scipy(tmp_path):
+    # SciPy loads on the first special-function call: in a fresh interpreter,
+    # importing the package and running the station chain never loads it, and
+    # a method that needs it loads it and writes what an in-process run writes
+    raw, strata, table = tmp_path / "raw.csv", tmp_path / "strata.csv", tmp_path / "table.csv"
+    synthesize_station_csv(raw, Logistic(0.5), STATIONS, COORDS,
+                           years=range(1980, 2000), rng=SeededRng(5), season="JJA")
+    strata.write_text("year,label\n" + "".join(f"{y},{'nino' if y % 3 else 'nada'}\n"
+                                                for y in range(1980, 2000)))
+    table.write_text("a,b,c\n" + "".join(f"{i % 7},{i % 5},{i % 3}\n" for i in range(30)))
+    f = {name: str(tmp_path / f"{name}.csv")
+         for name in ("records", "stations", "extremes", "matrix", "grid", "cells", "boot")}
+    grid = "39:42:4,-101:-98:4"
+    steps = [
+        ["--out", f["records"], "ingest", "--input", str(raw), "--stations-out", f["stations"]],
+        ["--out", f["extremes"], "blocks", "--input", f["records"], "--season", "JJA"],
+        ["--out", f["matrix"], "matrix", "--input", f["extremes"]],
+        ["--out", f["grid"], "map", "--matrix", f["matrix"], "--stations", f["stations"],
+         "--anchor", "A", "--grid", grid],
+        ["--out", f["cells"], "cells", "--extremes", f["extremes"], "--stations", f["stations"],
+         "--grid", grid, "--strata", str(strata), "--base-label", "nada"],
+        ["plan", "--n", "60", "--p", "0.5"],
+        ["estimate", "--input", str(table), "--method", "mvlog", "--jackknife"],
+        ["--out", f["boot"], "matrix", "--input", f["extremes"], "--method", "bootstrap",
+         "--block-size", "3"],
+    ]
+    script = ("import contextlib, io, json, sys\n"
+              "import concur, concur.cli\n"
+              "def scipy():\n"
+              "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "loaded = [scipy()]\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert concur.cli.main(argv) == 0, argv\n"
+              "    loaded.append(scipy())\n"
+              "print(json.dumps(loaded))\n")
+    src = str(Path(concur.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(steps)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded[:-1] == [[]] * len(steps)
+    assert "scipy.special" in loaded[-1]
+    in_process = tmp_path / "boot_in_process.csv"
+    assert main(["--out", str(in_process)] + steps[-1][2:]) == 0
+    assert Path(f["boot"]).read_bytes() == in_process.read_bytes()
 
 
 def test_cells_model_mode(capsys, tmp_path):
@@ -330,6 +384,9 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     # a standard error needs two replicates; a block size its method's least
     ("sites", "0.0\n1.0\n", ["cells", "--model", "{model}", "--grid-sites", "{sites}",
                              "--reps", "1"], "reps must be >= 2, got 1"),
+    # 1-d grid sites need rectangle weights, so even spacing; the CLI takes no weights
+    ("sites", "0.0\n0.5\n1.7\n", ["cells", "--model", "{model}", "--grid-sites", "{sites}"],
+     "--grid-sites takes two or more increasing, evenly spaced 1-d sites, or 2-d sites"),
     ("table", "a,b\n1,2\n3,4\n", ESTIMATE[:-1] + ["bootstrap", "--block-size", "0"],
      "method 'bootstrap' needs a whole block size >= 2, got 0"),
     ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--method", "block",
@@ -387,7 +444,7 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "model_fractional_dim", "model_misspelt_key", "model_correlation_as_variogram",
         "model_variogram_not_object", "model_nested_text_number", "model_ragged_sigma",
         "model_infinite_nu", "model_integer_over_digit_limit", "model_not_json",
-        "cells_model_one_rep", "estimate_block_size_0",
+        "cells_model_one_rep", "cells_model_irregular_sites", "estimate_block_size_0",
         "matrix_block_size_0", "estimate_jackknife_kendall", "cells_block_size_missing",
         "matrix_block_size_above_pair",
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
