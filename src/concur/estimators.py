@@ -26,10 +26,14 @@ Cost.  Every estimator except the block one reduces to one counting kernel,
 ``_below``: for each observation, how many others lie strictly below it at
 every coordinate, per replicate of the stack.  One coordinate
 costs a sort, O(n log n); a pair costs a sort and a bottom-up merge,
-O(n log^2 n), from 512 observations on (Knight 1966); smaller pairs and
+O(n log^2 n), from 352 observations on (Knight 1966); smaller pairs and
 k >= 3 compare all pairs, O(k n^2), one contiguous column at a time, so
-input memory layout does not matter.  The pair crossover is a measured
-break-even size (see ``_MERGE_MIN_N``).  Built on it:
+input memory layout does not matter, and sum each block of comparisons
+as bytes into 16-bit counts (32-bit from n = 2^16).  The pair crossover
+is a measured break-even size (see ``_MERGE_MIN_N``).  The sorts are
+NumPy's default, unstable ones: each count depends only on where a tie
+group starts and ends in sorted order, never on the order inside it, so
+any order of tied entries gives the same integers.  Built on it:
 
 * dominance counts (bootstrap, unbiased): one kernel call;
 * Kendall's tau: one pair call, the counts d_i of observations below i in
@@ -44,8 +48,8 @@ break-even size (see ``_MERGE_MIN_N``).  Built on it:
   jackknife adds O(n) per subset;
 * the block estimator: O(n k), no kernel.
 
-At n = 16 000 (2-core Xeon, Python 3.11, NumPy 2.4, best of 9)
-``dominance_counts`` of a pair takes 0.015 s and ``ecp_kendall`` 0.019 s.
+At n = 16 000 (2-core Xeon, Python 3.11, NumPy 2.4.6, best of 9)
+``dominance_counts`` of a pair takes 0.011 s and ``ecp_kendall`` 0.013 s.
 """
 
 from __future__ import annotations
@@ -65,10 +69,12 @@ from .simulate import simulate_field_values
 from .specfun import RngLike, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
-# size from which the merge beats comparing all pairs (2-core Xeon): the
-# break-even is ~700 for one sample and ~300 for 200 replicates, and 512
-# costs at most ~1.4x the faster path anywhere in between
-_MERGE_MIN_N = 512
+# size from which the merge beats comparing all pairs (2-core Xeon, NumPy
+# 2.4, best of 15): the break-even is ~450 for one sample and ~220 for 20
+# or 200 replicates, and at 352 the path taken costs at most ~1.6x the
+# faster one anywhere in between (merge/all-pairs 1.44 at (1, 352), 0.72
+# at (20, 351), 0.65 at (200, 351)); counts are identical either way
+_MERGE_MIN_N = 352
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,9 @@ def _below_direct(x, before=np.less):
     reps, n, _ = x.shape
     cols = x.transpose(2, 0, 1).copy()
     out = np.empty((reps, n), dtype=np.int64)
+    # a count is at most n, so bytes summed in 16 bits cannot overflow below
+    # n = 2^16; a narrow accumulator sums ~5x faster than the default int64
+    acc = np.uint16 if n < 1 << 16 else np.uint32
     rows = max(1, min(n, _PAIR_CHUNK // n))
     step = max(1, _PAIR_CHUNK // (rows * n))
     for r0 in range(0, reps, step):
@@ -152,7 +161,7 @@ def _below_direct(x, before=np.less):
             blk = before(c[0, :, None, :], ci[0])
             for j in range(1, len(c)):
                 blk &= before(c[j, :, None, :], ci[j])
-            out[r0:r0 + step, i0:i0 + rows] = blk.sum(axis=2)
+            out[r0:r0 + step, i0:i0 + rows] = blk.view(np.uint8).sum(axis=2, dtype=acc)
     return out
 
 
@@ -173,14 +182,14 @@ def _group_starts(s):
 
 def _below_sorted(v):
     """#{l : v_l < v_i} for each entry of each row of v, from one sort."""
-    order = np.argsort(v, axis=1, kind="stable")
+    order = np.argsort(v, axis=1)
     return _unsort(order, _group_starts(np.take_along_axis(v, order, axis=1)))
 
 
 def _smaller_larger(v):
     """(#{l : v_l < v_i}, #{l : v_l > v_i}) for each entry of each row of v,
     from one sort."""
-    order = np.argsort(v, axis=1, kind="stable")
+    order = np.argsort(v, axis=1)
     s = np.take_along_axis(v, order, axis=1)
     return _unsort(order, _group_starts(s)), _unsort(order, _group_starts(s[:, ::-1])[:, ::-1])
 
@@ -189,30 +198,30 @@ def _below_merge(xc, yc):
     reps, n = xc.shape
     # merge order: x ascending, equal x by y descending, so no earlier
     # observation with the same x has a smaller y; then l is below i exactly
-    # when l comes first and has the smaller y rank
+    # when l comes first and has the smaller y rank.  Entries tied in this
+    # order are equal observations, below neither each other nor in a
+    # different relation to any third, so their order does not matter
     ry = _below_sorted(yc)
-    order = np.argsort(_below_sorted(xc) * n + (n - 1 - ry), axis=1, kind="stable")
-    rank = np.take_along_axis(ry, order, axis=1)
-    acc = np.zeros((reps, n), dtype=np.int64)
-    pos = np.arange(n)
-    rep = np.arange(reps)[:, None]
+    order = np.argsort(_below_sorted(xc) * n + (n - 1 - ry), axis=1)
+    # pad to a power of two with rank n, which is below nothing
+    width = 1 << (n - 1).bit_length()
+    rank = np.full((reps, width), n, dtype=np.int64)
+    rank[:, :n] = np.take_along_axis(ry, order, axis=1)
+    acc = np.zeros((reps, width), dtype=np.int64)
     half = 1
     while half < n:
-        # each right block of 2 * half positions counts the left block's
-        # smaller ranks; keys sort by (replicate, block pair, rank)
-        pair = pos // (2 * half)
-        right = pos // half % 2 == 1
-        left = ~right
-        keys = (rep * (pair[-1] + 1) + pair) * n + rank
-        left_keys = keys[:, left].ravel()
-        sort = np.argsort(left_keys, kind="stable")
-        hi = np.searchsorted(left_keys[sort], keys[:, right].ravel())
-        # every left block before a right one is full, so its sorted keys
-        # start at half * pair within the replicate's left keys
-        lo = (rep * np.count_nonzero(left) + half * pair[right]).ravel()
-        acc[:, right] += (hi - lo).reshape(reps, -1)
+        # each right half of a block of 2 * half positions counts the left
+        # half's smaller ranks; blocks are numbered across replicates and
+        # keys order by (block, rank), so block b's sorted left keys start
+        # at b * half
+        blocks = reps * width // (2 * half)
+        base = np.arange(blocks)[:, None]
+        view = rank.reshape(blocks, 2, half)
+        left = np.sort(base * (n + 1) + view[:, 0], axis=None)
+        hi = np.searchsorted(left, base * (n + 1) + view[:, 1])
+        acc.reshape(blocks, 2, half)[:, 1] += hi - base * half
         half *= 2
-    return _unsort(order, acc)
+    return _unsort(order, acc[:, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +242,13 @@ def _one(data) -> np.ndarray:
     return (data if isinstance(data, Sample) else Sample(data)).data[None]
 
 
+def _whole(v) -> bool:
+    """An int or a NumPy integer, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _block_size(m, least: int, n: int) -> int:
-    if not (isinstance(m, (int, np.integer)) and least <= m <= n):
+    if not (_whole(m) and least <= m <= n):
         raise DomainError(f"block size must be an integer in [{least}, n = {n}], got {m!r}")
     return int(m)
 
@@ -474,6 +488,8 @@ def mvlog_batch(data, subset=None, jackknife: bool = False) -> np.ndarray:
     idx = list(range(k)) if subset is None else list(subset)
     if len(idx) < 2:
         raise DomainError("need at least two coordinates")
+    if not all(_whole(j) for j in idx):
+        raise DomainError(f"subset indices must be integers, got {subset!r}")
     if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= k:
         raise DomainError("subset indices out of range or repeated")
     if jackknife and n < 3:
@@ -514,8 +530,9 @@ def estimator(method: str, block_size: int | None = None, jackknife: bool = Fals
     (None when the estimator has none; ``unbiased`` adds ``clipped``).  An
     unknown name, or a block size that is missing or below the method's
     least (1 for ``block``, 2 otherwise), raises :class:`DomainError` here,
-    before any data is seen, and so does ``jackknife`` for a method other
-    than ``mvlog``.
+    before any data is seen, and so do a block size for ``kendall`` or
+    ``mvlog``, which take none, and ``jackknife`` for a method other than
+    ``mvlog``.
     """
     if method not in ESTIMATORS:
         raise DomainError(f"unknown estimator method {method!r}; "
@@ -528,10 +545,12 @@ def estimator(method: str, block_size: int | None = None, jackknife: bool = Fals
         if block_size is None:
             raise DomainError(f"method {method!r} requires a block size")
         least = _LEAST_BLOCK[method]
-        if not (isinstance(block_size, (int, np.integer)) and block_size >= least):
+        if not (_whole(block_size) and block_size >= least):
             raise DomainError(f"method {method!r} needs a whole block size >= {least}, "
                               f"got {block_size!r}")
         fn = functools.partial(fn, m=block_size)
+    elif block_size is not None:
+        raise DomainError(f"method {method!r} takes no block size, got {block_size!r}")
     elif method == "mvlog":
         fn = functools.partial(fn, jackknife=jackknife)
 
@@ -577,11 +596,11 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
     clamped to [2, n].  The conservative defaults are r = 1, c_r = 1.
     Degenerate probabilities (p = 0 or 1) admit no optimal size.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
+    if not (_whole(n) and n >= 2):
         raise DomainError("n must be an integer >= 2")
     if not 0.0 < p < 1.0:
         raise DomainError("the MSE-optimal block size requires 0 < p < 1")
-    if not (isinstance(r, (int, np.integer)) and r >= 1):
+    if not (_whole(r) and r >= 1):
         raise DomainError("r must be a positive integer")
     if not c_r > 0:
         raise DomainError("c_r must be positive")

@@ -392,6 +392,15 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--method", "block",
                             "--block-size", "0"],
      "method 'block' needs a whole block size >= 1, got 0"),
+    # Kendall's tau and the log estimator use no block size, so none is taken
+    ("table", "a,b\n1,2\n3,4\n5,1\n", ESTIMATE + ["--block-size", "3"],
+     "method 'kendall' takes no block size, got 3"),
+    ("table", "a,b\n1,2\n3,4\n5,1\n", ESTIMATE[:-1] + ["mvlog", "--block-size", "3"],
+     "method 'mvlog' takes no block size, got 3"),
+    ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--block-size", "3"],
+     "method 'kendall' takes no block size, got 3"),
+    ("extremes", EXTREMES, CELLS + ["--method", "mvlog", "--block-size", "3"],
+     "method 'mvlog' takes no block size, got 3"),
     # the jackknife bias reduction is the log estimator's alone
     ("table", "a,b\n1,2\n3,4\n5,1\n", ESTIMATE + ["--jackknife"],
      "the jackknife bias reduction applies to method 'mvlog' only, not 'kendall'"),
@@ -445,7 +454,9 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "model_variogram_not_object", "model_nested_text_number", "model_ragged_sigma",
         "model_infinite_nu", "model_integer_over_digit_limit", "model_not_json",
         "cells_model_one_rep", "cells_model_irregular_sites", "estimate_block_size_0",
-        "matrix_block_size_0", "estimate_jackknife_kendall", "cells_block_size_missing",
+        "matrix_block_size_0", "estimate_kendall_block_size", "estimate_mvlog_block_size",
+        "matrix_kendall_block_size", "cells_mvlog_block_size", "estimate_jackknife_kendall",
+        "cells_block_size_missing",
         "matrix_block_size_above_pair",
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
         "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",

@@ -122,6 +122,9 @@ class TestBlockEstimator:
             sample_cp_block(x, 5)
         with pytest.raises(DomainError):
             sample_cp_block(x, 0)
+        # a bool is not a block size: True used to be taken as m = 1
+        with pytest.raises(DomainError, match="got True"):
+            sample_cp_block(x, True)
 
 
 class TestBootstrapEstimator:
@@ -305,6 +308,11 @@ class TestMultivariateLog:
             ecp_multivariate_log(x, subset=[0])
         with pytest.raises(DomainError):
             ecp_multivariate_log(x, subset=[0, 3])
+        # floats and bools used to reach NumPy indexing as a bare IndexError
+        for bad in ([0.0, 1.0], [True, False], np.array([0.0, 2.0]), [0, np.True_]):
+            with pytest.raises(DomainError, match="subset indices must be integers"):
+                ecp_multivariate_log(x, subset=bad)
+        assert ecp_multivariate_log(x, subset=np.array([0, 2])) == pair
 
 
 TRANSFORMS = [np.exp, lambda v: v ** 3, lambda v: np.arctan(v) * 2.0]
@@ -364,6 +372,9 @@ class TestBlockPlanner:
                 optimal_block_size(100, bad_p)
         with pytest.raises(DomainError):
             optimal_block_size(100, 0.5, r=0)
+        for n, r in ((True, 1), (100, True)):
+            with pytest.raises(DomainError):
+                optimal_block_size(n, 0.5, r=r)
         with pytest.raises(DomainError):
             optimal_block_size(100, 0.5, c_r=0.0)
 
@@ -420,7 +431,7 @@ class TestBatchKernels:
         x = np.arange(10.0).reshape(5, 2)
         # block_cp_batch(x, 0) used to raise ZeroDivisionError, and a block
         # size of 2.5 used to be truncated to 2 by one path only
-        for m in (0, -1, least - 1, 2.5, 2.0, 6):
+        for m in (0, -1, least - 1, 2.5, 2.0, 6, True, np.True_):
             for call in (lambda: single(x, m), lambda: stack(x[None], m)):
                 with pytest.raises(DomainError, match=f"integer in \\[{least}, n = 5\\]"):
                     call()
@@ -433,11 +444,21 @@ class TestBatchKernels:
         # a block size of 0 used to be reported as a missing one
         with pytest.raises(DomainError, match="requires a block size"):
             estimator(method)
-        for m in (0, -1, least - 1, 2.5):
+        for m in (0, -1, least - 1, 2.5, True):
             with pytest.raises(DomainError,
                                match=re.escape(f"needs a whole block size >= {least}, got {m!r}")):
                 estimator(method, m)
         estimator(method, least)
+
+    @pytest.mark.parametrize("method", ["kendall", "mvlog"])
+    def test_estimator_refuses_a_block_size_it_does_not_use(self, method):
+        # it used to be accepted and ignored, and the CLI reported it as "m"
+        for m in (3, 0, True):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"method {method!r} takes no block size, "
+                                               f"got {m!r}")):
+                estimator(method, m)
+        estimator(method, None)
 
     @pytest.mark.parametrize("method", ["kendall", "block", "bootstrap", "unbiased"])
     def test_estimator_refuses_jackknife_outside_mvlog(self, method):

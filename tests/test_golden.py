@@ -153,7 +153,8 @@ def pipeline_fingerprints(work: Path) -> dict:
     write_extremes_csv(extremes, work / "extremes_logistic.csv")
     out["write_extremes_csv[logistic]"] = _file(work / "extremes_logistic.csv")
     for method in ("kendall", "mvlog", "block", "bootstrap", "unbiased"):
-        m = pairwise_matrix(extremes, method=method, block_size=3)
+        m = pairwise_matrix(extremes, method=method,
+                            block_size=3 if method in ("block", "bootstrap", "unbiased") else None)
         out[f"pairwise_matrix[{method}]"] = [_array(m.estimates), _array(m.stderr),
                                              _array(m.n_pairs)]
     return out

@@ -26,6 +26,7 @@ from concur.estimators import (
     _below_sorted,
     _kendall_rows,
     _mean_log_ecdf,
+    _smaller_larger,
     dominance_counts_batch,
     kendall_batch,
     mvlog_batch,
@@ -188,6 +189,33 @@ class TestCountingKernel:
     @given(tied_stacks(ks=(1, 2, 3)))
     def test_counts_match_reference(self, x):
         assert np.array_equal(_below(x), reference_dominance_counts_batch(x))
+
+    @given(tied_stacks(ks=(1, 2, 3)), st.integers(0, 2**32 - 1))
+    def test_counts_follow_a_permutation_of_the_rows(self, x, seed):
+        # the sorts are unstable, so tied rows may come out of them in any
+        # order; every count must still follow the rows it belongs to
+        perm = np.random.default_rng(seed).permutation(x.shape[1])
+        y = x[:, perm]
+        assert np.array_equal(_below(y), _below(x)[:, perm])
+        for j in range(x.shape[2]):
+            assert np.array_equal(_below_sorted(y[:, :, j]), _below_sorted(x[:, :, j])[:, perm])
+            for got, want in zip(_smaller_larger(y[:, :, j]), _smaller_larger(x[:, :, j])):
+                assert np.array_equal(got, want[:, perm])
+        if x.shape[2] == 2:
+            for got, want in zip(_kendall_rows(y, ties=True), _kendall_rows(x, ties=True)):
+                assert np.array_equal(got, want[:, perm])
+        above_x = [_below_sorted(-x[:, :, j]) for j in range(x.shape[2])]
+        above_y = [_below_sorted(-y[:, :, j]) for j in range(x.shape[2])]
+        for r in range(1, x.shape[2] + 1):
+            for J in itertools.combinations(range(x.shape[2]), r):
+                assert np.array_equal(_at_most(y, J, above_y), _at_most(x, J, above_x)[:, perm])
+
+    def test_all_pairs_counts_past_two_bytes(self):
+        # counts are summed in 16 bits below n = 2^16 and in 32 from there:
+        # a comonotone pair just past it has every count from 0 to n - 1
+        n = (1 << 16) + 64
+        x = np.repeat(np.arange(n, dtype=float)[None, :, None], 2, axis=2)
+        assert np.array_equal(_below_direct(x)[0], np.arange(n))
 
     @given(tied_stacks(sizes=st.integers(1, 70)))
     def test_merge_and_sort_at_small_n(self, x):

@@ -349,8 +349,10 @@ class TestPairwiseMatrix:
         assert np.isnan(matrix.estimates[[0, 1], [2, 2]]).all()
         with pytest.raises(DomainError, match="stations B and C share 3 years"):
             pairwise_matrix(extremes, method="block", block_size=4, anchor="C")
-        # a method without blocks takes no block size
-        assert np.isfinite(pairwise_matrix(extremes, block_size=5).estimates).all()
+        # a method without blocks takes no block size: one given is refused
+        with pytest.raises(DomainError, match="method 'kendall' takes no block size, got 5"):
+            pairwise_matrix(extremes, block_size=5)
+        assert np.isfinite(pairwise_matrix(extremes).estimates).all()
 
     def test_polarity_flip_metamorphic(self, synthetic):
         # tmin = -tmax in the synthetic data: negated minima carry the same
