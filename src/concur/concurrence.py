@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
-from .specfun import RngLike, as_generator
+from .specfun import RngLike, _whole, as_generator
 
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
@@ -75,8 +75,8 @@ def _mc_generic(model: ModelSpec, sites, n_draws: int, g: np.random.Generator):
     return vals
 
 
-def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False,
-           rng: RngLike = None) -> ConcurrenceEstimate:
+def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
+           rng: RngLike) -> ConcurrenceEstimate:
     """Monte-Carlo concurrence probability via E[1 / V(Y)].
 
     Brown--Resnick/Smith pairs integrate over a standard normal Z,
@@ -88,11 +88,7 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False,
     antithetic driver exists.  Fully-dependent parameterizations
     short-circuit to the exact value 1.
     """
-    if rng is None:
-        raise DomainError("an rng is required")
-    n_draws = int(n_draws)
-    if n_draws < 2:
-        raise DomainError("n_draws must be at least 2")
+    n_draws = _whole(n_draws, 2, "n_draws")
     g = as_generator(rng)
 
     pair = model.pair_reduction(model.sites_of(sites))
@@ -186,8 +182,7 @@ def _quad_pieces(pieces) -> ConcurrenceEstimate:
                                method="quadrature")
 
 
-def ecp_simulation(model: ModelSpec, sites, reps: int,
-                   rng: RngLike = None) -> ConcurrenceEstimate:
+def ecp_simulation(model: ModelSpec, sites, reps: int, rng: RngLike) -> ConcurrenceEstimate:
     """Empirical frequency of a single-block hitting scenario (the repo's
     simulation oracle): simulate fields and count concurrent replicates."""
     _, hits = simulate_max_stable_batch(model, sites, reps, rng)

@@ -66,7 +66,7 @@ from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
 from .models import ModelSpec
 from .simulate import simulate_field_values
-from .specfun import RngLike, as_generator, log_binom_ratio
+from .specfun import RngLike, _whole, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
 # size from which the merge beats comparing all pairs (2-core Xeon, NumPy
@@ -242,15 +242,11 @@ def _one(data) -> np.ndarray:
     return (data if isinstance(data, Sample) else Sample(data)).data[None]
 
 
-def _whole(v) -> bool:
-    """An int or a NumPy integer, but not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _block_size(m, least: int, n: int) -> int:
-    if not (_whole(m) and least <= m <= n):
-        raise DomainError(f"block size must be an integer in [{least}, n = {n}], got {m!r}")
-    return int(m)
+    m = _whole(m, least, "block size")
+    if m > n:
+        raise DomainError(f"block size must be at most n = {n}, got {m}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +481,10 @@ def mvlog_batch(data, subset=None, jackknife: bool = False) -> np.ndarray:
     """
     x = _as_stack(data)
     reps, n, k = x.shape
-    idx = list(range(k)) if subset is None else list(subset)
+    idx = list(range(k)) if subset is None else [_whole(j, 0, "subset index") for j in subset]
     if len(idx) < 2:
         raise DomainError("need at least two coordinates")
-    if not all(_whole(j) for j in idx):
-        raise DomainError(f"subset indices must be integers, got {subset!r}")
-    if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= k:
+    if len(set(idx)) != len(idx) or max(idx) >= k:
         raise DomainError("subset indices out of range or repeated")
     if jackknife and n < 3:
         raise DomainError("jackknife needs n >= 3")
@@ -544,11 +538,7 @@ def estimator(method: str, block_size: int | None = None, jackknife: bool = Fals
     if method in _LEAST_BLOCK:
         if block_size is None:
             raise DomainError(f"method {method!r} requires a block size")
-        least = _LEAST_BLOCK[method]
-        if not (_whole(block_size) and block_size >= least):
-            raise DomainError(f"method {method!r} needs a whole block size >= {least}, "
-                              f"got {block_size!r}")
-        fn = functools.partial(fn, m=block_size)
+        fn = functools.partial(fn, m=_whole(block_size, _LEAST_BLOCK[method], "block size"))
     elif block_size is not None:
         raise DomainError(f"method {method!r} takes no block size, got {block_size!r}")
     elif method == "mvlog":
@@ -582,7 +572,7 @@ class BlockPlan:
 def block_mse(n: int, m: int, p: float, r: int = 1, c_r: float = 1.0) -> float:
     """MSE model (bias c_r/m^r)^2 + p_m (1 - p_m) / floor(n/m) for the block
     estimator, with p_m = p + c_r/m^r capped at 1."""
-    if m < 1 or m > n:
+    if _whole(m, 1, "m") > _whole(n, 1, "n"):
         raise DomainError("need 1 <= m <= n")
     p_m = min(p + c_r / m ** r, 1.0)
     return (c_r / m ** r) ** 2 + p_m * (1.0 - p_m) / (n // m)
@@ -596,18 +586,16 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
     clamped to [2, n].  The conservative defaults are r = 1, c_r = 1.
     Degenerate probabilities (p = 0 or 1) admit no optimal size.
     """
-    if not (_whole(n) and n >= 2):
-        raise DomainError("n must be an integer >= 2")
+    n = _whole(n, 2, "n")
     if not 0.0 < p < 1.0:
         raise DomainError("the MSE-optimal block size requires 0 < p < 1")
-    if not (_whole(r) and r >= 1):
-        raise DomainError("r must be a positive integer")
+    r = _whole(r, 1, "r")
     if not c_r > 0:
         raise DomainError("c_r must be positive")
     raw = (2.0 * r * c_r * c_r * n / (p * (1.0 - p))) ** (1.0 / (2 * r + 1))
     m = int(min(max(round(raw), 2), n))
-    return BlockPlan(m=m, assumed_r=int(r), assumed_c_r=float(c_r), assumed_p=float(p),
-                     predicted_mse=block_mse(int(n), m, float(p), int(r), float(c_r)))
+    return BlockPlan(m=m, assumed_r=r, assumed_c_r=float(c_r), assumed_p=float(p),
+                     predicted_mse=block_mse(n, m, float(p), r, float(c_r)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import CapabilityError, DomainError
 from .specfun import (
     CovarianceMatrix,
     RngLike,
+    _whole,
     as_generator,
     half_line,
     logsumexp,
@@ -858,8 +859,7 @@ class BallIndicator(ModelSpec):
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise DomainError(f"ball radius must be positive and finite, got {self.radius}")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise DomainError("ball dimension must be a positive integer")
+        _whole(self.dim, 1, "dim")
 
     def sites_of(self, sites) -> SiteSet:
         s = as_sites(sites)
@@ -938,12 +938,11 @@ MODELS = {cls.name: cls for cls in (Logistic, MaxLinear, BrownResnick, ExtremalT
 
 def ecp_logistic(alpha: float, k: int) -> float:
     """prod_{j=1}^{k-1} (1 - alpha/j): concurrence of the k-variate logistic."""
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise DomainError(f"k must be an integer >= 2, got {k}")
+    k = _whole(k, 2, "k")
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     out = 1.0
-    for j in range(1, int(k)):
+    for j in range(1, k):
         out *= 1.0 - alpha / j
     return out
 
@@ -1009,7 +1008,7 @@ def ecp_ball_overlap(h: float, radius: float, dim: int = 1) -> float:
     """
     if not radius > 0:
         raise DomainError("radius must be positive")
-    q = ball_overlap_fraction(float(h), float(radius), int(dim))
+    q = ball_overlap_fraction(float(h), float(radius), _whole(dim, 1, "dim"))
     return q / (2.0 - q)
 
 
@@ -1054,7 +1053,7 @@ def spectral_sample(model: ModelSpec, sites, rng: RngLike, size: int | None = No
     """
     sampler = spectral_sampler(model, sites)
     g = as_generator(rng)
-    y = sampler.draw(g, 1 if size is None else int(size))
+    y = sampler.draw(g, 1 if size is None else _whole(size, 0, "size"))
     return y[0] if size is None else y
 
 

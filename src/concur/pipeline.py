@@ -44,11 +44,10 @@ from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
 from .estimators import _LEAST_BLOCK, estimator
 from .simulate import simulate_cell_labels
-from .specfun import RngLike
+from .specfun import RngLike, _whole
 
 EARTH_RADIUS_KM = 6371.0088
 SEASONS = ("DJF", "MAM", "JJA", "SON")
-_SEASON_MONTHS = {"DJF": (12, 1, 2), "MAM": (3, 4, 5), "JJA": (6, 7, 8), "SON": (9, 10, 11)}
 POLARITIES = ("max", "negated_min")
 
 _COLUMNS = ("station_id", "lat", "lon", "date", "tmin", "tmax")
@@ -766,16 +765,13 @@ def expected_cell_area_data(matrix: ConcurrenceMatrix, station_coords: dict,
     return {sid: integrated_cp(m, weights) for sid, m in zip(matrix.station_ids, maps.T)}
 
 
-def expected_cell_area_model(model, grid_sites, weights, reps: int,
-                             rng: RngLike = None):
+def expected_cell_area_model(model, grid_sites, weights, reps: int, rng: RngLike):
     """Mean concurrence-cell volume per anchor site from simulated labels.
 
     Returns (areas, stderrs) arrays over the grid sites; a standard error
     needs ``reps`` >= 2.
     """
-    if not reps >= 2:
-        raise DomainError(f"reps must be >= 2, got {reps}")
-    labels = simulate_cell_labels(model, grid_sites, reps, rng)
+    labels = simulate_cell_labels(model, grid_sites, _whole(reps, 2, "reps"), rng)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != labels.shape[1]:
         raise DomainError("weights length must match the grid size")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .models import _REP_CHUNK_ELEMS, ModelSpec, TiltedDraw, _logistic_mixture, spectral_sampler
-from .specfun import RngLike, as_generator
+from .specfun import RngLike, _whole, as_generator
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,13 @@ def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: 
     return values, hits, drawn
 
 
-def simulate_max_stable_batch(model: ModelSpec, sites, reps: int, rng: RngLike = None):
+def simulate_max_stable_batch(model: ModelSpec, sites, reps: int, rng: RngLike):
     """Simulate ``reps`` independent fields; returns (values, hits).
 
     values: (reps, k) unit-Frechet fields; hits: (reps, k) labels of the
     spectral function attaining each site.
     """
-    if rng is None:
-        raise DomainError("an rng is required")
-    if not (isinstance(reps, (int, np.integer)) and reps >= 1):
-        raise DomainError("reps must be a positive integer")
+    reps = _whole(reps, 1, "reps")
     g = as_generator(rng)
     s = model.sites_of(sites)
     fields = model.exact_fields(s, g, reps)
@@ -151,7 +148,7 @@ def simulate_field_values(model: ModelSpec, sites, n: int,
     return values
 
 
-def simulate_max_stable(model: ModelSpec, sites, rng: RngLike = None) -> FieldRealization:
+def simulate_max_stable(model: ModelSpec, sites, rng: RngLike) -> FieldRealization:
     """Simulate one max-stable field realization with hitting indices."""
     values, hits = simulate_max_stable_batch(model, sites, 1, rng)
     return FieldRealization(values=values[0], hit_index=hits[0])
@@ -164,8 +161,7 @@ def hitting_scenario(realization: FieldRealization) -> Partition:
     return Partition.from_labels(realization.hit_index)
 
 
-def simulate_cell_labels(model: ModelSpec, grid, reps: int,
-                         rng: RngLike = None) -> np.ndarray:
+def simulate_cell_labels(model: ModelSpec, grid, reps: int, rng: RngLike) -> np.ndarray:
     """Labels of the spectral functions attaining the sites of a grid, one
     row per replicate.
 
@@ -188,9 +184,8 @@ def simulate_logistic_exact(alpha: float, k: int, rng: RngLike, size: int | None
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError("k must be a positive integer")
-    x = _logistic_mixture(alpha, k, as_generator(rng), 1 if size is None else int(size))
+    x = _logistic_mixture(alpha, _whole(k, 1, "k"), as_generator(rng),
+                          1 if size is None else _whole(size, 0, "size"))
     return x[0] if size is None else x
 
 
@@ -202,14 +197,13 @@ def simulate_doa(model: ModelSpec, sites, n0: int, rng: RngLike,
     Y_i the model's spectral profiles; converges to the max-stable law as
     n0 grows.  No hitting indices.
     """
-    if not (isinstance(n0, (int, np.integer)) and n0 >= 1):
-        raise DomainError("n0 must be a positive integer")
+    n0 = _whole(n0, 1, "n0")
+    n = 1 if size is None else _whole(size, 0, "size")
     sampler = spectral_sampler(model, sites)
     g = as_generator(rng)
-    n = 1 if size is None else int(size)
     k = sampler.k
     out = np.empty((n, k))
-    step = max(1, _REP_CHUNK_ELEMS // max(1, int(n0) * k))
+    step = max(1, _REP_CHUNK_ELEMS // max(1, n0 * k))
     for start in range(0, n, step):
         stop = min(n, start + step)
         nn = stop - start

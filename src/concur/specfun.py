@@ -12,6 +12,12 @@ inside the five functions that call it (:func:`normal_cdf`,
 :func:`logsumexp`).  SciPy therefore loads on the first special-function
 evaluation, not on ``import concur``: the station pipeline, which never
 evaluates one, runs without loading it.
+
+Every count argument of the package (a number of sites, replicates or
+draws, a block or sample size, a dimension, a seed) passes through
+:func:`_whole`: a Python or NumPy integer, never a bool, of at least a
+stated least value, or :class:`DomainError` "<name> must be a whole number
+>= <least>, got <value>".
 """
 
 from __future__ import annotations
@@ -26,6 +32,14 @@ from .errors import DomainError, NumericError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _whole(value, least: int, name: str) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, not a bool,
+    of at least ``least``; :class:`DomainError` otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
 def _splitmix64(x: int) -> int:
@@ -50,19 +64,19 @@ class SeededRng:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _MASK64:
+            v = _whole(getattr(self, name), 0, name)
+            if v > _MASK64:
                 raise DomainError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
+            object.__setattr__(self, name, v)
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
 
     def substream(self, counter: int) -> "SeededRng":
         """Independent stream derived from ``counter``; collision odds ~2**-64."""
-        if counter < 0:
-            raise DomainError("substream counter must be nonnegative")
-        mixed = _splitmix64(int(self.stream_id) ^ (((counter + 1) * _GOLDEN) & _MASK64))
+        counter = _whole(counter, 0, "substream counter")
+        mixed = _splitmix64(self.stream_id ^ (((counter + 1) * _GOLDEN) & _MASK64))
         return SeededRng(self.seed, mixed)
 
 
@@ -162,12 +176,13 @@ def sample_positive_stable(alpha: float, rng: RngLike, size=None):
 
         S = [sin((1-a)U)/E]**((1-a)/a) * sin(aU) / sin(U)**(1/a),
 
-    with U ~ Uniform(0, pi) and E ~ Exp(1).
+    with U ~ Uniform(0, pi) and E ~ Exp(1).  Returns a float for size=None,
+    else an array of ``size`` draws.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"stable exponent must lie in (0, 1), got {alpha}")
+    shape = () if size is None else _whole(size, 0, "size")
     g = as_generator(rng)
-    shape = () if size is None else size
     u = g.uniform(0.0, np.pi, size=shape)
     e = g.standard_exponential(size=shape)
     s = (np.sin((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha) \
@@ -185,7 +200,7 @@ def gaussian_vector(cov: CovarianceMatrix, rng: RngLike, size=None):
     f = cov.factor()
     if size is None:
         return f @ g.standard_normal(cov.dim)
-    z = g.standard_normal((int(size), cov.dim))
+    z = g.standard_normal((_whole(size, 0, "size"), cov.dim))
     return z @ f.T
 
 
@@ -195,9 +210,8 @@ def log_binom_ratio(d, m: int, n: int):
     ``d`` may be a scalar or an integer array; requires 1 <= m <= n and
     0 <= d <= n-1.
     """
-    m = int(m)
-    n = int(n)
-    if m < 1 or m > n:
+    m, n = _whole(m, 1, "m"), _whole(n, 1, "n")
+    if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     d_arr = np.asarray(d)
     if not np.issubdtype(d_arr.dtype, np.integer):
@@ -234,7 +248,6 @@ def half_line(f, c: float, sign: float):
 
 def unit_ball_volume(d: int, radius: float = 1.0) -> float:
     """Volume of the d-dimensional Euclidean ball."""
-    if d < 1:
-        raise DomainError("dimension must be a positive integer")
+    d = _whole(d, 1, "d")
     cd = math.pi ** (d / 2.0) / math.gamma(1.0 + d / 2.0)
     return cd * radius ** d

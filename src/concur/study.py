@@ -33,9 +33,10 @@ from .estimators import (block_cp_batch, block_mse, bootstrap_cp_batch, kendall_
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .pipeline import _write_json, _write_rows
 from .simulate import simulate_doa
-from .specfun import SeededRng
+from .specfun import SeededRng, _whole
 
 SCHEMA_VERSION = "1"
+_BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -48,7 +49,6 @@ class StudyConfig:
     sample_sizes: tuple[int, ...] = ()
     n0_levels: tuple = ()            # ints, or None for exactly max-stable
     p_targets: tuple[float, ...] = (0.25, 0.50, 0.75)
-    block_size: int = 10
     m_grid: tuple[int, ...] = ()
     lags: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
 
@@ -56,10 +56,9 @@ class StudyConfig:
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}; "
                               f"choose one of {tuple(EXPERIMENTS)}")
-        if self.reps < 2:
-            raise DomainError("reps must be >= 2")
-        if any(not isinstance(n, (int, np.integer)) or n < 2 for n in self.sample_sizes):
-            raise DomainError(f"sample sizes must be integers >= 2, got {list(self.sample_sizes)}")
+        _whole(self.reps, 2, "reps")
+        for n in self.sample_sizes:
+            _whole(n, 2, "sample size")
 
 
 def extremal_t_benchmark() -> ExtremalT:
@@ -100,7 +99,7 @@ def _simulate_block(model: ModelSpec, sites, n0, reps: int, n: int,
                     rng: SeededRng) -> np.ndarray:
     if n0 is None:
         return simulate_pair_batch(model, sites, reps, n, rng)
-    return simulate_doa(model, sites, int(n0), rng, size=reps * n).reshape(reps, n, -1)
+    return simulate_doa(model, sites, n0, rng, size=reps * n).reshape(reps, n, -1)
 
 
 def _summaries(values: np.ndarray, truth: float) -> dict:
@@ -122,7 +121,7 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
     A cell is (row fields, model, sites, truth, n, n0); the i-th cell (from 1)
     draws from substream offset + i.  A cell with the bootstrap records m.
     """
-    m = cfg.block_size
+    m = _BLOCK_SIZE
     rows: list[dict] = []
     for cell, (fields, model, sites, truth, n, n0) in enumerate(cells, 1):
         data = _simulate_block(model, sites, n0, cfg.reps, n, rng.substream(offset + cell))

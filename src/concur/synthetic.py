@@ -7,15 +7,13 @@ can be validated against the generating model's concurrence probability.
 
 from __future__ import annotations
 
-import calendar
 import csv
-import datetime as dt
 
 import numpy as np
 
 from .errors import DomainError
 from .models import ModelSpec
-from .pipeline import _COLUMNS, _SEASON_MONTHS, _csv_fields, _open_csv
+from .pipeline import _COLUMNS, SEASONS, _csv_fields, _open_csv
 from .simulate import simulate_field_values
 from .specfun import RngLike, as_generator
 
@@ -35,17 +33,21 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     pts = np.asarray(station_latlon, dtype=float)
     if pts.shape != (len(station_ids), 2):
         raise DomainError("station_latlon must be (n_stations, 2)")
-    if season not in _SEASON_MONTHS:
+    if season not in SEASONS:
         raise DomainError(f"unknown season {season!r}")
     years = list(years)
+    least = 2 if season == "DJF" else 1   # a DJF season starts in the December before
+    if years and not (least <= min(years) and max(years) <= 9999):
+        raise DomainError(f"{season} years must lie in [{least}, 9999], got {min(years)} to "
+                          f"{max(years)}")
     if sites is None:
         sites = np.arange(len(station_ids), dtype=float)[:, None]
     n_sites = len(model.sites_of(sites))
     if n_sites != len(station_ids):
         raise DomainError(f"{n_sites} sites for {len(station_ids)} stations; "
                           f"sites must hold one site per station")
+    s = SEASONS.index(season)
     planted = simulate_field_values(model, sites, len(years), as_generator(rng))
-    months = _SEASON_MONTHS[season]
     # each row is its station's text and then its day's; every value is formatted once
     stations = [f"{sid},{lat:.6f},{lon:.6f},"
                 for sid, (lat, lon) in zip(_csv_fields(station_ids), pts.tolist())]
@@ -53,14 +55,15 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     with _open_csv(path, "w") as fh:
         csv.writer(fh).writerow(_COLUMNS)
         for year, peaks in zip(years, (10.0 + planted).tolist()):
-            dates, days = [], []   # the season's days: date, then tmin,tmax below the peak
-            for m in months:
-                y = year - 1 if season == "DJF" and m == 12 else year
-                for day in range(1, calendar.monthrange(y, m)[1] + 1):
-                    if m == months[1] and day == 15:
-                        peak_at = len(days)
-                    dates.append(dt.date(y, m, day).isoformat())
-                    days.append(f"{dates[-1]},{below[(day * 7 + m) % 50]}")
+            # the season's block b, as in seasonal_blocks: months 3b - 1 to 3b + 1 from 1970
+            first = np.datetime64("1970-01") + 3 * (4 * (year - 1970) + s) - 1
+            day = np.arange(first, first + 3, dtype="datetime64[D]")
+            month = day.astype("datetime64[M]")
+            # each day's tmin,tmax below the peak, picked by 7 * (day of month) + month
+            pick = ((day - month + 1).astype(np.int64) * 7 + month.astype(np.int64) % 12 + 1) % 50
+            peak_at = int((day < first + 1).sum()) + 14     # the middle month's 15th
+            dates = np.datetime_as_string(day).tolist()
+            days = [f"{d},{below[b]}" for d, b in zip(dates, pick.tolist())]
             for station, peak in zip(stations, peaks):
                 rows = days.copy()
                 rows[peak_at] = f"{dates[peak_at]},{-peak:.10g},{peak:.10g}"

@@ -383,15 +383,15 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     ("model", '{"model": "logistic", "alpha": 0.5', ECP, "error: Expecting ',' delimiter"),
     # a standard error needs two replicates; a block size its method's least
     ("sites", "0.0\n1.0\n", ["cells", "--model", "{model}", "--grid-sites", "{sites}",
-                             "--reps", "1"], "reps must be >= 2, got 1"),
+                             "--reps", "1"], "reps must be a whole number >= 2, got 1"),
     # 1-d grid sites need rectangle weights, so even spacing; the CLI takes no weights
     ("sites", "0.0\n0.5\n1.7\n", ["cells", "--model", "{model}", "--grid-sites", "{sites}"],
      "--grid-sites takes two or more increasing, evenly spaced 1-d sites, or 2-d sites"),
     ("table", "a,b\n1,2\n3,4\n", ESTIMATE[:-1] + ["bootstrap", "--block-size", "0"],
-     "method 'bootstrap' needs a whole block size >= 2, got 0"),
+     "block size must be a whole number >= 2, got 0"),
     ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--method", "block",
                             "--block-size", "0"],
-     "method 'block' needs a whole block size >= 1, got 0"),
+     "block size must be a whole number >= 1, got 0"),
     # Kendall's tau and the log estimator use no block size, so none is taken
     ("table", "a,b\n1,2\n3,4\n5,1\n", ESTIMATE + ["--block-size", "3"],
      "method 'kendall' takes no block size, got 3"),
@@ -427,13 +427,13 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
                                  "--grid", GRID, "--idw-power", "-1"],
      "stratum 'all': idw_power must be finite and positive, got -1.0"),
     ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
-                             "--draws", "-5"], "n_draws must be at least 2"),
+                             "--draws", "-5"], "n_draws must be a whole number >= 2, got -5"),
     ("records", RECORDS, ["blocks", "--input", "{records}", "--season", "JJA",
                           "--min-coverage", "2"], "min_coverage must lie in [0, 1], got 2.0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "table1", "--n", "0", "--reps", "3"],
-     "sample sizes must be integers >= 2, got [0]"),
+     "sample size must be a whole number >= 2, got 0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "fig3", "--n", "30", "--n", "1"],
-     "sample sizes must be integers >= 2, got [30, 1]"),
+     "sample size must be a whole number >= 2, got 1"),
     # antithetic pairing is a Monte-Carlo option: without draws it has nothing to pair
     ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
                              "--antithetic"], "--antithetic needs --draws"),

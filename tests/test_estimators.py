@@ -310,7 +310,7 @@ class TestMultivariateLog:
             ecp_multivariate_log(x, subset=[0, 3])
         # floats and bools used to reach NumPy indexing as a bare IndexError
         for bad in ([0.0, 1.0], [True, False], np.array([0.0, 2.0]), [0, np.True_]):
-            with pytest.raises(DomainError, match="subset indices must be integers"):
+            with pytest.raises(DomainError, match="subset index must be a whole number >= 0"):
                 ecp_multivariate_log(x, subset=bad)
         assert ecp_multivariate_log(x, subset=np.array([0, 2])) == pair
 
@@ -431,10 +431,14 @@ class TestBatchKernels:
         x = np.arange(10.0).reshape(5, 2)
         # block_cp_batch(x, 0) used to raise ZeroDivisionError, and a block
         # size of 2.5 used to be truncated to 2 by one path only
-        for m in (0, -1, least - 1, 2.5, 2.0, 6, True, np.True_):
+        for m in (0, -1, least - 1, 2.5, 2.0, True, np.True_):
             for call in (lambda: single(x, m), lambda: stack(x[None], m)):
-                with pytest.raises(DomainError, match=f"integer in \\[{least}, n = 5\\]"):
+                with pytest.raises(DomainError, match=re.escape(
+                        f"block size must be a whole number >= {least}, got {m!r}")):
                     call()
+        for call in (lambda: single(x, 6), lambda: stack(x[None], 6)):
+            with pytest.raises(DomainError, match="block size must be at most n = 5, got 6"):
+                call()
         # the smallest block size is accepted on both paths
         single(x, least)
         stack(x[None], least)
@@ -446,7 +450,8 @@ class TestBatchKernels:
             estimator(method)
         for m in (0, -1, least - 1, 2.5, True):
             with pytest.raises(DomainError,
-                               match=re.escape(f"needs a whole block size >= {least}, got {m!r}")):
+                               match=re.escape(f"block size must be a whole number >= {least}, "
+                                               f"got {m!r}")):
                 estimator(method, m)
         estimator(method, least)
 

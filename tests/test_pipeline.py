@@ -454,7 +454,7 @@ class TestCellAreas:
     def test_model_mode_needs_two_reps(self, rng, reps):
         # one replicate used to give a NaN stderr and two RuntimeWarnings
         from concur import BallIndicator
-        with pytest.raises(DomainError, match=f"reps must be >= 2, got {reps}"):
+        with pytest.raises(DomainError, match=f"reps must be a whole number >= 2, got {reps}"):
             expected_cell_area_model(BallIndicator(radius=1.0), np.array([[0.0], [1.0]]),
                                      np.ones(2), reps, rng)
 
@@ -544,6 +544,15 @@ class TestSynthesizeStationCsv:
             synthesize_station_csv(tmp_path / "s.csv", model, STATIONS[:n_stations],
                                    COORDS[:n_stations], range(2000, 2003), SeededRng(1),
                                    sites=sites)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("season, years, least", [("DJF", [2, 1], 2), ("JJA", [0], 1),
+                                                      ("SON", [9999, 10000], 1)])
+    def test_years_the_pipeline_reads(self, tmp_path, season, years, least):
+        # a date before year 1 or after 9999 used to end in datetime's bare ValueError
+        with pytest.raises(DomainError, match=f"{season} years must lie in \\[{least}, 9999\\]"):
+            synthesize_station_csv(tmp_path / "s.csv", Logistic(0.5), STATIONS[:2], COORDS[:2],
+                                   years, SeededRng(1), season=season)
         assert not (tmp_path / "s.csv").exists()
 
     def test_utf8_in_an_ascii_locale(self, tmp_path):

@@ -38,7 +38,6 @@ from concur import (
 from concur.concurrence import integrated_cp
 from concur.pipeline import (
     _COLUMNS,
-    _SEASON_MONTHS,
     POLARITIES,
     SEASONS,
     ConcurrenceMatrix,
@@ -56,6 +55,8 @@ from concur.pipeline import (
 )
 
 MAP_TOL = 1e-12
+# the reference calendar of the seasons, kept apart from the package's block rule
+_SEASON_MONTHS = {"DJF": (12, 1, 2), "MAM": (3, 4, 5), "JJA": (6, 7, 8), "SON": (9, 10, 11)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ def test_unknown_experiment():
 
 @pytest.mark.parametrize("sizes", [(0,), (1,), (30, 1), (2.5,), (True,)])
 def test_sample_sizes_below_two_refused_before_any_work(tmp_path, sizes):
-    with pytest.raises(DomainError, match="sample sizes must be integers >= 2"):
+    with pytest.raises(DomainError, match="sample size must be a whole number >= 2"):
         StudyConfig(experiment="table1", out_dir=tmp_path / "out", sample_sizes=sizes)
     assert not (tmp_path / "out").exists()
 
