@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
-from .specfun import RngLike, _whole, as_generator
+from .specfun import RngLike, _spread, _whole, as_generator
 
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
@@ -82,8 +82,9 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
     Brown--Resnick/Smith pairs integrate over a standard normal Z,
     extremal-t pairs over a Student t (antithetic pairs (Z, -Z) available
     for both; a pair counts as one draw for the standard error).  The
-    draws are taken in one call and the integrand runs on blocks of
-    ``_MC_BLOCK`` of them, whose temporaries stay in cache.  Other
+    draws are taken in one call, so the stream is the serial one, and the
+    integrand runs on blocks of ``_MC_BLOCK`` of them, whose temporaries
+    stay in cache, spread over the CPUs (``specfun._spread``).  Other
     models use spectral draws plus their exponent function, for which no
     antithetic driver exists.  Fully-dependent parameterizations
     short-circuit to the exact value 1.
@@ -103,8 +104,11 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
         x = pair.draw(g, n_draws)
         f = pair.antithetic if antithetic else pair.integrand
         vals = np.empty(n_draws)
-        for start in range(0, n_draws, _MC_BLOCK):
+
+        def block(start):
             vals[start:start + _MC_BLOCK] = f(x[start:start + _MC_BLOCK])
+
+        _spread(block, range(0, n_draws, _MC_BLOCK))
 
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_draws))

@@ -29,7 +29,8 @@ costs a sort, O(n log n); a pair costs a sort and a bottom-up merge,
 O(n log^2 n), from 352 observations on (Knight 1966); smaller pairs and
 k >= 3 compare all pairs, O(k n^2), one contiguous column at a time, so
 input memory layout does not matter, and sum each block of comparisons
-as bytes into 16-bit counts (32-bit from n = 2^16).  The pair crossover
+as bytes into 16-bit counts (32-bit from n = 2^16), the blocks spread over
+the CPUs (``specfun._spread``).  The pair crossover
 is a measured break-even size (see ``_MERGE_MIN_N``).  The sorts are
 NumPy's default, unstable ones: each count depends only on where a tie
 group starts and ends in sorted order, never on the order inside it, so
@@ -66,7 +67,7 @@ from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
 from .models import ModelSpec
 from .simulate import simulate_field_values
-from .specfun import RngLike, _whole, as_generator, log_binom_ratio
+from .specfun import RngLike, _spread, _whole, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
 # size from which the merge beats comparing all pairs (2-core Xeon, NumPy
@@ -154,14 +155,17 @@ def _below_direct(x, before=np.less):
     acc = np.uint16 if n < 1 << 16 else np.uint32
     rows = max(1, min(n, _PAIR_CHUNK // n))
     step = max(1, _PAIR_CHUNK // (rows * n))
-    for r0 in range(0, reps, step):
+
+    def block(chunk):
+        r0, i0 = chunk
         c = cols[:, r0:r0 + step]
-        for i0 in range(0, n, rows):
-            ci = c[:, :, i0:i0 + rows, None]
-            blk = before(c[0, :, None, :], ci[0])
-            for j in range(1, len(c)):
-                blk &= before(c[j, :, None, :], ci[j])
-            out[r0:r0 + step, i0:i0 + rows] = blk.view(np.uint8).sum(axis=2, dtype=acc)
+        ci = c[:, :, i0:i0 + rows, None]
+        blk = before(c[0, :, None, :], ci[0])
+        for j in range(1, len(c)):
+            blk &= before(c[j, :, None, :], ci[j])
+        out[r0:r0 + step, i0:i0 + rows] = blk.view(np.uint8).sum(axis=2, dtype=acc)
+
+    _spread(block, [(r0, i0) for r0 in range(0, reps, step) for i0 in range(0, n, rows)])
     return out
 
 
@@ -615,6 +619,7 @@ def simulate_pair_batch(model: ModelSpec, sites, reps: int, n: int,
     Uses the model's exact construction when it has one (the positive-stable
     logistic) and the spectral simulator otherwise.
     """
+    reps, n = _whole(reps, 1, "reps"), _whole(n, 1, "n")
     values = simulate_field_values(model, sites, reps * n, as_generator(rng))
     return values.reshape(reps, n, values.shape[1])
 

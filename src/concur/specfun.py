@@ -18,11 +18,22 @@ draws, a block or sample size, a dimension, a seed) passes through
 :func:`_whole`: a Python or NumPy integer, never a bool, of at least a
 stated least value, or :class:`DomainError` "<name> must be a whole number
 >= <least>, got <value>".
+
+:func:`_spread` runs a block function over a list of blocks on one thread
+per CPU the process may run on.  Its callers (the pair integrand of
+``ecp_mc`` and the all-pairs counting kernel) spend their time in NumPy and
+SciPy ufuncs, which release the GIL, and each block writes its own slice of
+an output array with the same ufunc calls as a serial loop, so every output
+is bit-identical whatever the thread count.  ``concurrent.futures`` loads
+with the pool, on the first call with two blocks on more than one CPU.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,6 +51,54 @@ def _whole(value, least: int, name: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
+@functools.cache
+def _pool():
+    """(executor, workers) of :func:`_spread`, built on first use: one thread
+    per CPU in the affinity mask, and no executor when that is one."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        workers = os.cpu_count() or 1
+    if workers == 1:
+        return None, 1
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="concur"), workers
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+_worker = threading.local()
+
+
+def _spread(fn, items) -> None:
+    """``fn(item)`` for every item, worker w of :func:`_pool` taking
+    ``items[w::workers]``; the first error raised in a block reaches the
+    caller once every worker is done.
+
+    Inline on one CPU, for at most one item, and when called from a worker,
+    so a nested call cannot wait on the pool it runs in.  Threads do not
+    inherit the caller's ``np.errstate``: a block that needs one sets it.
+    """
+    items = list(items)
+    if len(items) > 1 and not getattr(_worker, "inside", False):
+        pool, workers = _pool()
+        if workers > 1:
+            def run(part):
+                _worker.inside = True
+                for item in part:
+                    fn(item)
+
+            futures = [pool.submit(run, items[w::workers]) for w in range(workers)]
+            errors = [f.exception() for f in futures]
+            for e in errors:
+                if e is not None:
+                    raise e
+            return
+    for item in items:
+        fn(item)
 
 
 def _splitmix64(x: int) -> int:

@@ -59,6 +59,9 @@ class StudyConfig:
         _whole(self.reps, 2, "reps")
         for n in self.sample_sizes:
             _whole(n, 2, "sample size")
+        for n0 in self.n0_levels:
+            if n0 is not None:
+                _whole(n0, 1, "n0 level")
 
 
 def extremal_t_benchmark() -> ExtremalT:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import spread_workers
 from scipy import special
 
 from concur import (
@@ -35,6 +36,7 @@ from concur import (
     kendall_target_p,
     rectangle_weights,
 )
+from concur.concurrence import _MC_BLOCK
 from concur.models import GaussianPair
 
 PAIR = [[0.0], [1.0]]
@@ -314,6 +316,23 @@ class TestGaussianPairIntegrand:
             vals = pair.antithetic(x) if antithetic else pair.integrand(x)
             assert est.value == min(max(float(vals.mean()), 0.0), 1.0)
             assert est.stderr == float(vals.std(ddof=1) / math.sqrt(n_draws))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("model", [_br(20.0 / 3.0),
+                                       ExtremalT(ExponentialCorrelation(10.0), nu=5.0)])
+    def test_ecp_mc_identical_whatever_the_workers(self, model, antithetic):
+        # the draw is one serial call and each block writes its own slice,
+        # so one worker, several and the machine's own pool agree bit for bit
+        n_draws = 5 * _MC_BLOCK + 17
+
+        def run():
+            est = ecp_mc(model, PAIR, n_draws, antithetic=antithetic, rng=SeededRng(9))
+            return est.value.hex(), est.stderr.hex()
+
+        want = run()
+        for workers in (1, 3):
+            with spread_workers(workers):
+                assert run() == want
 
 
 class TestExtremalCoefficient:

@@ -10,13 +10,17 @@ the counts, agrees with the delete-one route to a stated rounding bound.
 
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import spread_workers
 from hypothesis import given
 from hypothesis import strategies as st
 
-from concur import DomainError, dominance_counts, ecp_kendall
+from concur import DomainError, dominance_counts, ecp_kendall, estimators
 from concur.estimators import (
     _MERGE_MIN_N,
     _at_most,
@@ -31,6 +35,7 @@ from concur.estimators import (
     kendall_batch,
     mvlog_batch,
 )
+from concur.specfun import _spread
 
 _PAIR_CHUNK = 1 << 21
 
@@ -293,3 +298,79 @@ class TestCountingKernel:
                   for r in range(1, 4) for J in itertools.combinations(range(3), r))
         got = mvlog_batch(x[None], jackknife=True)[0]
         assert abs(np.longdouble(got) - ref) <= 1e-14
+
+
+class TestSpread:
+    @given(tied_stacks(ks=(2, 3)), st.sampled_from([np.less, np.less_equal]),
+           st.sampled_from([64, estimators._PAIR_CHUNK]))
+    def test_all_pairs_counts_whatever_the_workers(self, x, before, chunk):
+        # each chunk writes its own slice of the counts with the same ufunc
+        # calls, so one worker, several and the machine's own pool agree bit
+        # for bit; a 64-comparison chunk makes dozens of chunks per stack
+        if before is np.less:
+            ref = reference_dominance_counts_batch(x)
+        else:
+            ref = np.stack([reference_le_counts(r) for r in x])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_PAIR_CHUNK", chunk)
+            assert np.array_equal(_below_direct(x, before), ref)
+            for workers in (1, 3):
+                with spread_workers(workers):
+                    assert np.array_equal(_below_direct(x, before), ref)
+
+    def test_many_workers_switching_often(self):
+        # eight workers, more than the cores, switching every microsecond:
+        # a block writing outside its own slice would lose another's counts
+        x = np.round(np.random.default_rng(4).standard_normal((3, 300, 3)) / 0.25) * 0.25
+        ref = reference_dominance_counts_batch(x)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp, spread_workers(8):
+                mp.setattr(estimators, "_PAIR_CHUNK", 600)
+                caller = threading.Thread(target=lambda: got.append(_below_direct(x)),
+                                          daemon=True)
+                caller.start()
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "the counts did not finish within 60 s"
+        assert np.array_equal(got[0], ref)
+
+    def test_an_error_in_a_block_reaches_the_caller_with_its_type(self):
+        # an error ends its worker's items: inline, item 4 never runs; of
+        # three workers, worker 0 takes items 0 and 3 and worker 1 items 1
+        # and 4, and the slow item 4 still ends before the error is raised
+        done = []
+
+        def block(i):
+            if i == 3:
+                raise DomainError("block 3 failed")
+            if i == 4:
+                time.sleep(0.1)
+            done.append(i)
+
+        for workers, want in ((1, [0, 1, 2]), (3, [0, 1, 2, 4])):
+            done.clear()
+            with spread_workers(workers):
+                with pytest.raises(DomainError, match="block 3 failed"):
+                    _spread(block, range(5))
+                assert sorted(done) == want
+
+    def test_a_nested_call_runs_inline_in_its_worker(self):
+        # both workers wait on a nested call: if it queued on the same pool,
+        # neither could finish
+        inner = []
+
+        def outer(i):
+            _spread(lambda j: inner.append((i, j, threading.get_ident())), range(4))
+
+        with spread_workers(2):
+            caller = threading.Thread(target=_spread, args=(outer, range(2)), daemon=True)
+            caller.start()
+            caller.join(timeout=30)
+        assert not caller.is_alive(), "nested _spread did not return"
+        assert sorted((i, j) for i, j, _ in inner) == [(i, j) for i in range(2) for j in range(4)]
+        for i in range(2):
+            assert len({t for o, _, t in inner if o == i}) == 1

@@ -37,7 +37,14 @@ from concur import (
     simulate_max_stable_batch,
     spectral_sample,
 )
-from concur.estimators import block_cp_batch, bootstrap_cp_batch, estimator, mvlog_batch
+from concur.estimators import (
+    bias_law_check,
+    block_cp_batch,
+    bootstrap_cp_batch,
+    estimator,
+    mvlog_batch,
+    simulate_pair_batch,
+)
 from concur.pipeline import expected_cell_area_model
 from concur.specfun import unit_ball_volume
 from concur.study import StudyConfig
@@ -83,6 +90,14 @@ COUNTS = [
     ("StudyConfig.reps", 2, "reps", lambda v: StudyConfig("table1", "out", reps=v)),
     ("StudyConfig.sample_sizes", 2, "sample size",
      lambda v: StudyConfig("table1", "out", sample_sizes=(100, v))),
+    ("StudyConfig.n0_levels", 1, "n0 level",
+     lambda v: StudyConfig("table1", "out", n0_levels=(None, v))),
+    ("simulate_pair_batch.reps", 1, "reps",
+     lambda v: simulate_pair_batch(Logistic(0.5), PAIR, v, 4, RNG)),
+    ("simulate_pair_batch.n", 1, "n",
+     lambda v: simulate_pair_batch(Logistic(0.5), PAIR, 4, v, RNG)),
+    ("bias_law_check.reps", 1, "reps",
+     lambda v: bias_law_check(Logistic(0.5), PAIR, [2], v, 10, RNG)),
     ("expected_cell_area_model.reps", 2, "reps",
      lambda v: expected_cell_area_model(BallIndicator(1.0), PAIR, np.ones(2), v, RNG)),
 ]
