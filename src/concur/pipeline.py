@@ -60,6 +60,7 @@ _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 _BAD_BYTE = re.compile("[\udc80-\udcff]")   # a byte as ``surrogateescape`` decodes it
 _TOKEN_WIDTH = 25      # bytes of a station id or reading the tokenizer reads: one
                        # more than the longest repr of a float (24 characters)
+_LOGIT_EPS = 1e-6      # _logit clips probabilities to [eps, 1 - eps]
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\r\n"
 _UNPLAIN = {ord('"'): "quote", ord(" "): "blank in field", ord("\t"): "blank in field", 0: "NUL"}
 
@@ -565,6 +566,7 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
     years raises :class:`DomainError` naming the first such pair.
     """
     estimate = estimator(method, block_size)
+    min_overlap = _whole(min_overlap, 0, "min_overlap")
     series: dict[str, dict[int, float]] = {}
     for e in extremes:
         if not math.isfinite(e.value):
@@ -653,8 +655,8 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def _logit(p: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    q = np.clip(p, eps, 1.0 - eps)
+def _logit(p: np.ndarray) -> np.ndarray:
+    q = np.clip(p, _LOGIT_EPS, 1.0 - _LOGIT_EPS)
     return np.log(q / (1.0 - q))
 
 

@@ -20,17 +20,17 @@ stated least value, or :class:`DomainError` "<name> must be a whole number
 >= <least>, got <value>".
 
 :func:`_spread` runs a block function over a list of blocks on one thread
-per CPU the process may run on.  Its callers (the pair integrand of
-``ecp_mc`` and the all-pairs counting kernel) spend their time in NumPy and
-SciPy ufuncs, which release the GIL, and each block writes its own slice of
-an output array with the same ufunc calls as a serial loop, so every output
-is bit-identical whatever the thread count.  ``concurrent.futures`` loads
-with the pool, on the first call with two blocks on more than one CPU.
+per CPU the process may run on: the caller's own and one it starts for
+each other CPU, all joined before the call returns, so no thread outlives
+it.  Its callers (the pair integrand of ``ecp_mc`` and the all-pairs
+counting kernel) spend their time in NumPy and SciPy ufuncs, which release
+the GIL, and each block writes its own slice of an output array with the
+same ufunc calls as a serial loop, so every output is bit-identical
+whatever the thread count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -43,6 +43,7 @@ from .errors import DomainError, NumericError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_PSD_TOL = 1e-10  # relative size below which psd_factor zeroes an eigenvalue
 
 
 def _whole(value, least: int, name: str) -> int:
@@ -53,52 +54,48 @@ def _whole(value, least: int, name: str) -> int:
     raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
-@functools.cache
-def _pool():
-    """(executor, workers) of :func:`_spread`, built on first use: one thread
-    per CPU in the affinity mask, and no executor when that is one."""
+def _workers() -> int:
+    """The number of CPUs the process may run on, read at each call."""
     try:
-        workers = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        workers = os.cpu_count() or 1
-    if workers == 1:
-        return None, 1
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="concur"), workers
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-_worker = threading.local()
+        return os.cpu_count() or 1
 
 
 def _spread(fn, items) -> None:
-    """``fn(item)`` for every item, worker w of :func:`_pool` taking
-    ``items[w::workers]``; the first error raised in a block reaches the
-    caller once every worker is done.
+    """``fn(item)`` for every item on W = min(len(items), :func:`_workers`)
+    threads: the caller runs ``items[0::W]`` and starts one thread for each
+    ``items[w::W]``, w = 1 .. W-1, and joins them all before it returns or
+    raises the first error a block raised, counting from the caller's.
 
-    Inline on one CPU, for at most one item, and when called from a worker,
-    so a nested call cannot wait on the pool it runs in.  Threads do not
-    inherit the caller's ``np.errstate``: a block that needs one sets it.
+    An error ends its thread's items.  Threads do not inherit the caller's
+    ``np.errstate``: a block that needs one sets it.
     """
     items = list(items)
-    if len(items) > 1 and not getattr(_worker, "inside", False):
-        pool, workers = _pool()
-        if workers > 1:
-            def run(part):
-                _worker.inside = True
-                for item in part:
-                    fn(item)
+    workers = min(len(items), _workers())
+    if workers <= 1:
+        for item in items:
+            fn(item)
+        return
+    errors = [None] * workers
 
-            futures = [pool.submit(run, items[w::workers]) for w in range(workers)]
-            errors = [f.exception() for f in futures]
-            for e in errors:
-                if e is not None:
-                    raise e
-            return
-    for item in items:
-        fn(item)
+    def run(w):
+        try:
+            for item in items[w::workers]:
+                fn(item)
+        except BaseException as e:
+            errors[w] = e
+
+    threads = [threading.Thread(target=run, args=(w,), name=f"concur_{w}")
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def _splitmix64(x: int) -> int:
@@ -151,15 +148,15 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     raise DomainError(f"expected SeededRng or numpy Generator, got {type(rng).__name__}")
 
 
-def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_factor(matrix: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T == matrix for a PSD matrix.
 
     Tries Cholesky first; on failure falls back to an eigendecomposition
-    with eigenvalues in [-tol*scale, tol*scale] set to zero, which keeps
-    exact linear degeneracies (rank-deficient covariances) intact instead
-    of blurring them with diagonal jitter or rounding noise.  That factor F
-    is made triangular through the QR decomposition F.T = Q R: F F.T =
-    R.T R, so L = R.T.
+    with eigenvalues in [-_PSD_TOL*scale, _PSD_TOL*scale] set to zero,
+    which keeps exact linear degeneracies (rank-deficient covariances)
+    intact instead of blurring them with diagonal jitter or rounding noise.
+    That factor F is made triangular through the QR decomposition
+    F.T = Q R: F F.T = R.T R, so L = R.T.
     Either way row i of L is zero past column i, so entry i of L @ z
     depends on the leading i + 1 entries of z only.
     """
@@ -170,9 +167,9 @@ def psd_factor(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         pass
     w, v = np.linalg.eigh(a)
     scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
-    if w.size and float(np.min(w)) < -tol * scale:
+    if w.size and float(np.min(w)) < -_PSD_TOL * scale:
         raise NumericError("matrix is not positive semidefinite within tolerance")
-    return np.linalg.qr((v * np.sqrt(np.where(w > tol * scale, w, 0.0))).T, mode="r").T
+    return np.linalg.qr((v * np.sqrt(np.where(w > _PSD_TOL * scale, w, 0.0))).T, mode="r").T
 
 
 @dataclass(frozen=True)

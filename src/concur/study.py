@@ -37,6 +37,7 @@ from .specfun import SeededRng, _whole
 
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
+_BISECT_STEPS = 30  # halvings of the lag bracket in lag_for_target_p
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -72,12 +73,13 @@ def _pair_sites(h: float) -> np.ndarray:
     return np.array([[0.0], [float(h)]])
 
 
-def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4, hi: float = 60.0,
-                     iters: int = 30) -> float:
+def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4,
+                     hi: float = 60.0) -> float:
     """Bisect the lag h with p(0, h) = target for a stationary model.
 
     p(h) is evaluated by deterministic quadrature, so the bisection is exact
-    up to the bracket width 2**-iters (hi - lo) and needs no random draws.
+    up to the bracket width 2**-_BISECT_STEPS (hi - lo) and needs no random
+    draws.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
@@ -89,7 +91,7 @@ def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4, hi: floa
     if not (p_hi < target < p_lo):
         raise DomainError(f"target {target} outside the bracketed range "
                           f"[{p_hi:.4f}, {p_lo:.4f}]")
-    for _ in range(iters):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if p_of(mid) > target:
             lo = mid

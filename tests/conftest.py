@@ -1,6 +1,5 @@
 import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis
 import numpy as np
@@ -30,13 +29,8 @@ def binomial_3se(p: float, n: int) -> float:
 
 @contextlib.contextmanager
 def spread_workers(n: int):
-    """``specfun._spread`` on n workers while the block runs: inline for
-    n = 1, else on a pool of n threads, whatever the machine's CPU count."""
-    pool = None if n == 1 else ThreadPoolExecutor(n)
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(specfun, "_pool", lambda: (pool, n))
-            yield
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    """``specfun._spread`` on n workers while the block runs, whatever the
+    machine's CPU count: the caller alone for n = 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "_workers", lambda: n)
+        yield

@@ -161,9 +161,8 @@ def test_station_chain_starts_without_scipy(tmp_path):
     # SciPy loads on the first special-function call: in a fresh interpreter,
     # importing the package and running the station chain never loads it, and
     # a method that needs it loads it and writes what an in-process run writes.
-    # The thread pool's concurrent.futures loads with the pool, which these
-    # small inputs never build (each all-pairs count is one block); SciPy
-    # loads it too, so the last step is not checked for it
+    # The package starts its own threads and never imports concurrent.futures;
+    # SciPy does, so the last step is not checked for it
     raw, strata, table = tmp_path / "raw.csv", tmp_path / "strata.csv", tmp_path / "table.csv"
     synthesize_station_csv(raw, Logistic(0.5), STATIONS, COORDS,
                            years=range(1980, 2000), rng=SeededRng(5), season="JJA")
@@ -432,6 +431,8 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
      "stratum 'all': idw_power must be finite and positive, got -1.0"),
     ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
                              "--draws", "-5"], "n_draws must be a whole number >= 2, got -5"),
+    ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--min-overlap", "-5"],
+     "min_overlap must be a whole number >= 0, got -5"),
     ("records", RECORDS, ["blocks", "--input", "{records}", "--season", "JJA",
                           "--min-coverage", "2"], "min_coverage must lie in [0, 1], got 2.0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "table1", "--n", "0", "--reps", "3"],
@@ -464,7 +465,7 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "matrix_block_size_above_pair",
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
         "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",
-        "blocks_min_coverage_above_1", "study_n_0", "study_n_1",
+        "matrix_min_overlap_negative", "blocks_min_coverage_above_1", "study_n_0", "study_n_1",
         "ecp_antithetic_without_draws"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in

@@ -10,6 +10,8 @@ the counts, agrees with the delete-one route to a stated rounding bound.
 
 import itertools
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -305,8 +307,8 @@ class TestSpread:
            st.sampled_from([64, estimators._PAIR_CHUNK]))
     def test_all_pairs_counts_whatever_the_workers(self, x, before, chunk):
         # each chunk writes its own slice of the counts with the same ufunc
-        # calls, so one worker, several and the machine's own pool agree bit
-        # for bit; a 64-comparison chunk makes dozens of chunks per stack
+        # calls, so one worker, several and the machine's own count agree
+        # bit for bit; a 64-comparison chunk makes dozens of chunks per stack
         if before is np.less:
             ref = reference_dominance_counts_batch(x)
         else:
@@ -358,19 +360,51 @@ class TestSpread:
                     _spread(block, range(5))
                 assert sorted(done) == want
 
-    def test_a_nested_call_runs_inline_in_its_worker(self):
-        # both workers wait on a nested call: if it queued on the same pool,
-        # neither could finish
+    def test_a_nested_call_returns(self):
+        # every outer block starts and joins its own inner threads, so no
+        # call waits on threads that are busy with another
         inner = []
 
         def outer(i):
-            _spread(lambda j: inner.append((i, j, threading.get_ident())), range(4))
+            _spread(lambda j: inner.append((i, j)), range(4))
 
         with spread_workers(2):
             caller = threading.Thread(target=_spread, args=(outer, range(2)), daemon=True)
             caller.start()
             caller.join(timeout=30)
         assert not caller.is_alive(), "nested _spread did not return"
-        assert sorted((i, j) for i, j, _ in inner) == [(i, j) for i in range(2) for j in range(4)]
-        for i in range(2):
-            assert len({t for o, _, t in inner if o == i}) == 1
+        assert sorted(inner) == [(i, j) for i in range(2) for j in range(4)]
+
+    def test_no_thread_outlives_the_call(self):
+        ran = set()
+
+        with spread_workers(3):
+            _spread(lambda i: ran.add(threading.current_thread()), range(6))
+            started = ran - {threading.current_thread()}
+            assert not any(t.is_alive() for t in started)
+            assert len(started) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_forked_child_spreads(self):
+        # a child forked after a call has only the thread that forked it;
+        # its own call starts the threads it needs
+        x = np.round(np.random.default_rng(5).standard_normal((2, 200, 3)) / 0.25) * 0.25
+        ref = reference_dominance_counts_batch(x)
+        with pytest.MonkeyPatch.context() as mp, spread_workers(3):
+            mp.setattr(estimators, "_PAIR_CHUNK", 600)
+            assert np.array_equal(_below_direct(x), ref)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if np.array_equal(_below_direct(x), ref) else 2
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert done != (0, 0), "the forked child did not finish within 60 s"
+        assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -45,13 +45,15 @@ from concur.estimators import (
     mvlog_batch,
     simulate_pair_batch,
 )
-from concur.pipeline import expected_cell_area_model
+from concur.pipeline import SeasonalExtremes, expected_cell_area_model, pairwise_matrix
 from concur.specfun import unit_ball_volume
 from concur.study import StudyConfig
 
 PAIR = [[0.0], [1.0]]
 STACK = np.arange(30.0).reshape(1, 10, 3) % 7.0
 RNG = SeededRng(5)
+EXTREMES = [SeasonalExtremes(s, "JJA", 2000 + y, float((3 * y + k) % 5), 1.0, "max")
+            for k, s in enumerate("AB") for y in range(6)]
 
 # (argument, least, name in the message, call with the value)
 COUNTS = [
@@ -100,6 +102,8 @@ COUNTS = [
      lambda v: bias_law_check(Logistic(0.5), PAIR, [2], v, 10, RNG)),
     ("expected_cell_area_model.reps", 2, "reps",
      lambda v: expected_cell_area_model(BallIndicator(1.0), PAIR, np.ones(2), v, RNG)),
+    ("pairwise_matrix.min_overlap", 0, "min_overlap",
+     lambda v: pairwise_matrix(EXTREMES, min_overlap=v)),
 ]
 
 
