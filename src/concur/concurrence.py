@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
-from .specfun import RngLike, _spread, _whole, as_generator
+from .specfun import RngLike, _real, _spread, _whole, as_generator
 
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
@@ -46,10 +46,8 @@ class ConcurrenceEstimate:
     method: Method
 
     def __post_init__(self):
-        if not -1e-9 <= self.value <= 1 + 1e-9:
-            raise DomainError(f"estimate {self.value} outside [0, 1]")
-        if not self.stderr >= 0:
-            raise DomainError("stderr must be nonnegative")
+        _real(self.value, "estimate", -1e-9, 1 + 1e-9, "[]")
+        _real(self.stderr, "stderr", 0, ends="[)")
 
 
 def _exact(value: float) -> ConcurrenceEstimate:

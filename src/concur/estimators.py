@@ -67,7 +67,7 @@ from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
 from .models import ModelSpec
 from .simulate import simulate_field_values
-from .specfun import RngLike, _spread, _whole, as_generator, log_binom_ratio
+from .specfun import RngLike, _real, _spread, _whole, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
 # size from which the merge beats comparing all pairs (2-core Xeon, NumPy
@@ -121,10 +121,8 @@ def jitter_ties(sample: Sample, resolution: float, rng: RngLike) -> Sample:
     Meant for discretized data (e.g. temperatures recorded to 0.1 degrees);
     deterministic given the rng.
     """
-    if not resolution > 0:
-        raise DomainError("resolution must be positive")
-    g = as_generator(rng)
-    noise = g.uniform(-0.5 * resolution, 0.5 * resolution, size=sample.data.shape)
+    half = 0.5 * _real(resolution, "resolution", 0)
+    noise = as_generator(rng).uniform(-half, half, size=sample.data.shape)
     return Sample(sample.data + noise, sample.names)
 
 
@@ -576,10 +574,15 @@ class BlockPlan:
 def block_mse(n: int, m: int, p: float, r: int = 1, c_r: float = 1.0) -> float:
     """MSE model (bias c_r/m^r)^2 + p_m (1 - p_m) / floor(n/m) for the block
     estimator, with p_m = p + c_r/m^r capped at 1."""
-    if _whole(m, 1, "m") > _whole(n, 1, "n"):
-        raise DomainError("need 1 <= m <= n")
-    p_m = min(p + c_r / m ** r, 1.0)
-    return (c_r / m ** r) ** 2 + p_m * (1.0 - p_m) / (n // m)
+    m = _whole(m, 1, "m")
+    n = _whole(n, m, "n")
+    p, r, c_r = _real(p, "p", 0, 1, "[]"), _whole(r, 1, "r"), _real(c_r, "c_r", 0)
+    bias = c_r / m ** r
+    p_m = min(p + bias, 1.0)
+    try:
+        return bias ** 2 + p_m * (1.0 - p_m) / (n // m)
+    except OverflowError:  # a bias past 1e154
+        return math.inf
 
 
 def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockPlan:
@@ -590,16 +593,12 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
     clamped to [2, n].  The conservative defaults are r = 1, c_r = 1.
     Degenerate probabilities (p = 0 or 1) admit no optimal size.
     """
-    n = _whole(n, 2, "n")
-    if not 0.0 < p < 1.0:
-        raise DomainError("the MSE-optimal block size requires 0 < p < 1")
-    r = _whole(r, 1, "r")
-    if not c_r > 0:
-        raise DomainError("c_r must be positive")
+    n, p = _whole(n, 2, "n"), _real(p, "p", 0, 1)
+    r, c_r = _whole(r, 1, "r"), _real(c_r, "c_r", 0)
     raw = (2.0 * r * c_r * c_r * n / (p * (1.0 - p))) ** (1.0 / (2 * r + 1))
-    m = int(min(max(round(raw), 2), n))
-    return BlockPlan(m=m, assumed_r=r, assumed_c_r=float(c_r), assumed_p=float(p),
-                     predicted_mse=block_mse(n, m, float(p), r, float(c_r)))
+    m = int(round(min(max(raw, 2.0), n)))
+    return BlockPlan(m=m, assumed_r=r, assumed_c_r=c_r, assumed_p=p,
+                     predicted_mse=block_mse(n, m, p, r, c_r))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import CapabilityError, DomainError
 from .specfun import (
     CovarianceMatrix,
     RngLike,
+    _real,
     _whole,
     as_generator,
     half_line,
@@ -117,10 +118,8 @@ class FractionalVariogram:
     family: ClassVar[str] = "fractional"
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise DomainError(f"variogram scale must be positive and finite, got {self.scale}")
-        if not 0 < self.exponent <= 2:
-            raise DomainError("variogram exponent must lie in (0, 2]")
+        _real(self.scale, "variogram scale", 0)
+        _real(self.exponent, "variogram exponent", 0, 2, "(]")
 
     def __call__(self, lags):
         h = np.asarray(lags, dtype=float)
@@ -165,8 +164,7 @@ class ExponentialCorrelation:
     family: ClassVar[str] = "exponential"
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise DomainError(f"correlation scale must be positive and finite, got {self.scale}")
+        _real(self.scale, "correlation scale", 0)
 
     def __call__(self, dist):
         return np.exp(-np.asarray(dist, dtype=float) / self.scale)
@@ -181,10 +179,8 @@ class PoweredExponentialCorrelation:
     family: ClassVar[str] = "powered_exponential"
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise DomainError(f"correlation scale must be positive and finite, got {self.scale}")
-        if not 0 < self.power <= 2:
-            raise DomainError("correlation power must lie in (0, 2]")
+        _real(self.scale, "correlation scale", 0)
+        _real(self.power, "correlation power", 0, 2, "(]")
 
     def __call__(self, dist):
         return np.exp(-((np.asarray(dist, dtype=float) / self.scale) ** self.power))
@@ -467,8 +463,7 @@ class Logistic(ModelSpec):
     name: ClassVar[str] = "logistic"
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise DomainError(f"logistic alpha must lie in (0, 1], got {self.alpha}")
+        _real(self.alpha, "logistic alpha", 0, 1, "(]")
 
     def exponent(self, sites: SiteSet, z: np.ndarray) -> np.ndarray:
         if self.alpha == 1.0:
@@ -684,8 +679,7 @@ class ExtremalT(_PairModel):
     name: ClassVar[str] = "extremal_t"
 
     def __post_init__(self):
-        if not 1 <= self.nu < math.inf:
-            raise DomainError(f"extremal-t nu must be finite and >= 1, got {self.nu}")
+        _real(self.nu, "extremal-t nu", 1, ends="[)")
 
     def _correlation(self, sites: SiteSet):
         """The site correlation matrix (unit diagonal) and a factor of it."""
@@ -857,8 +851,7 @@ class BallIndicator(ModelSpec):
     name: ClassVar[str] = "ball_indicator"
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise DomainError(f"ball radius must be positive and finite, got {self.radius}")
+        _real(self.radius, "ball radius", 0)
         _whole(self.dim, 1, "dim")
 
     def sites_of(self, sites) -> SiteSet:
@@ -938,13 +931,8 @@ MODELS = {cls.name: cls for cls in (Logistic, MaxLinear, BrownResnick, ExtremalT
 
 def ecp_logistic(alpha: float, k: int) -> float:
     """prod_{j=1}^{k-1} (1 - alpha/j): concurrence of the k-variate logistic."""
-    k = _whole(k, 2, "k")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    out = 1.0
-    for j in range(1, k):
-        out *= 1.0 - alpha / j
-    return out
+    k, alpha = _whole(k, 2, "k"), _real(alpha, "alpha", 0, 1, "(]")
+    return math.prod(1.0 - alpha / j for j in range(1, k))
 
 
 def ecp_max_linear(phi: np.ndarray, site_subset=None):
@@ -980,8 +968,7 @@ def ecp_extremal_process(sites) -> float:
 
 def ball_overlap_fraction(h: float, radius: float, dim: int) -> float:
     """|B cap (h + B)| / |B| for balls of the given radius; 0 beyond 2r."""
-    if h < 0:
-        raise DomainError("lag must be nonnegative")
+    h = _real(h, "lag", 0, ends="[)")
     if h >= 2.0 * radius:
         return 0.0
     return float(reg_inc_beta((dim + 1) / 2.0, 0.5, 1.0 - h * h / (4.0 * radius * radius)))
@@ -1006,9 +993,7 @@ def ecp_ball_overlap(h: float, radius: float, dim: int = 1) -> float:
     1 - h^2/(4 r^2), which reproduces the exact 1-d overlap 2r - h and the
     planar lens area.
     """
-    if not radius > 0:
-        raise DomainError("radius must be positive")
-    q = ball_overlap_fraction(float(h), float(radius), _whole(dim, 1, "dim"))
+    q = ball_overlap_fraction(h, _real(radius, "ball radius", 0), _whole(dim, 1, "dim"))
     return q / (2.0 - q)
 
 

@@ -44,7 +44,7 @@ from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
 from .estimators import _LEAST_BLOCK, estimator
 from .simulate import simulate_cell_labels
-from .specfun import RngLike, _whole
+from .specfun import RngLike, _real, _whole
 
 EARTH_RADIUS_KM = 6371.0088
 SEASONS = ("DJF", "MAM", "JJA", "SON")
@@ -492,8 +492,7 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
         raise DomainError(f"season must be one of {SEASONS}")
     if polarity not in POLARITIES:
         raise DomainError(f"polarity must be one of {POLARITIES}")
-    if not 0.0 <= min_coverage <= 1.0:
-        raise DomainError(f"min_coverage must lie in [0, 1], got {min_coverage}")
+    min_coverage = _real(min_coverage, "min_coverage", 0, 1, "[]")
     rec = result.records
     block = (rec.date.astype("datetime64[M]").astype(np.int64) + 1) // 3
     keep = block % 4 == SEASONS.index(season)
@@ -676,8 +675,7 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     station order).  Returns rows (lat, lon, value of each map) over the
     lat x lon product.  ``idw_power`` must be finite and positive.
     """
-    if not 0.0 < idw_power < math.inf:
-        raise DomainError(f"idw_power must be finite and positive, got {idw_power}")
+    idw_power = _real(idw_power, "idw_power", 0)
     pts = np.asarray(station_latlon, dtype=float)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != pts.shape[0]:

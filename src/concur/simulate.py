@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .models import _REP_CHUNK_ELEMS, ModelSpec, TiltedDraw, _logistic_mixture, spectral_sampler
-from .specfun import RngLike, _whole, as_generator
+from .specfun import RngLike, _real, _whole, as_generator
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,7 @@ def simulate_logistic_exact(alpha: float, k: int, rng: RngLike, size: int | None
     exponentials gives unit Frechet margins and the logistic copula.  No
     hitting indices are available from this construction.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    x = _logistic_mixture(alpha, _whole(k, 1, "k"), as_generator(rng),
+    x = _logistic_mixture(_real(alpha, "alpha", 0, 1), _whole(k, 1, "k"), as_generator(rng),
                           1 if size is None else _whole(size, 0, "size"))
     return x[0] if size is None else x
 

@@ -17,7 +17,9 @@ Every count argument of the package (a number of sites, replicates or
 draws, a block or sample size, a dimension, a seed) passes through
 :func:`_whole`: a Python or NumPy integer, never a bool, of at least a
 stated least value, or :class:`DomainError` "<name> must be a whole number
->= <least>, got <value>".
+>= <least>, got <value>".  Every real parameter passes through
+:func:`_real`: a finite real number, never a bool, in a stated interval, or
+DomainError "<name> must be a finite number in (<lo>, <hi>], got <value>".
 
 :func:`_spread` runs a block function over a list of blocks on one thread
 per CPU the process may run on: the caller's own and one it starts for
@@ -32,6 +34,7 @@ whatever the thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -52,6 +55,22 @@ def _whole(value, least: int, name: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
+def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf, ends: str = "()") -> float:
+    """``value`` as a float if it is a real number, not a bool, finite and
+    between ``lo`` and ``hi``, each end open or closed as ``ends`` ("()",
+    "(]", "[)" or "[]") brackets it; :class:`DomainError` otherwise."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the floats
+        x = math.nan
+    if (math.isfinite(x) and (lo < x or ends[0] == "[" and x == lo)
+            and (x < hi or ends[1] == "]" and x == hi)):
+        return x
+    raise DomainError(f"{name} must be a finite number in {ends[0]}{lo}, {hi}{ends[1]}, "
+                      f"got {value!r}")
 
 
 def _workers() -> int:
@@ -206,16 +225,14 @@ def normal_cdf(x):
 
 def student_cdf(x, dof: float):
     """Student-t CDF with ``dof`` (> 0, possibly non-integer) degrees of freedom."""
-    if not dof > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {dof}")
+    dof = _real(dof, "degrees of freedom", 0)
     from scipy import special
     return special.stdtr(dof, x)
 
 
 def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta, i.e. the Beta(a, b) CDF at x in [0, 1]."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
+    a, b = _real(a, "beta parameter a", 0), _real(b, "beta parameter b", 0)
     xx = np.asarray(x, dtype=float)
     if np.any(xx < 0) or np.any(xx > 1) or not np.all(np.isfinite(xx)):
         raise DomainError("beta argument must lie in [0, 1]")
@@ -235,8 +252,7 @@ def sample_positive_stable(alpha: float, rng: RngLike, size=None):
     with U ~ Uniform(0, pi) and E ~ Exp(1).  Returns a float for size=None,
     else an array of ``size`` draws.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"stable exponent must lie in (0, 1), got {alpha}")
+    alpha = _real(alpha, "stable exponent", 0, 1)
     shape = () if size is None else _whole(size, 0, "size")
     g = as_generator(rng)
     u = g.uniform(0.0, np.pi, size=shape)
@@ -266,9 +282,8 @@ def log_binom_ratio(d, m: int, n: int):
     ``d`` may be a scalar or an integer array; requires 1 <= m <= n and
     0 <= d <= n-1.
     """
-    m, n = _whole(m, 1, "m"), _whole(n, 1, "n")
-    if m > n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    m = _whole(m, 1, "m")
+    n = _whole(n, m, "n")
     d_arr = np.asarray(d)
     if not np.issubdtype(d_arr.dtype, np.integer):
         if not np.all(d_arr == np.floor(d_arr)):

@@ -33,7 +33,7 @@ from .estimators import (block_cp_batch, block_mse, bootstrap_cp_batch, kendall_
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .pipeline import _write_json, _write_rows
 from .simulate import simulate_doa
-from .specfun import SeededRng, _whole
+from .specfun import SeededRng, _real, _whole
 
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
@@ -63,6 +63,12 @@ class StudyConfig:
         for n0 in self.n0_levels:
             if n0 is not None:
                 _whole(n0, 1, "n0 level")
+        for p in self.p_targets:
+            _real(p, "p target", 0, 1)
+        for m in self.m_grid:
+            _whole(m, 2, "block size")
+        for h in self.lags:
+            _real(h, "lag", 0)
 
 
 def extremal_t_benchmark() -> ExtremalT:
@@ -81,8 +87,8 @@ def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4,
     up to the bracket width 2**-_BISECT_STEPS (hi - lo) and needs no random
     draws.
     """
-    if not 0.0 < target < 1.0:
-        raise DomainError("target probability must lie in (0, 1)")
+    target, lo = _real(target, "target probability", 0, 1), _real(lo, "lo", 0)
+    hi = _real(hi, "hi", lo)
 
     def p_of(h: float) -> float:
         return concurrence_probability(model, _pair_sites(h)).value

@@ -425,16 +425,17 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     # an option outside its range is refused, not turned into a silent result
     ("matrix", D_SHORT_MATRIX, ["map", "--matrix", "{matrix}", "--stations", "{network}",
                                 "--anchor", "A", "--grid", GRID, "--idw-power", "nan"],
-     "idw_power must be finite and positive, got nan"),
+     "idw_power must be a finite number in (0, inf), got nan"),
     ("extremes", NETWORK_YEARS, ["cells", "--extremes", "{extremes}", "--stations", "{network}",
                                  "--grid", GRID, "--idw-power", "-1"],
-     "stratum 'all': idw_power must be finite and positive, got -1.0"),
+     "stratum 'all': idw_power must be a finite number in (0, inf), got -1.0"),
     ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
                              "--draws", "-5"], "n_draws must be a whole number >= 2, got -5"),
     ("extremes", EXTREMES, ["matrix", "--input", "{extremes}", "--min-overlap", "-5"],
      "min_overlap must be a whole number >= 0, got -5"),
     ("records", RECORDS, ["blocks", "--input", "{records}", "--season", "JJA",
-                          "--min-coverage", "2"], "min_coverage must lie in [0, 1], got 2.0"),
+                          "--min-coverage", "2"],
+     "min_coverage must be a finite number in [0, 1], got 2.0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "table1", "--n", "0", "--reps", "3"],
      "sample size must be a whole number >= 2, got 0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "fig3", "--n", "30", "--n", "1"],
@@ -442,6 +443,8 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     # antithetic pairing is a Monte-Carlo option: without draws it has nothing to pair
     ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
                              "--antithetic"], "--antithetic needs --draws"),
+    ("sites", "0.0\n1.0\n", ["plan", "--n", "60", "--p", "0.5", "--c-r", "inf"],
+     "c_r must be a finite number in (0, inf), got inf"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -466,7 +469,7 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
         "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",
         "matrix_min_overlap_negative", "blocks_min_coverage_above_1", "study_n_0", "study_n_1",
-        "ecp_antithetic_without_draws"])
+        "ecp_antithetic_without_draws", "plan_c_r_inf"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line

@@ -366,6 +366,16 @@ class TestBlockPlanner:
         brute = min(range(2, 1001), key=lambda m: block_mse(1000, m, 0.5, 1, 1e-9))
         assert brute == 2
 
+    def test_huge_bias_takes_the_whole_sample(self):
+        # the formula's m is past n, and the squared bias past the floats
+        plan = optimal_block_size(100, 0.5, c_r=1e308)
+        assert plan.m == 100 and plan.predicted_mse == math.inf
+        assert block_mse(100, 5, 0.5, c_r=1e300) == math.inf
+
+    def test_numpy_block_size_does_not_wrap(self):
+        # m^r is an exact Python int, not an int64 that wraps 2^64 to 0
+        assert block_mse(100, np.int64(2), 0.5, r=64) == block_mse(100, 2, 0.5, r=64) > 0
+
     def test_domain(self):
         for bad_p in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):

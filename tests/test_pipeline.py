@@ -237,7 +237,8 @@ class TestSeasonalBlocks:
     def test_min_coverage_outside_unit_interval(self, tmp_path, min_coverage):
         # NaN or a negative share would turn the filter off, above 1 drop every season
         result = self._records(tmp_path, "S1,40.0,-100.0,2000-06-01,-1.0,5.0\n")
-        with pytest.raises(DomainError, match=r"min_coverage must lie in \[0, 1\]"):
+        with pytest.raises(DomainError, match=re.escape(
+                f"min_coverage must be a finite number in [0, 1], got {min_coverage!r}")):
             seasonal_blocks(result, "JJA", "max", min_coverage=min_coverage)
 
     def test_min_coverage_bounds_accepted(self, tmp_path):
@@ -419,7 +420,8 @@ class TestGeometryAndMaps:
     @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
     def test_idw_power_must_be_finite_and_positive(self, power):
         # NaN gives a NaN map, a negative power lets far stations outweigh near ones
-        with pytest.raises(DomainError, match="idw_power must be finite and positive"):
+        with pytest.raises(DomainError, match=re.escape(
+                f"idw_power must be a finite number in (0, inf), got {power!r}")):
             grid_map(COORDS, np.full(4, 0.5), np.array([40.5]), np.array([-100.0]),
                      idw_power=power)
 

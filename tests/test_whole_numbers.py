@@ -1,13 +1,23 @@
-"""One whole-number rule for every count argument of the package.
+"""One whole-number rule for every count argument of the package, and one
+real-number rule for every real parameter.
 
 A count (sites, replicates, draws, a block or sample size, a dimension, a
 seed) is a Python or NumPy integer, never a bool, of at least a least value;
 anything else raises DomainError "<name> must be a whole number >= <least>,
 got <value>".  Before the rule was shared, some of these arguments truncated
 2.5 to 2, some accepted True as 1, and some ended in a bare TypeError.
+
+A real parameter (a shape, a scale, a probability, a lag) is a Python or
+NumPy real number, never a bool, that is finite and lies in its interval;
+anything else raises DomainError "<name> must be a finite number in
+(<lo>, <hi>], got <value>", each bracket open or closed as the interval is.
+Before that rule was shared, some of these parameters accepted True as 1,
+some let inf through or returned NaN for NaN, and some ended in a bare
+TypeError or OverflowError.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -19,7 +29,12 @@ from concur import (
     BallIndicator,
     CovarianceMatrix,
     DomainError,
+    ExponentialCorrelation,
+    ExtremalT,
+    FractionalVariogram,
     Logistic,
+    PoweredExponentialCorrelation,
+    Sample,
     SeededRng,
     block_mse,
     ecp_ball_overlap,
@@ -27,8 +42,10 @@ from concur import (
     ecp_mc,
     ecp_simulation,
     gaussian_vector,
+    jitter_ties,
     log_binom_ratio,
     optimal_block_size,
+    reg_inc_beta,
     sample_positive_stable,
     simulate_cell_labels,
     simulate_doa,
@@ -36,6 +53,7 @@ from concur import (
     simulate_max_stable,
     simulate_max_stable_batch,
     spectral_sample,
+    student_cdf,
 )
 from concur.estimators import (
     bias_law_check,
@@ -45,15 +63,27 @@ from concur.estimators import (
     mvlog_batch,
     simulate_pair_batch,
 )
-from concur.pipeline import SeasonalExtremes, expected_cell_area_model, pairwise_matrix
+from concur.models import ball_overlap_fraction
+from concur.pipeline import (
+    IngestResult,
+    SeasonalExtremes,
+    expected_cell_area_model,
+    grid_map,
+    pairwise_matrix,
+    seasonal_blocks,
+)
 from concur.specfun import unit_ball_volume
-from concur.study import StudyConfig
+from concur.study import StudyConfig, lag_for_target_p
 
 PAIR = [[0.0], [1.0]]
 STACK = np.arange(30.0).reshape(1, 10, 3) % 7.0
 RNG = SeededRng(5)
 EXTREMES = [SeasonalExtremes(s, "JJA", 2000 + y, float((3 * y + k) % 5), 1.0, "max")
             for k, s in enumerate("AB") for y in range(6)]
+NO_RECORDS = IngestResult(np.rec.array(np.empty(0, dtype=[
+    ("station_id", "U8"), ("lat", float), ("lon", float), ("date", "datetime64[D]"),
+    ("tmin", float), ("tmax", float)])), {}, ())
+STATIONS = [[40.0, -100.0], [41.0, -100.0], [40.0, -101.0]]
 
 # (argument, least, name in the message, call with the value)
 COUNTS = [
@@ -104,6 +134,9 @@ COUNTS = [
      lambda v: expected_cell_area_model(BallIndicator(1.0), PAIR, np.ones(2), v, RNG)),
     ("pairwise_matrix.min_overlap", 0, "min_overlap",
      lambda v: pairwise_matrix(EXTREMES, min_overlap=v)),
+    ("block_mse.r", 1, "r", lambda v: block_mse(10, 2, 0.5, r=v)),
+    ("StudyConfig.m_grid", 2, "block size",
+     lambda v: StudyConfig("fig1", "out", m_grid=(4, v))),
 ]
 
 
@@ -129,6 +162,78 @@ def test_a_count_is_a_whole_number_of_at_least_its_least(least, name, call):
 def test_an_rng_is_required(call):
     with pytest.raises(DomainError, match="got NoneType"):
         call()
+
+
+INF = math.inf
+# (parameter, lo, hi, ends, name in the message, a value inside, call with the value)
+REALS = [
+    ("FractionalVariogram.scale", 0, INF, "()", "variogram scale", 2.0,
+     lambda v: FractionalVariogram(v, 1.0)),
+    ("FractionalVariogram.exponent", 0, 2, "(]", "variogram exponent", 1.5,
+     lambda v: FractionalVariogram(1.0, v)),
+    ("ExponentialCorrelation.scale", 0, INF, "()", "correlation scale", 2.0,
+     lambda v: ExponentialCorrelation(v)),
+    ("PoweredExponentialCorrelation.scale", 0, INF, "()", "correlation scale", 2.0,
+     lambda v: PoweredExponentialCorrelation(v, 1.0)),
+    ("PoweredExponentialCorrelation.power", 0, 2, "(]", "correlation power", 1.5,
+     lambda v: PoweredExponentialCorrelation(1.0, v)),
+    ("Logistic.alpha", 0, 1, "(]", "logistic alpha", 0.5, lambda v: Logistic(v)),
+    ("ExtremalT.nu", 1, INF, "[)", "extremal-t nu", 2.5,
+     lambda v: ExtremalT(ExponentialCorrelation(1.0), nu=v)),
+    ("BallIndicator.radius", 0, INF, "()", "ball radius", 2.0, lambda v: BallIndicator(v)),
+    ("ecp_logistic.alpha", 0, 1, "(]", "alpha", 0.5, lambda v: ecp_logistic(v, 2)),
+    ("ball_overlap_fraction.h", 0, INF, "[)", "lag", 0.5,
+     lambda v: ball_overlap_fraction(v, 1.0, 1)),
+    ("ecp_ball_overlap.h", 0, INF, "[)", "lag", 0.5, lambda v: ecp_ball_overlap(v, 1.0)),
+    ("ecp_ball_overlap.radius", 0, INF, "()", "ball radius", 2.0,
+     lambda v: ecp_ball_overlap(0.5, v)),
+    ("student_cdf.dof", 0, INF, "()", "degrees of freedom", 2.5, lambda v: student_cdf(0.0, v)),
+    ("reg_inc_beta.a", 0, INF, "()", "beta parameter a", 2.5,
+     lambda v: reg_inc_beta(v, 1.0, 0.5)),
+    ("reg_inc_beta.b", 0, INF, "()", "beta parameter b", 2.5,
+     lambda v: reg_inc_beta(1.0, v, 0.5)),
+    ("sample_positive_stable.alpha", 0, 1, "()", "stable exponent", 0.5,
+     lambda v: sample_positive_stable(v, RNG)),
+    ("simulate_logistic_exact.alpha", 0, 1, "()", "alpha", 0.5,
+     lambda v: simulate_logistic_exact(v, 2, RNG)),
+    ("jitter_ties.resolution", 0, INF, "()", "resolution", 0.1,
+     lambda v: jitter_ties(Sample(np.ones((3, 2))), v, RNG)),
+    ("block_mse.p", 0, 1, "[]", "p", 0.5, lambda v: block_mse(10, 2, v)),
+    ("block_mse.c_r", 0, INF, "()", "c_r", 2.0, lambda v: block_mse(10, 2, 0.5, c_r=v)),
+    ("optimal_block_size.p", 0, 1, "()", "p", 0.5, lambda v: optimal_block_size(100, v)),
+    ("optimal_block_size.c_r", 0, INF, "()", "c_r", 2.0,
+     lambda v: optimal_block_size(100, 0.5, c_r=v)),
+    ("seasonal_blocks.min_coverage", 0, 1, "[]", "min_coverage", 0.5,
+     lambda v: seasonal_blocks(NO_RECORDS, "JJA", min_coverage=v)),
+    ("grid_map.idw_power", 0, INF, "()", "idw_power", 2.0,
+     lambda v: grid_map(STATIONS, np.full(3, 0.5), [40.5], [-100.5], idw_power=v)),
+    ("lag_for_target_p.target", 0, 1, "()", "target probability", 0.5,
+     lambda v: lag_for_target_p(BallIndicator(1.0), v)),
+    ("lag_for_target_p.lo", 0, INF, "()", "lo", 0.01,
+     lambda v: lag_for_target_p(BallIndicator(1.0), 0.5, lo=v)),
+    ("lag_for_target_p.hi", 1e-4, INF, "()", "hi", 1.5,
+     lambda v: lag_for_target_p(BallIndicator(1.0), 0.5, hi=v)),
+    ("StudyConfig.p_targets", 0, 1, "()", "p target", 0.5,
+     lambda v: StudyConfig("table1", "out", p_targets=(0.25, v))),
+    ("StudyConfig.lags", 0, INF, "()", "lag", 2.0,
+     lambda v: StudyConfig("fig3", "out", lags=(1.0, v))),
+]
+
+
+@pytest.mark.parametrize("lo, hi, ends, name, inside, call", [c[1:] for c in REALS],
+                         ids=[c[0] for c in REALS])
+def test_a_real_parameter_is_a_finite_number_in_its_interval(lo, hi, ends, name, inside, call):
+    outside = []
+    if math.isfinite(lo):
+        outside += [lo - 1] + ([lo] if ends[0] == "(" else [])
+    if math.isfinite(hi):
+        outside += [hi + 1] + ([hi] if ends[1] == ")" else [])
+    for bad in (True, np.True_, "0.5", math.nan, math.inf, -math.inf, 10 ** 400, *outside):
+        with pytest.raises(DomainError, match=re.escape(
+                f"{name} must be a finite number in {ends[0]}{lo}, {hi}{ends[1]}, "
+                f"got {bad!r}")):
+            call(bad)
+    call(np.float64(inside))
 
 
 class _IntegerChecks(ast.NodeVisitor):
@@ -159,3 +264,22 @@ def test_one_function_tests_for_an_integer():
         finder.visit(ast.parse(path.read_text(encoding="utf-8")))
         checks |= {f"{path.stem}.{name}" for name in finder.found}
     assert checks == {"specfun._whole"}
+
+
+def _is_math_inf(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def test_no_range_check_compares_against_math_inf():
+    # a hand-written "0 < x < math.inf" check lets True through and may end in
+    # a bare TypeError; every such check is a call of specfun._real
+    found = []
+    for path in sorted(Path(concur.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    _is_math_inf(side) for side in [node.left, *node.comparators]):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
