@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
-from .specfun import RngLike, _real, _spread, _whole, as_generator
+from .specfun import RngLike, _real, _reals, _spread, _whole, as_generator
 
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
@@ -220,7 +220,7 @@ def kendall_target_p(model: ModelSpec, pair) -> float:
     Coincident sites (or a repeated max-linear column) return 1 exactly.
     Models without a closed form are evaluated by deterministic quadrature.
     """
-    coords = np.asarray(pair, dtype=float)
+    coords = _reals(pair, "site coordinates")
     if coords.ndim == 1:
         coords = coords[:, None]
     if coords.shape[0] != 2:
@@ -239,20 +239,16 @@ def integrated_cp(pairwise_p, weights) -> float:
     Equals the expected concurrence-cell volume of the anchor site when the
     weights discretize the domain.
     """
-    p = np.asarray(pairwise_p, dtype=float).reshape(-1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = _reals(weights, "weights", 0).reshape(-1)
+    p = _reals(pairwise_p, "probabilities", -1e-9, 1 + 1e-9, "[]").reshape(-1)
     if p.shape != w.shape:
         raise DomainError("pairwise probabilities and weights differ in length")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise DomainError("weights must be positive and finite")
-    if np.any(p < -1e-9) or np.any(p > 1 + 1e-9) or not np.all(np.isfinite(p)):
-        raise DomainError("probabilities must lie in [0, 1]")
     return float(w @ np.clip(p, 0.0, 1.0))
 
 
 def rectangle_weights(grid_points) -> np.ndarray:
     """Rectangle-rule weights for a regular 1-d grid (constant spacing)."""
-    x = np.asarray(grid_points, dtype=float).reshape(-1)
+    x = _reals(grid_points, "grid points").reshape(-1)
     if x.size < 2:
         raise DomainError("need at least two grid points")
     d = np.diff(x)

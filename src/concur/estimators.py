@@ -67,7 +67,7 @@ from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
 from .models import ModelSpec
 from .simulate import simulate_field_values
-from .specfun import RngLike, _real, _spread, _whole, as_generator, log_binom_ratio
+from .specfun import RngLike, _lookup, _real, _reals, _spread, _whole, as_generator, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
 # size from which the merge beats comparing all pairs (2-core Xeon, NumPy
@@ -86,13 +86,11 @@ class Sample:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        a = np.array(self.data, dtype=float, copy=True)
+        a = np.array(_reals(self.data, "sample values"))
         if a.ndim != 2:
             raise DomainError("sample must be a 2-d (n, k) array")
         if a.shape[0] < 2 or a.shape[1] < 2:
             raise DomainError("sample needs n >= 2 observations and k >= 2 coordinates")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("sample values must be finite")
         if self.names is not None and len(self.names) != a.shape[1]:
             raise DomainError("names length must match the coordinate count")
         a.flags.writeable = False
@@ -230,12 +228,10 @@ def _below_merge(xc, yc):
 # input checks shared by every estimator
 
 def _as_stack(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
+    x = _reals(data, "sample values")
     if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
         raise DomainError(f"expected a 3-d (reps, n, k) stack with n >= 2 and k >= 2, "
                           f"got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("sample values must be finite")
     return x
 
 
@@ -530,13 +526,10 @@ def estimator(method: str, block_size: int | None = None, jackknife: bool = Fals
     ``mvlog``, which take none, and ``jackknife`` for a method other than
     ``mvlog``.
     """
-    if method not in ESTIMATORS:
-        raise DomainError(f"unknown estimator method {method!r}; "
-                          f"choose one of {tuple(ESTIMATORS)}")
+    fn = _lookup(ESTIMATORS, method, "estimator method")
     if jackknife and method != "mvlog":
         raise DomainError(f"the jackknife bias reduction applies to method 'mvlog' only, "
                           f"not {method!r}")
-    fn = ESTIMATORS[method]
     if method in _LEAST_BLOCK:
         if block_size is None:
             raise DomainError(f"method {method!r} requires a block size")
@@ -571,16 +564,26 @@ class BlockPlan:
     predicted_mse: float
 
 
+def _quotient(x: float, k: int) -> float:
+    """x / k, rounded once also where k is past the floats."""
+    try:
+        return x / k
+    except OverflowError:  # int too large to convert to float
+        num, den = x.as_integer_ratio()
+        return num / (den * k)
+
+
 def block_mse(n: int, m: int, p: float, r: int = 1, c_r: float = 1.0) -> float:
     """MSE model (bias c_r/m^r)^2 + p_m (1 - p_m) / floor(n/m) for the block
     estimator, with p_m = p + c_r/m^r capped at 1."""
     m = _whole(m, 1, "m")
     n = _whole(n, m, "n")
     p, r, c_r = _real(p, "p", 0, 1, "[]"), _whole(r, 1, "r"), _real(c_r, "c_r", 0)
-    bias = c_r / m ** r
+    # past 2^2100, m^r puts c_r < 2^1024 below half the least float
+    bias = 0.0 if r * (m.bit_length() - 1) > 2100 else _quotient(c_r, m ** r)
     p_m = min(p + bias, 1.0)
     try:
-        return bias ** 2 + p_m * (1.0 - p_m) / (n // m)
+        return bias ** 2 + _quotient(p_m * (1.0 - p_m), n // m)
     except OverflowError:  # a bias past 1e154
         return math.inf
 
@@ -595,7 +598,13 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
     """
     n, p = _whole(n, 2, "n"), _real(p, "p", 0, 1)
     r, c_r = _whole(r, 1, "r"), _real(c_r, "c_r", 0)
-    raw = (2.0 * r * c_r * c_r * n / (p * (1.0 - p))) ** (1.0 / (2 * r + 1))
+    try:
+        raw = (2.0 * r * c_r * c_r * n / (p * (1.0 - p))) ** (1.0 / (2 * r + 1))
+    except OverflowError:  # r or n past the floats: log raw, then raw as 2^e times a float
+        log_raw = _quotient(math.log(2 * r * n) + 2.0 * math.log(c_r)
+                            - math.log(p * (1.0 - p)), 2 * r + 1)
+        e = max(0, int(log_raw / math.log(2.0)) - 1000)
+        raw = round(math.exp(log_raw - e * math.log(2.0))) << e
     m = int(round(min(max(raw, 2.0), n)))
     return BlockPlan(m=m, assumed_r=r, assumed_c_r=c_r, assumed_p=p,
                      predicted_mse=block_mse(n, m, p, r, c_r))

@@ -31,7 +31,9 @@ from .errors import CapabilityError, DomainError
 from .specfun import (
     CovarianceMatrix,
     RngLike,
+    _lookup,
     _real,
+    _reals,
     _whole,
     as_generator,
     half_line,
@@ -59,13 +61,11 @@ class SiteSet:
     coords: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.coords, dtype=float, copy=True)
+        a = np.array(_reals(self.coords, "site coordinates"))
         if a.ndim == 1:
             a = a[:, None]
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DomainError("sites must form a (k, d) array with k, d >= 1")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("site coordinates must be finite")
         # name the first site with a twin, then its first twin; -0.0 + 0.0 is 0.0
         _, first, count = np.unique(a + 0.0, axis=0, return_index=True, return_counts=True)
         if count.max() > 1:
@@ -95,9 +95,7 @@ class SiteSet:
 
 
 def as_sites(sites) -> SiteSet:
-    if isinstance(sites, SiteSet):
-        return sites
-    return SiteSet(np.asarray(sites, dtype=float))
+    return sites if isinstance(sites, SiteSet) else SiteSet(sites)
 
 
 def _pair_lag(sites: SiteSet) -> np.ndarray:
@@ -135,9 +133,9 @@ class QuadraticVariogram:
     family: ClassVar[str] = "quadratic"
 
     def __post_init__(self):
-        a = np.array(self.matrix, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
-            raise DomainError("quadratic variogram matrix must be square and finite")
+        a = np.array(_reals(self.matrix, "quadratic variogram matrix"))
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DomainError("quadratic variogram matrix must be square")
         if not np.array_equal(a, a.T):
             raise DomainError("quadratic variogram matrix must be symmetric")
         psd_factor(a)  # raises NumericError when not PSD
@@ -190,13 +188,6 @@ Correlation = Callable[[np.ndarray], np.ndarray]
 
 VARIOGRAMS = {c.family: c for c in (FractionalVariogram, QuadraticVariogram)}
 CORRELATIONS = {c.family: c for c in (ExponentialCorrelation, PoweredExponentialCorrelation)}
-
-
-def _lookup(registry: dict, name, what: str):
-    cls = registry.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise DomainError(f"unknown {what} {name!r}")
-    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +507,9 @@ class MaxLinear(ModelSpec):
     name: ClassVar[str] = "max_linear"
 
     def __post_init__(self):
-        a = np.array(self.phi, dtype=float, copy=True)
+        a = np.array(_reals(self.phi, "phi entries", 0, ends="[)"))
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DomainError("phi must be a (components, sites) matrix")
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise DomainError("phi entries must be finite and nonnegative")
         if np.any(np.abs(a.sum(axis=0) - 1.0) > 1e-12):
             raise DomainError("phi column sums must equal 1 (tolerance 1e-12)")
         a.flags.writeable = False
@@ -541,7 +530,7 @@ class MaxLinear(ModelSpec):
                 raise DomainError("max-linear sites are 1-d column indices")
             raw = coords[:, 0]
         else:
-            raw = np.asarray(sites, dtype=float).reshape(-1)
+            raw = _reals(sites, "max-linear sites").reshape(-1)
         cols = raw.astype(np.int64)
         if np.any(cols != raw):
             raise DomainError("max-linear sites must be integer column indices")
@@ -597,14 +586,12 @@ class BrownResnick(_PairModel):
         W(s_2..k) - W(s_1), and ``draw(g, n)`` of the Gaussian W anchored at
         the first site: (n, k) paths with W(s_1) = 0 and Var W(s) = 2 gamma(s - s_1)."""
         lags = sites.lags_from(0)
-        gamma0 = np.asarray(self.variogram(lags), dtype=float)
-        if np.any(gamma0 < 0):
-            raise DomainError("variogram must be nonnegative")
+        gamma0 = _reals(self.variogram(lags), "variogram values", 0, ends="[)")
         k = sites.k
         # increments W(s_j) - W(s_1) for j >= 2
         g0 = gamma0[1:]
         pair_lags = sites.coords[1:, None, :] - sites.coords[None, 1:, :]
-        gamma_pair = np.asarray(self.variogram(pair_lags), dtype=float)
+        gamma_pair = _reals(self.variogram(pair_lags), "variogram values", 0, ends="[)")
         cov = g0[:, None] + g0[None, :] - gamma_pair
         cov = 0.5 * (cov + cov.T)
         fac = psd_factor(cov)
@@ -661,10 +648,8 @@ class BrownResnick(_PairModel):
         return draw
 
     def pair_reduction(self, sites: SiteSet) -> GaussianPair:
-        gamma_h = float(np.asarray(self.variogram(_pair_lag(sites))).reshape(()))
-        if gamma_h < 0:
-            raise DomainError("variogram must be nonnegative")
-        return GaussianPair(gamma_h)
+        gamma_h = _reals(self.variogram(_pair_lag(sites)), "variogram values", 0, ends="[)")
+        return GaussianPair(float(gamma_h.reshape(())))
 
 
 @dataclass(frozen=True)
@@ -683,10 +668,9 @@ class ExtremalT(_PairModel):
 
     def _correlation(self, sites: SiteSet):
         """The site correlation matrix (unit diagonal) and a factor of it."""
-        corr = np.asarray(self.correlation(sites.distance_matrix()), dtype=float)
+        corr = _reals(self.correlation(sites.distance_matrix()), "correlation values",
+                      -1 - 1e-12, 1 + 1e-12, "[]")
         np.fill_diagonal(corr, 1.0)
-        if np.any(np.abs(corr) > 1 + 1e-12):
-            raise DomainError("correlation values must lie in [-1, 1]")
         return corr, psd_factor(corr)
 
     def sampler(self, sites: SiteSet) -> SpectralSampler:
@@ -719,10 +703,9 @@ class ExtremalT(_PairModel):
 
     def pair_reduction(self, sites: SiteSet) -> StudentPair:
         lag = _pair_lag(sites)
-        rho = float(np.asarray(self.correlation(math.sqrt(float((lag * lag).sum())))).reshape(()))
-        if abs(rho) > 1:
-            raise DomainError("correlation values must lie in [-1, 1]")
-        return StudentPair(rho, self.nu)
+        rho = _reals(self.correlation(math.sqrt(float((lag * lag).sum()))), "correlation values",
+                     -1, 1, "[]")
+        return StudentPair(float(rho.reshape(())), self.nu)
 
 
 def schlather(correlation: Correlation) -> ExtremalT:
@@ -942,7 +925,7 @@ def ecp_max_linear(phi: np.ndarray, site_subset=None):
     l alone attains the maximum at every requested site; p = sum(p_parts).
     Ratio conventions: 0/0 = 0, a/0 = inf for a > 0, 1/inf = 0.
     """
-    model = phi if isinstance(phi, MaxLinear) else MaxLinear(np.asarray(phi, dtype=float))
+    model = phi if isinstance(phi, MaxLinear) else MaxLinear(phi)
     cols = (np.arange(model.n_sites) if site_subset is None
             else model.sites_of(site_subset))
     f = model.phi[:, cols]                      # (m, k)
@@ -1008,11 +991,9 @@ def exponent_V(model: ModelSpec, sites, z):
     (Brown--Resnick, extremal-t, Smith in d >= 2 likewise the ball
     indicator beyond d = 1) raise :class:`CapabilityError` for k > 2.
     """
-    z = np.asarray(z, dtype=float)
+    z = _reals(z, "z", 0)
     if z.ndim == 0:
         raise DomainError("z must have at least one site")
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
-        raise DomainError("z must be strictly positive and finite")
     s = model.sites_of(sites)
     if len(s) != z.shape[-1]:
         raise DomainError(f"z has {z.shape[-1]} entries but there are {len(s)} sites")

@@ -44,7 +44,7 @@ from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
 from .estimators import _LEAST_BLOCK, estimator
 from .simulate import simulate_cell_labels
-from .specfun import RngLike, _real, _whole
+from .specfun import RngLike, _real, _reals, _whole
 
 EARTH_RADIUS_KM = 6371.0088
 SEASONS = ("DJF", "MAM", "JJA", "SON")
@@ -542,7 +542,7 @@ class ConcurrenceMatrix:
     estimates: np.ndarray
     stderr: np.ndarray
     n_pairs: np.ndarray
-    method: str
+    method: str | None  # None for a matrix read from CSV, which does not record it
 
     def row(self, station_id: str) -> np.ndarray:
         if station_id not in self.station_ids:
@@ -619,7 +619,7 @@ def write_matrix_csv(matrix: ConcurrenceMatrix, path) -> None:
          int(matrix.n_pairs[i, j])] for i in range(len(ids)) for j in range(i, len(ids))))
 
 
-def read_matrix_csv(path, method: str = "kendall") -> ConcurrenceMatrix:
+def read_matrix_csv(path) -> ConcurrenceMatrix:
     """A matrix from :func:`write_matrix_csv` output: one row per unordered
     pair, in either order; a repeated pair raises :class:`ParseError`."""
     rows = list(_read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
@@ -638,7 +638,7 @@ def read_matrix_csv(path, method: str = "kendall") -> ConcurrenceMatrix:
         err[i, j] = err[j, i] = s
         npairs[i, j] = npairs[j, i] = c
     return ConcurrenceMatrix(station_ids=ids, estimates=est, stderr=err,
-                             n_pairs=npairs, method=method)
+                             n_pairs=npairs, method=None)
 
 
 # ---------------------------------------------------------------------------
@@ -676,20 +676,22 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     lat x lon product.  ``idw_power`` must be finite and positive.
     """
     idw_power = _real(idw_power, "idw_power", 0)
-    pts = np.asarray(station_latlon, dtype=float)
+    pts = _reals(station_latlon, "station coordinates")
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[1] != pts.shape[0]:
-        raise DomainError("need one value per station")
+    if pts.shape != (values.shape[1], 2):
+        raise DomainError("need one (lat, lon) row and one value per station")
+    slat = _reals(pts[:, 0], "station latitudes", -90, 90, "[]")
+    slon = _reals(pts[:, 1], "station longitudes", -180, 180, "[]")
     ok = np.isfinite(values)
     if np.any(ok.sum(axis=1) < 3):
         raise DomainError("need at least three stations with estimates")
-    lats = np.asarray(grid_lats, dtype=float).reshape(-1)
-    lons = np.asarray(grid_lons, dtype=float).reshape(-1)
+    lats = _reals(grid_lats, "grid latitudes", -90, 90, "[]").reshape(-1)
+    lons = _reals(grid_lons, "grid longitudes", -180, 180, "[]").reshape(-1)
     if lats.size == 0 or lons.size == 0:
         raise DomainError("grid must be nonempty")
     glat, glon = np.meshgrid(lats, lons, indexing="ij")
     glat, glon = glat.reshape(-1), glon.reshape(-1)
-    dist = haversine_km(glat[:, None], glon[:, None], pts[None, :, 0], pts[None, :, 1])
+    dist = haversine_km(glat[:, None], glon[:, None], slat, slon)
     exact = dist < 1e-9
     with np.errstate(divide="ignore"):
         w = np.where(exact, 0.0, dist ** (-float(idw_power)))
@@ -712,8 +714,8 @@ def write_grid_csv(rows: np.ndarray, path) -> None:
 def cos_lat_weights(grid_lats, grid_lons) -> np.ndarray:
     """Cell weights |dlat|*|dlon|*cos(lat) in squared degrees for a regular
     grid, each axis ascending or descending."""
-    lats = np.asarray(grid_lats, dtype=float).reshape(-1)
-    lons = np.asarray(grid_lons, dtype=float).reshape(-1)
+    lats = _reals(grid_lats, "grid latitudes", -90, 90, "[]").reshape(-1)
+    lons = _reals(grid_lons, "grid longitudes", -180, 180, "[]").reshape(-1)
     dlat = abs(float(np.diff(lats)[0])) if lats.size > 1 else 1.0
     dlon = abs(float(np.diff(lons)[0])) if lons.size > 1 else 1.0
     glat, _ = np.meshgrid(lats, lons, indexing="ij")
@@ -772,7 +774,7 @@ def expected_cell_area_model(model, grid_sites, weights, reps: int, rng: RngLike
     needs ``reps`` >= 2.
     """
     labels = simulate_cell_labels(model, grid_sites, _whole(reps, 2, "reps"), rng)
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = _reals(weights, "weights", 0).reshape(-1)
     if w.size != labels.shape[1]:
         raise DomainError("weights length must match the grid size")
     # per anchor, the weight of its cell in each realization

@@ -20,6 +20,9 @@ stated least value, or :class:`DomainError` "<name> must be a whole number
 >= <least>, got <value>".  Every real parameter passes through
 :func:`_real`: a finite real number, never a bool, in a stated interval, or
 DomainError "<name> must be a finite number in (<lo>, <hi>], got <value>".
+Every array of real numbers passes through :func:`_reals`: integers or
+floats, never bools or text, each finite and in an interval, or DomainError
+"<name> must be finite numbers in (<lo>, <hi>], got <first bad entry>".
 
 :func:`_spread` runs a block function over a list of blocks on one thread
 per CPU the process may run on: the caller's own and one it starts for
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import reprlib
 import threading
 from dataclasses import dataclass
 from typing import Union
@@ -71,6 +75,35 @@ def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf, ends: s
         return x
     raise DomainError(f"{name} must be a finite number in {ends[0]}{lo}, {hi}{ends[1]}, "
                       f"got {value!r}")
+
+
+def _reals(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+           ends: str = "()") -> np.ndarray:
+    """``value`` as a float array (itself if it is one) if its entries are
+    integers or floats, not bools or text, each finite and in the interval
+    as :func:`_real` brackets it; :class:`DomainError` otherwise."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if a.dtype.kind in "iuf":
+        a = a.astype(float, copy=False)
+        ok = np.isfinite(a)
+        if math.isfinite(lo):
+            ok &= a >= lo if ends[0] == "[" else a > lo
+        if math.isfinite(hi):
+            ok &= a <= hi if ends[1] == "]" else a < hi
+        if ok.all():
+            return a
+    got = repr(float(a.flat[np.argmin(ok)])) if a.dtype == float else reprlib.repr(value)
+    raise DomainError(f"{name} must be finite numbers in {ends[0]}{lo}, {hi}{ends[1]}, got {got}")
+
+
+def _lookup(table: dict, name, what: str):
+    """``table[name]`` if ``name`` is a key of it; :class:`DomainError` otherwise."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise DomainError(f"unknown {what} {name!r}; choose one of {tuple(table)}")
 
 
 def _workers() -> int:
@@ -199,11 +232,9 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float, copy=True)
+        a = np.array(_reals(self.entries, "covariance entries"))
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DomainError("covariance must be a square matrix")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("covariance entries must be finite")
         if not np.array_equal(a, a.T):
             raise DomainError("covariance must be exactly symmetric")
         a.flags.writeable = False
@@ -233,9 +264,7 @@ def student_cdf(x, dof: float):
 def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta, i.e. the Beta(a, b) CDF at x in [0, 1]."""
     a, b = _real(a, "beta parameter a", 0), _real(b, "beta parameter b", 0)
-    xx = np.asarray(x, dtype=float)
-    if np.any(xx < 0) or np.any(xx > 1) or not np.all(np.isfinite(xx)):
-        raise DomainError("beta argument must lie in [0, 1]")
+    xx = _reals(x, "beta argument", 0, 1, "[]")
     from scipy import special
     out = special.betainc(a, b, xx)
     return float(out) if np.isscalar(x) or xx.ndim == 0 else out

@@ -33,7 +33,7 @@ from .estimators import (block_cp_batch, block_mse, bootstrap_cp_batch, kendall_
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .pipeline import _write_json, _write_rows
 from .simulate import simulate_doa
-from .specfun import SeededRng, _real, _whole
+from .specfun import SeededRng, _lookup, _real, _whole
 
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
@@ -54,9 +54,7 @@ class StudyConfig:
     lags: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise DomainError(f"unknown experiment {self.experiment!r}; "
-                              f"choose one of {tuple(EXPERIMENTS)}")
+        _lookup(EXPERIMENTS, self.experiment, "experiment")
         _whole(self.reps, 2, "reps")
         for n in self.sample_sizes:
             _whole(n, 2, "sample size")

@@ -35,6 +35,14 @@ def test_plan(capsys):
     assert payload["schema_version"] == "2"
 
 
+def test_plan_with_a_bias_order_past_the_floats(capsys):
+    # 2^1100 is past the floats; the bias c_r / m^r it divides is 0 to double precision
+    code, out = run_cli(capsys, "plan", "--n", "100", "--p", "0.5", "--r", "1100")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["m"] == 2 and payload["predicted_mse"] == 0.005
+
+
 def test_ecp_closed_form(capsys, tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"model": "logistic", "alpha": 0.3}))
@@ -372,7 +380,7 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     ("model", '{"model": "extremal_t", %s, "NU": 5}' % EXP10, ECP,
      "extremal_t has no field 'NU'"),
     ("model", '{"model": "brown_resnick", "variogram": {"family": "exponential", "scale": 1}}',
-     ECP, "unknown variogram family 'exponential'"),
+     ECP, "unknown variogram family 'exponential'; choose one of ('fractional', 'quadratic')"),
     ("model", '{"model": "brown_resnick", "variogram": "fractional"}', ECP,
      "brown_resnick variogram must be an object with a 'family' field"),
     ("model", '{"model": "brown_resnick", "variogram": {"family": "fractional", '

@@ -376,6 +376,29 @@ class TestBlockPlanner:
         # m^r is an exact Python int, not an int64 that wraps 2^64 to 0
         assert block_mse(100, np.int64(2), 0.5, r=64) == block_mse(100, 2, 0.5, r=64) > 0
 
+    def test_sizes_past_the_floats(self):
+        # n // m and m^r past the floats are divided exactly, rounded once
+        assert block_mse(10**400, 2, 0.5) == 0.25
+        assert block_mse(100, 2, 0.5, r=1100) == 0.005
+        bias = float(Fraction(1e308) / 2**1030)
+        assert 0.008 < bias < 0.009
+        assert block_mse(2, 2, 0.0, r=1030, c_r=1e308) == bias**2 + bias * (1 - bias)
+        # an m^r of 2^(10^30) is not formed: the bias is 0 to double precision
+        assert block_mse(100, 2, 0.5, r=10**30, c_r=1e308) == 0.005
+        # n past the floats: raw in log space, m = (2 n / (p (1 - p)))^(1/3) for r = 1
+        m = optimal_block_size(10**400, 0.5).m
+        assert abs(m**3 / (8 * 10**400) - 1) < 1e-12
+        assert optimal_block_size(100, 0.5, r=10**400).m == 2
+        assert optimal_block_size(100, 0.5, r=1100).predicted_mse == 0.005
+
+    def test_values_inside_the_floats_are_the_plain_formula(self):
+        # the exact paths are taken only where the float one overflows
+        for n, m, p, r, c_r in itertools.product((10, 1000, 10**15), (1, 2, 3, 7), (0.0, 0.3, 1.0),
+                                                 (1, 2, 40), (1e-3, 1.0, 7.5)):
+            bias = c_r / m**r
+            p_m = min(p + bias, 1.0)
+            assert block_mse(n, m, p, r, c_r) == bias**2 + p_m * (1.0 - p_m) / (n // m)
+
     def test_domain(self):
         for bad_p in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):

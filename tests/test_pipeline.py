@@ -372,6 +372,8 @@ class TestPairwiseMatrix:
         write_matrix_csv(matrix, out)
         back = read_matrix_csv(out)
         assert back.station_ids == matrix.station_ids
+        # the file does not record the method, so the matrix read claims none
+        assert matrix.method == "kendall" and back.method is None
         assert np.allclose(back.estimates, matrix.estimates, equal_nan=True)
 
     @pytest.mark.parametrize("second", ["B,A,0.9,0.1,5", "A,B,0.9,0.1,5", "A,A,1,0,5"])

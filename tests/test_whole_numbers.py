@@ -1,5 +1,6 @@
-"""One whole-number rule for every count argument of the package, and one
-real-number rule for every real parameter.
+"""One whole-number rule for every count argument of the package, one
+real-number rule for every real parameter, and one real-array rule for
+every array of real numbers.
 
 A count (sites, replicates, draws, a block or sample size, a dimension, a
 seed) is a Python or NumPy integer, never a bool, of at least a least value;
@@ -14,11 +15,21 @@ anything else raises DomainError "<name> must be a finite number in
 Before that rule was shared, some of these parameters accepted True as 1,
 some let inf through or returned NaN for NaN, and some ended in a bare
 TypeError or OverflowError.
+
+An array of real numbers (coordinates, sample values, weights, a matrix,
+the values a variogram or correlation returns) holds integers or floats,
+never bools or text, each finite and in its interval; anything else raises
+DomainError "<name> must be finite numbers in (<lo>, <hi>], got <first bad
+entry>", or a short repr of the input when it is not an array of numbers.
+Before that rule was shared, some of these arrays took bools as 0/1 and
+numeric text as numbers, some let NaN, negative weights or latitude 95
+through, and text or a ragged list ended in NumPy's bare ValueError.
 """
 
 import ast
 import math
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +38,24 @@ import pytest
 import concur
 from concur import (
     BallIndicator,
+    BrownResnick,
     CovarianceMatrix,
     DomainError,
     ExponentialCorrelation,
     ExtremalT,
     FractionalVariogram,
     Logistic,
+    MaxLinear,
     PoweredExponentialCorrelation,
     Sample,
     SeededRng,
     block_mse,
+    concurrence_probability,
     ecp_ball_overlap,
     ecp_logistic,
     ecp_mc,
     ecp_simulation,
+    exponent_V,
     gaussian_vector,
     jitter_ties,
     log_binom_ratio,
@@ -55,25 +70,38 @@ from concur import (
     spectral_sample,
     student_cdf,
 )
+from concur.concurrence import integrated_cp, kendall_target_p, rectangle_weights
 from concur.estimators import (
+    ESTIMATORS,
+    _as_stack,
     bias_law_check,
     block_cp_batch,
     bootstrap_cp_batch,
+    dominance_counts_batch,
     estimator,
     mvlog_batch,
     simulate_pair_batch,
 )
-from concur.models import ball_overlap_fraction
+from concur.models import (
+    CORRELATIONS,
+    MODELS,
+    VARIOGRAMS,
+    QuadraticVariogram,
+    SiteSet,
+    ball_overlap_fraction,
+    model_from_dict,
+)
 from concur.pipeline import (
     IngestResult,
     SeasonalExtremes,
+    cos_lat_weights,
     expected_cell_area_model,
     grid_map,
     pairwise_matrix,
     seasonal_blocks,
 )
 from concur.specfun import unit_ball_volume
-from concur.study import StudyConfig, lag_for_target_p
+from concur.study import EXPERIMENTS, StudyConfig, lag_for_target_p
 
 PAIR = [[0.0], [1.0]]
 STACK = np.arange(30.0).reshape(1, 10, 3) % 7.0
@@ -234,6 +262,158 @@ def test_a_real_parameter_is_a_finite_number_in_its_interval(lo, hi, ends, name,
                 f"got {bad!r}")):
             call(bad)
     call(np.float64(inside))
+
+
+def _fractional(h):
+    return FractionalVariogram(1.0, 1.0)(h)
+
+
+# (argument, lo, hi, ends, name in the message, a float64 array inside, call
+# with the array, where a bad entry goes); the station coordinates are checked
+# as numbers first, so their latitude and longitude rows test the ends only
+ARRAYS = [
+    ("SiteSet.coords", -INF, INF, "()", "site coordinates", [[0.0], [1.0]], SiteSet, ...),
+    ("QuadraticVariogram.matrix", -INF, INF, "()", "quadratic variogram matrix", np.eye(2),
+     QuadraticVariogram, ...),
+    ("MaxLinear.phi", 0, INF, "[)", "phi entries", np.full((2, 2), 0.5), MaxLinear, ...),
+    ("exponent_V.z", 0, INF, "()", "z", [1.0, 2.0],
+     lambda v: exponent_V(Logistic(0.5), PAIR, v), ...),
+    ("BrownResnick.variogram_values", 0, INF, "[)", "variogram values", [0.0, 1.0],
+     lambda v: spectral_sample(BrownResnick(lambda h: v if np.ndim(h) == 2 else _fractional(h)),
+                               PAIR, RNG), ...),
+    ("BrownResnick.pair_variogram_value", 0, INF, "[)", "variogram values", 1.0,
+     lambda v: concurrence_probability(BrownResnick(lambda h: v), PAIR), ...),
+    ("ExtremalT.correlation_values", -1 - 1e-12, 1 + 1e-12, "[]", "correlation values",
+     [[1.0, 0.5], [0.5, 1.0]], lambda v: spectral_sample(ExtremalT(lambda d: v), PAIR, RNG),
+     ...),
+    ("ExtremalT.pair_correlation_value", -1, 1, "[]", "correlation values", 0.5,
+     lambda v: concurrence_probability(ExtremalT(lambda d: v), PAIR), ...),
+    ("CovarianceMatrix.entries", -INF, INF, "()", "covariance entries", np.eye(2),
+     CovarianceMatrix, ...),
+    ("reg_inc_beta.x", 0, 1, "[]", "beta argument", [0.25, 0.5],
+     lambda v: reg_inc_beta(1.0, 1.0, v), ...),
+    ("integrated_cp.weights", 0, INF, "()", "weights", [1.0, 2.0],
+     lambda v: integrated_cp([0.5, 0.5], v), ...),
+    ("integrated_cp.pairwise_p", -1e-9, 1 + 1e-9, "[]", "probabilities", [0.5, 0.5],
+     lambda v: integrated_cp(v, [1.0, 1.0]), ...),
+    ("Sample.data", -INF, INF, "()", "sample values", [[0.0, 1.0], [2.0, 3.0]], Sample, ...),
+    ("_as_stack.data", -INF, INF, "()", "sample values", STACK, dominance_counts_batch, ...),
+    ("as_sites.sites", -INF, INF, "()", "site coordinates", PAIR,
+     lambda v: concurrence_probability(Logistic(0.5), v), ...),
+    ("MaxLinear.sites_of", -INF, INF, "()", "max-linear sites", [0.0, 1.0],
+     lambda v: concurrence_probability(MaxLinear(np.full((2, 2), 0.5)), v), ...),
+    ("kendall_target_p.pair", -INF, INF, "()", "site coordinates", PAIR,
+     lambda v: kendall_target_p(Logistic(0.5), v), ...),
+    ("rectangle_weights.grid_points", -INF, INF, "()", "grid points", [0.0, 1.0, 2.0],
+     rectangle_weights, ...),
+    ("grid_map.station_latlon", -INF, INF, "()", "station coordinates", STATIONS,
+     lambda v: grid_map(v, np.full(3, 0.5), [40.5], [-100.5]), ...),
+    ("grid_map.station_latitudes", -90, 90, "[]", "station latitudes", STATIONS,
+     lambda v: grid_map(v, np.full(3, 0.5), [40.5], [-100.5]), (..., 0)),
+    ("grid_map.station_longitudes", -180, 180, "[]", "station longitudes", STATIONS,
+     lambda v: grid_map(v, np.full(3, 0.5), [40.5], [-100.5]), (..., 1)),
+    ("grid_map.grid_lats", -90, 90, "[]", "grid latitudes", [40.5, 41.5],
+     lambda v: grid_map(STATIONS, np.full(3, 0.5), v, [-100.5]), ...),
+    ("grid_map.grid_lons", -180, 180, "[]", "grid longitudes", [-100.5, -99.5],
+     lambda v: grid_map(STATIONS, np.full(3, 0.5), [40.5], v), ...),
+    ("cos_lat_weights.grid_lats", -90, 90, "[]", "grid latitudes", [40.0, 41.0],
+     lambda v: cos_lat_weights(v, [-100.0, -99.0]), ...),
+    ("cos_lat_weights.grid_lons", -180, 180, "[]", "grid longitudes", [-100.0, -99.0],
+     lambda v: cos_lat_weights([40.0, 41.0], v), ...),
+    ("expected_cell_area_model.weights", 0, INF, "()", "weights", [1.0, 2.0],
+     lambda v: expected_cell_area_model(BallIndicator(1.0), PAIR, v, 2, RNG), ...),
+]
+
+
+@pytest.mark.parametrize("lo, hi, ends, name, inside, call, spot", [c[1:] for c in ARRAYS],
+                         ids=[c[0] for c in ARRAYS])
+def test_an_array_of_reals_holds_finite_numbers_in_its_interval(lo, hi, ends, name, inside,
+                                                                call, spot):
+    def refused(value, got):
+        with pytest.raises(DomainError, match=re.escape(
+                f"{name} must be finite numbers in {ends[0]}{lo}, {hi}{ends[1]}, got {got}")):
+            call(value)
+
+    inside = np.array(inside, dtype=float)
+    outside = []
+    if math.isfinite(lo):
+        outside += [lo - 1] + ([lo] if ends[0] == "(" else [])
+    if math.isfinite(hi):
+        outside += [hi + 1] + ([hi] if ends[1] == ")" else [])
+    if spot is ...:
+        # numeric text, a ragged list and a bool array are not arrays of numbers
+        for value in (inside.astype(str).tolist(), [inside.tolist(), [0.0]],
+                      inside.astype(bool)):
+            refused(value, reprlib.repr(value))
+        outside += [math.nan, math.inf, -math.inf]
+    for bad in outside:
+        value = inside.copy()
+        value[spot] = bad
+        refused(value, repr(float(bad)))
+    call(inside)
+
+
+def test_a_float64_stack_is_checked_in_place():
+    # every estimator reads its stack through _as_stack: a float64 one is not copied
+    assert _as_stack(STACK) is STACK
+
+
+# (table, what its names are, call with a name)
+LOOKUPS = [
+    ("models", MODELS, "model name", lambda v: model_from_dict({"model": v})),
+    ("variograms", VARIOGRAMS, "variogram family",
+     lambda v: model_from_dict({"model": "brown_resnick", "variogram": {"family": v}})),
+    ("correlations", CORRELATIONS, "correlation family",
+     lambda v: model_from_dict({"model": "extremal_t", "correlation": {"family": v}})),
+    ("estimators", ESTIMATORS, "estimator method", estimator),
+    ("experiments", EXPERIMENTS, "experiment", lambda v: StudyConfig(v, "out")),
+]
+
+
+@pytest.mark.parametrize("table, what, call", [c[1:] for c in LOOKUPS],
+                         ids=[c[0] for c in LOOKUPS])
+def test_a_name_from_a_table_is_one_of_its_keys(table, what, call):
+    # a list or other unhashable value ended in a bare TypeError
+    for bad in ("nonesuch", [next(iter(table))], None, 1):
+        with pytest.raises(DomainError, match=re.escape(
+                f"unknown {what} {bad!r}; choose one of {tuple(table)}")):
+            call(bad)
+
+
+class _FiniteChecks(ast.NodeVisitor):
+    """Where in a module an ``if`` whose test calls ``np.isfinite`` raises
+    DomainError, as dotted class and function names."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_If(self, node):
+        if any(isinstance(c, ast.Attribute) and c.attr == "isfinite"
+               and isinstance(c.value, ast.Name) and c.value.id == "np"
+               for c in ast.walk(node.test)) and any(
+                isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+                and isinstance(r.exc.func, ast.Name) and r.exc.func.id == "DomainError"
+                for stmt in node.body for r in ast.walk(stmt)):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_function_tests_an_array_for_finite_numbers():
+    # a hand-written "if not np.all(np.isfinite(a)): raise" took bools and
+    # numeric text, and text or a ragged list ended in a bare ValueError first
+    found = []
+    for path in sorted(Path(concur.__file__).parent.glob("*.py")):
+        finder = _FiniteChecks()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [f"{path.stem}.{name}" for name in finder.found]
+    assert [f for f in found if f != "specfun._reals"] == []
 
 
 class _IntegerChecks(ast.NodeVisitor):
