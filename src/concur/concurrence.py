@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
-from .specfun import RngLike, _real, _reals, _spread, _whole, as_generator
+from .specfun import RngLike, _real, _reals, _regular_step, _spread, _whole, as_generator
 
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
@@ -251,7 +251,7 @@ def rectangle_weights(grid_points) -> np.ndarray:
     x = _reals(grid_points, "grid points").reshape(-1)
     if x.size < 2:
         raise DomainError("need at least two grid points")
-    d = np.diff(x)
-    if np.any(d <= 0) or np.any(np.abs(d - d[0]) > 1e-9 * max(1.0, abs(float(d[0])))):
+    step = _regular_step(x)
+    if step is None or step < 0:
         raise DomainError("grid must be increasing and regular; pass explicit weights otherwise")
-    return np.full(x.size, float(d[0]))
+    return np.full(x.size, step)

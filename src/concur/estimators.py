@@ -49,6 +49,9 @@ any order of tied entries gives the same integers.  Built on it:
   jackknife adds O(n) per subset;
 * the block estimator: O(n k), no kernel.
 
+A study cell's bootstrap, unbiased and Kendall values share one kernel
+call: ``_bootstrap`` and ``_kendall`` take the counts.
+
 At n = 16 000 (2-core Xeon, Python 3.11, NumPy 2.4.6, best of 9)
 ``dominance_counts`` of a pair takes 0.011 s and ``ecp_kendall`` 0.013 s.
 """
@@ -291,9 +294,14 @@ def bootstrap_cp_batch(data, m: int) -> np.ndarray:
     Exact evaluation (via log-space binomial ratios) of the average of the
     block estimator over all n! orderings of the sample.
     """
-    x = _as_stack(data)
-    n = x.shape[1]
-    return log_binom_ratio(_below(x), _block_size(m, 2, n), n).sum(axis=1)
+    return _bootstrap(_below(_as_stack(data)), m)
+
+
+def _bootstrap(d: np.ndarray, m: int) -> np.ndarray:
+    """:func:`bootstrap_cp_batch` from the (reps, n) dominance counts d of
+    its stack."""
+    n = d.shape[1]
+    return log_binom_ratio(d, _block_size(m, 2, n), n).sum(axis=1)
 
 
 def sample_cp_bootstrap(data, m: int) -> float:
@@ -345,10 +353,11 @@ class KendallEstimate:
     n: int
 
 
-def _kendall_rows(x: np.ndarray, ties: bool):
+def _kendall_rows(x: np.ndarray, d: np.ndarray, ties: bool):
     """Kendall row sums sum_l sign(x_i - x_l) sign(y_i - y_l) for each
-    observation of a (reps, n, 2) stack and, with ``ties``, the per-margin
-    tie counts #{l != i : x_l = x_i} and #{l != i : y_l = y_i}."""
+    observation of a (reps, n, 2) stack with dominance counts d and, with
+    ``ties``, the per-margin tie counts #{l != i : x_l = x_i} and
+    #{l != i : y_l = y_i}."""
     n = x.shape[1]
     # d = #{l : x_l < x_i, y_l < y_i} is the one pair count.  lx, gx (ly, gy)
     # count the l with smaller and larger x (y), and lxy, gxy (lyx) the l
@@ -360,7 +369,6 @@ def _kendall_rows(x: np.ndarray, ties: bool):
     #   #{x_l > x_i, y_l < y_i} = ly - d - (lxy - lx)
     #   #{x_l > x_i, y_l > y_i} = gy - #{x_l < x_i, y_l > y_i} - (gxy - gx);
     # the row sum is the concordant first and last less the discordant two
-    d = _below(x)
     lx, gx = _smaller_larger(x[:, :, 0])
     ly, gy = _smaller_larger(x[:, :, 1])
     lxy, gxy = _smaller_larger(lx * n + ly)
@@ -385,10 +393,16 @@ def kendall_batch(data, tie_adjusted: bool = False) -> KendallEstimate:
     The stderr is NaN when n < 3.
     """
     x = _as_stack(data)
-    reps, n, k = x.shape
-    if k != 2:
+    if x.shape[2] != 2:
         raise CapabilityError("Kendall's tau is a pairwise statistic (k = 2)")
-    rows, tie_x, tie_y = _kendall_rows(x, tie_adjusted)
+    return _kendall(x, _below(x), tie_adjusted)
+
+
+def _kendall(x: np.ndarray, d: np.ndarray, tie_adjusted: bool) -> KendallEstimate:
+    """:func:`kendall_batch` of a checked (reps, n, 2) stack x with
+    dominance counts d."""
+    reps, n, _ = x.shape
+    rows, tie_x, tie_y = _kendall_rows(x, d, tie_adjusted)
     total = rows.sum(axis=1) / 2.0
     pairs_n = n * (n - 1) / 2.0
     pairs_loo = (n - 1) * (n - 2) / 2.0

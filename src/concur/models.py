@@ -32,6 +32,7 @@ from .specfun import (
     CovarianceMatrix,
     RngLike,
     _lookup,
+    _matmul_t,
     _real,
     _reals,
     _whole,
@@ -120,7 +121,7 @@ class FractionalVariogram:
         _real(self.exponent, "variogram exponent", 0, 2, "(]")
 
     def __call__(self, lags):
-        h = np.asarray(lags, dtype=float)
+        h = _reals(lags, "lags")
         r = np.abs(h) if h.ndim == 0 else np.sqrt((h * h).sum(axis=-1))
         return self.scale * r ** self.exponent
 
@@ -143,7 +144,7 @@ class QuadraticVariogram:
         object.__setattr__(self, "matrix", a)
 
     def __call__(self, lags):
-        h = np.asarray(lags, dtype=float)
+        h = _reals(lags, "lags")
         if h.ndim == 0:
             h = h[None]
         if h.shape[-1] != self.matrix.shape[0]:
@@ -165,7 +166,7 @@ class ExponentialCorrelation:
         _real(self.scale, "correlation scale", 0)
 
     def __call__(self, dist):
-        return np.exp(-np.asarray(dist, dtype=float) / self.scale)
+        return np.exp(-_reals(dist, "distances") / self.scale)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ class PoweredExponentialCorrelation:
         _real(self.power, "correlation power", 0, 2, "(]")
 
     def __call__(self, dist):
-        return np.exp(-((np.asarray(dist, dtype=float) / self.scale) ** self.power))
+        return np.exp(-((_reals(dist, "distances") / self.scale) ** self.power))
 
 
 Correlation = Callable[[np.ndarray], np.ndarray]
@@ -334,7 +335,8 @@ class StudentPair:
 
 @dataclass(frozen=True)
 class SpectralSampler:
-    """Vectorized profile sampler: draw(g, n) -> (n, k) mean-one profiles.
+    """Vectorized profile sampler: draw(g, n) -> (n, k) mean-one profiles,
+    a new float array that the caller may overwrite.
 
     Its draws are the model's spectral profiles, read by ``spectral_sample``
     and ``simulate_doa``; the max-stable simulator draws from the tilted
@@ -598,7 +600,7 @@ class BrownResnick(_PairModel):
 
         def draw_w(g, n):
             w = np.zeros((n, k))
-            w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
+            w[:, 1:] = _matmul_t(g.standard_normal((n, k - 1)), fac)
             return w
 
         return gamma0, fac, draw_w
@@ -607,7 +609,9 @@ class BrownResnick(_PairModel):
         gamma0, _, draw_w = self._anchored(sites)
 
         def draw(g, n):
-            return np.exp(draw_w(g, n) - gamma0)
+            w = draw_w(g, n)
+            w -= gamma0
+            return np.exp(w, out=w)
 
         return SpectralSampler(draw, sites.k)
 
@@ -624,7 +628,8 @@ class BrownResnick(_PairModel):
         _, fac, _ = self._anchored(sites)
         coords = sites.coords
         k = sites.k
-        gam = np.asarray(self.variogram(coords[None, :, :] - coords[:, None, :]), dtype=float)
+        gam = np.array(_reals(self.variogram(coords[None, :, :] - coords[:, None, :]),
+                              "variogram values", 0, ends="[)"))
         np.fill_diagonal(gam, 0.0)
 
         def draw(g, j, zeta, field):
@@ -680,8 +685,11 @@ class ExtremalT(_PairModel):
         k = sites.k
 
         def draw(g, n):
-            w = g.standard_normal((n, k)) @ fac.T
-            return c * np.maximum(w, 0.0) ** nu
+            w = _matmul_t(g.standard_normal((n, k)), fac)
+            np.maximum(w, 0.0, out=w)
+            w **= nu
+            w *= c
+            return w
 
         return SpectralSampler(draw, k)
 

@@ -44,7 +44,7 @@ from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
 from .estimators import _LEAST_BLOCK, estimator
 from .simulate import simulate_cell_labels
-from .specfun import RngLike, _real, _reals, _whole
+from .specfun import RngLike, _real, _reals, _regular_step, _whole
 
 EARTH_RADIUS_KM = 6371.0088
 SEASONS = ("DJF", "MAM", "JJA", "SON")
@@ -646,8 +646,10 @@ def read_matrix_csv(path) -> ConcurrenceMatrix:
 
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Great-circle distance in kilometers between points in degrees."""
-    lat1, lon1, lat2, lon2 = map(np.radians, (np.asarray(lat1, float), np.asarray(lon1, float),
-                                              np.asarray(lat2, float), np.asarray(lon2, float)))
+    lat1, lat2 = (np.radians(_reals(v, name, -90, 90, "[]"))
+                  for v, name in ((lat1, "lat1"), (lat2, "lat2")))
+    lon1, lon2 = (np.radians(_reals(v, name, -180, 180, "[]"))
+                  for v, name in ((lon1, "lon1"), (lon2, "lon2")))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     a = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
@@ -716,8 +718,13 @@ def cos_lat_weights(grid_lats, grid_lons) -> np.ndarray:
     grid, each axis ascending or descending."""
     lats = _reals(grid_lats, "grid latitudes", -90, 90, "[]").reshape(-1)
     lons = _reals(grid_lons, "grid longitudes", -180, 180, "[]").reshape(-1)
-    dlat = abs(float(np.diff(lats)[0])) if lats.size > 1 else 1.0
-    dlon = abs(float(np.diff(lons)[0])) if lons.size > 1 else 1.0
+    steps = []
+    for axis, name in ((lats, "grid latitudes"), (lons, "grid longitudes")):
+        step = 1.0 if axis.size < 2 else _regular_step(axis)
+        if step is None:
+            raise DomainError(f"{name} must be a regular axis, ascending or descending")
+        steps.append(abs(step))
+    dlat, dlon = steps
     glat, _ = np.meshgrid(lats, lons, indexing="ij")
     return (dlat * dlon * np.cos(np.radians(glat))).reshape(-1)
 

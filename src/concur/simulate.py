@@ -194,6 +194,11 @@ def simulate_doa(model: ModelSpec, sites, n0: int, rng: RngLike,
     Returns (1/n0) * max_{i<=n0} Y_i(s) / U_i with U_i iid Uniform(0,1) and
     Y_i the model's spectral profiles; converges to the max-stable law as
     n0 grows.  No hitting indices.
+
+    The draws come in chunks of about ``_REP_CHUNK_ELEMS`` doubles.  Each
+    chunk's profiles are divided by their uniforms in place and reduced
+    over the n0 slices by halving in place, so no array of the chunk's size
+    is made beyond the sampler's own.
     """
     n0 = _whole(n0, 1, "n0")
     n = 1 if size is None else _whole(size, 0, "size")
@@ -206,7 +211,14 @@ def simulate_doa(model: ModelSpec, sites, n0: int, rng: RngLike,
         stop = min(n, start + step)
         nn = stop - start
         y = sampler.draw(g, nn * n0).reshape(nn, n0, k)
-        u = g.uniform(size=(nn, n0))
-        out[start:stop] = (y / u[:, :, None]).max(axis=1) / n0
+        y /= g.uniform(size=(nn, n0))[:, :, None]
+        # fold the upper slices onto the lower ones, log2(n0) calls with long
+        # inner loops (a max over the middle axis runs k-wide ones)
+        h = n0
+        while h > 1:
+            half = h // 2
+            np.maximum(y[:, :half], y[:, h - half:h], out=y[:, :half])
+            h -= half
+        np.divide(y[:, 0], n0, out=out[start:stop])
     return out[0] if size is None else out
 

@@ -175,9 +175,24 @@ def study_fingerprints(work: Path) -> dict:
     return out
 
 
+def blocked_fingerprints() -> dict:
+    """Spectral draws large enough that their Gaussian product runs in
+    several row blocks (see ``specfun._matmul_t``)."""
+    out = {}
+    for name, size, n0, doa_size in (("extremal_t", 200_000, 10, 20_000),
+                                     ("brown_resnick_k4", 100_000, 3, 40_000)):
+        model, sites = CASES[name]
+        out[f"spectral_sample[{name},blocked]"] = _array(
+            spectral_sample(model, sites, SeededRng(17), size=size))
+        out[f"simulate_doa[{name},blocked]"] = _array(
+            simulate_doa(model, sites, n0, SeededRng(18), size=doa_size))
+    return out
+
+
 def all_fingerprints(work: Path) -> dict:
     out = {f"model[{name}]": model_fingerprints(model, sites)
            for name, (model, sites) in CASES.items()}
+    out.update(blocked_fingerprints())
     out.update(pipeline_fingerprints(work))
     out.update(study_fingerprints(work))
     return out

@@ -209,7 +209,8 @@ class TestCountingKernel:
             for got, want in zip(_smaller_larger(y[:, :, j]), _smaller_larger(x[:, :, j])):
                 assert np.array_equal(got, want[:, perm])
         if x.shape[2] == 2:
-            for got, want in zip(_kendall_rows(y, ties=True), _kendall_rows(x, ties=True)):
+            for got, want in zip(_kendall_rows(y, _below(y), ties=True),
+                                 _kendall_rows(x, _below(x), ties=True)):
                 assert np.array_equal(got, want[:, perm])
         above_x = [_below_sorted(-x[:, :, j]) for j in range(x.shape[2])]
         above_y = [_below_sorted(-y[:, :, j]) for j in range(x.shape[2])]
@@ -241,7 +242,7 @@ class TestCountingKernel:
 
     @given(KENDALL_STACKS)
     def test_kendall_rows_and_ties(self, x):
-        rows, tie_x, tie_y = _kendall_rows(x, ties=True)
+        rows, tie_x, tie_y = _kendall_rows(x, _below(x), ties=True)
         for r in range(x.shape[0]):
             ref_rows, ref_tx, ref_ty = reference_kendall_rows(x[r, :, 0], x[r, :, 1])
             assert np.array_equal(rows[r], ref_rows)

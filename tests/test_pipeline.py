@@ -432,6 +432,26 @@ class TestGeometryAndMaps:
         assert w[0] == pytest.approx(1.0)
         assert w.shape == (4,)
 
+    @pytest.mark.parametrize("lats, lons, name", [
+        ([0.0, 1.0, 5.0], [0.0, 1.0], "grid latitudes"),   # the 5 degree row spans 4
+        ([0.0, 1.0], [0.0, 2.0, 3.0], "grid longitudes"),
+        ([0.0, 1.0, 0.0], [0.0, 1.0], "grid latitudes"),   # turns back
+        ([0.0, 0.0], [0.0, 1.0], "grid latitudes"),        # a repeated node
+        ([0.0, 1.0, 2.0 + 1e-6], [0.0, 1.0], "grid latitudes"),
+    ])
+    def test_cos_lat_weights_refuse_an_irregular_axis(self, lats, lons, name):
+        with pytest.raises(DomainError, match=f"{name} must be a regular axis"):
+            cos_lat_weights(lats, lons)
+
+    def test_cos_lat_weights_take_either_direction_within_tolerance(self):
+        want = cos_lat_weights([10.0, 12.0, 14.0], [-100.0, -99.5])
+        assert np.array_equal(cos_lat_weights([14.0, 12.0, 10.0], [-99.5, -100.0]),
+                              want[[5, 4, 3, 2, 1, 0]])
+        # rectangle_weights' relative tolerance of 1e-9: linspace rounding passes
+        near = cos_lat_weights([10.0, 12.0, 14.0 + 1e-10], [-100.0, -99.5])
+        assert np.array_equal(near[:4], want[:4])
+        assert cos_lat_weights(np.linspace(-60.0, 75.0, 271), [0.0]).shape == (271,)
+
 
 class TestCellAreas:
     def test_constant_matrix_full_area(self):

@@ -37,8 +37,10 @@ from concur import (
     simulate_max_stable_batch,
 )
 from concur.estimators import kendall_batch
+from concur.models import spectral_sampler
 from concur.pipeline import write_realizations_csv
 from concur.simulate import _extremal_functions
+from concur.specfun import as_generator
 from conftest import binomial_3se
 
 PAIR = [[0.0], [1.0]]
@@ -267,6 +269,17 @@ class TestDomainOfAttraction:
     def test_domain(self, rng):
         with pytest.raises(DomainError):
             simulate_doa(Logistic(0.5), PAIR, 0, rng)
+
+    @pytest.mark.parametrize("n0", [1, 2, 3, 7, 10, 33])
+    def test_halving_maximum_equals_the_maximum_over_n0(self, n0):
+        # the in-place halving reduction gives the bits of max over the n0 axis
+        for model, sites in ((ExtremalT(ExponentialCorrelation(4.0), nu=3.0), PAIR),
+                             (Logistic(0.4), [[0.0], [1.0], [2.0]])):
+            g = as_generator(SeededRng(n0))
+            y = spectral_sampler(model, sites).draw(g, 300 * n0).reshape(300, n0, -1)
+            u = g.uniform(size=(300, n0))
+            want = (y / u[:, :, None]).max(axis=1) / n0
+            assert np.array_equal(simulate_doa(model, sites, n0, SeededRng(n0), size=300), want)
 
 
 class TestCellLabels:

@@ -21,6 +21,8 @@ from concur import (
     student_cdf,
 )
 
+from concur.specfun import _LEAST_BLOCK_ROWS, _SERIAL_MADDS, _matmul_t
+
 # Frozen with mpmath (40 digits): erfc(-x/sqrt(2))/2 at x = 1.959964
 PHI_1959964 = 0.9750000009035575956975049
 
@@ -205,3 +207,31 @@ class TestLogBinomRatio:
             log_binom_ratio(3, 2, 3)
         with pytest.raises(DomainError):
             log_binom_ratio(-1, 2, 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 64])
+def test_blocked_product_equals_one_call(k, monkeypatch):
+    # the spectral samplers form z @ fac.T in row blocks small enough that
+    # OpenBLAS runs each on the calling thread; the bits must not change.
+    # A product too wide for blocks of _LEAST_BLOCK_ROWS rows stays one call
+    g = np.random.default_rng(k)
+    a = g.standard_normal((k, k))
+    fac = np.linalg.cholesky(a @ a.T + k * np.eye(k))
+    limit = _SERIAL_MADDS // (k * k)
+    rows = []
+    matmul = np.matmul
+
+    def spy(z, f, out):
+        rows.append(len(z))
+        return matmul(z, f, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for n in (limit, limit + 1, 3 * limit + 7):
+        rows.clear()
+        z = g.standard_normal((n, k))
+        assert np.array_equal(_matmul_t(z, fac), z @ fac.T)
+        if n <= limit or limit < _LEAST_BLOCK_ROWS:
+            assert rows == []
+        else:  # ceil(n / limit) blocks of one size, to a row
+            assert len(rows) == -(-n // limit) and sum(rows) == n
+            assert max(rows) <= limit and max(rows) - min(rows) <= 1

@@ -2,11 +2,26 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from concur import DomainError, concurrence_probability
+from concur import DomainError, SeededRng, concurrence_probability
+from concur.estimators import (
+    _as_stack,
+    _below,
+    _bootstrap,
+    _kendall,
+    bootstrap_cp_batch,
+    kendall_batch,
+    unbiased_cp_batch,
+    unbiased_modification,
+)
 from concur.study import (
     StudyConfig,
+    _pair_rows,
+    _pair_sites,
+    _simulate_block,
+    _summaries,
     extremal_t_benchmark,
     lag_for_target_p,
     study_harness,
@@ -79,3 +94,29 @@ def test_outputs_deterministic(tmp_path):
     assert digests[0][0] == digests[1][0]
     assert digests[0][1] == digests[1][1]
     assert digests[0][1]["schema_version"] == "1"
+
+
+@pytest.mark.parametrize("n0", [1, 10, None])
+def test_a_cell_counts_once_and_matches_the_batch_estimators(tmp_path, n0):
+    # the cell's three estimators share one dominance count; at n0 = 1 about
+    # half the draws are 0, so the stacks are heavily tied
+    model, sites, reps, n, m = extremal_t_benchmark(), _pair_sites(3.0), 40, 60, 10
+    data = _simulate_block(model, sites, n0, reps, n, SeededRng(7).substream(1))
+    if n0 == 1:
+        assert 0.4 < (data == 0.0).mean() < 0.6
+    d = _below(_as_stack(data))
+    star = bootstrap_cp_batch(data, m)
+    want = {"bootstrap": star, "unbiased": unbiased_cp_batch(data, m).value,
+            "kendall": kendall_batch(data, tie_adjusted=True)}
+    assert np.array_equal(_bootstrap(d, m), star)
+    assert np.array_equal(unbiased_modification(_bootstrap(d, m), m), want["unbiased"])
+    got = _kendall(data, d, tie_adjusted=True)
+    assert np.array_equal(got.estimate, want["kendall"].estimate)
+    assert np.array_equal(got.stderr, want["kendall"].stderr)
+    want["kendall"] = want["kendall"].estimate
+    cfg = StudyConfig(experiment="table1", out_dir=tmp_path, reps=reps)
+    rows = _pair_rows(cfg, SeededRng(7), 0, [({"n0": n0}, model, sites, 0.5, n, n0)])
+    assert [r["estimator"] for r in rows] == ["bootstrap", "unbiased", "kendall"]
+    for row in rows:
+        assert row == {"experiment": "table1", "n0": n0, "m": m, "estimator": row["estimator"],
+                       "reps": reps, **_summaries(want[row["estimator"]], 0.5)}

@@ -17,7 +17,8 @@ some let inf through or returned NaN for NaN, and some ended in a bare
 TypeError or OverflowError.
 
 An array of real numbers (coordinates, sample values, weights, a matrix,
-the values a variogram or correlation returns) holds integers or floats,
+the lags and distances a variogram or correlation takes and the values it
+returns) holds integers or floats,
 never bools or text, each finite and in its interval; anything else raises
 DomainError "<name> must be finite numbers in (<lo>, <hi>], got <first bad
 entry>", or a short repr of the input when it is not an array of numbers.
@@ -97,6 +98,7 @@ from concur.pipeline import (
     cos_lat_weights,
     expected_cell_area_model,
     grid_map,
+    haversine_km,
     pairwise_matrix,
     seasonal_blocks,
 )
@@ -288,6 +290,27 @@ ARRAYS = [
      ...),
     ("ExtremalT.pair_correlation_value", -1, 1, "[]", "correlation values", 0.5,
      lambda v: concurrence_probability(ExtremalT(lambda d: v), PAIR), ...),
+    ("BrownResnick.tilted_variogram_values", 0, INF, "[)", "variogram values",
+     [[0.0, 1.0], [1.0, 0.0]],
+     lambda v: simulate_max_stable_batch(
+         BrownResnick(lambda h: v if np.shape(h) == (2, 2, 1) else _fractional(h)), PAIR, 1, RNG),
+     ...),
+    ("FractionalVariogram.lags", -INF, INF, "()", "lags", [[0.5], [-1.0]],
+     FractionalVariogram(1.0, 1.0), ...),
+    ("QuadraticVariogram.lags", -INF, INF, "()", "lags", [[0.5, -1.0]],
+     QuadraticVariogram(np.eye(2)), ...),
+    ("ExponentialCorrelation.distances", -INF, INF, "()", "distances", [0.5, 1.0],
+     ExponentialCorrelation(1.0), ...),
+    ("PoweredExponentialCorrelation.distances", -INF, INF, "()", "distances", [0.5, 1.0],
+     PoweredExponentialCorrelation(1.0, 1.5), ...),
+    ("haversine_km.lat1", -90, 90, "[]", "lat1", [40.0, 41.0],
+     lambda v: haversine_km(v, -100.0, 40.0, -100.0), ...),
+    ("haversine_km.lon1", -180, 180, "[]", "lon1", [-100.0, -99.0],
+     lambda v: haversine_km(40.0, v, 40.0, -100.0), ...),
+    ("haversine_km.lat2", -90, 90, "[]", "lat2", [40.0, 41.0],
+     lambda v: haversine_km(40.0, -100.0, v, -100.0), ...),
+    ("haversine_km.lon2", -180, 180, "[]", "lon2", [-100.0, -99.0],
+     lambda v: haversine_km(40.0, -100.0, 40.0, v), ...),
     ("CovarianceMatrix.entries", -INF, INF, "()", "covariance entries", np.eye(2),
      CovarianceMatrix, ...),
     ("reg_inc_beta.x", 0, 1, "[]", "beta argument", [0.25, 0.5],
