@@ -167,11 +167,9 @@ def _cmd_estimate(args, rng: SeededRng) -> None:
         names = tuple(labels)
     sample = Sample(data, names)
     estimate = estimator(args.method, args.block_size, jackknife=args.jackknife)
-    result = {k: None if v is None else v[0].item()
-              for k, v in estimate(sample.data[None]).items()}
     _emit_json({"command": "estimate", "method": args.method, "n": sample.n,
                 "k": sample.k, "ties_detected": sample.has_ties,
-                "pairs": ",".join(names), "m": args.block_size, **result}, args.out)
+                "pairs": ",".join(names), "m": args.block_size, **estimate(sample)}, args.out)
 
 
 def _cmd_simulate(args, rng: SeededRng) -> None:

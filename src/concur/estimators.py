@@ -17,10 +17,10 @@ All estimators compare observations componentwise with strict inequalities,
 so every output is invariant under strictly increasing per-coordinate
 transformations; ties count as non-dominance and are flagged on the Sample.
 
-Each estimator is one function of a (reps, n, k) stack of samples that
-holds its formula and input checks and returns one value per replicate;
-``ESTIMATORS`` names them, and the single-sample functions (``ecp_kendall``,
-``sample_cp_block``, ...) are their one-replicate case.
+Each estimator (``ESTIMATORS`` names the five) is one function that holds
+its formula and input checks, as is ``dominance_counts``.  It takes an
+(n, k) sample or :class:`Sample`, or a (reps, n, k) stack in one pass, and
+keeps the leading axis: floats for one sample, arrays for a stack.
 
 Cost.  Every estimator except the block one reduces to one counting kernel,
 ``_below``: for each observation, how many others lie strictly below it at
@@ -230,17 +230,23 @@ def _below_merge(xc, yc):
 # ---------------------------------------------------------------------------
 # input checks shared by every estimator
 
-def _as_stack(data) -> np.ndarray:
-    x = _reals(data, "sample values")
-    if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
-        raise DomainError(f"expected a 3-d (reps, n, k) stack with n >= 2 and k >= 2, "
-                          f"got shape {x.shape}")
-    return x
+def _as_stack(data) -> tuple[np.ndarray, bool]:
+    """(x, one): a (reps, n, k) stack as it is, or an (n, k) sample or Sample,
+    checked as a :class:`Sample` is, as a one-replicate stack with one true."""
+    if not isinstance(data, Sample):
+        x = _reals(data, "sample values")
+        if x.ndim > 2:
+            if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
+                raise DomainError(f"expected a 3-d (reps, n, k) stack with n >= 2 and k >= 2, "
+                                  f"got shape {x.shape}")
+            return x, False
+        data = Sample(x)
+    return data.data[None], True
 
 
-def _one(data) -> np.ndarray:
-    """A single sample, checked as a :class:`Sample`, as a one-replicate stack."""
-    return (data if isinstance(data, Sample) else Sample(data)).data[None]
+def _per_sample(values: np.ndarray, one: bool):
+    """Per-replicate values, as a float for one sample."""
+    return float(values[0]) if one else values
 
 
 def _block_size(m, least: int, n: int) -> int:
@@ -253,25 +259,21 @@ def _block_size(m, least: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # dominance counts, block and bootstrap estimators
 
-def dominance_counts_batch(data) -> np.ndarray:
-    """d_i = #{l != i : X_l(s_j) < X_i(s_j) for every coordinate j}, per
-    replicate of a (reps, n, k) stack."""
-    return _below(_as_stack(data))
-
-
 def dominance_counts(data) -> np.ndarray:
-    """Dominance counts of one sample: :func:`dominance_counts_batch`."""
-    return dominance_counts_batch(_one(data))[0]
+    """d_i = #{l != i : X_l(s_j) < X_i(s_j) for every coordinate j}: an (n,)
+    array for one sample, (reps, n) for a stack."""
+    x, one = _as_stack(data)
+    d = _below(x)
+    return d[0] if one else d
 
 
-def block_cp_batch(data, m: int) -> np.ndarray:
-    """Share of the floor(n/m) disjoint blocks containing a dominator, per
-    replicate of a (reps, n, k) stack.
+def sample_cp_block(data, m: int) -> float | np.ndarray:
+    """Share of the floor(n/m) disjoint blocks containing a dominator.
 
     Unbiased for the m-observation sample concurrence probability p_m.
     m = 1 degenerately returns 1 (a singleton always dominates itself).
     """
-    x = _as_stack(data)
+    x, one = _as_stack(data)
     reps, n, k = x.shape
     m = _block_size(m, 1, n)
     nb = n // m
@@ -279,34 +281,25 @@ def block_cp_batch(data, m: int) -> np.ndarray:
     # a block concurs when one row strictly dominates the others at every
     # coordinate: each coordinate's maximum is unique and one row holds all
     eq = blocks == blocks.max(axis=2, keepdims=True)
-    return ((eq.sum(axis=2) == 1).all(axis=2) & eq.all(axis=3).any(axis=2)).mean(axis=1)
+    share = ((eq.sum(axis=2) == 1).all(axis=2) & eq.all(axis=3).any(axis=2)).mean(axis=1)
+    return _per_sample(share, one)
 
 
-def sample_cp_block(data, m: int) -> float:
-    """Block estimator of one sample: :func:`block_cp_batch`."""
-    return float(block_cp_batch(_one(data), m)[0])
-
-
-def bootstrap_cp_batch(data, m: int) -> np.ndarray:
-    """Rao--Blackwellized block estimator sum_i C(d_i, m-1) / C(n, m), per
-    replicate of a (reps, n, k) stack.
+def sample_cp_bootstrap(data, m: int) -> float | np.ndarray:
+    """Rao--Blackwellized block estimator sum_i C(d_i, m-1) / C(n, m).
 
     Exact evaluation (via log-space binomial ratios) of the average of the
     block estimator over all n! orderings of the sample.
     """
-    return _bootstrap(_below(_as_stack(data)), m)
+    x, one = _as_stack(data)
+    return _per_sample(_bootstrap(_below(x), m), one)
 
 
 def _bootstrap(d: np.ndarray, m: int) -> np.ndarray:
-    """:func:`bootstrap_cp_batch` from the (reps, n) dominance counts d of
-    its stack."""
+    """:func:`sample_cp_bootstrap` of a stack, from its (reps, n) dominance
+    counts d."""
     n = d.shape[1]
     return log_binom_ratio(d, _block_size(m, 2, n), n).sum(axis=1)
-
-
-def sample_cp_bootstrap(data, m: int) -> float:
-    """Bootstrap estimator of one sample: :func:`bootstrap_cp_batch`."""
-    return float(bootstrap_cp_batch(_one(data), m)[0])
 
 
 @dataclass(frozen=True)
@@ -323,22 +316,17 @@ def unbiased_modification(star, m: int):
     return (m * star - 1.0) / (m - 1.0)
 
 
-def unbiased_cp_batch(data, m: int) -> UnbiasedEstimate:
-    """The unbiased modification of the bootstrap estimator, per replicate of
-    a (reps, n, 2) stack: unbiased for the extremal concurrence probability
-    of a max-stable pair.  The identity is bivariate only; the raw value may
-    be negative and is reported unclipped."""
-    x = _as_stack(data)
+def sample_cp_unbiased(data, m: int) -> UnbiasedEstimate:
+    """The unbiased modification of the bootstrap estimator of a pair sample
+    (k = 2): unbiased for the extremal concurrence probability of a
+    max-stable pair.  The identity is bivariate only; the raw value may be
+    negative and is reported unclipped."""
+    x, one = _as_stack(data)
     if x.shape[2] != 2:
         raise CapabilityError("the unbiased modification is only valid for pairs (k = 2)")
-    value = unbiased_modification(bootstrap_cp_batch(x, m), m)
-    return UnbiasedEstimate(value=value, clipped=np.clip(value, 0.0, 1.0))
-
-
-def sample_cp_unbiased(data, m: int) -> UnbiasedEstimate:
-    """Unbiased modification for one sample: :func:`unbiased_cp_batch`."""
-    est = unbiased_cp_batch(_one(data), m)
-    return UnbiasedEstimate(value=float(est.value[0]), clipped=float(est.clipped[0]))
+    value = unbiased_modification(_bootstrap(_below(x), m), m)
+    return UnbiasedEstimate(value=_per_sample(value, one),
+                            clipped=_per_sample(np.clip(value, 0.0, 1.0), one))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +367,8 @@ def _kendall_rows(x: np.ndarray, d: np.ndarray, ties: bool):
     return rows, n - 1 - lx - gx, n - 1 - ly - gy
 
 
-def kendall_batch(data, tie_adjusted: bool = False) -> KendallEstimate:
-    """Kendall's tau with delete-one jackknife stderr, per replicate of a
-    (reps, n, 2) stack.
+def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
+    """Kendall's tau with delete-one jackknife stderr of a pair sample (k = 2).
 
     For max-stable pairs tau equals the extremal concurrence probability,
     so the statistic doubles as an unbiased concurrence estimator.  Tied
@@ -392,15 +379,17 @@ def kendall_batch(data, tie_adjusted: bool = False) -> KendallEstimate:
     removal leaves a coordinate constant (its jackknife value is 0/0).
     The stderr is NaN when n < 3.
     """
-    x = _as_stack(data)
+    x, one = _as_stack(data)
     if x.shape[2] != 2:
         raise CapabilityError("Kendall's tau is a pairwise statistic (k = 2)")
-    return _kendall(x, _below(x), tie_adjusted)
+    est = _kendall(x, _below(x), tie_adjusted)
+    return KendallEstimate(estimate=_per_sample(est.estimate, one),
+                           stderr=_per_sample(est.stderr, one), n=est.n)
 
 
 def _kendall(x: np.ndarray, d: np.ndarray, tie_adjusted: bool) -> KendallEstimate:
-    """:func:`kendall_batch` of a checked (reps, n, 2) stack x with
-    dominance counts d."""
+    """:func:`ecp_kendall` of a checked (reps, n, 2) stack x with dominance
+    counts d."""
     reps, n, _ = x.shape
     rows, tie_x, tie_y = _kendall_rows(x, d, tie_adjusted)
     total = rows.sum(axis=1) / 2.0
@@ -431,12 +420,6 @@ def _kendall(x: np.ndarray, d: np.ndarray, tie_adjusted: bool) -> KendallEstimat
     loo = (total[:, None] - rows) / pairs_loo
     var = (n - 1) / n * ((loo - loo.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
     return KendallEstimate(estimate=tau, stderr=np.sqrt(var), n=n)
-
-
-def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
-    """Kendall's tau of one pair sample: :func:`kendall_batch`."""
-    est = kendall_batch(_one(data), tie_adjusted)
-    return KendallEstimate(estimate=float(est.estimate[0]), stderr=float(est.stderr[0]), n=est.n)
 
 
 # ---------------------------------------------------------------------------
@@ -482,49 +465,38 @@ def _mean_log_ecdf(counts: np.ndarray, jackknife: bool) -> np.ndarray:
     return logs.mean(axis=1) - (math.log(n) + (n - 1) * math.log1p(1.0 / (n - 1)))
 
 
-def mvlog_batch(data, subset=None, jackknife: bool = False) -> np.ndarray:
-    """Inclusion-exclusion estimator of p(s_j, j in subset) from log empirical
-    CDFs, per replicate of a (reps, n, k) stack.
+def ecp_multivariate_log(data, *, jackknife: bool = False) -> float | np.ndarray:
+    """Inclusion-exclusion estimator of p(s_1, ..., s_k) from log empirical
+    CDFs; ``x[..., cols]`` estimates it for a subset of the sites.
 
     Sums (-1)^{|J|} mean_i log F_hat_J(X_i) over nonempty J, where the
     empirical CDF includes the observation itself so every logarithm is
     finite.  ``jackknife=True`` returns the delete-one bias-reduced value,
     n p - (n-1) mean(p_loo).
     """
-    x = _as_stack(data)
+    x, one = _as_stack(data)
     reps, n, k = x.shape
-    idx = list(range(k)) if subset is None else [_whole(j, 0, "subset index") for j in subset]
-    if len(idx) < 2:
-        raise DomainError("need at least two coordinates")
-    if len(set(idx)) != len(idx) or max(idx) >= k:
-        raise DomainError("subset indices out of range or repeated")
     if jackknife and n < 3:
         raise DomainError("jackknife needs n >= 3")
-    x = x[:, :, idx]
     # each coordinate's counts serve every subset J that holds it
-    above = [_below_sorted(-x[:, :, j]) for j in range(len(idx))]
+    above = [_below_sorted(-x[:, :, j]) for j in range(k)]
     total = np.zeros(reps)
-    for r in range(1, len(idx) + 1):
+    for r in range(1, k + 1):
         sign = (-1.0) ** r
-        for J in itertools.combinations(range(len(idx)), r):
+        for J in itertools.combinations(range(k), r):
             total += sign * _mean_log_ecdf(_at_most(x, J, above), jackknife)
-    return total
-
-
-def ecp_multivariate_log(data, subset=None, jackknife: bool = False) -> float:
-    """Multivariate log estimator of one sample: :func:`mvlog_batch`."""
-    return float(mvlog_batch(_one(data), subset, jackknife)[0])
+    return _per_sample(total, one)
 
 
 # ---------------------------------------------------------------------------
 # estimators by name
 
 ESTIMATORS = {
-    "kendall": kendall_batch,
-    "block": block_cp_batch,
-    "bootstrap": bootstrap_cp_batch,
-    "unbiased": unbiased_cp_batch,
-    "mvlog": mvlog_batch,
+    "kendall": ecp_kendall,
+    "block": sample_cp_block,
+    "bootstrap": sample_cp_bootstrap,
+    "unbiased": sample_cp_unbiased,
+    "mvlog": ecp_multivariate_log,
 }
 _LEAST_BLOCK = {"block": 1, "bootstrap": 2, "unbiased": 2}  # least block size by method
 
@@ -639,7 +611,7 @@ def simulate_pair_batch(model: ModelSpec, sites, reps: int, n: int,
     """(reps, n, k) stack of independent max-stable observations.
 
     Uses the model's exact construction when it has one (the positive-stable
-    logistic) and the spectral simulator otherwise.
+    logistic) and exact simulation from extremal functions otherwise.
     """
     reps, n = _whole(reps, 1, "reps"), _whole(n, 1, "n")
     values = simulate_field_values(model, sites, reps * n, as_generator(rng))
@@ -655,11 +627,5 @@ def bias_law_check(model: ModelSpec, sites, m_list, reps: int, n: int,
     """
     p = kendall_target_p(model, sites)
     data = simulate_pair_batch(model, sites, reps, n, rng)
-    if data.shape[2] != 2:
-        raise DomainError("the bias law check is bivariate")
-    rows = []
-    for m in m_list:
-        est = block_cp_batch(data, m)
-        rows.append(BiasLawRow(m=int(m), mean_estimate=float(est.mean()),
-                               theoretical=p + (1.0 - p) / m))
-    return rows
+    return [BiasLawRow(m=int(m), mean_estimate=float(sample_cp_block(data, m).mean()),
+                       theoretical=p + (1.0 - p) / m) for m in m_list]

@@ -520,10 +520,27 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
                                     coverage[ok].tolist())]
 
 
+def _extreme(sid, season, year, value, coverage, polarity) -> SeasonalExtremes:
+    """One extremes CSV row, checked in column order: a season of SEASONS, a
+    finite value, a coverage in [0, 1] and a polarity of POLARITIES."""
+    if season not in SEASONS:
+        raise ValueError(f"season {season!r} is not one of {SEASONS}")
+    year, value, coverage = _number(year, int), _number(value), _number(coverage)
+    if not math.isfinite(value):
+        raise ValueError(f"value {value} is not finite")
+    if not 0.0 <= coverage <= 1.0:
+        raise ValueError(f"coverage {coverage} outside [0, 1]")
+    if polarity not in POLARITIES:
+        raise ValueError(f"polarity {polarity!r} is not one of {POLARITIES}")
+    return SeasonalExtremes(sid, season, year, value, coverage, polarity)
+
+
 def read_extremes_csv(path) -> list[SeasonalExtremes]:
-    return list(_read_rows(path, _EXTREMES_COLUMNS, lambda sid, season, year, value, cov, pol:
-                           SeasonalExtremes(sid, season, _number(year, int), _number(value),
-                                            _number(cov), pol)))
+    """Extremes from :func:`write_extremes_csv` output; a row :func:`_extreme`
+    refuses or a repeated station-year raises :class:`ParseError` at its line."""
+    return list(_read_rows(path, _EXTREMES_COLUMNS, _extreme,
+                           key=lambda e: (e.station_id, e.year),
+                           name=lambda k: f"station {k[0]} in {k[1]}"))
 
 
 def write_extremes_csv(extremes, path) -> None:
@@ -619,11 +636,25 @@ def write_matrix_csv(matrix: ConcurrenceMatrix, path) -> None:
          int(matrix.n_pairs[i, j])] for i in range(len(ids)) for j in range(i, len(ids))))
 
 
+def _matrix_entry(a, b, estimate, stderr, n_pairs) -> tuple:
+    """One matrix CSV row: an estimate finite or nan (an absent pair), a
+    stderr nan (none) or finite and >= 0, and a whole n_pairs >= 0."""
+    e, s, c = _number(estimate), _number(stderr), _number(n_pairs, int)
+    if math.isinf(e):
+        raise ValueError(f"estimate {e} is neither finite nor nan")
+    if s < 0.0 or math.isinf(s):
+        raise ValueError(f"stderr {s} is neither nan nor in [0, inf)")
+    if c < 0:
+        raise ValueError(f"n_pairs {c} is negative")
+    return a, b, e, s, c
+
+
 def read_matrix_csv(path) -> ConcurrenceMatrix:
     """A matrix from :func:`write_matrix_csv` output: one row per unordered
-    pair, in either order; a repeated pair raises :class:`ParseError`."""
+    pair, in either order; a row :func:`_matrix_entry` refuses or a repeated
+    pair raises :class:`ParseError` at its line."""
     rows = list(_read_rows(path, ("id1", "id2", "estimate", "stderr", "n_pairs"),
-                           lambda a, b, e, s, c: (a, b, _number(e), _number(s), _number(c, int)),
+                           _matrix_entry,
                            key=lambda r: (r[0], r[1]) if r[0] <= r[1] else (r[1], r[0]),
                            name=lambda pair: f"pair {pair[0]},{pair[1]}"))
     ids = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
@@ -806,10 +837,13 @@ def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
 
     The anomaly column holds the deviation of each stratum's area from the
     base stratum's; the base label defaults to the lexicographically first
-    stratum.  Without strata every year is in the one stratum "all".  A
-    :class:`DomainError` in one stratum's matrix or maps names the stratum.
+    stratum.  Without strata every year is in the one stratum "all", and a
+    base label raises :class:`DomainError`.  A :class:`DomainError` in one
+    stratum's matrix or maps names the stratum.
     """
     if strata is None:
+        if base_label is not None:
+            raise DomainError(f"base stratum {base_label!r} given without strata")
         strata, base_label = {e.year: "all" for e in extremes}, "all"
     labels = sorted(set(strata.values()))
     known_years = set(strata)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .concurrence import concurrence_probability
 from .errors import DomainError
-from .estimators import (_as_stack, _below, _bootstrap, _kendall, block_cp_batch, block_mse,
-                         optimal_block_size, simulate_pair_batch, unbiased_modification)
+from .estimators import (_as_stack, _below, _bootstrap, _kendall, block_mse, optimal_block_size,
+                         sample_cp_block, simulate_pair_batch, unbiased_modification)
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .pipeline import _write_json, _write_rows
 from .simulate import simulate_doa
@@ -130,14 +130,14 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
     A cell is (row fields, model, sites, truth, n, n0); the i-th cell (from 1)
     draws from substream offset + i.  A cell with the bootstrap records m.
     The estimators share one dominance count of the cell's stack; each
-    value equals its batch function's (``bootstrap_cp_batch``,
-    ``kendall_batch(tie_adjusted=True)``).
+    value equals its estimator's on the stack (``sample_cp_bootstrap``,
+    ``ecp_kendall(tie_adjusted=True)``).
     """
     m = _BLOCK_SIZE
     rows: list[dict] = []
     for cell, (fields, model, sites, truth, n, n0) in enumerate(cells, 1):
-        data = _as_stack(_simulate_block(model, sites, n0, cfg.reps, n,
-                                         rng.substream(offset + cell)))
+        data, _ = _as_stack(_simulate_block(model, sites, n0, cfg.reps, n,
+                                            rng.substream(offset + cell)))
         d = _below(data)
         values = {}
         if "bootstrap" in estimators:  # the unbiased estimator is derived from it
@@ -176,10 +176,10 @@ def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     rows: list[dict] = []
     for ni, n in enumerate(sizes):
         data = _simulate_block(model, sites, None, cfg.reps, n, rng.substream(1 + ni))
-        d = _below(_as_stack(data))  # one count for every block size
+        d = _below(_as_stack(data)[0])  # one count for every block size
         plan = optimal_block_size(n, p, r=1, c_r=1.0 - p)
         for m in m_grid:
-            block = block_cp_batch(data, m)
+            block = sample_cp_block(data, m)
             star = _bootstrap(d, m)
             predicted = math.sqrt(block_mse(n, m, p, 1, 1.0 - p))
             for name, vals in (("block", block), ("bootstrap", star)):

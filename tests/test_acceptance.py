@@ -38,10 +38,9 @@ from concur import (
     simulate_logistic_exact,
 )
 from concur.estimators import (
-    block_cp_batch,
     block_mse,
-    bootstrap_cp_batch,
     dominance_counts,
+    sample_cp_block,
     sample_cp_bootstrap,
 )
 from concur.pipeline import ingest_csv, pairwise_matrix, seasonal_blocks, write_matrix_csv
@@ -150,7 +149,7 @@ def test_a4_bias_law():
     details = []
     ok = True
     for m in (5, 10, 20):
-        est = block_cp_batch(data, m)
+        est = sample_cp_block(data, m)
         theory = 0.5 + 0.5 / m
         se = est.std(ddof=1) / math.sqrt(reps)
         ok &= _within(est.mean(), theory, 3 * se)
@@ -174,8 +173,8 @@ def test_a6_rao_blackwell():
     reps, n, m = 2000, 100, 10
     data = simulate_logistic_exact(0.5, 2, ROOT.substream(600),
                                    size=reps * n).reshape(reps, n, 2)
-    v_block = block_cp_batch(data, m).var(ddof=1)
-    v_boot = bootstrap_cp_batch(data, m).var(ddof=1)
+    v_block = sample_cp_block(data, m).var(ddof=1)
+    v_boot = sample_cp_bootstrap(data, m).var(ddof=1)
 
     g = ROOT.substream(601).generator()
     exact_ok = True

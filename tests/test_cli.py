@@ -453,6 +453,35 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
                              "--antithetic"], "--antithetic needs --draws"),
     ("sites", "0.0\n1.0\n", ["plan", "--n", "60", "--p", "0.5", "--c-r", "inf"],
      "c_r must be a finite number in (0, inf), got inf"),
+    # an extremes row is checked at its line: these used to be read, and the
+    # last two failed later, in the matrix, with no line
+    ("extremes", EXTREMES + "A,XYZ,2001,1.5,1.0,max\n", ["matrix", "--input", "{extremes}"],
+     "line 4: season 'XYZ' is not one of ('DJF', 'MAM', 'JJA', 'SON')"),
+    ("extremes", EXTREMES + "A,JJA,2001,1.5,1.0,sideways\n", ["matrix", "--input", "{extremes}"],
+     "line 4: polarity 'sideways' is not one of ('max', 'negated_min')"),
+    ("extremes", EXTREMES + "A,JJA,2001,1.5,7.5,max\n", ["matrix", "--input", "{extremes}"],
+     "line 4: coverage 7.5 outside [0, 1]"),
+    ("extremes", EXTREMES + "A,JJA,2001,1.5,-1,max\n", CELLS,
+     "line 4: coverage -1.0 outside [0, 1]"),
+    ("extremes", EXTREMES + "B,JJA,2001,inf,1.0,max\n", ["matrix", "--input", "{extremes}"],
+     "line 4: value inf is not finite"),
+    ("extremes", EXTREMES + "A,JJA,2001,1.5,1.0,max\nB,JJA,2000,3.5,1.0,max\n",
+     ["matrix", "--input", "{extremes}"],
+     "line 5: duplicate station B in 2000 (first seen on line 3)"),
+    # so is a matrix row; the writer's nan (an absent pair, no stderr) is read
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,inf,0.1,5"), MAP,
+     "line 3: estimate inf is neither finite nor nan"),
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,-3,5"), MAP,
+     "line 3: stderr -3.0 is neither nan nor in [0, inf)"),
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,inf,5"), MAP,
+     "line 3: stderr inf is neither nan nor in [0, inf)"),
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,0.1,-7"), MAP,
+     "line 3: n_pairs -7 is negative"),
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,0.1,5.0"), MAP,
+     "line 3: invalid literal for int()"),
+    # a base stratum means nothing without strata; it used to be ignored
+    ("extremes", EXTREMES, CELLS + ["--base-label", "nada"],
+     "base stratum 'nada' given without strata"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -477,7 +506,11 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
         "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",
         "matrix_min_overlap_negative", "blocks_min_coverage_above_1", "study_n_0", "study_n_1",
-        "ecp_antithetic_without_draws", "plan_c_r_inf"])
+        "ecp_antithetic_without_draws", "plan_c_r_inf", "extremes_season_unknown",
+        "extremes_polarity_unknown", "extremes_coverage_above_1", "extremes_coverage_negative",
+        "extremes_value_inf", "extremes_repeated_station_year", "matrix_estimate_inf",
+        "matrix_stderr_negative", "matrix_stderr_inf", "matrix_n_pairs_negative",
+        "matrix_n_pairs_not_whole", "cells_base_label_without_strata"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line

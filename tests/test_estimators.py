@@ -29,15 +29,7 @@ from concur import (
     sample_cp_unbiased,
     simulate_logistic_exact,
 )
-from concur.estimators import (
-    block_cp_batch,
-    bootstrap_cp_batch,
-    dominance_counts_batch,
-    estimator,
-    kendall_batch,
-    mvlog_batch,
-    unbiased_cp_batch,
-)
+from concur.estimators import estimator
 
 
 def logistic_data(alpha, k, n, seed):
@@ -155,8 +147,8 @@ class TestBootstrapEstimator:
     def test_rao_blackwell_variance_dominance(self):
         reps, n, m = 500, 100, 10
         data = logistic_data(0.5, 2, reps * n, seed=1).reshape(reps, n, 2)
-        v_block = block_cp_batch(data, m).var(ddof=1)
-        v_boot = bootstrap_cp_batch(data, m).var(ddof=1)
+        v_block = sample_cp_block(data, m).var(ddof=1)
+        v_boot = sample_cp_bootstrap(data, m).var(ddof=1)
         assert v_boot <= v_block
 
 
@@ -233,7 +225,7 @@ class TestKendall:
         # jackknife SE should track the true sampling SD within ~30%
         reps, n = 200, 200
         data = logistic_data(0.5, 2, reps * n, seed=7).reshape(reps, n, 2)
-        taus = kendall_batch(data).estimate
+        taus = ecp_kendall(data).estimate
         se_hat = ecp_kendall(data[0]).stderr
         sd_true = taus.std(ddof=1)
         assert 0.7 * sd_true < se_hat < 1.3 * sd_true
@@ -261,15 +253,15 @@ class TestKendall:
         est = ecp_kendall(np.vstack([x, [3.0, 3.0]]), tie_adjusted=True)
         assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
 
-    def test_batch_tie_adjusted_constant_coordinate_raises(self):
+    def test_stack_tie_adjusted_constant_coordinate_raises(self):
         data = np.stack([np.column_stack([np.zeros(5), np.arange(5.0)]),
                          np.column_stack([np.arange(5.0), np.arange(5.0)])])
         with pytest.raises(DomainError, match="replicate 0: coordinate 0 is constant"):
-            kendall_batch(data, tie_adjusted=True)
+            ecp_kendall(data, tie_adjusted=True)
         with pytest.raises(DomainError, match="replicate 0: coordinate 1 is constant"):
-            kendall_batch(data[:, :, ::-1], tie_adjusted=True)
-        assert np.array_equal(kendall_batch(data).estimate, [0.0, 1.0])
-        assert kendall_batch(data[1:], tie_adjusted=True).estimate[0] == 1.0
+            ecp_kendall(data[:, :, ::-1], tie_adjusted=True)
+        assert np.array_equal(ecp_kendall(data).estimate, [0.0, 1.0])
+        assert ecp_kendall(data[1:], tie_adjusted=True).estimate[0] == 1.0
 
 
 class TestMultivariateLog:
@@ -299,20 +291,17 @@ class TestMultivariateLog:
         fast = ecp_multivariate_log(x, jackknife=True)
         assert fast == pytest.approx(manual, abs=1e-10)
 
-    def test_subset_selection(self):
+    def test_a_subset_of_sites_is_a_column_selection(self):
+        # there is no subset parameter: x[..., cols] selects the sites, of a
+        # sample or of a stack, and jackknife is passed by keyword only
         x = logistic_data(0.5, 3, 500, seed=13)
-        pair = ecp_multivariate_log(x, subset=[0, 2])
-        direct = ecp_multivariate_log(x[:, [0, 2]])
-        assert pair == pytest.approx(direct, rel=1e-12)
-        with pytest.raises(DomainError):
-            ecp_multivariate_log(x, subset=[0])
-        with pytest.raises(DomainError):
-            ecp_multivariate_log(x, subset=[0, 3])
-        # floats and bools used to reach NumPy indexing as a bare IndexError
-        for bad in ([0.0, 1.0], [True, False], np.array([0.0, 2.0]), [0, np.True_]):
-            with pytest.raises(DomainError, match="subset index must be a whole number >= 0"):
-                ecp_multivariate_log(x, subset=bad)
-        assert ecp_multivariate_log(x, subset=np.array([0, 2])) == pair
+        with pytest.raises(TypeError):
+            ecp_multivariate_log(x, [0, 2])
+        stack = x.reshape(2, 250, 3)
+        pairs = ecp_multivariate_log(stack[..., [0, 2]])
+        assert pairs[1] == ecp_multivariate_log(x[250:, [0, 2]])
+        with pytest.raises(DomainError, match="k >= 2 coordinates"):
+            ecp_multivariate_log(x[:, [0]])
 
 
 TRANSFORMS = [np.exp, lambda v: v ** 3, lambda v: np.arctan(v) * 2.0]
@@ -431,24 +420,28 @@ class TestBiasLaw:
             assert b <= a + 0.01
 
 
-STACK_ESTIMATORS = [
-    lambda d: block_cp_batch(d, 2), dominance_counts_batch, lambda d: bootstrap_cp_batch(d, 2),
-    lambda d: unbiased_cp_batch(d, 2), kendall_batch, mvlog_batch]
+ESTIMATOR_CALLS = [
+    lambda d: sample_cp_block(d, 2), dominance_counts, lambda d: sample_cp_bootstrap(d, 2),
+    lambda d: sample_cp_unbiased(d, 2), ecp_kendall, ecp_multivariate_log]
 
-# (single-sample function, stack function, smallest block size)
-BLOCK_ESTIMATORS = [(sample_cp_block, block_cp_batch, 1),
-                    (sample_cp_bootstrap, bootstrap_cp_batch, 2),
-                    (sample_cp_unbiased, unbiased_cp_batch, 2)]
+# (estimator, smallest block size)
+BLOCK_ESTIMATORS = [(sample_cp_block, 1), (sample_cp_bootstrap, 2), (sample_cp_unbiased, 2)]
 
 
-class TestBatchKernels:
-    @pytest.mark.parametrize("kernel", STACK_ESTIMATORS)
-    @pytest.mark.parametrize("shape", [(5, 2), (4, 1, 2), (2, 3, 2, 2), (6,)])
-    def test_need_a_3d_stack_with_two_observations(self, kernel, shape):
-        with pytest.raises(DomainError, match="3-d"):
+class TestSampleOrStack:
+    @pytest.mark.parametrize("kernel", ESTIMATOR_CALLS)
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 2), "sample needs n >= 2 observations and k >= 2 coordinates"),
+        ((4, 1, 2),
+         "expected a 3-d (reps, n, k) stack with n >= 2 and k >= 2, got shape (4, 1, 2)"),
+        ((2, 3, 2, 2), "expected a 3-d (reps, n, k) stack"),
+        ((6,), "sample must be a 2-d (n, k) array")])
+    def test_an_n_k_sample_or_a_reps_n_k_stack(self, kernel, shape, message):
+        # a sample takes Sample's checks and messages, a stack its own
+        with pytest.raises(DomainError, match=re.escape(message)):
             kernel(np.zeros(shape))
 
-    @pytest.mark.parametrize("kernel", STACK_ESTIMATORS)
+    @pytest.mark.parametrize("kernel", ESTIMATOR_CALLS)
     def test_values_must_be_finite(self, kernel):
         # as for a Sample: an all-NaN stack used to give tau = 0 and p* = 0
         for bad in (np.nan, np.inf):
@@ -459,22 +452,21 @@ class TestBatchKernels:
         with pytest.raises(DomainError, match="finite"):
             kernel(np.full((3, 5, 2), np.nan))
 
-    @pytest.mark.parametrize("single, stack, least", BLOCK_ESTIMATORS)
-    def test_block_size_checked_alike(self, single, stack, least):
+    @pytest.mark.parametrize("fn, least", BLOCK_ESTIMATORS)
+    def test_block_size_checked_alike(self, fn, least):
         x = np.arange(10.0).reshape(5, 2)
-        # block_cp_batch(x, 0) used to raise ZeroDivisionError, and a block
-        # size of 2.5 used to be truncated to 2 by one path only
+        # a block size of 0 used to raise ZeroDivisionError, and one of 2.5
+        # used to be truncated to 2 for a sample but not for a stack
         for m in (0, -1, least - 1, 2.5, 2.0, True, np.True_):
-            for call in (lambda: single(x, m), lambda: stack(x[None], m)):
+            for data in (x, x[None]):
                 with pytest.raises(DomainError, match=re.escape(
                         f"block size must be a whole number >= {least}, got {m!r}")):
-                    call()
-        for call in (lambda: single(x, 6), lambda: stack(x[None], 6)):
+                    fn(data, m)
+        for data in (x, x[None]):
             with pytest.raises(DomainError, match="block size must be at most n = 5, got 6"):
-                call()
-        # the smallest block size is accepted on both paths
-        single(x, least)
-        stack(x[None], least)
+                fn(data, 6)
+            # the smallest block size is accepted for a sample and a stack
+            fn(data, least)
 
     @pytest.mark.parametrize("method, least", [("block", 1), ("bootstrap", 2), ("unbiased", 2)])
     def test_estimator_checks_the_block_size_first(self, method, least):
@@ -505,19 +497,20 @@ class TestBatchKernels:
             estimator(method, 2, jackknife=True)
         x = np.round(np.random.default_rng(3).standard_normal((1, 20, 2)), 1)
         assert (estimator("mvlog", jackknife=True)(x)["estimate"]
-                == mvlog_batch(x, jackknife=True))
+                == ecp_multivariate_log(x, jackknife=True))
 
     def test_single_sample_is_the_one_replicate_case(self):
         g = np.random.default_rng(41)
         data = np.round(g.standard_normal((4, 30, 2)), 1)
         for r, x in enumerate(data):
-            assert sample_cp_block(x, 3) == block_cp_batch(data, 3)[r]
-            assert sample_cp_bootstrap(x, 3) == bootstrap_cp_batch(data, 3)[r]
-            assert sample_cp_unbiased(x, 3).value == unbiased_cp_batch(data, 3).value[r]
-            assert sample_cp_unbiased(x, 3).clipped == unbiased_cp_batch(data, 3).clipped[r]
-            assert np.array_equal(dominance_counts(x), dominance_counts_batch(data)[r])
-            assert ecp_multivariate_log(x) == mvlog_batch(data)[r]
-            assert ecp_multivariate_log(x, jackknife=True) == mvlog_batch(data, jackknife=True)[r]
+            assert sample_cp_block(x, 3) == sample_cp_block(data, 3)[r]
+            assert sample_cp_bootstrap(x, 3) == sample_cp_bootstrap(data, 3)[r]
+            assert sample_cp_unbiased(x, 3).value == sample_cp_unbiased(data, 3).value[r]
+            assert sample_cp_unbiased(x, 3).clipped == sample_cp_unbiased(data, 3).clipped[r]
+            assert np.array_equal(dominance_counts(x), dominance_counts(data)[r])
+            assert ecp_multivariate_log(x) == ecp_multivariate_log(data)[r]
+            assert (ecp_multivariate_log(x, jackknife=True)
+                    == ecp_multivariate_log(data, jackknife=True)[r])
 
 
 class TestUnbiasedness:
@@ -525,8 +518,8 @@ class TestUnbiasedness:
         # unbiased modification and Kendall tau are unbiased on max-stable data
         reps, n, m, p = 800, 100, 10, 0.5
         data = logistic_data(0.5, 2, reps * n, seed=31).reshape(reps, n, 2)
-        unbiased = unbiased_cp_batch(data, m).value
-        tau = kendall_batch(data).estimate
+        unbiased = sample_cp_unbiased(data, m).value
+        tau = ecp_kendall(data).estimate
         for est in (unbiased, tau):
             se = est.std(ddof=1) / math.sqrt(reps)
             assert abs(est.mean() - p) < 3 * se
@@ -537,7 +530,7 @@ class TestCltSanity:
         reps, n, m = 300, 10_000, 20
         p_m = 0.5 + 0.5 / m
         data = logistic_data(0.5, 2, reps * n, seed=21).reshape(reps, n, 2)
-        est = block_cp_batch(data, m)
+        est = sample_cp_block(data, m)
         z = (est - p_m) / math.sqrt(p_m * (1 - p_m) / (n // m))
         p_value = scipy.stats.kstest(z, "norm").pvalue
         assert p_value > 0.01

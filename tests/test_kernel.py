@@ -8,6 +8,7 @@ the log estimator's jackknife, which the library forms in closed form from
 the counts, agrees with the delete-one route to a stated rounding bound.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -22,7 +23,17 @@ from conftest import spread_workers
 from hypothesis import given
 from hypothesis import strategies as st
 
-from concur import DomainError, dominance_counts, ecp_kendall, estimators
+from concur import (
+    DomainError,
+    Sample,
+    dominance_counts,
+    ecp_kendall,
+    ecp_multivariate_log,
+    estimators,
+    sample_cp_block,
+    sample_cp_bootstrap,
+    sample_cp_unbiased,
+)
 from concur.estimators import (
     _MERGE_MIN_N,
     _at_most,
@@ -33,9 +44,6 @@ from concur.estimators import (
     _kendall_rows,
     _mean_log_ecdf,
     _smaller_larger,
-    dominance_counts_batch,
-    kendall_batch,
-    mvlog_batch,
 )
 from concur.specfun import _spread
 
@@ -237,7 +245,7 @@ class TestCountingKernel:
 
     @given(tied_stacks())
     def test_dominance_counts(self, x):
-        assert np.array_equal(dominance_counts_batch(x), reference_dominance_counts_batch(x))
+        assert np.array_equal(dominance_counts(x), reference_dominance_counts_batch(x))
         assert np.array_equal(dominance_counts(x[0]), reference_dominance_counts(x[0]))
 
     @given(KENDALL_STACKS)
@@ -257,9 +265,9 @@ class TestCountingKernel:
             # a constant coordinate makes tau-b 0/0, and so does leaving out
             # the odd row when all the others share a value
             with pytest.raises(DomainError, match="constant"):
-                kendall_batch(x, tie_adjusted)
+                ecp_kendall(x, tie_adjusted)
             return
-        got = kendall_batch(x, tie_adjusted)
+        got = ecp_kendall(x, tie_adjusted)
         assert np.array_equal(got.estimate, reference_kendall_batch(x, tie_adjusted))
         for r in range(x.shape[0]):
             tau, stderr = reference_ecp_kendall(x[r], tie_adjusted)
@@ -299,8 +307,50 @@ class TestCountingKernel:
         x = np.round(g.standard_normal((2000, 3)) / 0.05) * 0.05
         ref = sum((-1) ** len(J) * reference_jackknife_term(x[:, list(J)], np.longdouble)
                   for r in range(1, 4) for J in itertools.combinations(range(3), r))
-        got = mvlog_batch(x[None], jackknife=True)[0]
+        got = ecp_multivariate_log(x, jackknife=True)
         assert abs(np.longdouble(got) - ref) <= 1e-14
+
+
+def assert_replicate(one, stack, r):
+    """``one``, an estimator's result on one sample, is replicate r of its
+    result on a stack, bit for bit: float fields for per-replicate arrays,
+    an (n,) array for a (reps, n) one, and equal ints and types otherwise."""
+    if dataclasses.is_dataclass(one):
+        assert type(one) is type(stack)
+        for field in dataclasses.fields(one):
+            assert_replicate(getattr(one, field.name), getattr(stack, field.name), r)
+    elif type(one) is float:
+        assert type(stack) is np.ndarray and stack.dtype == np.float64
+        assert np.float64(one).tobytes() == stack[r].tobytes()
+    elif type(one) is np.ndarray:
+        assert type(stack) is np.ndarray and one.dtype == stack.dtype
+        assert np.array_equal(one, stack[r])
+    else:
+        assert type(one) is int and type(stack) is int and one == stack
+
+
+class TestOneSampleOrStack:
+    @given(tied_stacks(ks=(2, 3)))
+    def test_a_sample_is_its_replicate_of_a_stack(self, x):
+        reps, n, k = x.shape
+        m = min(3, n)
+        calls = {"dominance": dominance_counts,
+                 "block": lambda d: sample_cp_block(d, m),
+                 "bootstrap": lambda d: sample_cp_bootstrap(d, m),
+                 "mvlog": ecp_multivariate_log}
+        if n >= 3:
+            calls["mvlog_jackknife"] = lambda d: ecp_multivariate_log(d, jackknife=True)
+        if k == 2:
+            calls["unbiased"] = lambda d: sample_cp_unbiased(d, m)
+            calls["kendall"] = ecp_kendall
+            top = max(np.unique(c, return_counts=True)[1].max() for r in x for c in r.T)
+            if top < n - 1:  # no replicate's tau-b or its jackknife is 0/0
+                calls["kendall_b"] = lambda d: ecp_kendall(d, tie_adjusted=True)
+        for fn in calls.values():
+            stack = fn(x)
+            for r in range(reps):
+                assert_replicate(fn(x[r]), stack, r)
+                assert_replicate(fn(Sample(x[r])), stack, r)
 
 
 class TestSpread:

@@ -30,10 +30,12 @@ from concur.pipeline import (
     haversine_km,
     ingest_csv,
     pairwise_matrix,
+    read_extremes_csv,
     read_matrix_csv,
     read_stations_csv,
     read_strata_csv,
     seasonal_blocks,
+    write_extremes_csv,
     write_matrix_csv,
 )
 from concur.synthetic import synthesize_station_csv
@@ -376,6 +378,21 @@ class TestPairwiseMatrix:
         assert matrix.method == "kendall" and back.method is None
         assert np.allclose(back.estimates, matrix.estimates, equal_nan=True)
 
+    def test_matrix_csv_reads_the_writers_nan(self, tmp_path):
+        # nan marks an absent pair and a missing stderr; inf is refused at its line
+        est = np.array([[1.0, np.nan, 0.25], [np.nan, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        err = np.array([[0.0, np.nan, np.nan], [np.nan, 0.0, 0.125], [np.nan, 0.125, 0.0]])
+        matrix = ConcurrenceMatrix(("A", "B", "C"), est, err, np.full((3, 3), 4), "bootstrap")
+        out = tmp_path / "matrix.csv"
+        write_matrix_csv(matrix, out)
+        back = read_matrix_csv(out)
+        assert np.array_equal(back.estimates, est, equal_nan=True)
+        assert np.array_equal(back.stderr, err, equal_nan=True)
+        assert np.array_equal(back.n_pairs, matrix.n_pairs)
+        out.write_text(out.read_text().replace("0.125", "inf", 1))
+        with pytest.raises(ParseError, match=re.escape("line 6: stderr inf is neither nan nor in [0, inf)")):
+            read_matrix_csv(out)
+
     @pytest.mark.parametrize("second", ["B,A,0.9,0.1,5", "A,B,0.9,0.1,5", "A,A,1,0,5"])
     def test_matrix_csv_repeated_pair(self, tmp_path, second):
         # either order names the one unordered pair; the second row is the bad one
@@ -524,6 +541,27 @@ class TestCellAreas:
             if row.stratum == "even":
                 assert row.anomaly == 0.0
             assert row.area > 0
+
+    def test_base_label_without_strata(self, synthetic):
+        # it used to be replaced by "all" without a word
+        path, _ = synthetic
+        extremes = seasonal_blocks(ingest_csv(path), "JJA", "max")
+        coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
+        for label in ("no-such-label", "all"):
+            with pytest.raises(DomainError,
+                               match=f"base stratum '{label}' given without strata"):
+                cell_area_report(extremes, coords, np.array([40.0, 41.0]),
+                                 np.array([-100.0, -99.0]), base_label=label)
+
+    def test_extremes_csv_roundtrip(self, synthetic, tmp_path):
+        path, _ = synthetic
+        extremes = seasonal_blocks(ingest_csv(path), "DJF", "negated_min")
+        out = tmp_path / "extremes.csv"
+        write_extremes_csv(extremes, out)
+        back = read_extremes_csv(out)
+        assert [(e.station_id, e.season, e.year, e.value, e.polarity) for e in back] == [
+            (e.station_id, e.season, e.year, e.value, e.polarity) for e in extremes]
+        assert all(abs(b.coverage - e.coverage) <= 5e-7 for b, e in zip(back, extremes))
 
     def test_unknown_stratum_label(self, synthetic):
         path, _ = synthetic

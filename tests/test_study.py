@@ -11,9 +11,9 @@ from concur.estimators import (
     _below,
     _bootstrap,
     _kendall,
-    bootstrap_cp_batch,
-    kendall_batch,
-    unbiased_cp_batch,
+    ecp_kendall,
+    sample_cp_bootstrap,
+    sample_cp_unbiased,
     unbiased_modification,
 )
 from concur.study import (
@@ -97,17 +97,17 @@ def test_outputs_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("n0", [1, 10, None])
-def test_a_cell_counts_once_and_matches_the_batch_estimators(tmp_path, n0):
+def test_a_cell_counts_once_and_matches_the_estimators(tmp_path, n0):
     # the cell's three estimators share one dominance count; at n0 = 1 about
     # half the draws are 0, so the stacks are heavily tied
     model, sites, reps, n, m = extremal_t_benchmark(), _pair_sites(3.0), 40, 60, 10
     data = _simulate_block(model, sites, n0, reps, n, SeededRng(7).substream(1))
     if n0 == 1:
         assert 0.4 < (data == 0.0).mean() < 0.6
-    d = _below(_as_stack(data))
-    star = bootstrap_cp_batch(data, m)
-    want = {"bootstrap": star, "unbiased": unbiased_cp_batch(data, m).value,
-            "kendall": kendall_batch(data, tie_adjusted=True)}
+    d = _below(_as_stack(data)[0])
+    star = sample_cp_bootstrap(data, m)
+    want = {"bootstrap": star, "unbiased": sample_cp_unbiased(data, m).value,
+            "kendall": ecp_kendall(data, tie_adjusted=True)}
     assert np.array_equal(_bootstrap(d, m), star)
     assert np.array_equal(unbiased_modification(_bootstrap(d, m), m), want["unbiased"])
     got = _kendall(data, d, tie_adjusted=True)

@@ -76,11 +76,10 @@ from concur.estimators import (
     ESTIMATORS,
     _as_stack,
     bias_law_check,
-    block_cp_batch,
-    bootstrap_cp_batch,
-    dominance_counts_batch,
+    dominance_counts,
     estimator,
-    mvlog_batch,
+    sample_cp_block,
+    sample_cp_bootstrap,
     simulate_pair_batch,
 )
 from concur.models import (
@@ -141,9 +140,8 @@ COUNTS = [
     ("simulate_doa.n0", 1, "n0", lambda v: simulate_doa(Logistic(0.5), PAIR, v, RNG)),
     ("simulate_doa.size", 0, "size", lambda v: simulate_doa(Logistic(0.5), PAIR, 3, RNG, size=v)),
     ("ecp_mc.n_draws", 2, "n_draws", lambda v: ecp_mc(Logistic(0.5), PAIR, v, rng=RNG)),
-    ("block_cp_batch.m", 1, "block size", lambda v: block_cp_batch(STACK, v)),
-    ("bootstrap_cp_batch.m", 2, "block size", lambda v: bootstrap_cp_batch(STACK, v)),
-    ("mvlog_batch.subset", 0, "subset index", lambda v: mvlog_batch(STACK, subset=[v, 1])),
+    ("sample_cp_block.m", 1, "block size", lambda v: sample_cp_block(STACK, v)),
+    ("sample_cp_bootstrap.m", 2, "block size", lambda v: sample_cp_bootstrap(STACK, v)),
     ("estimator.block_size", 2, "block size", lambda v: estimator("bootstrap", v)),
     ("block_mse.m", 1, "m", lambda v: block_mse(10, v, 0.5)),
     ("block_mse.n", 1, "n", lambda v: block_mse(v, 1, 0.5)),
@@ -320,7 +318,7 @@ ARRAYS = [
     ("integrated_cp.pairwise_p", -1e-9, 1 + 1e-9, "[]", "probabilities", [0.5, 0.5],
      lambda v: integrated_cp(v, [1.0, 1.0]), ...),
     ("Sample.data", -INF, INF, "()", "sample values", [[0.0, 1.0], [2.0, 3.0]], Sample, ...),
-    ("_as_stack.data", -INF, INF, "()", "sample values", STACK, dominance_counts_batch, ...),
+    ("_as_stack.data", -INF, INF, "()", "sample values", STACK, dominance_counts, ...),
     ("as_sites.sites", -INF, INF, "()", "site coordinates", PAIR,
      lambda v: concurrence_probability(Logistic(0.5), v), ...),
     ("MaxLinear.sites_of", -INF, INF, "()", "max-linear sites", [0.0, 1.0],
@@ -378,7 +376,7 @@ def test_an_array_of_reals_holds_finite_numbers_in_its_interval(lo, hi, ends, na
 
 def test_a_float64_stack_is_checked_in_place():
     # every estimator reads its stack through _as_stack: a float64 one is not copied
-    assert _as_stack(STACK) is STACK
+    assert _as_stack(STACK)[0] is STACK
 
 
 # (table, what its names are, call with a name)
