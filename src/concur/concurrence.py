@@ -6,8 +6,8 @@ event attains the pointwise maximum at every site.  Closed forms exist for
 the logistic, max-linear, interval max-increment, and ball-indicator
 models; they live with the models.  Brown--Resnick, Smith, and extremal-t
 pairs reduce to a one-dimensional expectation of 1/V (the models' pair
-reductions): :func:`concurrence_probability` evaluates it by deterministic
-adaptive quadrature, and :func:`ecp_mc` estimates it by Monte Carlo
+reductions): :func:`concurrence_probability` evaluates it by one fixed
+tanh-sinh quadrature rule, and :func:`ecp_mc` estimates it by Monte Carlo
 (antithetic variates available whenever the MC driver is symmetric), as it
 does 1/V over spectral draws for other models.
 """
@@ -29,10 +29,9 @@ from .specfun import RngLike, _real, _reals, _regular_step, _spread, _whole, as_
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
 
-_GL_POINTS = 20
-_QUAD_TOL = 1e-13
-_QUAD_MAX_ROUNDS = 50
-_QUAD_MAX_INTERVALS = 512
+_TANH_SINH_STEP = 1.0 / 32
+_TANH_SINH_LEVELS = 102  # nodes at |t| <= 3.19, 205 a piece
+_HALF_STEP_BOUND = 1e-9  # NumericError beyond; valid pairs stay below 6e-10
 _MC_BLOCK = 8192  # draws per evaluation of a pair integrand in ecp_mc
 
 
@@ -119,69 +118,38 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
 # deterministic quadrature
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _GL_POINTS-point rule, built on first use:
-    the eigenvalue solve behind them adds ~1 MB of resident memory, which
-    callers that never integrate should not pay."""
-    return np.polynomial.legendre.leggauss(_GL_POINTS)
-
-
-def _gauss(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss--Legendre rule of g on each interval [lo_i, hi_i]."""
-    nodes, weights = _gauss_legendre()
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-    return (g(x) * weights).sum(axis=1) * half
-
-
-def _adaptive_quad(g, a: float, b: float) -> tuple[float, float, int]:
-    """(integral, error estimate, evaluations) of a vectorized g on [a, b].
-
-    Every pending interval is halved each round and accepted once the rule
-    on the halves agrees with the rule on the whole within its share of
-    _QUAD_TOL; all pending intervals of a round are evaluated in one call.
-    The loop also stops when the summed disagreement of all intervals is
-    within _QUAD_TOL, which ends the refinement towards an endpoint where
-    the integrand is not smooth.
-    """
-    left, right = np.array([a]), np.array([b])
-    whole = _gauss(g, left, right)
-    value = err = 0.0
-    evals = _GL_POINTS
-    for _ in range(_QUAD_MAX_ROUNDS):
-        if left.size > _QUAD_MAX_INTERVALS:
-            break
-        mid = 0.5 * (left + right)
-        halves = _gauss(g, np.concatenate([left, mid]), np.concatenate([mid, right]))
-        evals += halves.size * _GL_POINTS
-        n = left.size
-        fine = halves[:n] + halves[n:]
-        delta = np.abs(fine - whole)
-        if err + delta.sum() <= _QUAD_TOL:
-            return value + float(fine.sum()), err + float(delta.sum()), evals
-        done = delta <= _QUAD_TOL * (right - left) / (b - a)
-        value += float(fine[done].sum())
-        err += float(delta[done].sum())
-        keep = ~done
-        left, right = (np.concatenate([left[keep], mid[keep]]),
-                       np.concatenate([mid[keep], right[keep]]))
-        whole = np.concatenate([halves[:n][keep], halves[n:][keep]])
-    raise NumericError(f"quadrature on [{a}, {b}] did not converge")
+def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes at
+    x(t) = (1 + tanh(pi/2 sinh t)) / 2 for t = k _TANH_SINH_STEP, |k| <=
+    _TANH_SINH_LEVELS, as each node's distance from its nearer end, whether
+    that end is the right one, and the weights x'(t) _TANH_SINH_STEP.  The
+    outer nodes lie ~1e-17 from an end, which a position near 1 would round
+    onto it."""
+    t = _TANH_SINH_STEP * np.arange(-_TANH_SINH_LEVELS, _TANH_SINH_LEVELS + 1)
+    y = 0.5 * math.pi * np.sinh(np.abs(t))
+    dist = 1.0 / (1.0 + np.exp(2.0 * y))
+    weights = _TANH_SINH_STEP * 0.25 * math.pi * np.cosh(t) / np.cosh(y) ** 2
+    return dist, t > 0.0, weights
 
 
 def _quad_pieces(pieces) -> ConcurrenceEstimate:
-    """Sum of :func:`_adaptive_quad` over (integrand, a, b) pieces.  The
-    breakpoints matter: one interval over the whole support can miss a
-    narrow peak of the weight (see the pair reductions in ``models``)."""
-    value = err = 0.0
-    evals = 0
+    """Sum of the tanh-sinh rule over (integrand, a, b) pieces; the stderr is
+    the distance to the same sum over every other node at twice the weight
+    (the rule at twice the step) and n_draws the node count.  The rule takes
+    endpoint singularities in its stride, but not a step inside a piece: the
+    pair reductions in ``models`` break each support where their weight
+    rises or falls sharply."""
+    dist, right, weights = _tanh_sinh()
+    fine = coarse = 0.0
     for g, a, b in pieces:
-        v, e, n = _adaptive_quad(g, a, b)
-        value += v
-        err += e
-        evals += n
-    return ConcurrenceEstimate(value=min(max(value, 0.0), 1.0), stderr=err, n_draws=evals,
-                               method="quadrature")
+        terms = g(np.where(right, b - (b - a) * dist, a + (b - a) * dist)) * weights * (b - a)
+        fine += float(terms.sum())
+        coarse += 2.0 * float(terms[::2].sum())
+    err = abs(fine - coarse)
+    if not err <= _HALF_STEP_BOUND:
+        raise NumericError(f"quadrature unresolved: value {fine}, half-step distance {err:.3g}")
+    return ConcurrenceEstimate(value=min(max(fine, 0.0), 1.0), stderr=err,
+                               n_draws=len(pieces) * dist.size, method="quadrature")
 
 
 def ecp_simulation(model: ModelSpec, sites, reps: int, rng: RngLike) -> ConcurrenceEstimate:

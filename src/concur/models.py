@@ -87,9 +87,6 @@ class SiteSet:
     def ndim(self) -> int:
         return self.coords.shape[1]
 
-    def lags_from(self, i: int = 0) -> np.ndarray:
-        return self.coords - self.coords[i]
-
     def distance_matrix(self) -> np.ndarray:
         diff = self.coords[:, None, :] - self.coords[None, :, :]
         return np.sqrt((diff ** 2).sum(axis=-1))
@@ -312,9 +309,11 @@ class StudentPair:
 
     def quad_pieces(self) -> tuple:
         """(integrand, a, b) pieces of E[integrand(T)] over the support
-        T > lo = -rho / sigma.  For rho near 1, lo lies far out in the tail:
-        [lo, 0] is mapped like a half-line so that the nodes gather at the
-        density peak at 0, not spread evenly towards lo."""
+        T > lo = -rho / sigma, broken at 0 and at hi = (1 - rho) / sigma,
+        where u = 1 and the tail term u^-nu steps sharply for large nu.  For
+        rho near 1, lo lies far out in the tail: [lo, 0] is mapped like a
+        half-line so that the nodes gather at the density peak at 0, not
+        spread evenly towards lo."""
         dof = self.nu + 1.0
         log_c = (math.lgamma(0.5 * (dof + 1.0)) - math.lgamma(0.5 * dof)
                  - 0.5 * math.log(dof * math.pi))
@@ -323,11 +322,13 @@ class StudentPair:
             dens = np.exp(log_c - 0.5 * (dof + 1.0) * np.log1p(t * t / dof))
             return dens * self.integrand(t)
 
-        lo = -self.rho / self._scale()
+        lo, hi = -self.rho / self._scale(), (1.0 - self.rho) / self._scale()
+        c = max(lo, 0.0)
+        right, split = half_line(f, c, 1.0), 1.0 / (1.0 + hi - c)
+        pieces = ((right, split, 1.0), (right, 0.0, split))
         if lo >= 0.0:
-            return ((half_line(f, lo, 1.0), 0.0, 1.0),)
-        return ((half_line(f, 0.0, -1.0), 1.0 / (1.0 - lo), 1.0),
-                (half_line(f, 0.0, 1.0), 0.0, 1.0))
+            return pieces
+        return ((half_line(f, 0.0, -1.0), 1.0 / (1.0 - lo), 1.0),) + pieces
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +585,18 @@ class BrownResnick(_PairModel):
     name: ClassVar[str] = "brown_resnick"
 
     def _anchored(self, sites: SiteSet):
-        """gamma(s - s_1), the lower-triangular factor of the increments
-        W(s_2..k) - W(s_1), and ``draw(g, n)`` of the Gaussian W anchored at
-        the first site: (n, k) paths with W(s_1) = 0 and Var W(s) = 2 gamma(s - s_1)."""
-        lags = sites.lags_from(0)
-        gamma0 = _reals(self.variogram(lags), "variogram values", 0, ends="[)")
-        k = sites.k
+        """The k x k matrix gamma(s_j - s_i) (zero diagonal), the
+        lower-triangular factor of the increments W(s_2..k) - W(s_1), and
+        ``draw(g, n)`` of the Gaussian W anchored at the first site: (n, k)
+        paths with W(s_1) = 0 and Var W(s) = 2 gamma(s - s_1).  The variogram
+        is even, so each of its values is computed once per site set."""
+        coords, k = sites.coords, sites.k
+        gam = np.array(_reals(self.variogram(coords[None, :, :] - coords[:, None, :]),
+                              "variogram values", 0, ends="[)"))
+        np.fill_diagonal(gam, 0.0)
         # increments W(s_j) - W(s_1) for j >= 2
-        g0 = gamma0[1:]
-        pair_lags = sites.coords[1:, None, :] - sites.coords[None, 1:, :]
-        gamma_pair = _reals(self.variogram(pair_lags), "variogram values", 0, ends="[)")
-        cov = g0[:, None] + g0[None, :] - gamma_pair
+        g0 = gam[0, 1:]
+        cov = g0[:, None] + g0[None, :] - gam[1:, 1:]
         cov = 0.5 * (cov + cov.T)
         fac = psd_factor(cov)
 
@@ -603,14 +605,14 @@ class BrownResnick(_PairModel):
             w[:, 1:] = _matmul_t(g.standard_normal((n, k - 1)), fac)
             return w
 
-        return gamma0, fac, draw_w
+        return gam, fac, draw_w
 
     def sampler(self, sites: SiteSet) -> SpectralSampler:
-        gamma0, _, draw_w = self._anchored(sites)
+        gam, _, draw_w = self._anchored(sites)
 
         def draw(g, n):
             w = draw_w(g, n)
-            w -= gamma0
+            w -= gam[0]
             return np.exp(w, out=w)
 
         return SpectralSampler(draw, sites.k)
@@ -625,12 +627,8 @@ class BrownResnick(_PairModel):
         sites, and only a survivor draws the remaining k - 1 - j.  At j = 0 no
         normal is drawn first and every proposal survives; at j = k - 1 none
         remains to be drawn."""
-        _, fac, _ = self._anchored(sites)
-        coords = sites.coords
+        gam, fac, _ = self._anchored(sites)
         k = sites.k
-        gam = np.array(_reals(self.variogram(coords[None, :, :] - coords[:, None, :]),
-                              "variogram values", 0, ends="[)"))
-        np.fill_diagonal(gam, 0.0)
 
         def draw(g, j, zeta, field):
             n = zeta.size

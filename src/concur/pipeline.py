@@ -535,10 +535,26 @@ def _extreme(sid, season, year, value, coverage, polarity) -> SeasonalExtremes:
     return SeasonalExtremes(sid, season, year, value, coverage, polarity)
 
 
+def _same_kind(first: SeasonalExtremes, e: SeasonalExtremes, error: type[Exception]) -> None:
+    """Raise ``error`` when e's season or polarity differs from first's: a
+    station's one extreme a year is of one season and one polarity."""
+    if (e.season, e.polarity) != (first.season, first.polarity):
+        raise error(f"{e.season} {e.polarity} extreme of station {e.station_id} in {e.year} "
+                    f"among {first.season} {first.polarity} extremes")
+
+
 def read_extremes_csv(path) -> list[SeasonalExtremes]:
     """Extremes from :func:`write_extremes_csv` output; a row :func:`_extreme`
-    refuses or a repeated station-year raises :class:`ParseError` at its line."""
-    return list(_read_rows(path, _EXTREMES_COLUMNS, _extreme,
+    refuses, a repeated station-year or a season or polarity other than the
+    first row's raises :class:`ParseError` at its line."""
+    seen: dict = {}
+
+    def row(*fields) -> SeasonalExtremes:
+        e = _extreme(*fields)
+        _same_kind(seen.setdefault("first", e), e, ValueError)
+        return e
+
+    return list(_read_rows(path, _EXTREMES_COLUMNS, row,
                            key=lambda e: (e.station_id, e.year),
                            name=lambda k: f"station {k[0]} in {k[1]}"))
 
@@ -571,7 +587,8 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
                     min_overlap: int = 3, block_size: int | None = None) -> ConcurrenceMatrix:
     """Pairwise concurrence estimates over stations from seasonal extremes.
 
-    A station has at most one extreme a year: a repeat raises
+    A station has at most one extreme a year, and every extreme is of the
+    first one's season and polarity: a repeat or a mix raises
     :class:`DomainError`.  Years are matched pairwise-complete, and the
     estimator runs once per number of common years on the stack of pairs
     with that many, each pair's values in year order (once in all on
@@ -584,12 +601,15 @@ def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None
     estimate = estimator(method, block_size)
     min_overlap = _whole(min_overlap, 0, "min_overlap")
     series: dict[str, dict[int, float]] = {}
+    first = None
     for e in extremes:
         if not math.isfinite(e.value):
             raise DomainError(f"extreme of station {e.station_id} in {e.year} is not finite")
         years = series.setdefault(e.station_id, {})
         if e.year in years:
             raise DomainError(f"station {e.station_id} has two extremes in {e.year}")
+        first = first or e
+        _same_kind(first, e, DomainError)
         years[e.year] = e.value
     ids = tuple(sorted(series))
     s_count = len(ids)
@@ -820,11 +840,18 @@ def expected_cell_area_model(model, grid_sites, weights, reps: int, rng: RngLike
     return per_rep.mean(axis=1), per_rep.std(axis=1, ddof=1) / math.sqrt(labels.shape[0])
 
 
+def _stratum(year, label) -> tuple[int, str]:
+    """One strata CSV row: a whole year and a label that is not blank."""
+    year, label = _number(year, int), label.strip()
+    if not label:
+        raise ValueError(f"stratum label of {year} is empty")
+    return year, label
+
+
 def read_strata_csv(path) -> dict[int, str]:
-    """Year -> stratum label table (columns: year,label); a repeated year
-    raises :class:`ParseError`."""
-    return dict(_read_rows(path, ("year", "label"),
-                           lambda year, label: (_number(year, int), label.strip()),
+    """Year -> stratum label table (columns: year,label); a blank label or a
+    repeated year raises :class:`ParseError` at its line."""
+    return dict(_read_rows(path, ("year", "label"), _stratum,
                            key=operator.itemgetter(0), name="year {}".format))
 
 

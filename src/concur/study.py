@@ -81,9 +81,10 @@ def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4,
                      hi: float = 60.0) -> float:
     """Bisect the lag h with p(0, h) = target for a stationary model.
 
-    p(h) is evaluated by deterministic quadrature, so the bisection is exact
-    up to the bracket width 2**-_BISECT_STEPS (hi - lo) and needs no random
-    draws.
+    p(h) is evaluated by the fixed tanh-sinh rule of
+    :func:`concurrence_probability`, on the same nodes at every h, so the
+    bisection needs no random draws and is exact up to the bracket width
+    2**-_BISECT_STEPS (hi - lo) and the rule's error.
     """
     target, lo = _real(target, "target probability", 0, 1), _real(lo, "lo", 0)
     hi = _real(hi, "hi", lo)

@@ -482,6 +482,15 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
     # a base stratum means nothing without strata; it used to be ignored
     ("extremes", EXTREMES, CELLS + ["--base-label", "nada"],
      "base stratum 'nada' given without strata"),
+    # a table holds one season and one polarity
+    ("extremes", EXTREMES + "B,DJF,2001,2.5,1.0,negated_min\n",
+     ["matrix", "--input", "{extremes}"],
+     "line 4: DJF negated_min extreme of station B in 2001 among JJA max extremes"),
+    ("extremes", EXTREMES + "A,JJA,2001,1.5,1.0,negated_min\n", CELLS,
+     "line 4: JJA negated_min extreme of station A in 2001 among JJA max extremes"),
+    # a stratum has a name
+    ("strata", "year,label\n2000,\n", CELLS + ["--strata", "{strata}"],
+     "line 2: stratum label of 2000 is empty"),
 ], ids=["matrix", "stations", "extremes", "strata", "strata_repeated_year",
         "matrix_repeated_pair", "table", "table_ragged", "sites",
         "sites_ragged", "map_station_missing", "cells_station_missing", "pairs_unknown_name",
@@ -510,7 +519,8 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "extremes_polarity_unknown", "extremes_coverage_above_1", "extremes_coverage_negative",
         "extremes_value_inf", "extremes_repeated_station_year", "matrix_estimate_inf",
         "matrix_stderr_negative", "matrix_stderr_inf", "matrix_n_pairs_negative",
-        "matrix_n_pairs_not_whole", "cells_base_label_without_strata"])
+        "matrix_n_pairs_not_whole", "cells_base_label_without_strata",
+        "matrix_extremes_season_mixed", "cells_extremes_polarity_mixed", "strata_label_empty"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     # every other file the command reads is well formed; no case may end in
     # a traceback, and a malformed file names its line

@@ -36,7 +36,7 @@ from concur import (
     kendall_target_p,
     rectangle_weights,
 )
-from concur.concurrence import _MC_BLOCK
+from concur.concurrence import _MC_BLOCK, _quad_pieces
 from concur.models import GaussianPair
 
 PAIR = [[0.0], [1.0]]
@@ -242,9 +242,80 @@ class TestQuadrature:
 
     def test_unresolvable_integrand_raises(self):
         from concur import NumericError
-        from concur.concurrence import _adaptive_quad
-        with pytest.raises(NumericError):
-            _adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        with pytest.raises(NumericError, match="unresolved"):
+            _quad_pieces(((lambda x: np.full_like(x, np.nan), 0.0, 1.0),))
+        # a step inside a piece: the rule at twice the step disagrees
+        with pytest.raises(NumericError, match="half-step distance"):
+            _quad_pieces(((lambda x: (x > 0.3).astype(float), 0.0, 1.0),))
+
+
+# ---------------------------------------------------------------------------
+# slow reference: adaptive Gauss--Legendre quadrature
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _gauss(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """20-point Gauss--Legendre rule of g on each interval [lo_i, hi_i]."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    return (g(x) * _GL_WEIGHTS).sum(axis=1) * half
+
+
+def _adaptive_quad(g, a: float, b: float, tol: float = 1e-13) -> float:
+    """Integral of a vectorized g on [a, b]: every pending interval is halved
+    each round and accepted once the rule on the halves agrees with the rule
+    on the whole within its share of tol; the loop also stops once the summed
+    disagreement of all intervals is within tol."""
+    left, right = np.array([a]), np.array([b])
+    whole = _gauss(g, left, right)
+    value = err = 0.0
+    for _ in range(50):
+        mid = 0.5 * (left + right)
+        halves = _gauss(g, np.concatenate([left, mid]), np.concatenate([mid, right]))
+        n = left.size
+        fine = halves[:n] + halves[n:]
+        delta = np.abs(fine - whole)
+        if err + delta.sum() <= tol:
+            return value + float(fine.sum())
+        done = delta <= tol * (right - left) / (b - a)
+        value += float(fine[done].sum())
+        err += float(delta[done].sum())
+        keep = ~done
+        assert keep.sum() <= 512, f"reference quadrature on [{a}, {b}] did not converge"
+        left, right = (np.concatenate([left[keep], mid[keep]]),
+                       np.concatenate([mid[keep], right[keep]]))
+        whole = np.concatenate([halves[:n][keep], halves[n:][keep]])
+    raise AssertionError(f"reference quadrature on [{a}, {b}] did not converge")
+
+
+def _correlated_t(rho: float, nu: float) -> ExtremalT:
+    return ExtremalT(lambda d: np.full_like(d, rho), nu=nu)
+
+
+class TestFixedRuleAgainstAdaptive:
+    """The fixed tanh-sinh rule of ``concurrence_probability`` against the
+    adaptive reference on the same pieces, over the pair parameter."""
+
+    @pytest.mark.parametrize("model", [
+        *(_br(float(g)) for g in np.geomspace(1e-4, 200.0, 80)),
+        *(_correlated_t(float(rho), nu) for nu in (1.0, 1.5, 2.0, 5.0, 20.0, 50.0)
+          for rho in np.linspace(-0.999, 0.9999, 80)),
+    ], ids=lambda m: repr(m.pair_reduction(m.sites_of(PAIR))))
+    def test_within_1e12(self, model):
+        est = concurrence_probability(model, PAIR)
+        ref = sum(_adaptive_quad(g, a, b)
+                  for g, a, b in model.pair_reduction(model.sites_of(PAIR)).quad_pieces())
+        assert est.method == "quadrature"
+        assert abs(est.value - ref) <= 1e-12
+        assert est.stderr < 1e-9
+
+    def test_no_valid_pair_reaches_the_bound(self):
+        for gamma in np.geomspace(1e-8, 1e4, 60):
+            assert concurrence_probability(_br(float(gamma)), PAIR).stderr < 1e-9
+        for nu in (1.0, 3.0, 100.0, 1000.0):
+            for rho in np.linspace(-0.9999, 0.99999, 40):
+                assert concurrence_probability(_correlated_t(float(rho), nu), PAIR).stderr < 1e-9
 
 
 def _log_space_integrand(gamma: float, z: np.ndarray) -> np.ndarray:

@@ -160,6 +160,21 @@ class TestSpectralSamplers:
             se = y[:, j].std(ddof=1) / math.sqrt(y.shape[0])
             assert abs(y[:, j].mean() - 1.0) < 3.2 * max(se, 1e-4)
 
+    def test_brown_resnick_variogram_once_per_site_set(self):
+        # one k x k call serves the sampler, the tilted sampler and the factor
+        calls = []
+        frac = FractionalVariogram(scale=0.5, exponent=1.5)
+
+        def counting(h):
+            calls.append(np.shape(h))
+            return frac(h)
+
+        model, sites = BrownResnick(counting), SiteSet([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0]])
+        for make in (model.sampler, model.tilted_sampler):
+            calls.clear()
+            make(sites)
+            assert calls == [(3, 3, 2)]
+
     def test_logistic_profile_margin_ks(self, rng):
         alpha = 0.5
         y = spectral_sample(Logistic(alpha), PAIR, rng, size=10**5)[:, 0]

@@ -319,6 +319,20 @@ class TestPairwiseMatrix:
         matrix = pairwise_matrix([e for e in extremes if e.season == "JJA"])
         assert matrix.estimates[0, 1] == 1.0
 
+    @pytest.mark.parametrize("season, polarity", [("DJF", "max"), ("JJA", "negated_min")])
+    def test_mixed_season_or_polarity(self, season, polarity):
+        # no station-year repeats, yet B's odd extreme would pair with A's JJA maximum
+        from concur.pipeline import SeasonalExtremes
+        extremes = [SeasonalExtremes(sid, "JJA", y, float(v), 1.0, "max")
+                    for sid in "AB" for y, v in zip(range(2000, 2005), np.arange(5.0))]
+        extremes[7] = SeasonalExtremes("B", season, 2002, -2.0, 1.0, polarity)
+        with pytest.raises(DomainError, match=f"{season} {polarity} extreme of station B in "
+                                              "2002 among JJA max extremes"):
+            pairwise_matrix(extremes)
+        with pytest.raises(DomainError, match=f"{season} {polarity} extreme of station B"):
+            cell_area_report(extremes, {"A": (40.0, -100.0), "B": (41.0, -101.0)},
+                             [40.0], [-100.0])
+
     def test_unknown_method_raises_before_pairs(self, synthetic):
         from concur.pipeline import SeasonalExtremes
         # no pair reaches min_overlap, so no estimator would ever run
@@ -581,6 +595,25 @@ class TestCellAreas:
         with pytest.raises(ParseError,
                            match=r"line 4: duplicate year 2000 \(first seen on line 2\)"):
             read_strata_csv(p)
+
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_strata_csv_blank_label(self, tmp_path, label):
+        p = tmp_path / "strata.csv"
+        p.write_text(f"year,label\n2000,nino\n2001,{label}\n")
+        with pytest.raises(ParseError, match="line 3: stratum label of 2001 is empty"):
+            read_strata_csv(p)
+
+    @pytest.mark.parametrize("row", ["B,DJF,2001,2.5,1.0,max", "B,JJA,2001,2.5,1.0,negated_min",
+                                     "B,DJF,2001,2.5,1.0,negated_min"])
+    def test_extremes_csv_mixed_season_or_polarity(self, tmp_path, row):
+        p = tmp_path / "extremes.csv"
+        p.write_text("station_id,season,year,value,coverage,polarity\n"
+                     "A,JJA,2000,1.5,1.0,max\nA,JJA,2001,1.0,1.0,max\nB,JJA,2000,2.5,1.0,max\n"
+                     + row + "\n")
+        _, season, year, _, _, polarity = row.split(",")
+        with pytest.raises(ParseError, match=f"line 5: {season} {polarity} extreme of station B "
+                                             f"in {year} among JJA max extremes"):
+            read_extremes_csv(p)
 
 
 class TestDeterminism:

@@ -278,9 +278,9 @@ ARRAYS = [
     ("MaxLinear.phi", 0, INF, "[)", "phi entries", np.full((2, 2), 0.5), MaxLinear, ...),
     ("exponent_V.z", 0, INF, "()", "z", [1.0, 2.0],
      lambda v: exponent_V(Logistic(0.5), PAIR, v), ...),
-    ("BrownResnick.variogram_values", 0, INF, "[)", "variogram values", [0.0, 1.0],
-     lambda v: spectral_sample(BrownResnick(lambda h: v if np.ndim(h) == 2 else _fractional(h)),
-                               PAIR, RNG), ...),
+    ("BrownResnick.variogram_values", 0, INF, "[)", "variogram values",
+     [[0.0, 1.0], [1.0, 0.0]], lambda v: spectral_sample(BrownResnick(lambda h: v), PAIR, RNG),
+     ...),
     ("BrownResnick.pair_variogram_value", 0, INF, "[)", "variogram values", 1.0,
      lambda v: concurrence_probability(BrownResnick(lambda h: v), PAIR), ...),
     ("ExtremalT.correlation_values", -1 - 1e-12, 1 + 1e-12, "[]", "correlation values",
