@@ -79,9 +79,10 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
     Brown--Resnick/Smith pairs integrate over a standard normal Z,
     extremal-t pairs over a Student t (antithetic pairs (Z, -Z) available
     for both; a pair counts as one draw for the standard error).  The
-    draws are taken in one call, so the stream is the serial one, and the
-    integrand runs on blocks of ``_MC_BLOCK`` of them, whose temporaries
-    stay in cache, spread over the CPUs (``specfun._spread``).  Other
+    calling thread draws blocks of ``_MC_BLOCK`` in order, which takes the
+    same stream as one call of ``n_draws``, and the integrand runs on each
+    drawn block in place, its temporaries in cache, on the CPUs
+    (``specfun._spread``) while the next blocks are drawn.  Other
     models use spectral draws plus their exponent function, for which no
     antithetic driver exists.  Fully-dependent parameterizations
     short-circuit to the exact value 1.
@@ -98,14 +99,18 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
     elif pair.exact == 1.0:
         return _exact(1.0)
     else:
-        x = pair.draw(g, n_draws)
         f = pair.antithetic if antithetic else pair.integrand
         vals = np.empty(n_draws)
 
-        def block(start):
-            vals[start:start + _MC_BLOCK] = f(x[start:start + _MC_BLOCK])
+        def draw(start):
+            block = vals[start:start + _MC_BLOCK]
+            block[:] = pair.draw(g, len(block))
+            return block
 
-        _spread(block, range(0, n_draws, _MC_BLOCK))
+        def integrand(block):
+            block[:] = f(block)
+
+        _spread(integrand, range(0, n_draws, _MC_BLOCK), draw)
 
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_draws))

@@ -61,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,14 +155,19 @@ def _below_direct(x, before=np.less):
     acc = np.uint16 if n < 1 << 16 else np.uint32
     rows = max(1, min(n, _PAIR_CHUNK // n))
     step = max(1, _PAIR_CHUNK // (rows * n))
+    per_thread = threading.local()  # each thread's two comparison buffers
 
     def block(chunk):
         r0, i0 = chunk
         c = cols[:, r0:r0 + step]
         ci = c[:, :, i0:i0 + rows, None]
-        blk = before(c[0, :, None, :], ci[0])
+        if not hasattr(per_thread, "bufs"):
+            per_thread.bufs = np.empty((2, step * rows * n), dtype=bool)
+        shape = (c.shape[1], ci.shape[2], n)
+        blk, cmp = (b[:math.prod(shape)].reshape(shape) for b in per_thread.bufs)
+        before(c[0, :, None, :], ci[0], out=blk)
         for j in range(1, len(c)):
-            blk &= before(c[j, :, None, :], ci[j])
+            blk &= before(c[j, :, None, :], ci[j], out=cmp)
         out[r0:r0 + step, i0:i0 + rows] = blk.view(np.uint8).sum(axis=2, dtype=acc)
 
     _spread(block, [(r0, i0) for r0 in range(0, reps, step) for i0 in range(0, n, rows)])

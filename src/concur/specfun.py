@@ -24,14 +24,18 @@ Every array of real numbers passes through :func:`_reals`: integers or
 floats, never bools or text, each finite and in an interval, or DomainError
 "<name> must be finite numbers in (<lo>, <hi>], got <first bad entry>".
 
-:func:`_spread` runs a block function over a list of blocks on one thread
+:func:`_spread` runs a block function over a list of items on one thread
 per CPU the process may run on: the caller's own and one it starts for
 each other CPU, all joined before the call returns, so no thread outlives
-it.  Its callers (the pair integrand of ``ecp_mc`` and the all-pairs
-counting kernel) spend their time in NumPy and SciPy ufuncs, which release
-the GIL, and each block writes its own slice of an output array with the
-same ufunc calls as a serial loop, so every output is bit-identical
-whatever the thread count.
+it.  With a producer, the caller draws every item in order, so the random
+stream is the serial one, while the other threads consume the items
+already drawn; it takes items back itself when more than one per thread
+wait, so no draw waits and few drawn arrays are held.  Its callers (the
+all-pairs counting kernel, and with a producer the pair integrand of
+``ecp_mc`` and the study's pair cells) spend their time in NumPy and SciPy
+ufuncs, which release the GIL, and each block writes its own slice of an
+output with the same ufunc calls as a serial loop, so every output is
+bit-identical whatever the thread count.
 
 :func:`_matmul_t` forms the Gaussian products of the spectral samplers in
 equal row blocks small enough that OpenBLAS runs each on the calling
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import queue
 import reprlib
 import threading
 from dataclasses import dataclass
@@ -134,40 +139,75 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _spread(fn, items) -> None:
-    """``fn(item)`` for every item on W = min(len(items), :func:`_workers`)
-    threads: the caller runs ``items[0::W]`` and starts one thread for each
-    ``items[w::W]``, w = 1 .. W-1, and joins them all before it returns or
-    raises the first error a block raised, counting from the caller's.
+_STOP = object()  # tells a thread of _spread that no more items come
 
-    An error ends its thread's items.  Threads do not inherit the caller's
-    ``np.errstate``: a block that needs one sets it.
+
+def _same(item):
+    return item
+
+
+def _spread(fn, items, draw=_same) -> None:
+    """``fn(item)`` for every item, or ``fn(draw(item))`` with a producer,
+    on W = min(len(items), :func:`_workers`) threads: the caller and W - 1
+    threads it starts, all joined before it returns or raises.
+
+    The caller calls ``draw`` on every item in order and queues what it
+    returns (without ``draw``, the item itself).  The started threads take
+    queued items as they appear.  Whenever more than W wait, the caller
+    takes the oldest back and runs it, so at most W drawn items wait at any
+    time, and it runs what is left once it has drawn them all.  No draw
+    waits for a thread.
+
+    The first error, from ``draw`` or from a block, is raised once every
+    block already begun has ended; no block begins after it.  Threads do
+    not inherit the caller's ``np.errstate``: a block that needs one sets it.
     """
     items = list(items)
     workers = min(len(items), _workers())
     if workers <= 1:
         for item in items:
-            fn(item)
+            fn(draw(item))
         return
-    errors = [None] * workers
+    backlog = queue.SimpleQueue()
+    errors = []
 
-    def run(w):
-        try:
-            for item in items[w::workers]:
+    def run(item):
+        if not errors:
+            try:
                 fn(item)
-        except BaseException as e:
-            errors[w] = e
+            except BaseException as e:
+                errors.append(e)
 
-    threads = [threading.Thread(target=run, args=(w,), name=f"concur_{w}")
-               for w in range(1, workers)]
+    def consume():
+        while (item := backlog.get()) is not _STOP:
+            run(item)
+
+    def take():
+        try:
+            run(backlog.get_nowait())
+        except queue.Empty:
+            pass
+
+    threads = [threading.Thread(target=consume, name=f"concur_{w}") for w in range(1, workers)]
     for t in threads:
         t.start()
-    run(0)
+    try:
+        for item in items:
+            if errors:
+                break
+            backlog.put(draw(item))
+            while backlog.qsize() > workers:
+                take()
+        while not backlog.empty():
+            take()
+    except BaseException as e:  # raised below, once no thread runs a block
+        errors.append(e)
+    for t in threads:
+        backlog.put(_STOP)
     for t in threads:
         t.join()
-    for e in errors:
-        if e is not None:
-            raise e
+    if errors:
+        raise errors[0]
 
 
 def _matmul_t(z: np.ndarray, fac: np.ndarray) -> np.ndarray:

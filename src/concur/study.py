@@ -33,7 +33,7 @@ from .estimators import (_as_stack, _below, _bootstrap, _kendall, block_mse, opt
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .pipeline import _write_json, _write_rows
 from .simulate import simulate_doa
-from .specfun import SeededRng, _lookup, _real, _whole
+from .specfun import SeededRng, _lookup, _real, _spread, _whole
 
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
@@ -126,19 +126,28 @@ def _summaries(values: np.ndarray, truth: float) -> dict:
 
 def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
                estimators=("bootstrap", "unbiased", "kendall")) -> list[dict]:
-    """Draw, estimate and summarize pair cells in order, one row per estimator.
+    """Draw, estimate and summarize pair cells, one row per estimator, in
+    cell order.
 
     A cell is (row fields, model, sites, truth, n, n0); the i-th cell (from 1)
-    draws from substream offset + i.  A cell with the bootstrap records m.
-    The estimators share one dominance count of the cell's stack; each
-    value equals its estimator's on the stack (``sample_cp_bootstrap``,
-    ``ecp_kendall(tie_adjusted=True)``).
+    draws from substream offset + i.  The calling thread draws the cells in
+    order while the cells already drawn are estimated on the other CPUs
+    (``specfun._spread``), so the rows do not depend on the CPU count.  A
+    cell with the bootstrap records m.  The estimators share one dominance
+    count of the cell's stack; each value equals its estimator's on the
+    stack (``sample_cp_bootstrap``, ``ecp_kendall(tie_adjusted=True)``).
     """
     m = _BLOCK_SIZE
-    rows: list[dict] = []
-    for cell, (fields, model, sites, truth, n, n0) in enumerate(cells, 1):
-        data, _ = _as_stack(_simulate_block(model, sites, n0, cfg.reps, n,
-                                            rng.substream(offset + cell)))
+    rows: list[list[dict]] = [[] for _ in cells]
+
+    def draw(cell):
+        _, model, sites, _, n, n0 = cells[cell]
+        return cell, _as_stack(_simulate_block(model, sites, n0, cfg.reps, n,
+                                               rng.substream(offset + cell + 1)))[0]
+
+    def estimate(drawn):
+        cell, data = drawn
+        fields, _, _, truth, _, _ = cells[cell]
         d = _below(data)
         values = {}
         if "bootstrap" in estimators:  # the unbiased estimator is derived from it
@@ -147,9 +156,12 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
             fields = {**fields, "m": m}
         if "kendall" in estimators:
             values["kendall"] = _kendall(data, d, tie_adjusted=True).estimate
-        rows += [{"experiment": cfg.experiment, **fields, "estimator": name, "reps": cfg.reps,
-                  **_summaries(values[name], truth)} for name in estimators]
-    return rows
+        rows[cell] = [{"experiment": cfg.experiment, **fields, "estimator": name,
+                       "reps": cfg.reps, **_summaries(values[name], truth)}
+                      for name in estimators]
+
+    _spread(estimate, range(len(cells)), draw)
+    return [row for cell_rows in rows for row in cell_rows]
 
 
 def _target_cells(cfg: StudyConfig, sizes, n0s) -> list:

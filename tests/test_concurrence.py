@@ -1,5 +1,6 @@
 """Closed forms, quadrature and Monte-Carlo evaluation, bounds, and integrated concurrence."""
 
+import contextlib
 import math
 
 import mpmath
@@ -375,35 +376,27 @@ class TestGaussianPairIntegrand:
         for got in (pair.antithetic(z), _log_space_antithetic(gamma, z)):
             assert _close(got, want_anti, tol + np.finfo(float).eps)
 
-    @pytest.mark.parametrize("n_draws", [2, 8191, 8193, 20_000])
+    @pytest.mark.parametrize("n_draws", [2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 20_000, 200_000])
     @pytest.mark.parametrize("model", [_br(20.0 / 3.0),
                                        ExtremalT(ExponentialCorrelation(10.0), nu=5.0)])
     def test_ecp_mc_blocks_equal_one_shot(self, model, n_draws):
-        # ecp_mc draws once and evaluates the integrand block by block
+        # ecp_mc draws block by block on the caller, which takes the stream
+        # of one draw, and each block writes its own slice, so one worker,
+        # several and the machine's own count agree bit for bit with one
+        # draw and one integrand call, and leave the generator alike
         pair = model.pair_reduction(model.sites_of(PAIR))
         for antithetic in (False, True):
-            est = ecp_mc(model, PAIR, n_draws, antithetic=antithetic, rng=SeededRng(8, n_draws))
-            x = pair.draw(SeededRng(8, n_draws).generator(), n_draws)
+            g = SeededRng(8, n_draws).generator()
+            x = pair.draw(g, n_draws)
             vals = pair.antithetic(x) if antithetic else pair.integrand(x)
-            assert est.value == min(max(float(vals.mean()), 0.0), 1.0)
-            assert est.stderr == float(vals.std(ddof=1) / math.sqrt(n_draws))
-
-    @pytest.mark.parametrize("antithetic", [False, True])
-    @pytest.mark.parametrize("model", [_br(20.0 / 3.0),
-                                       ExtremalT(ExponentialCorrelation(10.0), nu=5.0)])
-    def test_ecp_mc_identical_whatever_the_workers(self, model, antithetic):
-        # the draw is one serial call and each block writes its own slice,
-        # so one worker, several and the machine's own pool agree bit for bit
-        n_draws = 5 * _MC_BLOCK + 17
-
-        def run():
-            est = ecp_mc(model, PAIR, n_draws, antithetic=antithetic, rng=SeededRng(9))
-            return est.value.hex(), est.stderr.hex()
-
-        want = run()
-        for workers in (1, 3):
-            with spread_workers(workers):
-                assert run() == want
+            want = (min(max(float(vals.mean()), 0.0), 1.0),
+                    float(vals.std(ddof=1) / math.sqrt(n_draws)))
+            for workers in (None, 1, 2, 3):
+                got = SeededRng(8, n_draws).generator()
+                with spread_workers(workers) if workers else contextlib.nullcontext():
+                    est = ecp_mc(model, PAIR, n_draws, antithetic=antithetic, rng=got)
+                assert (est.value, est.stderr) == want
+                assert got.bit_generator.state == g.bit_generator.state
 
 
 class TestExtremalCoefficient:

@@ -391,25 +391,120 @@ class TestSpread:
         assert not caller.is_alive(), "the counts did not finish within 60 s"
         assert np.array_equal(got[0], ref)
 
+    def test_a_producer_with_many_workers_switching_often(self):
+        # eight workers, more than the cores, switching every microsecond:
+        # the caller draws each item once and in order, and each drawn item
+        # is consumed once, whichever thread takes it
+        drawn, total = [], np.zeros(500)
+
+        def draw(i):
+            drawn.append(i)
+            return i, np.full(100, float(i))
+
+        def block(item):
+            i, values = item
+            total[i] += values.sum()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with spread_workers(8):
+                caller = threading.Thread(target=_spread, args=(block, range(500), draw),
+                                          daemon=True)
+                caller.start()
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "the items were not consumed within 60 s"
+        assert drawn == list(range(500))
+        assert np.array_equal(total, 100.0 * np.arange(500))
+
     def test_an_error_in_a_block_reaches_the_caller_with_its_type(self):
-        # an error ends its worker's items: inline, item 4 never runs; of
-        # three workers, worker 0 takes items 0 and 3 and worker 1 items 1
-        # and 4, and the slow item 4 still ends before the error is raised
-        done = []
+        # every block begun before the error has ended when it is raised;
+        # inline, the blocks after it never begin
+        began, ended = [], []
 
         def block(i):
+            began.append(i)
             if i == 3:
                 raise DomainError("block 3 failed")
-            if i == 4:
-                time.sleep(0.1)
-            done.append(i)
+            time.sleep(0.05)
+            ended.append(i)
 
-        for workers, want in ((1, [0, 1, 2]), (3, [0, 1, 2, 4])):
-            done.clear()
+        for workers in (1, 2, 3):
+            began.clear()
+            ended.clear()
             with spread_workers(workers):
                 with pytest.raises(DomainError, match="block 3 failed"):
-                    _spread(block, range(5))
-                assert sorted(done) == want
+                    _spread(block, range(8))
+            assert 3 in began
+            assert sorted(ended) == sorted(set(began) - {3})
+            if workers == 1:
+                assert began == [0, 1, 2, 3]
+
+    def test_an_error_in_a_draw_reaches_the_caller_after_every_block(self):
+        # the blocks of the items drawn before the failed draw end first,
+        # no block begins after it, and no started thread is left running
+        began, ended = [], []
+
+        def draw(i):
+            if i == 4:
+                raise DomainError("draw 4 failed")
+            return i
+
+        def block(i):
+            began.append(i)
+            time.sleep(0.05)
+            ended.append(i)
+
+        for workers in (1, 2, 3):
+            began.clear()
+            ended.clear()
+            with spread_workers(workers):
+                with pytest.raises(DomainError, match="draw 4 failed"):
+                    _spread(block, range(8), draw)
+            assert not [t for t in threading.enumerate() if t.name.startswith("concur_")]
+            assert sorted(ended) == sorted(began)
+            assert set(began) <= {0, 1, 2, 3}
+            if workers == 1:
+                assert began == [0, 1, 2, 3]
+
+    def test_the_drawn_backlog_stays_within_the_workers(self):
+        # each started thread takes one block and holds it until the last
+        # draw, so in between only the caller takes items back: drawn items
+        # that no thread has taken never number more than W
+        n = 30
+        lock = threading.Lock()
+        taken, backlog = [0], []
+        release = threading.Event()
+        caller = threading.current_thread()
+
+        def draw(i):
+            if i == workers:  # every started thread holds its block
+                deadline = time.monotonic() + 30
+                while taken[0] < workers - 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            with lock:
+                backlog.append(i - taken[0])
+            if i == n - 1:
+                release.set()
+            return i
+
+        def block(i):
+            with lock:
+                taken[0] += 1
+            if threading.current_thread() is not caller:
+                assert release.wait(timeout=30)
+
+        for workers in (1, 2, 3):
+            taken[0] = 0
+            backlog.clear()
+            release.clear()
+            with spread_workers(workers):
+                _spread(block, range(n), draw)
+            assert taken[0] == n
+            # inline, each item is taken as soon as it is drawn
+            assert max(backlog) == (workers if workers > 1 else 0)
 
     def test_a_nested_call_returns(self):
         # every outer block starts and joins its own inner threads, so no
@@ -427,13 +522,19 @@ class TestSpread:
         assert sorted(inner) == [(i, j) for i in range(2) for j in range(4)]
 
     def test_no_thread_outlives_the_call(self):
-        ran = set()
+        # W - 1 threads, W = min(items, CPUs), run beside the caller while
+        # its blocks run, and none is alive after the call
+        for workers, items in ((1, 6), (2, 6), (3, 6), (3, 2)):
+            seen = set()
 
-        with spread_workers(3):
-            _spread(lambda i: ran.add(threading.current_thread()), range(6))
-            started = ran - {threading.current_thread()}
-            assert not any(t.is_alive() for t in started)
-            assert len(started) == 2
+            def block(i):
+                time.sleep(0.01)
+                seen.update(t for t in threading.enumerate() if t.name.startswith("concur_"))
+
+            with spread_workers(workers):
+                _spread(block, range(items))
+            assert len(seen) == min(workers, items) - 1
+            assert not any(t.is_alive() for t in seen)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     def test_a_forked_child_spreads(self):

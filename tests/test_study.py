@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import spread_workers
+
+from concur.cli import main
 
 from concur import DomainError, SeededRng, concurrence_probability
 from concur.estimators import (
@@ -94,6 +97,22 @@ def test_outputs_deterministic(tmp_path):
     assert digests[0][0] == digests[1][0]
     assert digests[0][1] == digests[1][1]
     assert digests[0][1]["schema_version"] == "1"
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fig2"])
+def test_outputs_identical_whatever_the_workers(tmp_path, experiment):
+    # each cell draws on the calling thread from its own substream and is
+    # estimated wherever a thread is free: the bytes do not depend on where
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        with spread_workers(workers):
+            assert main(["--seed", "3", "--out", str(out), "study", "--experiment", experiment,
+                         "--reps", "12", "--n", "30", "--n", "40"]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in (f"{experiment}.csv", f"{experiment}_manifest.json")])
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 @pytest.mark.parametrize("n0", [1, 10, None])
