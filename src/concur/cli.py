@@ -269,9 +269,8 @@ def _cmd_cells(args, rng: SeededRng) -> None:
 
 def _cmd_study(args, rng: SeededRng) -> None:
     out = _require_out(args)
-    cfg = StudyConfig(experiment=args.experiment, out_dir=out, seed=args.seed,
-                      reps=args.reps,
-                      sample_sizes=tuple(args.n) if args.n else ())
+    cfg = StudyConfig(experiment=args.experiment, out_dir=out, seed=args.seed, reps=args.reps,
+                      sample_sizes=tuple(args.n or ()))
     result = study_harness(cfg)
     _emit_json({"command": "study", "experiment": args.experiment,
                 "csv": result["csv"], "manifest": result["manifest"],

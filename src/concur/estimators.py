@@ -388,44 +388,47 @@ def ecp_kendall(data, tie_adjusted: bool = False) -> KendallEstimate:
     x, one = _as_stack(data)
     if x.shape[2] != 2:
         raise CapabilityError("Kendall's tau is a pairwise statistic (k = 2)")
-    est = _kendall(x, _below(x), tie_adjusted)
-    return KendallEstimate(estimate=_per_sample(est.estimate, one),
-                           stderr=_per_sample(est.stderr, one), n=est.n)
+    tau, rows, ties = _kendall(x, _below(x), tie_adjusted)
+    return KendallEstimate(estimate=_per_sample(tau, one),
+                           stderr=_per_sample(_kendall_stderr(rows, ties), one), n=x.shape[1])
 
 
-def _kendall(x: np.ndarray, d: np.ndarray, tie_adjusted: bool) -> KendallEstimate:
-    """:func:`ecp_kendall` of a checked (reps, n, 2) stack x with dominance
-    counts d."""
-    reps, n, _ = x.shape
+def _kendall(x: np.ndarray, d: np.ndarray, tie_adjusted: bool):
+    """The tau of :func:`ecp_kendall` per replicate of a checked (reps, n, 2)
+    stack x with dominance counts d, and what :func:`_kendall_stderr` takes."""
+    n = x.shape[1]
     rows, tie_x, tie_y = _kendall_rows(x, d, tie_adjusted)
     total = rows.sum(axis=1) / 2.0
     pairs_n = n * (n - 1) / 2.0
+    if not tie_adjusted:
+        return total / pairs_n, rows, None
+    tx, ty = tie_x.sum(axis=1), tie_y.sum(axis=1)
+    for j, t in enumerate((tx, ty)):
+        const = np.flatnonzero(t == n * (n - 1))
+        if const.size:
+            raise DomainError(f"replicate {const[0]}: coordinate {j} is constant, so "
+                              f"the tie-adjusted Kendall tau is 0/0")
+    return total / np.sqrt((pairs_n - tx / 2.0) * (pairs_n - ty / 2.0)), rows, (tie_x, tie_y)
+
+
+def _kendall_stderr(rows: np.ndarray, ties) -> np.ndarray:
+    """The delete-one jackknife stderr of :func:`_kendall`'s tau; NaN when n < 3."""
+    reps, n = rows.shape
+    if n < 3:
+        return np.full(reps, np.nan)
     pairs_loo = (n - 1) * (n - 2) / 2.0
-    if tie_adjusted:
-        tx, ty = tie_x.sum(axis=1), tie_y.sum(axis=1)
-        for j, t in enumerate((tx, ty)):
-            const = np.flatnonzero(t == n * (n - 1))
-            if const.size:
-                raise DomainError(f"replicate {const[0]}: coordinate {j} is constant, so "
-                                  f"the tie-adjusted Kendall tau is 0/0")
-        tau = total / np.sqrt((pairs_n - tx / 2.0) * (pairs_n - ty / 2.0))
+    if ties is not None:
         # untied pairs per margin once row i is left out
-        loo_x = pairs_loo - (tx[:, None] - 2 * tie_x) / 2.0
-        loo_y = pairs_loo - (ty[:, None] - 2 * tie_y) / 2.0
+        loo_x, loo_y = (pairs_loo - (t.sum(axis=1)[:, None] - 2 * t) / 2.0 for t in ties)
         for j, d in enumerate((loo_x, loo_y)):
-            if n >= 3 and not d.all():
+            if not d.all():
                 r, i = np.argwhere(d == 0)[0]
                 raise DomainError(f"replicate {r}: leaving out row {i} makes coordinate {j} "
                                   f"constant, so that delete-one tie-adjusted Kendall tau "
                                   f"is 0/0")
         pairs_loo = np.sqrt(loo_x * loo_y)
-    else:
-        tau = total / pairs_n
-    if n < 3:
-        return KendallEstimate(estimate=tau, stderr=np.full(reps, np.nan), n=n)
-    loo = (total[:, None] - rows) / pairs_loo
-    var = (n - 1) / n * ((loo - loo.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    return KendallEstimate(estimate=tau, stderr=np.sqrt(var), n=n)
+    loo = (rows.sum(axis=1)[:, None] / 2.0 - rows) / pairs_loo
+    return np.sqrt((n - 1) / n * ((loo - loo.mean(axis=1, keepdims=True)) ** 2).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

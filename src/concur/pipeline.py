@@ -35,6 +35,7 @@ import logging
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .concurrence import integrated_cp
 from .errors import DomainError, ParseError
 from .estimators import _LEAST_BLOCK, estimator
 from .simulate import simulate_cell_labels
-from .specfun import RngLike, _real, _reals, _regular_step, _whole
+from .specfun import RngLike, _numbers, _real, _reals, _regular_step, _whole
 
 EARTH_RADIUS_KM = 6371.0088
 SEASONS = ("DJF", "MAM", "JJA", "SON")
@@ -730,7 +731,9 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     """
     idw_power = _real(idw_power, "idw_power", 0)
     pts = _reals(station_latlon, "station coordinates")
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if (numbers := _numbers(values)) is None:  # NaN or inf is an absent estimate
+        raise DomainError(f"station values must be numbers, got {reprlib.repr(values)}")
+    values = np.atleast_2d(numbers)
     if pts.shape != (values.shape[1], 2):
         raise DomainError("need one (lat, lon) row and one value per station")
     slat = _reals(pts[:, 0], "station latitudes", -90, 90, "[]")
@@ -909,7 +912,7 @@ def write_model_cells_csv(areas, errs, path) -> None:
 def write_realizations_csv(path, values: np.ndarray, hits: np.ndarray | None = None) -> None:
     """One row per replicate: ``site_j`` columns to 17 significant digits,
     then ``hit_j`` columns unless ``hits`` is None."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    values = np.atleast_2d(_reals(values, "realization values"))
     k = values.shape[1]
     header = [f"site_{j}" for j in range(k)]
     rows = ([f"{v:.17g}" for v in row] for row in values.tolist())

@@ -92,17 +92,26 @@ def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf, ends: s
                       f"got {value!r}")
 
 
-def _reals(value, name: str, lo: float = -math.inf, hi: float = math.inf,
-           ends: str = "()") -> np.ndarray:
+def _numbers(value) -> np.ndarray | None:
     """``value`` as a float array (itself if it is one) if its entries are
-    integers or floats, not bools or text, each finite and in the interval
-    as :func:`_real` brackets it; :class:`DomainError` otherwise."""
+    integers or floats, not bools or text; None otherwise.  A list is
+    scanned once for bools, which NumPy reads as 0 and 1; an array is not."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged list
-        a = np.asarray(None)
-    if a.dtype.kind in "iuf":
-        a = a.astype(float, copy=False)
+        return None
+    if a.dtype.kind in "iuf" and (isinstance(value, np.ndarray) or not any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat)):
+        return a.astype(float, copy=False)
+    return None
+
+
+def _reals(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+           ends: str = "()") -> np.ndarray:
+    """:func:`_numbers` of ``value`` if each entry is finite and in the
+    interval as :func:`_real` brackets it; :class:`DomainError` otherwise."""
+    a = _numbers(value)
+    if a is not None:
         ok = np.isfinite(a)
         if math.isfinite(lo):
             ok &= a >= lo if ends[0] == "[" else a > lo
@@ -110,7 +119,7 @@ def _reals(value, name: str, lo: float = -math.inf, hi: float = math.inf,
             ok &= a <= hi if ends[1] == "]" else a < hi
         if ok.all():
             return a
-    got = repr(float(a.flat[np.argmin(ok)])) if a.dtype == float else reprlib.repr(value)
+    got = reprlib.repr(value) if a is None else repr(float(a.flat[np.argmin(ok)]))
     raise DomainError(f"{name} must be finite numbers in {ends[0]}{lo}, {hi}{ends[1]}, got {got}")
 
 
@@ -397,28 +406,22 @@ def gaussian_vector(cov: CovarianceMatrix, rng: RngLike, size=None):
 def log_binom_ratio(d, m: int, n: int):
     """C(d, m-1) / C(n, m) evaluated in log space; exactly 0 when d < m-1.
 
-    ``d`` may be a scalar or an integer array; requires 1 <= m <= n and
-    0 <= d <= n-1.
+    ``d`` may be a scalar or an array of whole numbers; requires 1 <= m <= n
+    and 0 <= d <= n-1.
     """
     m = _whole(m, 1, "m")
     n = _whole(n, m, "n")
-    d_arr = np.asarray(d)
-    if not np.issubdtype(d_arr.dtype, np.integer):
-        if not np.all(d_arr == np.floor(d_arr)):
-            raise DomainError("d must be integer-valued")
-        d_arr = d_arr.astype(np.int64)
-    if np.any(d_arr < 0) or np.any(d_arr > n - 1):
-        raise DomainError(f"need 0 <= d <= n-1 = {n - 1}")
-    dd = d_arr.astype(float)
+    dd = _reals(d, "d", 0, n - 1, "[]")
+    frac = dd != np.floor(dd)
+    if frac.any():
+        raise DomainError(f"d must be whole numbers, got {float(dd[frac][0])!r}")
     from scipy import special
     log_den = special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
-    ok = d_arr >= m - 1
+    ok = dd >= m - 1
     safe = np.where(ok, dd, float(m - 1))
     log_num = special.gammaln(safe + 1) - special.gammaln(m) - special.gammaln(safe - m + 2)
     out = np.where(ok, np.exp(log_num - log_den), 0.0)
-    if np.isscalar(d) or d_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if dd.ndim == 0 else out
 
 
 def logsumexp(a, axis=None):

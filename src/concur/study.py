@@ -13,9 +13,11 @@ Four canned experiments mirror the package's benchmark suite:
 * ``fig3``   -- distribution summaries of the three estimators at integer
   lags for extremal-t and Brown--Resnick models.
 
-Every run is reproducible from its config: the i-th pair cell of ``table1``,
-``fig2`` or ``fig3``, counted from 1 in row order, draws its stack from
-substream offset + i (offsets 0, 50 000, 70 000); ``fig1`` draws one per size.
+Each experiment's grid is fixed; a run sets its seed, replicates and
+sample sizes, each at least the experiment's largest block size (2 for
+``fig2``).  The i-th pair cell of ``table1``, ``fig2`` or ``fig3``, counted
+from 1 in row order, draws its stack from substream offset + i (offsets 0,
+50 000, 70 000); ``fig1`` draws one per size.
 """
 
 from __future__ import annotations
@@ -38,35 +40,27 @@ from .specfun import SeededRng, _lookup, _real, _spread, _whole
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
 _BISECT_STEPS = 30  # halvings of the lag bracket in lag_for_target_p
+_P_TARGETS = (0.25, 0.50, 0.75)  # the target p of the table1 and fig2 cells
+_N0_LEVELS = {"table1": (1, 10, None), "fig2": (1, 5, 10, 15, None)}  # None: max-stable
+_FIG1_BLOCK_SIZES = tuple(range(2, 41, 2))
+_FIG3_LAGS = (1.0, 2.0, 3.0, 4.0)
+
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs for one experiment run; defaults are scaled-down but faithful."""
+    """One experiment run on its fixed grid; defaults are scaled-down but faithful."""
 
     experiment: str
     out_dir: str | Path
     seed: int = 20240801
     reps: int = 200
     sample_sizes: tuple[int, ...] = ()
-    n0_levels: tuple = ()            # ints, or None for exactly max-stable
-    p_targets: tuple[float, ...] = (0.25, 0.50, 0.75)
-    m_grid: tuple[int, ...] = ()
-    lags: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
 
     def __post_init__(self):
-        _lookup(EXPERIMENTS, self.experiment, "experiment")
+        _, least = _lookup(EXPERIMENTS, self.experiment, "experiment")
         _whole(self.reps, 2, "reps")
         for n in self.sample_sizes:
-            _whole(n, 2, "sample size")
-        for n0 in self.n0_levels:
-            if n0 is not None:
-                _whole(n0, 1, "n0 level")
-        for p in self.p_targets:
-            _real(p, "p target", 0, 1)
-        for m in self.m_grid:
-            _whole(m, 2, "block size")
-        for h in self.lags:
-            _real(h, "lag", 0)
+            _whole(n, least, "sample size")
 
 
 def extremal_t_benchmark() -> ExtremalT:
@@ -77,17 +71,15 @@ def _pair_sites(h: float) -> np.ndarray:
     return np.array([[0.0], [float(h)]])
 
 
-def lag_for_target_p(model: ModelSpec, target: float, lo: float = 1e-4,
-                     hi: float = 60.0) -> float:
-    """Bisect the lag h with p(0, h) = target for a stationary model.
+def lag_for_target_p(model: ModelSpec, target: float) -> float:
+    """Bisect the lag h in (1e-4, 60) with p(0, h) = target for a stationary model.
 
     p(h) is evaluated by the fixed tanh-sinh rule of
     :func:`concurrence_probability`, on the same nodes at every h, so the
     bisection needs no random draws and is exact up to the bracket width
     2**-_BISECT_STEPS (hi - lo) and the rule's error.
     """
-    target, lo = _real(target, "target probability", 0, 1), _real(lo, "lo", 0)
-    hi = _real(hi, "hi", lo)
+    target, lo, hi = _real(target, "target probability", 0, 1), 1e-4, 60.0
 
     def p_of(h: float) -> float:
         return concurrence_probability(model, _pair_sites(h)).value
@@ -135,7 +127,8 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
     (``specfun._spread``), so the rows do not depend on the CPU count.  A
     cell with the bootstrap records m.  The estimators share one dominance
     count of the cell's stack; each value equals its estimator's on the
-    stack (``sample_cp_bootstrap``, ``ecp_kendall(tie_adjusted=True)``).
+    stack (``sample_cp_bootstrap``, the estimate of
+    ``ecp_kendall(tie_adjusted=True)``, whose jackknife is not computed).
     """
     m = _BLOCK_SIZE
     rows: list[list[dict]] = [[] for _ in cells]
@@ -155,7 +148,7 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
             values["unbiased"] = unbiased_modification(star, m)
             fields = {**fields, "m": m}
         if "kendall" in estimators:
-            values["kendall"] = _kendall(data, d, tie_adjusted=True).estimate
+            values["kendall"] = _kendall(data, d, tie_adjusted=True)[0]
         rows[cell] = [{"experiment": cfg.experiment, **fields, "estimator": name,
                        "reps": cfg.reps, **_summaries(values[name], truth)}
                       for name in estimators]
@@ -164,11 +157,11 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
     return [row for cell_rows in rows for row in cell_rows]
 
 
-def _target_cells(cfg: StudyConfig, sizes, n0s) -> list:
+def _target_cells(sizes, n0s) -> list:
     """Extremal-t cells at each target p's lag, by (p, n, n0)."""
     model = extremal_t_benchmark()
     cells = []
-    for p_target in cfg.p_targets:
+    for p_target in _P_TARGETS:
         h = lag_for_target_p(model, p_target)
         cells += [({"p_target": p_target, "lag": h, "n": n, "n0": "inf" if n0 is None else n0},
                    model, _pair_sites(h), p_target, n, n0) for n in sizes for n0 in n0s]
@@ -176,13 +169,11 @@ def _target_cells(cfg: StudyConfig, sizes, n0s) -> list:
 
 
 def _run_table1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
-    cells = _target_cells(cfg, cfg.sample_sizes or (100,), cfg.n0_levels or (1, 10, None))
-    return _pair_rows(cfg, rng, 0, cells)
+    return _pair_rows(cfg, rng, 0, _target_cells(cfg.sample_sizes or (100,), _N0_LEVELS["table1"]))
 
 
 def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     sizes = cfg.sample_sizes or (1000,)
-    m_grid = cfg.m_grid or tuple(range(2, 41, 2))
     model = BrownResnick(variogram=FractionalVariogram(scale=1.0 / 1.627, exponent=1.0))
     sites = _pair_sites(1.0)
     p = 0.5
@@ -191,7 +182,7 @@ def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
         data = _simulate_block(model, sites, None, cfg.reps, n, rng.substream(1 + ni))
         d = _below(_as_stack(data)[0])  # one count for every block size
         plan = optimal_block_size(n, p, r=1, c_r=1.0 - p)
-        for m in m_grid:
+        for m in _FIG1_BLOCK_SIZES:
             block = sample_cp_block(data, m)
             star = _bootstrap(d, m)
             predicted = math.sqrt(block_mse(n, m, p, 1, 1.0 - p))
@@ -203,8 +194,7 @@ def _run_fig1(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
 
 
 def _run_fig2(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
-    cells = _target_cells(cfg, cfg.sample_sizes or (25, 50, 100),
-                          cfg.n0_levels or (1, 5, 10, 15, None))
+    cells = _target_cells(cfg.sample_sizes or (25, 50, 100), _N0_LEVELS["fig2"])
     return _pair_rows(cfg, rng, 50_000, cells, ("kendall",))
 
 
@@ -215,7 +205,7 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     }
     cells = []
     for fam_name, model in families.items():
-        for h in cfg.lags:
+        for h in _FIG3_LAGS:
             sites = _pair_sites(h)
             truth = concurrence_probability(model, sites).value
             cells += [({"family": fam_name, "lag": h, "n": n, "theoretical_p": truth},
@@ -223,8 +213,10 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     return _pair_rows(cfg, rng, 70_000, cells)
 
 
-# experiment name -> the runner of its rows
-EXPERIMENTS = {"table1": _run_table1, "fig1": _run_fig1, "fig2": _run_fig2, "fig3": _run_fig3}
+# experiment name -> (the runner of its rows, its least sample size: the
+# largest block size its estimators take, or 2 for Kendall's tau alone)
+EXPERIMENTS = {"table1": (_run_table1, _BLOCK_SIZE), "fig1": (_run_fig1, _FIG1_BLOCK_SIZES[-1]),
+               "fig2": (_run_fig2, 2), "fig3": (_run_fig3, _BLOCK_SIZE)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +229,7 @@ def study_harness(cfg: StudyConfig) -> dict:
     outputs for identical configs.
     """
     rng = SeededRng(cfg.seed)
-    rows = EXPERIMENTS[cfg.experiment](cfg, rng)
+    rows = EXPERIMENTS[cfg.experiment][0](cfg, rng)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
@@ -257,6 +249,4 @@ def study_harness(cfg: StudyConfig) -> dict:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return v
+    return f"{v:.17g}" if isinstance(v, float) else v

@@ -15,7 +15,7 @@ from .errors import DomainError
 from .models import ModelSpec
 from .pipeline import _COLUMNS, SEASONS, _csv_fields, _open_csv
 from .simulate import simulate_field_values
-from .specfun import RngLike, as_generator
+from .specfun import RngLike, _reals, _whole, as_generator
 
 
 def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
@@ -30,16 +30,17 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     dependence.  Returns the (years, stations) matrix of planted maxima.
     """
     station_ids = list(station_ids)
-    pts = np.asarray(station_latlon, dtype=float)
+    pts = _reals(station_latlon, "station coordinates")
     if pts.shape != (len(station_ids), 2):
         raise DomainError("station_latlon must be (n_stations, 2)")
+    _reals(pts[:, 0], "station latitudes", -90, 90, "[]")    # the bounds ingest_csv reads
+    _reals(pts[:, 1], "station longitudes", -180, 180, "[]")
     if season not in SEASONS:
         raise DomainError(f"unknown season {season!r}")
-    years = list(years)
-    least = 2 if season == "DJF" else 1   # a DJF season starts in the December before
-    if years and not (least <= min(years) and max(years) <= 9999):
-        raise DomainError(f"{season} years must lie in [{least}, 9999], got {min(years)} to "
-                          f"{max(years)}")
+    # a DJF season starts in the December before; a date has at most four digits
+    years = [_whole(y, 2 if season == "DJF" else 1, f"{season} year") for y in years]
+    if years and max(years) > 9999:
+        raise DomainError(f"{season} year must be at most 9999, got {max(years)}")
     if sites is None:
         sites = np.arange(len(station_ids), dtype=float)[:, None]
     n_sites = len(model.sites_of(sites))

@@ -123,8 +123,7 @@ def test_a3_benchmark_table_reproduction():
     }
     order = {"bootstrap": 0, "unbiased": 1, "kendall": 2}
     cfg = StudyConfig(experiment="table1", out_dir="/tmp/concur_acceptance_table1",
-                      seed=0xA3, reps=500, sample_sizes=(100,),
-                      n0_levels=(1, 10, None))
+                      seed=0xA3, reps=500, sample_sizes=(100,))
     rows = study_harness(cfg)["rows"]
     failures = []
     worst = 0.0

@@ -445,8 +445,10 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
                           "--min-coverage", "2"],
      "min_coverage must be a finite number in [0, 1], got 2.0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "table1", "--n", "0", "--reps", "3"],
-     "sample size must be a whole number >= 2, got 0"),
+     "sample size must be a whole number >= 10, got 0"),
     ("sites", "0.0\n1.0\n", ["study", "--experiment", "fig3", "--n", "30", "--n", "1"],
+     "sample size must be a whole number >= 10, got 1"),
+    ("sites", "0.0\n1.0\n", ["study", "--experiment", "fig2", "--n", "30", "--n", "1"],
      "sample size must be a whole number >= 2, got 1"),
     # antithetic pairing is a Monte-Carlo option: without draws it has nothing to pair
     ("sites", "0.0\n1.0\n", ["ecp", "--model", "{model}", "--sites", "{sites}",
@@ -515,6 +517,7 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "cells_block_size_above_pair", "cells_station_short", "map_anchor_short",
         "map_idw_power_nan", "cells_idw_power_negative", "ecp_negative_draws",
         "matrix_min_overlap_negative", "blocks_min_coverage_above_1", "study_n_0", "study_n_1",
+        "study_fig2_n_1",
         "ecp_antithetic_without_draws", "plan_c_r_inf", "extremes_season_unknown",
         "extremes_polarity_unknown", "extremes_coverage_above_1", "extremes_coverage_negative",
         "extremes_value_inf", "extremes_repeated_station_year", "matrix_estimate_inf",

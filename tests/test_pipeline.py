@@ -641,13 +641,34 @@ class TestSynthesizeStationCsv:
                                    sites=sites)
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("season, years, least", [("DJF", [2, 1], 2), ("JJA", [0], 1),
-                                                      ("SON", [9999, 10000], 1)])
-    def test_years_the_pipeline_reads(self, tmp_path, season, years, least):
-        # a date before year 1 or after 9999 used to end in datetime's bare ValueError
-        with pytest.raises(DomainError, match=f"{season} years must lie in \\[{least}, 9999\\]"):
+    @pytest.mark.parametrize("season, years, message", [
+        ("DJF", [2, 1], "DJF year must be a whole number >= 2, got 1"),
+        ("JJA", [0], "JJA year must be a whole number >= 1, got 0"),
+        ("SON", [9999, 10000], "SON year must be at most 9999, got 10000"),
+        ("JJA", [2000.5, 2001], "JJA year must be a whole number >= 1, got 2000.5"),
+        ("JJA", [True], "JJA year must be a whole number >= 1, got True")])
+    def test_years_the_pipeline_reads(self, tmp_path, season, years, message):
+        # a date before year 1 or after 9999 used to end in datetime's bare
+        # ValueError, and a fractional year in a bare UFuncTypeError
+        with pytest.raises(DomainError, match=re.escape(message)):
             synthesize_station_csv(tmp_path / "s.csv", Logistic(0.5), STATIONS[:2], COORDS[:2],
                                    years, SeededRng(1), season=season)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("coords, message", [
+        ([[100.0, 0.0], [1.0, 1.0]], "station latitudes must be finite numbers in [-90, 90], "
+                                     "got 100.0"),
+        ([[1.0, -181.0], [1.0, 1.0]], "station longitudes must be finite numbers in "
+                                      "[-180, 180], got -181.0"),
+        ([[math.nan, 0.0], [1.0, 1.0]], "station coordinates must be finite numbers in "
+                                        "(-inf, inf), got nan"),
+        ([["1", "0"], [1.0, 1.0]], "station coordinates must be finite numbers in "
+                                   "(-inf, inf), got [['1', '0'], [1.0, 1.0]]")])
+    def test_coordinates_the_pipeline_reads(self, tmp_path, coords, message):
+        # such a file was written, and ingest_csv then refused it at its line
+        with pytest.raises(DomainError, match=re.escape(message)):
+            synthesize_station_csv(tmp_path / "s.csv", Logistic(0.5), STATIONS[:2], coords,
+                                   [2000], SeededRng(1))
         assert not (tmp_path / "s.csv").exists()
 
     def test_utf8_in_an_ascii_locale(self, tmp_path):

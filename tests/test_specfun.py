@@ -207,6 +207,14 @@ class TestLogBinomRatio:
             log_binom_ratio(3, 2, 3)
         with pytest.raises(DomainError):
             log_binom_ratio(-1, 2, 3)
+        # a fraction was refused by hand, text ended in a bare TypeError and True read as 1
+        for d in (1.5, [1.0, 1.5]):
+            with pytest.raises(DomainError, match=r"d must be whole numbers, got 1\.5"):
+                log_binom_ratio(d, 2, 3)
+        for d in ("a", True, [1, True]):
+            with pytest.raises(DomainError, match=r"d must be finite numbers in \[0, 2\]"):
+                log_binom_ratio(d, 2, 3)
+        assert log_binom_ratio(2.0, 2, 3) == log_binom_ratio(np.int64(2), 2, 3)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 64])

@@ -14,6 +14,7 @@ from concur.estimators import (
     _below,
     _bootstrap,
     _kendall,
+    _kendall_stderr,
     ecp_kendall,
     sample_cp_bootstrap,
     sample_cp_unbiased,
@@ -36,17 +37,53 @@ def test_unknown_experiment():
         StudyConfig(experiment="fig9", out_dir="/tmp/x")
 
 
-@pytest.mark.parametrize("sizes", [(0,), (1,), (30, 1), (2.5,), (True,)])
-def test_sample_sizes_below_two_refused_before_any_work(tmp_path, sizes):
-    with pytest.raises(DomainError, match="sample size must be a whole number >= 2"):
-        StudyConfig(experiment="table1", out_dir=tmp_path / "out", sample_sizes=sizes)
+# each experiment's least sample size is the largest block size it takes
+LEAST = {"table1": 10, "fig1": 40, "fig2": 2, "fig3": 10}
+
+
+@pytest.mark.parametrize("experiment, least", LEAST.items())
+def test_sample_sizes_below_the_least_refused_before_any_work(tmp_path, experiment, least):
+    for sizes in [(0,), (least - 1,), (100, least - 1), (2.5,), (True,)]:
+        with pytest.raises(DomainError, match=f"sample size must be a whole number >= {least}"):
+            StudyConfig(experiment=experiment, out_dir=tmp_path / "out", sample_sizes=sizes)
+    StudyConfig(experiment=experiment, out_dir=tmp_path / "out", sample_sizes=(least,))
     assert not (tmp_path / "out").exists()
 
 
-def test_smallest_sample_size_runs(tmp_path):
-    cfg = StudyConfig(experiment="fig2", out_dir=tmp_path, seed=1, reps=3, sample_sizes=(2,),
-                      n0_levels=(None,), p_targets=(0.5,))
-    assert len(study_harness(cfg)["rows"]) == 1
+@pytest.mark.parametrize("experiment, n", [("fig1", 30), ("table1", 5), ("fig3", 5)])
+def test_a_size_below_a_block_size_fails_before_any_work(tmp_path, capsys, experiment, n):
+    # it used to draw and estimate part of the grid, then name a block size
+    # ("block size must be at most n = 30, got 32") the user never set
+    assert main(["--out", str(tmp_path / "out"), "study", "--experiment", experiment,
+                 "--n", str(n)]) == 2
+    assert capsys.readouterr().err == (f"error: sample size must be a whole number >= "
+                                       f"{LEAST[experiment]}, got {n}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_least_sample_sizes_run(tmp_path):
+    # table1 at n = 10 with seed 1 has a replicate whose delete-one tau is
+    # 0/0; the study takes tau alone, so no jackknife stops it
+    assert main(["--seed", "1", "--out", str(tmp_path), "study", "--experiment", "table1",
+                 "--n", "10"]) == 0
+    assert len(study_harness(StudyConfig("fig1", tmp_path, seed=1, reps=3,
+                                         sample_sizes=(40,)))["rows"]) == 40
+
+
+def test_the_study_takes_tau_without_its_jackknife():
+    # leaving out the third row leaves x constant: ecp_kendall's jackknife
+    # is 0/0 there, but tau_b = 2 / sqrt(2 * 3) is defined
+    x = np.array([[[1.0, 1.0], [1.0, 2.0], [2.0, 3.0]]])
+    with pytest.raises(DomainError, match="leaving out row 2 makes coordinate 0 constant"):
+        ecp_kendall(x, tie_adjusted=True)
+    assert _kendall(x, _below(x), tie_adjusted=True)[0] == pytest.approx([2 / 6 ** 0.5])
+
+
+def test_a_max_stable_cell_runs_at_n_2(tmp_path):
+    model, sites = extremal_t_benchmark(), _pair_sites(3.0)
+    cfg = StudyConfig(experiment="fig2", out_dir=tmp_path, reps=3)
+    rows = _pair_rows(cfg, SeededRng(1), 0, [({"n": 2}, model, sites, 0.5, 2, None)], ("kendall",))
+    assert len(rows) == 1 and np.isfinite(rows[0]["mean"])
 
 
 def test_lag_bisection_monotone_targets():
@@ -56,32 +93,35 @@ def test_lag_bisection_monotone_targets():
     assert h_25 > h_50 > 0
     p_50 = concurrence_probability(model, [[0.0], [h_50]]).value
     assert abs(p_50 - 0.5) < 1e-6
-    with pytest.raises(DomainError):
-        lag_for_target_p(model, 0.5, lo=30.0, hi=60.0)
+    # the bracket (1e-4, 60) holds the p from about 0.994 down to about 0.038
+    with pytest.raises(DomainError, match="outside the bracketed range"):
+        lag_for_target_p(model, 0.01)
 
 
 def test_fig3_brown_resnick_median_matches_mc(tmp_path):
     cfg = StudyConfig(experiment="fig3", out_dir=tmp_path, seed=41, reps=300,
-                      sample_sizes=(100,), lags=(1.0,))
+                      sample_sizes=(100,))
     rows = study_harness(cfg)["rows"]
     br_kendall = [r for r in rows
                   if r["family"] == "brown_resnick" and r["estimator"] == "kendall"]
-    assert len(br_kendall) == 1
-    row = br_kendall[0]
+    assert [r["lag"] for r in br_kendall] == [1.0, 2.0, 3.0, 4.0]
     # the Kendall estimator is unbiased on max-stable data: median near truth
-    assert abs(row["median"] - row["theoretical_p"]) < 0.02
+    for row in br_kendall:
+        assert abs(row["median"] - row["theoretical_p"]) < 0.02
 
 
 def test_fig1_rmse_near_prediction(tmp_path):
     cfg = StudyConfig(experiment="fig1", out_dir=tmp_path, seed=42, reps=120,
-                      sample_sizes=(1000,), m_grid=(13,))
+                      sample_sizes=(1000,))
     rows = study_harness(cfg)["rows"]
-    block = next(r for r in rows if r["estimator"] == "block")
-    boot = next(r for r in rows if r["estimator"] == "bootstrap")
-    assert block["optimal_m"] == 13
-    # k=2 bias is exactly (1-p)/m, so the MSE model is exact up to MC noise
-    assert abs(block["rmse"] - block["predicted_rmse"]) < 0.25 * block["predicted_rmse"]
-    assert boot["rmse"] <= block["rmse"]
+    assert {r["optimal_m"] for r in rows} == {13}
+    # the even block sizes on either side of the planned optimum
+    for m in (12, 14):
+        block, boot = (next(r for r in rows if r["m"] == m and r["estimator"] == name)
+                       for name in ("block", "bootstrap"))
+        # k=2 bias is exactly (1-p)/m, so the MSE model is exact up to MC noise
+        assert abs(block["rmse"] - block["predicted_rmse"]) < 0.25 * block["predicted_rmse"]
+        assert boot["rmse"] <= block["rmse"]
 
 
 def test_outputs_deterministic(tmp_path):
@@ -89,8 +129,7 @@ def test_outputs_deterministic(tmp_path):
     for run in range(2):
         out = tmp_path / f"run{run}"
         cfg = StudyConfig(experiment="fig2", out_dir=out, seed=5, reps=10,
-                          sample_sizes=(25,), n0_levels=(1, 5),
-                          p_targets=(0.5,))
+                          sample_sizes=(25,))
         res = study_harness(cfg)
         digests.append((open(res["csv"], "rb").read(),
                         json.loads(open(res["manifest"]).read())))
@@ -129,9 +168,9 @@ def test_a_cell_counts_once_and_matches_the_estimators(tmp_path, n0):
             "kendall": ecp_kendall(data, tie_adjusted=True)}
     assert np.array_equal(_bootstrap(d, m), star)
     assert np.array_equal(unbiased_modification(_bootstrap(d, m), m), want["unbiased"])
-    got = _kendall(data, d, tie_adjusted=True)
-    assert np.array_equal(got.estimate, want["kendall"].estimate)
-    assert np.array_equal(got.stderr, want["kendall"].stderr)
+    tau, kendall_rows, ties = _kendall(data, d, tie_adjusted=True)
+    assert np.array_equal(tau, want["kendall"].estimate)
+    assert np.array_equal(_kendall_stderr(kendall_rows, ties), want["kendall"].stderr)
     want["kendall"] = want["kendall"].estimate
     cfg = StudyConfig(experiment="table1", out_dir=tmp_path, reps=reps)
     rows = _pair_rows(cfg, SeededRng(7), 0, [({"n0": n0}, model, sites, 0.5, n, n0)])

@@ -29,6 +29,7 @@ through, and text or a ragged list ended in NumPy's bare ValueError.
 
 import ast
 import math
+import os
 import re
 import reprlib
 from pathlib import Path
@@ -100,6 +101,7 @@ from concur.pipeline import (
     haversine_km,
     pairwise_matrix,
     seasonal_blocks,
+    write_realizations_csv,
 )
 from concur.specfun import unit_ball_volume
 from concur.study import EXPERIMENTS, StudyConfig, lag_for_target_p
@@ -148,10 +150,8 @@ COUNTS = [
     ("optimal_block_size.n", 2, "n", lambda v: optimal_block_size(v, 0.5)),
     ("optimal_block_size.r", 1, "r", lambda v: optimal_block_size(100, 0.5, r=v)),
     ("StudyConfig.reps", 2, "reps", lambda v: StudyConfig("table1", "out", reps=v)),
-    ("StudyConfig.sample_sizes", 2, "sample size",
+    ("StudyConfig.sample_sizes", 10, "sample size",
      lambda v: StudyConfig("table1", "out", sample_sizes=(100, v))),
-    ("StudyConfig.n0_levels", 1, "n0 level",
-     lambda v: StudyConfig("table1", "out", n0_levels=(None, v))),
     ("simulate_pair_batch.reps", 1, "reps",
      lambda v: simulate_pair_batch(Logistic(0.5), PAIR, v, 4, RNG)),
     ("simulate_pair_batch.n", 1, "n",
@@ -163,8 +163,6 @@ COUNTS = [
     ("pairwise_matrix.min_overlap", 0, "min_overlap",
      lambda v: pairwise_matrix(EXTREMES, min_overlap=v)),
     ("block_mse.r", 1, "r", lambda v: block_mse(10, 2, 0.5, r=v)),
-    ("StudyConfig.m_grid", 2, "block size",
-     lambda v: StudyConfig("fig1", "out", m_grid=(4, v))),
 ]
 
 
@@ -237,14 +235,6 @@ REALS = [
      lambda v: grid_map(STATIONS, np.full(3, 0.5), [40.5], [-100.5], idw_power=v)),
     ("lag_for_target_p.target", 0, 1, "()", "target probability", 0.5,
      lambda v: lag_for_target_p(BallIndicator(1.0), v)),
-    ("lag_for_target_p.lo", 0, INF, "()", "lo", 0.01,
-     lambda v: lag_for_target_p(BallIndicator(1.0), 0.5, lo=v)),
-    ("lag_for_target_p.hi", 1e-4, INF, "()", "hi", 1.5,
-     lambda v: lag_for_target_p(BallIndicator(1.0), 0.5, hi=v)),
-    ("StudyConfig.p_targets", 0, 1, "()", "p target", 0.5,
-     lambda v: StudyConfig("table1", "out", p_targets=(0.25, v))),
-    ("StudyConfig.lags", 0, INF, "()", "lag", 2.0,
-     lambda v: StudyConfig("fig3", "out", lags=(1.0, v))),
 ]
 
 
@@ -343,6 +333,9 @@ ARRAYS = [
      lambda v: cos_lat_weights([40.0, 41.0], v), ...),
     ("expected_cell_area_model.weights", 0, INF, "()", "weights", [1.0, 2.0],
      lambda v: expected_cell_area_model(BallIndicator(1.0), PAIR, v, 2, RNG), ...),
+    ("log_binom_ratio.d", 0, 4, "[]", "d", [1.0, 2.0], lambda v: log_binom_ratio(v, 2, 5), ...),
+    ("write_realizations_csv.values", -INF, INF, "()", "realization values", [[1.0, 2.0]],
+     lambda v: write_realizations_csv(os.devnull, v), ...),
 ]
 
 
@@ -362,9 +355,15 @@ def test_an_array_of_reals_holds_finite_numbers_in_its_interval(lo, hi, ends, na
     if math.isfinite(hi):
         outside += [hi + 1] + ([hi] if ends[1] == ")" else [])
     if spot is ...:
-        # numeric text, a ragged list and a bool array are not arrays of numbers
+        # numeric text, a ragged list, a bool array and a list holding a bool
+        # (which NumPy reads as 0 or 1) are not arrays of numbers
+        with_bools = []
+        for at, flag in ((0, True), (-1, np.False_)):
+            value = inside.astype(object)
+            value.flat[at] = flag
+            with_bools.append(value.tolist())
         for value in (inside.astype(str).tolist(), [inside.tolist(), [0.0]],
-                      inside.astype(bool)):
+                      inside.astype(bool), *with_bools):
             refused(value, reprlib.repr(value))
         outside += [math.nan, math.inf, -math.inf]
     for bad in outside:
@@ -389,6 +388,16 @@ LOOKUPS = [
     ("estimators", ESTIMATORS, "estimator method", estimator),
     ("experiments", EXPERIMENTS, "experiment", lambda v: StudyConfig(v, "out")),
 ]
+
+
+def test_station_values_are_numbers_or_absent():
+    # NaN is an absent estimate; text ended in a bare ValueError, and a bool read as 0 or 1
+    grid = grid_map(STATIONS + [[41.0, -101.0]], [0.5, 0.4, 0.6, math.nan], [40.5], [-100.5])
+    assert np.isfinite(grid).all()
+    for bad in (["a", "b", "c"], [0.5, True, 0.5], [0.5, np.True_, 0.5], np.ones(3, bool)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"station values must be numbers, got {reprlib.repr(bad)}")):
+            grid_map(STATIONS, bad, [40.5], [-100.5])
 
 
 @pytest.mark.parametrize("table, what, call", [c[1:] for c in LOOKUPS],
