@@ -7,21 +7,21 @@ the logistic, max-linear, interval max-increment, and ball-indicator
 models; they live with the models.  Brown--Resnick, Smith, and extremal-t
 pairs reduce to a one-dimensional expectation of 1/V (the models' pair
 reductions): :func:`concurrence_probability` evaluates it by one fixed
-tanh-sinh quadrature rule, and :func:`ecp_mc` estimates it by Monte Carlo
+tanh-sinh quadrature rule (the pairs' curve, which takes many pairs of one
+model in one array pass), and :func:`ecp_mc` estimates it by Monte Carlo
 (antithetic variates available whenever the MC driver is symmetric), as it
 does 1/V over spectral draws for other models.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, NumericError
+from .errors import CapabilityError, DomainError
 from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
 from .specfun import RngLike, _real, _reals, _regular_step, _spread, _whole, as_generator
@@ -29,9 +29,6 @@ from .specfun import RngLike, _real, _reals, _regular_step, _spread, _whole, as_
 Method = Literal["closed_form", "quadrature", "mc_plain", "mc_antithetic",
                  "simulation_frequency"]
 
-_TANH_SINH_STEP = 1.0 / 32
-_TANH_SINH_LEVELS = 102  # nodes at |t| <= 3.19, 205 a piece
-_HALF_STEP_BOUND = 1e-9  # NumericError beyond; valid pairs stay below 6e-10
 _MC_BLOCK = 8192  # draws per evaluation of a pair integrand in ecp_mc
 
 
@@ -120,42 +117,7 @@ def ecp_mc(model: ModelSpec, sites, n_draws: int, antithetic: bool = False, *,
 
 
 # ---------------------------------------------------------------------------
-# deterministic quadrature
-
-@functools.cache
-def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes at
-    x(t) = (1 + tanh(pi/2 sinh t)) / 2 for t = k _TANH_SINH_STEP, |k| <=
-    _TANH_SINH_LEVELS, as each node's distance from its nearer end, whether
-    that end is the right one, and the weights x'(t) _TANH_SINH_STEP.  The
-    outer nodes lie ~1e-17 from an end, which a position near 1 would round
-    onto it."""
-    t = _TANH_SINH_STEP * np.arange(-_TANH_SINH_LEVELS, _TANH_SINH_LEVELS + 1)
-    y = 0.5 * math.pi * np.sinh(np.abs(t))
-    dist = 1.0 / (1.0 + np.exp(2.0 * y))
-    weights = _TANH_SINH_STEP * 0.25 * math.pi * np.cosh(t) / np.cosh(y) ** 2
-    return dist, t > 0.0, weights
-
-
-def _quad_pieces(pieces) -> ConcurrenceEstimate:
-    """Sum of the tanh-sinh rule over (integrand, a, b) pieces; the stderr is
-    the distance to the same sum over every other node at twice the weight
-    (the rule at twice the step) and n_draws the node count.  The rule takes
-    endpoint singularities in its stride, but not a step inside a piece: the
-    pair reductions in ``models`` break each support where their weight
-    rises or falls sharply."""
-    dist, right, weights = _tanh_sinh()
-    fine = coarse = 0.0
-    for g, a, b in pieces:
-        terms = g(np.where(right, b - (b - a) * dist, a + (b - a) * dist)) * weights * (b - a)
-        fine += float(terms.sum())
-        coarse += 2.0 * float(terms[::2].sum())
-    err = abs(fine - coarse)
-    if not err <= _HALF_STEP_BOUND:
-        raise NumericError(f"quadrature unresolved: value {fine}, half-step distance {err:.3g}")
-    return ConcurrenceEstimate(value=min(max(fine, 0.0), 1.0), stderr=err,
-                               n_draws=len(pieces) * dist.size, method="quadrature")
-
+# simulation
 
 def ecp_simulation(model: ModelSpec, sites, reps: int, rng: RngLike) -> ConcurrenceEstimate:
     """Empirical frequency of a single-block hitting scenario (the repo's
@@ -174,16 +136,33 @@ def ecp_simulation(model: ModelSpec, sites, reps: int, rng: RngLike) -> Concurre
 def concurrence_probability(model: ModelSpec, sites) -> ConcurrenceEstimate:
     """Best available evaluation: closed form where one exists, else
     deterministic quadrature (Brown--Resnick, Smith, and extremal-t pairs)."""
-    s = model.sites_of(sites)
-    p = model.concurrence(s)
-    if p is not None:
-        return _exact(p)
-    pair = model.pair_reduction(s)
-    if pair is None:
-        raise CapabilityError(f"no concurrence evaluation for {type(model).__name__}")
-    if pair.exact is not None:
-        return _exact(pair.exact)
-    return _quad_pieces(pair.quad_pieces())
+    return _concurrences(model, [sites])[0]
+
+
+def _concurrences(model: ModelSpec, site_sets) -> list[ConcurrenceEstimate]:
+    """:func:`concurrence_probability` at each of several site sets of one
+    model, the pairs that need quadrature in one call of their curve (each
+    value as the rule gives it for that pair alone)."""
+    out: list[ConcurrenceEstimate | None] = []
+    pairs = []
+    for sites in site_sets:
+        s = model.sites_of(sites)
+        p = model.concurrence(s)
+        if p is None:
+            pair = model.pair_reduction(s)
+            if pair is None:
+                raise CapabilityError(f"no concurrence evaluation for {type(model).__name__}")
+            p = pair.exact
+            if p is None:
+                pairs.append(pair)
+        out.append(None if p is None else _exact(p))
+    if pairs:
+        values, errs, nodes = pairs[0].curve(pairs)
+        quad = iter([ConcurrenceEstimate(value=min(max(v, 0.0), 1.0), stderr=e, n_draws=nodes,
+                                         method="quadrature")
+                     for v, e in zip(values.tolist(), errs.tolist())])
+        out = [next(quad) if est is None else est for est in out]
+    return out
 
 
 def kendall_target_p(model: ModelSpec, pair) -> float:

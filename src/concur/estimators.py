@@ -203,6 +203,15 @@ def _smaller_larger(v):
     return _unsort(order, _group_starts(s)), _unsort(order, _group_starts(s[:, ::-1])[:, ::-1])
 
 
+def _left_below(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """For (blocks, a) ranks ``left`` and (blocks, b) ranks ``right`` in
+    [0, n), the count of each right rank's block's smaller left ranks.  Keys
+    order by (block, rank), so block i's sorted left keys start at i * a."""
+    base = np.arange(len(left))[:, None]
+    keys = np.sort(base * (n + 1) + left, axis=None)
+    return np.searchsorted(keys, base * (n + 1) + right) - base * left.shape[1]
+
+
 def _below_merge(xc, yc):
     reps, n = xc.shape
     # merge order: x ascending, equal x by y descending, so no earlier
@@ -212,25 +221,25 @@ def _below_merge(xc, yc):
     # different relation to any third, so their order does not matter
     ry = _below_sorted(yc)
     order = np.argsort(_below_sorted(xc) * n + (n - 1 - ry), axis=1)
-    # pad to a power of two with rank n, which is below nothing
-    width = 1 << (n - 1).bit_length()
-    rank = np.full((reps, width), n, dtype=np.int64)
-    rank[:, :n] = np.take_along_axis(ry, order, axis=1)
-    acc = np.zeros((reps, width), dtype=np.int64)
+    rank = np.take_along_axis(ry, order, axis=1)
+    acc = np.zeros((reps, n), dtype=np.int64)
     half = 1
     while half < n:
         # each right half of a block of 2 * half positions counts the left
-        # half's smaller ranks; blocks are numbered across replicates and
-        # keys order by (block, rank), so block b's sorted left keys start
-        # at b * half
-        blocks = reps * width // (2 * half)
-        base = np.arange(blocks)[:, None]
-        view = rank.reshape(blocks, 2, half)
-        left = np.sort(base * (n + 1) + view[:, 0], axis=None)
-        hi = np.searchsorted(left, base * (n + 1) + view[:, 1])
-        acc.reshape(blocks, 2, half)[:, 1] += hi - base * half
+        # half's smaller ranks: the whole blocks of every row in one pass
+        # (reshapes that split the position axis only, so views), then the
+        # last, partial block of each row where it has a right half
+        whole = n - n % (2 * half)
+        if whole:
+            blocks = rank[:, :whole].reshape(reps, -1, 2, half)
+            acc[:, :whole].reshape(reps, -1, 2, half)[:, :, 1] += _left_below(
+                blocks[:, :, 0].reshape(-1, half), blocks[:, :, 1].reshape(-1, half), n
+            ).reshape(reps, -1, half)
+        if n - whole > half:
+            acc[:, whole + half:] += _left_below(rank[:, whole:whole + half],
+                                                 rank[:, whole + half:], n)
         half *= 2
-    return _unsort(order, acc[:, :n])
+    return _unsort(order, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericError
 from .specfun import (
     CovarianceMatrix,
     RngLike,
@@ -50,6 +50,9 @@ from .specfun import (
 _SMITH_BUFFER_SIGMAS = 8.0  # truncated Gaussian mass < 1e-14
 _REP_CHUNK_ELEMS = 1 << 22  # soft cap on the doubles one simulation chunk holds
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_TANH_SINH_STEP = 1.0 / 32
+_TANH_SINH_LEVELS = 102  # nodes at |t| <= 3.19, 205 a piece
+_HALF_STEP_BOUND = 1e-9  # NumericError beyond; valid pairs stay below 6e-10
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,49 @@ CORRELATIONS = {c.family: c for c in (ExponentialCorrelation, PoweredExponential
 # ---------------------------------------------------------------------------
 # pair reductions: concurrence as a one-dimensional expectation of 1/V
 
+@functools.cache
+def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes at
+    x(t) = (1 + tanh(pi/2 sinh t)) / 2 for t = k _TANH_SINH_STEP, |k| <=
+    _TANH_SINH_LEVELS, as each node's distance from its nearer end, whether
+    that end is the right one, and the weights x'(t) _TANH_SINH_STEP.  The
+    outer nodes lie ~1e-17 from an end, which a position near 1 would round
+    onto it."""
+    t = _TANH_SINH_STEP * np.arange(-_TANH_SINH_LEVELS, _TANH_SINH_LEVELS + 1)
+    y = 0.5 * math.pi * np.sinh(np.abs(t))
+    dist = 1.0 / (1.0 + np.exp(2.0 * y))
+    weights = _TANH_SINH_STEP * 0.25 * math.pi * np.cosh(t) / np.cosh(y) ** 2
+    return dist, t > 0.0, weights
+
+
+def _tanh_sinh_sum(pieces) -> tuple[np.ndarray, np.ndarray, int]:
+    """The tanh-sinh rule summed over (integrand, a, b) pieces: the values,
+    their half-step distances (to the same sum over every other node at
+    twice the weight, the rule at twice the step) and the node count.
+
+    The ends are floats, or columns (an array of shape (m, 1)) for m
+    integrals at once; each integrand then broadcasts its parameters as
+    columns against the nodes, which lie along the last axis, and each row
+    sums as the one integral alone does, bit for bit.  The rule takes
+    endpoint singularities in its stride, but not a step inside a piece: the
+    pair reductions break each support where their weight rises or falls
+    sharply.  :class:`NumericError` when a distance exceeds
+    ``_HALF_STEP_BOUND`` or is NaN."""
+    dist, right, weights = _tanh_sinh()
+    fine = coarse = 0.0
+    for g, a, b in pieces:
+        terms = g(np.where(right, b - (b - a) * dist, a + (b - a) * dist)) * weights * (b - a)
+        fine = fine + terms.sum(axis=-1)
+        coarse = coarse + 2.0 * terms[..., ::2].sum(axis=-1)
+    err = np.abs(fine - coarse)
+    bad = np.flatnonzero(~(err <= _HALF_STEP_BOUND))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(f"quadrature unresolved: value {np.ravel(fine)[i]}, "
+                           f"half-step distance {np.ravel(err)[i]:.3g}")
+    return fine, err, len(pieces) * dist.size
+
+
 @dataclass(frozen=True)
 class GaussianPair:
     """A Brown--Resnick pair reduced to its variogram value gamma >= 0; the
@@ -199,7 +245,8 @@ class GaussianPair:
     The integrand writes exp(gamma - a z) Phi(a - z) as a product, not as
     exp(gamma - a z + log Phi(a - z)): both round the exponent alike, and
     the product needs no log.  The quadrature and ``ecp_mc`` share it, and
-    ``antithetic`` gives ``ecp_mc`` the mean over z and -z from one Phi(z)."""
+    ``antithetic`` gives ``ecp_mc`` the mean over z and -z from one Phi(z).
+    :meth:`curve` evaluates many pairs at once; there gamma is a column."""
 
     gamma: float
 
@@ -222,7 +269,7 @@ class GaussianPair:
     def _integrand(self, z, phi_z):
         """integrand(z) given phi_z = Phi(z).  exp(gamma - a z) overflows, and
         the value is 0, only where Phi(a - z) > 1/2, so inf * 0 never occurs."""
-        a = math.sqrt(2.0 * self.gamma)
+        a = np.sqrt(2.0 * self.gamma)
         with np.errstate(over="ignore"):
             return 1.0 / (phi_z + np.exp(self.gamma - a * z) * normal_cdf(a - z))
 
@@ -241,7 +288,7 @@ class GaussianPair:
         """(integrand, a, b) pieces of E[integrand(Z)].  The integrand rises
         from ~0 to ~1 around z = a/2 (a = sqrt(2 gamma)); splitting at 0, a/2
         and a keeps that step inside short intervals for large gamma."""
-        a = math.sqrt(2.0 * self.gamma)
+        a = np.sqrt(2.0 * self.gamma)
 
         def f(z):
             return np.exp(-0.5 * z * z) * _INV_SQRT_2PI * self.integrand(z)
@@ -249,11 +296,21 @@ class GaussianPair:
         return ((half_line(f, 0.0, -1.0), 0.0, 1.0), (f, 0.0, 0.5 * a),
                 (f, 0.5 * a, a), (half_line(f, a, 1.0), 0.0, 1.0))
 
+    @staticmethod
+    def curve(pairs) -> tuple[np.ndarray, np.ndarray, int]:
+        """E[integrand(Z)] of each pair in a sequence (gamma > 0) by one pass
+        of the tanh-sinh rule over (pairs, nodes): the values, their half-step
+        distances and the node count of each, as :func:`_tanh_sinh_sum` gives
+        them.  Each value is the rule's sum for its pair alone, bit for bit."""
+        return _tanh_sinh_sum(GaussianPair(np.array([[p.gamma] for p in pairs])).quad_pieces())
+
 
 @dataclass(frozen=True)
 class StudentPair:
     """An extremal-t pair reduced to its correlation rho in [-1, 1] and nu; the
-    concurrence probability is E[integrand(T)] over a Student t(nu + 1) T."""
+    concurrence probability is E[integrand(T)] over a Student t(nu + 1) T.
+    :meth:`curve` evaluates many pairs of one nu at once; there rho is a
+    column."""
 
     rho: float
     nu: float
@@ -281,7 +338,7 @@ class StudentPair:
 
     def _scale(self) -> float:
         """sigma = sqrt((1 - rho^2) / (1 + nu)), without cancellation near rho = 1."""
-        return math.sqrt((1.0 - self.rho) * (1.0 + self.rho) / (1.0 + self.nu))
+        return np.sqrt((1.0 - self.rho) * (1.0 + self.rho) / (1.0 + self.nu))
 
     def draw(self, g: np.random.Generator, n: int) -> np.ndarray:
         return g.standard_t(self.nu + 1.0, size=n)
@@ -313,7 +370,8 @@ class StudentPair:
         where u = 1 and the tail term u^-nu steps sharply for large nu.  For
         rho near 1, lo lies far out in the tail: [lo, 0] is mapped like a
         half-line so that the nodes gather at the density peak at 0, not
-        spread evenly towards lo."""
+        spread evenly towards lo; a column of rho with lo >= 0 in some rows
+        gives those rows that piece with length 0, which adds 0 to their sums."""
         dof = self.nu + 1.0
         log_c = (math.lgamma(0.5 * (dof + 1.0)) - math.lgamma(0.5 * dof)
                  - 0.5 * math.log(dof * math.pi))
@@ -323,12 +381,22 @@ class StudentPair:
             return dens * self.integrand(t)
 
         lo, hi = -self.rho / self._scale(), (1.0 - self.rho) / self._scale()
-        c = max(lo, 0.0)
+        c = np.maximum(lo, 0.0)
         right, split = half_line(f, c, 1.0), 1.0 / (1.0 + hi - c)
         pieces = ((right, split, 1.0), (right, 0.0, split))
-        if lo >= 0.0:
+        if np.all(lo >= 0.0):
             return pieces
-        return ((half_line(f, 0.0, -1.0), 1.0 / (1.0 - lo), 1.0),) + pieces
+        return ((half_line(f, 0.0, -1.0), 1.0 / (1.0 - np.minimum(lo, 0.0)), 1.0),) + pieces
+
+    @staticmethod
+    def curve(pairs) -> tuple[np.ndarray, np.ndarray, int]:
+        """E[integrand(T)] of each pair in a sequence (|rho| < 1, one nu) by
+        one pass of the tanh-sinh rule over (pairs, nodes), as
+        :meth:`GaussianPair.curve` does."""
+        nu = pairs[0].nu
+        if any(p.nu != nu for p in pairs):
+            raise DomainError("the pairs of one curve share nu")
+        return _tanh_sinh_sum(StudentPair(np.array([[p.rho] for p in pairs]), nu).quad_pieces())
 
 
 # ---------------------------------------------------------------------------

@@ -722,23 +722,28 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     """Inverse-distance-weighted interpolation of probabilities onto a grid.
 
     ``values`` holds one value per station, or one such row per map; every
-    map comes from one distance matrix.  Interpolation happens on the logit
-    scale and maps back into [0, 1].  A row's NaN entries are left out of
-    its map, and a grid node coinciding with a station takes that station's
-    value, clipped into [0, 1], when it is finite (the first such station in
-    station order).  Returns rows (lat, lon, value of each map) over the
-    lat x lon product.  ``idw_power`` must be finite and positive.
+    map comes from one distance matrix.  A NaN is an absent estimate, left
+    out of its row's map; an infinite value is refused.  A finite value
+    outside [0, 1] (the unbiased and Kendall estimators can give one) is
+    clipped into [0, 1] first.  Interpolation happens on the logit scale
+    and maps back into [0, 1], and a grid node coinciding with a station
+    takes that station's clipped value when it is not NaN (the first such
+    station in station order).  Returns rows (lat, lon, value of each map)
+    over the lat x lon product.  ``idw_power`` must be finite and positive.
     """
     idw_power = _real(idw_power, "idw_power", 0)
     pts = _reals(station_latlon, "station coordinates")
-    if (numbers := _numbers(values)) is None:  # NaN or inf is an absent estimate
+    if (numbers := _numbers(values)) is None:
         raise DomainError(f"station values must be numbers, got {reprlib.repr(values)}")
+    if np.isinf(numbers).any():
+        raise DomainError(f"station values must be finite or NaN (absent), got "
+                          f"{float(numbers[np.isinf(numbers)][0])!r}")
     values = np.atleast_2d(numbers)
     if pts.shape != (values.shape[1], 2):
         raise DomainError("need one (lat, lon) row and one value per station")
     slat = _reals(pts[:, 0], "station latitudes", -90, 90, "[]")
     slon = _reals(pts[:, 1], "station longitudes", -180, 180, "[]")
-    ok = np.isfinite(values)
+    ok = ~np.isnan(values)
     if np.any(ok.sum(axis=1) < 3):
         raise DomainError("need at least three stations with estimates")
     lats = _reals(grid_lats, "grid latitudes", -90, 90, "[]").reshape(-1)

@@ -28,18 +28,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .concurrence import concurrence_probability
+from .concurrence import _concurrences
 from .errors import DomainError
 from .estimators import (_as_stack, _below, _bootstrap, _kendall, block_mse, optimal_block_size,
                          sample_cp_block, simulate_pair_batch, unbiased_modification)
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
-from .pipeline import _write_json, _write_rows
+from .pipeline import _logit, _write_json, _write_rows
 from .simulate import simulate_doa
 from .specfun import SeededRng, _lookup, _real, _spread, _whole
 
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
-_BISECT_STEPS = 30  # halvings of the lag bracket in lag_for_target_p
+_LAG_BRACKET = (1e-4, 60.0)  # the lags lag_for_target_p searches between
+# halvings of that bracket whose midpoint lag_for_target_p returns; it
+# evaluates p only at the halvings' midpoints inside its falsi bracket
+_BISECT_STEPS = 30
+_FALSI_STEPS = 14  # regula falsi steps per target at most
 _P_TARGETS = (0.25, 0.50, 0.75)  # the target p of the table1 and fig2 cells
 _N0_LEVELS = {"table1": (1, 10, None), "fig2": (1, 5, 10, 15, None)}  # None: max-stable
 _FIG1_BLOCK_SIZES = tuple(range(2, 41, 2))
@@ -71,30 +75,105 @@ def _pair_sites(h: float) -> np.ndarray:
     return np.array([[0.0], [float(h)]])
 
 
-def lag_for_target_p(model: ModelSpec, target: float) -> float:
-    """Bisect the lag h in (1e-4, 60) with p(0, h) = target for a stationary model.
+def _p_at_lags(model: ModelSpec, lags) -> np.ndarray:
+    """p(0, h) at each lag h, the quadrature pairs in one curve call."""
+    return np.array([e.value for e in _concurrences(model, [_pair_sites(h) for h in lags])])
 
-    p(h) is evaluated by the fixed tanh-sinh rule of
-    :func:`concurrence_probability`, on the same nodes at every h, so the
-    bisection needs no random draws and is exact up to the bracket width
-    2**-_BISECT_STEPS (hi - lo) and the rule's error.
-    """
-    target, lo, hi = _real(target, "target probability", 0, 1), 1e-4, 60.0
 
-    def p_of(h: float) -> float:
-        return concurrence_probability(model, _pair_sites(h)).value
-
-    p_lo, p_hi = p_of(lo), p_of(hi)
-    if not (p_hi < target < p_lo):
-        raise DomainError(f"target {target} outside the bracketed range "
-                          f"[{p_hi:.4f}, {p_lo:.4f}]")
+def _halvings(a: np.ndarray, b: np.ndarray, goes_up) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets (a, b) after _BISECT_STEPS halvings, each midpoint
+    becoming the lower end where goes_up(midpoints) holds."""
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if p_of(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (a + b)
+        up = goes_up(mid)
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    return a, b
+
+
+def lag_for_target_p(model: ModelSpec, target):
+    """The lag h in (1e-4, 60) with p(0, h) = target for a stationary model:
+    the midpoint after _BISECT_STEPS halvings of that bracket.  A sequence
+    of targets gives a list of lags, found in lockstep, one call a step.
+
+    p(h) is the fixed rule of :func:`concurrence_probability` (no random
+    draws), and it never rises with h for the variogram and correlation
+    families here.  So lags L and U with p(L) > target >= p(U) decide every
+    halving whose midpoint lies outside (L, U), and three phases narrow
+    (L, U): Illinois regula falsi (Dowell & Jarratt, *BIT* 11, 1971) on
+    logit p against log h, at most _FALSI_STEPS steps, until U - L is below
+    the last halving's width or the falsi lag moves by less than an eighth
+    of it; once that lag has settled, the two ends of the last halving's
+    bracket around it; then the halvings, evaluating only the midpoints
+    strictly inside (L, U).  The lags are the floats plain bisection
+    returns.  Bisection evaluates p 32 times a target; the three ``table1``
+    lags take 25 evaluations together, and targets p(h) with h from a
+    hundredth of the model's scale (correlation range, lag of unit
+    variogram, ball radius) to the scale took 6 to 15 each, 2 of them the
+    bracket's ends, which the targets share.  Where p(h) settles towards
+    p(60) faster than any power of h, falsi gains nothing and the halvings
+    do the work: at most 2 + _FALSI_STEPS + 2 + 30 evaluations.
+    """
+    one = np.ndim(target) == 0
+    targets = [_real(x, "target probability", 0, 1) for x in ([target] if one else target)]
+    lo, hi = _LAG_BRACKET
+    p_lo, p_hi = _p_at_lags(model, _LAG_BRACKET)
+    for x in targets:
+        if not (p_hi < x < p_lo):
+            raise DomainError(f"target {x} outside the bracketed range "
+                              f"[{p_hi:.4f}, {p_lo:.4f}]")
+    t = np.array(targets)
+    width = (hi - lo) * 0.5 ** _BISECT_STEPS  # of the last halving's bracket
+    # (L, U) per target, with log L, log U and the Illinois-weighted
+    # logit p - logit target at each
+    ls, us = np.full(t.size, lo), np.full(t.size, hi)
+    xl, xu = np.full(t.size, math.log(lo)), np.full(t.size, math.log(hi))
+    fl, fu = _logit(p_lo) - _logit(t), _logit(p_hi) - _logit(t)
+    side = np.zeros(t.size)  # the end the last step moved: 1 for L, -1 for U
+    last = np.full(t.size, np.nan)  # the lag of the last step
+
+    def falsi():
+        with np.errstate(invalid="ignore"):  # 0/0 where logit clips p_lo and p_hi alike
+            x = (xl * fu - xu * fl) / (fu - fl)
+        h = np.exp(x)
+        return x, h, (ls < h) & (h < us) & (us - ls > width), np.abs(h - last) <= width / 8
+
+    for _ in range(_FALSI_STEPS):
+        x, h, inside, settled = falsi()
+        step = inside & ~settled
+        if not step.any():
+            break
+        p = np.zeros(t.size)
+        p[step] = _p_at_lags(model, h[step])
+        f = _logit(p) - _logit(t)
+        up, down = step & (p > t), step & ~(p > t)
+        fu = np.where(up & (side == 1), 0.5 * fu, fu)
+        fl = np.where(down & (side == -1), 0.5 * fl, fl)
+        ls, xl, fl = np.where(up, h, ls), np.where(up, x, xl), np.where(up, f, fl)
+        us, xu, fu = np.where(down, h, us), np.where(down, x, xu), np.where(down, f, fu)
+        side = np.where(up, 1, np.where(down, -1, side))
+        last = np.where(step, h, last)
+
+    def narrow(idx, lags):
+        """Evaluate p at the lags, of the targets idx, and move L or U there."""
+        if idx.size:
+            above = _p_at_lags(model, lags) > t[idx]
+            np.maximum.at(ls, idx[above], lags[above])
+            np.minimum.at(us, idx[~above], lags[~above])
+
+    _, h, inside, settled = falsi()
+    a, b = _halvings(np.full(t.size, lo), np.full(t.size, hi), lambda mid: mid < h)
+    ends, idx = np.concatenate([a, b]), np.tile(np.arange(t.size), 2)
+    check = np.tile(settled & inside, 2) & (ls[idx] < ends) & (ends < us[idx])
+    narrow(idx[check], ends[check])
+
+    def goes_up(mid):
+        idx = np.flatnonzero((ls < mid) & (mid < us))
+        narrow(idx, mid[idx])
+        return mid <= ls
+
+    a, b = _halvings(np.full(t.size, lo), np.full(t.size, hi), goes_up)
+    lags = (0.5 * (a + b)).tolist()
+    return lags[0] if one else lags
 
 
 def _simulate_block(model: ModelSpec, sites, n0, reps: int, n: int,
@@ -129,6 +208,9 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
     count of the cell's stack; each value equals its estimator's on the
     stack (``sample_cp_bootstrap``, the estimate of
     ``ecp_kendall(tie_adjusted=True)``, whose jackknife is not computed).
+    A replicate with a constant coordinate, for which tau_b is 0/0 (at small
+    n, where many DOA draws are 0), is left out of the Kendall row, whose
+    ``reps`` counts the replicates it summarizes.
     """
     m = _BLOCK_SIZE
     rows: list[list[dict]] = [[] for _ in cells]
@@ -147,10 +229,19 @@ def _pair_rows(cfg: StudyConfig, rng: SeededRng, offset: int, cells,
             star = values["bootstrap"] = _bootstrap(d, m)
             values["unbiased"] = unbiased_modification(star, m)
             fields = {**fields, "m": m}
+        reps = {name: cfg.reps for name in estimators}
         if "kendall" in estimators:
+            # tau_b is 0/0 on a replicate with a constant coordinate
+            ok = (data.max(axis=1) > data.min(axis=1)).all(axis=1)
+            if not ok.all():
+                data, d = data[ok], d[ok]
+            if len(data) < 2:
+                raise DomainError(f"{cfg.experiment} cell {cell + 1}: {len(data)} of {cfg.reps} "
+                                  f"replicates have a defined Kendall tau, 2 are needed")
             values["kendall"] = _kendall(data, d, tie_adjusted=True)[0]
+            reps["kendall"] = len(data)
         rows[cell] = [{"experiment": cfg.experiment, **fields, "estimator": name,
-                       "reps": cfg.reps, **_summaries(values[name], truth)}
+                       "reps": reps[name], **_summaries(values[name], truth)}
                       for name in estimators]
 
     _spread(estimate, range(len(cells)), draw)
@@ -161,8 +252,7 @@ def _target_cells(sizes, n0s) -> list:
     """Extremal-t cells at each target p's lag, by (p, n, n0)."""
     model = extremal_t_benchmark()
     cells = []
-    for p_target in _P_TARGETS:
-        h = lag_for_target_p(model, p_target)
+    for p_target, h in zip(_P_TARGETS, lag_for_target_p(model, _P_TARGETS)):
         cells += [({"p_target": p_target, "lag": h, "n": n, "n0": "inf" if n0 is None else n0},
                    model, _pair_sites(h), p_target, n, n0) for n in sizes for n0 in n0s]
     return cells
@@ -205,11 +295,9 @@ def _run_fig3(cfg: StudyConfig, rng: SeededRng) -> list[dict]:
     }
     cells = []
     for fam_name, model in families.items():
-        for h in _FIG3_LAGS:
-            sites = _pair_sites(h)
-            truth = concurrence_probability(model, sites).value
+        for h, truth in zip(_FIG3_LAGS, _p_at_lags(model, _FIG3_LAGS).tolist()):
             cells += [({"family": fam_name, "lag": h, "n": n, "theoretical_p": truth},
-                       model, sites, truth, n, None) for n in cfg.sample_sizes or (100,)]
+                       model, _pair_sites(h), truth, n, None) for n in cfg.sample_sizes or (100,)]
     return _pair_rows(cfg, rng, 70_000, cells)
 
 

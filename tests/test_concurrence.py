@@ -37,8 +37,8 @@ from concur import (
     kendall_target_p,
     rectangle_weights,
 )
-from concur.concurrence import _MC_BLOCK, _quad_pieces
-from concur.models import GaussianPair
+from concur.concurrence import _MC_BLOCK, _concurrences
+from concur.models import GaussianPair, StudentPair, _tanh_sinh, _tanh_sinh_sum
 
 PAIR = [[0.0], [1.0]]
 
@@ -244,10 +244,10 @@ class TestQuadrature:
     def test_unresolvable_integrand_raises(self):
         from concur import NumericError
         with pytest.raises(NumericError, match="unresolved"):
-            _quad_pieces(((lambda x: np.full_like(x, np.nan), 0.0, 1.0),))
+            _tanh_sinh_sum(((lambda x: np.full_like(x, np.nan), 0.0, 1.0),))
         # a step inside a piece: the rule at twice the step disagrees
         with pytest.raises(NumericError, match="half-step distance"):
-            _quad_pieces(((lambda x: (x > 0.3).astype(float), 0.0, 1.0),))
+            _tanh_sinh_sum(((lambda x: (x > 0.3).astype(float), 0.0, 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +317,53 @@ class TestFixedRuleAgainstAdaptive:
         for nu in (1.0, 3.0, 100.0, 1000.0):
             for rho in np.linspace(-0.9999, 0.99999, 40):
                 assert concurrence_probability(_correlated_t(float(rho), nu), PAIR).stderr < 1e-9
+
+
+def _scalar_rule(pieces) -> tuple[float, float, int]:
+    """Slow reference of the pair curves: the tanh-sinh rule summed one pair
+    at a time, piece by piece, as ``concurrence_probability`` summed it
+    before the pairs had a curve.  (value, half-step distance, nodes)."""
+    dist, right, weights = _tanh_sinh()
+    fine = coarse = 0.0
+    for g, a, b in pieces:
+        terms = g(np.where(right, b - (b - a) * dist, a + (b - a) * dist)) * weights * (b - a)
+        fine += float(terms.sum())
+        coarse += 2.0 * float(terms[::2].sum())
+    return fine, abs(fine - coarse), len(pieces) * dist.size
+
+
+class TestPairCurve:
+    """Each row of a pair curve, one (pairs, nodes) pass of the rule, is
+    the rule summed for its pair alone, bit for bit."""
+
+    def test_gaussian_rows_equal_the_scalar_rule(self):
+        pairs = [GaussianPair(float(g)) for g in np.geomspace(1e-8, 1e3, 120)]
+        values, errs, nodes = GaussianPair.curve(pairs)
+        assert values.shape == errs.shape == (len(pairs),)
+        for pair, value, err in zip(pairs, values.tolist(), errs.tolist()):
+            assert (value, err, nodes) == _scalar_rule(pair.quad_pieces())
+
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 5.0, 20.0, 50.0])
+    def test_student_rows_equal_the_scalar_rule(self, nu):
+        # rho <= 0 has no piece left of 0; among rho > 0 such rows get that
+        # piece with length 0, which adds 0 to their sums
+        for rhos in (np.linspace(-0.999, 0.9999, 120), np.linspace(0.001, 0.9999, 60)):
+            pairs = [StudentPair(float(r), nu) for r in rhos]
+            values, errs, nodes = StudentPair.curve(pairs)
+            assert nodes == 3 * 205
+            for pair, value, err in zip(pairs, values.tolist(), errs.tolist()):
+                assert (value, err) == _scalar_rule(pair.quad_pieces())[:2]
+
+    def test_one_call_per_model_equals_one_call_per_pair(self):
+        for model in (_br(3.0), ExtremalT(ExponentialCorrelation(10.0), nu=5.0),
+                      Logistic(0.5), BallIndicator(radius=2.0)):
+            sites = [[[0.0], [h]] for h in (0.3, 1.0, 2.5, 7.0)]
+            assert _concurrences(model, sites) == [concurrence_probability(model, s)
+                                                   for s in sites]
+
+    def test_pairs_of_one_curve_share_nu(self):
+        with pytest.raises(DomainError, match="share nu"):
+            StudentPair.curve([StudentPair(0.5, 2.0), StudentPair(0.5, 3.0)])
 
 
 def _log_space_integrand(gamma: float, z: np.ndarray) -> np.ndarray:

@@ -243,6 +243,12 @@ class TestCountingKernel:
         ref1 = reference_dominance_counts_batch(x[:, :, :1])
         assert np.array_equal(_below_sorted(x[:, :, 0]), ref1)
 
+    @given(tied_stacks(ks=(2,), sizes=st.sampled_from([352, 353, 511, 513, 5000])))
+    def test_merge_of_a_partial_last_block(self, x):
+        # past a power of two the last block of a merge level is partial;
+        # it is merged as it is, without padding the row to a power of two
+        assert np.array_equal(_below_merge(x[..., 0], x[..., 1]), _below_direct(x))
+
     @given(tied_stacks())
     def test_dominance_counts(self, x):
         assert np.array_equal(dominance_counts(x), reference_dominance_counts_batch(x))

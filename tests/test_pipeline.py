@@ -444,6 +444,27 @@ class TestGeometryAndMaps:
         # third station sits ~9900 km away; its weight is ~1e-4 of the others
         assert rows[0, 2] == pytest.approx(0.6202041028867288, abs=2e-4)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_station_values_refused(self, bad):
+        # only NaN marks an absent estimate; an infinite one used to read as absent
+        with pytest.raises(DomainError, match=re.escape(
+                f"station values must be finite or NaN (absent), got {bad!r}")):
+            grid_map(COORDS, np.array([0.5, 0.4, 0.6, bad]), np.array([40.5]),
+                     np.array([-100.0]))
+
+    def test_values_outside_the_unit_interval_are_clipped_first(self):
+        # the unbiased and Kendall estimators can give them; each maps as the
+        # nearer end of [0, 1], and NaN is still left out
+        lats, lons = np.linspace(39, 42, 4), np.linspace(-101, -98, 4)
+        for outside, end in ((7.0, 1.0), (1.0 + 1e-9, 1.0), (-0.3, 0.0), (-1e-12, 0.0)):
+            for row in ([0.5, 0.4, 0.6, outside], [outside, 0.4, np.nan, 0.6]):
+                clipped = [end if v == outside else v for v in row]
+                assert np.array_equal(grid_map(COORDS, np.array(row), lats, lons),
+                                      grid_map(COORDS, np.array(clipped), lats, lons))
+        on_station = grid_map(COORDS, np.array([-0.3, 0.4, 0.6, 0.5]), np.array([40.0]),
+                              np.array([-100.0]))
+        assert on_station[0, 2] == 0.0
+
     def test_empty_grid_and_too_few_stations(self):
         with pytest.raises(DomainError):
             grid_map(COORDS, np.full(4, 0.5), np.array([]), np.array([1.0]))

@@ -1,14 +1,29 @@
 """Simulation-study harness: determinism and spot checks at reduced scale."""
 
+import contextlib
+import csv
 import json
 
 import numpy as np
 import pytest
 from conftest import spread_workers
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from concur.cli import main
 
-from concur import DomainError, SeededRng, concurrence_probability
+import concur.study
+from concur import (
+    BallIndicator,
+    BrownResnick,
+    DomainError,
+    ExponentialCorrelation,
+    ExtremalT,
+    FractionalVariogram,
+    PoweredExponentialCorrelation,
+    SeededRng,
+    concurrence_probability,
+)
 from concur.estimators import (
     _as_stack,
     _below,
@@ -21,6 +36,9 @@ from concur.estimators import (
     unbiased_modification,
 )
 from concur.study import (
+    _BISECT_STEPS,
+    _FALSI_STEPS,
+    _P_TARGETS,
     StudyConfig,
     _pair_rows,
     _pair_sites,
@@ -70,6 +88,39 @@ def test_the_least_sample_sizes_run(tmp_path):
                                          sample_sizes=(40,)))["rows"]) == 40
 
 
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_n_leaves_undefined_taus_out_of_the_kendall_rows(tmp_path, seed, n):
+    # at n0 = 1 about half the DOA draws are 0, so at n = 10 or 12 a
+    # replicate can hold a constant coordinate, whose tau_b is 0/0
+    assert main(["--seed", str(seed), "--out", str(tmp_path), "study", "--experiment",
+                 "table1", "--n", str(n)]) == 0
+    with open(tmp_path / "table1.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 27
+    for row in rows:
+        reps = int(row["reps"])
+        assert reps == 200 if row["estimator"] != "kendall" else 2 <= reps <= 200
+        assert np.isfinite(float(row["mean"]))
+    if (seed, n) in ((2, 10), (2, 12)):  # seen to hold such a replicate
+        assert any(int(row["reps"]) < 200 for row in rows)
+
+
+def test_a_cell_without_two_defined_taus_is_refused(tmp_path, monkeypatch):
+    def constant(model, sites, n0, reps, n, rng):
+        x = np.zeros((reps, n, 2))
+        x[:, :, 1] = np.arange(n)
+        x[0, :, 0] = np.arange(n)  # one replicate with a defined tau
+        return x
+
+    monkeypatch.setattr(concur.study, "_simulate_block", constant)
+    cfg = StudyConfig(experiment="fig2", out_dir=tmp_path, reps=3)
+    cell = ({"n": 5}, extremal_t_benchmark(), _pair_sites(3.0), 0.5, 5, 1)
+    with pytest.raises(DomainError, match="fig2 cell 1: 1 of 3 replicates have a defined "
+                                          "Kendall tau, 2 are needed"):
+        _pair_rows(cfg, SeededRng(1), 0, [cell], ("kendall",))
+
+
 def test_the_study_takes_tau_without_its_jackknife():
     # leaving out the third row leaves x constant: ecp_kendall's jackknife
     # is 0/0 there, but tau_b = 2 / sqrt(2 * 3) is defined
@@ -84,6 +135,95 @@ def test_a_max_stable_cell_runs_at_n_2(tmp_path):
     cfg = StudyConfig(experiment="fig2", out_dir=tmp_path, reps=3)
     rows = _pair_rows(cfg, SeededRng(1), 0, [({"n": 2}, model, sites, 0.5, 2, None)], ("kendall",))
     assert len(rows) == 1 and np.isfinite(rows[0]["mean"])
+
+
+def _bisection_reference(model, target: float) -> float:
+    """Slow reference of ``lag_for_target_p``: the 30 halvings of (1e-4, 60),
+    each evaluating p at its midpoint, as the search ran before it found
+    (L, U) by regula falsi and replayed the halvings."""
+    lo, hi = 1e-4, 60.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if concurrence_probability(model, _pair_sites(mid)).value > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@contextlib.contextmanager
+def _counted_evaluations():
+    """Count the p evaluations of lag_for_target_p: the site sets it passes
+    to ``_concurrences``, each one row of the tanh-sinh rule for Brown-Resnick
+    and extremal-t pairs, and one closed form for the ball indicator."""
+    count = [0]
+    evaluate = concur.study._concurrences
+
+    def counting(model, site_sets):
+        count[0] += len(site_sets)
+        return evaluate(model, site_sets)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concur.study, "_concurrences", counting)
+        yield count
+
+
+@st.composite
+def lag_models(draw):
+    """A stationary model on the line and its scale s: the correlation range,
+    the lag where the variogram reaches 1, or the ball radius."""
+    s = draw(st.floats(0.5, 30.0))
+    kind = draw(st.sampled_from(["extremal_t", "powered", "brown_resnick", "ball"]))
+    nu = draw(st.sampled_from([1.0, 1.5, 2.0, 5.0, 20.0, 50.0]))
+    if kind == "extremal_t":
+        return ExtremalT(ExponentialCorrelation(s), nu=nu), s
+    if kind == "powered":
+        return ExtremalT(PoweredExponentialCorrelation(s, draw(st.floats(0.5, 2.0))), nu=nu), s
+    if kind == "brown_resnick":
+        exponent = draw(st.floats(0.3, 1.9))
+        return BrownResnick(FractionalVariogram(s ** -exponent, exponent)), s
+    return BallIndicator(radius=s), s
+
+
+class TestLagSearch:
+    """``lag_for_target_p`` returns the float plain bisection returns."""
+
+    @given(lag_models(), st.floats(-2.0, 0.0))
+    def test_equals_bisection_in_at_most_16_evaluations(self, case, u):
+        # targets p(h) at lags from s / 100 to s, where p still falls steadily
+        model, s = case
+        target = concurrence_probability(model, _pair_sites(s * 10.0 ** u)).value
+        with _counted_evaluations() as evals:
+            try:
+                lag = lag_for_target_p(model, target)
+            except DomainError:  # p(h) at the lag equals p(60) or p(1e-4)
+                assume(False)
+        assert lag == _bisection_reference(model, target)
+        assert evals[0] <= 16
+
+    @given(lag_models(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_equals_bisection_over_the_whole_range(self, case, u):
+        # on the tail, where p(h) settles towards p(60) faster than any power
+        # of h, falsi is no faster than the halvings: it stops after
+        # _FALSI_STEPS, and the halvings evaluate what is left inside (L, U)
+        model, _ = case
+        p_hi, p_lo = (concurrence_probability(model, _pair_sites(h)).value for h in (60.0, 1e-4))
+        target = p_hi + u * (p_lo - p_hi)
+        assume(p_hi < target < p_lo)
+        with _counted_evaluations() as evals:
+            lag = lag_for_target_p(model, target)
+        assert lag == _bisection_reference(model, target)
+        assert evals[0] <= 2 + _FALSI_STEPS + 2 + _BISECT_STEPS
+
+    def test_targets_in_lockstep(self):
+        model = extremal_t_benchmark()
+        with _counted_evaluations() as evals:
+            lags = lag_for_target_p(model, _P_TARGETS)
+        # bisection evaluates 3 x 32
+        assert evals[0] <= 30
+        assert lags == [_bisection_reference(model, t) for t in _P_TARGETS]
+        assert lags == [lag_for_target_p(model, t) for t in _P_TARGETS]
+        assert lag_for_target_p(model, [0.5]) == [lags[1]]
 
 
 def test_lag_bisection_monotone_targets():
