@@ -185,6 +185,8 @@ class IngestResult:
 
 
 def _station_id(text: str) -> str:
+    """A station id of any table: the text less surrounding blanks, neither
+    empty nor holding a NUL."""
     sid = text.strip()
     if not sid:
         raise ValueError("empty station id")
@@ -441,12 +443,12 @@ def write_records_csv(records: np.recarray, path) -> None:
 
 
 def read_stations_csv(path) -> dict[str, tuple[float, float]]:
-    """station_id -> (lat, lon), the first row of each station.  A
-    coordinate that is not finite or out of range (latitude in [-90, 90],
-    longitude in [-180, 180]) raises :class:`ParseError` at its line, as
-    :func:`ingest_csv` does."""
+    """station_id -> (lat, lon), the first row of each station.  An empty
+    station id, or a coordinate that is not finite or out of range
+    (latitude in [-90, 90], longitude in [-180, 180]), raises
+    :class:`ParseError` at its line, as :func:`ingest_csv` does."""
     rows = list(_read_rows(path, ("station_id", "lat", "lon"), lambda sid, lat, lon: (
-        sid.strip(), _coordinates(_number(lat), _number(lon)))))
+        _station_id(sid), _coordinates(_number(lat), _number(lon)))))
     out = dict(reversed(rows))
     if not out:
         raise DomainError(f"no stations found in {path}")
@@ -522,8 +524,10 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
 
 
 def _extreme(sid, season, year, value, coverage, polarity) -> SeasonalExtremes:
-    """One extremes CSV row, checked in column order: a season of SEASONS, a
-    finite value, a coverage in [0, 1] and a polarity of POLARITIES."""
+    """One extremes CSV row, checked in column order: a station id, a season
+    of SEASONS, a finite value, a coverage in [0, 1] and a polarity of
+    POLARITIES."""
+    sid = _station_id(sid)
     if season not in SEASONS:
         raise ValueError(f"season {season!r} is not one of {SEASONS}")
     year, value, coverage = _number(year, int), _number(value), _number(coverage)
@@ -658,8 +662,10 @@ def write_matrix_csv(matrix: ConcurrenceMatrix, path) -> None:
 
 
 def _matrix_entry(a, b, estimate, stderr, n_pairs) -> tuple:
-    """One matrix CSV row: an estimate finite or nan (an absent pair), a
-    stderr nan (none) or finite and >= 0, and a whole n_pairs >= 0."""
+    """One matrix CSV row: two station ids, an estimate finite or nan (an
+    absent pair), a stderr nan (none) or finite and >= 0, and a whole
+    n_pairs >= 0."""
+    a, b = _station_id(a), _station_id(b)
     e, s, c = _number(estimate), _number(stderr), _number(n_pairs, int)
     if math.isinf(e):
         raise ValueError(f"estimate {e} is neither finite nor nan")

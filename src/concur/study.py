@@ -3,9 +3,10 @@
 Four canned experiments mirror the package's benchmark suite:
 
 * ``table1`` -- sample vs. extremal concurrence estimators on extremal-t
-  pairs (nu = 5, exponential correlation, range 10) across target
-  probabilities, sample sizes, and perturbation levels n0 of the
-  domain-of-attraction sampler (n0 = None means exactly max-stable data);
+  pairs (nu = 5, exponential correlation, range 10) at the lags where p is
+  0.25, 0.5 and 0.75 (three constants of the design), across sample sizes
+  and perturbation levels n0 of the domain-of-attraction sampler (n0 =
+  None means exactly max-stable data);
 * ``fig1``   -- RMSE of the block and Rao--Blackwellized estimators as the
   block size and sample size vary, on Brown--Resnick pairs calibrated to
   p = 0.5, with the MSE-planner prediction alongside;
@@ -14,10 +15,10 @@ Four canned experiments mirror the package's benchmark suite:
   lags for extremal-t and Brown--Resnick models.
 
 Each experiment's grid is fixed; a run sets its seed, replicates and
-sample sizes, each at least the experiment's largest block size (2 for
-``fig2``).  The i-th pair cell of ``table1``, ``fig2`` or ``fig3``, counted
-from 1 in row order, draws its stack from substream offset + i (offsets 0,
-50 000, 70 000); ``fig1`` draws one per size.
+distinct sample sizes, each at least the experiment's largest block size
+(2 for ``fig2``).  The i-th pair cell of ``table1``, ``fig2`` or ``fig3``,
+counted from 1 in row order, draws its stack from substream offset + i
+(offsets 0, 50 000, 70 000); ``fig1`` draws one per size.
 """
 
 from __future__ import annotations
@@ -33,18 +34,17 @@ from .errors import DomainError
 from .estimators import (_as_stack, _below, _bootstrap, _kendall, block_mse, optimal_block_size,
                          sample_cp_block, simulate_pair_batch, unbiased_modification)
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
-from .pipeline import _logit, _write_json, _write_rows
+from .pipeline import _write_json, _write_rows
 from .simulate import simulate_doa
-from .specfun import SeededRng, _lookup, _real, _spread, _whole
+from .specfun import SeededRng, _lookup, _spread, _whole
 
 SCHEMA_VERSION = "1"
 _BLOCK_SIZE = 10  # the m of the bootstrap and unbiased estimators in pair cells
-_LAG_BRACKET = (1e-4, 60.0)  # the lags lag_for_target_p searches between
-# halvings of that bracket whose midpoint lag_for_target_p returns; it
-# evaluates p only at the halvings' midpoints inside its falsi bracket
-_BISECT_STEPS = 30
-_FALSI_STEPS = 14  # regula falsi steps per target at most
 _P_TARGETS = (0.25, 0.50, 0.75)  # the target p of the table1 and fig2 cells
+# the lag h of each target: on extremal_t_benchmark(), the midpoint of
+# (1e-4, 60) after 30 halvings on p(0, h) = target, each halving keeping
+# the half where p crosses the target; tests/test_study.py recomputes them
+_TARGET_LAGS = (4.033834306077706, 1.1081611376502085, 0.20790745718018155)
 _N0_LEVELS = {"table1": (1, 10, None), "fig2": (1, 5, 10, 15, None)}  # None: max-stable
 _FIG1_BLOCK_SIZES = tuple(range(2, 41, 2))
 _FIG3_LAGS = (1.0, 2.0, 3.0, 4.0)
@@ -63,8 +63,10 @@ class StudyConfig:
     def __post_init__(self):
         _, least = _lookup(EXPERIMENTS, self.experiment, "experiment")
         _whole(self.reps, 2, "reps")
-        for n in self.sample_sizes:
-            _whole(n, least, "sample size")
+        sizes = [_whole(n, least, "sample size") for n in self.sample_sizes]
+        for i, n in enumerate(sizes):
+            if n in sizes[:i]:
+                raise DomainError(f"sample size {n} is given twice")
 
 
 def extremal_t_benchmark() -> ExtremalT:
@@ -78,102 +80,6 @@ def _pair_sites(h: float) -> np.ndarray:
 def _p_at_lags(model: ModelSpec, lags) -> np.ndarray:
     """p(0, h) at each lag h, the quadrature pairs in one curve call."""
     return np.array([e.value for e in _concurrences(model, [_pair_sites(h) for h in lags])])
-
-
-def _halvings(a: np.ndarray, b: np.ndarray, goes_up) -> tuple[np.ndarray, np.ndarray]:
-    """The brackets (a, b) after _BISECT_STEPS halvings, each midpoint
-    becoming the lower end where goes_up(midpoints) holds."""
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        up = goes_up(mid)
-        a, b = np.where(up, mid, a), np.where(up, b, mid)
-    return a, b
-
-
-def lag_for_target_p(model: ModelSpec, target):
-    """The lag h in (1e-4, 60) with p(0, h) = target for a stationary model:
-    the midpoint after _BISECT_STEPS halvings of that bracket.  A sequence
-    of targets gives a list of lags, found in lockstep, one call a step.
-
-    p(h) is the fixed rule of :func:`concurrence_probability` (no random
-    draws), and it never rises with h for the variogram and correlation
-    families here.  So lags L and U with p(L) > target >= p(U) decide every
-    halving whose midpoint lies outside (L, U), and three phases narrow
-    (L, U): Illinois regula falsi (Dowell & Jarratt, *BIT* 11, 1971) on
-    logit p against log h, at most _FALSI_STEPS steps, until U - L is below
-    the last halving's width or the falsi lag moves by less than an eighth
-    of it; once that lag has settled, the two ends of the last halving's
-    bracket around it; then the halvings, evaluating only the midpoints
-    strictly inside (L, U).  The lags are the floats plain bisection
-    returns.  Bisection evaluates p 32 times a target; the three ``table1``
-    lags take 25 evaluations together, and targets p(h) with h from a
-    hundredth of the model's scale (correlation range, lag of unit
-    variogram, ball radius) to the scale took 6 to 15 each, 2 of them the
-    bracket's ends, which the targets share.  Where p(h) settles towards
-    p(60) faster than any power of h, falsi gains nothing and the halvings
-    do the work: at most 2 + _FALSI_STEPS + 2 + 30 evaluations.
-    """
-    one = np.ndim(target) == 0
-    targets = [_real(x, "target probability", 0, 1) for x in ([target] if one else target)]
-    lo, hi = _LAG_BRACKET
-    p_lo, p_hi = _p_at_lags(model, _LAG_BRACKET)
-    for x in targets:
-        if not (p_hi < x < p_lo):
-            raise DomainError(f"target {x} outside the bracketed range "
-                              f"[{p_hi:.4f}, {p_lo:.4f}]")
-    t = np.array(targets)
-    width = (hi - lo) * 0.5 ** _BISECT_STEPS  # of the last halving's bracket
-    # (L, U) per target, with log L, log U and the Illinois-weighted
-    # logit p - logit target at each
-    ls, us = np.full(t.size, lo), np.full(t.size, hi)
-    xl, xu = np.full(t.size, math.log(lo)), np.full(t.size, math.log(hi))
-    fl, fu = _logit(p_lo) - _logit(t), _logit(p_hi) - _logit(t)
-    side = np.zeros(t.size)  # the end the last step moved: 1 for L, -1 for U
-    last = np.full(t.size, np.nan)  # the lag of the last step
-
-    def falsi():
-        with np.errstate(invalid="ignore"):  # 0/0 where logit clips p_lo and p_hi alike
-            x = (xl * fu - xu * fl) / (fu - fl)
-        h = np.exp(x)
-        return x, h, (ls < h) & (h < us) & (us - ls > width), np.abs(h - last) <= width / 8
-
-    for _ in range(_FALSI_STEPS):
-        x, h, inside, settled = falsi()
-        step = inside & ~settled
-        if not step.any():
-            break
-        p = np.zeros(t.size)
-        p[step] = _p_at_lags(model, h[step])
-        f = _logit(p) - _logit(t)
-        up, down = step & (p > t), step & ~(p > t)
-        fu = np.where(up & (side == 1), 0.5 * fu, fu)
-        fl = np.where(down & (side == -1), 0.5 * fl, fl)
-        ls, xl, fl = np.where(up, h, ls), np.where(up, x, xl), np.where(up, f, fl)
-        us, xu, fu = np.where(down, h, us), np.where(down, x, xu), np.where(down, f, fu)
-        side = np.where(up, 1, np.where(down, -1, side))
-        last = np.where(step, h, last)
-
-    def narrow(idx, lags):
-        """Evaluate p at the lags, of the targets idx, and move L or U there."""
-        if idx.size:
-            above = _p_at_lags(model, lags) > t[idx]
-            np.maximum.at(ls, idx[above], lags[above])
-            np.minimum.at(us, idx[~above], lags[~above])
-
-    _, h, inside, settled = falsi()
-    a, b = _halvings(np.full(t.size, lo), np.full(t.size, hi), lambda mid: mid < h)
-    ends, idx = np.concatenate([a, b]), np.tile(np.arange(t.size), 2)
-    check = np.tile(settled & inside, 2) & (ls[idx] < ends) & (ends < us[idx])
-    narrow(idx[check], ends[check])
-
-    def goes_up(mid):
-        idx = np.flatnonzero((ls < mid) & (mid < us))
-        narrow(idx, mid[idx])
-        return mid <= ls
-
-    a, b = _halvings(np.full(t.size, lo), np.full(t.size, hi), goes_up)
-    lags = (0.5 * (a + b)).tolist()
-    return lags[0] if one else lags
 
 
 def _simulate_block(model: ModelSpec, sites, n0, reps: int, n: int,
@@ -252,7 +158,7 @@ def _target_cells(sizes, n0s) -> list:
     """Extremal-t cells at each target p's lag, by (p, n, n0)."""
     model = extremal_t_benchmark()
     cells = []
-    for p_target, h in zip(_P_TARGETS, lag_for_target_p(model, _P_TARGETS)):
+    for p_target, h in zip(_P_TARGETS, _TARGET_LAGS):
         cells += [({"p_target": p_target, "lag": h, "n": n, "n0": "inf" if n0 is None else n0},
                    model, _pair_sites(h), p_target, n, n0) for n in sizes for n0 in n0s]
     return cells

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import ModelSpec
-from .pipeline import _COLUMNS, SEASONS, _csv_fields, _open_csv
+from .pipeline import _COLUMNS, SEASONS, _csv_fields, _open_csv, _station_id
 from .simulate import simulate_field_values
 from .specfun import RngLike, _reals, _whole, as_generator
 
@@ -28,8 +28,19 @@ def synthesize_station_csv(path, model: ModelSpec, station_ids, station_latlon,
     fixed mid-season day; every other day sits strictly below it.  tmin is
     the negated tmax so that negated-minimum analyses see the same planted
     dependence.  Returns the (years, stations) matrix of planted maxima.
+    Each station id is distinct and reads back as itself.
     """
     station_ids = list(station_ids)
+    seen = set()
+    for sid in station_ids:
+        try:
+            if not isinstance(sid, str) or _station_id(sid) != sid:
+                raise ValueError(f"station id {sid!r} does not read back as itself")
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
+        if sid in seen:
+            raise DomainError(f"station id {sid!r} is repeated")
+        seen.add(sid)
     pts = _reals(station_latlon, "station coordinates")
     if pts.shape != (len(station_ids), 2):
         raise DomainError("station_latlon must be (n_stations, 2)")

@@ -37,6 +37,7 @@ from concur.pipeline import (
     seasonal_blocks,
     write_extremes_csv,
     write_matrix_csv,
+    write_stations_csv,
 )
 from concur.synthetic import synthesize_station_csv
 
@@ -637,6 +638,43 @@ class TestCellAreas:
             read_extremes_csv(p)
 
 
+# reader, writer, header and rows of each table with station ids, as the
+# package writes it; {0} stands for the id of station B, first on line 3
+ID_TABLES = {
+    "stations": (read_stations_csv, write_stations_csv, "station_id,lat,lon",
+                 ["A,40,-100", "{0},41,-101"]),
+    "extremes": (read_extremes_csv, write_extremes_csv,
+                 "station_id,season,year,value,coverage,polarity",
+                 ["A,JJA,2000,1.5,1.000000,max", "{0},JJA,2000,2.5,1.000000,max"]),
+    "matrix": (read_matrix_csv, write_matrix_csv, "id1,id2,estimate,stderr,n_pairs",
+               ["A,A,1,0,5", "A,{0},0.5,0.125,5", "{0},{0},1,0,5"]),
+}
+
+
+@pytest.mark.parametrize("table", ID_TABLES)
+@pytest.mark.parametrize("sid, message", [
+    ("", "empty station id"), ("  ", "empty station id"),
+    # Python 3.10's csv module rejects the NUL itself, at the same line
+    ("B\0", r"(station id 'B\\x00' holds a NUL|.*NUL.*)"),
+    (" B ", None), ("B", None)])
+def test_one_station_id_rule_for_every_table(tmp_path, table, sid, message):
+    # ingest_csv's rule: blanks around an id are stripped, and an empty id
+    # or one holding a NUL is refused at its line; the stations table kept
+    # a blank id as station '', and the extremes and matrix tables took ids
+    # as they stood
+    read, write, header, rows = ID_TABLES[table]
+    p, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    text = "\r\n".join([header, *rows]) + "\r\n"
+    p.write_bytes(text.format(sid).encode())
+    if message is not None:
+        with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+            read(p)
+        return
+    # a file the package writes reads back, and is written again, byte for byte
+    write(read(p), out)
+    assert out.read_bytes() == text.format("B").encode()
+
+
 class TestDeterminism:
     def test_pipeline_byte_identical(self, synthetic, tmp_path):
         path, _ = synthetic
@@ -689,6 +727,20 @@ class TestSynthesizeStationCsv:
         # such a file was written, and ingest_csv then refused it at its line
         with pytest.raises(DomainError, match=re.escape(message)):
             synthesize_station_csv(tmp_path / "s.csv", Logistic(0.5), STATIONS[:2], coords,
+                                   [2000], SeededRng(1))
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("ids, message", [
+        (["A", "A"], "station id 'A' is repeated"),
+        (["A", " B"], "station id ' B' does not read back as itself"),
+        (["A", ""], "empty station id"),
+        (["A", "B\0"], "station id 'B\\x00' holds a NUL"),
+        (["A", 2], "station id 2 does not read back as itself")])
+    def test_station_ids_the_pipeline_reads(self, tmp_path, ids, message):
+        # ['A', 'A'] used to write a file that ingest_csv refused at line 94
+        # with a duplicate date for station A
+        with pytest.raises(DomainError, match=re.escape(message)):
+            synthesize_station_csv(tmp_path / "s.csv", Logistic(0.5), ids, COORDS[:2],
                                    [2000], SeededRng(1))
         assert not (tmp_path / "s.csv").exists()
 

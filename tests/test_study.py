@@ -1,29 +1,16 @@
 """Simulation-study harness: determinism and spot checks at reduced scale."""
 
-import contextlib
 import csv
 import json
 
 import numpy as np
 import pytest
 from conftest import spread_workers
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from concur.cli import main
 
 import concur.study
-from concur import (
-    BallIndicator,
-    BrownResnick,
-    DomainError,
-    ExponentialCorrelation,
-    ExtremalT,
-    FractionalVariogram,
-    PoweredExponentialCorrelation,
-    SeededRng,
-    concurrence_probability,
-)
+from concur import DomainError, SeededRng, concurrence_probability
 from concur.estimators import (
     _as_stack,
     _below,
@@ -36,16 +23,14 @@ from concur.estimators import (
     unbiased_modification,
 )
 from concur.study import (
-    _BISECT_STEPS,
-    _FALSI_STEPS,
     _P_TARGETS,
+    _TARGET_LAGS,
     StudyConfig,
     _pair_rows,
     _pair_sites,
     _simulate_block,
     _summaries,
     extremal_t_benchmark,
-    lag_for_target_p,
     study_harness,
 )
 
@@ -76,6 +61,17 @@ def test_a_size_below_a_block_size_fails_before_any_work(tmp_path, capsys, exper
                  "--n", str(n)]) == 2
     assert capsys.readouterr().err == (f"error: sample size must be a whole number >= "
                                        f"{LEAST[experiment]}, got {n}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sizes", [["25", "25"], ["25", "50", "25"]])
+def test_a_repeated_sample_size_is_refused_before_any_work(tmp_path, capsys, sizes):
+    # fig2 with --n 25 --n 25 wrote 30 rows for 15 cells, each key twice
+    # with a different mean
+    sizes = [arg for n in sizes for arg in ("--n", n)]
+    assert main(["--out", str(tmp_path / "out"), "study", "--experiment", "fig2",
+                 "--reps", "4", *sizes]) == 2
+    assert capsys.readouterr().err == "error: sample size 25 is given twice\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -138,9 +134,9 @@ def test_a_max_stable_cell_runs_at_n_2(tmp_path):
 
 
 def _bisection_reference(model, target: float) -> float:
-    """Slow reference of ``lag_for_target_p``: the 30 halvings of (1e-4, 60),
-    each evaluating p at its midpoint, as the search ran before it found
-    (L, U) by regula falsi and replayed the halvings."""
+    """The lag h in (1e-4, 60) with p(0, h) = target for a model whose p
+    never rises with h: the midpoint after 30 halvings of that bracket, each
+    evaluating p at its midpoint."""
     lo, hi = 1e-4, 60.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
@@ -151,91 +147,13 @@ def _bisection_reference(model, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@contextlib.contextmanager
-def _counted_evaluations():
-    """Count the p evaluations of lag_for_target_p: the site sets it passes
-    to ``_concurrences``, each one row of the tanh-sinh rule for Brown-Resnick
-    and extremal-t pairs, and one closed form for the ball indicator."""
-    count = [0]
-    evaluate = concur.study._concurrences
-
-    def counting(model, site_sets):
-        count[0] += len(site_sets)
-        return evaluate(model, site_sets)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(concur.study, "_concurrences", counting)
-        yield count
-
-
-@st.composite
-def lag_models(draw):
-    """A stationary model on the line and its scale s: the correlation range,
-    the lag where the variogram reaches 1, or the ball radius."""
-    s = draw(st.floats(0.5, 30.0))
-    kind = draw(st.sampled_from(["extremal_t", "powered", "brown_resnick", "ball"]))
-    nu = draw(st.sampled_from([1.0, 1.5, 2.0, 5.0, 20.0, 50.0]))
-    if kind == "extremal_t":
-        return ExtremalT(ExponentialCorrelation(s), nu=nu), s
-    if kind == "powered":
-        return ExtremalT(PoweredExponentialCorrelation(s, draw(st.floats(0.5, 2.0))), nu=nu), s
-    if kind == "brown_resnick":
-        exponent = draw(st.floats(0.3, 1.9))
-        return BrownResnick(FractionalVariogram(s ** -exponent, exponent)), s
-    return BallIndicator(radius=s), s
-
-
-class TestLagSearch:
-    """``lag_for_target_p`` returns the float plain bisection returns."""
-
-    @given(lag_models(), st.floats(-2.0, 0.0))
-    def test_equals_bisection_in_at_most_16_evaluations(self, case, u):
-        # targets p(h) at lags from s / 100 to s, where p still falls steadily
-        model, s = case
-        target = concurrence_probability(model, _pair_sites(s * 10.0 ** u)).value
-        with _counted_evaluations() as evals:
-            try:
-                lag = lag_for_target_p(model, target)
-            except DomainError:  # p(h) at the lag equals p(60) or p(1e-4)
-                assume(False)
-        assert lag == _bisection_reference(model, target)
-        assert evals[0] <= 16
-
-    @given(lag_models(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    def test_equals_bisection_over_the_whole_range(self, case, u):
-        # on the tail, where p(h) settles towards p(60) faster than any power
-        # of h, falsi is no faster than the halvings: it stops after
-        # _FALSI_STEPS, and the halvings evaluate what is left inside (L, U)
-        model, _ = case
-        p_hi, p_lo = (concurrence_probability(model, _pair_sites(h)).value for h in (60.0, 1e-4))
-        target = p_hi + u * (p_lo - p_hi)
-        assume(p_hi < target < p_lo)
-        with _counted_evaluations() as evals:
-            lag = lag_for_target_p(model, target)
-        assert lag == _bisection_reference(model, target)
-        assert evals[0] <= 2 + _FALSI_STEPS + 2 + _BISECT_STEPS
-
-    def test_targets_in_lockstep(self):
-        model = extremal_t_benchmark()
-        with _counted_evaluations() as evals:
-            lags = lag_for_target_p(model, _P_TARGETS)
-        # bisection evaluates 3 x 32
-        assert evals[0] <= 30
-        assert lags == [_bisection_reference(model, t) for t in _P_TARGETS]
-        assert lags == [lag_for_target_p(model, t) for t in _P_TARGETS]
-        assert lag_for_target_p(model, [0.5]) == [lags[1]]
-
-
-def test_lag_bisection_monotone_targets():
+def test_the_target_lags_are_the_bisection_lags():
+    # the table1 and fig2 lags are constants of the design: each is the
+    # float bisection returns for its target, and p there is the target
     model = extremal_t_benchmark()
-    h_50 = lag_for_target_p(model, 0.5)
-    h_25 = lag_for_target_p(model, 0.25)
-    assert h_25 > h_50 > 0
-    p_50 = concurrence_probability(model, [[0.0], [h_50]]).value
-    assert abs(p_50 - 0.5) < 1e-6
-    # the bracket (1e-4, 60) holds the p from about 0.994 down to about 0.038
-    with pytest.raises(DomainError, match="outside the bracketed range"):
-        lag_for_target_p(model, 0.01)
+    for target, lag in zip(_P_TARGETS, _TARGET_LAGS, strict=True):
+        assert lag == _bisection_reference(model, target)
+        assert abs(concurrence_probability(model, _pair_sites(lag)).value - target) < 1e-6
 
 
 def test_fig3_brown_resnick_median_matches_mc(tmp_path):

@@ -104,7 +104,7 @@ from concur.pipeline import (
     write_realizations_csv,
 )
 from concur.specfun import unit_ball_volume
-from concur.study import EXPERIMENTS, StudyConfig, lag_for_target_p
+from concur.study import EXPERIMENTS, StudyConfig
 
 PAIR = [[0.0], [1.0]]
 STACK = np.arange(30.0).reshape(1, 10, 3) % 7.0
@@ -233,8 +233,6 @@ REALS = [
      lambda v: seasonal_blocks(NO_RECORDS, "JJA", min_coverage=v)),
     ("grid_map.idw_power", 0, INF, "()", "idw_power", 2.0,
      lambda v: grid_map(STATIONS, np.full(3, 0.5), [40.5], [-100.5], idw_power=v)),
-    ("lag_for_target_p.target", 0, 1, "()", "target probability", 0.5,
-     lambda v: lag_for_target_p(BallIndicator(1.0), v)),
 ]
 
 
