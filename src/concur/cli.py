@@ -206,7 +206,8 @@ def _cmd_blocks(args, rng: SeededRng) -> None:
                                min_coverage=args.min_coverage)
     out = _require_out(args)
     write_extremes_csv(extremes, out)
-    _emit_json({"command": "blocks", "out": out, "rows": len(extremes)}, None)
+    _emit_json({"command": "blocks", "out": out,
+                "rows": int(np.count_nonzero(~np.isnan(extremes.value)))}, None)
 
 
 def _cmd_matrix(args, rng: SeededRng) -> None:
@@ -232,8 +233,19 @@ def _cmd_map(args, rng: SeededRng) -> None:
     _emit_json({"command": "map", "out": out, "points": int(rows.shape[0])}, None)
 
 
+# the flags of each mode of cells, with their defaults
+_CELLS_FLAGS = {"model": dict(model=None, grid_sites=None, reps=1000),
+                "data": dict(extremes=None, stations=None, grid=None, strata=None, base_label=None,
+                             method="kendall", block_size=None, min_overlap=3, idw_power=2.0)}
+
+
 def _cmd_cells(args, rng: SeededRng) -> None:
     out = _require_out(args)
+    mode, other = ("model", "data") if args.model else ("data", "model")
+    if given := [name for name in _CELLS_FLAGS[other] if getattr(args, name) is not None]:
+        raise DomainError(f"--{given[0].replace('_', '-')} is a {other}-mode flag, and cells "
+                          f"with{'' if args.model else 'out'} --model runs in {mode} mode")
+    vars(args).update({k: v for k, v in _CELLS_FLAGS[mode].items() if getattr(args, k) is None})
     if args.model:
         if not args.grid_sites:
             raise DomainError("model mode needs --grid-sites")
@@ -354,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", default=None)
     q.add_argument("--strata", default=None, help="year,label CSV")
     q.add_argument("--base-label", default=None)
-    q.add_argument("--method", default="kendall", choices=list(ESTIMATORS))
+    q.add_argument("--method", choices=list(ESTIMATORS), help="data mode; default kendall")
     q.add_argument("--block-size", type=int, default=None)
-    q.add_argument("--min-overlap", type=int, default=3)
-    q.add_argument("--idw-power", type=float, default=2.0)
+    q.add_argument("--min-overlap", type=int, help="data mode; default 3")
+    q.add_argument("--idw-power", type=float, help="data mode; default 2.0")
     q.add_argument("--model", default=None, help="model spec JSON (model mode)")
     q.add_argument("--grid-sites", default=None, help="site CSV for model mode")
-    q.add_argument("--reps", type=int, default=1000)
+    q.add_argument("--reps", type=int, help="model mode; default 1000")
     q.set_defaults(func=_cmd_cells)
 
     q = sub.add_parser("study", help="simulation-study tables")

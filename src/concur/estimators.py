@@ -118,11 +118,10 @@ class Sample:
 
 
 def jitter_ties(sample: Sample, resolution: float, rng: RngLike) -> Sample:
-    """Break measurement-resolution ties with seeded uniform (-res/2, res/2) noise.
-
-    Meant for discretized data (e.g. temperatures recorded to 0.1 degrees);
-    deterministic given the rng.
-    """
+    """Break measurement-resolution ties with seeded uniform (-res/2, res/2)
+    noise, deterministically given the rng.  It removes ties, not the bias of
+    the resolution: averaged over the noise, Kendall's tau is the untied tau
+    of the rounded data, 2-3 points below p = 0.5 at whole degrees F."""
     half = 0.5 * _real(resolution, "resolution", 0)
     noise = as_generator(rng).uniform(-half, half, size=sample.data.shape)
     return Sample(sample.data + noise, sample.names)

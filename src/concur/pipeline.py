@@ -4,23 +4,21 @@ The chain is CSV station records -> per-season block extremes -> pairwise
 concurrence matrices (Kendall by default) -> gridded maps (inverse-distance
 weighting on the logit scale) -> expected concurrence-cell areas, optionally
 stratified by an external year-label table.  Station records are one NumPy
-record array.  A clean station file is tokenized in C by ``np.loadtxt``, a
-bounded chunk of rows at a time, and records are written the same way;
-any other station file, and every other table of the chain, is read one
-row at a time by ``csv.reader`` in one row reader, with the same result.
-A date is exactly YYYY-MM-DD, a day of the proleptic Gregorian calendar
-from year 1 on; a tmin or tmax of "" or "-9999" is missing (NaN), and any
-other must be a finite number; a station's latitude is in [-90, 90] and
-its longitude in [-180, 180].  Every number of every table
-takes Python's grammar less its digit-group underscores (:func:`_number`).
-A season is a block of three months counted from December 1969, so
-December counts toward the next year's winter (:func:`seasonal_blocks`).
-Every file format the package writes lives here, and every file is opened
-by :func:`_open_csv`, as UTF-8.  A malformed file, a byte that is not UTF-8
-included, raises :class:`ParseError` naming its first bad line, always
-from the row reader.
-Everything is deterministic given the inputs; minima are analyzed as
-negated values so the downstream machinery only ever deals with maxima.
+record array; the extremes of one season and polarity are one station x
+year table (:class:`SeasonalExtremes`), whose rows the matrices pair and
+whose year columns the strata select.  A clean station file is tokenized
+in C by ``np.loadtxt``, a bounded chunk of rows at a time, and records are
+written the same way; any other station file, and every other table of the
+chain, is read one row at a time by ``csv.reader`` in one row reader, with
+the same result.  Each reader's docstring gives the rules of its rows, and
+every number of every table takes Python's grammar less its digit-group
+underscores (:func:`_number`).  A season is a block of three months counted
+from December 1969, so December counts toward the next year's winter.
+Every file the package writes is opened by :func:`_open_csv`, as UTF-8, and
+its format lives here.  A malformed file, a byte that is not UTF-8
+included, raises :class:`ParseError` naming its first bad line, always from
+the row reader.  Minima are analyzed as negated values, so the downstream
+machinery only ever deals with maxima; everything is deterministic.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import math
 import operator
 import re
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -376,10 +374,11 @@ def ingest_csv(path) -> IngestResult:
     """Read and validate station records from a headered CSV file.
 
     The columns are station_id, lat, lon, date, tmin and tmax, in any
-    order.  A date is exactly YYYY-MM-DD (after surrounding blanks); a tmin
-    or tmax of "" or "-9999" is missing, and any other must be a finite
-    number, so "nan" or "inf" is malformed; a latitude is in [-90, 90] and a
-    longitude in [-180, 180].  The first malformed row in file order, a
+    order.  A date is exactly YYYY-MM-DD (after surrounding blanks), a day
+    of the proleptic Gregorian calendar from year 1 on; a tmin or tmax of ""
+    or "-9999" is missing, and any other must be a finite number, so "nan"
+    or "inf" is malformed; a latitude is in [-90, 90] and a longitude in
+    [-180, 180].  The first malformed row in file order, a
     repeated (station, date), a byte that is not UTF-8 in any field, a NUL
     in a station id and a field over the ``csv`` size limit included, raises
     :class:`ParseError` naming its line; stations with more than half of
@@ -468,24 +467,39 @@ _EXTREMES_COLUMNS = ("station_id", "season", "year", "value", "coverage", "polar
 
 @dataclass(frozen=True)
 class SeasonalExtremes:
-    station_id: str
-    season: str
-    year: int
-    value: float
-    coverage: float
-    polarity: str
+    """The extremes of one season and polarity as a station x year table:
+    ``value[i, j]`` is station ``station_ids[i]``'s extreme in ``years[j]``
+    and ``coverage[i, j]`` its block's share of days with a reading, both
+    NaN where there is none.  Ids and years are sorted and distinct; the
+    season and polarity are None only for an extremes CSV without rows."""
+
+    season: str | None
+    polarity: str | None
+    station_ids: tuple[str, ...]
+    years: tuple[int, ...]
+    value: np.ndarray
+    coverage: np.ndarray
+
+
+def _extremes_table(season, polarity, station_id, year, value, coverage) -> SeasonalExtremes:
+    """The table of the extremes of the columns, no station-year twice."""
+    ids, row = np.unique(station_id, return_inverse=True)
+    years, col = np.unique(year, return_inverse=True)
+    table = np.full((2, len(ids), len(years)), np.nan)
+    table[:, row, col] = value, coverage
+    return SeasonalExtremes(season, polarity, tuple(ids.tolist()), tuple(years.tolist()), *table)
 
 
 def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
-                    min_coverage: float = 0.9) -> list[SeasonalExtremes]:
-    """Per station-year seasonal extreme with a coverage filter, in
-    (station_id, year) order.
+                    min_coverage: float = 0.9) -> SeasonalExtremes:
+    """The table of each station-year's seasonal extreme, less low coverage.
 
     A season is a block of three months counted from December 1969: block b
     holds months 3b - 1 to 3b + 1 from January 1970, is season b % 4 of
     SEASONS and of year b // 4 + 1970, so December is the next year's
     winter.  Coverage is the share of the block's days with a reading; a
     season with a reading is kept at coverage ``min_coverage`` (in [0, 1]) or more.
+    A station or year without a kept season has no row or column.
 
     polarity "max" takes the seasonal maximum of tmax; "negated_min" stores
     minus the seasonal minimum of tmin, so larger values always mean more
@@ -502,71 +516,59 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
     block = block[keep]
     # -min(tmin) is max(-tmin) exactly
     value = (rec.tmax if polarity == "max" else -rec.tmin)[keep]
-    ids, code = np.unique(rec.station_id[keep], return_inverse=True)
-    # one group per (station code, block), in that order, on one integer key
-    lo, hi = (int(block.min()), int(block.max())) if block.size else (0, 0)
-    keys, group = np.unique(code * (hi - lo + 1) + (block - lo), return_inverse=True)
+    ids, row = np.unique(rec.station_id[keep], return_inverse=True)
+    blocks, col = np.unique(block, return_inverse=True)
+    # one cell per (station, block), each record's on one integer index
     present = ~np.isnan(value)
-    count = np.bincount(group[present], minlength=len(keys))
-    extreme = np.full(len(keys), -np.inf)
-    np.maximum.at(extreme, group[present], value[present])
-    code, block = np.divmod(keys, hi - lo + 1)
-    block += lo
-    first = (3 * block - 1).astype("datetime64[M]")
+    cell = (row * len(blocks) + col)[present]
+    count = np.bincount(cell, minlength=len(ids) * len(blocks)).reshape(len(ids), len(blocks))
+    extreme = np.full(count.shape, -np.inf)
+    np.maximum.at(extreme.reshape(-1), cell, value[present])
+    first = (3 * blocks - 1).astype("datetime64[M]")
     days = (first + 3).astype("datetime64[D]") - first.astype("datetime64[D]")
     coverage = count / days.astype(np.int64)
-    year = block // 4 + 1970
     ok = (count > 0) & (coverage >= min_coverage)
-    return [SeasonalExtremes(station_id=str(ids[c]), season=season, year=y, value=v,
-                             coverage=cov, polarity=polarity)
-            for c, y, v, cov in zip(code[ok].tolist(), year[ok].tolist(), extreme[ok].tolist(),
-                                    coverage[ok].tolist())]
+    rows, cols = np.nonzero(ok)
+    return _extremes_table(season, polarity, ids[rows], blocks[cols] // 4 + 1970, extreme[ok],
+                           coverage[ok])
 
 
-def _extreme(sid, season, year, value, coverage, polarity) -> SeasonalExtremes:
-    """One extremes CSV row, checked in column order: a station id, a season
-    of SEASONS, a finite value, a coverage in [0, 1] and a polarity of
-    POLARITIES."""
-    sid = _station_id(sid)
-    if season not in SEASONS:
-        raise ValueError(f"season {season!r} is not one of {SEASONS}")
-    year, value, coverage = _number(year, int), _number(value), _number(coverage)
-    if not math.isfinite(value):
-        raise ValueError(f"value {value} is not finite")
-    if not 0.0 <= coverage <= 1.0:
-        raise ValueError(f"coverage {coverage} outside [0, 1]")
-    if polarity not in POLARITIES:
-        raise ValueError(f"polarity {polarity!r} is not one of {POLARITIES}")
-    return SeasonalExtremes(sid, season, year, value, coverage, polarity)
+def read_extremes_csv(path) -> SeasonalExtremes:
+    """The table of :func:`write_extremes_csv` output.  A row is checked in
+    column order, then against the first row's season and polarity, and a
+    repeated station-year is refused: each raises :class:`ParseError` at its line."""
+    first: dict = {}   # the first row's season and polarity
 
+    def row(sid, season, year, value, coverage, polarity) -> tuple:
+        sid = _station_id(sid)
+        if season not in SEASONS:
+            raise ValueError(f"season {season!r} is not one of {SEASONS}")
+        year, value, coverage = _number(year, int), _number(value), _number(coverage)
+        if not math.isfinite(value):
+            raise ValueError(f"value {value} is not finite")
+        if not 0.0 <= coverage <= 1.0:
+            raise ValueError(f"coverage {coverage} outside [0, 1]")
+        if polarity not in POLARITIES:
+            raise ValueError(f"polarity {polarity!r} is not one of {POLARITIES}")
+        kind = first.setdefault("kind", (season, polarity))
+        if (season, polarity) != kind:
+            raise ValueError(f"{season} {polarity} extreme of station {sid} in {year} "
+                             f"among {kind[0]} {kind[1]} extremes")
+        return sid, year, value, coverage
 
-def _same_kind(first: SeasonalExtremes, e: SeasonalExtremes, error: type[Exception]) -> None:
-    """Raise ``error`` when e's season or polarity differs from first's: a
-    station's one extreme a year is of one season and one polarity."""
-    if (e.season, e.polarity) != (first.season, first.polarity):
-        raise error(f"{e.season} {e.polarity} extreme of station {e.station_id} in {e.year} "
-                    f"among {first.season} {first.polarity} extremes")
-
-
-def read_extremes_csv(path) -> list[SeasonalExtremes]:
-    """Extremes from :func:`write_extremes_csv` output; a row :func:`_extreme`
-    refuses, a repeated station-year or a season or polarity other than the
-    first row's raises :class:`ParseError` at its line."""
-    seen: dict = {}
-
-    def row(*fields) -> SeasonalExtremes:
-        e = _extreme(*fields)
-        _same_kind(seen.setdefault("first", e), e, ValueError)
-        return e
-
-    return list(_read_rows(path, _EXTREMES_COLUMNS, row,
-                           key=lambda e: (e.station_id, e.year),
+    rows = list(_read_rows(path, _EXTREMES_COLUMNS, row, key=lambda r: r[:2],
                            name=lambda k: f"station {k[0]} in {k[1]}"))
+    return _extremes_table(*first.get("kind", (None, None)), *(list(zip(*rows)) or [()] * 4))
 
 
-def write_extremes_csv(extremes, path) -> None:
-    _write_rows(path, _EXTREMES_COLUMNS, ([e.station_id, e.season, e.year, f"{e.value:.17g}",
-                                          f"{e.coverage:.6f}", e.polarity] for e in extremes))
+def write_extremes_csv(extremes: SeasonalExtremes, path) -> None:
+    """One row per extreme of the table, in (station, year) order."""
+    i, j = np.nonzero(~np.isnan(extremes.value))
+    _write_rows(path, _EXTREMES_COLUMNS, (
+        [extremes.station_ids[a], extremes.season, extremes.years[b], f"{v:.17g}", f"{c:.6f}",
+         extremes.polarity]
+        for a, b, v, c in zip(i.tolist(), j.tolist(), extremes.value[i, j].tolist(),
+                              extremes.coverage[i, j].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -588,43 +590,30 @@ class ConcurrenceMatrix:
         return self.estimates[self.station_ids.index(station_id)]
 
 
-def pairwise_matrix(extremes, method: str = "kendall", anchor: str | None = None,
-                    min_overlap: int = 3, block_size: int | None = None) -> ConcurrenceMatrix:
-    """Pairwise concurrence estimates over stations from seasonal extremes.
+def pairwise_matrix(extremes: SeasonalExtremes, method: str = "kendall",
+                    anchor: str | None = None, min_overlap: int = 3,
+                    block_size: int | None = None) -> ConcurrenceMatrix:
+    """Pairwise concurrence estimates over the table's stations with an extreme.
 
-    A station has at most one extreme a year, and every extreme is of the
-    first one's season and polarity: a repeat or a mix raises
-    :class:`DomainError`.  Years are matched pairwise-complete, and the
-    estimator runs once per number of common years on the stack of pairs
-    with that many, each pair's values in year order (once in all on
-    complete data); pairs with fewer than ``min_overlap`` common years stay
-    NaN.  ``anchor`` restricts the computation to one station's row (plus
-    the unit diagonal).  The method name and block size are checked before
-    any pair is estimated: a block size above an estimated pair's common
-    years raises :class:`DomainError` naming the first such pair.
+    Years are matched pairwise-complete, and the estimator runs once per
+    number of common years on the stack of pairs with that many, each
+    pair's values in year order (once in all on complete data); pairs with
+    fewer than ``min_overlap`` common years stay NaN.  ``anchor`` restricts
+    the computation to one station's row (plus the unit diagonal).  The
+    method name and block size are checked before any pair is estimated: a
+    block size above an estimated pair's common years raises
+    :class:`DomainError` naming the first such pair.
     """
     estimate = estimator(method, block_size)
     min_overlap = _whole(min_overlap, 0, "min_overlap")
-    series: dict[str, dict[int, float]] = {}
-    first = None
-    for e in extremes:
-        if not math.isfinite(e.value):
-            raise DomainError(f"extreme of station {e.station_id} in {e.year} is not finite")
-        years = series.setdefault(e.station_id, {})
-        if e.year in years:
-            raise DomainError(f"station {e.station_id} has two extremes in {e.year}")
-        first = first or e
-        _same_kind(first, e, DomainError)
-        years[e.year] = e.value
-    ids = tuple(sorted(series))
+    keep = ~np.isnan(extremes.value).all(axis=1)
+    ids, values = tuple(itertools.compress(extremes.station_ids, keep)), extremes.value[keep]
+    present = ~np.isnan(values)
     s_count = len(ids)
     if s_count < 2:
         raise DomainError("need at least two stations")
     if anchor is not None and anchor not in ids:
         raise DomainError(f"anchor station {anchor!r} not present")
-    years = sorted(set().union(*series.values()))
-    values = np.array([[series[sid].get(y, np.nan) for y in years] for sid in ids])
-    present = ~np.isnan(values)
     common = present.astype(np.int64) @ present.T.astype(np.int64)
     eye = np.eye(s_count, dtype=bool)
     est, err, npairs = np.where(eye, 1.0, np.nan), np.where(eye, 0.0, np.nan), common * eye
@@ -684,18 +673,13 @@ def read_matrix_csv(path) -> ConcurrenceMatrix:
                            _matrix_entry,
                            key=lambda r: (r[0], r[1]) if r[0] <= r[1] else (r[1], r[0]),
                            name=lambda pair: f"pair {pair[0]},{pair[1]}"))
-    ids = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
-    idx = {sid: i for i, sid in enumerate(ids)}
-    n = len(ids)
-    est = np.full((n, n), np.nan)
-    err = np.full((n, n), np.nan)
-    npairs = np.zeros((n, n), dtype=np.int64)
-    for a, b, e, s, c in rows:
-        i, j = idx[a], idx[b]
-        est[i, j] = est[j, i] = e
-        err[i, j] = err[j, i] = s
-        npairs[i, j] = npairs[j, i] = c
-    return ConcurrenceMatrix(station_ids=ids, estimates=est, stderr=err,
+    a, b, est, err, n_pairs = zip(*rows) if rows else [()] * 5
+    ids, at = np.unique(a + b, return_inverse=True)
+    i, j = at.reshape(2, -1)
+    table, npairs = np.full((2, len(ids), len(ids)), np.nan), np.zeros((len(ids),) * 2, np.int64)
+    table[:, i, j] = table[:, j, i] = est, err
+    npairs[i, j] = npairs[j, i] = n_pairs
+    return ConcurrenceMatrix(station_ids=tuple(ids.tolist()), estimates=table[0], stderr=table[1],
                              n_pairs=npairs, method=None)
 
 
@@ -756,8 +740,7 @@ def grid_map(station_latlon, values, grid_lats, grid_lons,
     lons = _reals(grid_lons, "grid longitudes", -180, 180, "[]").reshape(-1)
     if lats.size == 0 or lons.size == 0:
         raise DomainError("grid must be nonempty")
-    glat, glon = np.meshgrid(lats, lons, indexing="ij")
-    glat, glon = glat.reshape(-1), glon.reshape(-1)
+    glat, glon = np.repeat(lats, lons.size), np.tile(lons, lats.size)   # lat x lon, row-major
     dist = haversine_km(glat[:, None], glon[:, None], slat, slon)
     exact = dist < 1e-9
     with np.errstate(divide="ignore"):
@@ -790,8 +773,7 @@ def cos_lat_weights(grid_lats, grid_lons) -> np.ndarray:
             raise DomainError(f"{name} must be a regular axis, ascending or descending")
         steps.append(abs(step))
     dlat, dlon = steps
-    glat, _ = np.meshgrid(lats, lons, indexing="ij")
-    return (dlat * dlon * np.cos(np.radians(glat))).reshape(-1)
+    return dlat * dlon * np.repeat(np.cos(np.radians(lats)), lons.size)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +851,7 @@ def read_strata_csv(path) -> dict[int, str]:
                            key=operator.itemgetter(0), name="year {}".format))
 
 
-def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
+def cell_area_report(extremes: SeasonalExtremes, station_coords: dict, grid_lats, grid_lons,
                      strata: dict[int, str] | None = None, base_label: str | None = None,
                      method: str = "kendall", min_overlap: int = 3,
                      idw_power: float = 2.0,
@@ -880,15 +862,17 @@ def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
     base stratum's; the base label defaults to the lexicographically first
     stratum.  Without strata every year is in the one stratum "all", and a
     base label raises :class:`DomainError`.  A :class:`DomainError` in one
-    stratum's matrix or maps names the stratum.
+    stratum's matrix (of its years' columns) or maps names the stratum.
     """
+    years = extremes.years
+    if not years:
+        raise DomainError("no seasonal extremes to map")
     if strata is None:
         if base_label is not None:
             raise DomainError(f"base stratum {base_label!r} given without strata")
-        strata, base_label = {e.year: "all" for e in extremes}, "all"
+        strata, base_label = dict.fromkeys(years, "all"), "all"
     labels = sorted(set(strata.values()))
-    known_years = set(strata)
-    missing = sorted({e.year for e in extremes} - known_years)
+    missing = [y for y in years if y not in strata]
     if missing:
         raise DomainError(f"strata labels missing for years {missing[:5]}")
     if base_label is None:
@@ -897,10 +881,13 @@ def cell_area_report(extremes, station_coords: dict, grid_lats, grid_lons,
         raise DomainError(f"unknown base stratum {base_label!r}")
     per_label = {}
     for label in labels:
+        cols = np.array([strata[y] == label for y in years], dtype=bool)
+        stratum = replace(extremes, years=tuple(itertools.compress(years, cols)),
+                          value=extremes.value[:, cols], coverage=extremes.coverage[:, cols])
         try:
             per_label[label] = expected_cell_area_data(
-                pairwise_matrix([e for e in extremes if strata[e.year] == label], method=method,
-                                min_overlap=min_overlap, block_size=block_size),
+                pairwise_matrix(stratum, method=method, min_overlap=min_overlap,
+                                block_size=block_size),
                 station_coords, grid_lats, grid_lons, idw_power=idw_power)
         except DomainError as exc:
             raise DomainError(f"stratum {label!r}: {exc}") from None

@@ -542,6 +542,32 @@ def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+DATA_FLAGS = [("--extremes", "{extremes}"), ("--stations", "{stations}"), ("--grid", GRID),
+              ("--strata", "nonexistent.csv"), ("--base-label", "nada"), ("--method", "kendall"),
+              ("--block-size", "3"), ("--min-overlap", "3"), ("--idw-power", "-3")]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    *((["cells", "--model", "{model}", "--grid-sites", "{sites}"], f, v) for f, v in DATA_FLAGS),
+    *((CELLS, f, v) for f, v in [("--grid-sites", "{sites}"), ("--reps", "1000")])],
+    ids=[f[2:] for f, _ in DATA_FLAGS] + ["grid-sites", "reps"])
+def test_cells_refuses_the_other_modes_flags(capsys, tmp_path, argv, flag, value):
+    # each used to be ignored unchecked, the value its mode's default or not
+    files = {"extremes": EXTREMES, "stations": STATIONS_CSV, "sites": "0.0\n1.0\n",
+             "model": json.dumps({"model": "logistic", "alpha": 0.5})}
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(content)
+    out = tmp_path / "out.csv"
+    code = main(["--out", str(out)] + [a.format(**paths) for a in argv + [flag, value]])
+    assert code == 2 and not out.exists()
+    mode, other = ("model", "data") if "--model" in argv else ("data", "model")
+    assert capsys.readouterr().err == (
+        f"error: {flag} is a {other}-mode flag, and cells with{'' if mode == 'model' else 'out'} "
+        f"--model runs in {mode} mode\n")
+
+
 @pytest.mark.parametrize("grid", ["42:39:4,-101:-98:4", "39:42:4,-98:-101:4",
                                   "42:39:4,-98:-101:4"])
 def test_cells_grid_axes_run_either_way(capsys, tmp_path, grid):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from concur import (
 )
 from concur.pipeline import (
     ConcurrenceMatrix,
+    _extremes_table,
     cell_area_report,
     cos_lat_weights,
     expected_cell_area_data,
@@ -43,6 +45,30 @@ from concur.synthetic import synthesize_station_csv
 
 STATIONS = ["A", "B", "C", "D"]
 COORDS = np.array([[40.0, -100.0], [41.0, -101.0], [42.0, -99.0], [39.5, -98.5]])
+
+
+def _table(cells):
+    """The JJA maximum table of (station, year, value) cells, each coverage 1."""
+    sid, year, value = zip(*cells)
+    return _extremes_table("JJA", "max", sid, year, value, [1.0] * len(cells))
+
+
+def _years(table, keep):
+    """The table with the years ``keep`` takes only."""
+    cols = np.array([keep(y) for y in table.years], dtype=bool)
+    return replace(table, years=tuple(np.array(table.years)[cols].tolist()),
+                   value=table.value[:, cols], coverage=table.coverage[:, cols])
+
+
+def _without(table, station, years):
+    """The table less the extremes of ``station`` in ``years``."""
+    gone = np.outer(np.array(table.station_ids) == station, np.isin(table.years, list(years)))
+    return replace(table, value=np.where(gone, np.nan, table.value),
+                   coverage=np.where(gone, np.nan, table.coverage))
+
+
+def _count(table) -> int:
+    return int(np.count_nonzero(~np.isnan(table.value)))
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +231,8 @@ class TestSeasonalBlocks:
             for m, days, v in ((1, 31, 2), (2, 29, 3)) for d in range(1, days + 1))
         result = self._records(tmp_path, body)
         out = seasonal_blocks(result, "DJF", "max", min_coverage=0.9)
-        assert len(out) == 1
-        assert out[0].year == 2000 and out[0].value == 3.0
-        assert out[0].coverage == 1.0
+        assert out.station_ids == ("S1",) and out.years == (2000,)
+        assert out.value.tolist() == [[3.0]] and out.coverage.tolist() == [[1.0]]
 
     def test_polarity_negated_min(self, tmp_path):
         body = "".join(
@@ -218,16 +243,17 @@ class TestSeasonalBlocks:
             f"S1,40.0,-100.0,2000-08-{d:02d},-3.0,9.0\n" for d in range(1, 32))
         result = self._records(tmp_path, body)
         out = seasonal_blocks(result, "JJA", "negated_min")
-        assert out[0].value == 7.0  # -(min tmin) = -(-7)
-        assert out[0].polarity == "negated_min"
+        assert out.value[0, 0] == 7.0  # -(min tmin) = -(-7)
+        assert (out.season, out.polarity) == ("JJA", "negated_min")
 
     def test_low_coverage_dropped(self, tmp_path):
         # only June present: coverage 30/92 < 0.9
         body = "".join(
             f"S1,40.0,-100.0,2000-06-{d:02d},-1.0,5.0\n" for d in range(1, 31))
         result = self._records(tmp_path, body)
-        assert seasonal_blocks(result, "JJA", "max") == []
-        assert len(seasonal_blocks(result, "JJA", "max", min_coverage=0.3)) == 1
+        none = seasonal_blocks(result, "JJA", "max")
+        assert none.station_ids == () and none.years == () and none.value.shape == (0, 0)
+        assert _count(seasonal_blocks(result, "JJA", "max", min_coverage=0.3)) == 1
 
     def test_bad_arguments(self, tmp_path):
         result = self._records(tmp_path, "S1,40.0,-100.0,2000-06-01,-1.0,5.0\n")
@@ -250,19 +276,18 @@ class TestSeasonalBlocks:
             for m, days in ((6, 30), (7, 31), (8, 31)) for d in range(1, days + 1))
         body += "S2,41.0,-101.0,2000-06-01,-1.0,5.0\n"
         result = self._records(tmp_path, body)
-        assert [e.station_id for e in seasonal_blocks(result, "JJA", min_coverage=0.0)] == [
-            "S1", "S2"]
-        assert [e.station_id for e in seasonal_blocks(result, "JJA", min_coverage=1.0)] == ["S1"]
+        assert seasonal_blocks(result, "JJA", min_coverage=0.0).station_ids == ("S1", "S2")
+        assert seasonal_blocks(result, "JJA", min_coverage=1.0).station_ids == ("S1",)
 
 
 class TestPairwiseMatrix:
     def test_identical_series_give_one(self, synthetic):
         path, _ = synthetic
         extremes = seasonal_blocks(ingest_csv(path), "JJA", "max")
-        doubled = extremes + [
-            e.__class__(station_id="E", season=e.season, year=e.year, value=e.value,
-                        coverage=e.coverage, polarity=e.polarity)
-            for e in extremes if e.station_id == "A"]
+        # E, after D in station order, repeats A's row
+        doubled = replace(extremes, station_ids=extremes.station_ids + ("E",),
+                          value=extremes.value[[0, 1, 2, 3, 0]],
+                          coverage=extremes.coverage[[0, 1, 2, 3, 0]])
         matrix = pairwise_matrix(doubled)
         i, j = matrix.station_ids.index("A"), matrix.station_ids.index("E")
         assert matrix.estimates[i, j] == pytest.approx(1.0)
@@ -293,52 +318,21 @@ class TestPairwiseMatrix:
         assert np.all(np.abs(matrix.estimates[off] - 0.5) < 0.15)
 
     def test_insufficient_overlap_is_nan(self):
-        from concur.pipeline import SeasonalExtremes
-        extremes = [
-            SeasonalExtremes("A", "JJA", y, float(v), 1.0, "max")
-            for y, v in [(2000, 1.0), (2001, 2.0)]
-        ] + [
-            SeasonalExtremes("B", "JJA", y, float(v), 1.0, "max")
-            for y, v in [(2000, 2.0), (2001, 1.0)]
-        ]
+        extremes = _table([("A", 2000, 1.0), ("A", 2001, 2.0), ("B", 2000, 2.0), ("B", 2001, 1.0)])
         matrix = pairwise_matrix(extremes, min_overlap=3)
         assert math.isnan(matrix.estimates[0, 1])
         assert matrix.n_pairs[0, 1] == 2
 
-    def test_repeated_station_year(self):
-        # B has a JJA and a DJF extreme in each year: the matrix would have
-        # kept the DJF rows alone (tau -1 where JJA gives 1)
-        from concur.pipeline import SeasonalExtremes
-        extremes = [SeasonalExtremes(sid, season, y, float(v), 1.0, "max")
-                    for sid, season, sign in [("A", "JJA", 1), ("B", "JJA", 1), ("B", "DJF", -1)]
-                    for y, v in zip(range(2000, 2005), sign * np.arange(5.0))]
-        with pytest.raises(DomainError, match="station B has two extremes in 2000"):
-            pairwise_matrix(extremes)
-        with pytest.raises(DomainError, match="station B has two extremes in 2000"):
-            cell_area_report(extremes, {"A": (40.0, -100.0), "B": (41.0, -101.0)},
-                             [40.0], [-100.0])
-        matrix = pairwise_matrix([e for e in extremes if e.season == "JJA"])
-        assert matrix.estimates[0, 1] == 1.0
-
-    @pytest.mark.parametrize("season, polarity", [("DJF", "max"), ("JJA", "negated_min")])
-    def test_mixed_season_or_polarity(self, season, polarity):
-        # no station-year repeats, yet B's odd extreme would pair with A's JJA maximum
-        from concur.pipeline import SeasonalExtremes
-        extremes = [SeasonalExtremes(sid, "JJA", y, float(v), 1.0, "max")
-                    for sid in "AB" for y, v in zip(range(2000, 2005), np.arange(5.0))]
-        extremes[7] = SeasonalExtremes("B", season, 2002, -2.0, 1.0, polarity)
-        with pytest.raises(DomainError, match=f"{season} {polarity} extreme of station B in "
-                                              "2002 among JJA max extremes"):
-            pairwise_matrix(extremes)
-        with pytest.raises(DomainError, match=f"{season} {polarity} extreme of station B"):
-            cell_area_report(extremes, {"A": (40.0, -100.0), "B": (41.0, -101.0)},
-                             [40.0], [-100.0])
+    def test_a_station_without_an_extreme_is_left_out(self):
+        # a table may hold a station with no extreme, as a stratum's may
+        extremes = _table([(sid, y, float(v)) for sid in "ABC"
+                           for y, v in zip(range(2000, 2005), np.arange(5.0))])
+        matrix = pairwise_matrix(_without(extremes, "B", range(2000, 2005)))
+        assert matrix.station_ids == ("A", "C") and matrix.estimates[0, 1] == 1.0
 
     def test_unknown_method_raises_before_pairs(self, synthetic):
-        from concur.pipeline import SeasonalExtremes
         # no pair reaches min_overlap, so no estimator would ever run
-        disjoint = [SeasonalExtremes(sid, "JJA", year, 1.0, 1.0, "max")
-                    for sid, year in (("A", 2000), ("B", 2001))]
+        disjoint = _table([("A", 2000, 1.0), ("B", 2001, 1.0)])
         overlapping = seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max")
         for extremes in (disjoint, overlapping):
             with pytest.raises(DomainError, match="'bogus'"):
@@ -350,10 +344,9 @@ class TestPairwiseMatrix:
         # A and B share 7 years, A and C 4, B and C 3: the first pair in
         # station order below the block size is named before any estimate
         import concur.estimators
-        from concur.pipeline import SeasonalExtremes
         years = {"A": range(2000, 2008), "B": range(2001, 2008), "C": range(2000, 2008, 2)}
-        extremes = [SeasonalExtremes(sid, "JJA", y, float((5 * y + len(sid)) % 7), 1.0, "max")
-                    for sid, ys in years.items() for y in ys]
+        extremes = _table([(sid, y, float((5 * y + len(sid)) % 7))
+                           for sid, ys in years.items() for y in ys])
         calls = []
         fn = concur.estimators.ESTIMATORS["bootstrap"]
         monkeypatch.setitem(concur.estimators.ESTIMATORS, "bootstrap",
@@ -538,19 +531,33 @@ class TestCellAreas:
     def test_a_station_too_few_estimates_is_named(self, synthetic):
         # D keeps two odd seasons, below min_overlap: the odd stratum has no
         # estimate for D, so no map of D
-        extremes = [e for e in seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max")
-                    if e.station_id != "D" or e.year % 2 == 0 or e.year < 1954]
-        strata = {e.year: ("even" if e.year % 2 == 0 else "odd") for e in extremes}
+        extremes = _without(seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max"), "D",
+                            range(1955, 2050, 2))
+        strata = {y: ("even" if y % 2 == 0 else "odd") for y in extremes.years}
         coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
         lats, lons = np.linspace(39, 42, 4), np.linspace(-101, -98, 4)
         message = "station D has estimates at only 1 of the 4 stations"
         with pytest.raises(DomainError, match=f"stratum 'odd': {message}"):
             cell_area_report(extremes, coords, lats, lons, strata=strata)
         with pytest.raises(DomainError, match=f"^{message}"):
-            expected_cell_area_data(pairwise_matrix([e for e in extremes if e.year % 2]),
+            expected_cell_area_data(pairwise_matrix(_years(extremes, lambda y: y % 2)),
                                     coords, lats, lons)
         rows = cell_area_report(extremes, coords, lats, lons, strata=strata, min_overlap=2)
         assert len(rows) == 8
+
+    def test_a_station_without_extremes_in_a_stratum_has_no_row_there(self, synthetic):
+        # D has no odd season: the odd stratum maps A, B and C alone
+        extremes = _without(seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max"), "D",
+                            range(1951, 2050, 2))
+        strata = {y: ("even" if y % 2 == 0 else "odd") for y in extremes.years}
+        coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
+        lats, lons = np.linspace(39, 42, 4), np.linspace(-101, -98, 4)
+        rows = cell_area_report(extremes, coords, lats, lons, strata=strata)
+        assert [(r.stratum, r.anchor) for r in rows] == [
+            *(("even", s) for s in STATIONS), *(("odd", s) for s in "ABC")]
+        odd = expected_cell_area_data(pairwise_matrix(_years(extremes, lambda y: y % 2)),
+                                      coords, lats, lons)
+        assert [r.area for r in rows[4:]] == list(odd.values())
 
     def test_block_size_reaches_the_matrix(self, synthetic):
         extremes = seasonal_blocks(ingest_csv(synthetic[0]), "JJA", "max")
@@ -568,7 +575,7 @@ class TestCellAreas:
         result = ingest_csv(path)
         extremes = seasonal_blocks(result, "JJA", "max")
         # alternating identical-distribution strata
-        strata = {e.year: ("even" if e.year % 2 == 0 else "odd") for e in extremes}
+        strata = {y: ("even" if y % 2 == 0 else "odd") for y in extremes.years}
         coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
         rows = cell_area_report(extremes, coords, np.linspace(39, 42, 4),
                                 np.linspace(-101, -98, 4), strata=strata,
@@ -591,18 +598,20 @@ class TestCellAreas:
 
     def test_extremes_csv_roundtrip(self, synthetic, tmp_path):
         path, _ = synthetic
-        extremes = seasonal_blocks(ingest_csv(path), "DJF", "negated_min")
+        # the synthetic data are JJA: its DJF table, which this read, was empty
+        extremes = seasonal_blocks(ingest_csv(path), "JJA", "negated_min")
         out = tmp_path / "extremes.csv"
         write_extremes_csv(extremes, out)
         back = read_extremes_csv(out)
-        assert [(e.station_id, e.season, e.year, e.value, e.polarity) for e in back] == [
-            (e.station_id, e.season, e.year, e.value, e.polarity) for e in extremes]
-        assert all(abs(b.coverage - e.coverage) <= 5e-7 for b, e in zip(back, extremes))
+        assert (back.season, back.polarity, back.station_ids, back.years) == (
+            "JJA", "negated_min", tuple(STATIONS), tuple(range(1950, 2050)))
+        assert back.value.tobytes() == extremes.value.tobytes()
+        assert np.allclose(back.coverage, extremes.coverage, rtol=0, atol=5e-7, equal_nan=True)
 
     def test_unknown_stratum_label(self, synthetic):
         path, _ = synthetic
         extremes = seasonal_blocks(ingest_csv(path), "JJA", "max")
-        strata = {e.year: "x" for e in extremes}
+        strata = dict.fromkeys(extremes.years, "x")
         coords = {s: tuple(c) for s, c in zip(STATIONS, COORDS)}
         with pytest.raises(DomainError):
             cell_area_report(extremes, coords, np.array([40.0, 41.0]),

@@ -9,7 +9,8 @@ per anchor, each with its own distance matrix.  Records, written files,
 missing reports, warnings, seasonal extremes and matrices must agree
 exactly, and a malformed file must fail on the same line, whatever the
 chunk size; interpolated maps, which the matrix product sums in another
-order, agree to 1e-12.
+order, agree to 1e-12.  The references take seasonal extremes as one
+record per station-year, and a table as the records of its present cells.
 """
 
 import calendar
@@ -41,16 +42,19 @@ from concur.pipeline import (
     POLARITIES,
     SEASONS,
     ConcurrenceMatrix,
-    SeasonalExtremes,
     _expit,
+    _extremes_table,
     _logit,
+    cell_area_report,
     cos_lat_weights,
     expected_cell_area_data,
     grid_map,
     haversine_km,
     ingest_csv,
     pairwise_matrix,
+    read_extremes_csv,
     seasonal_blocks,
+    write_extremes_csv,
     write_records_csv,
 )
 
@@ -69,6 +73,22 @@ class StationRecord(NamedTuple):
     date: dt.date
     tmin: float | None
     tmax: float | None
+
+
+class Extreme(NamedTuple):
+    station_id: str
+    season: str
+    year: int
+    value: float
+    coverage: float
+    polarity: str
+
+
+def _records(table):
+    """The table's present cells as Extreme records, in (station, year) order."""
+    i, j = np.nonzero(~np.isnan(table.value))
+    return [Extreme(table.station_ids[a], table.season, table.years[b], table.value[a, b],
+                    table.coverage[a, b], table.polarity) for a, b in zip(i.tolist(), j.tolist())]
 
 
 def _reference_float(raw):
@@ -200,7 +220,7 @@ def reference_seasonal_blocks(records, season, polarity, min_coverage):
         if coverage < min_coverage or not present:
             continue
         extreme = max(present) if polarity == "max" else -min(present)
-        out.append(SeasonalExtremes(sid, season, year, extreme, coverage, polarity))
+        out.append(Extreme(sid, season, year, extreme, coverage, polarity))
     return out
 
 
@@ -395,7 +415,7 @@ class TestIngestAndBlocks:
                 # thresholds at the coverage of some station-year, which stays
                 everyone = reference_seasonal_blocks(records, season, polarity, 0.0)
                 for min_coverage in {0.0, 0.9, *(e.coverage for e in everyone[:3])}:
-                    assert (seasonal_blocks(got, season, polarity, min_coverage)
+                    assert (_records(seasonal_blocks(got, season, polarity, min_coverage))
                             == reference_seasonal_blocks(records, season, polarity,
                                                          min_coverage))
 
@@ -452,7 +472,7 @@ class TestIngestAndBlocks:
         result = ingest_csv(path)
         assert _as_reference(result.records) == records
         for polarity in POLARITIES:
-            assert (seasonal_blocks(result, "DJF", polarity)
+            assert (_records(seasonal_blocks(result, "DJF", polarity))
                     == reference_seasonal_blocks(records, "DJF", polarity, 0.9))
 
     @given(station_files(), st.sampled_from([1, 2, 5]))
@@ -751,7 +771,7 @@ class TestCalendar:
                         + "\n")
         result, (records, _, _) = ingest_csv(path), reference_ingest_csv(path)
         for season in SEASONS:
-            got = seasonal_blocks(result, season, "max", 0.0)
+            got = _records(seasonal_blocks(result, season, "max", 0.0))
             assert got == reference_seasonal_blocks(records, season, "max", 0.0)
             assert [e.year for e in got] == ([1] if season == "DJF" else []) + [
                 *range(1899, 1902 + (season == "DJF")), *range(1999, 2002 + (season == "DJF"))]
@@ -846,47 +866,65 @@ def _block_size(method, m):
     return m if method in concur.estimators._LEAST_BLOCK else None
 
 
+_TABLE_IDS = st.text(st.sampled_from(list('ab1 ,"\r\n\'é')), min_size=1, max_size=4).filter(
+    lambda s: s == s.strip())
+
+
 @st.composite
-def seasonal_extremes(draw):
-    """Extremes of 2-6 stations over 2-10 years, each station-year absent
-    with a drawn rate (0 gives complete data, one common-year set), values
-    on a coarse grid (ties) or continuous, and sometimes a repeated
-    station-year, which is an error."""
-    ids = [f"S{i}" for i in range(draw(st.integers(2, 6)))]
-    years = range(2000, 2000 + draw(st.integers(2, 10)))
-    absent = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+def extremes_tables(draw, least_stations=2):
+    """(table, records) of ``least_stations`` to 6 stations over 2-10
+    years, each station-year absent with a drawn rate (0 gives complete
+    data, one common-year set) and the first station's first ``gap`` years
+    absent too (a stratum of those years has no row of it), values on a
+    coarse grid (ties) or continuous, and coverages to the six decimals the
+    CSV keeps.  Ids are text the CSV quotes, years any whole numbers; the
+    table holds the stations and years with an extreme."""
+    ids = sorted(draw(st.lists(_TABLE_IDS, min_size=least_stations, max_size=6, unique=True)))
+    years = sorted(draw(st.lists(st.integers(-3000, 3000), min_size=2, max_size=10,
+                                 unique=True)))
+    absent = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.6]))
+    gap = draw(st.integers(0, len(years)))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    out = []
+    season, polarity = draw(st.sampled_from(SEASONS)), draw(st.sampled_from(POLARITIES))
+    records = []
     for sid in ids:
-        for year in years:
-            if g.uniform() >= absent:
+        for k, year in enumerate(years):
+            if g.uniform() >= absent and not (sid == ids[0] and k < gap):
                 v = g.standard_normal()
-                out.append(SeasonalExtremes(sid, "JJA", year,
-                                            float(np.round(v / grid) * grid) if grid else v,
-                                            1.0, "max"))
-    for _ in range(draw(st.integers(0, 2))):
-        if out:
-            e = out[draw(st.integers(0, len(out) - 1))]
-            out.append(SeasonalExtremes(e.station_id, "JJA", e.year, -e.value, 1.0, "max"))
-    return out, ids
+                records.append(Extreme(sid, season, year,
+                                       float(np.round(v / grid) * grid) if grid else v,
+                                       int(g.integers(0, 10**6 + 1)) / 1e6, polarity))
+    table = _extremes_table(season, polarity, *([e[i] for e in records] for i in (0, 2, 3, 4)))
+    return table, records
+
+
+def _table(cells):
+    """The JJA maximum table of (station, year, value) cells, each coverage 1."""
+    sid, year, value = zip(*cells)
+    return _extremes_table("JJA", "max", sid, year, value, [1.0] * len(cells))
+
+
+def _assert_same_matrix(got, ref):
+    assert got.station_ids == ref.station_ids
+    assert np.array_equal(got.n_pairs, ref.n_pairs)
+    assert np.array_equal(got.estimates, ref.estimates, equal_nan=True)
+    assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
 
 
 class TestPairwiseMatrix:
-    @given(seasonal_extremes(), st.sampled_from(METHODS), st.integers(1, 4),
-           st.integers(0, 6), st.booleans())
-    def test_matches_reference(self, case, method, block_size, min_overlap, use_anchor):
-        extremes, ids = case
-        anchor = ids[len(extremes) % len(ids)] if use_anchor else None
-        args = (extremes, method, anchor, min_overlap, _block_size(method, block_size))
-        kind, ref = _outcome(reference_pairwise_matrix, *args)
-        got_kind, got = _outcome(pairwise_matrix, *args)
+    @given(extremes_tables(), st.sampled_from(METHODS), st.integers(1, 4),
+           st.integers(0, 6), st.one_of(st.none(), st.integers(0, 6)))
+    def test_matches_reference(self, case, method, block_size, min_overlap, anchor):
+        table, records = case
+        if anchor is not None:   # one past the last station is a station not present
+            anchor = (*table.station_ids, "nowhere")[anchor % (len(table.station_ids) + 1)]
+        args = (method, anchor, min_overlap, _block_size(method, block_size))
+        kind, ref = _outcome(reference_pairwise_matrix, records, *args)
+        got_kind, got = _outcome(pairwise_matrix, table, *args)
         assert got_kind == kind
         if kind == "ok":
-            assert got.station_ids == ref.station_ids
-            assert np.array_equal(got.n_pairs, ref.n_pairs)
-            assert np.array_equal(got.estimates, ref.estimates, equal_nan=True)
-            assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
+            _assert_same_matrix(got, ref)
 
     @staticmethod
     def _count_calls(monkeypatch, method):
@@ -900,21 +938,20 @@ class TestPairwiseMatrix:
     def test_one_estimator_call_per_common_year_count(self, monkeypatch, method):
         calls = self._count_calls(monkeypatch, method)
         ids = ["A", "B", "C", "D", "E"]
-        extremes = [SeasonalExtremes(sid, "JJA", year, float((7 * i + 3 * year) % 11),
-                                     1.0, "max")
-                    for i, sid in enumerate(ids) for year in range(2000, 2008)]
-        pairwise_matrix(extremes, method, block_size=_block_size(method, 2))
+        cells = [(sid, year, float((7 * i + 3 * year) % 11))
+                 for i, sid in enumerate(ids) for year in range(2000, 2008)]
+        pairwise_matrix(_table(cells), method, block_size=_block_size(method, 2))
         assert calls == [(10, 8, 2)]
         # E misses 2003: its four pairs share the other seven years
         calls.clear()
-        pairwise_matrix([e for e in extremes if (e.station_id, e.year) != ("E", 2003)],
+        pairwise_matrix(_table([c for c in cells if c[:2] != ("E", 2003)]),
                         method, block_size=_block_size(method, 2))
         assert sorted(calls) == [(4, 7, 2), (6, 8, 2)]
         # D also misses 2005: three pairs of D and three of E have seven
         # common years, from two sets, and share one call
         calls.clear()
         gaps = {("E", 2003), ("D", 2005)}
-        pairwise_matrix([e for e in extremes if (e.station_id, e.year) not in gaps],
+        pairwise_matrix(_table([c for c in cells if c[:2] not in gaps]),
                         method, block_size=_block_size(method, 2))
         assert sorted(calls) == [(1, 6, 2), (3, 8, 2), (6, 7, 2)]
 
@@ -925,20 +962,68 @@ class TestPairwiseMatrix:
         # 0.5 grid: pairs have many common-year sets but few counts, and 43
         # pairs fall below min_overlap
         g = np.random.default_rng(17)
-        extremes = [SeasonalExtremes(f"S{s:02d}", "JJA", year,
-                                     float(np.round(g.standard_normal() / 0.5) * 0.5),
-                                     1.0, "max")
-                    for s in range(40) for year in range(1990, 2015) if g.uniform() >= 0.15]
-        args = (extremes, method, anchor, 17, _block_size(method, 3))
-        ref = reference_pairwise_matrix(*args)
+        cells = [(f"S{s:02d}", year, float(np.round(g.standard_normal() / 0.5) * 0.5))
+                 for s in range(40) for year in range(1990, 2015) if g.uniform() >= 0.15]
+        args = (method, anchor, 17, _block_size(method, 3))
+        ref = reference_pairwise_matrix([Extreme(sid, "JJA", year, v, 1.0, "max")
+                                         for sid, year, v in cells], *args)
         calls = self._count_calls(monkeypatch, method)
-        got = pairwise_matrix(*args)
-        assert np.array_equal(got.n_pairs, ref.n_pairs)
-        assert np.array_equal(got.estimates, ref.estimates, equal_nan=True)
-        assert np.array_equal(got.stderr, ref.stderr, equal_nan=True)
+        got = pairwise_matrix(_table(cells), *args)
+        _assert_same_matrix(got, ref)
         counts = ref.n_pairs[np.triu_indices(40, 1)]
         estimated = np.unique(counts[counts >= 17]).tolist()
         assert sorted(shape[1] for shape in calls) == estimated and len(estimated) > 2
+
+
+# each year's stratum: the first ``cut`` years and the rest, or any two sets
+_LABELS = st.one_of(st.integers(0, 10).map(lambda cut: ["x"] * cut + ["y"] * (10 - cut)),
+                    st.lists(st.sampled_from("xy"), min_size=10, max_size=10))
+
+
+class TestExtremesTable:
+    @given(extremes_tables(least_stations=4), _LABELS)
+    def test_round_trip_matrix_and_strata(self, tmp_path_factory, case, labels):
+        # the CSV gives back the table bit for bit (a file without rows
+        # names no season or polarity); its matrix is the reference's of its
+        # records; and each stratum's rows are those of the reference's
+        # matrix of the stratum's records, so a station with no extreme in a
+        # stratum has no row in it
+        table, records = case
+        path = tmp_path_factory.mktemp("extremes") / "extremes.csv"
+        write_extremes_csv(table, path)
+        back = read_extremes_csv(path)
+        kind = (table.season, table.polarity) if records else (None, None)
+        assert (back.season, back.polarity, back.station_ids, back.years) == (
+            *kind, table.station_ids, table.years)
+        assert back.value.tobytes() == table.value.tobytes()
+        assert back.coverage.tobytes() == table.coverage.tobytes()
+        kind, ref = _outcome(reference_pairwise_matrix, records, "kendall", None, 2)
+        got_kind, got = _outcome(pairwise_matrix, table, "kendall", None, 2)
+        assert got_kind == kind
+        if kind == "ok":
+            _assert_same_matrix(got, ref)
+        strata = dict(zip(table.years, labels))
+        coords = {sid: (40.0 + 0.5 * k, -100.0 + 0.25 * k)
+                  for k, sid in enumerate(table.station_ids)}
+        lats, lons = [40.0, 41.0], [-100.0, -99.0]
+        want, kind = [], "ok" if table.years else "DomainError"
+        for label in sorted(set(strata.values())):
+            stratum = [e for e in records if strata[e.year] == label]
+            kind, matrix = _outcome(reference_pairwise_matrix, stratum, "kendall", None, 2)
+            if kind == "ok":
+                kind, areas = _outcome(reference_cell_areas, matrix, coords, lats, lons,
+                                       matrix.station_ids)
+            if kind != "ok":
+                break
+            assert list(areas) == sorted({e.station_id for e in stratum})
+            want += [(anchor, label, area) for anchor, area in areas.items()]
+        got_kind, rows = _outcome(cell_area_report, table, coords, lats, lons, strata, None,
+                                  "kendall", 2)
+        assert got_kind == kind
+        if kind == "ok":
+            assert [(r.anchor, r.stratum) for r in rows] == [w[:2] for w in want]
+            assert np.allclose([r.area for r in rows], [w[2] for w in want], rtol=0,
+                               atol=MAP_TOL)
 
 
 class TestMaps:

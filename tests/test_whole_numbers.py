@@ -94,7 +94,7 @@ from concur.models import (
 )
 from concur.pipeline import (
     IngestResult,
-    SeasonalExtremes,
+    _extremes_table,
     cos_lat_weights,
     expected_cell_area_model,
     grid_map,
@@ -109,8 +109,9 @@ from concur.study import EXPERIMENTS, StudyConfig
 PAIR = [[0.0], [1.0]]
 STACK = np.arange(30.0).reshape(1, 10, 3) % 7.0
 RNG = SeededRng(5)
-EXTREMES = [SeasonalExtremes(s, "JJA", 2000 + y, float((3 * y + k) % 5), 1.0, "max")
-            for k, s in enumerate("AB") for y in range(6)]
+EXTREMES = _extremes_table("JJA", "max", [s for s in "AB" for _ in range(6)],
+                           [2000 + y for _ in "AB" for y in range(6)],
+                           [float((3 * y + k) % 5) for k in range(2) for y in range(6)], [1.0] * 12)
 NO_RECORDS = IngestResult(np.rec.array(np.empty(0, dtype=[
     ("station_id", "U8"), ("lat", float), ("lon", float), ("date", "datetime64[D]"),
     ("tmin", float), ("tmax", float)])), {}, ())
