@@ -690,26 +690,73 @@ class BrownResnick(_PairModel):
 
         Y is formed from W itself, so column j is exp(0) = 1 exactly even
         when gamma is so steep that every other column underflows to 0.  The
-        anchored factor is lower triangular, so W at s_1..s_j takes the first
-        j normals only: a proposal draws those, is tested at the earlier
-        sites, and only a survivor draws the remaining k - 1 - j.  At j = 0 no
-        normal is drawn first and every proposal survives; at j = k - 1 none
-        remains to be drawn."""
+        anchored factor is lower triangular, so W at s_1..s_j takes its first
+        j normals z only, and a proposal is drawn in three steps:
+
+        1. one normal x_1, the standardized increment W(s_q) - W(s_j) up to
+           a sign fixed per site, where s_q is the earlier site with the
+           least gamma(s_q - s_j) (ties to the lowest index), the one the
+           proposal most often fails at.  It is tested at s_q on x_1 alone;
+        2. a survivor draws x_2..x_j.  A Householder reflection H with first
+           column +-(W(s_q) - W(s_j)) / sd in z's coordinates gives z = H x,
+           again iid standard normal, so W at s_1..s_j has the same law as
+           before.  The proposal is tested at every earlier site;
+        3. a survivor of that draws the remaining k - 1 - j normals.
+
+        At j = 0 every proposal survives and draws k - 1 normals at once.
+        At j = 1 the reflection is the identity.  So a pair (k = 2) draws
+        exactly as whole profiles."""
         gam, fac, _ = self._anchored(sites)
         k = sites.k
+        rows = np.vstack([np.zeros((1, k - 1)), fac])  # W(s_i) - W(s_1) = rows[i] @ z
+        # per site j >= 1: (q, c, u) with W(s_q) - W(s_j) = c * x_1 and
+        # z = x - (x @ u) u, or u None when the reflection is the identity
+        plan = [None]
+        for j in range(1, k):
+            q = int(np.argmin(gam[j, :j]))
+            a = rows[q, :j] - rows[j, :j]
+            sd = float(np.linalg.norm(a))
+            if sd == 0.0 or not a[1:].any():
+                plan.append((q, float(a[0]), None))
+                continue
+            # v = a / sd - sign e_1, with the sign that avoids cancellation:
+            # H e_1 = sign a / sd, so H a = sign sd e_1
+            v = a / sd
+            sign = 1.0 if v[0] <= 0.0 else -1.0
+            v[0] -= sign
+            plan.append((q, sign * sd, v * math.sqrt(2.0 / float(v @ v))))
 
         def draw(g, j, zeta, field):
             n = zeta.size
-            z = g.standard_normal((n, j))
-            w = np.zeros((n, k))
-            w[:, 1:j + 1] = z @ fac[:j, :j].T
-            lead = w[:, :j] - w[:, j:j + 1]
-            lead -= gam[j, :j]
-            np.exp(lead, out=lead)
-            lead *= zeta[:, None]
-            keep = (lead < field).all(axis=1)
-            w, z = w[keep], z[keep]
-            w[:, j + 1:] = z @ fac[j:, :j].T + g.standard_normal((len(w), k - 1 - j)) @ fac[j:, j:].T
+            if j == 0:
+                keep = np.ones(n, dtype=bool)
+                w = np.zeros((n, k))
+                w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
+            else:
+                q, c, u = plan[j]
+                x1 = g.standard_normal(n)
+                near = c * x1
+                near -= gam[j, q]
+                np.exp(near, out=near)
+                near *= zeta
+                keep = near < field[:, q]
+                pick = np.flatnonzero(keep)
+                z = np.empty((pick.size, j))
+                z[:, 0] = x1[pick]
+                z[:, 1:] = g.standard_normal((pick.size, j - 1))
+                if u is not None:
+                    z -= np.outer(z @ u, u)
+                w = np.zeros((pick.size, k))
+                w[:, 1:j + 1] = z @ fac[:j, :j].T
+                lead = w[:, :j] - w[:, j:j + 1]
+                lead -= gam[j, :j]
+                np.exp(lead, out=lead)
+                lead *= zeta[pick, None]
+                held = (lead < field[pick]).all(axis=1)
+                keep[pick] = held
+                w, z = w[held], z[held]
+                w[:, j + 1:] = (z @ fac[j:, :j].T
+                                + g.standard_normal((len(w), k - 1 - j)) @ fac[j:, j:].T)
             w -= w[:, j:j + 1]
             w -= gam[j]
             np.exp(w, out=w)
@@ -959,8 +1006,12 @@ class BallIndicator(ModelSpec):
         def draw(g, j, n):
             v = g.standard_normal((n, d))
             v *= r * g.uniform(size=(n, 1)) ** (1.0 / d) / np.linalg.norm(v, axis=1, keepdims=True)
-            diff = (coords - coords[j])[None, :, :] - v[:, None, :]
-            y = ((diff * diff).sum(axis=-1) <= r * r).astype(float)
+            if d == 1:  # the same bits without a sum over a length-1 axis
+                diff = (coords[:, 0] - coords[j, 0]) - v
+                y = (diff * diff <= r * r).astype(float)
+            else:
+                diff = (coords - coords[j])[None, :, :] - v[:, None, :]
+                y = ((diff * diff).sum(axis=-1) <= r * r).astype(float)
             y[:, j] = 1.0
             return y
 

@@ -60,6 +60,7 @@ _BAD_BYTE = re.compile("[\udc80-\udcff]")   # a byte as ``surrogateescape`` deco
 _TOKEN_WIDTH = 25      # bytes of a station id or reading the tokenizer reads: one
                        # more than the longest repr of a float (24 characters)
 _LOGIT_EPS = 1e-6      # _logit clips probabilities to [eps, 1 - eps]
+_INT64_MAX = 2**63 - 1  # a matrix holds its n_pairs as int64
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\r\n"
 _UNPLAIN = {ord('"'): "quote", ord(" "): "blank in field", ord("\t"): "blank in field", 0: "NUL"}
 
@@ -662,6 +663,8 @@ def _matrix_entry(a, b, estimate, stderr, n_pairs) -> tuple:
         raise ValueError(f"stderr {s} is neither nan nor in [0, inf)")
     if c < 0:
         raise ValueError(f"n_pairs {c} is negative")
+    if c > _INT64_MAX:
+        raise ValueError(f"n_pairs {c} is above 2**63 - 1, the largest count a matrix holds")
     return a, b, e, s, c
 
 

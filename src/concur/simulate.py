@@ -11,8 +11,11 @@ Every model is simulated exactly, by one of two paths (see ``models``):
   profile only when it stays below the field at every earlier site.  A
   realization draws k profiles on average, and its hitting scenario is
   exact.  The tilted draw makes that test itself and returns the survivors
-  only, so a model can reject a profile before it draws all of it
-  (Brown--Resnick does, through a lower-triangular factor).
+  only, so a model can reject a profile before it draws all of it.
+  Brown--Resnick does: a proposal first draws one normal, its increment to
+  the earlier site nearest by the variogram, and is tested there; only a
+  survivor draws its other normals.  A kept profile lies below the field at
+  the earlier sites, so the engine updates the sites from s_j on only.
 """
 
 from __future__ import annotations
@@ -101,13 +104,15 @@ def _extremal_functions(draw: TiltedDraw, k: int, g: np.random.Generator, reps: 
         gam = g.standard_exponential(reps)
         active = np.flatnonzero(1.0 / gam > values[:, j])
         while active.size:
-            # a new extremal function stays below the field at s_1..s_{j-1}
+            # a new extremal function stays strictly below the field at
+            # s_1..s_{j-1}, so only the sites from s_j on can change
             keep, y = draw(g, j, 1.0 / gam[active], values[active, :j])
             rows = active[keep]
-            cur = values[rows]
+            y = y[:, j:]
+            cur = values[rows, j:]
             upd = y > cur
-            values[rows] = np.where(upd, y, cur)
-            hits[rows] = np.where(upd, found[rows, None], hits[rows])
+            values[rows, j:] = np.where(upd, y, cur)
+            hits[rows, j:] = np.where(upd, found[rows, None], hits[rows, j:])
             found[rows] += 1
             drawn[active] += 1
             gam[active] += g.standard_exponential(active.size)

@@ -479,6 +479,9 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
      "line 3: stderr inf is neither nan nor in [0, inf)"),
     ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,0.1,-7"), MAP,
      "line 3: n_pairs -7 is negative"),
+    # a count past int64 used to end in an OverflowError traceback
+    ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,0.1,100000000000000000000000"), MAP,
+     "line 3: n_pairs 100000000000000000000000 is above 2**63 - 1"),
     ("matrix", MATRIX.replace("A,B,0.5,0.1,5", "A,B,0.5,0.1,5.0"), MAP,
      "line 3: invalid literal for int()"),
     # a base stratum means nothing without strata; it used to be ignored
@@ -522,6 +525,7 @@ NETWORK_YEARS = _extremes({sid: range(2000, 2005) for sid in "ABCD"})
         "extremes_polarity_unknown", "extremes_coverage_above_1", "extremes_coverage_negative",
         "extremes_value_inf", "extremes_repeated_station_year", "matrix_estimate_inf",
         "matrix_stderr_negative", "matrix_stderr_inf", "matrix_n_pairs_negative",
+        "matrix_n_pairs_above_int64",
         "matrix_n_pairs_not_whole", "cells_base_label_without_strata",
         "matrix_extremes_season_mixed", "cells_extremes_polarity_mixed", "strata_label_empty"])
 def test_bad_input_is_a_typed_error(capsys, tmp_path, bad, text, argv, message):

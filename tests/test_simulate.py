@@ -181,12 +181,23 @@ class TestHittingFrequencies:
         (2, ExtremalT(ExponentialCorrelation(10.0), nu=5.0), [[0.0], [5.0]]),
         (3, ExtremalT(PoweredExponentialCorrelation(scale=2.0, power=1.5), nu=1.0),
          [[0.0, 0.0], [0.9, 0.4]]),
+        # irregular planar sites: the earlier site nearest by gamma is s_1,
+        # s_1, s_2, s_1, s_4, s_4, not the previous one
+        (4, BrownResnick(QuadraticVariogram(np.array([[1.2, 0.4], [0.4, 2.0]]))),
+         [[0.0, 0.0], [1.6, 1.1], [0.3, -0.2], [1.2, 0.6], [-0.7, 0.5], [0.5, 0.4],
+          [1.9, 0.2]]),
     ])
     def test_extremal_functions_vs_quadrature(self, rng, case, model, sites):
-        # exact simulation: no slack beyond the simulation's own 3 SE
-        sim = ecp_simulation(model, sites, 30_000, rng.substream(60 + case))
-        target = concurrence_probability(model, sites).value
-        assert abs(sim.value - target) < binomial_3se(target, 30_000)
+        # exact simulation: every pair's frequency within the simulation's own
+        # 3 SE, no slack
+        sites = np.array(sites)
+        reps = 30_000
+        _, hits = simulate_max_stable_batch(model, sites, reps, rng.substream(60 + case))
+        for b in range(1, len(sites)):
+            for a in range(b):
+                target = concurrence_probability(model, sites[[a, b]]).value
+                freq = (hits[:, a] == hits[:, b]).mean()
+                assert abs(freq - target) < binomial_3se(target, reps), (a, b)
 
     def test_smith_planar(self, rng):
         sig = np.array([[1.0, 0.3], [0.3, 0.8]])
@@ -340,6 +351,26 @@ def _whole_profile_tilted(model: BrownResnick, sites):
     return draw
 
 
+def _leading_normals_tilted(model: BrownResnick, sites):
+    """The Brown--Resnick tilted draw that tests a proposal at the earlier
+    sites after its leading j normals, with no test on one normal first."""
+    gam, fac, _ = model._anchored(sites)
+    k = sites.k
+
+    def draw(g, j, zeta, field):
+        n = zeta.size
+        z = g.standard_normal((n, j))
+        w = np.zeros((n, k))
+        w[:, 1:j + 1] = z @ fac[:j, :j].T
+        lead = np.exp(w[:, :j] - w[:, j:j + 1] - gam[j, :j]) * zeta[:, None]
+        keep = (lead < field).all(axis=1)
+        w, z = w[keep], z[keep]
+        w[:, j + 1:] = z @ fac[j:, :j].T + g.standard_normal((len(w), k - 1 - j)) @ fac[j:, j:].T
+        return keep, np.exp(w - w[:, j:j + 1] - gam[j]) * zeta[keep, None]
+
+    return draw
+
+
 def _reference_extremal_functions(draw, k: int, g, reps: int):
     """Slow reference of ``_extremal_functions``: every proposal is a whole
     profile from ``draw(g, j, n)``, tested at the earlier sites afterwards."""
@@ -386,8 +417,10 @@ A7_MODEL = BrownResnick(FractionalVariogram(scale=1.0 / 3.0, exponent=1.0))
 
 
 class TestEarlyRejection:
-    """Brown--Resnick proposals at 0 < j < k - 1 draw their leading j normals,
-    are tested at the earlier sites, and only survivors draw the rest."""
+    """A Brown--Resnick proposal at j > 0 draws one normal and is tested at
+    its nearest earlier site; a survivor draws its other leading normals and
+    is tested at every earlier site, and only a survivor of that draws the
+    rest."""
 
     @pytest.mark.parametrize("case,model,sites", [
         (0, A7_MODEL, [[0.0], [1.5]]),
@@ -424,14 +457,30 @@ class TestEarlyRejection:
             assert abs(f_got - f_want) < 3.5 * math.sqrt(2.0) * se
 
     def test_fewer_normals_per_realization(self):
+        # the A7 run: about 450 normals per realization, against about 1000
+        # when every proposal draws its leading j normals before any test
         s = A7_MODEL.sites_of(A7)
-        reps = 2000
-        got = _CountingGenerator(SeededRng(33).generator())
-        want = _CountingGenerator(SeededRng(33).generator())
-        _extremal_functions(A7_MODEL.tilted_sampler(s), 41, got, reps)
-        _reference_extremal_functions(_whole_profile_tilted(A7_MODEL, s), 41, want, reps)
-        # the A7 run: about 1000 normals per realization against 1650
-        assert got.normals / reps < 0.7 * want.normals / reps
+        counts = []
+        for draw in (A7_MODEL.tilted_sampler(s), _leading_normals_tilted(A7_MODEL, s)):
+            g = _CountingGenerator(SeededRng(33).generator())
+            _extremal_functions(draw, 41, g, 2000)
+            counts.append(g.normals)
+        assert counts[0] <= 0.5 * counts[1]
+
+    @pytest.mark.parametrize("j", [1, 2, 20, 40])
+    def test_rejected_at_the_nearest_site_after_one_normal(self, j):
+        # on the A7 grid the nearest earlier site is s_{j-1}: bound the field
+        # there alone, and a proposal rejected there has drawn one normal,
+        # a survivor all k - 1
+        draw = A7_MODEL.tilted_sampler(A7_MODEL.sites_of(A7))
+        n = 400
+        field = np.full((n, j), np.inf)
+        for bound in (np.zeros(n), np.random.default_rng(j).exponential(1.0, n)):
+            field[:, j - 1] = bound
+            g = _CountingGenerator(SeededRng(36, j).generator())
+            keep, _ = draw(g, j, np.ones(n), field)
+            assert g.normals == n + keep.sum() * 39
+        assert 0 < keep.sum() < n
 
     def test_rank_deficient_quadratic_variogram(self, rng):
         # 5 sites in the plane: the 4 increments W(s_i) - W(s_1) span 2
@@ -450,6 +499,23 @@ class TestEarlyRejection:
             p = concurrence_probability(model, sites[[a, b]]).value
             freq = (hits[:, a] == hits[:, b]).mean()
             assert abs(freq - p) < binomial_3se(p, reps)
+
+    def test_variogram_zero_between_distinct_sites(self, rng):
+        # gamma(h) = 0 along the second axis: s_1 and s_2 (and s_3 and s_4)
+        # carry the same W, the increment to the nearest earlier site is 0,
+        # and the margins are unit Frechet all the same.  Eighteen
+        # comparisons at 4 SE
+        model = BrownResnick(QuadraticVariogram(np.array([[1.5, 0.0], [0.0, 0.0]])))
+        sites = np.array([[0.0, 0.0], [0.0, 1.0], [0.7, 0.3], [0.7, -0.5], [-0.4, 0.2],
+                          [0.3, 2.0]])
+        reps = 20_000
+        values, _ = simulate_max_stable_batch(model, sites, reps, rng.substream(35))
+        assert np.all(values > 0)
+        for z in (0.5, 1.0, 3.0):
+            target = math.exp(-1.0 / z)
+            se = binomial_3se(target, reps) / 3.0
+            for j in range(len(sites)):
+                assert abs((values[:, j] <= z).mean() - target) < 4.0 * se, (z, j)
 
 
 class TestControlsAndExport:
