@@ -15,22 +15,18 @@ from .concurrence import (
     ecp_mc,
     ecp_simulation,
     integrated_cp,
-    kendall_target_p,
     rectangle_weights,
 )
 from .errors import CapabilityError, ConcurError, DomainError, NumericError, ParseError
 from .estimators import (
-    BiasLawRow,
     BlockPlan,
     KendallEstimate,
     Sample,
     UnbiasedEstimate,
-    bias_law_check,
     block_mse,
     dominance_counts,
     ecp_kendall,
     ecp_multivariate_log,
-    jitter_ties,
     optimal_block_size,
     sample_cp_block,
     sample_cp_bootstrap,
@@ -62,19 +58,14 @@ from .models import (
     spectral_sample,
 )
 from .simulate import (
-    FieldRealization,
-    Partition,
-    hitting_scenario,
     simulate_cell_labels,
     simulate_doa,
     simulate_logistic_exact,
-    simulate_max_stable,
     simulate_max_stable_batch,
 )
 from .specfun import (
     CovarianceMatrix,
     SeededRng,
-    gaussian_vector,
     log_binom_ratio,
     normal_cdf,
     reg_inc_beta,

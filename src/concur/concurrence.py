@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .models import ModelSpec, SiteSet, exponent_V, spectral_sampler
+from .models import ModelSpec, exponent_V, spectral_sampler
 from .simulate import simulate_max_stable_batch
 from .specfun import RngLike, _real, _reals, _regular_step, _spread, _whole, as_generator
 
@@ -163,23 +163,6 @@ def _concurrences(model: ModelSpec, site_sets) -> list[ConcurrenceEstimate]:
                      for v, e in zip(values.tolist(), errs.tolist())])
         out = [next(quad) if est is None else est for est in out]
     return out
-
-
-def kendall_target_p(model: ModelSpec, pair) -> float:
-    """Population value the pairwise Kendall estimator converges to, i.e.
-    the bivariate concurrence probability p(s_1, s_2).
-
-    Coincident sites (or a repeated max-linear column) return 1 exactly.
-    Models without a closed form are evaluated by deterministic quadrature.
-    """
-    coords = _reals(pair, "site coordinates")
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    if coords.shape[0] != 2:
-        raise DomainError("a pair of sites is required")
-    if np.array_equal(coords[0], coords[1]):
-        return 1.0
-    return concurrence_probability(model, SiteSet(coords)).value
 
 
 # ---------------------------------------------------------------------------

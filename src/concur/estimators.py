@@ -67,11 +67,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .concurrence import kendall_target_p
 from .errors import CapabilityError, DomainError
-from .models import ModelSpec
-from .simulate import simulate_field_values
-from .specfun import RngLike, _lookup, _real, _reals, _spread, _whole, as_generator, log_binom_ratio
+from .specfun import _lookup, _real, _reals, _spread, _whole, log_binom_ratio
 
 _PAIR_CHUNK = 1 << 18   # comparisons per block of the all-pairs path
 # size from which the merge beats comparing all pairs (2-core Xeon, NumPy
@@ -115,16 +112,6 @@ class Sample:
             if np.any(col[1:] == col[:-1]):
                 return True
         return False
-
-
-def jitter_ties(sample: Sample, resolution: float, rng: RngLike) -> Sample:
-    """Break measurement-resolution ties with seeded uniform (-res/2, res/2)
-    noise, deterministically given the rng.  It removes ties, not the bias of
-    the resolution: averaged over the noise, Kendall's tau is the untied tau
-    of the rounded data, 2-3 points below p = 0.5 at whole degrees F."""
-    half = 0.5 * _real(resolution, "resolution", 0)
-    noise = as_generator(rng).uniform(-half, half, size=sample.data.shape)
-    return Sample(sample.data + noise, sample.names)
 
 
 # ---------------------------------------------------------------------------
@@ -611,38 +598,3 @@ def optimal_block_size(n: int, p: float, r: int = 1, c_r: float = 1.0) -> BlockP
     m = int(round(min(max(raw, 2.0), n)))
     return BlockPlan(m=m, assumed_r=r, assumed_c_r=c_r, assumed_p=p,
                      predicted_mse=block_mse(n, m, p, r, c_r))
-
-
-# ---------------------------------------------------------------------------
-# bias law
-
-@dataclass(frozen=True)
-class BiasLawRow:
-    m: int
-    mean_estimate: float
-    theoretical: float
-
-
-def simulate_pair_batch(model: ModelSpec, sites, reps: int, n: int,
-                        rng: RngLike) -> np.ndarray:
-    """(reps, n, k) stack of independent max-stable observations.
-
-    Uses the model's exact construction when it has one (the positive-stable
-    logistic) and exact simulation from extremal functions otherwise.
-    """
-    reps, n = _whole(reps, 1, "reps"), _whole(n, 1, "n")
-    values = simulate_field_values(model, sites, reps * n, as_generator(rng))
-    return values.reshape(reps, n, values.shape[1])
-
-
-def bias_law_check(model: ModelSpec, sites, m_list, reps: int, n: int,
-                   rng: RngLike) -> list[BiasLawRow]:
-    """Replicate means of the block estimator against p + (1 - p)/m.
-
-    Bivariate models with a known concurrence probability only; one shared
-    batch of simulated data is reused across block sizes.
-    """
-    p = kendall_target_p(model, sites)
-    data = simulate_pair_batch(model, sites, reps, n, rng)
-    return [BiasLawRow(m=int(m), mean_estimate=float(sample_cp_block(data, m).mean()),
-                       theoretical=p + (1.0 - p) / m) for m in m_list]

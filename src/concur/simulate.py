@@ -9,9 +9,10 @@ Every model is simulated exactly, by one of two paths (see ``models``):
   points zeta = 1/Gamma with profiles from the law tilted at s_j
   (``tilted_sampler``), until zeta falls below the field at s_j, keeping a
   profile only when it stays below the field at every earlier site.  A
-  realization draws k profiles on average, and its hitting scenario is
-  exact.  The tilted draw makes that test itself and returns the survivors
-  only, so a model can reject a profile before it draws all of it.
+  realization draws k profiles on average, and its hitting scenario, the
+  ``hits`` labels of :func:`simulate_max_stable_batch`, is exact.  The
+  tilted draw makes that test itself and returns the survivors only, so a
+  model can reject a profile before it draws all of it.
   Brown--Resnick does: a proposal first draws one normal, its increment to
   the earlier site nearest by the variogram, and is tested there; only a
   survivor draws its other normals.  A kept profile lies below the field at
@@ -20,68 +21,10 @@ Every model is simulated exactly, by one of two paths (see ``models``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import CapabilityError, DomainError
 from .models import _REP_CHUNK_ELEMS, ModelSpec, TiltedDraw, _logistic_mixture, spectral_sampler
 from .specfun import RngLike, _real, _whole, as_generator
-
-
-@dataclass(frozen=True)
-class FieldRealization:
-    """Simulated field values plus, per site, the label of the spectral
-    function attaining it.
-
-    Every simulator records the labels; ``hit_index`` is None only in a
-    realization built without them, which :func:`hitting_scenario` refuses.
-    """
-
-    values: np.ndarray
-    hit_index: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Set partition of site indices {0, ..., k-1} in canonical order."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        if not self.blocks:
-            raise DomainError("partition must have at least one block")
-        for b in self.blocks:
-            if len(b) == 0:
-                raise DomainError("partition blocks must be nonempty")
-            for i in b:
-                if i in seen:
-                    raise DomainError("partition blocks must be disjoint")
-                seen.add(i)
-        if seen != set(range(len(seen))):
-            raise DomainError("partition must cover 0..k-1")
-
-    @classmethod
-    def from_labels(cls, labels) -> "Partition":
-        lab = np.asarray(labels).reshape(-1)
-        groups: dict = {}
-        for i, v in enumerate(lab.tolist()):
-            groups.setdefault(v, []).append(i)
-        blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-        return cls(tuple(blocks))
-
-    @property
-    def k(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def is_concurrent(self) -> bool:
-        return len(self.blocks) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +96,14 @@ def simulate_field_values(model: ModelSpec, sites, n: int,
     return values
 
 
-def simulate_max_stable(model: ModelSpec, sites, rng: RngLike) -> FieldRealization:
-    """Simulate one max-stable field realization with hitting indices."""
-    values, hits = simulate_max_stable_batch(model, sites, 1, rng)
-    return FieldRealization(values=values[0], hit_index=hits[0])
-
-
-def hitting_scenario(realization: FieldRealization) -> Partition:
-    """Partition of sites by the spectral function attaining them."""
-    if realization.hit_index is None:
-        raise CapabilityError("realization carries no hitting indices")
-    return Partition.from_labels(realization.hit_index)
+def simulate_pair_batch(model: ModelSpec, sites, reps: int, n: int,
+                        rng: RngLike) -> np.ndarray:
+    """(reps, n, k) stack of independent max-stable observations, the
+    samples of one study cell: :func:`simulate_field_values` of reps * n
+    fields."""
+    reps, n = _whole(reps, 1, "reps"), _whole(n, 1, "n")
+    values = simulate_field_values(model, sites, reps * n, as_generator(rng))
+    return values.reshape(reps, n, values.shape[1])
 
 
 def simulate_cell_labels(model: ModelSpec, grid, reps: int, rng: RngLike) -> np.ndarray:

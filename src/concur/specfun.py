@@ -389,20 +389,6 @@ def sample_positive_stable(alpha: float, rng: RngLike, size=None):
     return float(s) if size is None else s
 
 
-def gaussian_vector(cov: CovarianceMatrix, rng: RngLike, size=None):
-    """Zero-mean Gaussian draws with the given covariance.
-
-    Returns shape (dim,) for size=None, else (size, dim).  Exact linear
-    degeneracies in ``cov`` are reproduced exactly (see :func:`psd_factor`).
-    """
-    g = as_generator(rng)
-    f = cov.factor()
-    if size is None:
-        return f @ g.standard_normal(cov.dim)
-    z = g.standard_normal((_whole(size, 0, "size"), cov.dim))
-    return z @ f.T
-
-
 def log_binom_ratio(d, m: int, n: int):
     """C(d, m-1) / C(n, m) evaluated in log space; exactly 0 when d < m-1.
 

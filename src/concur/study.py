@@ -32,10 +32,10 @@ import numpy as np
 from .concurrence import _concurrences
 from .errors import DomainError
 from .estimators import (_as_stack, _below, _bootstrap, _kendall, block_mse, optimal_block_size,
-                         sample_cp_block, simulate_pair_batch, unbiased_modification)
+                         sample_cp_block, unbiased_modification)
 from .models import BrownResnick, ExtremalT, ExponentialCorrelation, FractionalVariogram, ModelSpec
 from .pipeline import _write_json, _write_rows
-from .simulate import simulate_doa
+from .simulate import simulate_doa, simulate_pair_batch
 from .specfun import SeededRng, _lookup, _spread, _whole
 
 SCHEMA_VERSION = "1"

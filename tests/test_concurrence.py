@@ -34,7 +34,6 @@ from concur import (
     ecp_simulation,
     extremal_coefficient,
     integrated_cp,
-    kendall_target_p,
     rectangle_weights,
 )
 from concur.concurrence import _MC_BLOCK, _concurrences
@@ -499,24 +498,30 @@ class TestBounds:
 
 
 class TestKendallTarget:
+    """The pair concurrence probability is the population Kendall tau."""
+
     def test_closed_forms(self):
-        assert kendall_target_p(Logistic(0.3), PAIR) == pytest.approx(0.7, abs=1e-12)
-        assert kendall_target_p(ExtremalProcess(), [0.2, 0.5]) == pytest.approx(0.4)
-        assert kendall_target_p(BallIndicator(radius=1.0, dim=1),
-                                [[0.0], [0.5]]) == pytest.approx(0.6, rel=1e-12)
-        p_ml = kendall_target_p(MaxLinear(np.array([[0.75, 0.25], [0.25, 0.75]])), [0, 1])
+        def p(model, sites):
+            return concurrence_probability(model, sites).value
+
+        assert p(Logistic(0.3), PAIR) == pytest.approx(0.7, abs=1e-12)
+        assert p(ExtremalProcess(), [0.2, 0.5]) == pytest.approx(0.4)
+        assert p(BallIndicator(radius=1.0, dim=1), [[0.0], [0.5]]) == pytest.approx(0.6, rel=1e-12)
+        p_ml = p(MaxLinear(np.array([[0.75, 0.25], [0.25, 0.75]])), [0, 1])
         assert p_ml == pytest.approx(0.5, abs=1e-12)
 
-    def test_equal_sites_give_one(self):
-        assert kendall_target_p(Logistic(0.3), [[1.0], [1.0]]) == 1.0
-        assert kendall_target_p(ExtremalProcess(), [0.4, 0.4]) == 1.0
+    def test_coincident_sites_raise(self):
+        with pytest.raises(DomainError, match="sites 0 and 1 coincide"):
+            concurrence_probability(Logistic(0.3), [[1.0], [1.0]])
+        with pytest.raises(DomainError, match="sites 0 and 1 coincide"):
+            concurrence_probability(ExtremalProcess(), [0.4, 0.4])
 
     def test_quadrature_path_deterministic(self):
         model = BrownResnick(FractionalVariogram(scale=1.0 / 1.627, exponent=1.0))
-        a = kendall_target_p(model, PAIR)
-        b = kendall_target_p(model, PAIR)
-        assert a == b and abs(a - 0.5) < 0.01
-        assert concurrence_probability(model, PAIR).method == "quadrature"
+        a = concurrence_probability(model, PAIR)
+        b = concurrence_probability(model, PAIR)
+        assert a.value == b.value and abs(a.value - 0.5) < 0.01
+        assert a.method == "quadrature"
 
 
 class TestIntegratedCp:

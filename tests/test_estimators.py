@@ -1,9 +1,11 @@
 """Block, bootstrap, unbiased, Kendall, and multivariate-log estimators."""
 
+import ast
 import itertools
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +13,18 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import concur.estimators
 from concur import (
     CapabilityError,
     DomainError,
     Logistic,
     Sample,
     SeededRng,
-    bias_law_check,
     block_mse,
+    concurrence_probability,
     dominance_counts,
     ecp_kendall,
     ecp_multivariate_log,
-    jitter_ties,
     optimal_block_size,
     sample_cp_block,
     sample_cp_bootstrap,
@@ -30,10 +32,25 @@ from concur import (
     simulate_logistic_exact,
 )
 from concur.estimators import estimator
+from concur.simulate import simulate_pair_batch
 
 
 def logistic_data(alpha, k, n, seed):
     return simulate_logistic_exact(alpha, k, SeededRng(2468, seed), size=n)
+
+
+def test_estimators_import_only_errors_and_specfun():
+    """The counting layer stands on its own: of the package it imports the
+    typed errors and the numeric helpers, never the model, simulation or
+    concurrence layers."""
+    tree = ast.parse(Path(concur.estimators.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("concur")):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("concur"))
+    assert package <= {".errors", ".specfun"}
 
 
 class TestSample:
@@ -45,13 +62,9 @@ class TestSample:
         with pytest.raises(DomainError):
             Sample(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
-    def test_tie_flag_and_jitter(self, rng):
+    def test_tie_flag(self):
         tied = Sample(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 4.0]]))
         assert tied.has_ties
-        clean = jitter_ties(tied, resolution=0.1, rng=rng)
-        assert not clean.has_ties
-        again = jitter_ties(tied, resolution=0.1, rng=rng)
-        assert np.array_equal(clean.data, again.data)
         free = Sample(np.array([[1.0, 2.0], [1.5, 3.0], [2.0, 4.0]]))
         assert not free.has_ties
 
@@ -402,20 +415,27 @@ class TestBlockPlanner:
 
 
 class TestBiasLaw:
+    """Replicate means of the block estimator against p + (1 - p)/m, one
+    simulated batch shared by every block size."""
+
+    @staticmethod
+    def rows(m_list, reps, rng):
+        model, sites = Logistic(0.5), [[0.0], [1.0]]
+        p = concurrence_probability(model, sites).value
+        data = simulate_pair_batch(model, sites, reps, 100, rng)
+        return [(m, float(sample_cp_block(data, m).mean()), p + (1.0 - p) / m) for m in m_list]
+
     def test_logistic_theory_column(self, rng):
-        rows = bias_law_check(Logistic(0.5), [[0.0], [1.0]], [5, 10],
-                              reps=400, n=100, rng=rng)
-        assert rows[0].theoretical == pytest.approx(0.6, abs=1e-12)
-        assert rows[1].theoretical == pytest.approx(0.55, abs=1e-12)
-        for row in rows:
-            nb = 100 // row.m
-            se = math.sqrt(row.theoretical * (1 - row.theoretical) / nb / 400)
-            assert abs(row.mean_estimate - row.theoretical) < 3.9 * se
+        rows = self.rows([5, 10], 400, rng)
+        assert rows[0][2] == pytest.approx(0.6, abs=1e-12)
+        assert rows[1][2] == pytest.approx(0.55, abs=1e-12)
+        for m, mean, theory in rows:
+            nb = 100 // m
+            se = math.sqrt(theory * (1 - theory) / nb / 400)
+            assert abs(mean - theory) < 3.9 * se
 
     def test_monotone_bias_in_m(self, rng):
-        rows = bias_law_check(Logistic(0.5), [[0.0], [1.0]], [2, 5, 10, 25],
-                              reps=800, n=100, rng=rng.substream(1))
-        means = [r.mean_estimate for r in rows]
+        means = [mean for _, mean, _ in self.rows([2, 5, 10, 25], 800, rng.substream(1))]
         for a, b in zip(means, means[1:]):
             assert b <= a + 0.01
 

@@ -43,13 +43,11 @@ from concur import (
     ecp_mc,
     exponent_V,
     extremal_coefficient,
-    kendall_target_p,
     model_to_dict,
     simulate_doa,
     simulate_max_stable_batch,
     spectral_sample,
 )
-from concur.estimators import simulate_pair_batch
 from concur.pipeline import (
     ingest_csv,
     pairwise_matrix,
@@ -57,6 +55,7 @@ from concur.pipeline import (
     write_extremes_csv,
     write_records_csv,
 )
+from concur.simulate import simulate_pair_batch
 from concur.study import StudyConfig, study_harness
 from concur.synthetic import synthesize_station_csv
 
@@ -128,7 +127,6 @@ def model_fingerprints(model, sites) -> dict:
             model, sites, 3, 20, SeededRng(15)))),
         "concurrence_probability": _guard(lambda: _estimate(
             concurrence_probability(model, sites))),
-        "kendall_target_p": _guard(lambda: repr(kendall_target_p(model, sites))),
         "ecp_mc": _guard(lambda: _estimate(ecp_mc(model, sites, 2000, rng=SeededRng(13)))),
         "ecp_mc_antithetic": _guard(lambda: _estimate(
             ecp_mc(model, sites, 2000, antithetic=True, rng=SeededRng(13)))),

@@ -9,23 +9,20 @@ import concur.cli
 import concur.study
 
 PUBLIC_NAMES = [
-    "BallIndicator", "BiasLawRow", "BlockPlan", "BrownResnick", "CapabilityError",
-    "ConcurError", "ConcurrenceEstimate", "CovarianceMatrix", "DomainError",
-    "ExponentialCorrelation", "ExtremalProcess", "ExtremalT", "FieldRealization",
-    "FractionalVariogram", "KendallEstimate", "Logistic", "MaxLinear", "ModelSpec",
-    "NumericError", "ParseError", "Partition", "PoweredExponentialCorrelation",
+    "BallIndicator", "BlockPlan", "BrownResnick", "CapabilityError", "ConcurError",
+    "ConcurrenceEstimate", "CovarianceMatrix", "DomainError", "ExponentialCorrelation",
+    "ExtremalProcess", "ExtremalT", "FractionalVariogram", "KendallEstimate", "Logistic",
+    "MaxLinear", "ModelSpec", "NumericError", "ParseError", "PoweredExponentialCorrelation",
     "QuadraticVariogram", "Sample", "SeededRng", "SiteSet", "Smith", "UnbiasedEstimate",
-    "bias_law_check", "block_mse", "concurrence", "concurrence_probability",
-    "dominance_counts", "ecp_ball_overlap", "ecp_extremal_process", "ecp_kendall",
-    "ecp_logistic", "ecp_max_linear", "ecp_mc", "ecp_multivariate_log", "ecp_simulation",
-    "errors", "estimators", "exponent_V", "extremal_coefficient", "gaussian_vector",
-    "hitting_scenario", "integrated_cp", "jitter_ties", "kendall_target_p",
-    "log_binom_ratio", "model_from_dict", "model_to_dict", "models", "normal_cdf",
-    "optimal_block_size", "rectangle_weights", "reg_inc_beta", "sample_cp_block",
-    "sample_cp_bootstrap", "sample_cp_unbiased", "sample_positive_stable", "schlather",
-    "simulate", "simulate_cell_labels", "simulate_doa", "simulate_logistic_exact",
-    "simulate_max_stable", "simulate_max_stable_batch", "specfun", "spectral_sample",
-    "student_cdf",
+    "block_mse", "concurrence", "concurrence_probability", "dominance_counts",
+    "ecp_ball_overlap", "ecp_extremal_process", "ecp_kendall", "ecp_logistic",
+    "ecp_max_linear", "ecp_mc", "ecp_multivariate_log", "ecp_simulation", "errors",
+    "estimators", "exponent_V", "extremal_coefficient", "integrated_cp", "log_binom_ratio",
+    "model_from_dict", "model_to_dict", "models", "normal_cdf", "optimal_block_size",
+    "rectangle_weights", "reg_inc_beta", "sample_cp_block", "sample_cp_bootstrap",
+    "sample_cp_unbiased", "sample_positive_stable", "schlather", "simulate",
+    "simulate_cell_labels", "simulate_doa", "simulate_logistic_exact",
+    "simulate_max_stable_batch", "specfun", "spectral_sample", "student_cdf",
 ]
 
 

