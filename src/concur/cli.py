@@ -28,18 +28,18 @@ from .pipeline import (
     _csv_lines,
     _number,
     _open_csv,
+    _seasonal_blocks_csv,
+    _Stations,
     _write_json,
     cell_area_report,
     check_mappable,
     expected_cell_area_model,
     grid_map,
-    ingest_csv,
     pairwise_matrix,
     read_extremes_csv,
     read_matrix_csv,
     read_stations_csv,
     read_strata_csv,
-    seasonal_blocks,
     station_points,
     write_cells_csv,
     write_extremes_csv,
@@ -47,7 +47,6 @@ from .pipeline import (
     write_matrix_csv,
     write_model_cells_csv,
     write_realizations_csv,
-    write_records_csv,
     write_stations_csv,
 )
 from .simulate import simulate_max_stable_batch
@@ -189,21 +188,19 @@ def _cmd_plan(args, rng: SeededRng) -> None:
 
 
 def _cmd_ingest(args, rng: SeededRng) -> None:
-    result = ingest_csv(args.input)
+    stations = _Stations.read(args.input)
+    report, warnings = stations.report()
     if args.out:
-        write_records_csv(result.records, args.out)
+        stations.write_records(args.out)
     if args.stations_out:
-        write_stations_csv(result.station_coords(), args.stations_out)
-    _emit_json({"command": "ingest", "records": len(result.records),
-                "stations": len(result.missing_report),
-                "missing_report": result.missing_report,
-                "warnings": list(result.warnings)}, None)
+        write_stations_csv(stations.coords(), args.stations_out)
+    _emit_json({"command": "ingest", "records": len(stations.code), "stations": len(report),
+                "missing_report": report, "warnings": list(warnings)}, None)
 
 
 def _cmd_blocks(args, rng: SeededRng) -> None:
-    result = ingest_csv(args.input)
-    extremes = seasonal_blocks(result, args.season, args.polarity,
-                               min_coverage=args.min_coverage)
+    extremes = _seasonal_blocks_csv(args.input, args.season, args.polarity,
+                                    min_coverage=args.min_coverage)
     out = _require_out(args)
     write_extremes_csv(extremes, out)
     _emit_json({"command": "blocks", "out": out,

@@ -731,7 +731,7 @@ class BrownResnick(_PairModel):
             if j == 0:
                 keep = np.ones(n, dtype=bool)
                 w = np.zeros((n, k))
-                w[:, 1:] = g.standard_normal((n, k - 1)) @ fac.T
+                w[:, 1:] = _matmul_t(g.standard_normal((n, k - 1)), fac)
             else:
                 q, c, u = plan[j]
                 x1 = g.standard_normal(n)
@@ -747,7 +747,7 @@ class BrownResnick(_PairModel):
                 if u is not None:
                     z -= np.outer(z @ u, u)
                 w = np.zeros((pick.size, k))
-                w[:, 1:j + 1] = z @ fac[:j, :j].T
+                w[:, 1:j + 1] = _matmul_t(z, fac[:j, :j])
                 lead = w[:, :j] - w[:, j:j + 1]
                 lead -= gam[j, :j]
                 np.exp(lead, out=lead)
@@ -755,8 +755,8 @@ class BrownResnick(_PairModel):
                 held = (lead < field[pick]).all(axis=1)
                 keep[pick] = held
                 w, z = w[held], z[held]
-                w[:, j + 1:] = (z @ fac[j:, :j].T
-                                + g.standard_normal((len(w), k - 1 - j)) @ fac[j:, j:].T)
+                w[:, j + 1:] = (_matmul_t(z, fac[j:, :j])
+                                + _matmul_t(g.standard_normal((len(w), k - 1 - j)), fac[j:, j:]))
             w -= w[:, j:j + 1]
             w -= gam[j]
             np.exp(w, out=w)
@@ -815,7 +815,7 @@ class ExtremalT(_PairModel):
         k = sites.k
 
         def draw(g, j, n):
-            w = g.standard_normal((n, k)) @ fac.T
+            w = _matmul_t(g.standard_normal((n, k)), fac)
             chi = np.sqrt(g.chisquare(nu + 1.0, size=(n, 1)))
             t = corr[j] + (w - corr[j] * w[:, j:j + 1]) / chi
             return np.maximum(t, 0.0, out=t) ** nu

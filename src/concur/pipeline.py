@@ -3,27 +3,32 @@
 The chain is CSV station records -> per-season block extremes -> pairwise
 concurrence matrices (Kendall by default) -> gridded maps (inverse-distance
 weighting on the logit scale) -> expected concurrence-cell areas, optionally
-stratified by an external year-label table.  Station records are one NumPy
-record array; the extremes of one season and polarity are one station x
-year table (:class:`SeasonalExtremes`), whose rows the matrices pair and
-whose year columns the strata select.  A clean station file is tokenized
-in C by ``np.loadtxt``, a bounded chunk of rows at a time, and records are
-written the same way; any other station file, and every other table of the
-chain, is read one row at a time by ``csv.reader`` in one row reader, with
-the same result.  Each reader's docstring gives the rules of its rows, and
-every number of every table takes Python's grammar less its digit-group
-underscores (:func:`_number`).  A season is a block of three months counted
-from December 1969, so December counts toward the next year's winter.
-Every file the package writes is opened by :func:`_open_csv`, as UTF-8, and
-its format lives here.  A malformed file, a byte that is not UTF-8
-included, raises :class:`ParseError` naming its first bad line, always from
-the row reader.  Minima are analyzed as negated values, so the downstream
+stratified by an external year-label table.  :func:`ingest_csv` returns
+station records as one NumPy record array; the extremes of one season and
+polarity are one station x year table (:class:`SeasonalExtremes`), whose
+rows the matrices pair and whose year columns the strata select.  A clean
+station file is tokenized in C by ``np.loadtxt``, a bounded chunk of rows
+at a time, and records are written the same way; any other station file,
+and every other table of the chain, is read one row at a time by
+``csv.reader`` in one row reader, with the same result.  Both station
+readers yield chunks of integer-coded columns (station code, lat, lon,
+day, tmin, tmax), and the CLI carries station records in that form:
+``ingest`` fills preallocated columns (:class:`_Stations`) and ``blocks``
+folds each chunk into seasonal extremes as it reads (:class:`_Fold`),
+neither forming the record array.  Each reader's docstring gives the rules
+of its rows, and every number of every table takes Python's grammar less
+its digit-group underscores (:func:`_number`).  A season is a block of
+three months counted from December 1969, so December counts toward the
+next year's winter.  Every file the package writes is opened by
+:func:`_open_csv`, as UTF-8, and its format lives here; a reader skips a
+byte-order mark.  A malformed file, a byte that is not UTF-8 included,
+raises :class:`ParseError` naming its first bad line, always from the row
+reader.  Minima are analyzed as negated values, so the downstream
 machinery only ever deals with maxima; everything is deterministic.
 """
 
 from __future__ import annotations
 
-import array
 import csv
 import datetime as dt
 import io
@@ -55,12 +60,14 @@ _EPOCH = dt.date(1970, 1, 1).toordinal()
 
 _CHUNK = 8192          # station record rows per chunk, read or written
 _KEY_BITS = 22         # a day ordinal (up to 9999-12-31) is below 2**22
+_FIRST_BLOCK = -7876   # the season block of 0001-01-01 (December of year 0's winter)
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 _BAD_BYTE = re.compile("[\udc80-\udcff]")   # a byte as ``surrogateescape`` decodes it
 _TOKEN_WIDTH = 25      # bytes of a station id or reading the tokenizer reads: one
                        # more than the longest repr of a float (24 characters)
 _LOGIT_EPS = 1e-6      # _logit clips probabilities to [eps, 1 - eps]
 _INT64_MAX = 2**63 - 1  # a matrix holds its n_pairs as int64
+_UTF8_BOM = b"\xef\xbb\xbf"
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\r\n"
 _UNPLAIN = {ord('"'): "quote", ord(" "): "blank in field", ord("\t"): "blank in field", 0: "NUL"}
 
@@ -69,8 +76,11 @@ _log = logging.getLogger(__name__)
 
 def _open_csv(path, mode: str = "r"):
     """Text file ``path`` in UTF-8, the one opener of every file the package writes.  A
-    byte that does not decode reads as a lone surrogate (PEP 383), for the row checks."""
-    return open(Path(path), mode, newline="", encoding="utf-8", errors="surrogateescape")
+    byte that does not decode reads as a lone surrogate (PEP 383), for the row checks.
+    A reader skips a byte-order mark at the start of the file (Excel's "CSV UTF-8"
+    writes one); a writer writes none."""
+    return open(Path(path), mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8",
+                errors="surrogateescape")
 
 
 def _bad_byte(text: str) -> str | None:
@@ -288,87 +298,218 @@ def _tokenized_reading(texts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _tokenized(path) -> IngestResult:
-    """:func:`ingest_csv` of a clean file through NumPy's C tokenizer.
+_TOKEN_ROW = np.dtype([("station_id", f"S{_TOKEN_WIDTH}"), ("lat", float), ("lon", float),
+                       ("date", "S11"), ("tmin", f"S{_TOKEN_WIDTH}"), ("tmax", f"S{_TOKEN_WIDTH}")])
+_AT = {name: _TOKEN_ROW.fields[name][1] for name in _TOKEN_ROW.names}   # byte offsets in a row
+
+
+def _tokenized_chunk(lines: list[bytes], index: list[int], codes: dict[str, int]) -> tuple:
+    """The columns code, lat, lon, day, tmin and tmax of ``lines`` of a
+    station file, fields ``index`` of each, as :func:`_tokenized` reads them."""
+    try:
+        rows = np.loadtxt(lines, dtype=_TOKEN_ROW, delimiter=",", comments=None, usecols=index,
+                          ndmin=1)
+    except ValueError as exc:
+        raise _Untokenizable(f"loadtxt: {exc}") from None
+    raw = rows.view(np.uint8).reshape(len(rows), _TOKEN_ROW.itemsize)
+    if raw[:, [_AT[name] + _TOKEN_WIDTH - 1 for name in ("station_id", "tmin", "tmax")]].any():
+        raise _Untokenizable("field as wide as its column")
+    sid = rows["station_id"]
+    if (sid == b"").any():
+        raise _Untokenizable("empty station id")
+    lat, lon = rows["lat"].copy(), rows["lon"].copy()   # not views that keep rows
+    if not ((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)).all():
+        raise _Untokenizable("coordinate out of range")
+    # ids come in runs: look up the first id of each run only
+    heads = np.flatnonzero(np.concatenate([[True], sid[1:] != sid[:-1]]))
+    distinct, first, inverse = np.unique(sid[heads], return_index=True, return_inverse=True)
+    names = [s.decode("ascii") for s in distinct.tolist()]
+    for i in np.argsort(first).tolist():
+        codes.setdefault(names[i], len(codes))
+    head = np.array([codes[s] for s in names], np.int64)[inverse.reshape(-1)]
+    return (np.repeat(head, np.diff(np.append(heads, len(rows)))), lat, lon,
+            _tokenized_day(raw[:, _AT["date"]:_AT["date"] + 11]),
+            _tokenized_reading(rows["tmin"]), _tokenized_reading(rows["tmax"]))
+
+
+def _tokenized(path, codes: dict[str, int], line_count: int):
+    """The rows of a clean station file of ``line_count`` lines or fewer
+    (:func:`_line_count`) through NumPy's C tokenizer, in chunks as
+    :func:`_row_chunks` yields them.
 
     ``np.loadtxt`` reads ``_CHUNK`` lines at a time, and the checks of the
     row reader run as masks over its columns.  On anything the row reader
     would reject, and on any text the two might read apart (a quote, a
     blank, a byte that is not ASCII, a field as wide as its column), this
-    raises :class:`_Untokenizable`: it never reports a line.  Ids, dates
-    and readings are read as bytes, because ``loadtxt`` cuts a field to its
+    raises :class:`_Untokenizable`, partway or, for a repeated station and
+    date, after the last chunk: it never reports a line.  Ids, dates and
+    readings are read as bytes, because ``loadtxt`` cuts a field to its
     width silently and a reading's text, not its value, tells "-9999" (a
     missing one) from "-9999.0"."""
+    key = np.empty(line_count, np.int64)   # each row's station-date key: the whole-file state
+    n = 0
     with open(Path(path), "rb") as fh:
-        header = fh.readline()
+        header = fh.readline().removeprefix(_UTF8_BOM)
         _screen([header])
         try:
             index = _csv_header(iter([(1, header.decode("ascii").rstrip("\r\n").split(","))]),
                                 _COLUMNS)
         except ParseError as exc:
             raise _Untokenizable(str(exc)) from None
-        dtype = np.dtype([("station_id", f"S{_TOKEN_WIDTH}"), ("lat", float), ("lon", float),
-                          ("date", "S11"), ("tmin", f"S{_TOKEN_WIDTH}"),
-                          ("tmax", f"S{_TOKEN_WIDTH}")])
-        at = {name: dtype.fields[name][1] for name in dtype.names}   # byte offsets in a row
-        last = [at[name] + _TOKEN_WIDTH - 1 for name in ("station_id", "tmin", "tmax")]
-        codes: dict[bytes, int] = {}  # station id -> code, in order of first appearance
-        parts = []                    # code, lat, lon, day, tmin, tmax arrays per chunk
         while lines := list(itertools.islice(fh, _CHUNK)):
             if _screen(lines).isspace():          # blank lines only: loadtxt would warn
                 continue
-            try:
-                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                  usecols=index, ndmin=1)
-            except ValueError as exc:
-                raise _Untokenizable(f"loadtxt: {exc}") from None
-            raw = rows.view(np.uint8).reshape(len(rows), dtype.itemsize)
-            if raw[:, last].any():
-                raise _Untokenizable("field as wide as its column")
-            sid = rows["station_id"]
-            if (sid == b"").any():
-                raise _Untokenizable("empty station id")
-            lat, lon = rows["lat"].copy(), rows["lon"].copy()   # not views that keep rows
-            if not ((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)).all():
-                raise _Untokenizable("coordinate out of range")
-            # ids come in runs: look up the first id of each run only
-            heads = np.flatnonzero(np.concatenate([[True], sid[1:] != sid[:-1]]))
-            distinct, first, inverse = np.unique(sid[heads], return_index=True,
-                                                 return_inverse=True)
-            for s in distinct[np.argsort(first)].tolist():
-                codes.setdefault(s, len(codes))
-            head = np.array([codes[s] for s in distinct.tolist()], np.int64)[inverse.reshape(-1)]
-            parts.append((np.repeat(head, np.diff(np.append(heads, len(rows)))), lat, lon,
-                          _tokenized_day(raw[:, at["date"]:at["date"] + 11]),
-                          _tokenized_reading(rows["tmin"]),
-                          _tokenized_reading(rows["tmax"])))
-    if not parts:
+            chunk = _tokenized_chunk(lines, index, codes)
+            del lines   # before the next chunk's are read
+            code, day = chunk[0], chunk[3]
+            if n + len(code) > line_count:
+                raise _Untokenizable("more rows than lines counted")
+            np.bitwise_or(code << _KEY_BITS, day + _EPOCH, out=key[n:n + len(code)])
+            n += len(code)
+            yield chunk
+    if not n:
         raise _Untokenizable("no rows")
-    code, lat, lon, day, tmin, tmax = (np.concatenate(c) for c in zip(*parts))
-    del parts
-    key = np.sort(code << _KEY_BITS | (day + _EPOCH))
+    key = key[:n]
+    key.sort()
     if (key[1:] == key[:-1]).any():
         raise _Untokenizable("repeated station and date")
-    return _ingest_result([s.decode("ascii") for s in codes], code, lat, lon, day, tmin, tmax)
 
 
-def _ingest_result(ids: list[str], code, lat, lon, day, tmin, tmax) -> IngestResult:
-    """The records, missing report and warnings of rows of station ``ids``
-    by code, each row's columns in file order."""
-    records = np.rec.fromarrays([np.array(ids, dtype=str)[code], lat, lon,
-                                 day.astype("datetime64[D]"), tmin, tmax], names=_COLUMNS)
-    records.flags.writeable = False
-    n, tmin, tmax = (np.bincount(code[m], minlength=len(ids)).tolist()
-                     for m in (slice(None), np.isnan(tmin), np.isnan(tmax)))
-    report = {sid: {"n_days": n[i], "missing_tmin": tmin[i] / n[i],
-                    "missing_tmax": tmax[i] / n[i]} for i, sid in enumerate(ids)}
-    warnings = tuple(
-        f"station {sid}: more than 50% missing {name}"
-        for sid, rep in report.items()
-        for name in ("tmin", "tmax")
-        if rep[f"missing_{name}"] > 0.5
-    )
-    return IngestResult(records=records, missing_report=report, warnings=warnings)
+def _row_chunks(path, codes: dict[str, int]):
+    """The rows of station file ``path`` as :func:`ingest_csv` checks them,
+    one at a time by :func:`_read_rows`, in chunks of ``_CHUNK`` rows: the
+    columns code, lat, lon, day, tmin and tmax, where ``codes`` maps each
+    station id to its code, in order of first appearance."""
+    def row(sid, lat, lon, date, tmin, tmax):   # checks in column order, then the ranges
+        code, lat, lon = codes.setdefault(_station_id(sid), len(codes)), _number(lat), _number(lon)
+        day, tmin, tmax = _day(date), _reading(tmin), _reading(tmax)
+        return (code, *_coordinates(lat, lon), day, tmin, tmax)
+
+    def repeat(key: int) -> str:
+        return (f"date {dt.date.fromordinal(key & (1 << _KEY_BITS) - 1)} "
+                f"for station {list(codes)[key >> _KEY_BITS]}")
+
+    rows = _read_rows(path, _COLUMNS, row, name=repeat,
+                      key=lambda r: r[0] << _KEY_BITS | r[3] + _EPOCH)
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        # a code or a day is a whole number far below 2**53: a float holds it exactly
+        code, lat, lon, day, tmin, tmax = np.array(chunk, dtype=float).T
+        yield code.astype(np.int64), lat, lon, day.astype(np.int64), tmin, tmax
+
+
+def _line_count(path) -> int:
+    """One more than the line feeds of a file: at least its rows, unless
+    its lines end in bare carriage returns."""
+    count = 1
+    with open(Path(path), "rb") as fh:
+        while block := fh.read(1 << 20):
+            count += block.count(b"\n")
+    return count
+
+
+def _read_stations(path, start):
+    """``(ids, rows)``: the station ids by code, in order of first
+    appearance, and ``rows = start(lines)`` fed each chunk of the checked
+    rows of station file ``path`` in file order by ``rows.add(code, lat,
+    lon, day, tmin, tmax)``, day counting from 1970-01-01; ``lines`` is
+    the file's :func:`_line_count`.
+
+    A clean file is tokenized in C by ``np.loadtxt`` (:func:`_tokenized`).
+    Any other file, or one that fails a check there, partway or at the end,
+    is read again from the start into a new ``rows`` by :func:`_row_chunks`,
+    one row at a time, which alone reports errors.  Why a file took the row
+    reader is logged at DEBUG level."""
+    lines = 0
+    try:
+        lines = _line_count(path)
+        codes, rows = {}, start(lines)
+        for chunk in _tokenized(path, codes, lines):
+            rows.add(*chunk)
+        return list(codes), rows
+    except (_Untokenizable, OSError) as exc:   # the row reader raises OSError again
+        _log.debug("tokenizer: %s, reading rows", exc)
+    rows = None   # the tokenizer's rows go before the row reader's come
+    codes, rows = {}, start(lines)
+    for chunk in _row_chunks(path, codes):
+        rows.add(*chunk)
+    return list(codes), rows
+
+
+class _Columns:
+    """Station rows filled into preallocated columns code, lat, lon, day,
+    tmin and tmax, 48 bytes a row: room for ``lines`` rows is made at once,
+    and more only for a file whose lines end in bare carriage returns."""
+
+    def __init__(self, lines: int):
+        self.n = 0
+        self.cols = [np.empty(lines, t) for t in (np.int64, float, float, np.int64, float, float)]
+
+    def add(self, *chunk) -> None:
+        start, stop = self.n, self.n + len(chunk[0])
+        if stop > len(self.cols[0]):
+            self.cols = [np.concatenate([c[:start], np.empty(stop, c.dtype)]) for c in self.cols]
+        for col, part in zip(self.cols, chunk):
+            col[start:stop] = part
+        self.n = stop
+
+    def columns(self) -> list[np.ndarray]:
+        return [c[:self.n] for c in self.cols]
+
+
+@dataclass(frozen=True)
+class _Stations:
+    """Station records as coded columns in file order, the form the CLI
+    carries them in: ``code`` indexes ``ids``, ``day`` counts from
+    1970-01-01 and NaN marks a missing reading."""
+
+    ids: list[str]
+    code: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    day: np.ndarray
+    tmin: np.ndarray
+    tmax: np.ndarray
+
+    @classmethod
+    def read(cls, path) -> _Stations:
+        """The records of station file ``path``, read and checked as
+        :func:`ingest_csv` reads them."""
+        ids, rows = _read_stations(path, _Columns)
+        return cls(ids, *rows.columns())
+
+    def report(self) -> tuple[dict, tuple[str, ...]]:
+        """The missing report and warnings of :class:`IngestResult`."""
+        n, tmin, tmax = (np.bincount(self.code[m], minlength=len(self.ids)).tolist()
+                         for m in (slice(None), np.isnan(self.tmin), np.isnan(self.tmax)))
+        report = {sid: {"n_days": n[i], "missing_tmin": tmin[i] / n[i],
+                        "missing_tmax": tmax[i] / n[i]} for i, sid in enumerate(self.ids)}
+        warnings = tuple(
+            f"station {sid}: more than 50% missing {name}"
+            for sid, rep in report.items()
+            for name in ("tmin", "tmax")
+            if rep[f"missing_{name}"] > 0.5
+        )
+        return report, warnings
+
+    def coords(self) -> dict[str, tuple[float, float]]:
+        """Each station's coordinates on its first record: codes count up
+        in order of first appearance, so that record is where the running
+        largest code first reaches the station's."""
+        first = np.searchsorted(np.maximum.accumulate(self.code), np.arange(len(self.ids)))
+        return dict(zip(self.ids, zip(self.lat[first].tolist(), self.lon[first].tolist())))
+
+    def write_records(self, path) -> None:
+        """The records as :func:`write_records_csv` writes them."""
+        fields = np.array(_csv_fields(self.ids), dtype=object)
+        _write_records(path, lambda rows: fields[self.code[rows]], self.lat, self.lon,
+                       self.day, self.tmin, self.tmax)
+
+    def result(self) -> IngestResult:
+        records = np.rec.fromarrays([np.array(self.ids, dtype=str)[self.code], self.lat,
+                                     self.lon, self.day.astype("datetime64[D]"), self.tmin,
+                                     self.tmax], names=_COLUMNS)
+        records.flags.writeable = False
+        return IngestResult(records, *self.report())
 
 
 def ingest_csv(path) -> IngestResult:
@@ -386,33 +527,10 @@ def ingest_csv(path) -> IngestResult:
     either variable missing produce warnings, not errors.
 
     A clean file (printable ASCII without quotes or blanks, and no fault)
-    is tokenized in C by ``np.loadtxt`` (:func:`_tokenized`).  Any other
-    file, or one that fails a check there, is read again from the start by
-    :func:`_read_rows`, one row at a time, which alone reports errors.  Why
-    a file took the row reader is logged at DEBUG level.
+    is tokenized in C by ``np.loadtxt``; any other is read one row at a
+    time (:func:`_read_stations`).
     """
-    try:
-        return _tokenized(path)
-    except (_Untokenizable, OSError) as exc:   # the row reader raises OSError again
-        _log.debug("tokenizer: %s, reading rows", exc)
-    codes: dict[str, int] = {}  # station id -> code, in order of first appearance
-
-    def row(sid, lat, lon, date, tmin, tmax):   # checks in column order, then the ranges
-        code, lat, lon = codes.setdefault(_station_id(sid), len(codes)), _number(lat), _number(lon)
-        day, tmin, tmax = _day(date), _reading(tmin), _reading(tmax)
-        return (code, *_coordinates(lat, lon), day, tmin, tmax)
-
-    def repeat(key: int) -> str:
-        return (f"date {dt.date.fromordinal(key & (1 << _KEY_BITS) - 1)} "
-                f"for station {list(codes)[key >> _KEY_BITS]}")
-
-    cols = [array.array(t) for t in "qddqdd"]   # code, lat, lon, day, tmin, tmax
-    rows = _read_rows(path, _COLUMNS, row, name=repeat,
-                      key=lambda r: r[0] << _KEY_BITS | r[3] + _EPOCH)
-    for values in rows:
-        for col, value in zip(cols, values):
-            col.append(value)
-    return _ingest_result(list(codes), *map(np.asarray, cols))
+    return _Stations.read(path).result()
 
 
 def _formatted(values: np.ndarray, fmt) -> np.ndarray:
@@ -422,24 +540,31 @@ def _formatted(values: np.ndarray, fmt) -> np.ndarray:
     return np.array(fmt(distinct), dtype=object)[inverse]
 
 
-def write_records_csv(records: np.recarray, path) -> None:
+def _write_records(path, station, lat, lon, day, tmin, tmax) -> None:
     """Station records in the ingest input format, missing readings empty,
-    byte for byte as ``csv.writer`` writes them.  Rows go out ``_CHUNK`` at
-    a time, to bound the memory their text takes, and within a chunk each
-    column formats each of its distinct values once: floats to 10
-    significant digits, told apart by their bits (so -0.0 stays "-0")."""
+    byte for byte as ``csv.writer`` writes them; ``station(rows)`` is the
+    field text of the station ids of a slice of rows.  Rows go out
+    ``_CHUNK`` at a time, to bound the memory their text takes, and within
+    a chunk each column formats each of its distinct values once: floats to
+    10 significant digits, told apart by their bits (so -0.0 stays "-0")."""
     def iso(days):
         return np.datetime_as_string(days.view("datetime64[D]")).tolist()
 
     with _open_csv(path, "w") as fh:
         csv.writer(fh).writerow(_COLUMNS)
-        for i in range(0, len(records), _CHUNK):
-            r = records[i:i + _CHUNK]
-            cols = (_formatted(r.station_id, _csv_fields),
-                    *(_formatted(r[name].view(np.int64), _g10) for name in ("lat", "lon")),
-                    _formatted(r.date.view(np.int64), iso),
-                    *(_formatted(r[name].view(np.int64), _g10) for name in ("tmin", "tmax")))
+        for i in range(0, len(day), _CHUNK):
+            rows = slice(i, i + _CHUNK)
+            cols = (station(rows), *(_formatted(c[rows].view(np.int64), _g10) for c in (lat, lon)),
+                    _formatted(day[rows], iso),
+                    *(_formatted(c[rows].view(np.int64), _g10) for c in (tmin, tmax)))
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+
+
+def write_records_csv(records: np.recarray, path) -> None:
+    """Station records in the ingest input format (:func:`_write_records`)."""
+    _write_records(path, lambda rows: _formatted(records.station_id[rows], _csv_fields),
+                   records.lat, records.lon, records.date.view(np.int64), records.tmin,
+                   records.tmax)
 
 
 def read_stations_csv(path) -> dict[str, tuple[float, float]]:
@@ -491,6 +616,58 @@ def _extremes_table(season, polarity, station_id, year, value, coverage) -> Seas
     return SeasonalExtremes(season, polarity, tuple(ids.tolist()), tuple(years.tolist()), *table)
 
 
+class _Fold:
+    """The day count and extreme of each (station, season block) cell that
+    has a reading, of one season and polarity, fed the rows of a station
+    file a chunk at a time (``add`` takes the columns of
+    :func:`_read_stations`).  A cell's key is ``code << _KEY_BITS | block -
+    _FIRST_BLOCK``, for the days of years 1 to 9999 that :func:`ingest_csv`
+    reads; the keys are kept sorted and distinct."""
+
+    def __init__(self, season: str, polarity: str):
+        if season not in SEASONS:
+            raise DomainError(f"season must be one of {SEASONS}")
+        if polarity not in POLARITIES:
+            raise DomainError(f"polarity must be one of {POLARITIES}")
+        self.season, self.polarity = season, polarity
+        self.cell, self.count, self.extreme = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+
+    def add(self, code, lat, lon, day, tmin, tmax) -> None:
+        block = (day.view("datetime64[D]").astype("datetime64[M]").astype(np.int64) + 1) // 3
+        keep = block % 4 == SEASONS.index(self.season)
+        # -min(tmin) is max(-tmin) exactly
+        value = -tmin[keep] if self.polarity == "negated_min" else tmax[keep]
+        present = ~np.isnan(value)
+        cell, at = np.unique((code[keep] << _KEY_BITS | block[keep] - _FIRST_BLOCK)[present],
+                             return_inverse=True)
+        count = np.bincount(at, minlength=len(cell))
+        extreme = np.full(len(cell), -np.inf)
+        np.maximum.at(extreme, at, value[present])
+        # the chunk's cells into the earlier chunks' cells; np.maximum.at, as
+        # within a chunk, so a tie of -0.0 and 0.0 resolves as in one pass
+        where = np.searchsorted(self.cell, cell)
+        old = where < len(self.cell)
+        old[old] = self.cell[where[old]] == cell[old]
+        self.count[where[old]] += count[old]
+        np.maximum.at(self.extreme, where[old], extreme[old])
+        new = ~old
+        self.cell, self.count, self.extreme = (
+            np.insert(kept, where[new], added[new])
+            for kept, added in ((self.cell, cell), (self.count, count), (self.extreme, extreme)))
+
+    def table(self, ids: list[str], min_coverage: float) -> SeasonalExtremes:
+        """The table of the cells of stations ``ids`` by code, less those of
+        coverage below ``min_coverage``."""
+        block = (self.cell & (1 << _KEY_BITS) - 1) + _FIRST_BLOCK
+        first = (3 * block - 1).astype("datetime64[M]")
+        days = (first + 3).astype("datetime64[D]") - first.astype("datetime64[D]")
+        coverage = self.count / days.astype(np.int64)
+        ok = coverage >= min_coverage
+        return _extremes_table(self.season, self.polarity,
+                               np.array(ids, dtype=str)[self.cell[ok] >> _KEY_BITS],
+                               block[ok] // 4 + 1970, self.extreme[ok], coverage[ok])
+
+
 def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
                     min_coverage: float = 0.9) -> SeasonalExtremes:
     """The table of each station-year's seasonal extreme, less low coverage.
@@ -506,32 +683,21 @@ def seasonal_blocks(result: IngestResult, season: str, polarity: str = "max",
     minus the seasonal minimum of tmin, so larger values always mean more
     extreme and all downstream analysis is max-convention.
     """
-    if season not in SEASONS:
-        raise DomainError(f"season must be one of {SEASONS}")
-    if polarity not in POLARITIES:
-        raise DomainError(f"polarity must be one of {POLARITIES}")
+    fold = _Fold(season, polarity)
     min_coverage = _real(min_coverage, "min_coverage", 0, 1, "[]")
     rec = result.records
-    block = (rec.date.astype("datetime64[M]").astype(np.int64) + 1) // 3
-    keep = block % 4 == SEASONS.index(season)
-    block = block[keep]
-    # -min(tmin) is max(-tmin) exactly
-    value = (rec.tmax if polarity == "max" else -rec.tmin)[keep]
-    ids, row = np.unique(rec.station_id[keep], return_inverse=True)
-    blocks, col = np.unique(block, return_inverse=True)
-    # one cell per (station, block), each record's on one integer index
-    present = ~np.isnan(value)
-    cell = (row * len(blocks) + col)[present]
-    count = np.bincount(cell, minlength=len(ids) * len(blocks)).reshape(len(ids), len(blocks))
-    extreme = np.full(count.shape, -np.inf)
-    np.maximum.at(extreme.reshape(-1), cell, value[present])
-    first = (3 * blocks - 1).astype("datetime64[M]")
-    days = (first + 3).astype("datetime64[D]") - first.astype("datetime64[D]")
-    coverage = count / days.astype(np.int64)
-    ok = (count > 0) & (coverage >= min_coverage)
-    rows, cols = np.nonzero(ok)
-    return _extremes_table(season, polarity, ids[rows], blocks[cols] // 4 + 1970, extreme[ok],
-                           coverage[ok])
+    ids, code = np.unique(rec.station_id, return_inverse=True)
+    fold.add(code, rec.lat, rec.lon, rec.date.view(np.int64), rec.tmin, rec.tmax)
+    return fold.table(ids.tolist(), min_coverage)
+
+
+def _seasonal_blocks_csv(path, season: str, polarity: str = "max",
+                         min_coverage: float = 0.9) -> SeasonalExtremes:
+    """``seasonal_blocks(ingest_csv(path), ...)``, with the same checks and
+    errors, folded a chunk at a time as the file is read: what it holds of
+    the whole file is one station-date key a row, for the repeat check."""
+    ids, fold = _read_stations(path, lambda lines: _Fold(season, polarity))
+    return fold.table(ids, _real(min_coverage, "min_coverage", 0, 1, "[]"))
 
 
 def read_extremes_csv(path) -> SeasonalExtremes:

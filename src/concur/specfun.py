@@ -37,8 +37,8 @@ ufuncs, which release the GIL, and each block writes its own slice of an
 output with the same ufunc calls as a serial loop, so every output is
 bit-identical whatever the thread count.
 
-:func:`_matmul_t` forms the Gaussian products of the spectral samplers in
-equal row blocks small enough that OpenBLAS runs each on the calling
+:func:`_matmul_t` forms the Gaussian products of the spectral and tilted
+samplers in equal row blocks small enough that OpenBLAS runs each on the calling
 thread.  A larger product wakes OpenBLAS's own worker threads, which then
 spin-wait on the other CPUs after it returns and take them from
 :func:`_spread`'s threads.

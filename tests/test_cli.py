@@ -592,3 +592,32 @@ def test_cells_grid_axes_run_either_way(capsys, tmp_path, grid):
         assert code == 0
         areas[spec] = np.loadtxt(cells, delimiter=",", skiprows=1, usecols=2)
     assert areas[grid] == pytest.approx(areas["39:42:4,-101:-98:4"], rel=1e-12)
+
+
+# a few chunks: the tokenizer holds a chunk's lines and its loadtxt rows,
+# about 0.8 MB each, and its checks make temporaries of the same order
+_CHUNKS_OF_MEMORY = 4 << 20
+
+
+@pytest.mark.parametrize("command, per_row", [("ingest", 80), ("blocks", 32)])
+def test_station_commands_hold_few_bytes_a_row(tmp_path, capsys, command, per_row):
+    # ingest holds the coded columns (48 bytes a row) and each row's
+    # station-date key; blocks folds each chunk and holds the keys alone
+    import tracemalloc
+    raw = tmp_path / "raw.csv"
+    ids = [f"S{i:02d}" for i in range(40)]
+    latlon = np.column_stack([np.linspace(30, 50, 40), np.linspace(-120, -80, 40)])
+    synthesize_station_csv(raw, Logistic(0.5), ids, latlon, years=range(1971, 2001),
+                           rng=SeededRng(5), sites=latlon)
+    rows = 40 * 30 * 92
+    argv = {"ingest": ["ingest", "--input", str(raw), "--stations-out",
+                       str(tmp_path / "stations.csv")],
+            "blocks": ["blocks", "--input", str(raw), "--season", "JJA"]}[command]
+    tracemalloc.start()
+    try:
+        assert main(["--out", str(tmp_path / "out.csv"), *argv]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < per_row * rows + _CHUNKS_OF_MEMORY

@@ -217,6 +217,73 @@ class TestUndecodableText:
             ingest_csv(p)
 
 
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" starts a file with a byte-order mark: every
+    reader skips it, and lines count as before."""
+
+    @staticmethod
+    def _both(tmp_path, name, text):
+        plain, marked = tmp_path / f"{name}.csv", tmp_path / f"{name}_bom.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return plain, marked
+
+    def test_every_reader_reads_as_without_it(self, tmp_path, caplog):
+        from concur.cli import _read_sites_csv
+        records = ("station_id,lat,lon,date,tmin,tmax\n"
+                   "A,40,-100,2000-06-01,1,2\nB,41,-101,2000-06-01,,3\n")
+        extremes = ("station_id,season,year,value,coverage,polarity\n"
+                    "A,JJA,2000,1.5,1.0,max\nB,JJA,2000,2.5,0.95,max\n")
+        cases = [
+            (ingest_csv, records, lambda r: (r.records.tobytes(), r.missing_report, r.warnings)),
+            (read_stations_csv, "station_id,lat,lon\nA,40,-100\nB,41,-101\n", lambda r: r),
+            (read_extremes_csv, extremes,
+             lambda r: (r.station_ids, r.years, r.value.tobytes(), r.coverage.tobytes())),
+            (read_matrix_csv, "id1,id2,estimate,stderr,n_pairs\nA,A,1,0,3\nA,B,0.5,nan,3\n"
+                              "B,B,1,0,3\n",
+             lambda r: (r.station_ids, r.estimates.tobytes(), r.n_pairs.tobytes())),
+            (read_strata_csv, "year,label\n2000,nino\n2001,nina\n", lambda r: r),
+            (_read_sites_csv, "x,y\n0.0,1.0\n2.0,3.0\n", lambda r: r.tobytes()),
+        ]
+        for read, text, key in cases:
+            plain, marked = self._both(tmp_path, read.__name__, text)
+            with caplog.at_level("DEBUG", logger="concur.pipeline"):
+                caplog.clear()
+                assert key(read(marked)) == key(read(plain))
+            # the station file takes the tokenizer, as it does without the mark
+            assert caplog.records == []
+
+    def test_lines_count_as_without_it(self, tmp_path):
+        for name, read, text in [
+                ("records", ingest_csv,
+                 "station_id,lat,lon,date,tmin,tmax\nA,40,-100,2000-06-01,1,2\n"
+                 "A,40,-100,2000-06-02,1,x\n"),
+                ("strata", read_strata_csv, "year,label\n2000,nino\n2001, \n")]:
+            plain, marked = self._both(tmp_path, name, text)
+            with pytest.raises(ParseError) as want:
+                read(plain)
+            with pytest.raises(ParseError) as got:
+                read(marked)
+            assert str(got.value) == str(want.value) and got.value.line == 3
+
+    def test_writers_write_none(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        write_stations_csv({"A": (40.0, -100.0)}, path)
+        assert path.read_bytes().startswith(b"station_id,")
+
+
+def test_a_file_of_bare_carriage_returns_reads_as_line_feeds(tmp_path):
+    # csv reads a bare CR as a line end, and NumPy's tokenizer does not: the
+    # row reader reads the file, with more rows than the line feeds counted
+    rows = [f"S{i % 3},40,-100,2000-06-{i // 3 + 1:02d},{i},{-i}" for i in range(30)]
+    plain, bare = tmp_path / "lf.csv", tmp_path / "cr.csv"
+    plain.write_text("\n".join(["station_id,lat,lon,date,tmin,tmax", *rows]) + "\n")
+    bare.write_bytes(plain.read_bytes().replace(b"\n", b"\r"))
+    want, got = ingest_csv(plain), ingest_csv(bare)
+    assert got.records.tobytes() == want.records.tobytes()
+    assert got.missing_report == want.missing_report
+
+
 class TestSeasonalBlocks:
     def _records(self, tmp_path, body):
         p = tmp_path / "rec.csv"

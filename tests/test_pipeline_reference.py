@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import concur.cli
 import concur.estimators
 import concur.pipeline
 from concur import (
@@ -603,7 +604,7 @@ def clean_station_files(draw):
 
 def _row_reader(path):
     """ingest_csv with the tokenizer turned away: the row reader's outcome."""
-    def refuse(path):
+    def refuse(path, codes, lines):
         raise concur.pipeline._Untokenizable("refused")
 
     with pytest.MonkeyPatch.context() as mp:
@@ -612,6 +613,16 @@ def _row_reader(path):
             return ingest_csv(path)
         except ParseError as exc:
             return str(exc)
+
+
+def _tokenizer(path):
+    """ingest_csv through the tokenizer alone: its result, or the
+    _Untokenizable it raises, partway or at the end."""
+    codes, lines = {}, concur.pipeline._line_count(path)
+    rows = concur.pipeline._Columns(lines)
+    for chunk in concur.pipeline._tokenized(path, codes, lines):
+        rows.add(*chunk)
+    return concur.pipeline._Stations(list(codes), *rows.columns()).result()
 
 
 def _assert_same_result(got, want):
@@ -633,10 +644,10 @@ class TestTokenizer:
             mp.setattr(concur.pipeline, "_CHUNK", chunk)
             if repeated:
                 with pytest.raises(concur.pipeline._Untokenizable):
-                    concur.pipeline._tokenized(path)
+                    _tokenizer(path)
                 assert kind == "ParseError" and _outcome(ingest_csv, path) == (kind, ref)
                 return
-            got = concur.pipeline._tokenized(path)
+            got = _tokenizer(path)
             _assert_same_result(got, _row_reader(path))
         assert kind == "ok"
         assert _as_reference(got.records) == ref[0]
@@ -654,7 +665,7 @@ class TestTokenizer:
                                years=range(1968, 1973), rng=SeededRng(3), season="DJF")
         write_records_csv(_row_reader(raw).records, records)
         for path in (raw, records):
-            _assert_same_result(concur.pipeline._tokenized(path), _row_reader(path))
+            _assert_same_result(_tokenizer(path), _row_reader(path))
 
     _WIDE = "1" * concur.pipeline._TOKEN_WIDTH
 
@@ -690,7 +701,7 @@ class TestTokenizer:
                                        row, "S2,41,-101,2000-01-02,-9999,"]
         path.write_bytes(("\n".join([",".join(_COLUMNS), *body]) + "\n").encode("latin-1"))
         with pytest.raises(concur.pipeline._Untokenizable, match=reason):
-            concur.pipeline._tokenized(path)
+            _tokenizer(path)
         want = _row_reader(path)
         with caplog.at_level("DEBUG", logger="concur.pipeline"):
             try:
@@ -702,12 +713,140 @@ class TestTokenizer:
         assert any(r.getMessage().startswith("tokenizer: ") and reason in r.getMessage()
                    and r.getMessage().endswith(", reading rows") for r in caplog.records)
 
+    def test_gives_up_on_more_rows_than_lines_counted(self, tmp_path):
+        # a file that grew after its lines were counted
+        path = tmp_path / "s.csv"
+        _long_station_file(path, rows=10)
+        chunks = concur.pipeline._tokenized(path, {}, 5)
+        with pytest.raises(concur.pipeline._Untokenizable, match="more rows than lines counted"):
+            next(chunks)
+
     def test_a_missing_file_is_the_row_readers_error(self, tmp_path, caplog):
         with caplog.at_level("DEBUG", logger="concur.pipeline"), \
                 pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "absent.csv")
         assert [r.getMessage()[:19] for r in caplog.records] == ["tokenizer: [Errno 2"]
 
+
+
+# ---------------------------------------------------------------------------
+# concur blocks: each chunk folded into seasonal extremes as it is read
+
+def _same_table(got, want):
+    """Two SeasonalExtremes alike to the bit."""
+    assert (got.season, got.polarity, got.station_ids, got.years) == (
+        want.season, want.polarity, want.station_ids, want.years)
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got.coverage.tobytes() == want.coverage.tobytes()
+
+
+def _reading_text(i):
+    """A reading of row i: missing ("" or -9999) now and then, signed zeros
+    that tie, and values whose extreme sits anywhere in a season."""
+    if i % 17 == 0:
+        return ""
+    if i % 29 == 0:
+        return "-9999"
+    if i % 11 == 0:
+        return "-0" if i % 2 else "0"
+    return f"{((i * 7919) % 4001 - 2000) / 100:g}"
+
+
+def _long_station_file(path, rows=3 * 8192 - 100, quoted=(), edit=None):
+    """Four stations interleaved by day from 1999-11-15, so every season's
+    cells span chunks and every winter crosses a year; readings as
+    :func:`_reading_text`, the ids of rows ``quoted`` in quotes and
+    ``edit(rows)`` applied to the rows."""
+    base = dt.date(1999, 11, 15).toordinal()
+    body = [[f"S{i % 4}", f"{40 + i % 4}.5", f"-10{i % 4}.25",
+             dt.date.fromordinal(base + i // 4).isoformat(), _reading_text(3 * i),
+             _reading_text(3 * i + 1)] for i in range(rows)]
+    for i in quoted:
+        body[i][0] = f'"{body[i][0]}"'
+    if edit:
+        edit(body)
+    path.write_text("\n".join(",".join(r) for r in [_COLUMNS, *body]) + "\n")
+
+
+def _blocks_cli(path, out, season, polarity, capsys):
+    """concur blocks on ``path``: (exit code, stderr)."""
+    code = concur.cli.main(["--out", str(out), "blocks", "--input", str(path), "--season", season,
+                            "--polarity", polarity])
+    return code, capsys.readouterr().err
+
+
+class TestBlocksFold:
+    @given(st.one_of(station_files().map(lambda text: text.encode("utf-8", "surrogateescape")),
+                     clean_station_files().map(lambda case: case[0])),
+           st.sampled_from(SEASONS), st.sampled_from(POLARITIES),
+           st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([1, 3, 8192]))
+    def test_matches_seasonal_blocks_of_ingest(self, tmp_path_factory, data, season, polarity,
+                                               min_coverage, chunk):
+        # small chunks split a cell over many chunks, and put a repeated row
+        # (which the tokenizer finds only at the end) in another chunk than its first
+        path = tmp_path_factory.mktemp("fold") / "stations.csv"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concur.pipeline, "_CHUNK", chunk)
+            kind, want = _outcome(lambda p: seasonal_blocks(ingest_csv(p), season, polarity,
+                                                            min_coverage), path)
+            got_kind, got = _outcome(concur.pipeline._seasonal_blocks_csv, path, season,
+                                     polarity, min_coverage)
+        assert got_kind == kind
+        if kind == "ok":
+            _same_table(got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("reader", ["tokenizer", "row reader", "tokenizer, then row reader"])
+    @pytest.mark.parametrize("season, polarity", [("DJF", "max"), ("DJF", "negated_min"),
+                                                  ("JJA", "negated_min")])
+    def test_writes_the_bytes_of_seasonal_blocks(self, tmp_path, caplog, capsys, reader, season,
+                                                 polarity):
+        path = tmp_path / "stations.csv"
+        chunk = concur.pipeline._CHUNK
+        quoted = {"tokenizer": (), "row reader": range(3 * chunk - 100),
+                  "tokenizer, then row reader": (chunk + 500,)}[reader]
+        _long_station_file(path, quoted=quoted)
+        if reader == "tokenizer, then row reader":
+            # the first chunk is clean: the tokenizer gives up partway
+            first = next(concur.pipeline._tokenized(path, {}, concur.pipeline._line_count(path)))
+            assert len(first[0]) == chunk
+        want = tmp_path / "want.csv"
+        write_extremes_csv(seasonal_blocks(ingest_csv(path), season, polarity), want)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="concur.pipeline"):
+            assert _blocks_cli(path, tmp_path / "got.csv", season, polarity, capsys) == (0, "")
+        assert [r.getMessage() for r in caplog.records] == (
+            [] if reader == "tokenizer" else ["tokenizer: quote, reading rows"])
+        assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
+        # the first winter is December 1999 to February 2000
+        assert read_extremes_csv(want).years[0] == 2000
+
+    @pytest.mark.parametrize("fault", ["bad reading", "repeated day"])
+    def test_an_error_in_a_late_chunk_is_the_row_readers(self, tmp_path, capsys, fault):
+        # the tokenizer meets a bad reading partway and a repeated day only at
+        # the end; either way the row reader reads again and names the line
+        path = tmp_path / "stations.csv"
+        late = 2 * concur.pipeline._CHUNK + 50
+
+        def edit(rows):
+            if fault == "bad reading":
+                rows[late][5] = "abc"
+            else:
+                rows[late] = list(rows[30])
+
+        _long_station_file(path, edit=edit)
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path)
+        assert info.value.line == late + 2
+        for command in (["blocks", "--input", str(path), "--season", "JJA"],
+                        ["ingest", "--input", str(path), "--stations-out",
+                         str(tmp_path / "stations_out.csv")]):
+            assert concur.cli.main(["--out", str(tmp_path / "out.csv"), *command]) == 2
+            assert capsys.readouterr().err == f"error: {info.value}\n"
+            assert not (tmp_path / "out.csv").exists()
+            assert not (tmp_path / "stations_out.csv").exists()
 
 
 def _refused(fn, *args) -> bool:
